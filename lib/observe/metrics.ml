@@ -172,7 +172,7 @@ let size_of t fid = max 0 (t.hooks.h_fid_size fid)
 
 let reuse_access t ~unit_id ~bytes =
   match t.reuse with
-  | Some r -> Reuse.access r ~unit_id ~bytes
+  | Some r -> Reuse.access r ~unit_id ~bytes ~len:1
   | None -> ()
 
 let observer t (ev : Msp430.Trace.event) =

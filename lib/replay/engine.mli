@@ -159,9 +159,13 @@ val simulate : loaded -> model -> sim
     evicts least-recently-used; [Lfu] least-frequently-used (LRU
     tie-break); [Cost_aware] the unit with the smallest
     reference-count x size product — the cheapest expected re-copy
-    (LRU tie-break). [Lru] at budget B produces exactly
-    [Observe.Reuse.predicted_misses ~budget:B] over the same stream
-    (both are stack algorithms; property-tested). *)
+    (LRU tie-break). At a budget B no smaller than the largest unit,
+    [Lru]'s misses and bytes loaded equal
+    [Observe.Reuse.predicted_misses ~budget:B] and
+    [Observe.Reuse.fill_bytes ~budget:B] over the same stream
+    (property-tested). Below that the two differ: the MRC never
+    bypasses a unit, so a too-large unit still pushes smaller ones
+    down its stack. *)
 
 val simulate_many : loaded -> model list -> sim list
 (** Batched {!simulate}: results are returned in input order and are
@@ -191,7 +195,9 @@ val simulate_all_budgets : ?block:int -> loaded -> int list -> sim list
     every budget simultaneously: miss iff d > B. Too-large-unit bypass
     is the one budget-dependent filter, so budgets are grouped at the
     distinct unit sizes falling inside the budget range — typically
-    one class for line traces and a handful for function traces. *)
+    one class for line traces and a handful for function traces — and
+    each class feeds its eligible runs to one {!Observe.Reuse}
+    tracker. *)
 
 val simulate_runs :
   units:int -> budget:int -> policy:policy -> (int * int * int) array -> sim
@@ -210,8 +216,8 @@ val simulate_runs_all_budgets :
     constant-[bytes] requirement as {!simulate_runs}. *)
 
 val mrc : loaded -> Observe.Reuse.t
-(** Rebuild the exact byte-LRU reuse tracker from the reference
-    stream — identical (same predicted curve, same measured-miss
+(** Rebuild the exact byte-LRU reuse tracker by feeding it the
+    reference stream's runs — identical (same predicted curve, same measured-miss
     cross-check) to the tracker an observed execution accumulates. *)
 
 (** {2 Full metrics replay} *)

@@ -154,7 +154,8 @@ let header_of_json j =
                     (List.map
                        (fun v ->
                          match Json.to_int v with
-                         | Some n -> n
+                         | Some n when n >= 0 -> n
+                         | Some n -> corrupt "negative function size %d" n
                          | None -> corrupt "non-integer function size")
                        l)
               | None -> corrupt "functions granularity without sizes"
@@ -162,7 +163,8 @@ let header_of_json j =
             Functions sizes
         | Some "lines" -> (
             match Option.bind (Json.member "bytes" g) Json.to_int with
-            | Some n -> Lines n
+            | Some n when n > 0 -> Lines n
+            | Some n -> corrupt "non-positive line size %d" n
             | None -> corrupt "lines granularity without bytes")
         | Some k -> corrupt "unknown granularity kind %S" k
         | None -> corrupt "granularity without kind")
