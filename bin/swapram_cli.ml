@@ -1313,9 +1313,9 @@ let dse_trace_dir_arg =
 
 let dse_resume_arg =
   let doc =
-    "Persistent memo store: finished sims are appended here as chunks \
-     complete, and a re-run only computes cells missing from the store (a \
-     warm store computes 0)."
+    "Persistent memo store: the sims a run computes are appended here once \
+     the whole grid has been simulated, and a re-run only computes cells \
+     missing from the store (a warm store computes 0)."
   in
   Arg.(value & opt (some string) None & info [ "resume" ] ~docv:"PATH" ~doc)
 

@@ -10,11 +10,10 @@
    the memoized sims, which is why serial, parallel and resumed runs
    are byte-identical by construction.
 
-   The persistent memo store follows the campaign progress-file idiom:
-   a magic line, then marshalled (key, sim) entries, appended as
-   chunks complete and compacted on load so a torn trailing entry from
-   a killed run never blocks future appends. Keys are derived from the
-   trace *contents* (configuration fingerprint + event count) plus the
+   The persistent memo store is a {!Store} (see store.mli for the file
+   format) holding (key, sim) entries; the sims of a run are appended
+   once its pool map returns. Keys are derived from the trace
+   *contents* (configuration fingerprint + event count) plus the
    model — never the file path — so a re-recorded or stale trace can
    never satisfy a cached cell (same staleness discipline as
    [Replay_sweep]'s in-memory memo). *)
@@ -315,7 +314,7 @@ let pareto points =
 
 (* --- Persistent memo store --------------------------------------------- *)
 
-let store_magic = "swapram-dse-memo/1"
+let store_magic = "swapram-dse-memo/2"
 
 type sim_key = {
   sk_fingerprint : int;
@@ -325,52 +324,10 @@ type sim_key = {
   sk_block : int;
 }
 
-let write_entry oc (key : sim_key) (s : Engine.sim) =
-  Marshal.to_channel oc (key, s) []
-
-(* Load-and-compact, exactly the campaign checkpoint discipline. The
-   store is grid-independent (no plan fingerprint in the header):
-   entries from unrelated grids coexist and a later, larger grid
-   extends the store incrementally. *)
-let open_store path =
-  let cache : (sim_key, Engine.sim) Hashtbl.t = Hashtbl.create 4096 in
-  let fresh () =
-    let oc =
-      open_out_gen [ Open_wronly; Open_creat; Open_trunc; Open_binary ] 0o644
-        path
-    in
-    output_string oc (store_magic ^ "\n");
-    flush oc;
-    Ok (cache, oc)
-  in
-  if Sys.file_exists path then begin
-    let ic = open_in_bin path in
-    match input_line ic with
-    | exception End_of_file ->
-        close_in ic;
-        fresh ()
-    | magic when magic <> store_magic ->
-        close_in ic;
-        Error (Printf.sprintf "memo store %s: not a dse memo store" path)
-    | _ ->
-        (try
-           while true do
-             let (key : sim_key), (s : Engine.sim) = Marshal.from_channel ic in
-             Hashtbl.replace cache key s
-           done
-         with End_of_file | Failure _ -> ());
-        close_in ic;
-        let oc =
-          open_out_gen
-            [ Open_wronly; Open_creat; Open_trunc; Open_binary ]
-            0o644 path
-        in
-        output_string oc (store_magic ^ "\n");
-        Hashtbl.iter (fun k s -> write_entry oc k s) cache;
-        flush oc;
-        Ok (cache, oc)
-  end
-  else fresh ()
+(* The store is grid-independent (a constant fingerprint): entries
+   from unrelated grids coexist and a later, larger grid extends the
+   store incrementally. *)
+let store_fingerprint = "grid-independent"
 
 (* --- Evaluation --------------------------------------------------------- *)
 
@@ -447,15 +404,12 @@ let run ?jobs ?chunk ?(progress = Progress.null) ?store grid workloads =
   | Ok () -> (
       let jobs = Sweep.resolve_jobs jobs in
       match
-        match store with
-        | None -> Ok (Hashtbl.create 4096, None)
-        | Some path -> (
-            match open_store path with
-            | Ok (cache, oc) -> Ok (cache, Some oc)
-            | Error _ as e -> e)
+        Store.open_ ~magic:store_magic ~fingerprint:store_fingerprint store
       with
-      | Error e -> Error e
-      | Ok (cache, append) -> (
+      | Error (Store.Not_a_store path | Store.Fingerprint_mismatch path) ->
+          Error (Printf.sprintf "memo store %s: not a dse memo store" path)
+      | Ok (memo : (sim_key, Engine.sim) Store.t) -> (
+          Fun.protect ~finally:(fun () -> Store.close memo) @@ fun () ->
           (* Staleness gate: each workload's on-disk trace must still
              carry the fingerprint it was planned with. *)
           let stale =
@@ -476,9 +430,7 @@ let run ?jobs ?chunk ?(progress = Progress.null) ?store grid workloads =
               workloads
           in
           match stale with
-          | Some e ->
-              (match append with Some oc -> close_out oc | None -> ());
-              Error e
+          | Some e -> Error e
           | None -> (
               let t0 = Unix.gettimeofday () in
               let per_workload =
@@ -498,7 +450,7 @@ let run ?jobs ?chunk ?(progress = Progress.null) ?store grid workloads =
                   (fun (w, ms) ->
                     List.filter_map
                       (fun m ->
-                        if Hashtbl.mem cache (key_of w m) then None
+                        if Store.mem memo (key_of w m) then None
                         else Some (w, m))
                       ms)
                   per_workload
@@ -544,28 +496,7 @@ let run ?jobs ?chunk ?(progress = Progress.null) ?store grid workloads =
                            total = sims_total;
                          })
                 | _ -> ());
-                match ev with
-                | Parallel.Dispatched { pid; task } ->
-                    progress
-                      (Progress.Worker_state
-                         { pid; state = Progress.W_busy; task })
-                | Parallel.Completed { pid; task } ->
-                    progress
-                      (Progress.Worker_state
-                         { pid; state = Progress.W_idle; task })
-                | Parallel.Spawned { pid } ->
-                    progress
-                      (Progress.Worker_state
-                         { pid; state = Progress.W_spawned; task = -1 })
-                | Parallel.Died { pid; task; _ } ->
-                    progress
-                      (Progress.Worker_state
-                         { pid; state = Progress.W_died; task })
-                | Parallel.Timed_out { pid; task } ->
-                    progress
-                      (Progress.Worker_state
-                         { pid; state = Progress.W_timed_out; task })
-                | Parallel.Requeued _ -> ()
+                Parallel.worker_progress progress ev
               in
               (* One chunk = one [simulate_many_collapsed] batch per
                  workload segment within it. The chunk's collapsed-sim
@@ -610,11 +541,7 @@ let run ?jobs ?chunk ?(progress = Progress.null) ?store grid workloads =
                       Parallel.map_robust ~jobs ~on_event:on_pool eval_chunk
                         tasks)
               with
-              | exception Failure msg ->
-                  (match append with Some oc -> close_out oc | None -> ());
-                  Error msg
-              | exception Parallel.Worker_failed msg ->
-                  (match append with Some oc -> close_out oc | None -> ());
+              | exception (Failure msg | Parallel.Worker_failed msg) ->
                   Error msg
               | results ->
                   List.iter2
@@ -622,23 +549,15 @@ let run ?jobs ?chunk ?(progress = Progress.null) ?store grid workloads =
                       Array.iteri
                         (fun k s ->
                           let w, m = chunk.(k) in
-                          let key = key_of w m in
-                          Hashtbl.replace cache key s;
-                          match append with
-                          | Some oc -> write_entry oc key s
-                          | None -> ())
+                          Store.add memo (key_of w m) s)
                         sims)
                     tasks results;
+                  Store.flush memo;
                   let sims_collapsed =
                     List.fold_left (fun acc (_, c) -> acc + c) 0 results
                   in
                   Observe.Telemetry.counter "dse.sims_collapsed"
                     sims_collapsed;
-                  (match append with
-                  | Some oc ->
-                      flush oc;
-                      close_out oc
-                  | None -> ());
                   (* Fan sims out into points and frontiers, entirely
                      in the parent. *)
                   let frontiers, all_points =
@@ -655,7 +574,7 @@ let run ?jobs ?chunk ?(progress = Progress.null) ?store grid workloads =
                                 List.concat_map
                                   (fun (m : Engine.model) ->
                                     let sim =
-                                      Hashtbl.find cache (key_of w m)
+                                      Option.get (Store.find memo (key_of w m))
                                     in
                                     List.map
                                       (fun freq ->

@@ -146,10 +146,12 @@ val run :
     {!Parallel.chunk_size} cells, grouped by workload so each chunk is
     a handful of {!Replay.Engine.simulate_many} batches; [chunk]
     overrides the dynamic width. [store] names the persistent memo
-    store (created if absent): finished chunks are appended as they
-    complete and a torn tail from a killed run is compacted away on
-    load. A workload whose on-disk trace no longer matches its planned
-    fingerprint is an [Error], not a silent recompute. *)
+    store, an {!Store} (created if absent or empty): the sims computed
+    by a run are appended once the whole pool map returns, so a run
+    killed earlier keeps only what earlier runs stored. A damaged or
+    torn tail is dropped on load. A workload whose on-disk trace no
+    longer matches its planned fingerprint is an [Error], not a silent
+    recompute. *)
 
 (** {2 JSON} *)
 

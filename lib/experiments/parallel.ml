@@ -52,6 +52,18 @@ type event =
   | Timed_out of { pid : int; task : int }
   | Requeued of { task : int; attempt : int; delay : float }
 
+let worker_progress (progress : Observe.Progress.sink) ev =
+  let state pid state task =
+    progress (Observe.Progress.Worker_state { pid; state; task })
+  in
+  match ev with
+  | Spawned { pid } -> state pid Observe.Progress.W_spawned (-1)
+  | Dispatched { pid; task } -> state pid Observe.Progress.W_busy task
+  | Completed { pid; task } -> state pid Observe.Progress.W_idle task
+  | Died { pid; task; _ } -> state pid Observe.Progress.W_died task
+  | Timed_out { pid; task } -> state pid Observe.Progress.W_timed_out task
+  | Requeued _ -> ()
+
 type 'b reply = Ok_r of 'b | Error_r of string
 
 type worker = {

@@ -45,6 +45,12 @@ type event =
   | Requeued of { task : int; attempt : int; delay : float }
       (** re-execution scheduled after [delay] seconds of backoff *)
 
+val worker_progress : Observe.Progress.sink -> event -> unit
+(** Forward an event's worker transition as a
+    {!Observe.Progress.Worker_state} (spawned, busy, idle, died, timed
+    out; [Spawned] carries task [-1]). [Requeued] names no worker and
+    is dropped. *)
+
 val map :
   ?jobs:int -> ?on_event:(event -> unit) -> ('a -> 'b) -> 'a list -> 'b list
 (** [map ~jobs f xs] is [List.map f xs] computed by up to [jobs]

@@ -23,6 +23,7 @@
 
 module Toolchain = Experiments.Toolchain
 module Parallel = Experiments.Parallel
+module Store = Experiments.Store
 module Progress = Observe.Progress
 module Json = Observe.Json
 
@@ -271,20 +272,17 @@ let cells_of plan =
     plan.p_benchmarks
 
 (* ------------------------------------------------------------------ *)
-(* Progress checkpoint file.
+(* Progress checkpoint file: an {!Experiments.Store} (see store.mli for
+   the file format) of [(label, shard, lo, hi) -> tally] entries,
+   appended after every round. The fingerprint covers everything that
+   determines a shard's tally — seed, shard size, watchdogs, fuel, and
+   the cell grid — but *not* the trial count or the CI width, so a
+   finished campaign can be extended (more trials) or re-aggregated
+   (tighter interval) without recomputation; partial last shards are
+   keyed by their [lo, hi) trial range and simply miss the cache when
+   the range changes. *)
 
-   Layout: a magic line, a fingerprint line, then marshalled
-   [(label, shard, lo, hi, tally)] entries. The fingerprint covers
-   everything that determines a shard's tally — seed, shard size,
-   watchdogs, fuel, and the cell grid — but *not* the trial count or
-   the CI width, so a finished campaign can be extended (more trials)
-   or re-aggregated (tighter interval) without recomputation; partial
-   last shards are keyed by their [lo, hi) trial range and simply miss
-   the cache when the range changes. A half-written trailing entry
-   (campaign killed mid-append) is dropped on load and the file is
-   rewritten compacted, so appends always land on a clean tail. *)
-
-let progress_magic = "swapram-campaign-progress/1"
+let progress_magic = "swapram-campaign-progress/2"
 
 let fingerprint plan =
   String.concat ";"
@@ -304,92 +302,28 @@ let fingerprint plan =
 
 type shard_key = string * int * int * int (* label, shard, lo, hi *)
 
-let write_entry oc (key : shard_key) (t : tally) =
-  Marshal.to_channel oc (key, t) []
-
-let open_progress path plan =
-  let fp = fingerprint plan in
-  let cache : (shard_key, tally) Hashtbl.t = Hashtbl.create 64 in
-  match path with
-  | None -> Ok (cache, None)
-  | Some path ->
-      if Sys.file_exists path then begin
-        let ic = open_in_bin path in
-        let header =
-          try
-            let magic = input_line ic in
-            let fp' = input_line ic in
-            Ok (magic, fp')
-          with End_of_file -> Error "truncated header"
-        in
-        match header with
-        | Error e ->
-            close_in ic;
-            Error (Printf.sprintf "progress file %s: %s" path e)
-        | Ok (magic, _) when magic <> progress_magic ->
-            close_in ic;
-            Error
-              (Printf.sprintf "progress file %s: not a campaign progress file"
-                 path)
-        | Ok (_, fp') when fp' <> fp ->
-            close_in ic;
-            Error
-              (Printf.sprintf
-                 "progress file %s was recorded by a different campaign \
-                  configuration"
-                 path)
-        | Ok _ ->
-            (try
-               while true do
-                 let (key : shard_key), (t : tally) =
-                   Marshal.from_channel ic
-                 in
-                 Hashtbl.replace cache key t
-               done
-             with End_of_file | Failure _ -> ());
-            close_in ic;
-            (* rewrite compacted so a torn trailing entry from a killed
-               campaign never sits in front of future appends *)
-            let oc =
-              open_out_gen
-                [ Open_wronly; Open_creat; Open_trunc; Open_binary ]
-                0o644 path
-            in
-            output_string oc (progress_magic ^ "\n" ^ fp ^ "\n");
-            Hashtbl.iter (fun k t -> write_entry oc k t) cache;
-            flush oc;
-            Ok (cache, Some oc)
-      end
-      else begin
-        let oc =
-          open_out_gen
-            [ Open_wronly; Open_creat; Open_trunc; Open_binary ]
-            0o644 path
-        in
-        output_string oc (progress_magic ^ "\n" ^ fp ^ "\n");
-        flush oc;
-        Ok (cache, Some oc)
-      end
-
 (* ------------------------------------------------------------------ *)
 (* Running *)
 
 exception Campaign_error of string
 
-let pool_describe = function
-  | Parallel.Spawned { pid } -> Printf.sprintf "worker %d spawned" pid
-  | Parallel.Dispatched { pid; task } ->
-      Printf.sprintf "worker %d took shard task %d" pid task
-  | Parallel.Completed { pid; task } ->
-      Printf.sprintf "worker %d finished shard task %d" pid task
+(* High-frequency dispatch/completion traffic goes out as Worker_state
+   only (dashboards render it, plain sinks drop it); the rarer
+   lifecycle events additionally keep their historical one-line
+   Pool_event form. *)
+let pool_event = function
+  | Parallel.Dispatched _ | Parallel.Completed _ -> None
+  | Parallel.Spawned { pid } -> Some (Printf.sprintf "worker %d spawned" pid)
   | Parallel.Died { pid; task; attempt } ->
-      Printf.sprintf "worker %d died on shard task %d (attempt %d)" pid task
-        attempt
+      Some
+        (Printf.sprintf "worker %d died on shard task %d (attempt %d)" pid
+           task attempt)
   | Parallel.Timed_out { pid; task } ->
-      Printf.sprintf "worker %d timed out on shard task %d" pid task
+      Some (Printf.sprintf "worker %d timed out on shard task %d" pid task)
   | Parallel.Requeued { task; attempt; delay } ->
-      Printf.sprintf "shard task %d re-queued (attempt %d, %.2fs backoff)" task
-        attempt delay
+      Some
+        (Printf.sprintf "shard task %d re-queued (attempt %d, %.2fs backoff)"
+           task attempt delay)
 
 let run_shard plan config cell golden ~watchdog_cycles ~cell_idx ~lo ~hi =
   let t = ref tally_zero in
@@ -426,41 +360,31 @@ let run ?(jobs = 1) ?chunk ?task_timeout ?(progress = Progress.null)
   then Error "campaign: empty cell grid"
   else begin
     let cells = cells_of plan in
-    match open_progress progress_file plan with
-    | Error e -> Error e
-    | Ok (cache, append) ->
+    match
+      Store.open_ ~magic:progress_magic ~fingerprint:(fingerprint plan)
+        progress_file
+    with
+    | Error (Store.Not_a_store path) ->
+        Error
+          (Printf.sprintf "progress file %s: not a campaign progress file" path)
+    | Error (Store.Fingerprint_mismatch path) ->
+        Error
+          (Printf.sprintf
+             "progress file %s was recorded by a different campaign \
+              configuration"
+             path)
+    | Ok (cache : (shard_key, tally) Store.t) ->
+        Fun.protect ~finally:(fun () -> Store.close cache)
+        @@ fun () ->
         let t0 = Unix.gettimeofday () in
         progress
           (Progress.Campaign_started
              { cells = List.length cells; trials = plan.p_trials });
-        (* High-frequency dispatch/completion traffic goes out as
-           Worker_state (dashboards render it, plain sinks drop it);
-           the rarer lifecycle events additionally keep their
-           historical one-line Pool_event form. *)
         let on_pool ev =
-          match ev with
-          | Parallel.Dispatched { pid; task } ->
-              progress
-                (Progress.Worker_state { pid; state = Progress.W_busy; task })
-          | Parallel.Completed { pid; task } ->
-              progress
-                (Progress.Worker_state { pid; state = Progress.W_idle; task })
-          | Parallel.Spawned { pid } ->
-              progress
-                (Progress.Worker_state
-                   { pid; state = Progress.W_spawned; task = -1 });
-              progress (Progress.Pool_event (pool_describe ev))
-          | Parallel.Died { pid; task; _ } ->
-              progress
-                (Progress.Worker_state { pid; state = Progress.W_died; task });
-              progress (Progress.Pool_event (pool_describe ev))
-          | Parallel.Timed_out { pid; task } ->
-              progress
-                (Progress.Worker_state
-                   { pid; state = Progress.W_timed_out; task });
-              progress (Progress.Pool_event (pool_describe ev))
-          | Parallel.Requeued _ ->
-              progress (Progress.Pool_event (pool_describe ev))
+          Parallel.worker_progress progress ev;
+          Option.iter
+            (fun s -> progress (Progress.Pool_event s))
+            (pool_event ev)
         in
         let shard_range s =
           let lo = s * plan.p_shard_trials in
@@ -508,7 +432,7 @@ let run ?(jobs = 1) ?chunk ?task_timeout ?(progress = Progress.null)
                 in
                 let idxs = List.init (round_end - !next) (fun i -> !next + i) in
                 let work =
-                  List.filter (fun s -> not (Hashtbl.mem cache (key s))) idxs
+                  List.filter (fun s -> not (Store.mem cache (key s))) idxs
                 in
                 shards_computed := !shards_computed + List.length work;
                 shards_cached :=
@@ -529,17 +453,11 @@ let run ?(jobs = 1) ?chunk ?task_timeout ?(progress = Progress.null)
                         ~cell_idx ~lo ~hi)
                     work
                 in
-                List.iter2
-                  (fun s t ->
-                    Hashtbl.replace cache (key s) t;
-                    match append with
-                    | Some oc -> write_entry oc (key s) t
-                    | None -> ())
-                  work computed;
-                (match append with Some oc -> flush oc | None -> ());
+                List.iter2 (fun s t -> Store.add cache (key s) t) work computed;
+                Store.flush cache;
                 List.iter
                   (fun s ->
-                    let t = Hashtbl.find cache (key s) in
+                    let t = Option.get (Store.find cache (key s)) in
                     tallies.(s) <- t;
                     progress
                       (Progress.Shard_done
@@ -599,43 +517,36 @@ let run ?(jobs = 1) ?chunk ?task_timeout ?(progress = Progress.null)
                 cr_progress_ci = wilson tally.t_trials tally.t_completed;
               }
         in
-        let finish () =
-          match append with Some oc -> close_out oc | None -> ()
-        in
-        let result =
-          try
-            let cell_results = List.mapi run_cell cells in
-            let trials =
-              List.fold_left
-                (fun a c -> a + c.cr_tally.t_trials)
-                0 cell_results
-            in
-            let outcome =
-              {
-                o_seed = plan.p_seed;
-                o_trials = trials;
-                o_cells = cell_results;
-                o_wall_seconds = Unix.gettimeofday () -. t0;
-                o_shards_computed = !shards_computed;
-                o_shards_cached = !shards_cached;
-              }
-            in
-            progress
-              (Progress.Campaign_done
-                 {
-                   cells = List.length cells;
-                   trials;
-                   seconds = outcome.o_wall_seconds;
-                 });
-            Ok outcome
-          with
-          | Campaign_error msg -> Error msg
-          | Parallel.Worker_failed msg ->
-              Error ("campaign: worker pool failed: " ^ msg)
-          | Failure msg -> Error ("campaign: " ^ msg)
-        in
-        finish ();
-        result
+        try
+          let cell_results = List.mapi run_cell cells in
+          let trials =
+            List.fold_left
+              (fun a c -> a + c.cr_tally.t_trials)
+              0 cell_results
+          in
+          let outcome =
+            {
+              o_seed = plan.p_seed;
+              o_trials = trials;
+              o_cells = cell_results;
+              o_wall_seconds = Unix.gettimeofday () -. t0;
+              o_shards_computed = !shards_computed;
+              o_shards_cached = !shards_cached;
+            }
+          in
+          progress
+            (Progress.Campaign_done
+               {
+                 cells = List.length cells;
+                 trials;
+                 seconds = outcome.o_wall_seconds;
+               });
+          Ok outcome
+        with
+        | Campaign_error msg -> Error msg
+        | Parallel.Worker_failed msg ->
+            Error ("campaign: worker pool failed: " ^ msg)
+        | Failure msg -> Error ("campaign: " ^ msg)
   end
 
 (* ------------------------------------------------------------------ *)

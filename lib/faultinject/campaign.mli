@@ -146,8 +146,9 @@ val run :
     their chunks, so a killed worker costs wall-clock time but never
     data. Results are identical for every chunk width.
 
-    [progress_file] names an append-mode progress checkpoint: every
-    finished shard's tally is persisted, and a re-run (or an extended
+    [progress_file] names the progress checkpoint, an
+    {!Experiments.Store} (created if absent or empty): every round's
+    finished shard tallies are appended, and a re-run (or an extended
     run with more trials) replays finished shards from the file
     instead of recomputing them. The file is fingerprinted by every
     plan field that determines shard contents; a mismatch is an

@@ -199,9 +199,10 @@ let survives_worker_kill () =
 
 (* --- progress checkpoints: resume and extend ------------------- *)
 
+(* [Filename.temp_file] leaves a zero-length file behind, which must
+   read as a fresh checkpoint. *)
 let with_progress_file f =
   let path = Filename.temp_file "campaign_progress" ".bin" in
-  Sys.remove path;
   Fun.protect
     ~finally:(fun () -> if Sys.file_exists path then Sys.remove path)
     (fun () -> f path)
