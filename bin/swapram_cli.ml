@@ -3,11 +3,19 @@
    memory placement, run it on the simulated MSP430FR2355 and report
    execution statistics.
 
+   The bench command regenerates the paper's tables and figures
+   (DESIGN.md's per-experiment index) and the machine-readable report.
+
    Examples:
      swapram_cli run --benchmark crc
      swapram_cli run --benchmark aes --system swapram --freq 8
      swapram_cli run --file prog.c --system block --placement standard
      swapram_cli asm --benchmark crc        # dump instrumented assembly
+     swapram_cli bench                      # every table and figure
+     swapram_cli bench fig1 tab2            # selected artifacts
+     swapram_cli bench --jobs=0 --report=bench/report.json
+                                            # JSON report only, sweep
+                                            # cells on every core
 *)
 
 module Platform = Msp430.Platform
@@ -1670,6 +1678,140 @@ let timeline_term =
       (const timeline_cmd $ ledger_pos_arg $ timeline_chrome_arg
      $ timeline_csv_arg $ timeline_summary_arg))
 
+(* Bench: the paper's artifacts at seed 1, then the full JSON report
+   (--report) and the slim committed baseline (--baseline). --jobs and
+   --engine reach every artifact through the Sweep/Toolchain defaults;
+   neither can change a simulated value. *)
+
+let bench_seed = 1
+
+let bench_artifacts =
+  let open Experiments in
+  let seed = bench_seed in
+  let at_both_frequencies render compute () =
+    print_string (render (compute Platform.Mhz24));
+    print_newline ();
+    print_string (render (compute Platform.Mhz8))
+  in
+  [
+    ("fig1", fun () -> print_string (Fig1.render (Fig1.compute ~seed ())));
+    ("tab1", fun () -> print_string (Tab1.render (Tab1.compute ~seed ())));
+    ("fig7", fun () -> print_string (Fig7.render (Fig7.compute ~seed ())));
+    ("tab2", fun () -> print_string (Tab2.render (Tab2.compute ~seed ())));
+    ("fig8", fun () -> print_string (Fig8.render (Fig8.compute ~seed ())));
+    ( "fig9",
+      at_both_frequencies Fig9.render (fun frequency ->
+          Fig9.compute ~seed ~frequency ()) );
+    ( "fig10",
+      at_both_frequencies Fig10.render (fun frequency ->
+          Fig10.compute ~seed ~frequency ()) );
+    ("ablation", fun () -> print_string (Ablation.(render (compute ~seed ()))));
+    ("tabpgo", fun () -> print_string (Tab_pgo.(render (compute ~seed ()))));
+  ]
+
+let bench_artifact_arg =
+  let names = List.map (fun (n, _) -> (n, n)) bench_artifacts in
+  let doc =
+    Printf.sprintf
+      "Artifact to regenerate: %s. With no $(docv) and neither --report nor \
+       --baseline, every artifact runs."
+      (Arg.doc_alts_enum names)
+  in
+  Arg.(value & pos_all (enum names) [] & info [] ~docv:"ARTIFACT" ~doc)
+
+let bench_path_arg name ~default ~doc =
+  Arg.(
+    value
+    & opt ~vopt:(Some default) (some string) None
+    & info [ name ] ~docv:"PATH" ~doc)
+
+let bench_campaign_arg =
+  let doc =
+    "Embed a Monte-Carlo fault-injection campaign (default plan, $(docv) \
+     trials per cell) in the --report JSON."
+  in
+  Arg.(
+    value
+    & opt ~vopt:(Some 200) (some int) None
+    & info [ "campaign" ] ~docv:"TRIALS" ~doc)
+
+let bench_report ~jobs ~campaign path =
+  let campaign =
+    match campaign with
+    | None -> Ok None
+    | Some p_trials ->
+        Faultinject.Campaign.(
+          run ~jobs ~progress:(Observe.Progress.auto stderr)
+            { default_plan with p_trials }
+          |> Result.map (fun o -> Some (to_json o)))
+  in
+  match campaign with
+  | Error e -> Error ("campaign failed: " ^ e)
+  | Ok campaign ->
+      Experiments.Bench_report.write ~seed:bench_seed ?campaign path;
+      let ms = Experiments.Sweep.memo_stats () in
+      Printf.printf "sweep memo   : %d hit, %d computed\n"
+        ms.Experiments.Sweep.hits ms.Experiments.Sweep.misses;
+      Printf.printf "wrote %s (schema v%d%s)\n" path
+        Experiments.Bench_report.schema_version
+        (if campaign <> None then ", with campaign" else "");
+      Ok ()
+
+let bench_cmd artifacts report baseline campaign jobs engine telemetry =
+  let* engine = parse_engine_only "bench" engine in
+  match (campaign, report) with
+  | Some n, _ when n <= 0 -> `Error (true, "--campaign must be positive")
+  | Some _, None -> `Error (true, "--campaign requires --report")
+  | _ ->
+      let jobs = resolve_jobs jobs in
+      Experiments.Sweep.set_default_jobs jobs;
+      Experiments.Toolchain.set_default_engine engine;
+      Experiments.Sweep.set_default_progress (Observe.Progress.auto stderr);
+      let artifacts =
+        if artifacts = [] && report = None && baseline = None then
+          List.map fst bench_artifacts
+        else artifacts
+      in
+      with_telemetry ~command:"bench" telemetry
+        ~fields:Observe.Json.[ ("seed", Int bench_seed); ("jobs", Int jobs) ]
+      @@ fun () ->
+      let step name run =
+        let r = Observe.Telemetry.with_span ~cat:"bench" name run in
+        print_newline ();
+        r
+      in
+      List.iter (fun a -> step a (List.assoc a bench_artifacts)) artifacts;
+      let* () =
+        match report with
+        | None -> Ok ()
+        | Some path ->
+            step "report" (fun () -> bench_report ~jobs ~campaign path)
+      in
+      Option.iter
+        (fun path ->
+          step "baseline" (fun () ->
+              Experiments.Bench_report.write ~seed:bench_seed ~slim:true path;
+              Printf.printf "wrote %s (schema v%d, slim)\n" path
+                Experiments.Bench_report.schema_version))
+        baseline;
+      `Ok ()
+
+let bench_term =
+  let report_arg =
+    bench_path_arg "report" ~default:"bench/report.json"
+      ~doc:"After the artifacts, write the full JSON report to $(docv)."
+  in
+  let baseline_arg =
+    bench_path_arg "baseline" ~default:"bench/baseline.json"
+      ~doc:
+        "Last, write the slim report, the committed regression baseline, to \
+         $(docv)."
+  in
+  Term.(
+    ret
+      (const bench_cmd $ bench_artifact_arg $ report_arg $ baseline_arg
+     $ bench_campaign_arg $ jobs_arg $ engine_arg $ telemetry_arg))
+
 let asm_term =
   Term.(ret (const asm_cmd $ benchmark_arg $ file_arg $ seed_arg $ instrumented_arg))
 
@@ -1759,6 +1901,13 @@ let cmds =
             traffic), with batched replay, chunked parallel dispatch and a \
             persistent memo store for incremental re-runs")
       dse_term;
+    Cmd.v
+      (Cmd.info "bench"
+         ~doc:
+           "Regenerate the paper's tables and figures at seed 1, and write \
+            the JSON report (--report) and the slim regression baseline \
+            (--baseline)")
+      bench_term;
     Cmd.v
       (Cmd.info "timeline"
          ~doc:

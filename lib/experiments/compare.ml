@@ -89,7 +89,8 @@ let compare_cell ~thresholds ~bench ~system old_cell new_cell
         Printf.sprintf
           "%s/%s: new report is slim — it lacks the per-window metrics \
            series the baseline carries; regenerate a full report (dune exec \
-           bench/main.exe -- --report) or compare against a slim baseline"
+           bin/swapram_cli.exe -- bench --report) or compare against a slim \
+           baseline"
           bench system
         :: errors
       else errors

@@ -538,8 +538,8 @@ let run ?jobs ?chunk ?(progress = Progress.null) ?store grid workloads =
                   (fun () ->
                     if tasks = [] then []
                     else
-                      Parallel.map_robust ~jobs ~on_event:on_pool eval_chunk
-                        tasks)
+                      Parallel.map ~jobs ~retries:3 ~on_event:on_pool
+                        eval_chunk tasks)
               with
               | exception (Failure msg | Parallel.Worker_failed msg) ->
                   Error msg

@@ -19,8 +19,8 @@
      load-balances uneven cells; determinism is preserved by indexing
      results, not by scheduling.
 
-   - Self-healing ([map_robust]): a worker that dies or exceeds the
-     per-task host timeout is disposed of — both pipe ends closed,
+   - Self-healing (when [retries] > 0): a worker that dies or exceeds
+     the per-task host timeout is disposed of — both pipe ends closed,
      SIGKILL if still alive, waitpid so no zombie accumulates — and
      its task is re-queued with exponential backoff, up to [retries]
      re-executions, against a freshly spawned worker. A task that
@@ -105,7 +105,7 @@ let child_loop tasks f task_r result_w =
    with _ -> Unix._exit 2);
   Unix._exit 0
 
-let map_robust ?(jobs = 1) ?task_timeout ?(retries = 3) ?(backoff = 0.05)
+let map ?(jobs = 1) ?task_timeout ?(retries = 0) ?(backoff = 0.05)
     ?(on_event = fun (_ : event) -> ()) f xs =
   let tasks = Array.of_list xs in
   let ntasks = Array.length tasks in
@@ -382,10 +382,6 @@ let map_robust ?(jobs = 1) ?task_timeout ?(retries = 3) ?(backoff = 0.05)
          | None -> raise (Worker_failed "missing result"))
   end
 
-(* The historical strict map: any worker death fails the whole map
-   (no re-execution), exactly one attempt per task. *)
-let map ?jobs ?on_event f xs = map_robust ?jobs ?on_event ~retries:0 f xs
-
 (* --- Chunked dispatch --------------------------------------------------- *)
 
 (* Dynamic policy: aim for ~4 chunks per worker so the pool can still
@@ -409,7 +405,7 @@ let map_chunked ?(jobs = 1) ?chunk ?task_timeout ?retries ?backoff ?on_event f
   let c = chunk_size ?chunk ~jobs n in
   if n = 0 then []
   else if c <= 1 then
-    map_robust ~jobs ?task_timeout ?retries ?backoff ?on_event f xs
+    map ~jobs ?task_timeout ?retries ?backoff ?on_event f xs
   else
     let arr = Array.of_list xs in
     let nchunks = (n + c - 1) / c in
@@ -426,7 +422,7 @@ let map_chunked ?(jobs = 1) ?chunk ?task_timeout ?retries ?backoff ?on_event f
           ("chunks", Observe.Json.Int nchunks);
         ]
     @@ fun () ->
-    map_robust ~jobs ?task_timeout ?retries ?backoff ?on_event
+    map ~jobs ?task_timeout ?retries ?backoff ?on_event
       (fun chunk -> Array.map f chunk)
       chunks
     |> List.concat_map Array.to_list

@@ -24,7 +24,7 @@ exception Worker_failed of string
 val in_worker : unit -> bool
 (** True inside a forked worker process. Chaos tasks that deliberately
     kill their own process must check this so the serial in-process
-    degradation of {!map}/{!map_robust} is never killed. *)
+    degradation of {!map}/{!map_chunked} is never killed. *)
 
 (** Pool lifecycle notifications, for campaign progress reporting.
     Purely observational: handlers see aggregate facts only and cannot
@@ -52,16 +52,6 @@ val worker_progress : Observe.Progress.sink -> event -> unit
     is dropped. *)
 
 val map :
-  ?jobs:int -> ?on_event:(event -> unit) -> ('a -> 'b) -> 'a list -> 'b list
-(** [map ~jobs f xs] is [List.map f xs] computed by up to [jobs]
-    forked workers. [jobs] defaults to 1; values [<= 1], a singleton
-    or empty [xs] degrade to plain [List.map] in-process (no fork).
-    Tasks are dispatched dynamically in list order; results are
-    returned in list order regardless of completion order. Strict: a
-    worker death raises {!Worker_failed} (it is {!map_robust} with a
-    zero retry budget). *)
-
-val map_robust :
   ?jobs:int ->
   ?task_timeout:float ->
   ?retries:int ->
@@ -70,14 +60,22 @@ val map_robust :
   ('a -> 'b) ->
   'a list ->
   'b list
-(** Self-healing {!map} for overnight campaigns: a worker that crashes
-    (or exceeds the [task_timeout] host-seconds deadline, when given)
-    is disposed of — both pipe ends closed, killed if needed, reaped —
-    and its task is re-queued with exponential backoff ([backoff] *
-    2^(attempt-1) seconds, default 0.05) against a freshly spawned
-    worker, up to [retries] re-executions per task (default 3), after
-    which {!Worker_failed} is raised. A task that raises an exception
-    fails immediately — same binary, same input, so the failure is
+(** [map ~jobs f xs] is [List.map f xs] computed by up to [jobs]
+    forked workers. [jobs] defaults to 1; values [<= 1], a singleton
+    or empty [xs] degrade to plain [List.map] in-process (no fork).
+    Tasks are dispatched dynamically in list order; results are
+    returned in list order regardless of completion order.
+
+    A worker that crashes (or exceeds the [task_timeout] host-seconds
+    deadline, when given) is disposed of — both pipe ends closed,
+    killed if needed, reaped — and its task is re-queued with
+    exponential backoff ([backoff] * 2^(attempt-1) seconds, default
+    0.05) against a freshly spawned worker, up to [retries]
+    re-executions per task, after which {!Worker_failed} is raised.
+    [retries] defaults to 0, so by default the map is strict: the
+    first worker death raises {!Worker_failed}; long campaigns pass a
+    budget to self-heal. A task that raises an exception fails
+    immediately — same binary, same input, so the failure is
     deterministic and re-running cannot help. Every worker leaving the
     pool is reaped, so no fds or zombies leak regardless of how the
     map ends. Determinism: results are assembled by task index, so a
@@ -102,14 +100,14 @@ val map_chunked :
   ('a -> 'b) ->
   'a list ->
   'b list
-(** {!map_robust} with chunked dispatch: tasks are grouped into
+(** {!map} with chunked dispatch: tasks are grouped into
     contiguous chunks of {!chunk_size} items and each chunk is one
     pool task — one pipe round trip and one [Marshal] frame per chunk
     instead of per item, which is what keeps sub-millisecond cells
     (replay simulation points) from drowning in protocol overhead.
-    Self-healing semantics are inherited at chunk granularity: a
-    crashed worker re-queues its whole chunk, a raising task fails the
-    map. [on_event] task indices refer to chunks, not items. The
+    Retry semantics (and the strict default) are inherited at chunk
+    granularity: a crashed worker re-queues its whole chunk, a raising
+    task fails the map. [on_event] task indices refer to chunks, not items. The
     result equals [List.map f xs] for every chunk size, worker count
     and crash schedule — input-order merge is preserved by the
     index-keyed reassembly underneath. *)

@@ -442,7 +442,7 @@ let run ?(jobs = 1) ?chunk ?task_timeout ?(progress = Progress.null)
                 Observe.Telemetry.counter "campaign.shards_cached"
                   !shards_cached;
                 let computed =
-                  Parallel.map_chunked ~jobs ?chunk ?task_timeout
+                  Parallel.map_chunked ~jobs ?chunk ?task_timeout ~retries:3
                     ~on_event:on_pool
                     (fun s ->
                       (match chaos with

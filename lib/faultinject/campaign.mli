@@ -143,8 +143,8 @@ val run :
     overrides the dynamic width; one shard per task whenever
     [task_timeout] is set without an explicit [chunk], since the
     deadline is per task) and respawns crashed workers, re-queuing
-    their chunks, so a killed worker costs wall-clock time but never
-    data. Results are identical for every chunk width.
+    their chunks up to three times each, so a killed worker costs
+    wall-clock time but never data. Results are identical for every chunk width.
 
     [progress_file] names the progress checkpoint, an
     {!Experiments.Store} (created if absent or empty): every round's

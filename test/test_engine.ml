@@ -291,6 +291,33 @@ let parallel_map_orders_results () =
   Alcotest.(check (list int)) "input order" (List.map (fun n -> 2 * n) xs)
     doubled
 
+(* A worker that dies once (marker-file pattern: the first worker to
+   pick up task 2 exits, a re-execution finds the marker) fails the
+   strict default map and is healed by a one-retry budget. *)
+let worker_death_heals_with_retries () =
+  let marker = Filename.temp_file "pool_chaos" ".marker" in
+  let disarm () = if Sys.file_exists marker then Sys.remove marker in
+  let f n =
+    if
+      n = 2
+      && Experiments.Parallel.in_worker ()
+      && not (Sys.file_exists marker)
+    then begin
+      close_out (open_out marker);
+      Unix._exit 17
+    end;
+    n * n
+  in
+  let xs = [ 0; 1; 2; 3 ] in
+  disarm ();
+  (match Experiments.Parallel.map ~jobs:2 f xs with
+  | _ -> Alcotest.fail "expected Worker_failed at the default retries"
+  | exception Experiments.Parallel.Worker_failed _ -> ());
+  disarm ();
+  let healed = Experiments.Parallel.map ~jobs:2 ~retries:1 f xs in
+  disarm ();
+  Alcotest.(check (list int)) "healed to List.map" (List.map f xs) healed
+
 let suite =
   suite_checks
   @ [
@@ -309,4 +336,6 @@ let suite =
         worker_failure_surfaces;
       Alcotest.test_case "parallel map preserves input order" `Quick
         parallel_map_orders_results;
+      Alcotest.test_case "worker death: strict by default, healed by retries"
+        `Quick worker_death_heals_with_retries;
     ]
