@@ -16,20 +16,18 @@ let create ~lo ~hi ~buckets =
   if buckets <= 0 then invalid_arg "Histogram.create: no buckets";
   { lo; hi; counts = Array.make buckets 0; total = 0; clipped = 0 }
 
-let bucket_of t addr =
-  if addr < t.lo || addr >= t.hi then None
-  else
-    let span = t.hi - t.lo in
-    let b = (addr - t.lo) * Array.length t.counts / span in
-    (* Guard the exact-upper-edge rounding case. *)
-    Some (min b (Array.length t.counts - 1))
-
+(* The bucket is computed inline rather than returned as an option:
+   this runs once per sampled memory access. *)
 let add ?(weight = 1) t addr =
-  match bucket_of t addr with
-  | Some b ->
-      t.counts.(b) <- t.counts.(b) + weight;
-      t.total <- t.total + weight
-  | None -> t.clipped <- t.clipped + weight
+  if addr < t.lo || addr >= t.hi then t.clipped <- t.clipped + weight
+  else begin
+    let n = Array.length t.counts in
+    let b = (addr - t.lo) * n / (t.hi - t.lo) in
+    (* Guard the exact-upper-edge rounding case. *)
+    let b = if b > n - 1 then n - 1 else b in
+    t.counts.(b) <- t.counts.(b) + weight;
+    t.total <- t.total + weight
+  end
 
 let counts t = Array.copy t.counts
 let total t = t.total

@@ -175,88 +175,138 @@ let reuse_access t ~unit_id ~bytes =
   | Some r -> Reuse.access r ~unit_id ~bytes ~len:1
   | None -> ()
 
-let observer t (ev : Msp430.Trace.event) =
+(* --- Per-event entry points ---------------------------------------------- *)
+
+(* One function per event kind, taking the runtime-hook answers as
+   arguments: [observer] resolves them from the live hooks, a trace
+   replay passes the recorded ones, and both drive the same counter
+   updates without building a [Trace.event]. *)
+
+let on_cycles t unstalled stall =
   let w = t.cur in
+  w.w_unstalled <- w.w_unstalled + unstalled;
+  w.w_stall <- w.w_stall + stall;
+  t.total_cycles <- t.total_cycles + unstalled + stall;
+  if t.total_cycles - w.w_start >= t.spec.window_cycles then close_window t
+
+let on_instr t = t.cur.w_instrs <- t.cur.w_instrs + 1
+
+let line_access t home =
+  match t.spec.reuse with
+  | Lines n -> reuse_access t ~unit_id:(home / n) ~bytes:n
+  | Functions | No_reuse -> ()
+
+let on_fram_read t hit addr =
+  let w = t.cur in
+  if hit then w.w_fram_read_hits <- w.w_fram_read_hits + 1
+  else w.w_fram_read_misses <- w.w_fram_read_misses + 1;
+  Histogram.add w.w_fram_hist addr
+
+let on_fram_ifetch t hit addr home =
+  on_fram_read t hit addr;
+  line_access t home
+
+let on_fram_write t addr =
+  let w = t.cur in
+  w.w_fram_writes <- w.w_fram_writes + 1;
+  Histogram.add w.w_fram_hist addr
+
+let on_sram t addr =
+  let w = t.cur in
+  w.w_sram_accesses <- w.w_sram_accesses + 1;
+  Histogram.add w.w_sram_hist addr
+
+let on_sram_ifetch t addr home =
+  on_sram t addr;
+  line_access t home
+
+let on_periph t = t.cur.w_periph <- t.cur.w_periph + 1
+
+let on_call t unit_id =
+  let w = t.cur in
+  w.w_calls <- w.w_calls + 1;
+  if unit_id >= 0 then begin
+    w.w_unit_hits <- w.w_unit_hits + 1;
+    match t.spec.reuse with
+    | Functions -> reuse_access t ~unit_id ~bytes:(size_of t unit_id)
+    | Lines _ | No_reuse -> ()
+  end
+
+let on_return t = t.cur.w_returns <- t.cur.w_returns + 1
+let on_miss_enter t = t.cur.w_miss_entries <- t.cur.w_miss_entries + 1
+
+let on_miss_exit t disposition fid =
+  let w = t.cur in
+  (if disposition = "cached" then begin
+     w.w_exits_cached <- w.w_exits_cached + 1;
+     if fid >= 0 then t.occupancy <- t.occupancy + size_of t fid
+   end
+   else if disposition <> "return" then w.w_exits_nvm <- w.w_exits_nvm + 1);
+  if fid >= 0 && disposition <> "return" then
+    match t.spec.reuse with
+    | Functions ->
+        reuse_access t ~unit_id:fid ~bytes:(size_of t fid);
+        Option.iter Reuse.note_measured_miss t.reuse
+    | Lines _ | No_reuse -> ()
+
+let on_eviction t fid =
+  t.cur.w_evictions <- t.cur.w_evictions + 1;
+  t.occupancy <- max 0 (t.occupancy - size_of t fid)
+
+let on_freeze t on = if on then t.cur.w_freezes <- t.cur.w_freezes + 1
+
+let on_cache_flush t =
+  t.cur.w_flushes <- t.cur.w_flushes + 1;
+  t.occupancy <- 0
+
+let on_block_load t =
+  t.cur.w_block_loads <- t.cur.w_block_loads + 1;
+  match t.spec.reuse with
+  | Lines n ->
+      t.occupancy <- t.occupancy + n;
+      Option.iter Reuse.note_measured_miss t.reuse
+  | Functions | No_reuse -> ()
+
+let on_prefetch t fid =
+  t.cur.w_prefetches <- t.cur.w_prefetches + 1;
+  t.occupancy <- t.occupancy + size_of t fid
+
+(* The live path: resolve the hooks, then dispatch. The ifetch home is
+   only consulted when line-granular reuse would use it. *)
+let ifetch_home t addr =
+  match t.spec.reuse with
+  | Lines _ -> t.hooks.h_ifetch_home addr
+  | Functions | No_reuse -> addr
+
+let observer t (ev : Msp430.Trace.event) =
   match ev with
-  | Msp430.Trace.Cycles { unstalled; stall } ->
-      w.w_unstalled <- w.w_unstalled + unstalled;
-      w.w_stall <- w.w_stall + stall;
-      t.total_cycles <- t.total_cycles + unstalled + stall;
-      if t.total_cycles - w.w_start >= t.spec.window_cycles then
-        close_window t
-  | Msp430.Trace.Instr _ -> w.w_instrs <- w.w_instrs + 1
+  | Msp430.Trace.Cycles { unstalled; stall } -> on_cycles t unstalled stall
+  | Msp430.Trace.Instr _ -> on_instr t
   | Msp430.Trace.Mem_access { addr; cls } -> (
       match cls with
-      | Msp430.Trace.Fram_read { hit; ifetch } ->
-          if hit then w.w_fram_read_hits <- w.w_fram_read_hits + 1
-          else w.w_fram_read_misses <- w.w_fram_read_misses + 1;
-          Histogram.add w.w_fram_hist addr;
-          (match t.spec.reuse with
-          | Lines n when ifetch ->
-              let home = t.hooks.h_ifetch_home addr in
-              reuse_access t ~unit_id:(home / n) ~bytes:n
-          | _ -> ())
-      | Msp430.Trace.Fram_write ->
-          w.w_fram_writes <- w.w_fram_writes + 1;
-          Histogram.add w.w_fram_hist addr
-      | Msp430.Trace.Sram_read { ifetch } ->
-          w.w_sram_accesses <- w.w_sram_accesses + 1;
-          Histogram.add w.w_sram_hist addr;
-          (match t.spec.reuse with
-          | Lines n when ifetch ->
-              let home = t.hooks.h_ifetch_home addr in
-              reuse_access t ~unit_id:(home / n) ~bytes:n
-          | _ -> ())
-      | Msp430.Trace.Sram_write ->
-          w.w_sram_accesses <- w.w_sram_accesses + 1;
-          Histogram.add w.w_sram_hist addr
-      | Msp430.Trace.Periph_access -> w.w_periph <- w.w_periph + 1)
-  | Msp430.Trace.Call { target } -> (
-      w.w_calls <- w.w_calls + 1;
-      match t.hooks.h_call_unit target with
-      | Some fid ->
-          w.w_unit_hits <- w.w_unit_hits + 1;
-          if t.spec.reuse = Functions then
-            reuse_access t ~unit_id:fid ~bytes:(size_of t fid)
-      | None -> ())
-  | Msp430.Trace.Return -> w.w_returns <- w.w_returns + 1
+      | Msp430.Trace.Fram_read { hit; ifetch = false } -> on_fram_read t hit addr
+      | Msp430.Trace.Fram_read { hit; ifetch = true } ->
+          on_fram_ifetch t hit addr (ifetch_home t addr)
+      | Msp430.Trace.Fram_write -> on_fram_write t addr
+      | Msp430.Trace.Sram_read { ifetch = false } | Msp430.Trace.Sram_write ->
+          on_sram t addr
+      | Msp430.Trace.Sram_read { ifetch = true } ->
+          on_sram_ifetch t addr (ifetch_home t addr)
+      | Msp430.Trace.Periph_access -> on_periph t)
+  | Msp430.Trace.Call { target } ->
+      on_call t
+        (match t.hooks.h_call_unit target with Some u -> u | None -> -1)
+  | Msp430.Trace.Return -> on_return t
   | Msp430.Trace.Runtime_event rev -> (
       match rev with
-      | Msp430.Trace.Miss_enter _ ->
-          w.w_miss_entries <- w.w_miss_entries + 1
+      | Msp430.Trace.Miss_enter _ -> on_miss_enter t
       | Msp430.Trace.Miss_exit { runtime = _; disposition; fid } ->
-          (if disposition = "cached" then begin
-             w.w_exits_cached <- w.w_exits_cached + 1;
-             if fid >= 0 then t.occupancy <- t.occupancy + size_of t fid
-           end
-           else if disposition <> "return" then
-             w.w_exits_nvm <- w.w_exits_nvm + 1);
-          if fid >= 0 && disposition <> "return" && t.spec.reuse = Functions
-          then begin
-            reuse_access t ~unit_id:fid ~bytes:(size_of t fid);
-            match t.reuse with
-            | Some r -> Reuse.note_measured_miss r
-            | None -> ()
-          end
-      | Msp430.Trace.Eviction { fid } ->
-          w.w_evictions <- w.w_evictions + 1;
-          t.occupancy <- max 0 (t.occupancy - size_of t fid)
-      | Msp430.Trace.Freeze { on } ->
-          if on then w.w_freezes <- w.w_freezes + 1
-      | Msp430.Trace.Cache_flush ->
-          w.w_flushes <- w.w_flushes + 1;
-          t.occupancy <- 0
-      | Msp430.Trace.Block_load _ ->
-          w.w_block_loads <- w.w_block_loads + 1;
-          (match t.spec.reuse with
-          | Lines n -> t.occupancy <- t.occupancy + n
-          | _ -> ());
-          (match t.reuse with
-          | Some r when t.spec.reuse <> Functions -> Reuse.note_measured_miss r
-          | _ -> ())
-      | Msp430.Trace.Prefetch { fid } ->
-          w.w_prefetches <- w.w_prefetches + 1;
-          t.occupancy <- t.occupancy + size_of t fid
+          on_miss_exit t disposition fid
+      | Msp430.Trace.Eviction { fid } -> on_eviction t fid
+      | Msp430.Trace.Freeze { on } -> on_freeze t on
+      | Msp430.Trace.Cache_flush -> on_cache_flush t
+      | Msp430.Trace.Block_load _ -> on_block_load t
+      | Msp430.Trace.Prefetch { fid } -> on_prefetch t fid
       | Msp430.Trace.Phase _ -> ())
 
 (* --- Derived quantities ------------------------------------------------ *)

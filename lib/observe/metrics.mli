@@ -93,7 +93,51 @@ val create :
 
 val observer : t -> Msp430.Trace.event -> unit
 (** Feed one event; install via {!Msp430.Trace.set_observer} or the
-    harness fan-out. *)
+    harness fan-out. Resolves the {!hooks} and dispatches to the
+    entry points below. *)
+
+(** {2 Per-event entry points}
+
+    One function per event kind, with the runtime-hook answers passed
+    in: [home] is the ifetch address's NVM home ({!hooks.h_ifetch_home}),
+    [unit_id] a call's cached function ([h_call_unit], [-1] for none).
+    {!observer} is a dispatcher over these; a trace replay calls them
+    with the recorded answers and builds no {!Msp430.Trace.event}. *)
+
+val on_cycles : t -> int -> int -> unit
+(** [on_cycles t unstalled stall]; may close the current window. *)
+
+val on_instr : t -> unit
+val on_fram_read : t -> bool -> int -> unit
+(** [on_fram_read t hit addr]: an FRAM data read. *)
+
+val on_fram_ifetch : t -> bool -> int -> int -> unit
+(** [on_fram_ifetch t hit addr home]. *)
+
+val on_fram_write : t -> int -> unit
+
+val on_sram : t -> int -> unit
+(** An SRAM data read or write at [addr]. *)
+
+val on_sram_ifetch : t -> int -> int -> unit
+(** [on_sram_ifetch t addr home]. *)
+
+val on_periph : t -> unit
+
+val on_call : t -> int -> unit
+(** [on_call t unit_id]; [unit_id >= 0] is a hit in the cache region. *)
+
+val on_return : t -> unit
+val on_miss_enter : t -> unit
+
+val on_miss_exit : t -> string -> int -> unit
+(** [on_miss_exit t disposition fid]. *)
+
+val on_eviction : t -> int -> unit
+val on_freeze : t -> bool -> unit
+val on_cache_flush : t -> unit
+val on_block_load : t -> unit
+val on_prefetch : t -> int -> unit
 
 val windows : t -> window list
 (** Closed windows in run order, plus the in-progress window if it

@@ -2,8 +2,11 @@
    in one pass; [exact] / [simulate] / [mrc] are then pure arithmetic
    over those statistics, which is where the record-once /
    simulate-many speedup comes from. The full-stream [replay_metrics]
-   path re-runs the Observe.Metrics sampler over the decoded events,
-   answering its runtime hooks from the recorded enrichments. *)
+   path re-runs the Observe.Metrics sampler over the event stream: its
+   decode visitor calls the sampler's per-event entry points with the
+   recorded hook answers, allocating nothing per event. Both passes
+   decode through [Trace_file]'s fixed read buffer, so their memory
+   does not grow with the trace size. *)
 
 module Trace = Msp430.Trace
 module Energy = Msp430.Energy
@@ -1068,61 +1071,83 @@ let mrc l =
 
 (* --- Full metrics replay ----------------------------------------------- *)
 
+(* The sampler's entry points are called straight from the decode loop
+   with the recorded hook answers, so replaying builds no event and
+   allocates nothing per event. *)
+let metrics_visitor m =
+  let module M = Observe.Metrics in
+  {
+    Trace_file.v_instr = (fun _source _pc -> M.on_instr m);
+    v_cycles = (fun unstalled stall -> M.on_cycles m unstalled stall);
+    v_fram_read = (fun hit addr -> M.on_fram_read m hit addr);
+    v_fram_ifetch = (fun hit addr home -> M.on_fram_ifetch m hit addr home);
+    v_fram_write = (fun addr -> M.on_fram_write m addr);
+    v_sram_read = (fun addr -> M.on_sram m addr);
+    v_sram_ifetch = (fun addr home -> M.on_sram_ifetch m addr home);
+    v_sram_write = (fun addr -> M.on_sram m addr);
+    v_periph = (fun _addr -> M.on_periph m);
+    v_call = (fun _target u -> M.on_call m u);
+    v_return = (fun () -> M.on_return m);
+    v_miss_enter = (fun _runtime -> M.on_miss_enter m);
+    v_miss_exit =
+      (fun _runtime disposition fid -> M.on_miss_exit m disposition fid);
+    v_eviction = (fun fid -> M.on_eviction m fid);
+    v_freeze = (fun on -> M.on_freeze m on);
+    v_cache_flush = (fun () -> M.on_cache_flush m);
+    v_block_load = (fun _nvm -> M.on_block_load m);
+    v_prefetch = (fun fid -> M.on_prefetch m fid);
+    v_phase = (fun _name -> ());
+  }
+
 let replay_metrics ?(window = 65536) ?(buckets = 48) path =
-  let bad_frequency = ref None in
-  let result =
-    Trace_file.fold path
-      ~init:(fun (h : Trace_file.header) ->
-        let reuse, sizes =
-          match h.Trace_file.granularity with
-          | Trace_file.Functions sizes -> (Observe.Metrics.Functions, sizes)
-          | Trace_file.Lines n -> (Observe.Metrics.Lines n, [||])
-        in
-        let params =
-          match h.Trace_file.frequency_mhz with
-          | 8 -> Energy.point_8mhz
-          | 24 -> Energy.point_24mhz
-          | m ->
-              bad_frequency := Some m;
-              Energy.point_24mhz
-        in
-        let cur_unit = ref None in
-        let cur_home = ref 0 in
-        let hooks =
-          {
-            Observe.Metrics.h_fid_size =
-              (fun fid ->
-                if fid >= 0 && fid < Array.length sizes then sizes.(fid) else 0);
-            h_call_unit = (fun _ -> !cur_unit);
-            h_ifetch_home = (fun _ -> !cur_home);
-          }
-        in
-        let metrics =
-          Observe.Metrics.create
-            {
-              Observe.Metrics.window_cycles = window;
-              buckets;
-              reuse;
-              config_budget = h.Trace_file.budget;
-            }
-            ~params
-            ~fram:(Platform.fram_base, Platform.fram_base + Platform.fram_size)
-            ~sram:(Platform.sram_base, Platform.sram_base + Platform.sram_size)
-            hooks
-        in
-        (metrics, cur_unit, cur_home))
-      ~f:(fun ((metrics, cur_unit, cur_home) as acc) d ->
-        cur_unit := d.Trace_file.d_unit;
-        cur_home := d.Trace_file.d_home;
-        Observe.Metrics.observer metrics d.Trace_file.d_ev;
-        acc)
-  in
-  match result with
+  match Trace_file.read_header path with
   | Error e -> Error (Format_error e)
-  | Ok ((metrics, _, _), header, _) -> (
-      match !bad_frequency with
-      | Some m ->
+  | Ok h -> (
+      (* Checked on the header alone, before the event stream is decoded. *)
+      match h.Trace_file.frequency_mhz with
+      | (8 | 24) as mhz -> (
+          let params =
+            if mhz = 8 then Energy.point_8mhz else Energy.point_24mhz
+          in
+          let metrics = ref None in
+          let make (h : Trace_file.header) =
+            let reuse, sizes =
+              match h.Trace_file.granularity with
+              | Trace_file.Functions sizes -> (Observe.Metrics.Functions, sizes)
+              | Trace_file.Lines n -> (Observe.Metrics.Lines n, [||])
+            in
+            let hooks =
+              {
+                Observe.Metrics.null_hooks with
+                h_fid_size =
+                  (fun fid ->
+                    if fid >= 0 && fid < Array.length sizes then sizes.(fid)
+                    else 0);
+              }
+            in
+            let m =
+              Observe.Metrics.create
+                {
+                  Observe.Metrics.window_cycles = window;
+                  buckets;
+                  reuse;
+                  config_budget = h.Trace_file.budget;
+                }
+                ~params
+                ~fram:
+                  (Platform.fram_base, Platform.fram_base + Platform.fram_size)
+                ~sram:
+                  (Platform.sram_base, Platform.sram_base + Platform.sram_size)
+                hooks
+            in
+            metrics := Some m;
+            metrics_visitor m
+          in
+          match (Trace_file.iter path ~make, !metrics) with
+          | Error e, _ -> Error (Format_error e)
+          | Ok (header, _), Some m -> Ok (m, header)
+          | Ok _, None -> assert false)
+      | m ->
           Error
             (Model_error
-               (Printf.sprintf "unsupported recorded frequency %d MHz" m))
-      | None -> Ok (metrics, header))
+               (Printf.sprintf "unsupported recorded frequency %d MHz" m)))

@@ -225,7 +225,10 @@ val mrc : loaded -> Observe.Reuse.t
 val replay_metrics :
   ?window:int -> ?buckets:int -> string -> (Observe.Metrics.t * Trace_file.header, error) result
 (** Stream the whole file through a fresh {!Observe.Metrics} sampler,
-    answering its runtime hooks from the recorded enrichments. With
-    the executed run's window/bucket spec (defaults: 65536-cycle
-    windows, 48 buckets) the replayed CSV / series / MRC renderings
-    are byte-identical to the executed ones. *)
+    calling its per-event entry points from the decode visitor with
+    the recorded hook answers. With the executed run's window/bucket
+    spec (defaults: 65536-cycle windows, 48 buckets) the replayed
+    CSV / series / MRC renderings are byte-identical to the executed
+    ones. A recorded frequency other than 8 or 24 MHz is a
+    [Model_error], found from the header before any event is
+    decoded. *)

@@ -371,16 +371,54 @@ let discard_writer w =
 
 type decoded = { d_ev : Trace.event; d_unit : int option; d_home : int }
 
-type cursor = { data : string; mutable pos : int }
+(* The reader streams the file through one fixed buffer refilled from
+   the channel, so its memory does not grow with the trace size. *)
+let chunk_bytes = 1 lsl 16
+
+type cursor = {
+  ic : in_channel;
+  buf : Bytes.t;
+  mutable pos : int;
+  mutable lim : int; (* valid bytes in [buf] *)
+  mutable rest : int; (* file bytes not yet read into [buf] *)
+}
 
 let truncated what = raise (Decode (Truncated what))
 
+let remaining c = c.lim - c.pos + c.rest
+
+(* Kept out of [byte]: it runs once per chunk, not once per byte. *)
+let refill c what =
+  if c.rest = 0 then truncated what;
+  let n = if c.rest < chunk_bytes then c.rest else chunk_bytes in
+  (* The file shrinking under the reader is a truncation too. *)
+  (try really_input c.ic c.buf 0 n with End_of_file -> truncated what);
+  c.pos <- 0;
+  c.lim <- n;
+  c.rest <- c.rest - n
+
 let byte c what =
-  if c.pos >= String.length c.data then truncated what;
-  (* The explicit truncation check above already bounds [pos]. *)
-  let b = Char.code (String.unsafe_get c.data c.pos) in
+  if c.pos >= c.lim then refill c what;
+  (* [refill] either fills the buffer or raises, so [pos] is in bounds. *)
+  let b = Char.code (Bytes.unsafe_get c.buf c.pos) in
   c.pos <- c.pos + 1;
   b
+
+(* [n] is checked against the bytes left before anything is allocated,
+   so a corrupt length field is an error, never a huge allocation. *)
+let take c n what =
+  if n < 0 then corrupt "negative %s length" what;
+  if n > remaining c then truncated what;
+  let s = Bytes.create n in
+  let off = ref 0 in
+  while !off < n do
+    if c.pos >= c.lim then refill c what;
+    let k = min (n - !off) (c.lim - c.pos) in
+    Bytes.blit c.buf c.pos s !off k;
+    c.pos <- c.pos + k;
+    off := !off + k
+  done;
+  Bytes.unsafe_to_string s
 
 (* Top-level recursion, not an inner [go] closure: a closure here would
    be allocated on every call, i.e. once or twice per event on the hot
@@ -403,16 +441,29 @@ let source_of_index i =
   | 3 -> Trace.Memcpy
   | _ -> corrupt "bad source index %d" i
 
-let load_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
+(* Runs [f] on a cursor over [path]; decode and I/O failures become
+   typed errors. *)
+let with_cursor path f =
+  match
+    let ic = open_in_bin path in
+    Fun.protect
+      ~finally:(fun () -> close_in_noerr ic)
+      (fun () ->
+        f
+          {
+            ic;
+            buf = Bytes.create chunk_bytes;
+            pos = 0;
+            lim = 0;
+            rest = in_channel_length ic;
+          })
+  with
+  | r -> Ok r
+  | exception Decode e -> Error e
+  | exception Sys_error msg -> Error (Corrupt msg)
 
 let decode_preamble c =
-  if String.length c.data < 4 then raise (Decode Bad_magic);
-  if String.sub c.data 0 4 <> magic then raise (Decode Bad_magic);
-  c.pos <- 4;
+  if remaining c < 4 || take c 4 "magic" <> magic then raise (Decode Bad_magic);
   let v0 = byte c "version" in
   let v1 = byte c "version" in
   let found = v0 lor (v1 lsl 8) in
@@ -423,21 +474,11 @@ let decode_preamble c =
   let l2 = byte c "header length" in
   let l3 = byte c "header length" in
   let len = l0 lor (l1 lsl 8) lor (l2 lsl 16) lor (l3 lsl 24) in
-  if c.pos + len > String.length c.data then truncated "header";
-  let hdr = String.sub c.data c.pos len in
-  c.pos <- c.pos + len;
-  match Json.parse hdr with
+  match Json.parse (take c len "header") with
   | Error msg -> corrupt "header JSON: %s" msg
   | Ok j -> header_of_json j
 
-let read_header path =
-  match
-    let c = { data = load_file path; pos = 0 } in
-    decode_preamble c
-  with
-  | h -> Ok h
-  | exception Decode e -> Error e
-  | exception Sys_error msg -> Error (Corrupt msg)
+let read_header path = with_cursor path decode_preamble
 
 (* Growable string table; ids are sequential so an array suffices. *)
 type strings = { mutable tbl : string array; mutable n : int }
@@ -485,106 +526,97 @@ type visitor = {
 }
 
 let iter path ~make =
-  match
-    let c = { data = load_file path; pos = 0 } in
-    let header = decode_preamble c in
-    let v = make header in
-    let strings = { tbl = [||]; n = 0 } in
-    let prev_pc = ref 0 in
-    let prev_addr = ref 0 in
-    let count = ref 0 in
-    let read_str what =
-      let id = read_varint c what in
-      intern_lookup strings id
-    in
-    let addr what =
-      let a = !prev_addr + read_signed c what in
-      prev_addr := a;
-      a
-    in
-    let finished = ref false in
-    while not !finished do
-      let tag = byte c "event stream" in
-      incr count;
-      if tag < 0x04 then begin
-        let pc = !prev_pc + read_signed c "instr" in
-        prev_pc := pc;
-        v.v_instr tag pc
-      end
-      else if tag = tag_cycles_one then v.v_cycles 1 0
-      else if tag = tag_cycles_unstalled then
-        v.v_cycles (read_varint c "cycles") 0
-      else if tag = tag_cycles_stall then v.v_cycles 0 (read_varint c "cycles")
-      else if tag = tag_cycles_both then begin
-        let unstalled = read_varint c "cycles" in
-        let stall = read_varint c "cycles" in
-        v.v_cycles unstalled stall
-      end
-      else if tag = tag_fram_read_miss then v.v_fram_read false (addr "fram read")
-      else if tag = tag_fram_read_hit then v.v_fram_read true (addr "fram read")
-      else if tag = tag_fram_ifetch_miss || tag = tag_fram_ifetch_hit then begin
-        let a = addr "fram ifetch" in
-        let home = a + read_signed c "fram ifetch home" in
-        v.v_fram_ifetch (tag = tag_fram_ifetch_hit) a home
-      end
-      else if tag = tag_fram_write then v.v_fram_write (addr "fram write")
-      else if tag = tag_sram_read then v.v_sram_read (addr "sram read")
-      else if tag = tag_sram_ifetch then begin
-        let a = addr "sram ifetch" in
-        let home = a + read_signed c "sram ifetch home" in
-        v.v_sram_ifetch a home
-      end
-      else if tag = tag_sram_write then v.v_sram_write (addr "sram write")
-      else if tag = tag_periph then v.v_periph (addr "periph")
-      else if tag = tag_call then v.v_call (read_varint c "call") (-1)
-      else if tag = tag_call_unit then begin
-        let target = read_varint c "call" in
-        let u = read_varint c "call unit" in
-        v.v_call target u
-      end
-      else if tag = tag_return then v.v_return ()
-      else if tag = tag_miss_enter then v.v_miss_enter (read_str "miss enter")
-      else if tag = tag_miss_exit then begin
-        let runtime = read_str "miss exit" in
-        let disposition = read_str "miss exit" in
-        let fid = read_signed c "miss exit" in
-        v.v_miss_exit runtime disposition fid
-      end
-      else if tag = tag_eviction then v.v_eviction (read_varint c "eviction")
-      else if tag = tag_freeze_on then v.v_freeze true
-      else if tag = tag_freeze_off then v.v_freeze false
-      else if tag = tag_cache_flush then v.v_cache_flush ()
-      else if tag = tag_block_load then v.v_block_load (read_varint c "block load")
-      else if tag = tag_prefetch then v.v_prefetch (read_varint c "prefetch")
-      else if tag = tag_phase then v.v_phase (read_str "phase")
-      else begin
-        decr count;
-        if tag = tag_end then begin
-          let declared = read_varint c "end marker" in
-          if declared <> !count then
-            corrupt "end marker declares %d events, decoded %d" declared !count;
-          if c.pos <> String.length c.data then
-            corrupt "%d trailing bytes after end marker"
-              (String.length c.data - c.pos);
-          finished := true
+  with_cursor path (fun c ->
+      let header = decode_preamble c in
+      let v = make header in
+      let strings = { tbl = [||]; n = 0 } in
+      let prev_pc = ref 0 in
+      let prev_addr = ref 0 in
+      let count = ref 0 in
+      let read_str what =
+        let id = read_varint c what in
+        intern_lookup strings id
+      in
+      let addr what =
+        let a = !prev_addr + read_signed c what in
+        prev_addr := a;
+        a
+      in
+      let finished = ref false in
+      while not !finished do
+        let tag = byte c "event stream" in
+        incr count;
+        if tag < 0x04 then begin
+          let pc = !prev_pc + read_signed c "instr" in
+          prev_pc := pc;
+          v.v_instr tag pc
         end
-        else if tag = tag_string_def then begin
-          let len = read_varint c "string definition" in
-          if c.pos + len > String.length c.data then
-            truncated "string definition";
-          let s = String.sub c.data c.pos len in
-          c.pos <- c.pos + len;
-          let id = read_varint c "string definition" in
-          intern_define strings s id
+        else if tag = tag_cycles_one then v.v_cycles 1 0
+        else if tag = tag_cycles_unstalled then
+          v.v_cycles (read_varint c "cycles") 0
+        else if tag = tag_cycles_stall then v.v_cycles 0 (read_varint c "cycles")
+        else if tag = tag_cycles_both then begin
+          let unstalled = read_varint c "cycles" in
+          let stall = read_varint c "cycles" in
+          v.v_cycles unstalled stall
         end
-        else corrupt "unknown tag 0x%02X" tag
-      end
-    done;
-    (header, !count)
-  with
-  | result -> Ok result
-  | exception Decode e -> Error e
-  | exception Sys_error msg -> Error (Corrupt msg)
+        else if tag = tag_fram_read_miss then v.v_fram_read false (addr "fram read")
+        else if tag = tag_fram_read_hit then v.v_fram_read true (addr "fram read")
+        else if tag = tag_fram_ifetch_miss || tag = tag_fram_ifetch_hit then begin
+          let a = addr "fram ifetch" in
+          let home = a + read_signed c "fram ifetch home" in
+          v.v_fram_ifetch (tag = tag_fram_ifetch_hit) a home
+        end
+        else if tag = tag_fram_write then v.v_fram_write (addr "fram write")
+        else if tag = tag_sram_read then v.v_sram_read (addr "sram read")
+        else if tag = tag_sram_ifetch then begin
+          let a = addr "sram ifetch" in
+          let home = a + read_signed c "sram ifetch home" in
+          v.v_sram_ifetch a home
+        end
+        else if tag = tag_sram_write then v.v_sram_write (addr "sram write")
+        else if tag = tag_periph then v.v_periph (addr "periph")
+        else if tag = tag_call then v.v_call (read_varint c "call") (-1)
+        else if tag = tag_call_unit then begin
+          let target = read_varint c "call" in
+          let u = read_varint c "call unit" in
+          v.v_call target u
+        end
+        else if tag = tag_return then v.v_return ()
+        else if tag = tag_miss_enter then v.v_miss_enter (read_str "miss enter")
+        else if tag = tag_miss_exit then begin
+          let runtime = read_str "miss exit" in
+          let disposition = read_str "miss exit" in
+          let fid = read_signed c "miss exit" in
+          v.v_miss_exit runtime disposition fid
+        end
+        else if tag = tag_eviction then v.v_eviction (read_varint c "eviction")
+        else if tag = tag_freeze_on then v.v_freeze true
+        else if tag = tag_freeze_off then v.v_freeze false
+        else if tag = tag_cache_flush then v.v_cache_flush ()
+        else if tag = tag_block_load then v.v_block_load (read_varint c "block load")
+        else if tag = tag_prefetch then v.v_prefetch (read_varint c "prefetch")
+        else if tag = tag_phase then v.v_phase (read_str "phase")
+        else begin
+          decr count;
+          if tag = tag_end then begin
+            let declared = read_varint c "end marker" in
+            if declared <> !count then
+              corrupt "end marker declares %d events, decoded %d" declared !count;
+            if remaining c <> 0 then
+              corrupt "%d trailing bytes after end marker" (remaining c);
+            finished := true
+          end
+          else if tag = tag_string_def then begin
+            let len = read_varint c "string definition" in
+            let s = take c len "string definition" in
+            let id = read_varint c "string definition" in
+            intern_define strings s id
+          end
+          else corrupt "unknown tag 0x%02X" tag
+        end
+      done;
+      (header, !count))
 
 let fold path ~init ~f =
   let acc = ref None in

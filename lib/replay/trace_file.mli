@@ -101,8 +101,14 @@ type decoded = {
   d_home : int;
 }
 
+(** Readers stream the file through one fixed 64 KiB buffer, so their
+    memory does not grow with the trace size. A length field is checked
+    against the bytes left before anything is allocated: a corrupt one
+    is an error, never a huge allocation. *)
+
 val read_header : string -> (header, error) result
-(** Decode just the header (cheap; does not touch the event stream). *)
+(** Decode just the header (cheap; reads the first buffer only, not
+    the event stream). *)
 
 (** Flat per-event callbacks for [iter]. The decode loop calls these
     directly without materializing [Trace.event] values, so a visitor

@@ -214,8 +214,8 @@ let roundtrip_enrich =
     en_ifetch_home = (fun a -> a land lnot 63);
   }
 
-let record_events path events =
-  let w = Trace_file.create_writer path roundtrip_header in
+let record_events ?(header = roundtrip_header) path events =
+  let w = Trace_file.create_writer path header in
   List.iter (Trace_file.recorder w roundtrip_enrich) events;
   Trace_file.close_writer w
 
@@ -348,12 +348,9 @@ let bad_unit_size_test () =
   List.iter
     (fun granularity ->
       with_temp_trace (fun path ->
-          let w =
-            Trace_file.create_writer path
-              { roundtrip_header with Trace_file.granularity }
-          in
-          List.iter (Trace_file.recorder w roundtrip_enrich) sample_events;
-          Trace_file.close_writer w;
+          record_events
+            ~header:{ roundtrip_header with Trace_file.granularity }
+            path sample_events;
           match Trace_file.read_header path with
           | Error (Trace_file.Corrupt _) -> ()
           | Error e ->
@@ -639,6 +636,231 @@ let parallel_replay_test () =
       if sims 1 <> sims 4 then
         Alcotest.fail "parallel replay differs from serial")
 
+(* --- Decode fuzzing ------------------------------------------------------ *)
+
+(* A trace over several read-buffer chunks (64 KiB), so damage lands
+   before, on and after refills: [sample_events] repeated, each
+   repetition closed by a fresh phase name, i.e. an interleaved string
+   definition. One name is longer than a chunk, so at least one
+   definition spans a refill. *)
+let fuzz_bytes =
+  lazy
+    (let events =
+       List.concat
+         (List.init 5000 (fun i ->
+              let name =
+                if i = 2500 then String.make 100_000 'p'
+                else Printf.sprintf "phase-%d" i
+              in
+              sample_events @ [ Trace.Runtime_event (Trace.Phase { name }) ]))
+     in
+     with_temp_trace (fun path ->
+         record_events path events;
+         let data = read_file path in
+         assert (String.length data > 2 * 65536);
+         match decode_all path with
+         | Ok (_, decoded, _)
+           when List.map (fun d -> d.Trace_file.d_ev) decoded = events ->
+             data
+         | _ -> failwith "the multi-chunk fuzz trace does not round-trip"))
+
+(* Offsets of the fuzz trace: anywhere, in the header, or within a few
+   bytes of a chunk boundary. Delayed so the trace is only built when a
+   fuzz test runs. *)
+let gen_offset =
+  QCheck2.Gen.delay (fun () ->
+      let open QCheck2.Gen in
+      let n = String.length (Lazy.force fuzz_bytes) in
+      oneof
+        [
+          int_range 0 (n - 1);
+          int_range 0 400;
+          (let* k = int_range 1 (n / 65536) and* d = int_range (-3) 3 in
+           return (min (n - 1) ((k * 65536) + d)));
+        ])
+
+type damage = Cut of int | Flips of (int * int) list
+
+let apply_damage data = function
+  | Cut n -> String.sub data 0 n
+  | Flips flips ->
+      let b = Bytes.of_string data in
+      List.iter
+        (fun (pos, x) ->
+          Bytes.set b pos (Char.chr (Char.code (Bytes.get b pos) lxor x)))
+        flips;
+      Bytes.to_string b
+
+let print_damage = function
+  | Cut n -> Printf.sprintf "cut at %d" n
+  | Flips l ->
+      String.concat ", "
+        (List.map (fun (pos, x) -> Printf.sprintf "0x%02X at %d" x pos) l)
+
+(* Every reader over [path], each required to return rather than raise:
+   the header reader, the event loop (through [fold]) and [Engine.load]. *)
+let decode_results path =
+  let guard what f =
+    match f () with
+    | r -> r
+    | exception e ->
+        QCheck2.Test.fail_reportf "%s raised %s" what (Printexc.to_string e)
+  in
+  let header =
+    guard "read_header" (fun () ->
+        Trace_file.read_header path |> Result.map ignore)
+  in
+  let events =
+    guard "iter" (fun () ->
+        Trace_file.fold path ~init:(fun _ -> ()) ~f:(fun () _ -> ())
+        |> Result.map ignore)
+  in
+  let load = guard "Engine.load" (fun () -> Engine.load path) in
+  (header, events, load)
+
+let prop_damaged_trace_is_typed_error =
+  let gen =
+    let open QCheck2.Gen in
+    oneof
+      [
+        map (fun c -> Cut c) gen_offset;
+        map
+          (fun l -> Flips l)
+          (list_size (int_range 1 4) (pair gen_offset (int_range 1 255)));
+      ]
+  in
+  QCheck2.Test.make ~count:150
+    ~name:"damaged trace decodes to Ok or a typed error, never raises"
+    ~print:print_damage gen (fun damage ->
+      with_temp_trace (fun path ->
+          write_file path (apply_damage (Lazy.force fuzz_bytes) damage);
+          ignore (decode_results path);
+          true))
+
+let prop_strict_prefix_is_error =
+  QCheck2.Test.make ~count:150 ~name:"every strict prefix of a trace is an error"
+    ~print:string_of_int gen_offset (fun cut ->
+      with_temp_trace (fun path ->
+          write_file path (String.sub (Lazy.force fuzz_bytes) 0 cut);
+          let expected =
+            if cut < 4 then Trace_file.Bad_magic else Trace_file.Truncated ""
+          in
+          let same_kind = function
+            | Error e -> (
+                match (e, expected) with
+                | Trace_file.Bad_magic, Trace_file.Bad_magic
+                | Trace_file.Truncated _, Trace_file.Truncated _ ->
+                    true
+                | _ -> false)
+            | Ok () -> false
+          in
+          let _, events, load = decode_results path in
+          same_kind events
+          && same_kind
+               (match load with
+               | Ok _ -> Ok ()
+               | Error (Engine.Format_error e) -> Error e
+               | Error (Engine.Model_error msg) ->
+                   QCheck2.Test.fail_reportf "model error: %s" msg)))
+
+(* --- Live sampler = replayed sampler ------------------------------------- *)
+
+(* The same random events through [Metrics.observer] live (hooks answered
+   by the recording's enrichment) and through a recorded trace and
+   [Engine.replay_metrics], at function and at line granularity; small
+   windows so several close. The 16-byte lines are finer than the
+   enrichment's 64-byte homes, so a replay that bucketed the address
+   instead of its recorded home would show. *)
+let prop_live_sampler_equals_replay =
+  QCheck2.Test.make ~count:100
+    ~name:"live sampler = replayed sampler (random events)" gen_events
+    (fun events ->
+      let window = 256 in
+      List.for_all
+        (fun granularity ->
+          let header = { roundtrip_header with Trace_file.granularity } in
+          let reuse, sizes =
+            match granularity with
+            | Trace_file.Functions sizes -> (Observe.Metrics.Functions, sizes)
+            | Trace_file.Lines n -> (Observe.Metrics.Lines n, [||])
+          in
+          let live =
+            Observe.Metrics.create
+              {
+                Observe.Metrics.window_cycles = window;
+                buckets = 48;
+                reuse;
+                config_budget = header.Trace_file.budget;
+              }
+              ~params:Msp430.Energy.point_24mhz
+              ~fram:(Platform.fram_base, Platform.fram_base + Platform.fram_size)
+              ~sram:(Platform.sram_base, Platform.sram_base + Platform.sram_size)
+              {
+                Observe.Metrics.h_fid_size =
+                  (fun fid ->
+                    if fid >= 0 && fid < Array.length sizes then sizes.(fid)
+                    else 0);
+                h_call_unit = roundtrip_enrich.Trace_file.en_call_unit;
+                h_ifetch_home = roundtrip_enrich.Trace_file.en_ifetch_home;
+              }
+          in
+          List.iter (Observe.Metrics.observer live) events;
+          with_temp_trace (fun path ->
+              record_events ~header path events;
+              match Engine.replay_metrics ~window path with
+              | Error e ->
+                  QCheck2.Test.fail_reportf "replay_metrics: %s"
+                    (Engine.error_message e)
+              | Ok (replayed, _) ->
+                  List.for_all
+                    (fun (what, render) ->
+                      String.equal (render live) (render replayed)
+                      || QCheck2.Test.fail_reportf "%s diverges" what)
+                    [
+                      ("csv", Observe.Metrics.render_csv);
+                      ("mrc", fun m -> Observe.Metrics.render_mrc m);
+                      ("heatmaps", fun m -> Observe.Metrics.render_heatmaps m);
+                    ]))
+        [ roundtrip_header.Trace_file.granularity; Trace_file.Lines 16 ])
+
+(* The frequency is checked on the header alone: with an unsupported one
+   the answer is a model error even when the event stream is cut short. *)
+let unsupported_frequency_test () =
+  with_temp_trace (fun path ->
+      record_events
+        ~header:{ roundtrip_header with Trace_file.frequency_mhz = 16 }
+        path sample_events;
+      let full = read_file path in
+      List.iter
+        (fun data ->
+          write_file path data;
+          match Engine.replay_metrics path with
+          | Error (Engine.Model_error _) -> ()
+          | Error e ->
+              Alcotest.failf "expected a model error, got %s"
+                (Engine.error_message e)
+          | Ok _ -> Alcotest.fail "replayed a 16 MHz trace")
+        [ full; String.sub full 0 (String.length full - 2) ])
+
+(* A string-definition length whose varint decodes negative (bit 62
+   set) is corrupt input, not a [String.sub] exception. *)
+let negative_string_length_test () =
+  let data = sample_bytes () in
+  let hdr_len =
+    Char.code data.[6]
+    lor (Char.code data.[7] lsl 8)
+    lor (Char.code data.[8] lsl 16)
+    lor (Char.code data.[9] lsl 24)
+  in
+  let preamble = String.sub data 0 (10 + hdr_len) in
+  with_temp_trace (fun path ->
+      write_file path (preamble ^ "\x1D" ^ String.make 8 '\x80' ^ "\x40");
+      match decode_all path with
+      | Error (Trace_file.Corrupt _) -> ()
+      | Error e ->
+          Alcotest.failf "expected corrupt, got %s" (Trace_file.error_message e)
+      | Ok _ -> Alcotest.fail "decoded a negative string length")
+
 let suite =
   [
     Alcotest.test_case "format round-trip errors: truncation" `Quick
@@ -668,4 +890,11 @@ let suite =
       equivalence_test;
     Alcotest.test_case "format errors: bad unit size" `Quick
       bad_unit_size_test;
+    QCheck_alcotest.to_alcotest prop_damaged_trace_is_typed_error;
+    QCheck_alcotest.to_alcotest prop_strict_prefix_is_error;
+    QCheck_alcotest.to_alcotest prop_live_sampler_equals_replay;
+    Alcotest.test_case "unsupported recorded frequency is a model error"
+      `Quick unsupported_frequency_test;
+    Alcotest.test_case "format errors: negative string length" `Quick
+      negative_string_length_test;
   ]
