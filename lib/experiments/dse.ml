@@ -369,8 +369,9 @@ let effective_blocks g w =
 
 (* Policy-major, then block, then budget: a workload's models form
    contiguous same-(policy, block) budget ladders, so the contiguous
-   chunks cut for the worker pool hand [simulate_many] whole LRU
-   ladders it can collapse into single stack-kernel passes. Frontiers
+   chunks cut for the worker pool hand [simulate_many] whole ladders:
+   LRU ones collapse into single stack-kernel passes, LFU and
+   Cost_aware ones into one cache pass per budget interval. Frontiers
    are canonical (order-invariant), so enumeration order is free to
    serve the batcher. *)
 let models_for g w =

@@ -148,6 +148,9 @@ let poke_word t addr v =
 let load_image t ~addr bytes =
   Bytes.blit bytes 0 t.bytes addr (Bytes.length bytes)
 
+let fill t ~lo ~hi v =
+  Bytes.fill t.bytes lo (hi - lo + 1) (Char.chr (v land 0xFF))
+
 let charge_fram_timing t ~is_read_hit =
   t.fram_accesses_this_instr <- t.fram_accesses_this_instr + 1;
   let waits = if is_read_hit then 0 else t.wait_states in

@@ -92,6 +92,9 @@ val peek_word : t -> int -> int
 val poke_word : t -> int -> int -> unit
 val load_image : t -> addr:int -> Bytes.t -> unit
 
+val fill : t -> lo:int -> hi:int -> int -> unit
+(** [fill t ~lo ~hi v] sets every byte in [\[lo, hi\]] to [v]. *)
+
 (** Counted accesses (these drive the statistics and timing model). *)
 
 val read : t -> purpose:purpose -> width:int -> int -> int

@@ -45,8 +45,7 @@ let report system =
    then replays the boot path (runtime reboot + entry vector). *)
 let power_fail ?(pattern = 0xFF) system =
   let map = Memory.map system.memory in
-  for a = map.Memory.sram_lo to map.Memory.sram_hi do
-    Memory.poke_byte system.memory a pattern
-  done;
+  Memory.fill system.memory ~lo:map.Memory.sram_lo ~hi:map.Memory.sram_hi
+    pattern;
   Memory.power_fail system.memory;
   Cpu.power_reset system.cpu

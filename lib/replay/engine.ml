@@ -567,7 +567,8 @@ let footprint l =
    unit-id bound, which matters on a small trace swept under many
    models. The [hp_*] arrays back the lazy min-heap used for victim
    selection: at most one entry per resident unit, so capacity [n]
-   can never overflow. *)
+   can never overflow. [st_hi] is the exclusive end of the budget
+   interval the last pass answers (see [sim_core]). *)
 type sim_state = {
   st_size : int array;
   st_last : int array;
@@ -580,6 +581,7 @@ type sim_state = {
   hp_last : int array;
   hp_unit : int array;
   mutable hp_n : int;
+  mutable st_hi : int;
 }
 
 let make_state n =
@@ -595,6 +597,7 @@ let make_state n =
     hp_last = Array.make n 0;
     hp_unit = Array.make n 0;
     hp_n = 0;
+    st_hi = max_int;
   }
 
 let reset_state st =
@@ -613,7 +616,17 @@ let reset_state st =
    same-unit runs as [f unit bytes len]; both [simulate] (streaming
    straight off the loaded refs) and [simulate_many] (replaying a
    pre-bucketed stream) funnel into this single implementation, so the
-   batched path cannot drift from the reference one. *)
+   batched path cannot drift from the reference one.
+
+   The pass also leaves in [st.st_hi] the least budget above [budget]
+   that could change its outcome: the minimum of [occupancy + bytes]
+   over every eviction test that came out true, and of [bytes] over
+   every bypassed unit ([max_int] if neither happened). The budget is
+   read only by those two tests, and the victim choice never reads it.
+   At any B' in [budget, st_hi) a true eviction test stays true
+   (B' < occupancy + bytes), a false one stays false (it held at the
+   smaller budget), and the same holds for the bypass test; so by
+   induction over the stream the state, and the sim, are identical. *)
 let sim_core st ~budget ~policy iter =
   let r_size = st.st_size in
   let r_last = st.st_last in
@@ -630,6 +643,7 @@ let sim_core st ~budget ~policy iter =
   let cold = ref 0 in
   let evictions = ref 0 in
   let loaded = ref 0 in
+  let hi = ref max_int in
   (* Eviction order is the lexicographic (metric, last-use) minimum;
      [r_last] is unique, so the order is total and the victim matches
      what a full linear scan with the same strict-< comparison picks —
@@ -743,6 +757,7 @@ let sim_core st ~budget ~policy iter =
         if bytes <= budget then begin
           incr misses;
           while !occupancy + bytes > budget do
+            if !occupancy + bytes < !hi then hi := !occupancy + bytes;
             let k = victim () in
             resident.(k) <- false;
             occupancy := !occupancy - r_size.(k);
@@ -756,8 +771,12 @@ let sim_core st ~budget ~policy iter =
           loaded := !loaded + bytes;
           push (key_of u) !clock u
         end
-        else misses := !misses + len
+        else begin
+          if bytes < !hi then hi := bytes;
+          misses := !misses + len
+        end
       end);
+  st.st_hi <- !hi;
   {
     s_refs = !refs;
     s_misses = !misses;
@@ -925,23 +944,82 @@ let lru_all_budgets totals ~budgets iter =
   end;
   sims
 
-(* Run the kernel on budgets in arbitrary order (with duplicates):
+(* --- Budget-interval ladders --------------------------------------------- *)
+
+(* A budget >= the stream footprint never evicts or bypasses under any
+   policy — every unit fits forever — so each distinct unit misses
+   exactly once and the sim is policy-independent and closed-form. *)
+let beyond_footprint { tt_refs; tt_distinct; tt_footprint; _ } =
+  {
+    s_refs = tt_refs;
+    s_misses = tt_distinct;
+    s_cold_misses = tt_distinct;
+    s_evictions = 0;
+    s_bytes_loaded = tt_footprint;
+    s_miss_rate =
+      (if tt_refs = 0 then 0.0
+       else float_of_int tt_distinct /. float_of_int tt_refs);
+  }
+
+(* Exact results for every budget in [budgets] (sorted ascending,
+   distinct) under any policy, from one [sim_core] pass per budget
+   interval instead of one per budget: a pass at B answers every budget
+   in [B, st_hi) (see [sim_core]), so a later budget below the last
+   pass's [st_hi] takes its sim. This is the ladder kernel for LFU and
+   Cost_aware, which are not stack algorithms (LFU's use count restarts
+   on insert), so no single stack pass can serve them. The
+   beyond-footprint tail of a ladder is the [st_hi = max_int] interval;
+   its closed form saves that last pass, at the price of the lazy
+   [totals] pass that a block's ladders share. *)
+let interval_ladder st ~policy totals iter budgets =
+  let sims = Array.make (Array.length budgets) empty_sim in
+  let hi = ref min_int in
+  Array.iteri
+    (fun j budget ->
+      if budget < !hi then sims.(j) <- sims.(j - 1)
+      else if budget >= (Lazy.force totals).tt_footprint then begin
+        sims.(j) <- beyond_footprint (Lazy.force totals);
+        hi := max_int
+      end
+      else begin
+        reset_state st;
+        sims.(j) <- sim_core st ~budget ~policy iter;
+        hi := st.st_hi
+      end)
+    budgets;
+  sims
+
+(* Run a ladder kernel on budgets in arbitrary order (with duplicates):
    sort-unique for the kernel, then map each requested budget back to
    its slot. *)
-let all_budgets_unsorted totals iter budgets =
+let unsorted kernel budgets =
   let sorted = Array.of_list (List.sort_uniq compare budgets) in
-  let sims = lru_all_budgets totals ~budgets:sorted iter in
+  let sims = kernel sorted in
   let idx = Hashtbl.create (Array.length sorted) in
   Array.iteri (fun i b -> Hashtbl.replace idx b i) sorted;
   List.map (fun b -> sims.(Hashtbl.find idx b)) budgets
 
+let lru_ladder totals iter budgets =
+  unsorted (fun budgets -> lru_all_budgets totals ~budgets iter) budgets
+
+(* Whether a ladder goes to the LRU stack kernel; its models are the
+   ones [sims_collapsed] counts. A lone LRU budget gains nothing from
+   the kernel and takes one [sim_core] pass. *)
+let stack_collapses policy budgets =
+  match (policy, budgets) with Lru, _ :: _ :: _ -> true | _ -> false
+
+(* One (policy, block) budget ladder, results in input order. [totals]
+   is the stream's lazy totals pass, shared by a block's ladders. *)
+let ladder ~units ~policy totals iter budgets =
+  if stack_collapses policy budgets then
+    lru_ladder (Lazy.force totals) iter budgets
+  else
+    unsorted (interval_ladder (make_state units) ~policy totals iter) budgets
+
 let simulate_all_budgets ?block l budgets =
   let block = effective_block l block in
-  let p = prepare l ~block in
-  let iter = iter_prepared p in
-  all_budgets_unsorted
-    (stream_totals ~units:(sim_units l ~block) iter)
-    iter budgets
+  let iter = iter_prepared (prepare l ~block) in
+  lru_ladder (stream_totals ~units:(sim_units l ~block) iter) iter budgets
 
 (* Test hooks: the same kernels over a synthetic (unit, bytes, len)
    run array, so properties can compare them without recording a
@@ -951,23 +1029,31 @@ let iter_run_array runs f = Array.iter (fun (u, b, len) -> f u b len) runs
 let simulate_runs ~units ~budget ~policy runs =
   sim_core (make_state units) ~budget ~policy (iter_run_array runs)
 
+let simulate_runs_interval ~units ~budget ~policy runs =
+  let st = make_state units in
+  let sim = sim_core st ~budget ~policy (iter_run_array runs) in
+  (sim, st.st_hi)
+
 let simulate_runs_all_budgets ~units ~budgets runs =
   let iter = iter_run_array runs in
-  all_budgets_unsorted (stream_totals ~units iter) iter budgets
+  lru_ladder (stream_totals ~units iter) iter budgets
+
+let simulate_runs_ladder ~units ~policy ~budgets runs =
+  let iter = iter_run_array runs in
+  ladder ~units ~policy (lazy (stream_totals ~units iter)) iter budgets
 
 let simulate_many_collapsed l models =
   match models with
   | [] -> ([], 0)
   | [ m ] -> ([ simulate l m ], 0)
   | _ ->
-      (* Group models by effective block size: each group shares one
-         pre-bucketed run stream and one totals pass, and within a
-         group the LRU budget axis collapses into the all-budget stack
-         kernel — one pass per eligibility class instead of one per
-         budget. LFU and Cost_aware (and a lone LRU model, where the
-         kernel's totals pass would only add overhead) run the
-         shared-state [sim_core] path. Results land at their input
-         index, so group iteration order never shows. *)
+      (* Group models by effective block size, then by policy: each
+         block shares one pre-bucketed run stream, and each (policy,
+         block) group is one budget ladder — the LRU stack kernel, or
+         one [sim_core] pass per budget interval for LFU and
+         Cost_aware — and a block's ladders share one totals pass.
+         Results land at their input index, so group iteration order
+         never shows. *)
       let arr = Array.of_list models in
       let nm = Array.length arr in
       let out = Array.make nm empty_sim in
@@ -980,74 +1066,22 @@ let simulate_many_collapsed l models =
       let collapsed = ref 0 in
       Hashtbl.iter
         (fun block idxs ->
-          let p = prepare l ~block in
-          let iter = iter_prepared p in
+          let iter = iter_prepared (prepare l ~block) in
           let units = sim_units l ~block in
           let totals = lazy (stream_totals ~units iter) in
-          let lru, rest =
-            List.partition (fun i -> arr.(i).m_policy = Lru) idxs
-          in
-          let scalar =
-            match lru with
-            | [] | [ _ ] -> idxs
-            | _ ->
-                let budgets = List.map (fun i -> arr.(i).m_budget) lru in
-                let sims =
-                  all_budgets_unsorted (Lazy.force totals) iter budgets
-                in
-                List.iter2 (fun i sim -> out.(i) <- sim) lru sims;
-                collapsed := !collapsed + List.length lru;
-                rest
-          in
-          match scalar with
-          | [] -> ()
-          | [ i ] ->
-              out.(i) <-
-                sim_core (make_state units) ~budget:arr.(i).m_budget
-                  ~policy:arr.(i).m_policy iter
-          | _ ->
-              (* A budget >= the stream footprint never evicts under
-                 any policy — every eligible unit fits forever — so
-                 each distinct unit misses exactly once and the sim is
-                 policy-independent and closed-form. On real grids the
-                 SRAM ladder extends well past small benchmarks'
-                 footprints, so this dedupes the whole beyond-footprint
-                 tail of the LFU / Cost_aware budget axes. *)
-              let { tt_refs; tt_distinct; tt_footprint; _ } =
-                Lazy.force totals
-              in
-              let beyond =
-                {
-                  s_refs = tt_refs;
-                  s_misses = tt_distinct;
-                  s_cold_misses = tt_distinct;
-                  s_evictions = 0;
-                  s_bytes_loaded = tt_footprint;
-                  s_miss_rate =
-                    (if tt_refs = 0 then 0.0
-                     else float_of_int tt_distinct /. float_of_int tt_refs);
-                }
-              in
-              let st = ref None in
-              List.iter
-                (fun i ->
-                  if arr.(i).m_budget >= tt_footprint then out.(i) <- beyond
-                  else begin
-                    let st =
-                      match !st with
-                      | Some s ->
-                          reset_state s;
-                          s
-                      | None ->
-                          let s = make_state units in
-                          st := Some s;
-                          s
-                    in
-                    out.(i) <-
-                      sim_core st ~budget:arr.(i).m_budget
-                        ~policy:arr.(i).m_policy iter
-                  end)
-                scalar)
+          List.iter
+            (fun policy ->
+              match List.filter (fun i -> arr.(i).m_policy = policy) idxs with
+              | [] -> ()
+              | is ->
+                  let budgets = List.map (fun i -> arr.(i).m_budget) is in
+                  if stack_collapses policy budgets then
+                    collapsed := !collapsed + List.length is;
+                  List.iter2
+                    (fun i sim -> out.(i) <- sim)
+                    is
+                    (ladder ~units ~policy totals iter budgets))
+            [ Lru; Lfu; Cost_aware ])
         groups;
       (Array.to_list out, !collapsed)
 

@@ -170,17 +170,24 @@ val simulate : loaded -> model -> sim
 val simulate_many : loaded -> model list -> sim list
 (** Batched {!simulate}: results are returned in input order and are
     exactly [List.map (simulate l) models] (property-tested). Models
-    are grouped by effective block size; each group shares one
-    pre-bucketed reference stream and one set of residency arrays, and
-    the [Lru] models of a group collapse further into
-    {!simulate_all_budgets}'s single-pass stack kernel — this is the
-    kernel the design-space explorer fans out over. *)
+    are grouped by effective block size, and each block's models share
+    one pre-bucketed reference stream. Within a block, each policy's
+    budgets form one ladder. [Lru] ladders collapse into
+    {!simulate_all_budgets}'s single-pass stack kernel. [Lfu] and
+    [Cost_aware] ladders take one cache pass per budget {e interval}:
+    a pass at budget B takes the same branch at every capacity test
+    for all budgets in [\[B, hi)], where [hi] is the least
+    [occupancy + bytes] of an eviction and the least size of a
+    bypassed unit, so it answers every ladder budget below [hi]
+    (property-tested). This is the kernel the design-space explorer
+    fans out over. *)
 
 val simulate_many_collapsed : loaded -> model list -> sim list * int
-(** {!simulate_many} plus the number of models whose budget axis was
-    collapsed into a stack-distance pass (0 when every model took an
-    individual cache pass) — the [sims_collapsed] accounting surfaced
-    by the DSE report. *)
+(** {!simulate_many} plus the number of [Lru] models whose budget axis
+    was collapsed into a stack-distance pass (0 when none was) — the
+    [sims_collapsed] accounting surfaced by the DSE report. Budgets
+    that an [Lfu] or [Cost_aware] ladder answers from an earlier
+    budget's interval are not counted. *)
 
 val simulate_all_budgets : ?block:int -> loaded -> int list -> sim list
 (** Exact [Lru] results for every budget at once:
@@ -214,6 +221,29 @@ val simulate_runs_all_budgets :
     equals [List.map (fun b -> simulate_runs ~units ~budget:b
     ~policy:Lru runs) budgets] (property-tested). Same per-unit
     constant-[bytes] requirement as {!simulate_runs}. *)
+
+val simulate_runs_interval :
+  units:int ->
+  budget:int ->
+  policy:policy ->
+  (int * int * int) array ->
+  sim * int
+(** {!simulate_runs} plus the pass's interval end [hi]: the least
+    [occupancy + bytes] over the eviction tests that evicted, and the
+    least [bytes] over the bypassed units ([max_int] if neither
+    happened). Every budget in [\[budget, hi)] has the same sim
+    (property-tested). *)
+
+val simulate_runs_ladder :
+  units:int ->
+  policy:policy ->
+  budgets:int list ->
+  (int * int * int) array ->
+  sim list
+(** {!simulate_many}'s per-(policy, block) ladder code over a
+    synthetic run stream; equals [List.map (fun b -> simulate_runs
+    ~units ~budget:b ~policy runs) budgets] for budgets in any order,
+    duplicates included (property-tested). *)
 
 val mrc : loaded -> Observe.Reuse.t
 (** Rebuild the exact byte-LRU reuse tracker by feeding it the

@@ -7,7 +7,9 @@
    no unit is bypassed, chunked parallel dispatch against List.map,
    serial = parallel = chunked frontier identity end-to-end, and the
    persistent memo store (warm re-runs compute nothing; a stale trace
-   is an error, not a silent recompute). *)
+   is an error, not a silent recompute), and the LFU / Cost_aware
+   budget intervals (a pass at B equals the reference at every budget
+   below its [hi]; interval ladders equal per-budget passes). *)
 
 module Engine = Replay.Engine
 module Trace_file = Replay.Trace_file
@@ -476,6 +478,47 @@ let stale_trace_test () =
       | Error _ -> ()
       | Ok _ -> Alcotest.fail "stale trace must be an error")
 
+(* --- Budget-interval ladders ---------------------------------------------- *)
+
+(* The interval lemma: a pass at B answers every budget in [B, hi).
+   Checked against the linear-scan reference at every budget of the
+   interval, up to 200 past B (the interval is unbounded once no unit
+   was evicted or bypassed). *)
+let prop_interval =
+  QCheck2.Test.make ~count:400
+    ~name:"sim_core at B = reference at every budget in [B, hi)"
+    QCheck2.Gen.(
+      triple gen_run_stream
+        (oneofl [ Engine.Lru; Engine.Lfu; Engine.Cost_aware ])
+        (int_range 1 160))
+    (fun ((units, runs), policy, budget) ->
+      let sim, hi = Engine.simulate_runs_interval ~units ~budget ~policy runs in
+      let rec check b =
+        b >= min hi (budget + 200)
+        || (sim = reference_sim ~units ~budget:b ~policy runs
+           || QCheck2.Test.fail_reportf "budget %d in [%d, %d) differs" b
+                budget hi)
+           && check (b + 1)
+      in
+      check budget)
+
+(* The ladder code the batcher runs per (policy, block) group, on
+   unsorted budget lists with duplicates, against per-budget passes. *)
+let prop_ladder =
+  QCheck2.Test.make ~count:400
+    ~name:"interval ladder = per-budget passes (random streams)"
+    QCheck2.Gen.(
+      triple gen_run_stream
+        (oneofl [ Engine.Lfu; Engine.Cost_aware ])
+        (let* budgets = list_size (int_range 1 12) (int_range 1 200) in
+         let* dups = list_size (int_range 0 4) (oneofl budgets) in
+         shuffle_l (budgets @ dups)))
+    (fun ((units, runs), policy, budgets) ->
+      Engine.simulate_runs_ladder ~units ~policy ~budgets runs
+      = List.map
+          (fun budget -> Engine.simulate_runs ~units ~budget ~policy runs)
+          budgets)
+
 let suite =
   [
     QCheck_alcotest.to_alcotest prop_pareto_sound;
@@ -499,4 +542,6 @@ let suite =
       stale_trace_test;
     Alcotest.test_case "all-budgets = per-budget across stack compaction"
       `Quick stack_compaction_test;
+    QCheck_alcotest.to_alcotest prop_interval;
+    QCheck_alcotest.to_alcotest prop_ladder;
   ]
