@@ -55,8 +55,7 @@ let engine_arg =
   let doc =
     "Simulator execution engine: superblock (default), reference, or — for \
      the run command only — check, which executes the configuration under \
-     both engines, fails unless every simulated result matches exactly, and \
-     prints the host-side speedup."
+     both engines and fails unless every simulated result matches exactly."
   in
   Arg.(value & opt string "superblock" & info [ "engine" ] ~doc)
 
@@ -165,18 +164,14 @@ let with_telemetry ~command ~fields telemetry f =
           Fun.protect ~finally:Observe.Telemetry.disable f)
 
 (* --engine check: execute the same configuration under the reference
-   interpreter and the superblock engine, fail unless every simulated
-   result matches exactly, and report the host-side speedup. CI's
-   host-perf smoke step runs this. *)
+   interpreter and the superblock engine, and fail unless every
+   simulated result matches exactly. CI's engine differential smoke
+   step runs this; host throughput is perf's msp430.minstr_per_s. *)
 let check_engines config b seed =
   let with_engine e =
-    Experiments.Sweep.timed (fun () ->
-        Experiments.Toolchain.run
-          { config with Experiments.Toolchain.engine = e })
+    Experiments.Toolchain.run { config with Experiments.Toolchain.engine = e }
   in
-  let ref_o, ref_s = with_engine Msp430.Cpu.Reference in
-  let sb_o, sb_s = with_engine Msp430.Cpu.Superblock in
-  match (ref_o, sb_o) with
+  match (with_engine Msp430.Cpu.Reference, with_engine Msp430.Cpu.Superblock) with
   | Experiments.Toolchain.Completed r, Experiments.Toolchain.Completed s ->
       let open Experiments.Toolchain in
       let mismatches =
@@ -206,10 +201,6 @@ let check_engines config b seed =
           r.stats.Trace.instructions;
         Printf.printf "energy       : %.1f uJ (both engines)\n"
           (r.energy.Msp430.Energy.energy_nj /. 1000.0);
-        Printf.printf "reference    : %.3f s host\n" ref_s;
-        Printf.printf "superblock   : %.3f s host\n" sb_s;
-        Printf.printf "speedup      : %.2fx\n"
-          (if sb_s > 0.0 then ref_s /. sb_s else 0.0);
         Printf.printf "check        : OK — simulated results identical\n";
         `Ok ()
       end
@@ -609,34 +600,7 @@ let pgo_cmd benchmark file freq seed blacklist engine budget train profile gate
 (* Compare: the perf-regression gate. Nonzero exit on any regression
    beyond the per-metric thresholds (or structural mismatch), so CI
    can gate on `swapram_cli compare bench/baseline.json report.json`. *)
-let read_json_file path =
-  match In_channel.with_open_bin path In_channel.input_all with
-  | exception Sys_error e -> Error e
-  | contents -> (
-      match Observe.Json.parse contents with
-      | Ok j -> Ok j
-      | Error e -> Error (Printf.sprintf "%s: %s" path e))
-
-let compare_cmd old_path new_path threshold identical =
-  if identical then (
-    (* telemetry-purity gate: after stripping host-wall-clock keys the
-       two reports must agree byte for byte — no thresholds *)
-    let* old_json = read_json_file old_path in
-    let* new_json = read_json_file new_path in
-    let view j =
-      Observe.Json.to_string (Experiments.Bench_report.deterministic_view j)
-    in
-    if view old_json = view new_json then begin
-      Printf.printf
-        "identical    : OK (deterministic views agree byte for byte)\n";
-      `Ok ()
-    end
-    else
-      `Error
-        ( false,
-          "reports differ beyond wall-clock fields: simulated results are \
-           not byte-identical" ))
-  else
+let compare_cmd old_path new_path threshold =
   let thresholds =
     match threshold with
     | None -> Experiments.Compare.default_thresholds
@@ -1147,7 +1111,10 @@ let resume_arg =
   Arg.(value & opt (some string) None & info [ "resume" ] ~docv:"PATH" ~doc)
 
 let campaign_report_arg =
-  let doc = "Write the campaign report as schema-v7 JSON to $(docv)." in
+  let doc =
+    "Write the campaign report as JSON (the bench report schema, with only \
+     the campaign object) to $(docv)."
+  in
   Arg.(value & opt (some string) None & info [ "report" ] ~docv:"PATH" ~doc)
 
 let quiet_arg =
@@ -1329,7 +1296,8 @@ let dse_resume_arg =
 
 let dse_report_arg =
   let doc =
-    "Write the full schema-v7 DSE report (including host timing) to $(docv)."
+    "Write the full DSE report (with the sims_computed, sims_cached and \
+     sims_collapsed provenance counters) to $(docv)."
   in
   Arg.(value & opt (some string) None & info [ "report" ] ~docv:"PATH" ~doc)
 
@@ -1415,24 +1383,7 @@ let dse_cmd benchmarks systems bmin bmax bstep policies blocks mhzs seed jobs
         ("budgets", Observe.Json.Int (List.length grid.Experiments.Dse.g_budgets));
       ]
   @@ fun () ->
-  let dir, cleanup =
-    match trace_dir with
-    | Some dir ->
-        if not (Sys.file_exists dir) then Unix.mkdir dir 0o755;
-        (dir, fun () -> ())
-    | None ->
-        let dir = Filename.temp_file "swapram-dse" "" in
-        Sys.remove dir;
-        Unix.mkdir dir 0o700;
-        ( dir,
-          fun () ->
-            Array.iter
-              (fun f ->
-                try Sys.remove (Filename.concat dir f) with Sys_error _ -> ())
-              (Sys.readdir dir);
-            try Unix.rmdir dir with Unix.Unix_error _ -> () )
-  in
-  Fun.protect ~finally:cleanup @@ fun () ->
+  Experiments.Dse.with_trace_dir ?dir:trace_dir @@ fun dir ->
   match
     Experiments.Dse.record_workloads ~seed ?benchmarks ?systems ~jobs ~progress
       ~dir ()
@@ -1460,8 +1411,6 @@ let dse_cmd benchmarks systems bmin bmax bstep policies blocks mhzs seed jobs
             outcome.d_sims_cached outcome.d_sims_collapsed;
           Printf.printf "global    : %d frontier points\n"
             (List.length outcome.d_global_frontier);
-          Printf.printf "eval      : %.2f s, %.0f points/s\n" outcome.d_eval_s
-            outcome.d_points_per_s;
           let write path json =
             let oc = open_out path in
             output_string oc (Observe.Json.to_string_pretty json);
@@ -1564,19 +1513,9 @@ let threshold_arg =
   in
   Arg.(value & opt (some float) None & info [ "threshold" ] ~doc)
 
-let identical_arg =
-  let doc =
-    "Telemetry-purity mode: instead of thresholded comparison, strip every \
-     host-wall-clock field from both reports and require the remainder to \
-     agree byte for byte (nonzero exit otherwise)."
-  in
-  Arg.(value & flag & info [ "identical" ] ~doc)
-
 let compare_term =
   Term.(
-    ret
-      (const compare_cmd $ old_report_arg $ new_report_arg $ threshold_arg
-     $ identical_arg))
+    ret (const compare_cmd $ old_report_arg $ new_report_arg $ threshold_arg))
 
 let budget_arg =
   let doc = "Pinned-set byte budget (default: half the SRAM cache)." in

@@ -12,52 +12,16 @@ module Json = Observe.Json
    downstream tooling. The schema is documented in EXPERIMENTS.md;
    bump [schema_version] on any breaking change.
 
-   Schema v2 adds the per-system "metrics" object (windowed
-   cache-dynamics time series + miss-ratio curve from the
-   {!Observe.Metrics} sampler) and a slim rendering mode used for the
-   committed bench/baseline.json: slim reports keep every scalar the
-   perf-regression gate compares but drop the bulky time-series and
-   attribution payloads.
+   Schema v8: every member — the per-system cells (full reports add
+   the "metrics" time series and "top_functions"), "swapram_pgo", the
+   optional "campaign", "dse" (always the slim rendering) and, in full
+   reports, "replay" — is a simulated value, a pure function of (seed,
+   benchmarks, frequency[, campaign]). The report carries no host
+   wall-clock, so two reports of one configuration are byte-identical
+   whatever the worker count or telemetry setting; host throughput is
+   measured by perf/. *)
 
-   Schema v3 adds per-system "host_seconds" (simulator wall-clock,
-   excluded from the perf gate — it measures the host, not the
-   simulated system) and the "swapram_pgo" system: the measured run
-   of the profile-guided rebuild, with a "pgo" object describing the
-   placement (budget, pinned set, FRAM-resident set). Full (non-slim)
-   reports additionally carry a top-level "host" object comparing
-   simulator throughput between the reference interpreter and the
-   superblock engine, serial and parallel — additive, so the perf
-   gate and slim baseline are unaffected. *)
-
-(* Schema v5 (v4 was never released) adds the optional top-level
-   "campaign" object: aggregate statistics of a Monte-Carlo
-   fault-injection campaign (per-cell survivability rates with Wilson
-   intervals). The object is produced by the caller — the campaign
-   engine lives above this library — and passed in verbatim via
-   [?campaign]; reports without one simply omit the member, so the
-   perf gate and the slim baseline are unaffected.
-
-   Schema v6 adds the top-level "replay" object (full reports only —
-   it carries host wall-clock figures): per (benchmark x cached
-   system), one trace recorded once and replayed across the
-   {!Replay_sweep} model grid, every cell tagged "replayed": true with
-   its own simulation time and record-once/replay-many speedup
-   (fresh-execution seconds over amortized load + simulate seconds).
-   The section refuses to render if any replay fails the bit-for-bit
-   exactness check against its recording. *)
-
-(* Schema v7 adds the top-level "dse" object: a design-space
-   exploration over (workload x SRAM budget x eviction policy x block
-   size x frequency), rendered by {!Dse.json}. The deterministic
-   members (grid, per-workload Pareto frontiers, global frontier,
-   point/sim counts) appear in slim and full reports alike and are a
-   pure function of (seed, benchmarks) — the compare gate fails on any
-   frontier drift against the committed baseline. Full reports add the
-   host-side members (sims_computed/sims_cached/sims_collapsed
-   memo-store and stack-kernel provenance, eval wall-clock and
-   points-per-second throughput). *)
-
-let schema_version = 7
+let schema_version = 8
 
 let frequency_hz = function
   | Platform.Mhz8 -> 8_000_000
@@ -247,188 +211,51 @@ let outcome_json ~params ~slim = function
       Json.Obj
         [ ("status", Json.String "did-not-fit"); ("reason", Json.String msg) ]
 
-(* Host wall-clock per system cell (v3). Not gated by Compare — it
-   measures the simulator's throughput on the host, not the simulated
-   system. *)
-let with_host host_s = function
-  | Json.Obj kvs -> Json.Obj (kvs @ [ ("host_seconds", Json.Float host_s) ])
-  | j -> j
-
 let pgo_json ~params ~slim (e : Sweep.pgo_entry) =
-  let cell =
-    match e.Sweep.pgo with
-    | Error reason ->
-        Json.Obj
-          [ ("status", Json.String "error"); ("reason", Json.String reason) ]
-    | Ok r -> (
-        let placement = r.Toolchain.pg_placement in
-        let names l = Json.List (List.map (fun n -> Json.String n) l) in
-        let descr =
-          ( "pgo",
-            Json.Obj
-              [
-                ("budget", Json.Int placement.Swapram.Pgo.pl_budget);
-                ("pinned", names placement.Swapram.Pgo.pl_pinned);
-                ("fram_resident", names placement.Swapram.Pgo.pl_fram_resident);
-              ] )
-        in
-        match outcome_json ~params ~slim r.Toolchain.pg_measured with
-        | Json.Obj kvs -> Json.Obj (kvs @ [ descr ])
-        | j -> j)
-  in
-  with_host e.Sweep.pgo_host_s cell
-
-(* --- v3 "host" object: simulator-throughput comparison ----------------- *)
-
-(* Wall-clock for the unobserved Table-2 suite under three drivers:
-   the reference interpreter (serial), the superblock engine (serial),
-   and the superblock engine sharded across [jobs] workers. Every
-   sweep bypasses the memo so each figure is a fresh measurement, and
-   the reference/superblock results are cross-checked cell by cell —
-   the report refuses to print a speedup over a run that disagrees.
-   Excluded from the perf gate and from slim reports: it measures the
-   host machine, not the simulated system. *)
-
-let uart_of = function
-  | Toolchain.Completed r -> Some r.Toolchain.uart
-  | Toolchain.Crashed _ | Toolchain.Did_not_fit _ -> None
-
-let outcome_equal ~params a b =
-  (* Structural equality of every simulated scalar the report renders
-     (cycles, energy, counters, runtime stats), plus the UART stream,
-     which the JSON rendering omits. *)
-  outcome_json ~params ~slim:true a = outcome_json ~params ~slim:true b
-  && uart_of a = uart_of b
-
-let entry_equal ~params (a : Sweep.entry) (b : Sweep.entry) =
-  outcome_equal ~params
-    (Toolchain.Completed a.Sweep.baseline)
-    (Toolchain.Completed b.Sweep.baseline)
-  && outcome_equal ~params a.Sweep.swapram b.Sweep.swapram
-  && outcome_equal ~params a.Sweep.block b.Sweep.block
-
-let entry_host_s (e : Sweep.entry) =
-  e.Sweep.baseline_host_s +. e.Sweep.swapram_host_s +. e.Sweep.block_host_s
-
-let geomean = function
-  | [] -> 0.0
-  | xs ->
-      exp (List.fold_left (fun acc x -> acc +. log x) 0.0 xs
-           /. float_of_int (List.length xs))
-
-let host_json ~params ~seed ~frequency ~jobs benchmarks =
-  let sweep_with ~engine ~jobs =
-    Sweep.timed (fun () ->
-        Sweep.compute ~seed ~benchmarks ~engine ~jobs ~cache:false ~frequency
-          ())
-  in
-  let reference, reference_s = sweep_with ~engine:Msp430.Cpu.Reference ~jobs:1 in
-  let superblock, superblock_s =
-    sweep_with ~engine:Msp430.Cpu.Superblock ~jobs:1
-  in
-  let parallel, parallel_s =
-    sweep_with ~engine:Msp430.Cpu.Superblock ~jobs
-  in
-  let engines_agree =
-    List.for_all2 (entry_equal ~params) reference superblock
-    && List.for_all2 (entry_equal ~params) reference parallel
-  in
-  if not engines_agree then
-    failwith
-      "bench report: superblock engine disagrees with the reference \
-       interpreter";
-  let per_benchmark =
-    List.map2
-      (fun (r : Sweep.entry) (s : Sweep.entry) ->
-        let rs = entry_host_s r and ss = entry_host_s s in
-        ( r.Sweep.benchmark.Workloads.Bench_def.name,
-          rs,
-          ss,
-          if ss > 0.0 then rs /. ss else 0.0 ))
-      reference superblock
-  in
-  let serial_geomean =
-    geomean
-      (List.filter_map
-         (fun (_, _, _, sp) -> if sp > 0.0 then Some sp else None)
-         per_benchmark)
-  in
-  Json.Obj
-    [
-      ("cores", Json.Int (Parallel.ncores ()));
-      ("jobs", Json.Int jobs);
-      ("engines_agree", Json.Bool engines_agree);
-      ("reference_serial_s", Json.Float reference_s);
-      ("superblock_serial_s", Json.Float superblock_s);
-      ("superblock_parallel_s", Json.Float parallel_s);
-      ( "serial_speedup_geomean",
-        (* geo-mean over per-benchmark (reference / superblock) wall
-           times, serial on both sides: the engine's own contribution *)
-        Json.Float serial_geomean );
-      ( "total_speedup",
-        Json.Float (if parallel_s > 0.0 then reference_s /. parallel_s else 0.0)
-      );
-      ( "benchmarks",
-        Json.List
-          (List.map
-             (fun (name, rs, ss, sp) ->
-               Json.Obj
-                 [
-                   ("name", Json.String name);
-                   ("reference_s", Json.Float rs);
-                   ("superblock_s", Json.Float ss);
-                   ("speedup", Json.Float sp);
-                 ])
-             per_benchmark) );
-    ]
-
-(* --- v6 "replay" object: record-once / replay-many ---------------------- *)
-
-let replay_json ~seed ~frequency ~jobs benchmarks =
-  let entries = Replay_sweep.bench ~seed ~benchmarks ~jobs ~frequency () in
-  (match
-     List.find_opt (fun e -> not e.Replay_sweep.b_exact_match) entries
-   with
-  | Some e ->
-      failwith
-        (Printf.sprintf
-           "bench report: replay of %s/%s is not exact: %s"
-           e.Replay_sweep.b_benchmark e.Replay_sweep.b_system
-           e.Replay_sweep.b_exact_detail)
-  | None -> ());
-  let speedups = ref [] in
-  let trace_json (e : Replay_sweep.bench_entry) =
-    let ncells = max 1 (List.length e.Replay_sweep.b_cells) in
-    let amortized_load = e.Replay_sweep.b_load_s /. float_of_int ncells in
-    let cell_json (r : Replay_sweep.cell_result) =
-      let sim = r.Replay_sweep.r_sim in
-      let cell_s = amortized_load +. r.Replay_sweep.r_host_s in
-      let speedup =
-        if cell_s > 0.0 then e.Replay_sweep.b_exec_s /. cell_s else 0.0
+  match e.Sweep.pgo with
+  | Error reason ->
+      Json.Obj [ ("status", Json.String "error"); ("reason", Json.String reason) ]
+  | Ok r -> (
+      let placement = r.Toolchain.pg_placement in
+      let names l = Json.List (List.map (fun n -> Json.String n) l) in
+      let descr =
+        ( "pgo",
+          Json.Obj
+            [
+              ("budget", Json.Int placement.Swapram.Pgo.pl_budget);
+              ("pinned", names placement.Swapram.Pgo.pl_pinned);
+              ("fram_resident", names placement.Swapram.Pgo.pl_fram_resident);
+            ] )
       in
-      if speedup > 0.0 then speedups := speedup :: !speedups;
-      Json.Obj
-        [
-          ("replayed", Json.Bool true);
-          ("budget", Json.Int r.Replay_sweep.r_cell.Replay_sweep.c_budget);
-          ( "policy",
-            Json.String
-              (Replay.Engine.policy_name r.Replay_sweep.r_cell.Replay_sweep.c_policy)
-          );
-          ( "block",
-            match r.Replay_sweep.r_cell.Replay_sweep.c_block with
-            | Some n -> Json.Int n
-            | None -> Json.Null );
-          ("refs", Json.Int sim.Replay.Engine.s_refs);
-          ("misses", Json.Int sim.Replay.Engine.s_misses);
-          ("cold_misses", Json.Int sim.Replay.Engine.s_cold_misses);
-          ("evictions", Json.Int sim.Replay.Engine.s_evictions);
-          ("bytes_loaded", Json.Int sim.Replay.Engine.s_bytes_loaded);
-          ("miss_rate", Json.Float sim.Replay.Engine.s_miss_rate);
-          ("sim_s", Json.Float r.Replay_sweep.r_host_s);
-          ("speedup", Json.Float speedup);
-        ]
-    in
+      match outcome_json ~params ~slim r.Toolchain.pg_measured with
+      | Json.Obj kvs -> Json.Obj (kvs @ [ descr ])
+      | j -> j)
+
+(* --- "replay" object: record-once / replay-many ------------------------- *)
+
+(* Every replay was checked bit-for-bit against its recording inside
+   [Replay_sweep.bench], which raises on the first mismatch. *)
+let replay_json ~seed ~frequency ~jobs benchmarks =
+  let cell_json (r : Replay_sweep.cell_result) =
+    let cell = r.Replay_sweep.r_cell and sim = r.Replay_sweep.r_sim in
+    Json.Obj
+      [
+        ("replayed", Json.Bool true);
+        ("budget", Json.Int cell.Replay_sweep.c_budget);
+        ("policy", Json.String (Replay.Engine.policy_name cell.Replay_sweep.c_policy));
+        ( "block",
+          match cell.Replay_sweep.c_block with
+          | Some n -> Json.Int n
+          | None -> Json.Null );
+        ("refs", Json.Int sim.Replay.Engine.s_refs);
+        ("misses", Json.Int sim.Replay.Engine.s_misses);
+        ("cold_misses", Json.Int sim.Replay.Engine.s_cold_misses);
+        ("evictions", Json.Int sim.Replay.Engine.s_evictions);
+        ("bytes_loaded", Json.Int sim.Replay.Engine.s_bytes_loaded);
+        ("miss_rate", Json.Float sim.Replay.Engine.s_miss_rate);
+      ]
+  in
+  let trace_json (e : Replay_sweep.bench_entry) =
     Json.Obj
       [
         ("benchmark", Json.String e.Replay_sweep.b_benchmark);
@@ -436,29 +263,20 @@ let replay_json ~seed ~frequency ~jobs benchmarks =
         ("fingerprint", Json.Int e.Replay_sweep.b_fingerprint);
         ("events", Json.Int e.Replay_sweep.b_events);
         ("bytes", Json.Int e.Replay_sweep.b_bytes);
-        ("record_s", Json.Float e.Replay_sweep.b_record_s);
-        ("exec_s", Json.Float e.Replay_sweep.b_exec_s);
-        ("load_s", Json.Float e.Replay_sweep.b_load_s);
-        ("exact_match", Json.Bool e.Replay_sweep.b_exact_match);
+        ("exact_match", Json.Bool true);
         ("cells", Json.List (List.map cell_json e.Replay_sweep.b_cells));
       ]
   in
-  let traces = List.map trace_json entries in
-  let speedups = !speedups in
   Json.Obj
     [
-      ("jobs", Json.Int jobs);
       ("exact_all", Json.Bool true);
-      ("speedup_geomean", Json.Float (geomean speedups));
-      ( "speedup_min",
-        Json.Float
-          (match speedups with
-          | [] -> 0.0
-          | s :: rest -> List.fold_left min s rest) );
-      ("traces", Json.List traces);
+      ( "traces",
+        Json.List
+          (List.map trace_json
+             (Replay_sweep.bench ~seed ~benchmarks ~jobs ~frequency ())) );
     ]
 
-(* --- v7 "dse" object: Pareto design-space exploration -------------------- *)
+(* --- "dse" object: Pareto design-space exploration ----------------------- *)
 
 (* The report grid: the default axes with the budget axis coarsened to
    64 B steps — still >= 20k evaluated points over the suite, at half
@@ -469,23 +287,14 @@ let dse_report_grid =
   let rec budgets acc b = if b < 512 then acc else budgets (b :: acc) (b - 64) in
   { Dse.default_grid with Dse.g_budgets = budgets [] 16384 }
 
-let dse_json ~seed ~jobs ~slim benchmarks =
-  let dir = Filename.temp_file "swapram-dse" "" in
-  Sys.remove dir;
-  Unix.mkdir dir 0o700;
-  Fun.protect
-    ~finally:(fun () ->
-      Array.iter
-        (fun f -> try Sys.remove (Filename.concat dir f) with Sys_error _ -> ())
-        (Sys.readdir dir);
-      try Unix.rmdir dir with Unix.Unix_error _ -> ())
-  @@ fun () ->
+let dse_json ~seed ~jobs benchmarks =
+  Dse.with_trace_dir @@ fun dir ->
   match Dse.record_workloads ~seed ~benchmarks ~jobs ~dir () with
   | Error e -> failwith ("bench report: dse recording failed: " ^ e)
   | Ok workloads -> (
       match Dse.run ~jobs dse_report_grid workloads with
       | Error e -> failwith ("bench report: dse evaluation failed: " ^ e)
-      | Ok outcome -> Dse.json ~slim dse_report_grid outcome)
+      | Ok outcome -> Dse.json ~slim:true dse_report_grid outcome)
 
 let compute ?(seed = 1) ?benchmarks ?(frequency = Platform.Mhz24) ?(slim = false)
     ?jobs ?campaign () =
@@ -502,23 +311,13 @@ let compute ?(seed = 1) ?benchmarks ?(frequency = Platform.Mhz24) ?(slim = false
   let suite =
     match benchmarks with Some bs -> bs | None -> Workloads.Suite.all
   in
-  let host =
-    (* Slim reports (the committed baseline) stay host-independent:
-       no wall-clock figures, so regenerating the baseline on a
-       different machine cannot churn it. The "replay" object carries
-       wall-clock speedups too, so it is likewise full-report-only. *)
-    if slim then []
-    else
-      [
-        ("host", host_json ~params ~seed ~frequency ~jobs suite);
-        ("replay", replay_json ~seed ~frequency ~jobs suite);
-      ]
+  (* The "replay" object is full-report-only: the slim baseline keeps
+     only what the compare gate reads. The "dse" frontiers are gated,
+     so they appear in both. *)
+  let replay =
+    if slim then [] else [ ("replay", replay_json ~seed ~frequency ~jobs suite) ]
   in
-  (* The "dse" object appears in slim and full reports alike: its
-     deterministic members are what the frontier-drift gate compares,
-     and [Dse.json ~slim] already strips the host-side members from
-     the slim rendering. *)
-  let dse = [ ("dse", dse_json ~seed ~jobs ~slim suite) ] in
+  let dse = [ ("dse", dse_json ~seed ~jobs suite) ] in
   Json.Obj
     ([
       ("schema_version", Json.Int schema_version);
@@ -545,15 +344,10 @@ let compute ?(seed = 1) ?benchmarks ?(frequency = Platform.Mhz24) ?(slim = false
                      Json.Obj
                        ([
                           ( "baseline",
-                            with_host e.Sweep.baseline_host_s
-                              (outcome_json ~params ~slim
-                                 (Toolchain.Completed e.Sweep.baseline)) );
-                          ( "swapram",
-                            with_host e.Sweep.swapram_host_s
-                              (outcome_json ~params ~slim e.Sweep.swapram) );
-                          ( "block",
-                            with_host e.Sweep.block_host_s
-                              (outcome_json ~params ~slim e.Sweep.block) );
+                            outcome_json ~params ~slim
+                              (Toolchain.Completed e.Sweep.baseline) );
+                          ("swapram", outcome_json ~params ~slim e.Sweep.swapram);
+                          ("block", outcome_json ~params ~slim e.Sweep.block);
                         ]
                        @
                        match pgo_cell with
@@ -565,47 +359,10 @@ let compute ?(seed = 1) ?benchmarks ?(frequency = Platform.Mhz24) ?(slim = false
     @ (match campaign with
       | Some c -> [ ("campaign", (c : Json.t)) ]
       | None -> [])
-    @ dse @ host)
+    @ dse @ replay)
 
 let write ?seed ?benchmarks ?frequency ?slim ?jobs ?campaign path =
   let json = compute ?seed ?benchmarks ?frequency ?slim ?jobs ?campaign () in
   let oc = open_out path in
   output_string oc (Json.to_string_pretty json);
   close_out oc
-
-(* Every key in a report whose value is host wall-clock (or derived
-   from it): the per-cell "host_seconds" stamps, the whole
-   simulator-throughput "host" object, and the replay section's
-   record/exec/load/sim timings and speedups. Everything else in a
-   report is a pure function of (seed, benchmarks, frequency), so two
-   reports stripped of these keys must be byte-identical — the
-   telemetry-purity gate diffs exactly this view. *)
-let wall_clock_keys =
-  [
-    "host";
-    "host_seconds";
-    "record_s";
-    "exec_s";
-    "load_s";
-    "sim_s";
-    "speedup";
-    "speedup_geomean";
-    "speedup_min";
-    (* dse host-side members: memo-store provenance and throughput *)
-    "sims_computed";
-    "sims_cached";
-    "sims_collapsed";
-    "eval_s";
-    "points_per_s";
-  ]
-
-let rec deterministic_view = function
-  | Json.Obj kvs ->
-      Json.Obj
-        (List.filter_map
-           (fun (k, v) ->
-             if List.mem k wall_clock_keys then None
-             else Some (k, deterministic_view v))
-           kvs)
-  | Json.List vs -> Json.List (List.map deterministic_view vs)
-  | j -> j

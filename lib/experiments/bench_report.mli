@@ -1,33 +1,20 @@
 (** Machine-readable benchmark report ([bench/report.json]): the
     Table-2 configurations (every benchmark under baseline / SwapRAM /
-    block cache) run with the profiling stack attached, rendered under
-    a stable versioned JSON schema for CI artifact upload. The schema
-    is documented in EXPERIMENTS.md.
+    block cache, plus the profile-guided "swapram_pgo" rebuild) run
+    with the profiling stack attached, rendered under a stable
+    versioned JSON schema for CI artifact upload. The schema is
+    documented in EXPERIMENTS.md.
 
-    Schema v2 embeds the {!Observe.Metrics} sampler's output per
-    system: a "metrics" object with the per-window time series and the
-    miss-ratio curve. Schema v3 adds per-system "host_seconds", the
-    "swapram_pgo" system, and — in full (non-slim) reports — a
-    top-level "host" object benchmarking the simulator itself:
-    wall-clock for the unobserved suite under the reference
-    interpreter (serial), the superblock engine (serial), and the
-    superblock engine sharded across workers, with per-benchmark and
-    geo-mean speedups. The host measurement cross-checks both engines
-    cell by cell and fails rather than report a speedup over a
-    disagreeing run.
-
-    Schema v5 (v4 was never released) adds the optional top-level
-    "campaign" object — Monte-Carlo fault-injection campaign
-    statistics rendered by [Faultinject.Campaign.to_json] and passed
-    in verbatim via [?campaign] (that engine sits above this
-    library).
-
-    Schema v6 adds the top-level "replay" object (full reports only):
-    {!Replay_sweep.bench} results — one recorded trace per benchmark x
-    cached system replayed across the cache-model grid, every cell
-    tagged ["replayed": true] with its record-once/replay-many speedup
-    over fresh execution. Rendering fails if any replay is not
-    bit-for-bit exact against its recording. *)
+    Schema v8: the report is a pure function of (seed, benchmarks,
+    frequency[, campaign]) — it carries no host wall-clock, so two
+    reports of one configuration are compared with plain byte
+    equality. Host throughput of the simulator is measured by [perf/].
+    Full reports add the per-system "metrics" series, "top_functions"
+    and the "replay" object ({!Replay_sweep.bench}: every trace
+    verified bit-for-bit against its recording, then replayed across
+    the model grid); the optional "campaign" object is passed in
+    verbatim; the "dse" object ({!Dse.json} [~slim:true]) appears in
+    both renderings. *)
 
 val schema_version : int
 
@@ -41,13 +28,13 @@ val compute :
   unit ->
   Observe.Json.t
 (** [slim] (default false) drops the bulky "metrics" and
-    "top_functions" payloads while keeping every scalar the
-    perf-regression gate ({!Compare}) reads — the rendering committed
-    as bench/baseline.json — and omits the "host" object so the
-    baseline stays host-independent. [jobs] (default
+    "top_functions" payloads and the "replay" object while keeping
+    every scalar the perf-regression gate ({!Compare}) reads — the
+    rendering committed as bench/baseline.json. [jobs] (default
     {!Sweep.set_default_jobs}) shards sweep cells across forked
-    workers; it cannot change any simulated value. [campaign] is
-    embedded as the top-level "campaign" member when given. *)
+    workers; it cannot change any value in the report. [campaign] is
+    embedded as the top-level "campaign" member when given. Fails if a
+    replay is not exact. *)
 
 val write :
   ?seed:int ->
@@ -59,12 +46,3 @@ val write :
   string ->
   unit
 (** Render {!compute} pretty-printed to the given path. *)
-
-val deterministic_view : Observe.Json.t -> Observe.Json.t
-(** The report with every host-wall-clock key recursively removed
-    (per-cell "host_seconds", the "host" object, the replay section's
-    record/exec/load/sim timings and speedups). What remains is a pure
-    function of (seed, benchmarks, frequency): two runs of the same
-    configuration — telemetry on or off, serial or parallel — must
-    agree on this view byte for byte, which is exactly what the
-    telemetry-purity tests and the CI gate compare. *)

@@ -1,7 +1,7 @@
 module Json = Observe.Json
 
-(* Perf-regression gate over two bench reports (schema v2, slim or
-   full). Every (benchmark, system) cell present in the old report is
+(* Perf-regression gate over two bench reports of the same schema
+   version, slim or full. Every (benchmark, system) cell present in the old report is
    compared metric-by-metric against the new one under per-metric
    relative thresholds; a regression is a relative increase beyond
    the metric's threshold. The simulator is deterministic, so
@@ -126,26 +126,19 @@ let compare_cell ~thresholds ~bench ~system old_cell new_cell
               :: errors ))
       (findings, errors) thresholds
 
-(* Frontier-drift gate over the v7 "dse" objects. Frontiers are exact
+(* Frontier-drift gate over the "dse" objects. Frontiers are exact
    and deterministic — a pure function of (seed, benchmarks, grid) —
    so unlike the threshold-gated scalar metrics they are compared for
    equality: any drift means the cache model, the objective model or
    the Pareto computation changed, which must be an intentional,
-   baseline-refreshing change. Host-side members (store provenance,
-   wall clock) are stripped before comparing. *)
+   baseline-refreshing change. *)
 let dse_errors ~old_report ~new_report =
   match (Json.member "dse" old_report, Json.member "dse" new_report) with
-  | None, _ ->
-      (* pre-v7 baseline (or hand-trimmed): nothing to gate on *)
-      []
+  | None, _ -> [ "dse object missing from old report" ]
   | Some _, None -> [ "dse object missing from new report" ]
   | Some old_dse, Some new_dse ->
-      let det key dse =
-        Bench_report.deterministic_view
-          (Option.value ~default:Json.Null (Json.member key dse))
-      in
       let member_drift key =
-        if det key old_dse = det key new_dse then []
+        if Json.member key old_dse = Json.member key new_dse then []
         else [ Printf.sprintf "dse: %s drifted from the baseline" key ]
       in
       let frontiers dse =
@@ -167,10 +160,7 @@ let dse_errors ~old_report ~new_report =
             | None ->
                 [ Printf.sprintf "dse: workload %s missing from new report" name ]
             | Some new_w ->
-                if
-                  Bench_report.deterministic_view old_w
-                  = Bench_report.deterministic_view new_w
-                then []
+                if old_w = new_w then []
                 else [ Printf.sprintf "dse: frontier drift for %s" name ])
           old_ws
       in

@@ -1,6 +1,7 @@
 (** Perf-regression gate: compare two bench reports
-    ([bench/report.json] schema v2, slim or full) metric-by-metric
-    under per-metric relative thresholds. Drives [swapram_cli compare]
+    ([bench/report.json], same schema version, slim or full)
+    metric-by-metric under per-metric relative thresholds, and their
+    "dse" frontiers for equality. Drives [swapram_cli compare]
     and the CI perf gate against the committed [bench/baseline.json]. *)
 
 val default_thresholds : (string * float) list
@@ -24,7 +25,8 @@ type outcome = {
   findings : finding list;  (** every compared metric *)
   errors : string list;
       (** structural problems that themselves fail the gate: schema
-          mismatch, missing benchmark/system/metric, status change *)
+          mismatch, missing benchmark/system/metric/dse object, status
+          change, dse frontier drift *)
 }
 
 val compare_json :

@@ -188,6 +188,27 @@ let record_workloads ?(seed = 1) ?benchmarks
           if workloads = [] then Error "dse: no workload fit any system"
           else Ok workloads)
 
+(* A persistent [dir] is created if missing and kept; without one the
+   traces go to a fresh temporary directory, removed with its files
+   when [f] returns or raises. *)
+let with_trace_dir ?dir f =
+  match dir with
+  | Some dir ->
+      if not (Sys.file_exists dir) then Unix.mkdir dir 0o755;
+      f dir
+  | None ->
+      let dir = Filename.temp_file "swapram-dse" "" in
+      Sys.remove dir;
+      Unix.mkdir dir 0o700;
+      Fun.protect
+        ~finally:(fun () ->
+          Array.iter
+            (fun f ->
+              try Sys.remove (Filename.concat dir f) with Sys_error _ -> ())
+            (Sys.readdir dir);
+          try Unix.rmdir dir with Unix.Unix_error _ -> ())
+        (fun () -> f dir)
+
 (* --- Points and objectives --------------------------------------------- *)
 
 type objectives = {
@@ -348,8 +369,6 @@ type outcome = {
          stack kernel absorbed instead of an individual cache pass *)
   d_frontiers : frontier list; (* per workload, workload input order *)
   d_global_frontier : point list;
-  d_eval_s : float; (* wall-clock: simulate + frontier phase *)
-  d_points_per_s : float;
 }
 
 (* Per-workload model axis: normalize the block axis to multiples of
@@ -433,7 +452,6 @@ let run ?jobs ?chunk ?(progress = Progress.null) ?store grid workloads =
           match stale with
           | Some e -> Error e
           | None -> (
-              let t0 = Unix.gettimeofday () in
               let per_workload =
                 List.map (fun w -> (w, models_for grid w)) workloads
               in
@@ -608,7 +626,6 @@ let run ?jobs ?chunk ?(progress = Progress.null) ?store grid workloads =
                         in
                         (fronts, !acc_all))
                   in
-                  let eval_s = Unix.gettimeofday () -. t0 in
                   Ok
                     {
                       d_workloads = workloads;
@@ -619,11 +636,6 @@ let run ?jobs ?chunk ?(progress = Progress.null) ?store grid workloads =
                       d_sims_collapsed = sims_collapsed;
                       d_frontiers = frontiers;
                       d_global_frontier = pareto all_points;
-                      d_eval_s = eval_s;
-                      d_points_per_s =
-                        (if eval_s > 0.0 then
-                           float_of_int points_total /. eval_s
-                         else 0.0);
                     })))
 
 (* --- JSON --------------------------------------------------------------- *)
@@ -661,9 +673,7 @@ let grid_json g =
     ]
 
 (* The deterministic members (grid, counts, frontiers) are identical
-   for serial, parallel and resumed runs; [eval_s] / [points_per_s]
-   are host wall-clock and are stripped from slim reports and from
-   [Bench_report.deterministic_view]. *)
+   for serial, parallel and resumed runs. *)
 let json ?(slim = false) grid outcome =
   let base =
     [
@@ -687,18 +697,16 @@ let json ?(slim = false) grid outcome =
     ]
   in
   (* Provenance counters are a property of the run (how warm the memo
-     store was), not of the design space — like the wall-clock members
-     they would break byte-identity between fresh and resumed runs, so
-     they live outside the deterministic (slim) view. *)
-  let wall =
+     store was, how the pool chunked the sims), not of the design
+     space — they would break byte-identity between fresh, resumed and
+     differently sharded runs, so they live outside the slim view. *)
+  let provenance =
     if slim then []
     else
       [
         ("sims_computed", Json.Int outcome.d_sims_computed);
         ("sims_cached", Json.Int outcome.d_sims_cached);
         ("sims_collapsed", Json.Int outcome.d_sims_collapsed);
-        ("eval_s", Json.Float outcome.d_eval_s);
-        ("points_per_s", Json.Float outcome.d_points_per_s);
       ]
   in
-  Json.Obj (base @ wall)
+  Json.Obj (base @ provenance)

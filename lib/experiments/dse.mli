@@ -62,6 +62,12 @@ val record_workloads :
     trace is decoded once here in the parent ({!Replay.Engine.load_cached}),
     so forked evaluation workers inherit the decoded statistics. *)
 
+val with_trace_dir : ?dir:string -> (string -> 'a) -> 'a
+(** [with_trace_dir ?dir f] runs [f] on a trace directory for
+    {!record_workloads}: [dir] itself (created if missing, kept
+    afterwards), or without [dir] a fresh temporary directory that is
+    removed, with every file in it, when [f] returns or raises. *)
+
 (** {2 Points and objectives} *)
 
 type objectives = {
@@ -129,8 +135,6 @@ type outcome = {
   d_frontiers : frontier list;  (** per workload, workload input order *)
   d_global_frontier : point list;
       (** frontier over the union of every workload's points *)
-  d_eval_s : float;  (** wall-clock seconds (host; non-deterministic) *)
-  d_points_per_s : float;
 }
 
 val run :
@@ -158,9 +162,9 @@ val run :
 val point_json : point -> Observe.Json.t
 
 val json : ?slim:bool -> grid -> outcome -> Observe.Json.t
-(** The schema-v7 ["dse"] report object. Deterministic members (grid,
+(** The ["dse"] report object. Deterministic members (grid,
     per-workload frontiers, global frontier, point/sim counts) are
     identical for serial, parallel and resumed runs; [slim] drops the
-    host-side members ([sims_computed], [sims_cached],
-    [sims_collapsed], [eval_s], [points_per_s]), which depend on
-    memo-store warmth and wall clock. *)
+    provenance counters ([sims_computed], [sims_cached],
+    [sims_collapsed]), which depend on memo-store warmth and on the
+    pool's chunk width. The bench report embeds the slim rendering. *)

@@ -14,13 +14,12 @@ module Trace_file = Replay.Trace_file
 
 type cell = { c_budget : int; c_policy : Engine.policy; c_block : int option }
 
-type cell_result = { r_cell : cell; r_sim : Engine.sim; r_host_s : float }
+type cell_result = { r_cell : cell; r_sim : Engine.sim }
 
 type run = {
   header : Trace_file.header;
   events : int;
   bytes : int;
-  load_s : float;
   cells : cell_result list;
 }
 
@@ -80,18 +79,6 @@ let reset_memo_stats () =
 
 (* --- Cell evaluation --------------------------------------------------- *)
 
-let sim_cell loaded cell =
-  let sim, host_s =
-    Sweep.timed (fun () ->
-        Engine.simulate loaded
-          {
-            Engine.m_budget = cell.c_budget;
-            m_policy = cell.c_policy;
-            m_block = cell.c_block;
-          })
-  in
-  { r_cell = cell; r_sim = sim; r_host_s = host_s }
-
 let load_or_fail trace =
   match Engine.load_cached trace with
   | Ok l -> l
@@ -102,19 +89,12 @@ let model_of c =
 
 (* Batched evaluation: one [simulate_many] call over the whole list,
    so the reference stream is pre-bucketed once per block size and the
-   residency arrays are reused across cells. Host time is measured
-   around the batch and amortized per cell (individual per-cell timing
-   is the bench driver's job, which still calls [sim_cell]). *)
+   residency arrays are reused across cells. *)
 let sim_batch loaded cells =
-  let sims, batch_s =
-    Sweep.timed (fun () -> Engine.simulate_many loaded (List.map model_of cells))
-  in
-  let per =
-    match cells with
-    | [] -> 0.0
-    | _ -> batch_s /. float_of_int (List.length cells)
-  in
-  List.map2 (fun c s -> { r_cell = c; r_sim = s; r_host_s = per }) cells sims
+  List.map2
+    (fun c s -> { r_cell = c; r_sim = s })
+    cells
+    (Engine.simulate_many loaded (List.map model_of cells))
 
 (* Evaluate [cells] against [trace], sharded into contiguous chunks of
    [Parallel.chunk_size] cells. The parent decodes the trace once
@@ -123,11 +103,11 @@ let sim_batch loaded cells =
 let eval_cells ?chunk ~jobs ~trace cells =
   let n = List.length cells in
   let jobs = max 1 (min jobs n) in
-  let loaded, load_s =
+  let loaded =
     Observe.Telemetry.with_span ~cat:"replay" "load" (fun () ->
-        Sweep.timed (fun () -> load_or_fail trace))
+        load_or_fail trace)
   in
-  if jobs <= 1 then (load_s, sim_batch loaded cells)
+  if jobs <= 1 then sim_batch loaded cells
   else begin
     let c = Parallel.chunk_size ?chunk ~jobs n in
     let arr = Array.of_list cells in
@@ -137,12 +117,8 @@ let eval_cells ?chunk ~jobs ~trace cells =
           let lo = i * c in
           Array.to_list (Array.sub arr lo (min c (n - lo))))
     in
-    let results =
-      Parallel.map ~jobs
-        (fun chunk -> sim_batch (load_or_fail trace) chunk)
-        chunks
-    in
-    (load_s, List.concat results)
+    List.concat
+      (Parallel.map ~jobs (fun chunk -> sim_batch (load_or_fail trace) chunk) chunks)
   end
 
 let replay_cells ?jobs ?chunk ?(cache = true) ?expect ~trace cells =
@@ -212,8 +188,8 @@ let replay_cells ?jobs ?chunk ?(cache = true) ?expect ~trace cells =
             memo_misses := !memo_misses + List.length missing;
             Observe.Telemetry.counter "replay.memo_hits" !memo_hits;
             Observe.Telemetry.counter "replay.memo_misses" !memo_misses;
-            let load_s, computed =
-              if missing = [] then (0.0, [])
+            let computed =
+              if missing = [] then []
               else
                 Observe.Telemetry.with_span ~cat:"replay" "cells"
                   ~args:
@@ -237,7 +213,6 @@ let replay_cells ?jobs ?chunk ?(cache = true) ?expect ~trace cells =
               header;
               events;
               bytes;
-              load_s;
               cells = List.map (fun c -> Hashtbl.find tbl c) cells;
             }
           with
@@ -335,11 +310,6 @@ type bench_entry = {
   b_fingerprint : int;
   b_events : int;
   b_bytes : int;
-  b_record_s : float;
-  b_exec_s : float;
-  b_load_s : float;
-  b_exact_match : bool;
-  b_exact_detail : string;
   b_cells : cell_result list;
 }
 
@@ -361,15 +331,7 @@ let bench_pair ~seed ~frequency ~cells (bd, system_name) =
   Fun.protect
     ~finally:(fun () -> try Sys.remove trace with Sys_error _ -> ())
     (fun () ->
-      (* Timing hygiene: the report pipeline reaches this point with a
-         large major heap left over from earlier phases, whose GC debt
-         would otherwise be billed to the timed sections below.
-         Compact first so record/exec/load measure their own work. *)
-      Gc.compact ();
-      let recorded, record_s =
-        Sweep.timed (fun () -> Toolchain.run_recorded ~trace config)
-      in
-      match recorded with
+      match Toolchain.run_recorded ~trace config with
       | Toolchain.Crashed o ->
           failwith
             (Printf.sprintf "recording %s/%s crashed: %s"
@@ -378,30 +340,23 @@ let bench_pair ~seed ~frequency ~cells (bd, system_name) =
           (* Expected capacity outcome: several Table-2 benchmarks
              exceed the block cache's data limit. No trace, no entry. *)
           None
-      | Toolchain.Completed res ->
-          (* The speedup denominator: what one fresh sweep cell costs
-             without the replayer (unobserved, default engine). *)
-          Gc.compact ();
-          let _, exec_s = Sweep.timed (fun () -> Toolchain.run config) in
-          Gc.compact ();
-          let loaded, load_s = Sweep.timed (fun () -> load_or_fail trace) in
-          let mismatches = verify_exact loaded res in
-          let cell_results = List.map (sim_cell loaded) cells in
-          Some
-            {
-              b_benchmark = bd.Workloads.Bench_def.name;
-              b_system = system_name;
-              b_fingerprint = loaded.Engine.header.Trace_file.fingerprint;
-              b_events = loaded.Engine.events;
-              b_bytes = loaded.Engine.bytes;
-              b_record_s = record_s;
-              b_exec_s = exec_s;
-              b_load_s = load_s;
-              b_exact_match = mismatches = [];
-              b_exact_detail =
-                (match mismatches with [] -> "" | m :: _ -> m);
-              b_cells = cell_results;
-            })
+      | Toolchain.Completed res -> (
+          let loaded = load_or_fail trace in
+          match verify_exact loaded res with
+          | m :: _ ->
+              failwith
+                (Printf.sprintf "replay of %s/%s is not exact: %s"
+                   bd.Workloads.Bench_def.name system_name m)
+          | [] ->
+              Some
+                {
+                  b_benchmark = bd.Workloads.Bench_def.name;
+                  b_system = system_name;
+                  b_fingerprint = loaded.Engine.header.Trace_file.fingerprint;
+                  b_events = loaded.Engine.events;
+                  b_bytes = loaded.Engine.bytes;
+                  b_cells = sim_batch loaded cells;
+                }))
 
 let bench ?(seed = 1) ?benchmarks ?budgets ?policies ?jobs ~frequency () =
   let benchmarks =

@@ -19,22 +19,12 @@ type cell = {
   c_block : int option;  (** line-size override for block-cache traces *)
 }
 
-type cell_result = {
-  r_cell : cell;
-  r_sim : Replay.Engine.sim;
-  r_host_s : float;
-      (** host seconds for this cell's simulation; in batched paths
-          ({!replay_cells}) this is the chunk's batch time amortized
-          per cell (trace load excluded; see {!run.load_s}) *)
-}
+type cell_result = { r_cell : cell; r_sim : Replay.Engine.sim }
 
 type run = {
   header : Replay.Trace_file.header;
   events : int;
   bytes : int;
-  load_s : float;
-      (** host seconds for the one decoding pass (0 when every cell
-          was memoized) *)
   cells : cell_result list;  (** in request order *)
 }
 
@@ -93,13 +83,6 @@ type bench_entry = {
   b_fingerprint : int;
   b_events : int;
   b_bytes : int;
-  b_record_s : float;  (** recording run (reference engine + tap) *)
-  b_exec_s : float;  (** fresh unobserved execution of the same cell *)
-  b_load_s : float;
-  b_exact_match : bool;
-      (** replayed totals reproduced the recorded run's cycles,
-          energy and every counter bit-for-bit *)
-  b_exact_detail : string;  (** first mismatch, when [not b_exact_match] *)
   b_cells : cell_result list;
 }
 
@@ -113,10 +96,12 @@ val bench :
   unit ->
   bench_entry list
 (** The bench/report pipeline: for every benchmark x {swapram, block},
-    record once into a temporary file, re-execute once unobserved (the
-    speedup denominator), verify exact replay against the recorded
-    run, then evaluate the model grid. Pairs whose image does not fit
-    the system (several Table-2 benchmarks exceed the block cache's
-    data limit) are skipped; a crash is still an error. One
+    record once into a temporary file, verify exact replay against the
+    recorded run, then evaluate the model grid in one
+    {!Replay.Engine.simulate_many} batch. Pairs whose image does not
+    fit the system (several Table-2 benchmarks exceed the block
+    cache's data limit) are skipped. A crashed recording and a replay
+    that is not bit-for-bit exact ({!verify_exact}) both raise
+    [Failure] ({!Parallel.Worker_failed} from a worker). One
     (benchmark x system) pair per worker when [jobs > 1]; traces are
     deleted afterwards. *)

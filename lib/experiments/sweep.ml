@@ -6,23 +6,16 @@ module Platform = Msp430.Platform
    memoized per (seed, frequency, observe, engine, subset) so one
    bench run computes it once.
 
-   Each cell is wall-clock timed on the host — CLOCK_MONOTONIC, not
-   [Sys.time], which reports processor time and under-reports
-   whenever the simulator shares the machine — so the machine-readable
-   report can track simulator throughput alongside the simulated
-   metrics. With [jobs > 1] the independent (benchmark x system) cells
-   are sharded across forked workers ({!Parallel.map}); each cell is
-   timed inside its worker, and the merged result list is ordered by
-   benchmark exactly as a serial sweep would produce it. *)
+   With [jobs > 1] the independent (benchmark x system) cells are
+   sharded across forked workers ({!Parallel.map}), and the merged
+   result list is ordered by benchmark exactly as a serial sweep would
+   produce it. *)
 
 type entry = {
   benchmark : Workloads.Bench_def.t;
   baseline : Toolchain.result;
   swapram : Toolchain.outcome;
   block : Toolchain.outcome;
-  baseline_host_s : float;
-  swapram_host_s : float;
-  block_host_s : float;
 }
 
 type t = entry list
@@ -46,8 +39,7 @@ let default_progress = ref Observe.Progress.null
 let set_default_progress sink = default_progress := sink
 
 (* Memo accounting: attribution for "why was this run instant / slow",
-   printed by the bench driver and mirrored as telemetry counters. A
-   [~cache:false] sweep counts as a miss (the work really ran). *)
+   printed by the bench driver and mirrored as telemetry counters. *)
 type memo_stats = { hits : int; misses : int }
 
 let memo_hits = ref 0
@@ -72,41 +64,27 @@ type key =
 
 let memo : (key, t) Hashtbl.t = Hashtbl.create 4
 
-(* One (benchmark x system) cell, run and timed host-side. This is the
-   unit of work a forked worker executes. *)
-let run_cell ?observe ~seed ~frequency ~engine (benchmark, sys) =
-  let base_config =
-    { (Toolchain.default_config benchmark) with Toolchain.seed; frequency }
-  in
-  let base_config =
-    match engine with
-    | None -> base_config
-    | Some e -> { base_config with Toolchain.engine = e }
+(* One (benchmark x system) cell: the unit of work a forked worker
+   executes. *)
+let run_cell ?observe ~seed ~frequency (benchmark, sys) =
+  let caching =
+    match sys with
+    | `Baseline -> Toolchain.Baseline
+    | `Swapram -> Toolchain.Swapram_cache Swapram.Config.default_options
+    | `Block -> Toolchain.Block_cache Blockcache.Config.default_options
   in
   let config =
-    match sys with
-    | `Baseline -> base_config
-    | `Swapram ->
-        {
-          base_config with
-          Toolchain.caching = Toolchain.Swapram_cache Swapram.Config.default_options;
-        }
-    | `Block ->
-        {
-          base_config with
-          Toolchain.caching = Toolchain.Block_cache Blockcache.Config.default_options;
-        }
+    { (Toolchain.default_config benchmark) with Toolchain.seed; frequency; caching }
   in
-  timed (fun () ->
-      match sys with
-      | `Baseline ->
-          Toolchain.Completed
-            (Report.expect_completed
-               ~what:(benchmark.Workloads.Bench_def.name ^ " baseline")
-               (Toolchain.run ?observe config))
-      | `Swapram | `Block -> Toolchain.run ?observe config)
+  match sys with
+  | `Baseline ->
+      Toolchain.Completed
+        (Report.expect_completed
+           ~what:(benchmark.Workloads.Bench_def.name ^ " baseline")
+           (Toolchain.run ?observe config))
+  | `Swapram | `Block -> Toolchain.run ?observe config
 
-let compute_uncached ?observe ~seed ~frequency ~engine ~jobs benchmarks =
+let compute_uncached ?observe ~seed ~frequency ~jobs benchmarks =
   let cells =
     List.concat_map
       (fun b -> [ (b, `Baseline); (b, `Swapram); (b, `Block) ])
@@ -132,7 +110,7 @@ let compute_uncached ?observe ~seed ~frequency ~engine ~jobs benchmarks =
         ]
       (fun () ->
         Parallel.map ~jobs ~on_event
-          (run_cell ?observe ~seed ~frequency ~engine)
+          (run_cell ?observe ~seed ~frequency)
           cells)
   in
   (* Merge in deterministic (benchmark, system) order — [Parallel.map]
@@ -141,7 +119,7 @@ let compute_uncached ?observe ~seed ~frequency ~engine ~jobs benchmarks =
   let rec merge benchmarks results =
     match (benchmarks, results) with
     | [], [] -> []
-    | b :: bs, (base, bt) :: (sw, st) :: (bl, lt) :: rest ->
+    | b :: bs, base :: sw :: bl :: rest ->
         let baseline =
           match base with
           | Toolchain.Completed r -> r
@@ -162,79 +140,57 @@ let compute_uncached ?observe ~seed ~frequency ~engine ~jobs benchmarks =
             failwith
               (b.Workloads.Bench_def.name ^ ": block-cache output differs")
         | _ -> ());
-        {
-          benchmark = b;
-          baseline;
-          swapram = sw;
-          block = bl;
-          baseline_host_s = bt;
-          swapram_host_s = st;
-          block_host_s = lt;
-        }
-        :: merge bs rest
+        { benchmark = b; baseline; swapram = sw; block = bl } :: merge bs rest
     | _ -> assert false
   in
   Observe.Telemetry.with_span ~cat:"sweep" "crosscheck" (fun () ->
       merge benchmarks results)
 
-let key ~seed ~frequency ~observe ~engine benchmarks : key =
-  (* [None] means "the toolchain default" — resolved here rather than
-     stored as a wildcard, so flipping the default engine between
-     sweeps cannot alias memo entries. *)
-  let engine_name =
-    Msp430.Cpu.engine_name
-      (match engine with Some e -> e | None -> Toolchain.default_engine ())
-  in
+(* The toolchain default engine is resolved into the key rather than
+   stored as a wildcard, so flipping the default (bench --engine)
+   between sweeps cannot alias memo entries. *)
+let key ~seed ~frequency ~observe benchmarks : key =
   ( seed,
     frequency,
     observe,
-    engine_name,
+    Msp430.Cpu.engine_name (Toolchain.default_engine ()),
     List.map (fun b -> b.Workloads.Bench_def.name) benchmarks )
 
-let compute ?(seed = 1) ?benchmarks ?observe ?engine ?jobs ?(cache = true)
-    ~frequency () =
+let compute ?(seed = 1) ?benchmarks ?observe ?jobs ~frequency () =
   let benchmarks =
     match benchmarks with Some bs -> bs | None -> Workloads.Suite.all
   in
   let jobs = resolve_jobs jobs in
   (* The full spec keys the memo: runs observed with different specs
-     carry different attachments (e.g. the metrics sampler), and runs
-     pinned to different engines time differently, so they must not
-     alias. [jobs] is deliberately not in the key — it cannot change
-     any simulated value — which is why callers that want fresh host
-     timings under a specific jobs setting pass [~cache:false]. *)
-  if not cache then begin
-    count_miss ();
-    compute_uncached ?observe ~seed ~frequency ~engine ~jobs benchmarks
-  end
-  else
-    let k = key ~seed ~frequency ~observe ~engine benchmarks in
-    match Hashtbl.find_opt memo k with
-    | Some t ->
-        count_hit ();
-        t
-    | None ->
-        count_miss ();
-        let t = compute_uncached ?observe ~seed ~frequency ~engine ~jobs benchmarks in
-        Hashtbl.replace memo k t;
-        t
+     carry different attachments (e.g. the metrics sampler), so they
+     must not alias. [jobs] is deliberately not in the key — it cannot
+     change any simulated value. *)
+  let k = key ~seed ~frequency ~observe benchmarks in
+  match Hashtbl.find_opt memo k with
+  | Some t ->
+      count_hit ();
+      t
+  | None ->
+      count_miss ();
+      let t = compute_uncached ?observe ~seed ~frequency ~jobs benchmarks in
+      Hashtbl.replace memo k t;
+      t
 
 (* --- Profile-guided runs ----------------------------------------------- *)
 
 type pgo_entry = {
   pgo_benchmark : Workloads.Bench_def.t;
   pgo : (Toolchain.pgo_result, string) result;
-  pgo_host_s : float;  (** training + rebuild + measured run *)
 }
 
 let pgo_cache : (key, pgo_entry list) Hashtbl.t = Hashtbl.create 4
 
-let compute_pgo ?(seed = 1) ?benchmarks ?observe ?engine ?jobs ~frequency () =
+let compute_pgo ?(seed = 1) ?benchmarks ?observe ?jobs ~frequency () =
   let benchmarks =
     match benchmarks with Some bs -> bs | None -> Workloads.Suite.all
   in
   let jobs = resolve_jobs jobs in
-  let k = key ~seed ~frequency ~observe ~engine benchmarks in
+  let k = key ~seed ~frequency ~observe benchmarks in
   match Hashtbl.find_opt pgo_cache k with
   | Some t ->
       count_hit ();
@@ -250,15 +206,7 @@ let compute_pgo ?(seed = 1) ?benchmarks ?observe ?engine ?jobs ~frequency () =
             caching = Toolchain.Swapram_cache Swapram.Config.default_options;
           }
         in
-        let config =
-          match engine with
-          | None -> config
-          | Some e -> { config with Toolchain.engine = e }
-        in
-        let pgo, pgo_host_s =
-          timed (fun () -> Toolchain.run_pgo ?observe config)
-        in
-        { pgo_benchmark = benchmark; pgo; pgo_host_s }
+        { pgo_benchmark = benchmark; pgo = Toolchain.run_pgo ?observe config }
       in
       let total = List.length benchmarks in
       let finished = ref 0 in

@@ -5,9 +5,8 @@
     against the baseline (the §5.1 validation) and fails loudly on a
     mismatch.
 
-    Cells are host-timed with a monotonic wall clock, and with
-    [jobs > 1] the independent (benchmark x system) cells are sharded
-    across forked workers; simulated results are identical to a serial
+    With [jobs > 1] the independent (benchmark x system) cells are
+    sharded across forked workers; results are identical to a serial
     sweep (each cell is a pure function of its configuration), and the
     merged list is in benchmark order regardless of scheduling. *)
 
@@ -16,11 +15,6 @@ type entry = {
   baseline : Toolchain.result;
   swapram : Toolchain.outcome;
   block : Toolchain.outcome;
-  baseline_host_s : float;
-      (** host wall-clock seconds for the run (CLOCK_MONOTONIC),
-          timed inside the worker that executed the cell *)
-  swapram_host_s : float;
-  block_host_s : float;
 }
 
 type t = entry list
@@ -46,46 +40,40 @@ type memo_stats = { hits : int; misses : int }
 val memo_stats : unit -> memo_stats
 (** Cumulative memo behavior across {!compute} and {!compute_pgo}
     since start (or {!reset_memo_stats}): a hit served a sweep from
-    the memo, a miss really ran it ([~cache:false] counts as a miss). *)
+    the memo, a miss really ran it. *)
 
 val reset_memo_stats : unit -> unit
 
 val timed : (unit -> 'a) -> 'a * float
 (** Run a thunk and return (result, elapsed host seconds) on the
-    monotonic clock. Exposed for the bench driver's own host-side
-    timings. *)
+    monotonic clock. The perf harness ([perf/]) times its cells with
+    it. *)
 
 val compute :
   ?seed:int ->
   ?benchmarks:Workloads.Bench_def.t list ->
   ?observe:Toolchain.observe_spec ->
-  ?engine:Msp430.Cpu.engine ->
   ?jobs:int ->
-  ?cache:bool ->
   frequency:Msp430.Platform.frequency ->
   unit ->
   t
 (** [benchmarks] restricts the sweep to a subset (defaults to the full
     suite); [observe] attaches the profiling stack to every run (see
-    {!Toolchain.observe_spec}); [engine] pins the simulator engine
-    (defaults to the toolchain default); [jobs] overrides
-    {!set_default_jobs} for this sweep. Results are memoized per
-    (seed, frequency, observed?, engine, subset) — [jobs] is not part
-    of the key because it cannot change simulated values. Pass
-    [~cache:false] to bypass the memo entirely (neither read nor
-    write) when fresh host timings matter more than reuse. *)
+    {!Toolchain.observe_spec}); [jobs] overrides {!set_default_jobs}
+    for this sweep. Runs use {!Toolchain.default_engine}. Results are
+    memoized per (seed, frequency, observed?, default engine, subset)
+    — [jobs] is not part of the key because it cannot change simulated
+    values; {!clear_cache} forces a recomputation. *)
 
 type pgo_entry = {
   pgo_benchmark : Workloads.Bench_def.t;
   pgo : (Toolchain.pgo_result, string) result;
-  pgo_host_s : float;  (** training + rebuild + measured run *)
 }
 
 val compute_pgo :
   ?seed:int ->
   ?benchmarks:Workloads.Bench_def.t list ->
   ?observe:Toolchain.observe_spec ->
-  ?engine:Msp430.Cpu.engine ->
   ?jobs:int ->
   frequency:Msp430.Platform.frequency ->
   unit ->

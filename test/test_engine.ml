@@ -243,36 +243,45 @@ let entry_sig (e : Sweep.entry) =
 let parallel_sweep_matches_serial () =
   let benchmarks = Workloads.Suite.[ crc; bitcount ] in
   let run jobs =
-    Sweep.compute ~benchmarks ~jobs ~cache:false ~frequency:Platform.Mhz24 ()
+    Sweep.clear_cache ();
+    Sweep.compute ~benchmarks ~jobs ~frequency:Platform.Mhz24 ()
   in
   let serial = run 1 and sharded = run 3 in
   Alcotest.(check bool)
     "sharded sweep merges to the serial result" true
     (List.map entry_sig serial = List.map entry_sig sharded)
 
-(* The full report path: serial and sharded renderings must be
-   byte-identical once host wall-clock fields are stripped. *)
-let rec strip_host = function
-  | Json.Obj kvs ->
-      Json.Obj
-        (List.filter_map
-           (fun (k, v) ->
-             if k = "host_seconds" || k = "host" then None
-             else Some (k, strip_host v))
-           kvs)
-  | Json.List l -> Json.List (List.map strip_host l)
-  | j -> j
-
+(* The full report path: the report carries no host wall-clock, so
+   serial and sharded renderings must be byte-identical as they are. *)
 let parallel_report_matches_serial () =
   let benchmarks = [ Workloads.Suite.crc ] in
   let render jobs =
     Sweep.clear_cache ();
     Json.to_string_pretty
-      (strip_host
-         (Experiments.Bench_report.compute ~benchmarks ~slim:true ~jobs ()))
+      (Experiments.Bench_report.compute ~benchmarks ~jobs ())
   in
-  Alcotest.(check string)
-    "sharded report identical modulo host timing" (render 1) (render 2)
+  Alcotest.(check string) "sharded full report identical" (render 1) (render 2)
+
+(* No key of a full report names a host wall-clock measurement. *)
+let report_has_no_wall_clock () =
+  let report =
+    Experiments.Bench_report.compute ~benchmarks:[ Workloads.Suite.crc ] ()
+  in
+  let rec keys = function
+    | Json.Obj kvs -> List.concat_map (fun (k, v) -> k :: keys v) kvs
+    | Json.List l -> List.concat_map keys l
+    | _ -> []
+  in
+  let present = keys report in
+  Alcotest.(check bool) "report has replay and dse objects" true
+    (List.mem "replay" present && List.mem "dse" present);
+  List.iter
+    (fun k ->
+      Alcotest.(check bool) (k ^ " absent") false (List.mem k present))
+    [
+      "host"; "host_seconds"; "record_s"; "exec_s"; "load_s"; "sim_s";
+      "speedup"; "speedup_geomean"; "speedup_min"; "eval_s"; "points_per_s";
+    ]
 
 let worker_failure_surfaces () =
   match
@@ -338,4 +347,6 @@ let suite =
         parallel_map_orders_results;
       Alcotest.test_case "worker death: strict by default, healed by retries"
         `Quick worker_death_heals_with_retries;
+      Alcotest.test_case "full report carries no wall-clock key" `Slow
+        report_has_no_wall_clock;
     ]

@@ -383,6 +383,26 @@ let gate_cases =
           | _ -> false));
   ]
 
+(* A baseline without a "dse" object cannot pass the frontier gate:
+   it is an error, never a silently skipped comparison. Appended after
+   the properties so earlier test indices stay put. *)
+let gate_case_dse_missing =
+  Alcotest.test_case "compare: old report without dse is an error" `Slow
+    (fun () ->
+      let report = Lazy.force tiny_report in
+      let no_dse =
+        match report with
+        | Json.Obj kvs -> Json.Obj (List.remove_assoc "dse" kvs)
+        | j -> j
+      in
+      let outcome =
+        Experiments.Compare.compare_json ~old_report:no_dse ~new_report:report
+          ()
+      in
+      Alcotest.(check (list string))
+        "one error" [ "dse object missing from old report" ]
+        outcome.Experiments.Compare.errors)
+
 let suite =
   mrc_cases @ gate_cases
   @ [
@@ -391,4 +411,5 @@ let suite =
       QCheck_alcotest.to_alcotest prop_energy_split;
       QCheck_alcotest.to_alcotest prop_json_roundtrip;
       QCheck_alcotest.to_alcotest prop_json_roundtrip_pretty;
+      gate_case_dse_missing;
     ]

@@ -5,9 +5,8 @@
    ledger narrates each worker's lifecycle, and the Chrome exporter
    gives each worker PID its own named track. And telemetry must be
    provably non-perturbing: deterministic artifacts — campaign JSON,
-   the bench report's deterministic view — are byte-identical with
-   telemetry on or off, serial or parallel, even when chaos kills a
-   worker mid-run. *)
+   the bench report — are byte-identical with telemetry on or off,
+   serial or parallel, even when chaos kills a worker mid-run. *)
 
 module Tel = Observe.Telemetry
 module Json = Observe.Json
@@ -205,13 +204,12 @@ let report_unperturbed_by_telemetry () =
     Experiments.Sweep.clear_cache ();
     Experiments.Replay_sweep.clear_cache ();
     Json.to_string
-      (Experiments.Bench_report.deterministic_view
-         (Experiments.Bench_report.compute ~seed:1
-            ~benchmarks:[ Workloads.Suite.crc ] ~slim:true ()))
+      (Experiments.Bench_report.compute ~seed:1
+         ~benchmarks:[ Workloads.Suite.crc ] ~slim:true ())
   in
   let bare = compute () in
   let with_t, records = with_ledger compute in
-  Alcotest.(check string) "deterministic view is byte-identical" bare with_t;
+  Alcotest.(check string) "slim report is byte-identical" bare with_t;
   Alcotest.(check bool) "the ledger actually recorded spans" true
     (List.exists
        (function Tel.Span_begin { cat = "sweep"; _ } -> true | _ -> false)
