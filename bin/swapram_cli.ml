@@ -163,16 +163,39 @@ let with_telemetry ~command ~fields telemetry f =
             :: fields);
           Fun.protect ~finally:Observe.Telemetry.disable f)
 
+(* Toolchain.run, staged so that the CPU's engine counters can be read
+   once the run ends. *)
+let run_counting config =
+  let open Experiments.Toolchain in
+  match prepare config with
+  | Error msg -> (Did_not_fit msg, None)
+  | Ok p ->
+      boot p;
+      let cpu = p.p_system.Msp430.Platform.cpu in
+      let outcome =
+        match Msp430.Cpu.run ~fuel:config.fuel cpu with
+        | Msp430.Cpu.Halted -> Completed (collect p)
+        | o -> Crashed o
+      in
+      (outcome, Some (Msp430.Cpu.engine_counters cpu))
+
 (* --engine check: execute the same configuration under the reference
    interpreter and the superblock engine, and fail unless every
-   simulated result matches exactly. CI's engine differential smoke
-   step runs this; host throughput is perf's msp430.minstr_per_s. *)
+   simulated result matches exactly; then print what the superblock
+   engine did. CI's engine differential smoke step runs this; host
+   throughput is perf's msp430.minstr_per_s. *)
 let check_engines config b seed =
-  let with_engine e =
-    Experiments.Toolchain.run { config with Experiments.Toolchain.engine = e }
+  let reference =
+    Experiments.Toolchain.run
+      { config with Experiments.Toolchain.engine = Msp430.Cpu.Reference }
   in
-  match (with_engine Msp430.Cpu.Reference, with_engine Msp430.Cpu.Superblock) with
-  | Experiments.Toolchain.Completed r, Experiments.Toolchain.Completed s ->
+  let superblock, counters =
+    run_counting
+      { config with Experiments.Toolchain.engine = Msp430.Cpu.Superblock }
+  in
+  match (reference, superblock, counters) with
+  | Experiments.Toolchain.Completed r, Experiments.Toolchain.Completed s, Some k
+    ->
       let open Experiments.Toolchain in
       let mismatches =
         List.filter_map
@@ -202,6 +225,16 @@ let check_engines config b seed =
         Printf.printf "energy       : %.1f uJ (both engines)\n"
           (r.energy.Msp430.Energy.energy_nj /. 1000.0);
         Printf.printf "check        : OK — simulated results identical\n";
+        let open Msp430.Cpu in
+        Printf.printf
+          "superblocks  : %d recorded (%d instructions), %d replayed (%d \
+           instructions)\n"
+          k.blocks_recorded k.instrs_recorded k.blocks_replayed
+          k.instrs_replayed;
+        Printf.printf
+          "fallbacks    : %d first-word, %d extension-word; %d blocks \
+           invalidated\n"
+          k.first_word_fallbacks k.ext_word_fallbacks k.invalidations;
         `Ok ()
       end
   | _ ->

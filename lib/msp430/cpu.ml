@@ -12,19 +12,24 @@ type trap_action = Goto of int | Halt_machine
    address); self-validating, see [decode_at]. *)
 type dentry = { dw : int array; dinstr : Isa.t; dsize : int }
 
+type engine = Reference | Superblock
+
 (* Superblock engine: one preprocessed instruction of a straight-line
    run. Everything the reference step loop recomputes per execution —
-   decode, cycle cost, source classification — is resolved once at
-   record time; replay only re-fetches the instruction words (counted,
-   the exact [decode_at] validation pattern) and executes. *)
+   decode, operand dispatch, cycle cost, source classification — is
+   resolved once at record time; replay only re-fetches the
+   instruction words (counted, the exact [decode_at] validation
+   pattern) and runs the compiled effect. *)
 type sb_instr = {
   si_pc : int;
   si_words : int array; (* the words the instruction decoded from *)
   si_nwords : int;
-  si_instr : Isa.t;
-  si_size : int;
+  si_run : t -> unit;
+      (* the instruction's effect, compiled at record time (see
+         [compile]) *)
+  si_next : int; (* fall-through PC *)
   si_cycles : int; (* Cycles.of_instr, precomputed *)
-  si_source : Trace.source; (* classifier result, precomputed *)
+  si_src : int; (* Trace.source_index of the classifier's result *)
   si_fetch : int;
       (* how replay fetches the words: 0 = all in SRAM, 1 = all in
          FRAM (specialized counted fetches), 2 = generic counted read
@@ -33,11 +38,9 @@ type sb_instr = {
 
 (* A superblock: a maximal straight-line run starting at [sb_start].
    Only the last instruction may write the PC. *)
-type sblock = { sb_instrs : sb_instr array }
+and sblock = { sb_instrs : sb_instr array }
 
-type engine = Reference | Superblock
-
-type t = {
+and t = {
   regs : int array;
   mem : Memory.t;
   stats : Trace.t;
@@ -53,6 +56,15 @@ type t = {
   mutable sb_cycles_acc : int;
   mutable sb_icount : int;
   mutable sb_used : int;
+  (* Engine counters (see [counters]): bumped per block or per
+     fallback, never per replayed instruction. *)
+  mutable ctr_blocks_recorded : int;
+  mutable ctr_instrs_recorded : int;
+  mutable ctr_blocks_replayed : int;
+  mutable ctr_instrs_replayed : int;
+  mutable ctr_first_word_fallbacks : int;
+  mutable ctr_ext_word_fallbacks : int;
+  mutable ctr_invalidations : int;
   mutable engine : engine;
   mutable classify : int -> Trace.source;
   mutable halted : bool;
@@ -93,6 +105,13 @@ let create mem =
     sb_cycles_acc = 0;
     sb_icount = 0;
     sb_used = 0;
+    ctr_blocks_recorded = 0;
+    ctr_instrs_recorded = 0;
+    ctr_blocks_replayed = 0;
+    ctr_instrs_replayed = 0;
+    ctr_first_word_fallbacks = 0;
+    ctr_ext_word_fallbacks = 0;
+    ctr_invalidations = 0;
     engine = Superblock;
     classify = default_classifier mem;
     halted = false;
@@ -108,7 +127,35 @@ let halted t = t.halted
 let reg t r = t.regs.(r)
 let set_reg t r v = t.regs.(r) <- Word.of_int v
 
-let sb_invalidate t = Array.fill t.sblocks 0 (Array.length t.sblocks) None
+let sb_invalidate t =
+  for i = 0 to Array.length t.sblocks - 1 do
+    match t.sblocks.(i) with
+    | None -> ()
+    | Some _ ->
+        t.ctr_invalidations <- t.ctr_invalidations + 1;
+        t.sblocks.(i) <- None
+  done
+
+type counters = {
+  blocks_recorded : int;
+  instrs_recorded : int;
+  blocks_replayed : int;
+  instrs_replayed : int;
+  first_word_fallbacks : int;
+  ext_word_fallbacks : int;
+  invalidations : int;
+}
+
+let engine_counters t =
+  {
+    blocks_recorded = t.ctr_blocks_recorded;
+    instrs_recorded = t.ctr_instrs_recorded;
+    blocks_replayed = t.ctr_blocks_replayed;
+    instrs_replayed = t.ctr_instrs_replayed;
+    first_word_fallbacks = t.ctr_first_word_fallbacks;
+    ext_word_fallbacks = t.ctr_ext_word_fallbacks;
+    invalidations = t.ctr_invalidations;
+  }
 
 let engine t = t.engine
 let set_engine t e =
@@ -485,6 +532,141 @@ let exec_instr t pc0 instr =
       t.regs.(Isa.sr) <- pop_word t;
       t.regs.(Isa.pc) <- pop_word t
 
+(* --- Compiled replay closures ------------------------------------------
+
+   At record time the superblock engine compiles each instruction into
+   a closure specialised on its opcode, width and addressing modes:
+   registers, masks, immediates, absolute addresses and jump targets
+   are resolved once, and replay calls the closure instead of walking
+   [exec_instr]'s match over the [Isa] tree. Each closure performs the
+   counted accesses of [exec_instr] in the same order and leaves the
+   same registers, flags and memory. Shapes without a specialisation
+   (format-II rotates and RETI) compile to a call of [exec_instr]
+   itself, which stays the reference the engine differential checks
+   the closures against. *)
+
+(* The flag-setting ALU of the format-I ops on a masked destination
+   value [d] and source value [s], as [exec_format1] computes it;
+   returns the result (which CMP and BIT do not write back). *)
+let alu t op sz d s =
+  match op with
+  | Isa.MOV -> s
+  | Isa.ADD -> add_with_flags t sz d s 0
+  | Isa.ADDC -> add_with_flags t sz d s (t.regs.(Isa.sr) land 1)
+  | Isa.SUB | Isa.CMP -> add_with_flags t sz d (lnot s) 1
+  | Isa.SUBC -> add_with_flags t sz d (lnot s) (t.regs.(Isa.sr) land 1)
+  | Isa.DADD -> dadd_with_flags t sz d s (t.regs.(Isa.sr) land 1)
+  | Isa.BIT | Isa.AND ->
+      let r = d land s in
+      set_nz t sz r;
+      set_flag t flag_c (r <> 0);
+      set_flag t flag_v false;
+      r
+  | Isa.BIC -> d land lnot s land val_mask sz
+  | Isa.BIS -> d lor s
+  | Isa.XOR ->
+      let r = (d lxor s) land val_mask sz in
+      set_nz t sz r;
+      set_flag t flag_c (r <> 0);
+      set_flag t flag_v (d land msb_mask sz <> 0 && s land msb_mask sz <> 0);
+      r
+
+(* 16-bit address arithmetic, local to this module: dune's default
+   (dev) profile compiles with -opaque, which makes every [Word.add] an
+   out-of-line call. *)
+let[@inline] wadd a b = (a + b) land 0xFFFF
+
+let[@inline] read_data t width addr =
+  Memory.read t.mem ~purpose:Memory.Data ~width addr
+
+(* A source operand's value, as [eval_src] reads it. *)
+let compile_src sz src : t -> int =
+  let m = val_mask sz and width = width_of sz in
+  match src with
+  | Isa.Sreg r -> fun t -> t.regs.(r) land m
+  | Isa.Simm v | Isa.SimmX v ->
+      let v = v land m in
+      fun _ -> v
+  | Isa.Sidx (x, r) -> fun t -> read_data t width (wadd t.regs.(r) x)
+  | Isa.Sind r -> fun t -> read_data t width t.regs.(r)
+  | Isa.Sinc r ->
+      let step = if sz = Isa.B && r >= 4 then 1 else 2 in
+      fun t ->
+        let a = t.regs.(r) in
+        let v = read_data t width a in
+        t.regs.(r) <- wadd a step;
+        v
+  | Isa.Sabs a | Isa.Ssym a -> fun t -> read_data t width a
+
+(* A memory destination's address: [X(base)], or the absolute [off]
+   when [base] is negative. Evaluated after the source, so it sees an
+   auto-incremented base, as [dst_location] does. *)
+let[@inline] dst_addr t base off =
+  if base < 0 then off else wadd t.regs.(base) off
+
+(* A format-I op into the memory destination [dst_addr base off]. *)
+let compile_to_memory op sz load base off : t -> unit =
+  let width = width_of sz in
+  match op with
+  | Isa.MOV ->
+      fun t ->
+        let s = load t in
+        Memory.write t.mem ~width (dst_addr t base off) s
+  | Isa.CMP | Isa.BIT ->
+      fun t ->
+        let s = load t in
+        ignore (alu t op sz (read_data t width (dst_addr t base off)) s)
+  | _ ->
+      fun t ->
+        let s = load t in
+        let a = dst_addr t base off in
+        Memory.write t.mem ~width a (alu t op sz (read_data t width a) s)
+
+let compile_format1 op sz src dst : t -> unit =
+  let load = compile_src sz src in
+  match dst with
+  | Isa.Dreg rd -> (
+      let m = val_mask sz in
+      match op with
+      | Isa.MOV -> fun t -> t.regs.(rd) <- load t land m
+      | Isa.CMP | Isa.BIT ->
+          fun t ->
+            let s = load t in
+            ignore (alu t op sz (t.regs.(rd) land m) s)
+      | _ ->
+          fun t ->
+            let s = load t in
+            t.regs.(rd) <- alu t op sz (t.regs.(rd) land m) s land m)
+  | Isa.Didx (x, r) -> compile_to_memory op sz load r x
+  | Isa.Dabs a | Isa.Dsym a -> compile_to_memory op sz load (-1) a
+
+(* Compile [instr], located at [pc0], into its replay closure. *)
+let compile pc0 instr : t -> unit =
+  match instr with
+  | Isa.I1 (op, sz, src, dst) -> compile_format1 op sz src dst
+  | Isa.I2 (Isa.PUSH, sz, src) ->
+      let load = compile_src sz src and width = width_of sz in
+      fun t ->
+        let v = load t in
+        let sp' = Word.sub t.regs.(Isa.sp) 2 in
+        t.regs.(Isa.sp) <- sp';
+        Memory.write t.mem ~width sp' v
+  | Isa.I2 (Isa.CALL, _, src) ->
+      let load = compile_src Isa.W src in
+      fun t ->
+        let target = load t in
+        if Trace.has_observer t.stats then
+          Trace.emit t.stats (Trace.Call { target });
+        push_word t t.regs.(Isa.pc);
+        t.regs.(Isa.pc) <- target
+  | Isa.Jcc (Isa.JMP, off) ->
+      let target = Word.add pc0 (2 + (2 * off)) in
+      fun t -> t.regs.(Isa.pc) <- target
+  | Isa.Jcc (c, off) ->
+      let target = Word.add pc0 (2 + (2 * off)) in
+      fun t -> if cond_holds t c then t.regs.(Isa.pc) <- target
+  | Isa.I2 _ | Isa.RETI -> fun t -> exec_instr t pc0 instr
+
 (* Execute one instruction (or one trap handler invocation). *)
 let step t =
   if t.halted then ()
@@ -595,13 +777,15 @@ let sb_cold_exec t ipc have0 =
 let sb_record t pc0 fuel =
   let buf = ref [] in
   let nrec = ref 0 in
+  let used = ref 0 in
   let store () =
+    t.ctr_instrs_recorded <- t.ctr_instrs_recorded + !used;
     if !nrec > 0 then begin
       let arr = Array.of_list (List.rev !buf) in
-      t.sblocks.((pc0 land 0xFFFF) lsr 1) <- Some { sb_instrs = arr }
+      t.sblocks.((pc0 land 0xFFFF) lsr 1) <- Some { sb_instrs = arr };
+      t.ctr_blocks_recorded <- t.ctr_blocks_recorded + 1
     end
   in
-  let used = ref 0 in
   (try
      let stop = ref false in
      let cur_pc = ref pc0 in
@@ -646,10 +830,10 @@ let sb_record t pc0 fuel =
            si_pc = ipc;
            si_words = Array.sub words 0 (size / 2);
            si_nwords = size / 2;
-           si_instr = instr;
-           si_size = size;
+           si_run = compile ipc instr;
+           si_next = Word.add ipc size;
            si_cycles = Cycles.of_instr instr;
-           si_source = source;
+           si_src = Trace.source_index source;
            si_fetch = fetch_kind;
          }
          :: !buf;
@@ -677,9 +861,12 @@ let sb_record t pc0 fuel =
 (* Flush the replay loop's batched counters into the aggregate stats.
    Idempotent (the accumulators are zeroed), so flushing both on the
    cold-fallback path and at block end — or once more after an escaping
-   exception — never double-counts. *)
+   exception — never double-counts. The batch holds exactly the
+   instructions that ran from the record, so it also feeds the
+   engine's replayed-instruction counter. *)
 let sb_flush t =
   let stats = t.stats in
+  t.ctr_instrs_replayed <- t.ctr_instrs_replayed + t.sb_icount;
   stats.Trace.unstalled_cycles <- stats.Trace.unstalled_cycles + t.sb_cycles_acc;
   stats.Trace.instructions <- stats.Trace.instructions + t.sb_icount;
   t.sb_cycles_acc <- 0;
@@ -711,6 +898,16 @@ let rec sb_validate_ext t si k ok =
     sb_validate_ext t si (k + 1) (ok && w = si.si_words.(k))
   end
 
+(* A validation fetch found changed words: flush the batch, drop the
+   block and execute the instruction cold from the [have] words already
+   fetched. *)
+let sb_fallback t si slot have =
+  sb_flush t;
+  t.sblocks.(slot) <- None;
+  t.ctr_invalidations <- t.ctr_invalidations + 1;
+  sb_cold_exec t si.si_pc have;
+  t.sb_used <- t.sb_used + 1
+
 (* The replay loop proper. [slot] is the block's own cache slot, for
    invalidation on a validation mismatch. Allocation-free: state lives
    in [t]'s accumulator fields, not captured refs. *)
@@ -727,14 +924,14 @@ let rec sb_replay_loop t instrs n slot i fuel =
     if w0 = Array.unsafe_get si.si_words 0 then begin
       (* Same first word => same length: validate the extension words
          with counted fetches, the exact cold pattern. *)
-      if sb_validate_ext t si 1 true then begin
+      if si.si_nwords = 1 || sb_validate_ext t si 1 true then begin
         let srcs = t.sb_srcs in
-        let k = Trace.source_index si.si_source in
+        let k = si.si_src in
         srcs.(k) <- srcs.(k) + 1;
         t.sb_icount <- t.sb_icount + 1;
         t.sb_used <- t.sb_used + 1;
-        t.regs.(Isa.pc) <- Word.add si.si_pc si.si_size;
-        exec_instr t si.si_pc si.si_instr;
+        t.regs.(Isa.pc) <- si.si_next;
+        si.si_run t;
         t.sb_cycles_acc <- t.sb_cycles_acc + si.si_cycles;
         if Memory.halt_requested t.mem then t.halted <- true
         else sb_replay_loop t instrs n slot (i + 1) (fuel - 1)
@@ -743,19 +940,15 @@ let rec sb_replay_loop t instrs n slot i fuel =
         (* Extension word changed under us: same length, so every word
            is already fetched; decode fresh from them. *)
         t.sb_ws.(0) <- w0;
-        sb_flush t;
-        sb_cold_exec t si.si_pc si.si_nwords;
-        t.sblocks.(slot) <- None;
-        t.sb_used <- t.sb_used + 1
+        t.ctr_ext_word_fallbacks <- t.ctr_ext_word_fallbacks + 1;
+        sb_fallback t si slot si.si_nwords
       end
     end
     else begin
       (* First word changed: new length, fetch on demand. *)
       t.sb_ws.(0) <- w0;
-      sb_flush t;
-      sb_cold_exec t si.si_pc 1;
-      t.sblocks.(slot) <- None;
-      t.sb_used <- t.sb_used + 1
+      t.ctr_first_word_fallbacks <- t.ctr_first_word_fallbacks + 1;
+      sb_fallback t si slot 1
     end
   end
 
@@ -770,6 +963,7 @@ let sb_replay t blk fuel =
   t.sb_icount <- 0;
   t.sb_used <- 0;
   let slot = (instrs.(0).si_pc land 0xFFFF) lsr 1 in
+  t.ctr_blocks_replayed <- t.ctr_blocks_replayed + 1;
   (try sb_replay_loop t instrs (Array.length instrs) slot 0 fuel
    with e ->
      sb_flush t;

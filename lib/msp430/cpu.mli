@@ -19,10 +19,13 @@ val flag_v : int
 
 (** Execution engine used by {!run}.
 
-    [Reference] is the plain fetch/decode/execute step loop.
+    [Reference] is the plain fetch/decode/execute step loop, and the
+    oracle the other engine is tested against.
     [Superblock] (the default) records straight-line instruction runs
-    on first execution — operands resolved, cycle costs and source
-    classification precomputed — and replays them without re-decoding.
+    on first execution — each instruction compiled into a closure
+    specialised on its opcode, width and addressing modes, cycle costs
+    and source classification precomputed — and replays them without
+    re-decoding.
     Replay still issues every instruction-word fetch through the
     counted memory path (the exact self-validating pattern the decode
     cache uses), so cycles, stalls, energies, hardware-cache state and
@@ -43,6 +46,27 @@ val set_reg : t -> Isa.reg -> int -> unit
 
 val engine : t -> engine
 val set_engine : t -> engine -> unit
+
+(** What the superblock engine did so far, summed over every {!run}
+    on this CPU. Bumped per block or per fallback; the reference
+    engine leaves them at zero. *)
+type counters = {
+  blocks_recorded : int;  (** superblocks stored after a first execution *)
+  instrs_recorded : int;  (** instructions executed while recording *)
+  blocks_replayed : int;  (** replays of a stored superblock *)
+  instrs_replayed : int;  (** instructions run from a stored record *)
+  first_word_fallbacks : int;
+      (** replayed instructions whose opcode word had changed (SRAM
+          copy-in, outage wipe, self-modifying code): decoded cold *)
+  ext_word_fallbacks : int;
+      (** the same, for a changed extension word *)
+  invalidations : int;
+      (** stored superblocks dropped: one per fallback, plus every
+          stored block when {!set_engine} or {!set_classifier}
+          discards them all *)
+}
+
+val engine_counters : t -> counters
 val engine_name : engine -> string
 val engine_of_string : string -> engine option
 

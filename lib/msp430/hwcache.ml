@@ -5,85 +5,54 @@
    hit avoid the FRAM wait states; misses fill a line. Writes bypass
    the cache (it is a read cache) but invalidate a matching line so
    that self-modifying code — which the software caching runtimes rely
-   on — stays coherent. LRU replacement within each set. *)
+   on — stays coherent. LRU replacement within each set.
 
-type t = {
-  ways : int;
-  sets : int;
-  line_bytes : int;
-  (* Shift/mask equivalents of the division by [line_bytes] and the
-     mod/div by [sets], valid when both are powers of two (the real
-     controller's geometry always is); -1 disables them. This lookup
-     runs on every counted FRAM access, where a hardware division is
-     measurable. *)
-  line_shift : int;
-  set_shift : int;
-  set_mask : int;
-  tags : int array array; (* [set].(way) = tag, -1 when invalid *)
-  lru : int array; (* [set] = way that is least recently used *)
-}
+   The geometry is the FR2355's and nothing else: line = addr / 8,
+   set = line mod 2, tag = line / 2. State is one flat int array —
+   slots 0-3 hold the tag of (set, way) at [2 * set + way] (-1 when
+   invalid), slots 4-5 the least recently used way of each set — so a
+   probe is two integer compares and no call. It runs on every counted
+   FRAM access. *)
 
-let log2_exact n =
-  let rec go i =
-    if 1 lsl i = n then i else if 1 lsl i > n || i > 30 then -1 else go (i + 1)
-  in
-  if n <= 0 then -1 else go 0
+type t = int array
 
-let create ?(ways = 2) ?(lines = 4) ?(line_bytes = 8) () =
-  let sets = lines / ways in
-  let set_shift = log2_exact sets in
-  {
-    ways;
-    sets;
-    line_bytes;
-    line_shift = log2_exact line_bytes;
-    set_shift;
-    set_mask = (if set_shift >= 0 then sets - 1 else -1);
-    tags = Array.init sets (fun _ -> Array.make ways (-1));
-    lru = Array.make sets 0;
-  }
+let lru_slot = 4
 
-(* [find] returns the hit way or -1; this sits on the counted path of
-   every FRAM access. Top-level recursion, not a local [let rec]: a
-   local recursive function capturing its environment allocates a
-   closure per call, which dominated the simulator's allocation
-   profile (one find per instruction fetch). *)
-let rec find_from ways nways tag way =
-  if way >= nways then -1
-  else if Array.unsafe_get ways way = tag then way
-  else find_from ways nways tag (way + 1)
+let create () =
+  let c = Array.make 6 (-1) in
+  c.(lru_slot) <- 0;
+  c.(lru_slot + 1) <- 0;
+  c
 
-let find t set tag = find_from t.tags.(set) t.ways tag 0
-
-(* Read access; returns true on hit. A miss fills the line. *)
-let read t addr =
-  let line =
-    if t.line_shift >= 0 then addr lsr t.line_shift else addr / t.line_bytes
-  in
-  let set = if t.set_shift >= 0 then line land t.set_mask else line mod t.sets in
-  let tag = if t.set_shift >= 0 then line lsr t.set_shift else line / t.sets in
-  let way = find t set tag in
-  if way >= 0 then begin
-    t.lru.(set) <- 1 - way;
+(* Read access; returns true on hit. A miss fills the LRU way. *)
+let[@inline] read t addr =
+  let line = addr lsr 3 in
+  let set = line land 1 and tag = line lsr 1 in
+  let base = set lsl 1 in
+  if Array.unsafe_get t base = tag then begin
+    Array.unsafe_set t (lru_slot + set) 1;
+    true
+  end
+  else if Array.unsafe_get t (base + 1) = tag then begin
+    Array.unsafe_set t (lru_slot + set) 0;
     true
   end
   else begin
-    let victim = t.lru.(set) in
-    t.tags.(set).(victim) <- tag;
-    t.lru.(set) <- 1 - victim;
+    let victim = Array.unsafe_get t (lru_slot + set) in
+    Array.unsafe_set t (base + victim) tag;
+    Array.unsafe_set t (lru_slot + set) (1 - victim);
     false
   end
 
 (* Write access: invalidate any matching line. *)
-let write t addr =
-  let line =
-    if t.line_shift >= 0 then addr lsr t.line_shift else addr / t.line_bytes
-  in
-  let set = if t.set_shift >= 0 then line land t.set_mask else line mod t.sets in
-  let tag = if t.set_shift >= 0 then line lsr t.set_shift else line / t.sets in
-  let way = find t set tag in
-  if way >= 0 then t.tags.(set).(way) <- -1
+let[@inline] write t addr =
+  let line = addr lsr 3 in
+  let base = (line land 1) lsl 1 and tag = line lsr 1 in
+  if Array.unsafe_get t base = tag then Array.unsafe_set t base (-1)
+  else if Array.unsafe_get t (base + 1) = tag then
+    Array.unsafe_set t (base + 1) (-1)
 
 let flush t =
-  Array.iter (fun ways -> Array.fill ways 0 t.ways (-1)) t.tags;
-  Array.fill t.lru 0 t.sets 0
+  Array.fill t 0 lru_slot (-1);
+  t.(lru_slot) <- 0;
+  t.(lru_slot + 1) <- 0

@@ -106,24 +106,27 @@ let arm_power_trigger t trigger =
 
 let power_armed t = t.power <> None
 
-(* Advance the power clock for a counted access to [addr]; raises
-   {!Power_loss} when an armed trigger fires. Called before the access
-   takes effect, so the dying access never completes. *)
-let power_tick t addr =
+(* Count down an armed trigger for a counted access to [addr]; raises
+   {!Power_loss} when it fires. The slow half of [power_tick], kept out
+   of line so the unarmed fast path stays small. *)
+let[@inline never] power_countdown t a addr =
+  let in_window =
+    match a.window with None -> true | Some (lo, hi) -> addr >= lo && addr < hi
+  in
+  if in_window then begin
+    a.countdown <- a.countdown - 1;
+    if a.countdown <= 0 then begin
+      t.power <- None;
+      raise Power_loss
+    end
+  end
+
+(* Advance the power clock for a counted access to [addr]. Called
+   before the access takes effect, so the dying access never
+   completes. *)
+let[@inline] power_tick t addr =
   t.access_ticks <- t.access_ticks + 1;
-  match t.power with
-  | None -> ()
-  | Some a ->
-      let in_window =
-        match a.window with None -> true | Some (lo, hi) -> addr >= lo && addr < hi
-      in
-      if in_window then begin
-        a.countdown <- a.countdown - 1;
-        if a.countdown <= 0 then begin
-          t.power <- None;
-          raise Power_loss
-        end
-      end
+  match t.power with None -> () | Some a -> power_countdown t a addr
 
 (* The survivable consequences of an outage, beyond the SRAM loss the
    caller inflicts: the pending halt is moot, the FRAM read cache and
@@ -151,13 +154,20 @@ let load_image t ~addr bytes =
 let fill t ~lo ~hi v =
   Bytes.fill t.bytes lo (hi - lo + 1) (Char.chr (v land 0xFF))
 
-let charge_fram_timing t ~is_read_hit =
-  t.fram_accesses_this_instr <- t.fram_accesses_this_instr + 1;
-  let waits = if is_read_hit then 0 else t.wait_states in
-  let contention =
-    if t.fram_accesses_this_instr > 1 then t.contention_penalty else 0
+(* Wait states and contention of one FRAM access. The stall counter
+   is bumped in place when no observer is attached; an observed run
+   goes through [Trace.add_stall] for its [Cycles] event. *)
+let[@inline] charge_fram_timing t ~is_read_hit =
+  let n = t.fram_accesses_this_instr + 1 in
+  t.fram_accesses_this_instr <- n;
+  let stall =
+    (if is_read_hit then 0 else t.wait_states)
+    + if n > 1 then t.contention_penalty else 0
   in
-  Trace.add_stall t.stats (waits + contention)
+  let s = t.stats in
+  match s.Trace.observer with
+  | None -> s.Trace.stall_cycles <- s.Trace.stall_cycles + stall
+  | Some _ -> Trace.add_stall s stall
 
 let check_alignment addr width =
   if width = 2 && addr land 1 <> 0 then fault "unaligned word access at 0x%04X" addr
@@ -226,7 +236,6 @@ let write t ~width addr value =
   | Fram ->
       t.stats.Trace.fram_writes <- t.stats.Trace.fram_writes + 1;
       Hwcache.write t.cache addr;
-      if width = 2 then Hwcache.write t.cache (addr + 1);
       if Trace.has_observer t.stats then
         Trace.emit t.stats (Trace.Mem_access { addr; cls = Trace.Fram_write });
       charge_fram_timing t ~is_read_hit:false;

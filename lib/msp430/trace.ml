@@ -124,19 +124,21 @@ let add_observer t f =
 let has_observer t = match t.observer with None -> false | Some _ -> true
 let emit t ev = match t.observer with None -> () | Some f -> f ev
 
-(* All cycle accrual funnels through these two so the observer sees
-   every cycle exactly once, attributed to the current context. *)
-let add_unstalled t n =
+(* All observed cycle accrual funnels through these two so the
+   observer sees every cycle exactly once, attributed to the current
+   context. The unobserved case is one add and one test (the memory
+   system's per-access stall bumps the counter in place then). *)
+let[@inline] add_unstalled t n =
   t.unstalled_cycles <- t.unstalled_cycles + n;
   match t.observer with
-  | Some f when n <> 0 -> f (Cycles { unstalled = n; stall = 0 })
-  | _ -> ()
+  | None -> ()
+  | Some f -> if n <> 0 then f (Cycles { unstalled = n; stall = 0 })
 
-let add_stall t n =
+let[@inline] add_stall t n =
   t.stall_cycles <- t.stall_cycles + n;
   match t.observer with
-  | Some f when n <> 0 -> f (Cycles { unstalled = 0; stall = n })
-  | _ -> ()
+  | None -> ()
+  | Some f -> if n <> 0 then f (Cycles { unstalled = 0; stall = n })
 
 let count_instr t source =
   t.instructions <- t.instructions + 1;

@@ -327,6 +327,131 @@ let worker_death_heals_with_retries () =
   disarm ();
   Alcotest.(check (list int)) "healed to List.map" (List.map f xs) healed
 
+(* --- Per-instruction replay -------------------------------------------
+
+   One random instruction followed by a JMP back to it, so the
+   superblock engine records it once and then replays its compiled
+   closure, run from random registers and flags over random memory
+   under both engines for the same fuel. The opcode word is built from
+   raw fields, so every format-I op x W/B x source mode x destination
+   mode the decoder accepts can come up — SR/PC destinations, byte ops
+   on registers, constant generators — as can format II, RETI and the
+   conditional jumps. *)
+
+type replay_case = {
+  rc_words : int list; (* opcode word, then two candidate extension words *)
+  rc_at : int; (* where the instruction sits: FRAM or SRAM *)
+  rc_regs : int array;
+  rc_fuel : int;
+  rc_seed : int; (* memory fill *)
+}
+
+(* Operand values: pointers into SRAM and FRAM (odd ones included, so
+   word accesses can fault), the peripherals, small offsets and
+   anything at all. *)
+let gen_value =
+  QCheck2.Gen.(
+    frequency
+      [
+        (3, int_range Platform.sram_base (Platform.sram_base + Platform.sram_size - 1));
+        (3, int_range Platform.fram_base (Platform.fram_base + Platform.fram_size - 1));
+        (1, oneofl [ Memory.uart_tx_addr; Memory.gpio_out_addr; Memory.halt_addr ]);
+        (2, map (fun o -> o land 0xFFFF) (int_range (-8) 8));
+        (1, int_bound 0xFFFF);
+      ])
+
+let gen_opcode_word =
+  QCheck2.Gen.(
+    let field n = int_bound (n - 1) in
+    frequency
+      [
+        ( 8,
+          let* op = int_range 4 15 and* sreg = field 16 and* ad = field 2 in
+          let* bw = field 2 and* as_ = field 4 and* dreg = field 16 in
+          return
+            ((op lsl 12) lor (sreg lsl 8) lor (ad lsl 7) lor (bw lsl 6)
+           lor (as_ lsl 4) lor dreg) );
+        ( 3,
+          let* op = int_range 0 5 and* bw = field 2 and* as_ = field 4 in
+          let* reg = field 16 in
+          return
+            ((0b000100 lsl 10) lor (op lsl 7) lor (bw lsl 6) lor (as_ lsl 4)
+           lor reg) );
+        (1, return 0x1300 (* RETI *));
+        ( 2,
+          let* cond = field 8 and* off = int_range (-4) 4 in
+          return ((0b001 lsl 13) lor (cond lsl 10) lor (off land 0x3FF)) );
+      ])
+
+let gen_replay_case =
+  QCheck2.Gen.(
+    let* w0 = gen_opcode_word in
+    let* ext = list_repeat 2 gen_value in
+    let* rc_at = oneofl [ Platform.fram_base + 0x400; Platform.sram_base + 0x400 ] in
+    let* regs = array_repeat 16 gen_value in
+    let* sp = int_range (Platform.sram_base + 0x800) (Platform.sram_base + 0xF00) in
+    let* sr = frequency [ (3, int_bound 0x10F); (1, int_bound 0xFFFF) ] in
+    let* rc_fuel = int_range 3 40 in
+    let* rc_seed = int_bound 0xFFFF in
+    regs.(Isa.sp) <- sp land lnot 1;
+    regs.(Isa.sr) <- sr;
+    return { rc_words = w0 :: ext; rc_at; rc_regs = regs; rc_fuel; rc_seed })
+
+let print_replay_case c =
+  let words = Array.of_list c.rc_words in
+  let instr =
+    match
+      Msp430.Encoding.decode ~addr:c.rc_at ~fetch:(fun a ->
+          words.(((a - c.rc_at) land 0xFFFF) lsr 1))
+    with
+    | instr, _ -> Isa.to_string instr
+    | exception Msp430.Encoding.Decode_error w -> Printf.sprintf "undecodable 0x%04X" w
+  in
+  Printf.sprintf "%s [%s] at 0x%04X; regs %s; fuel %d; memory seed %d" instr
+    (String.concat " " (List.map (Printf.sprintf "%04X") c.rc_words))
+    c.rc_at
+    (String.concat " " (Array.to_list (Array.map (Printf.sprintf "%04X") c.rc_regs)))
+    c.rc_fuel c.rc_seed
+
+(* Build the machine: random SRAM and FRAM, the instruction's words at
+   [rc_at], then a JMP back to it right after its encoded length. *)
+let run_replay_case engine c =
+  let system = Platform.create Platform.Mhz24 in
+  let mem = system.Platform.memory and cpu = system.Platform.cpu in
+  Cpu.set_engine cpu engine;
+  let rng = Random.State.make [| c.rc_seed |] in
+  let fill base size =
+    Memory.load_image mem ~addr:base
+      (Bytes.init size (fun _ -> Char.chr (Random.State.int rng 256)))
+  in
+  fill Platform.sram_base Platform.sram_size;
+  fill Platform.fram_base Platform.fram_size;
+  List.iteri (fun i w -> Memory.poke_word mem (c.rc_at + (2 * i)) w) c.rc_words;
+  let size =
+    try
+      snd
+        (Msp430.Encoding.decode ~addr:c.rc_at ~fetch:(Memory.peek_word mem))
+    with Msp430.Encoding.Decode_error _ -> 2
+  in
+  let jmp = c.rc_at + size in
+  Memory.poke_word mem jmp
+    (List.hd (Msp430.Encoding.encode ~addr:jmp (Isa.Jcc (Isa.JMP, -(size + 2) / 2))));
+  Array.iteri (fun r v -> Cpu.set_reg cpu r v) c.rc_regs;
+  Cpu.set_reg cpu Isa.pc c.rc_at;
+  let outcome = Cpu.run ~fuel:c.rc_fuel cpu in
+  ( outcome,
+    Array.init 16 (Cpu.reg cpu),
+    Cpu.halted cpu,
+    Cpu.stats cpu,
+    String.init 0x10000 (fun a -> Char.chr (Memory.peek_byte mem a)),
+    Memory.uart_output mem )
+
+let prop_replay_matches_reference =
+  QCheck2.Test.make ~count:1000
+    ~name:"engines agree: one replayed instruction from random state"
+    ~print:print_replay_case gen_replay_case (fun c ->
+      run_replay_case Cpu.Reference c = run_replay_case Cpu.Superblock c)
+
 let suite =
   suite_checks
   @ [
@@ -349,4 +474,5 @@ let suite =
         `Quick worker_death_heals_with_retries;
       Alcotest.test_case "full report carries no wall-clock key" `Slow
         report_has_no_wall_clock;
+      QCheck_alcotest.to_alcotest prop_replay_matches_reference;
     ]

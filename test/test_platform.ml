@@ -14,6 +14,115 @@ let make_memory ?(wait_states = 3) () =
   in
   (mem, stats)
 
+(* Reference model for the hardware read cache: the generic
+   set-associative implementation with the geometry as parameters
+   (ways, lines, line size), in the FR2355's configuration. The
+   fixed-geometry {!Hwcache} must answer every probe as it does. *)
+module Model_cache = struct
+  type t = {
+    ways : int;
+    sets : int;
+    line_bytes : int;
+    tags : int array array; (* [set].(way) = tag, -1 when invalid *)
+    lru : int array; (* [set] = way that is least recently used *)
+  }
+
+  let create ?(ways = 2) ?(lines = 4) ?(line_bytes = 8) () =
+    let sets = lines / ways in
+    {
+      ways;
+      sets;
+      line_bytes;
+      tags = Array.init sets (fun _ -> Array.make ways (-1));
+      lru = Array.make sets 0;
+    }
+
+  let locate t addr =
+    let line = addr / t.line_bytes in
+    (line mod t.sets, line / t.sets)
+
+  let find t set tag =
+    let rec go way =
+      if way >= t.ways then -1
+      else if t.tags.(set).(way) = tag then way
+      else go (way + 1)
+    in
+    go 0
+
+  let read t addr =
+    let set, tag = locate t addr in
+    let way = find t set tag in
+    if way >= 0 then begin
+      t.lru.(set) <- 1 - way;
+      true
+    end
+    else begin
+      let victim = t.lru.(set) in
+      t.tags.(set).(victim) <- tag;
+      t.lru.(set) <- 1 - victim;
+      false
+    end
+
+  let write t addr =
+    let set, tag = locate t addr in
+    let way = find t set tag in
+    if way >= 0 then t.tags.(set).(way) <- -1
+
+  let flush t =
+    Array.iter (fun ways -> Array.fill ways 0 t.ways (-1)) t.tags;
+    Array.fill t.lru 0 t.sets 0
+end
+
+type cache_op = Read of int | Write_byte of int | Write_word of int | Flush
+
+let pp_cache_op = function
+  | Read a -> Printf.sprintf "read 0x%04X" a
+  | Write_byte a -> Printf.sprintf "write.b 0x%04X" a
+  | Write_word a -> Printf.sprintf "write.w 0x%04X" a
+  | Flush -> "flush"
+
+(* Mostly a 128-byte window, so lines collide in both sets and get
+   evicted and invalidated; sometimes anywhere in the address space. *)
+let gen_cache_op =
+  QCheck2.Gen.(
+    let addr =
+      frequency
+        [ (6, map (fun o -> 0x4000 + o) (int_bound 127)); (1, int_bound 0xFFFF) ]
+    in
+    frequency
+      [
+        (8, map (fun a -> Read a) addr);
+        (2, map (fun a -> Write_byte a) addr);
+        (2, map (fun a -> Write_word (a land lnot 1)) addr);
+        (1, return Flush);
+      ])
+
+(* A word write is one [Hwcache.write]: its two bytes share a line.
+   The model invalidates both bytes, as the memory system once did. *)
+let prop_hwcache_matches_model =
+  QCheck2.Test.make ~count:500 ~name:"hwcache answers as the generic model"
+    ~print:(fun ops -> String.concat "; " (List.map pp_cache_op ops))
+    QCheck2.Gen.(list_size (int_range 1 200) gen_cache_op)
+    (fun ops ->
+      let c = Hwcache.create () and m = Model_cache.create () in
+      List.for_all
+        (function
+          | Read a -> Hwcache.read c a = Model_cache.read m a
+          | Write_byte a ->
+              Hwcache.write c a;
+              Model_cache.write m a;
+              true
+          | Write_word a ->
+              Hwcache.write c a;
+              Model_cache.write m a;
+              Model_cache.write m (a + 1);
+              true
+          | Flush ->
+              Hwcache.flush c;
+              Model_cache.flush m;
+              true)
+        ops)
+
 let suite =
   [
     Alcotest.test_case "hwcache: sequential reads hit after fill" `Quick
@@ -106,4 +215,5 @@ let suite =
         let p = Energy.point_24mhz in
         Alcotest.(check bool) "ordering" true
           (p.Energy.fram_read_hit_nj < p.Energy.fram_read_miss_nj /. 4.0));
+    QCheck_alcotest.to_alcotest prop_hwcache_matches_model;
   ]
