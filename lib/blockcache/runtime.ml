@@ -48,9 +48,8 @@ type t = {
 let stats t = t.stats
 let slot_bytes t = t.manifest.Transform.slot_size
 let cache_bytes t = t.manifest.Transform.num_slots * t.manifest.Transform.slot_size
-let emit_rt t ev =
-  let stats = Memory.stats t.mem in
-  if Trace.has_observer stats then Trace.emit stats (Trace.Runtime_event ev)
+let emit_rt t f =
+  match (Memory.stats t.mem).Trace.sink with Some s -> f s | None -> ()
 
 (* Host-side dynamic symbolizer for the observability layer: translate
    a pc inside an SRAM slot back to the NVM address of the cached
@@ -81,17 +80,17 @@ let charge t source n =
           fun c -> t.handler_cursor <- c )
   in
   let stats = Memory.stats t.mem in
-  let observed = Trace.has_observer stats in
+  let sink = stats.Trace.sink in
   for _ = 1 to n do
     let cur = get () in
     Memory.begin_instruction t.mem;
     (* The runtime/memcpy regions live in reserved FRAM, so the
        unobserved path can take the specialized counted fetch. *)
-    if observed then begin
-      Trace.emit stats (Trace.Instr { pc = base + cur; source });
-      ignore (Memory.read_word t.mem ~purpose:Memory.Ifetch (base + cur))
-    end
-    else ignore (Memory.fetch_word_fram t.mem (base + cur));
+    (match sink with
+    | Some s ->
+        s.Trace.instr (Trace.source_index source) (base + cur);
+        ignore (Memory.read_word t.mem ~purpose:Memory.Ifetch (base + cur))
+    | None -> ignore (Memory.fetch_word_fram t.mem (base + cur)));
     Trace.count_instr stats source;
     Trace.add_unstalled stats Costs.cycles_per_instr;
     set ((cur + 2) mod size)
@@ -139,7 +138,7 @@ let hash_insert t key value =
 
 let flush t =
   t.stats.flushes <- t.stats.flushes + 1;
-  emit_rt t Trace.Cache_flush;
+  emit_rt t (fun s -> s.Trace.cache_flush ());
   charge t Trace.Handler Costs.flush_base_instrs;
   for i = 0 to t.manifest.Transform.hash_buckets - 1 do
     charge t Trace.Handler Costs.flush_per_bucket_instrs;
@@ -163,7 +162,7 @@ let load_block t ~nvm =
   ignore (read_word t (t.addrs.a_blocktab + (4 * index)));
   ignore (read_word t (t.addrs.a_blocktab + (4 * index) + 2));
   if t.next_slot >= t.manifest.Transform.num_slots then flush t;
-  emit_rt t (Trace.Block_load { nvm });
+  emit_rt t (fun s -> s.Trace.block_load nvm);
   let slot = t.options.Config.cache_base
              + (t.next_slot * t.manifest.Transform.slot_size)
   in
@@ -190,7 +189,7 @@ let lookup_or_load t ~nvm =
 (* CFI stub entry: cache the target block and chain the source CFI. *)
 let on_miss t _cpu =
   t.stats.misses <- t.stats.misses + 1;
-  emit_rt t (Trace.Miss_enter { runtime = "block" });
+  emit_rt t (fun s -> s.Trace.miss_enter "block");
   charge t Trace.Handler Costs.runtime_entry_instrs;
   let cfi_id = read_word t t.addrs.a_cfi in
   charge t Trace.Handler Costs.cfitab_instrs;
@@ -208,20 +207,20 @@ let on_miss t _cpu =
       t.stats.chains <- t.stats.chains + 1
   | None -> ());
   charge t Trace.Handler Costs.runtime_exit_instrs;
-  emit_rt t (Trace.Miss_exit { runtime = "block"; disposition = "cached"; fid = -1 });
+  emit_rt t (fun s -> s.Trace.miss_exit "block" "cached" (-1));
   Cpu.Goto slot
 
 (* Return entry: resume at the (NVM) return address through the cache. *)
 let on_return t cpu =
   t.stats.returns <- t.stats.returns + 1;
-  emit_rt t (Trace.Miss_enter { runtime = "block" });
+  emit_rt t (fun s -> s.Trace.miss_enter "block");
   charge t Trace.Handler Costs.return_entry_instrs;
   let sp = Cpu.reg cpu Isa.sp in
   let nvm = read_word t sp in
   Cpu.set_reg cpu Isa.sp (sp + 2);
   let slot = lookup_or_load t ~nvm in
   charge t Trace.Handler Costs.runtime_exit_instrs;
-  emit_rt t (Trace.Miss_exit { runtime = "block"; disposition = "return"; fid = -1 });
+  emit_rt t (fun s -> s.Trace.miss_exit "block" "return" (-1));
   Cpu.Goto slot
 
 (* Power-loss recovery, mirroring Swapram.Runtime.reboot: the SRAM

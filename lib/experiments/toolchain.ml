@@ -100,18 +100,46 @@ let default_observe =
 
 let metrics_observe = { default_observe with metrics_window = 65536 }
 
+(* The one place the runtime-hook answers are resolved. Wrapped around
+   the whole fan-out, it overwrites the machine's "no runtime" answers
+   (unit -1, home = address) once per event, so every sink downstream
+   receives the same ones. *)
+let enrich ~call_unit ~ifetch_home (s : Trace.sink) =
+  let with_units =
+    { s with Trace.call = (fun t _ -> s.Trace.call t (call_unit t)) }
+  in
+  match ifetch_home with
+  | None -> with_units
+  | Some home ->
+      {
+        with_units with
+        Trace.fram_ifetch =
+          (fun hit addr _ -> s.Trace.fram_ifetch hit addr (home addr));
+        sram_ifetch = (fun addr _ -> s.Trace.sram_ifetch addr (home addr));
+      }
+
 (* Runtime-specific cache-unit context, shared by the metrics sampler
    and the replay recorder: what the installed runtime caches (its
-   reuse granule), its configured capacity, the live hooks that
-   resolve events to cache units, and — for the function granule —
-   the fid -> size table snapshotted through the same hook the
+   reuse granule), its configured capacity, the enrichment that
+   resolves events to cache units, and — for the function granule —
+   the fid -> size table snapshotted through the same function the
    sampler uses, so a replayed run answers size queries identically. *)
 type unit_context = {
   uc_reuse : Observe.Metrics.reuse_mode;
   uc_budget : int;
-  uc_hooks : Observe.Metrics.hooks;
+  uc_fid_size : int -> int;
   uc_sizes : int array; (* Functions granule only; [||] otherwise *)
+  uc_enrich : Trace.sink -> Trace.sink;
 }
+
+let no_unit_context =
+  {
+    uc_reuse = Observe.Metrics.Lines 64;
+    uc_budget = 0;
+    uc_fid_size = (fun _ -> 0);
+    uc_sizes = [||];
+    uc_enrich = Fun.id;
+  }
 
 let unit_context ~swapram ~block =
   match (swapram, block) with
@@ -129,62 +157,55 @@ let unit_context ~swapram ~block =
       {
         uc_reuse = Observe.Metrics.Functions;
         uc_budget = rt.Swapram.Runtime.options.Swapram.Config.cache_size;
-        uc_hooks =
-          {
-            Observe.Metrics.h_fid_size = fid_size;
-            h_call_unit = Swapram.Runtime.cached_function_at rt;
-            h_ifetch_home = (fun a -> a);
-          };
+        uc_fid_size = fid_size;
         uc_sizes = Array.init nfuncs fid_size;
+        uc_enrich =
+          enrich ~ifetch_home:None ~call_unit:(fun a ->
+              Option.value ~default:(-1)
+                (Swapram.Runtime.cached_function_at rt a));
       }
   | None, Some rt ->
       let slot = Blockcache.Runtime.slot_bytes rt in
       {
+        no_unit_context with
         uc_reuse = Observe.Metrics.Lines slot;
         uc_budget = Blockcache.Runtime.cache_bytes rt;
-        uc_hooks =
-          {
-            Observe.Metrics.h_fid_size = (fun _ -> 0);
-            h_call_unit =
-              (fun a ->
-                Option.map
-                  (fun nvm -> nvm / slot)
-                  (Blockcache.Runtime.cached_block_at rt a));
-            h_ifetch_home =
-              (fun a ->
-                match Blockcache.Runtime.cached_block_at rt a with
-                | Some nvm -> nvm
-                | None -> a);
-          };
-        uc_sizes = [||];
+        uc_enrich =
+          enrich
+            ~call_unit:(fun a ->
+              match Blockcache.Runtime.cached_block_at rt a with
+              | Some nvm -> nvm / slot
+              | None -> -1)
+            ~ifetch_home:
+              (Some
+                 (fun a ->
+                   match Blockcache.Runtime.cached_block_at rt a with
+                   | Some nvm -> nvm
+                   | None -> a));
       }
-  | None, None ->
-      {
-        uc_reuse = Observe.Metrics.Lines 64;
-        uc_budget = 0;
-        uc_hooks = Observe.Metrics.null_hooks;
-        uc_sizes = [||];
-      }
+  | None, None -> no_unit_context
 
 type observation = {
   o_symtab : Observe.Symtab.t;
   o_profiler : Observe.Profiler.t;
   o_events : Observe.Events.t option;
   o_metrics : Observe.Metrics.t option;
+  o_sink : Trace.sink; (* the consumers' fan-out, before enrichment *)
 }
 
-(* Attach the observability stack to a prepared system: build the
-   symbol table from the link map, register dynamic resolvers for
-   whichever caching runtime is installed (so pc values inside SRAM
-   cache copies resolve to stable function names), and fan the trace
-   event stream out to the profiler and the optional event ring.
+(* Build the observability stack for a prepared system: the symbol
+   table from the link map, dynamic resolvers for whichever caching
+   runtime is installed (so pc values inside SRAM cache copies resolve
+   to stable function names), and one sink fanning the event stream
+   out to the profiler, the optional event ring and the optional
+   metrics sampler. [prepare] installs it behind the enrichment.
 
-   Everything here is host-side spectating — the observer runs after
-   the simulator's counters update and issues no counted accesses, so
-   an observed run is cycle-for-cycle identical to an unobserved one
+   Everything here is host-side spectating — the sinks run after the
+   simulator's counters update and issue no counted accesses, so an
+   observed run is cycle-for-cycle identical to an unobserved one
    (asserted by `swapram_cli profile --verify` and the property
    tests). *)
-let attach_observation spec ~image ~(system : Platform.system) ~swapram ~block =
+let observation spec uc ~image ~(system : Platform.system) ~swapram ~block =
   let symtab = Observe.Symtab.of_image image in
   (match swapram with
   | Some (rt, (manifest : Swapram.Instrument.manifest)) ->
@@ -215,14 +236,12 @@ let attach_observation spec ~image ~(system : Platform.system) ~swapram ~block =
   in
   let metrics =
     if spec.metrics_window <= 0 then None
-    else begin
-      (* Runtime-specific resolvers for the metrics sampler: the cache
-         unit is what the installed runtime actually caches (whole
-         functions for SwapRAM, fixed slots for the block cache, a
-         nominal 64-byte line for the uncached baseline), so the
-         predicted miss-ratio curve is directly comparable to the
+    else
+      (* The cache unit is what the installed runtime actually caches
+         (whole functions for SwapRAM, fixed slots for the block
+         cache, a nominal 64-byte line for the uncached baseline), so
+         the predicted miss-ratio curve is directly comparable to the
          runtime's measured miss rate. *)
-      let uc = unit_context ~swapram ~block in
       Some
         (Observe.Metrics.create
            {
@@ -234,21 +253,19 @@ let attach_observation spec ~image ~(system : Platform.system) ~swapram ~block =
            ~params:(Platform.energy_params system.Platform.frequency)
            ~fram:(Platform.fram_base, Platform.fram_base + Platform.fram_size)
            ~sram:(Platform.sram_base, Platform.sram_base + Platform.sram_size)
-           uc.uc_hooks)
-    end
+           ~fid_size:uc.uc_fid_size)
   in
-  let observers =
-    Observe.Profiler.observer profiler
-    :: Option.to_list (Option.map Observe.Events.observer events)
-    @ Option.to_list (Option.map Observe.Metrics.observer metrics)
-  in
-  let observer =
-    match observers with
-    | [ f ] -> f
-    | fs -> fun ev -> List.iter (fun f -> f ev) fs
-  in
-  Trace.set_observer stats (Some observer);
-  { o_symtab = symtab; o_profiler = profiler; o_events = events; o_metrics = metrics }
+  {
+    o_symtab = symtab;
+    o_profiler = profiler;
+    o_events = events;
+    o_metrics = metrics;
+    o_sink =
+      List.fold_left Trace.tee
+        (Observe.Profiler.sink profiler)
+        (Option.to_list (Option.map Observe.Events.sink events)
+        @ Option.to_list (Option.map Observe.Metrics.sink metrics));
+  }
 
 type result = {
   stats : Trace.t;
@@ -455,15 +472,20 @@ let prepare ?observe config =
       let system = Platform.create config.frequency in
       Cpu.set_engine system.Platform.cpu config.engine;
       let sr_rt, bb_rt, ck_rt = install system in
+      let swapram =
+        match (sr_rt, sr_manifest) with
+        | Some rt, Some m -> Some (rt, m)
+        | _ -> None
+      in
       let observation =
         Option.map
           (fun spec ->
-            attach_observation spec ~image ~system
-              ~swapram:
-                (match (sr_rt, sr_manifest) with
-                | Some rt, Some m -> Some (rt, m)
-                | _ -> None)
-              ~block:bb_rt)
+            let uc = unit_context ~swapram ~block:bb_rt in
+            let o = observation spec uc ~image ~system ~swapram ~block:bb_rt in
+            Trace.set_sink
+              (Memory.stats system.Platform.memory)
+              (Some (uc.uc_enrich o.o_sink));
+            o)
           observe
       in
       Ok
@@ -482,11 +504,12 @@ let prepare ?observe config =
           p_observation = observation;
         }
 
+(* Only an observed run's consumers see the markers; a bare recording
+   does not carry them. *)
 let phase_marker p name =
-  if p.p_observation <> None then
-    Trace.emit
-      (Memory.stats p.p_system.Platform.memory)
-      (Trace.Runtime_event (Trace.Phase { name }))
+  match (p.p_observation, (Memory.stats p.p_system.Platform.memory).Trace.sink) with
+  | Some _, Some s -> s.Trace.phase name
+  | _ -> ()
 
 let boot_regs p =
   Cpu.set_reg p.p_system.Platform.cpu Msp430.Isa.sp p.p_stack_top;
@@ -623,18 +646,7 @@ let config_fingerprint config =
     (config_canonical config);
   Int64.to_int (Int64.logand !h 0x3FFF_FFFF_FFFF_FFFFL)
 
-let recording_header ?unit_context:uc config =
-  let uc =
-    match uc with
-    | Some uc -> uc
-    | None ->
-        {
-          uc_reuse = Observe.Metrics.Lines 64;
-          uc_budget = 0;
-          uc_hooks = Observe.Metrics.null_hooks;
-          uc_sizes = [||];
-        }
-  in
+let recording_header uc config =
   {
     Replay.Trace_file.benchmark = config.benchmark.Workloads.Bench_def.name;
     seed = config.seed;
@@ -655,11 +667,12 @@ let recording_header ?unit_context:uc config =
   }
 
 (* Record a run into [trace]: prepare as usual (any ?observe stack
-   attaches first), snapshot the unit context, then ride the trace
-   tap. Attaching an observer forces the cycle-identical reference
-   engine, so a recorded run's results equal an observed one's. The
-   file is completed only on a clean halt; crashed or non-fitting
-   runs leave no trace file behind. *)
+   attaches first), snapshot the unit context, then install the writer
+   next to the observation's sinks, behind one enrichment. Attaching a
+   sink forces the cycle-identical reference engine, so a recorded
+   run's results equal an observed one's. The file is completed only
+   on a clean halt; crashed or non-fitting runs leave no trace file
+   behind. *)
 let run_recorded ?observe ~trace config =
   phase_span config "record" @@ fun () ->
   match prepare ?observe config with
@@ -673,18 +686,15 @@ let run_recorded ?observe ~trace config =
             | _ -> None)
           ~block:p.p_block
       in
-      let header = recording_header ~unit_context:uc config in
-      let w = Replay.Trace_file.create_writer trace header in
-      let enrich =
-        {
-          Replay.Trace_file.en_call_unit =
-            uc.uc_hooks.Observe.Metrics.h_call_unit;
-          en_ifetch_home = uc.uc_hooks.Observe.Metrics.h_ifetch_home;
-        }
-      in
-      Trace.add_observer
+      let w = Replay.Trace_file.create_writer trace (recording_header uc config) in
+      let writer = Replay.Trace_file.sink w in
+      Trace.set_sink
         (Memory.stats p.p_system.Platform.memory)
-        (Replay.Trace_file.recorder w enrich);
+        (Some
+           (uc.uc_enrich
+              (match p.p_observation with
+              | Some o -> Trace.tee o.o_sink writer
+              | None -> writer)));
       boot p;
       match Cpu.run ~fuel:config.fuel p.p_system.Platform.cpu with
       | Cpu.Halted ->

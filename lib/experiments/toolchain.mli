@@ -62,12 +62,16 @@ type sizes = { code_bytes : int; data_bytes : int }
 (** {2 Observability}
 
     Passing [~observe] to {!prepare} / {!run} attaches the {!Observe}
-    stack to the system before it boots: a {!Observe.Profiler}
-    consuming the {!Msp430.Trace} event stream (with dynamic symbol
-    resolvers for whichever caching runtime is installed) and an
-    optional bounded {!Observe.Events} ring for the Chrome trace
-    exporter. Observation is pure spectating — an observed run is
-    cycle-for-cycle identical to an unobserved one. *)
+    stack to the system before it boots: a {!Observe.Profiler} (with
+    dynamic symbol resolvers for whichever caching runtime is
+    installed), an optional bounded {!Observe.Events} ring for the
+    Chrome trace exporter and an optional {!Observe.Metrics} sampler,
+    teed into one {!Msp430.Trace.sink}. When a caching runtime is
+    installed, one enrichment adapter wraps that sink and fills in
+    the runtime-hook answers (a call's cached unit, an instruction
+    fetch's NVM home) once per event. Observation is pure spectating
+    — an observed run is cycle-for-cycle identical to an unobserved
+    one. *)
 
 type observe_spec = {
   events_capacity : int;  (** 0 disables the event ring *)
@@ -94,6 +98,9 @@ type observation = {
   o_profiler : Observe.Profiler.t;
   o_events : Observe.Events.t option;
   o_metrics : Observe.Metrics.t option;
+  o_sink : Msp430.Trace.sink;
+      (** the consumers above, teed into one sink; {!prepare} installs
+          it behind the runtime's enrichment adapter *)
 }
 
 type result = {
@@ -132,12 +139,13 @@ val config_fingerprint : config -> int
     stale traces. Stable across hosts and OCaml versions. *)
 
 val run_recorded : ?observe:observe_spec -> trace:string -> config -> outcome
-(** [run] plus a {!Replay.Trace_file} recorder riding the trace tap:
-    every counted event of the run lands in [trace], enriched with
-    the runtime-hook answers a replay needs. Recording attaches an
-    observer, which forces the cycle-identical reference engine, so
-    the returned result equals an observed run's. The trace file is
-    completed only on [Completed]; otherwise it is removed. *)
+(** [run] plus the {!Replay.Trace_file} writer as one more sink, teed
+    after any [?observe] sinks behind the same enrichment adapter:
+    every counted event of the run lands in [trace] with the
+    runtime-hook answers a replay needs. Recording attaches a sink,
+    which forces the cycle-identical reference engine, so the returned
+    result equals an observed run's. The trace file is completed only
+    on [Completed]; otherwise it is removed. *)
 
 (** {2 Staged execution}
 

@@ -226,8 +226,9 @@ let set_flag t bit v =
    unstalled cycles, attributed to [source] in the Fig. 8 breakdown. *)
 let charge_runtime_instr t ~source ~fetch_addr ~cycles =
   Memory.begin_instruction t.mem;
-  if Trace.has_observer t.stats then
-    Trace.emit t.stats (Trace.Instr { pc = fetch_addr; source });
+  (match t.stats.Trace.sink with
+  | None -> ()
+  | Some s -> s.Trace.instr (Trace.source_index source) fetch_addr);
   ignore (Memory.read_word t.mem ~purpose:Memory.Ifetch fetch_addr);
   Trace.count_instr t.stats source;
   Trace.add_unstalled t.stats cycles
@@ -408,8 +409,9 @@ let exec_format2 t op sz src =
       Memory.write t.mem ~width:(width_of sz) sp' v
   | Isa.CALL ->
       let target = eval_src t Isa.W src in
-      if Trace.has_observer t.stats then
-        Trace.emit t.stats (Trace.Call { target });
+      (match t.stats.Trace.sink with
+      | None -> ()
+      | Some s -> s.Trace.call target (-1));
       push_word t t.regs.(Isa.pc);
       t.regs.(Isa.pc) <- target
   | Isa.RRC | Isa.RRA | Isa.SWPB | Isa.SXT -> (
@@ -655,8 +657,9 @@ let compile pc0 instr : t -> unit =
       let load = compile_src Isa.W src in
       fun t ->
         let target = load t in
-        if Trace.has_observer t.stats then
-          Trace.emit t.stats (Trace.Call { target });
+        (match t.stats.Trace.sink with
+        | None -> ()
+        | Some s -> s.Trace.call target (-1));
         push_word t t.regs.(Isa.pc);
         t.regs.(Isa.pc) <- target
   | Isa.Jcc (Isa.JMP, off) ->
@@ -678,8 +681,9 @@ let step t =
       (* Attribution context for every counted access, stall and cycle
          this instruction causes — including the ifetches the decoder
          is about to issue. *)
-      if Trace.has_observer t.stats then
-        Trace.emit t.stats (Trace.Instr { pc = pc0; source = t.classify pc0 });
+      (match t.stats.Trace.sink with
+      | None -> ()
+      | Some s -> s.Trace.instr (Trace.source_index (t.classify pc0)) pc0);
       let fetch addr = Memory.read_word t.mem ~purpose:Memory.Ifetch addr in
       let instr, size = decode_at t fetch pc0 in
       (match t.tracer with
@@ -691,9 +695,9 @@ let step t =
       Trace.add_unstalled t.stats (Cycles.of_instr instr);
       (* The compiler's return idiom (MOV @SP+, PC) gives an attached
          profiler the pop side of its shadow call stack. *)
-      (match instr with
-      | Isa.I1 (Isa.MOV, Isa.W, Isa.Sinc 1, Isa.Dreg 0) ->
-          Trace.emit t.stats Trace.Return
+      (match (instr, t.stats.Trace.sink) with
+      | Isa.I1 (Isa.MOV, Isa.W, Isa.Sinc 1, Isa.Dreg 0), Some s ->
+          s.Trace.return ()
       | _ -> ());
       if Memory.halt_requested t.mem then t.halted <- true
     end
@@ -719,7 +723,7 @@ let step t =
    aggregates stay exact mid-run, flushed before any escaping
    exception (power loss, machine fault) propagates.
 
-   The engine only runs when no observer and no tracer are attached;
+   The engine only runs when no sink and no tracer are attached;
    observed runs take the reference loop, which emits every event in
    the documented order. *)
 
@@ -1010,7 +1014,7 @@ let outcome_name = function
 
    Dispatches between the two engines: the reference step loop, and
    the superblock engine when selected and nothing is observing (an
-   attached observer or tracer must see per-instruction events in the
+   attached sink or tracer must see per-instruction events in the
    documented order, which only the reference loop produces). Both
    charge one fuel unit per instruction or trap invocation and yield
    identical counters, memory and register state. *)
@@ -1046,7 +1050,7 @@ let run ?(fuel = max_int) t =
   in
   let use_superblock =
     t.engine = Superblock
-    && (not (Trace.has_observer t.stats))
+    && (not (Trace.has_sink t.stats))
     && t.tracer = None
   in
   let faulted msg = Faulted { fault_pc = t.regs.(Isa.pc); fault_msg = msg } in

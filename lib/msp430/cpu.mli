@@ -33,7 +33,7 @@ val flag_v : int
     code rewritten under the cache (SRAM copy-in, outage wipes,
     self-modifying code) is caught by the word comparison and falls
     back to a cold decode. The superblock engine only engages when no
-    observer and no tracer are attached; observed runs always take the
+    sink and no tracer are attached; observed runs always take the
     reference loop so the event stream is complete and ordered. *)
 type engine = Reference | Superblock
 

@@ -155,8 +155,8 @@ let fill t ~lo ~hi v =
   Bytes.fill t.bytes lo (hi - lo + 1) (Char.chr (v land 0xFF))
 
 (* Wait states and contention of one FRAM access. The stall counter
-   is bumped in place when no observer is attached; an observed run
-   goes through [Trace.add_stall] for its [Cycles] event. *)
+   is bumped in place when no sink is attached; an observed run goes
+   through [Trace.add_stall] for its [cycles] event. *)
 let[@inline] charge_fram_timing t ~is_read_hit =
   let n = t.fram_accesses_this_instr + 1 in
   t.fram_accesses_this_instr <- n;
@@ -165,7 +165,7 @@ let[@inline] charge_fram_timing t ~is_read_hit =
     + if n > 1 then t.contention_penalty else 0
   in
   let s = t.stats in
-  match s.Trace.observer with
+  match s.Trace.sink with
   | None -> s.Trace.stall_cycles <- s.Trace.stall_cycles + stall
   | Some _ -> Trace.add_stall s stall
 
@@ -199,25 +199,28 @@ let read t ~purpose ~width addr =
       (match purpose with
       | Ifetch -> t.stats.Trace.sram_ifetch <- t.stats.Trace.sram_ifetch + 1
       | Data -> t.stats.Trace.sram_data_reads <- t.stats.Trace.sram_data_reads + 1);
-      if Trace.has_observer t.stats then
-        Trace.emit t.stats
-          (Trace.Mem_access
-             { addr; cls = Trace.Sram_read { ifetch = purpose = Ifetch } })
+      (match t.stats.Trace.sink with
+      | None -> ()
+      | Some s -> (
+          match purpose with
+          | Ifetch -> s.Trace.sram_ifetch addr addr
+          | Data -> s.Trace.sram_read addr))
   | Fram ->
       let hit = Hwcache.read t.cache addr in
       if hit then t.stats.Trace.fram_read_hits <- t.stats.Trace.fram_read_hits + 1;
       (match purpose with
       | Ifetch -> t.stats.Trace.fram_ifetch <- t.stats.Trace.fram_ifetch + 1
       | Data -> t.stats.Trace.fram_data_reads <- t.stats.Trace.fram_data_reads + 1);
-      if Trace.has_observer t.stats then
-        Trace.emit t.stats
-          (Trace.Mem_access
-             { addr; cls = Trace.Fram_read { hit; ifetch = purpose = Ifetch } });
+      (match t.stats.Trace.sink with
+      | None -> ()
+      | Some s -> (
+          match purpose with
+          | Ifetch -> s.Trace.fram_ifetch hit addr addr
+          | Data -> s.Trace.fram_read hit addr));
       charge_fram_timing t ~is_read_hit:hit
   | Peripheral ->
       t.stats.Trace.periph_accesses <- t.stats.Trace.periph_accesses + 1;
-      if Trace.has_observer t.stats then
-        Trace.emit t.stats (Trace.Mem_access { addr; cls = Trace.Periph_access });
+      (match t.stats.Trace.sink with None -> () | Some s -> s.Trace.periph addr);
       ignore (periph_read t addr)
   | Unmapped -> fault "read from unmapped address 0x%04X" addr);
   value
@@ -229,22 +232,23 @@ let write t ~width addr value =
   (match region_of t.map addr with
   | Sram ->
       t.stats.Trace.sram_writes <- t.stats.Trace.sram_writes + 1;
-      if Trace.has_observer t.stats then
-        Trace.emit t.stats (Trace.Mem_access { addr; cls = Trace.Sram_write });
+      (match t.stats.Trace.sink with
+      | None -> ()
+      | Some s -> s.Trace.sram_write addr);
       if width = 2 then Bytes.set_uint16_le t.bytes addr (value land 0xFFFF)
       else poke_byte t addr value
   | Fram ->
       t.stats.Trace.fram_writes <- t.stats.Trace.fram_writes + 1;
       Hwcache.write t.cache addr;
-      if Trace.has_observer t.stats then
-        Trace.emit t.stats (Trace.Mem_access { addr; cls = Trace.Fram_write });
+      (match t.stats.Trace.sink with
+      | None -> ()
+      | Some s -> s.Trace.fram_write addr);
       charge_fram_timing t ~is_read_hit:false;
       if width = 2 then Bytes.set_uint16_le t.bytes addr (value land 0xFFFF)
       else poke_byte t addr value
   | Peripheral ->
       t.stats.Trace.periph_accesses <- t.stats.Trace.periph_accesses + 1;
-      if Trace.has_observer t.stats then
-        Trace.emit t.stats (Trace.Mem_access { addr; cls = Trace.Periph_access });
+      (match t.stats.Trace.sink with None -> () | Some s -> s.Trace.periph addr);
       periph_write t addr value
   | Unmapped -> fault "write to unmapped address 0x%04X" addr)
 
@@ -256,7 +260,7 @@ let write_byte t addr v = write t ~width:1 addr v
 (* Specialized counted instruction-word fetches for the superblock
    replay path. The caller guarantees: the address is even, its region
    was established at record time (so no dispatch is needed), and no
-   observer is attached (so no event is due). Counters, stalls,
+   sink is attached (so no event is due). Counters, stalls,
    read-cache state and the power clock advance bit-identically to
    [read ~purpose:Ifetch ~width:2], including the {!Power_loss} raise
    point before the access takes effect. *)

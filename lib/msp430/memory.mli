@@ -108,6 +108,6 @@ val fetch_word_sram : t -> int -> int
 val fetch_word_fram : t -> int -> int
 (** Specialized counted instruction-word fetches for the superblock
     replay path. Caller guarantees: even address, region established
-    at record time, no observer attached. Counters, stalls, read-cache
+    at record time, no sink attached. Counters, stalls, read-cache
     state and the power clock advance bit-identically to
     [read ~purpose:Ifetch ~width:2]. *)

@@ -22,14 +22,71 @@ let source_name = function
   | Memcpy -> "memcpy"
 
 (* Observability event stream (lib/observe): every counted quantity
-   below is mirrored as an event through the optional observer, so an
-   attached profiler can re-derive the aggregate totals exactly —
-   per-function attribution is conservative by construction. The
-   observer is a pure spectator: it runs after the counters have been
-   updated and cannot influence timing, counting or machine state. *)
+   below is mirrored, after the counters update, to the optional sink,
+   so an attached profiler can re-derive the aggregate totals exactly
+   — per-function attribution is conservative by construction. The
+   sink is a pure spectator: it cannot influence timing, counting or
+   machine state. *)
 
-(* One counted memory access, classified the way the energy model
-   prices it. *)
+(* One callback per event kind. The emit sites and the trace decoder
+   call these directly, so neither side builds an event value. The
+   machine passes the "no runtime" answers: an ifetch's home is its
+   address and a call's unit is -1; a caching runtime's answers are
+   filled in by the harness's enrichment adapter. *)
+type sink = {
+  instr : int -> int -> unit;  (* source index, pc *)
+  cycles : int -> int -> unit;  (* unstalled, stall *)
+  fram_read : bool -> int -> unit;  (* hit, addr (data read) *)
+  fram_ifetch : bool -> int -> int -> unit;  (* hit, addr, home *)
+  fram_write : int -> unit;
+  sram_read : int -> unit;
+  sram_ifetch : int -> int -> unit;  (* addr, home *)
+  sram_write : int -> unit;
+  periph : int -> unit;
+  call : int -> int -> unit;  (* target, unit (-1 for none) *)
+  return : unit -> unit;
+  miss_enter : string -> unit;
+  miss_exit : string -> string -> int -> unit;  (* runtime, disposition, fid *)
+  eviction : int -> unit;
+  freeze : bool -> unit;
+  cache_flush : unit -> unit;
+  block_load : int -> unit;
+  prefetch : int -> unit;
+  phase : string -> unit;
+}
+
+(* Both sinks see every event, [a] first. *)
+let tee a b =
+  {
+    instr = (fun i pc -> a.instr i pc; b.instr i pc);
+    cycles = (fun u s -> a.cycles u s; b.cycles u s);
+    fram_read = (fun hit addr -> a.fram_read hit addr; b.fram_read hit addr);
+    fram_ifetch =
+      (fun hit addr home ->
+        a.fram_ifetch hit addr home;
+        b.fram_ifetch hit addr home);
+    fram_write = (fun addr -> a.fram_write addr; b.fram_write addr);
+    sram_read = (fun addr -> a.sram_read addr; b.sram_read addr);
+    sram_ifetch =
+      (fun addr home -> a.sram_ifetch addr home; b.sram_ifetch addr home);
+    sram_write = (fun addr -> a.sram_write addr; b.sram_write addr);
+    periph = (fun addr -> a.periph addr; b.periph addr);
+    call = (fun target u -> a.call target u; b.call target u);
+    return = (fun () -> a.return (); b.return ());
+    miss_enter = (fun rt -> a.miss_enter rt; b.miss_enter rt);
+    miss_exit =
+      (fun rt disp fid -> a.miss_exit rt disp fid; b.miss_exit rt disp fid);
+    eviction = (fun fid -> a.eviction fid; b.eviction fid);
+    freeze = (fun on -> a.freeze on; b.freeze on);
+    cache_flush = (fun () -> a.cache_flush (); b.cache_flush ());
+    block_load = (fun nvm -> a.block_load nvm; b.block_load nvm);
+    prefetch = (fun fid -> a.prefetch fid; b.prefetch fid);
+    phase = (fun name -> a.phase name; b.phase name);
+  }
+
+(* Stored events, for consumers that keep them (the bounded event ring
+   and tests). One counted memory access is classified the way the
+   energy model prices it. *)
 type access_class =
   | Fram_read of { hit : bool; ifetch : bool }
   | Fram_write
@@ -67,6 +124,42 @@ type event =
   | Return
   | Runtime_event of runtime_event
 
+let source_of_index = function
+  | 0 -> App_fram
+  | 1 -> App_sram
+  | 2 -> Handler
+  | 3 -> Memcpy
+  | i -> invalid_arg (Printf.sprintf "Trace.source_of_index %d" i)
+
+(* The one adapter from callbacks to stored events. The hook answers
+   (homes, units) are dropped: an event value does not carry them. *)
+let event_sink f =
+  let mem addr cls = f (Mem_access { addr; cls }) in
+  let rt ev = f (Runtime_event ev) in
+  {
+    instr = (fun i pc -> f (Instr { pc; source = source_of_index i }));
+    cycles = (fun unstalled stall -> f (Cycles { unstalled; stall }));
+    fram_read = (fun hit addr -> mem addr (Fram_read { hit; ifetch = false }));
+    fram_ifetch =
+      (fun hit addr _home -> mem addr (Fram_read { hit; ifetch = true }));
+    fram_write = (fun addr -> mem addr Fram_write);
+    sram_read = (fun addr -> mem addr (Sram_read { ifetch = false }));
+    sram_ifetch = (fun addr _home -> mem addr (Sram_read { ifetch = true }));
+    sram_write = (fun addr -> mem addr Sram_write);
+    periph = (fun addr -> mem addr Periph_access);
+    call = (fun target _unit -> f (Call { target }));
+    return = (fun () -> f Return);
+    miss_enter = (fun runtime -> rt (Miss_enter { runtime }));
+    miss_exit =
+      (fun runtime disposition fid -> rt (Miss_exit { runtime; disposition; fid }));
+    eviction = (fun fid -> rt (Eviction { fid }));
+    freeze = (fun on -> rt (Freeze { on }));
+    cache_flush = (fun () -> rt Cache_flush);
+    block_load = (fun nvm -> rt (Block_load { nvm }));
+    prefetch = (fun fid -> rt (Prefetch { fid }));
+    phase = (fun name -> rt (Phase { name }));
+  }
+
 type t = {
   mutable unstalled_cycles : int;
   mutable stall_cycles : int;
@@ -83,7 +176,7 @@ type t = {
   mutable sram_data_reads : int;
   mutable sram_writes : int;
   mutable periph_accesses : int;
-  mutable observer : (event -> unit) option;
+  mutable sink : sink option;
 }
 
 let create () =
@@ -100,45 +193,26 @@ let create () =
     sram_data_reads = 0;
     sram_writes = 0;
     periph_accesses = 0;
-    observer = None;
+    sink = None;
   }
 
-let set_observer t f = t.observer <- f
+let set_sink t s = t.sink <- s
 
-(* Compose with whatever is already attached (the trace tap used by
-   the replay recorder): the existing observer — typically the
-   harness's profiler/metrics fan-out — runs first, then [f]. Within
-   one emitted event no machine state changes between observers, so
-   both see identical runtime-hook answers. *)
-let add_observer t f =
-  match t.observer with
-  | None -> t.observer <- Some f
-  | Some g ->
-      t.observer <-
-        Some
-          (fun ev ->
-            g ev;
-            f ev)
 (* Explicit match, not [<> None]: polymorphic inequality on a closure
    option is a C call, and this runs on every counted access. *)
-let has_observer t = match t.observer with None -> false | Some _ -> true
-let emit t ev = match t.observer with None -> () | Some f -> f ev
+let has_sink t = match t.sink with None -> false | Some _ -> true
 
-(* All observed cycle accrual funnels through these two so the
-   observer sees every cycle exactly once, attributed to the current
-   context. The unobserved case is one add and one test (the memory
-   system's per-access stall bumps the counter in place then). *)
+(* All observed cycle accrual funnels through these two so the sink
+   sees every cycle exactly once, attributed to the current context.
+   The unobserved case is one add and one test (the memory system's
+   per-access stall bumps the counter in place then). *)
 let[@inline] add_unstalled t n =
   t.unstalled_cycles <- t.unstalled_cycles + n;
-  match t.observer with
-  | None -> ()
-  | Some f -> if n <> 0 then f (Cycles { unstalled = n; stall = 0 })
+  match t.sink with None -> () | Some s -> if n <> 0 then s.cycles n 0
 
 let[@inline] add_stall t n =
   t.stall_cycles <- t.stall_cycles + n;
-  match t.observer with
-  | None -> ()
-  | Some f -> if n <> 0 then f (Cycles { unstalled = 0; stall = n })
+  match t.sink with None -> () | Some s -> if n <> 0 then s.cycles 0 n
 
 let count_instr t source =
   t.instructions <- t.instructions + 1;

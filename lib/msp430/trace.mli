@@ -13,11 +13,58 @@ val source_name : source -> string
 
 (** {2 Observability event stream}
 
-    Every counted quantity is mirrored as an event through the
-    optional observer, so an attached profiler ({!Observe}) can
-    re-derive the aggregate totals exactly. The observer is a pure
-    spectator: it runs after the counters have been updated and
-    cannot influence timing, counting or machine state. *)
+    Every counted quantity is mirrored, after the counters update, to
+    the optional {!sink}, so an attached profiler ({!Observe}) can
+    re-derive the aggregate totals exactly. The sink is a pure
+    spectator: it cannot influence timing, counting or machine state.
+    The same record is what a trace replay ({!Replay.Trace_file.iter})
+    drives, so a consumer is written once for live and replayed runs. *)
+
+(** One callback per event kind, called directly by the emit sites
+    and by the trace decoder; no event value is built. The runtime-hook
+    answers ride along: [home] is an instruction fetch's NVM home
+    address and [unit] a call's cached unit. The machine passes the
+    "no runtime" answers (home = address, unit = [-1]); a caching
+    runtime's answers are filled in once per event by the harness's
+    enrichment adapter ({!Experiments.Toolchain}). *)
+type sink = {
+  instr : int -> int -> unit;
+      (** source index ({!source_index}), pc: an instruction begins;
+          [pc] is its fetch address — the attribution context for
+          every following event until the next [instr] *)
+  cycles : int -> int -> unit;  (** unstalled, stall *)
+  fram_read : bool -> int -> unit;  (** hit, addr (data read) *)
+  fram_ifetch : bool -> int -> int -> unit;  (** hit, addr, home *)
+  fram_write : int -> unit;
+  sram_read : int -> unit;
+  sram_ifetch : int -> int -> unit;  (** addr, home *)
+  sram_write : int -> unit;
+  periph : int -> unit;
+  call : int -> int -> unit;  (** target, unit ([-1] for none) *)
+  return : unit -> unit;
+  miss_enter : string -> unit;  (** runtime *)
+  miss_exit : string -> string -> int -> unit;
+      (** runtime, disposition, fid. Disposition: ["cached"], ["nvm"],
+          ["frozen"], ["too-large"] or (block cache) ["return"]. [fid]
+          identifies the missed function when the runtime caches at
+          function granularity (SwapRAM); -1 otherwise. *)
+  eviction : int -> unit;  (** fid *)
+  freeze : bool -> unit;  (** anti-thrashing freeze transition *)
+  cache_flush : unit -> unit;
+  block_load : int -> unit;  (** NVM address of the loaded block *)
+  prefetch : int -> unit;
+      (** fid cached ahead of its first call (prefetch extension) *)
+  phase : string -> unit;  (** harness marker (boot/reboot) *)
+}
+
+val tee : sink -> sink -> sink
+(** [tee a b] feeds every event to [a], then to [b]. *)
+
+(** {2 Stored events}
+
+    A value per event, for the consumers that keep events: the bounded
+    {!Observe.Events} ring (which the Chrome exporter reads) and
+    tests. *)
 
 (** One counted memory access, classified the way the energy model
     prices it. *)
@@ -32,28 +79,24 @@ type access_class =
 type runtime_event =
   | Miss_enter of { runtime : string }
   | Miss_exit of { runtime : string; disposition : string; fid : int }
-      (** disposition: ["cached"], ["nvm"], ["frozen"], ["too-large"]
-          or (block cache) ["return"]. [fid] identifies the missed
-          function when the runtime caches at function granularity
-          (SwapRAM); -1 otherwise. *)
   | Eviction of { fid : int }
-  | Freeze of { on : bool }  (** anti-thrashing freeze transition *)
+  | Freeze of { on : bool }
   | Cache_flush
   | Block_load of { nvm : int }
   | Prefetch of { fid : int }
-      (** callee cached ahead of its first call (prefetch extension) *)
-  | Phase of { name : string }  (** harness marker (boot/reboot) *)
+  | Phase of { name : string }
 
 type event =
   | Instr of { pc : int; source : source }
-      (** an instruction begins; [pc] is its fetch address — the
-          attribution context for every following event until the
-          next [Instr] *)
   | Cycles of { unstalled : int; stall : int }
   | Mem_access of { addr : int; cls : access_class }
   | Call of { target : int }
   | Return
   | Runtime_event of runtime_event
+
+val event_sink : (event -> unit) -> sink
+(** The adapter that builds an event value per callback and hands it
+    to [f]. Homes and units are dropped. *)
 
 type t = {
   mutable unstalled_cycles : int;
@@ -68,32 +111,21 @@ type t = {
   mutable sram_data_reads : int;
   mutable sram_writes : int;
   mutable periph_accesses : int;
-  mutable observer : (event -> unit) option;
+  mutable sink : sink option;
 }
 
 val create : unit -> t
 val count_instr : t -> source -> unit
 
-val set_observer : t -> (event -> unit) option -> unit
+val set_sink : t -> sink option -> unit
 
-val add_observer : t -> (event -> unit) -> unit
-(** Compose [f] with any observer already attached: the existing one
-    runs first, then [f]. The trace tap used by the replay recorder
-    ({!Replay.Trace_file}), which must ride along with the harness's
-    profiler/metrics fan-out without disturbing it. *)
-
-val has_observer : t -> bool
-(** [true] when an observer is attached. Hot paths use this to avoid
-    even constructing an event payload that [emit] would discard. *)
-
-val emit : t -> event -> unit
-(** No-op when no observer is attached. Call sites on hot paths should
-    guard with {!has_observer} so the event record is never allocated
-    in the common unobserved case. *)
+val has_sink : t -> bool
+(** [true] when a sink is attached. The superblock engine runs only
+    without one. *)
 
 val add_unstalled : t -> int -> unit
 val add_stall : t -> int -> unit
-(** All cycle accrual funnels through these two, so the observer sees
+(** All cycle accrual funnels through these two, so the sink sees
     every cycle exactly once. *)
 
 val fram_accesses : t -> int

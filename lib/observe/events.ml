@@ -26,19 +26,29 @@ let create ?(keep_all = false) ~capacity stats =
     keep_all;
   }
 
-let interesting (ev : Msp430.Trace.event) =
-  match ev with
-  | Msp430.Trace.Call _ | Msp430.Trace.Return | Msp430.Trace.Runtime_event _ ->
-      true
-  | Msp430.Trace.Instr _ | Msp430.Trace.Cycles _ | Msp430.Trace.Mem_access _ ->
-      false
+let push t ev =
+  t.buf.(t.next) <- Some { at = Msp430.Trace.total_cycles t.stats; ev };
+  t.next <- (t.next + 1) mod Array.length t.buf;
+  t.recorded <- t.recorded + 1
 
-let observer t (ev : Msp430.Trace.event) =
-  if t.keep_all || interesting ev then begin
-    t.buf.(t.next) <- Some { at = Msp430.Trace.total_cycles t.stats; ev };
-    t.next <- (t.next + 1) mod Array.length t.buf;
-    t.recorded <- t.recorded + 1
-  end
+(* Events are built by the Trace adapter; by default the per-instruction
+   and per-access callbacks are dropped before any value is built. *)
+let sink t =
+  let s = Msp430.Trace.event_sink (push t) in
+  if t.keep_all then s
+  else
+    {
+      s with
+      Msp430.Trace.instr = (fun _ _ -> ());
+      cycles = (fun _ _ -> ());
+      fram_read = (fun _ _ -> ());
+      fram_ifetch = (fun _ _ _ -> ());
+      fram_write = ignore;
+      sram_read = ignore;
+      sram_ifetch = (fun _ _ -> ());
+      sram_write = ignore;
+      periph = ignore;
+    }
 
 let recorded t = t.recorded
 let dropped t = max 0 (t.recorded - Array.length t.buf)

@@ -1,6 +1,6 @@
 (* Windowed time-series cache-dynamics sampler.
 
-   Consumes the Trace event stream and splits the run into fixed
+   A Trace sink (live or replayed) that splits the run into fixed
    cycle-count windows. Each window accumulates the same counter set
    the aggregate Trace totals hold (cycles, instruction count, memory
    accesses by class) plus the runtime events that describe cache
@@ -8,48 +8,28 @@
    prefetches) and two address-space access histograms (FRAM and
    SRAM) for heatmap rendering.
 
-   Windows close on [Cycles] event boundaries — events are never
+   Windows close on [cycles] callback boundaries — events are never
    split across windows — so per-window counters partition the run
    exactly: summed over all windows they equal the aggregate Trace
    totals, and (the energy model being linear in the counters) window
    energies sum to the whole-run energy report. The property tests
    assert both.
 
-   Cache occupancy is reconstructed purely from events:
-   [Miss_exit ~disposition:"cached"] and [Prefetch] add the function's
-   size, [Eviction] subtracts it, [Block_load] adds one slot,
-   [Cache_flush] zeroes. The occupancy recorded in a window is the
-   value at its close.
+   Cache occupancy is reconstructed purely from events: a "cached"
+   [miss_exit] and a [prefetch] add the function's size, [eviction]
+   subtracts it, [block_load] adds one slot, [cache_flush] zeroes.
+   The occupancy recorded in a window is the value at its close.
 
    An optional exact reuse-distance tracker ({!Reuse}) rides the same
    stream. For SwapRAM the cache unit is the *function* — the granule
-   SwapRAM actually caches — with hits observed as [Call] targets that
-   resolve inside the cache region and misses as [Miss_exit] events,
+   SwapRAM actually caches — with hits observed as calls whose unit
+   answer lies inside the cache region and misses as [miss_exit] events,
    so the predicted and measured miss rates share one denominator
    (calls to cacheable functions). For the baseline and the block
    cache the unit is a fixed-size line over ifetch addresses
    normalized to their NVM home. *)
 
 type reuse_mode = No_reuse | Functions | Lines of int
-
-type hooks = {
-  h_fid_size : int -> int;
-      (* code bytes of function [fid]; drives occupancy and
-         function-granular reuse *)
-  h_call_unit : int -> int option;
-      (* resolved call target -> cached function fid, when the target
-         lies inside the cache region (a hit) *)
-  h_ifetch_home : int -> int;
-      (* ifetch address -> NVM home address (identity outside any
-         cache region) *)
-}
-
-let null_hooks =
-  {
-    h_fid_size = (fun _ -> 0);
-    h_call_unit = (fun _ -> None);
-    h_ifetch_home = (fun a -> a);
-  }
 
 type spec = {
   window_cycles : int;
@@ -92,7 +72,7 @@ type window = {
 type t = {
   spec : spec;
   params : Msp430.Energy.params;
-  hooks : hooks;
+  fid_size : int -> int; (* code bytes of function [fid] *)
   fram_lo : int;
   fram_hi : int;
   sram_lo : int;
@@ -131,14 +111,14 @@ let fresh_window ~spec ~fram_lo ~fram_hi ~sram_lo ~sram_hi start =
     w_sram_hist = Histogram.create ~lo:sram_lo ~hi:sram_hi ~buckets:spec.buckets;
   }
 
-let create spec ~params ~fram:(fram_lo, fram_hi) ~sram:(sram_lo, sram_hi) hooks
-    =
+let create spec ~params ~fram:(fram_lo, fram_hi) ~sram:(sram_lo, sram_hi)
+    ~fid_size =
   if spec.window_cycles <= 0 then
     invalid_arg "Metrics.create: window_cycles must be positive";
   {
     spec;
     params;
-    hooks;
+    fid_size;
     fram_lo;
     fram_hi;
     sram_lo;
@@ -168,146 +148,112 @@ let nonempty w =
 let windows t =
   List.rev (if nonempty t.cur then t.cur :: t.closed else t.closed)
 
-let size_of t fid = max 0 (t.hooks.h_fid_size fid)
+let size_of t fid = max 0 (t.fid_size fid)
 
 let reuse_access t ~unit_id ~bytes =
   match t.reuse with
   | Some r -> Reuse.access r ~unit_id ~bytes ~len:1
   | None -> ()
 
-(* --- Per-event entry points ---------------------------------------------- *)
-
-(* One function per event kind, taking the runtime-hook answers as
-   arguments: [observer] resolves them from the live hooks, a trace
-   replay passes the recorded ones, and both drive the same counter
-   updates without building a [Trace.event]. *)
-
-let on_cycles t unstalled stall =
-  let w = t.cur in
-  w.w_unstalled <- w.w_unstalled + unstalled;
-  w.w_stall <- w.w_stall + stall;
-  t.total_cycles <- t.total_cycles + unstalled + stall;
-  if t.total_cycles - w.w_start >= t.spec.window_cycles then close_window t
-
-let on_instr t = t.cur.w_instrs <- t.cur.w_instrs + 1
+(* --- The sink ----------------------------------------------------------- *)
 
 let line_access t home =
   match t.spec.reuse with
   | Lines n -> reuse_access t ~unit_id:(home / n) ~bytes:n
   | Functions | No_reuse -> ()
 
-let on_fram_read t hit addr =
+let fram_read t hit addr =
   let w = t.cur in
   if hit then w.w_fram_read_hits <- w.w_fram_read_hits + 1
   else w.w_fram_read_misses <- w.w_fram_read_misses + 1;
   Histogram.add w.w_fram_hist addr
 
-let on_fram_ifetch t hit addr home =
-  on_fram_read t hit addr;
-  line_access t home
-
-let on_fram_write t addr =
-  let w = t.cur in
-  w.w_fram_writes <- w.w_fram_writes + 1;
-  Histogram.add w.w_fram_hist addr
-
-let on_sram t addr =
+let sram_access t addr =
   let w = t.cur in
   w.w_sram_accesses <- w.w_sram_accesses + 1;
   Histogram.add w.w_sram_hist addr
 
-let on_sram_ifetch t addr home =
-  on_sram t addr;
-  line_access t home
-
-let on_periph t = t.cur.w_periph <- t.cur.w_periph + 1
-
-let on_call t unit_id =
-  let w = t.cur in
-  w.w_calls <- w.w_calls + 1;
-  if unit_id >= 0 then begin
-    w.w_unit_hits <- w.w_unit_hits + 1;
-    match t.spec.reuse with
-    | Functions -> reuse_access t ~unit_id ~bytes:(size_of t unit_id)
-    | Lines _ | No_reuse -> ()
-  end
-
-let on_return t = t.cur.w_returns <- t.cur.w_returns + 1
-let on_miss_enter t = t.cur.w_miss_entries <- t.cur.w_miss_entries + 1
-
-let on_miss_exit t disposition fid =
-  let w = t.cur in
-  (if disposition = "cached" then begin
-     w.w_exits_cached <- w.w_exits_cached + 1;
-     if fid >= 0 then t.occupancy <- t.occupancy + size_of t fid
-   end
-   else if disposition <> "return" then w.w_exits_nvm <- w.w_exits_nvm + 1);
-  if fid >= 0 && disposition <> "return" then
-    match t.spec.reuse with
-    | Functions ->
-        reuse_access t ~unit_id:fid ~bytes:(size_of t fid);
-        Option.iter Reuse.note_measured_miss t.reuse
-    | Lines _ | No_reuse -> ()
-
-let on_eviction t fid =
-  t.cur.w_evictions <- t.cur.w_evictions + 1;
-  t.occupancy <- max 0 (t.occupancy - size_of t fid)
-
-let on_freeze t on = if on then t.cur.w_freezes <- t.cur.w_freezes + 1
-
-let on_cache_flush t =
-  t.cur.w_flushes <- t.cur.w_flushes + 1;
-  t.occupancy <- 0
-
-let on_block_load t =
-  t.cur.w_block_loads <- t.cur.w_block_loads + 1;
-  match t.spec.reuse with
-  | Lines n ->
-      t.occupancy <- t.occupancy + n;
-      Option.iter Reuse.note_measured_miss t.reuse
-  | Functions | No_reuse -> ()
-
-let on_prefetch t fid =
-  t.cur.w_prefetches <- t.cur.w_prefetches + 1;
-  t.occupancy <- t.occupancy + size_of t fid
-
-(* The live path: resolve the hooks, then dispatch. The ifetch home is
-   only consulted when line-granular reuse would use it. *)
-let ifetch_home t addr =
-  match t.spec.reuse with
-  | Lines _ -> t.hooks.h_ifetch_home addr
-  | Functions | No_reuse -> addr
-
-let observer t (ev : Msp430.Trace.event) =
-  match ev with
-  | Msp430.Trace.Cycles { unstalled; stall } -> on_cycles t unstalled stall
-  | Msp430.Trace.Instr _ -> on_instr t
-  | Msp430.Trace.Mem_access { addr; cls } -> (
-      match cls with
-      | Msp430.Trace.Fram_read { hit; ifetch = false } -> on_fram_read t hit addr
-      | Msp430.Trace.Fram_read { hit; ifetch = true } ->
-          on_fram_ifetch t hit addr (ifetch_home t addr)
-      | Msp430.Trace.Fram_write -> on_fram_write t addr
-      | Msp430.Trace.Sram_read { ifetch = false } | Msp430.Trace.Sram_write ->
-          on_sram t addr
-      | Msp430.Trace.Sram_read { ifetch = true } ->
-          on_sram_ifetch t addr (ifetch_home t addr)
-      | Msp430.Trace.Periph_access -> on_periph t)
-  | Msp430.Trace.Call { target } ->
-      on_call t
-        (match t.hooks.h_call_unit target with Some u -> u | None -> -1)
-  | Msp430.Trace.Return -> on_return t
-  | Msp430.Trace.Runtime_event rev -> (
-      match rev with
-      | Msp430.Trace.Miss_enter _ -> on_miss_enter t
-      | Msp430.Trace.Miss_exit { runtime = _; disposition; fid } ->
-          on_miss_exit t disposition fid
-      | Msp430.Trace.Eviction { fid } -> on_eviction t fid
-      | Msp430.Trace.Freeze { on } -> on_freeze t on
-      | Msp430.Trace.Cache_flush -> on_cache_flush t
-      | Msp430.Trace.Block_load _ -> on_block_load t
-      | Msp430.Trace.Prefetch { fid } -> on_prefetch t fid
-      | Msp430.Trace.Phase _ -> ())
+(* The same callbacks serve a live run and a trace replay: the hook
+   answers (homes, units) arrive as arguments either way. *)
+let sink t =
+  {
+    Msp430.Trace.instr =
+      (fun _source _pc -> t.cur.w_instrs <- t.cur.w_instrs + 1);
+    cycles =
+      (fun unstalled stall ->
+        let w = t.cur in
+        w.w_unstalled <- w.w_unstalled + unstalled;
+        w.w_stall <- w.w_stall + stall;
+        t.total_cycles <- t.total_cycles + unstalled + stall;
+        if t.total_cycles - w.w_start >= t.spec.window_cycles then
+          close_window t);
+    fram_read = fram_read t;
+    fram_ifetch =
+      (fun hit addr home ->
+        fram_read t hit addr;
+        line_access t home);
+    fram_write =
+      (fun addr ->
+        let w = t.cur in
+        w.w_fram_writes <- w.w_fram_writes + 1;
+        Histogram.add w.w_fram_hist addr);
+    sram_read = sram_access t;
+    sram_ifetch =
+      (fun addr home ->
+        sram_access t addr;
+        line_access t home);
+    sram_write = sram_access t;
+    periph = (fun _addr -> t.cur.w_periph <- t.cur.w_periph + 1);
+    call =
+      (fun _target unit_id ->
+        let w = t.cur in
+        w.w_calls <- w.w_calls + 1;
+        if unit_id >= 0 then begin
+          w.w_unit_hits <- w.w_unit_hits + 1;
+          match t.spec.reuse with
+          | Functions -> reuse_access t ~unit_id ~bytes:(size_of t unit_id)
+          | Lines _ | No_reuse -> ()
+        end);
+    return = (fun () -> t.cur.w_returns <- t.cur.w_returns + 1);
+    miss_enter =
+      (fun _runtime -> t.cur.w_miss_entries <- t.cur.w_miss_entries + 1);
+    miss_exit =
+      (fun _runtime disposition fid ->
+        let w = t.cur in
+        (if disposition = "cached" then begin
+           w.w_exits_cached <- w.w_exits_cached + 1;
+           if fid >= 0 then t.occupancy <- t.occupancy + size_of t fid
+         end
+         else if disposition <> "return" then w.w_exits_nvm <- w.w_exits_nvm + 1);
+        if fid >= 0 && disposition <> "return" then
+          match t.spec.reuse with
+          | Functions ->
+              reuse_access t ~unit_id:fid ~bytes:(size_of t fid);
+              Option.iter Reuse.note_measured_miss t.reuse
+          | Lines _ | No_reuse -> ());
+    eviction =
+      (fun fid ->
+        t.cur.w_evictions <- t.cur.w_evictions + 1;
+        t.occupancy <- max 0 (t.occupancy - size_of t fid));
+    freeze = (fun on -> if on then t.cur.w_freezes <- t.cur.w_freezes + 1);
+    cache_flush =
+      (fun () ->
+        t.cur.w_flushes <- t.cur.w_flushes + 1;
+        t.occupancy <- 0);
+    block_load =
+      (fun _nvm ->
+        t.cur.w_block_loads <- t.cur.w_block_loads + 1;
+        match t.spec.reuse with
+        | Lines n ->
+            t.occupancy <- t.occupancy + n;
+            Option.iter Reuse.note_measured_miss t.reuse
+        | Functions | No_reuse -> ());
+    prefetch =
+      (fun fid ->
+        t.cur.w_prefetches <- t.cur.w_prefetches + 1;
+        t.occupancy <- t.occupancy + size_of t fid);
+    phase = (fun _name -> ());
+  }
 
 (* --- Derived quantities ------------------------------------------------ *)
 

@@ -1,10 +1,10 @@
-(** Windowed time-series cache-dynamics sampler over the
-    {!Msp430.Trace} event stream.
+(** Windowed time-series cache-dynamics sampler, a
+    {!Msp430.Trace.sink} fed by a live run or a trace replay.
 
     Splits a run into fixed cycle-count windows, each accumulating
     execution counters, runtime cache events, reconstructed cache
     occupancy, and FRAM/SRAM address-access histograms. Windows close
-    only on [Cycles] event boundaries, so per-window counters
+    only on [cycles] callback boundaries, so per-window counters
     partition the run {e exactly}: summed over all windows they equal
     the aggregate trace totals, and (the energy model being linear)
     per-window energies sum to the whole-run energy report.
@@ -16,26 +16,11 @@
 
 (** What the reuse tracker treats as a cache unit. [Functions] is for
     SwapRAM (whole functions, its real cache granule, sized through
-    {!hooks.h_fid_size}); [Lines n] tracks [n]-byte-aligned lines of
-    ifetch addresses normalized to their NVM home — use the block
-    cache's slot size, or a nominal line for the uncached baseline. *)
+    [create]'s [fid_size]); [Lines n] tracks [n]-byte-aligned lines of
+    ifetch addresses normalized to their NVM home (the sink's [home]
+    answer) — use the block cache's slot size, or a nominal line for
+    the uncached baseline. *)
 type reuse_mode = No_reuse | Functions | Lines of int
-
-(** Runtime-specific resolvers, supplied by the harness. *)
-type hooks = {
-  h_fid_size : int -> int;
-      (** code bytes of function [fid]; occupancy and
-          function-granular reuse weights *)
-  h_call_unit : int -> int option;
-      (** resolved call target -> fid of the cached function when the
-          target lies inside the cache region (i.e. the call hit) *)
-  h_ifetch_home : int -> int;
-      (** ifetch address -> NVM home address (identity outside cache
-          regions) *)
-}
-
-val null_hooks : hooks
-(** No cache attached: size 0, no call resolution, identity homes. *)
 
 type spec = {
   window_cycles : int;  (** window length in total (CPU+stall) cycles *)
@@ -86,58 +71,18 @@ val create :
   params:Msp430.Energy.params ->
   fram:int * int ->
   sram:int * int ->
-  hooks ->
+  fid_size:(int -> int) ->
   t
-(** [create spec ~params ~fram:(lo, hi) ~sram:(lo, hi) hooks]. The
-    address ranges bound the histograms. *)
+(** [create spec ~params ~fram:(lo, hi) ~sram:(lo, hi) ~fid_size]. The
+    address ranges bound the histograms; [fid_size fid] is function
+    [fid]'s code bytes (occupancy and function-granular reuse
+    weights). *)
 
-val observer : t -> Msp430.Trace.event -> unit
-(** Feed one event; install via {!Msp430.Trace.set_observer} or the
-    harness fan-out. Resolves the {!hooks} and dispatches to the
-    entry points below. *)
-
-(** {2 Per-event entry points}
-
-    One function per event kind, with the runtime-hook answers passed
-    in: [home] is the ifetch address's NVM home ({!hooks.h_ifetch_home}),
-    [unit_id] a call's cached function ([h_call_unit], [-1] for none).
-    {!observer} is a dispatcher over these; a trace replay calls them
-    with the recorded answers and builds no {!Msp430.Trace.event}. *)
-
-val on_cycles : t -> int -> int -> unit
-(** [on_cycles t unstalled stall]; may close the current window. *)
-
-val on_instr : t -> unit
-val on_fram_read : t -> bool -> int -> unit
-(** [on_fram_read t hit addr]: an FRAM data read. *)
-
-val on_fram_ifetch : t -> bool -> int -> int -> unit
-(** [on_fram_ifetch t hit addr home]. *)
-
-val on_fram_write : t -> int -> unit
-
-val on_sram : t -> int -> unit
-(** An SRAM data read or write at [addr]. *)
-
-val on_sram_ifetch : t -> int -> int -> unit
-(** [on_sram_ifetch t addr home]. *)
-
-val on_periph : t -> unit
-
-val on_call : t -> int -> unit
-(** [on_call t unit_id]; [unit_id >= 0] is a hit in the cache region. *)
-
-val on_return : t -> unit
-val on_miss_enter : t -> unit
-
-val on_miss_exit : t -> string -> int -> unit
-(** [on_miss_exit t disposition fid]. *)
-
-val on_eviction : t -> int -> unit
-val on_freeze : t -> bool -> unit
-val on_cache_flush : t -> unit
-val on_block_load : t -> unit
-val on_prefetch : t -> int -> unit
+val sink : t -> Msp430.Trace.sink
+(** The sampler's input, for a live run (through the harness fan-out)
+    and a trace replay ({!Replay.Trace_file.iter}) alike. It uses the
+    hook answers the sink receives: a call's [unit] ([>= 0] is a hit
+    in the cache region) and an instruction fetch's NVM [home]. *)
 
 val windows : t -> window list
 (** Closed windows in run order, plus the in-progress window if it

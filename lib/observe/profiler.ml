@@ -1,22 +1,23 @@
 (* Cycle-attributed profiler.
 
-   Consumes the Trace event stream and attributes every counted cycle
-   and memory access to the function whose instruction caused it. The
-   attribution context is set by each [Instr] event (symbolized
-   through {!Symtab}); all [Cycles] and [Mem_access] events until the
-   next [Instr] charge that function's counters.
+   A Trace sink that attributes every counted cycle and memory access
+   to the function whose instruction caused it. The attribution
+   context is set by each [instr] callback (symbolized through
+   {!Symtab}); all cycles and memory accesses until the next [instr]
+   charge that function's counters.
 
-   Because every counter increment in the simulator is mirrored as an
-   event *after* the aggregate counter was bumped, the per-function
+   Because every counter increment in the simulator is mirrored to the
+   sink *after* the aggregate counter was bumped, the per-function
    sums reconcile with the aggregate {!Msp430.Trace} totals exactly —
    not approximately. The property tests assert this, and it is what
    makes per-function energy attribution sound: the energy model is
    linear in the counters, so slice energies sum to the whole-run
    report.
 
-   A shadow call stack (pushed by [Call] events, popped by [Return])
-   keys the caller-aggregated folded-stack output consumed by flame
-   graph tooling. *)
+   A shadow call stack (pushed by [call], popped by [return]) keys the
+   caller-aggregated folded-stack output consumed by flame graph
+   tooling. Calls nested past [max_depth] are counted, not pushed, and
+   their returns unwind that count before they pop a frame. *)
 
 type counters = {
   mutable instrs : int;
@@ -66,6 +67,7 @@ type t = {
   mutable stack_key : string; (* stack joined with ';', "" if empty *)
   mutable depth : int;
   max_depth : int;
+  mutable overflow : int; (* calls past [max_depth] not yet returned *)
   mutable cur : counters;
   mutable cur_name : string;
   mutable cur_source : int;
@@ -101,6 +103,7 @@ let create symtab =
     stack_key = "";
     depth = 0;
     max_depth = 128;
+    overflow = 0;
     cur = boot;
     cur_name = boot_name;
     cur_source = 0;
@@ -149,77 +152,94 @@ let set_context t name =
     t.folded_dirty <- false
   end
 
-let observer t (ev : Msp430.Trace.event) =
-  match ev with
-  | Msp430.Trace.Instr { pc; source } ->
-      t.cur_source <- Msp430.Trace.source_index source;
-      let name = Symtab.name_of t.symtab pc in
-      set_context t name;
-      t.cur.instrs <- t.cur.instrs + 1;
-      t.by_source.(t.cur_source).instrs <- t.by_source.(t.cur_source).instrs + 1
-  | Msp430.Trace.Cycles { unstalled; stall } ->
-      t.cur.unstalled <- t.cur.unstalled + unstalled;
-      t.cur.stall <- t.cur.stall + stall;
-      let s = t.by_source.(t.cur_source) in
-      s.unstalled <- s.unstalled + unstalled;
-      s.stall <- s.stall + stall;
-      t.cur_folded := !(t.cur_folded) + unstalled + stall
-  | Msp430.Trace.Mem_access { addr = _; cls } -> (
-      let s = t.by_source.(t.cur_source) in
-      match cls with
-      | Msp430.Trace.Fram_read { hit = true; _ } ->
-          t.cur.fram_read_hits <- t.cur.fram_read_hits + 1;
-          s.fram_read_hits <- s.fram_read_hits + 1
-      | Msp430.Trace.Fram_read { hit = false; _ } ->
-          t.cur.fram_read_misses <- t.cur.fram_read_misses + 1;
-          s.fram_read_misses <- s.fram_read_misses + 1
-      | Msp430.Trace.Fram_write ->
-          t.cur.fram_writes <- t.cur.fram_writes + 1;
-          s.fram_writes <- s.fram_writes + 1
-      | Msp430.Trace.Sram_read _ | Msp430.Trace.Sram_write ->
-          t.cur.sram_accesses <- t.cur.sram_accesses + 1;
-          s.sram_accesses <- s.sram_accesses + 1
-      | Msp430.Trace.Periph_access -> ())
-  | Msp430.Trace.Call { target } ->
-      t.calls <- t.calls + 1;
-      (let name = Symtab.name_of t.symtab target in
-       match Hashtbl.find_opt t.name_calls name with
-       | Some r -> incr r
-       | None -> Hashtbl.replace t.name_calls name (ref 1));
-      if t.depth < t.max_depth then begin
-        t.stack <- t.cur_name :: t.stack;
-        t.depth <- t.depth + 1;
-        t.stack_key <-
-          (if t.stack_key = "" then t.cur_name
-           else t.stack_key ^ ";" ^ t.cur_name);
-        (* cur_folded stays: the call instruction's remaining charges
-           still belong to the caller at its pre-call stack. The
-           callee's first Instr refreshes it. *)
-        t.folded_dirty <- true
-      end
-  | Msp430.Trace.Return -> (
-      t.returns <- t.returns + 1;
-      match t.stack with
-      | [] -> () (* a return below the observation start; ignore *)
-      | _ :: rest ->
-          t.stack <- rest;
-          t.depth <- t.depth - 1;
-          t.stack_key <- String.concat ";" (List.rev rest);
-          t.folded_dirty <- true)
-  | Msp430.Trace.Runtime_event rev -> (
-      match rev with
-      | Msp430.Trace.Miss_enter _ -> t.rt.miss_entries <- t.rt.miss_entries + 1
-      | Msp430.Trace.Miss_exit { fid; _ } -> (
-          match Hashtbl.find_opt t.fid_misses fid with
-          | Some r -> incr r
-          | None -> Hashtbl.replace t.fid_misses fid (ref 1))
-      | Msp430.Trace.Eviction _ -> t.rt.evictions <- t.rt.evictions + 1
-      | Msp430.Trace.Freeze { on = true } -> t.rt.freezes <- t.rt.freezes + 1
-      | Msp430.Trace.Freeze { on = false } -> ()
-      | Msp430.Trace.Cache_flush -> t.rt.flushes <- t.rt.flushes + 1
-      | Msp430.Trace.Block_load _ -> t.rt.block_loads <- t.rt.block_loads + 1
-      | Msp430.Trace.Prefetch _ -> t.rt.prefetches <- t.rt.prefetches + 1
-      | Msp430.Trace.Phase _ -> ())
+let fram_read t hit =
+  let s = t.by_source.(t.cur_source) in
+  if hit then begin
+    t.cur.fram_read_hits <- t.cur.fram_read_hits + 1;
+    s.fram_read_hits <- s.fram_read_hits + 1
+  end
+  else begin
+    t.cur.fram_read_misses <- t.cur.fram_read_misses + 1;
+    s.fram_read_misses <- s.fram_read_misses + 1
+  end
+
+let sram_access t =
+  let s = t.by_source.(t.cur_source) in
+  t.cur.sram_accesses <- t.cur.sram_accesses + 1;
+  s.sram_accesses <- s.sram_accesses + 1
+
+let sink t =
+  {
+    Msp430.Trace.instr =
+      (fun source pc ->
+        t.cur_source <- source;
+        set_context t (Symtab.name_of t.symtab pc);
+        t.cur.instrs <- t.cur.instrs + 1;
+        t.by_source.(source).instrs <- t.by_source.(source).instrs + 1);
+    cycles =
+      (fun unstalled stall ->
+        t.cur.unstalled <- t.cur.unstalled + unstalled;
+        t.cur.stall <- t.cur.stall + stall;
+        let s = t.by_source.(t.cur_source) in
+        s.unstalled <- s.unstalled + unstalled;
+        s.stall <- s.stall + stall;
+        t.cur_folded := !(t.cur_folded) + unstalled + stall);
+    fram_read = (fun hit _addr -> fram_read t hit);
+    fram_ifetch = (fun hit _addr _home -> fram_read t hit);
+    fram_write =
+      (fun _addr ->
+        let s = t.by_source.(t.cur_source) in
+        t.cur.fram_writes <- t.cur.fram_writes + 1;
+        s.fram_writes <- s.fram_writes + 1);
+    sram_read = (fun _addr -> sram_access t);
+    sram_ifetch = (fun _addr _home -> sram_access t);
+    sram_write = (fun _addr -> sram_access t);
+    periph = (fun _addr -> ());
+    call =
+      (fun target _unit ->
+        t.calls <- t.calls + 1;
+        (let name = Symtab.name_of t.symtab target in
+         match Hashtbl.find_opt t.name_calls name with
+         | Some r -> incr r
+         | None -> Hashtbl.replace t.name_calls name (ref 1));
+        if t.depth < t.max_depth then begin
+          t.stack <- t.cur_name :: t.stack;
+          t.depth <- t.depth + 1;
+          t.stack_key <-
+            (if t.stack_key = "" then t.cur_name
+             else t.stack_key ^ ";" ^ t.cur_name);
+          (* cur_folded stays: the call instruction's remaining charges
+             still belong to the caller at its pre-call stack. The
+             callee's first instr refreshes it. *)
+          t.folded_dirty <- true
+        end
+        else t.overflow <- t.overflow + 1);
+    return =
+      (fun () ->
+        t.returns <- t.returns + 1;
+        (* A return first unwinds a frame the depth cap did not push. *)
+        if t.overflow > 0 then t.overflow <- t.overflow - 1
+        else
+          match t.stack with
+          | [] -> () (* a return below the observation start; ignore *)
+          | _ :: rest ->
+              t.stack <- rest;
+              t.depth <- t.depth - 1;
+              t.stack_key <- String.concat ";" (List.rev rest);
+              t.folded_dirty <- true);
+    miss_enter = (fun _runtime -> t.rt.miss_entries <- t.rt.miss_entries + 1);
+    miss_exit =
+      (fun _runtime _disposition fid ->
+        match Hashtbl.find_opt t.fid_misses fid with
+        | Some r -> incr r
+        | None -> Hashtbl.replace t.fid_misses fid (ref 1));
+    eviction = (fun _fid -> t.rt.evictions <- t.rt.evictions + 1);
+    freeze = (fun on -> if on then t.rt.freezes <- t.rt.freezes + 1);
+    cache_flush = (fun () -> t.rt.flushes <- t.rt.flushes + 1);
+    block_load = (fun _nvm -> t.rt.block_loads <- t.rt.block_loads + 1);
+    prefetch = (fun _fid -> t.rt.prefetches <- t.rt.prefetches + 1);
+    phase = (fun _name -> ());
+  }
 
 (* --- Reports ----------------------------------------------------------- *)
 

@@ -1,18 +1,20 @@
-(** Cycle-attributed profiler over the {!Msp430.Trace} event stream.
+(** Cycle-attributed profiler, a {!Msp430.Trace.sink}.
 
     Every counted cycle and memory access is attributed to the
-    function whose instruction caused it (context set by [Instr]
-    events, symbolized through {!Symtab}). Counter increments are
-    mirrored as events after the aggregates were bumped, so the
+    function whose instruction caused it (context set by [instr]
+    callbacks, symbolized through {!Symtab}). Counter increments are
+    mirrored to the sink after the aggregates were bumped, so the
     per-function sums reconcile with the aggregate trace totals
     {e exactly} — the conservation property tests assert equality,
     not approximation. Energy attribution applies the (linear)
     {!Msp430.Energy} model to each slice, so slice energies sum to
     the whole-run report.
 
-    A shadow call stack ([Call]/[Return] events) keys the
+    A shadow call stack ([call]/[return] callbacks) keys the
     caller-aggregated folded-stack output ([caller;callee cycles]
-    lines, flame-graph input format). *)
+    lines, flame-graph input format). It holds at most 128 callers;
+    deeper calls are counted and unwound by their returns, so a
+    return never pops a frame that is still live. *)
 
 type counters = {
   mutable instrs : int;
@@ -37,9 +39,9 @@ type t
 
 val create : Symtab.t -> t
 
-val observer : t -> Msp430.Trace.event -> unit
-(** Feed one event; install via {!Msp430.Trace.set_observer} (or the
-    harness's fan-out observer). *)
+val sink : t -> Msp430.Trace.sink
+(** The profiler's input; install via {!Msp430.Trace.set_sink} (or
+    the harness's fan-out). *)
 
 val totals : t -> counters
 (** Sum over all attributed functions. Equals the aggregate

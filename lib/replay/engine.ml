@@ -2,9 +2,9 @@
    in one pass; [exact] / [simulate] / [mrc] are then pure arithmetic
    over those statistics, which is where the record-once /
    simulate-many speedup comes from. The full-stream [replay_metrics]
-   path re-runs the Observe.Metrics sampler over the event stream: its
-   decode visitor calls the sampler's per-event entry points with the
-   recorded hook answers, allocating nothing per event. Both passes
+   path re-runs the Observe.Metrics sampler over the event stream: the
+   decoder drives the sampler's sink, the one a live run feeds, with
+   the recorded hook answers, allocating nothing per event. Both passes
    decode through [Trace_file]'s fixed read buffer, so their memory
    does not grow with the trace size. *)
 
@@ -186,53 +186,53 @@ let note_fram_access a =
   a.ac_fram_this_instr <- a.ac_fram_this_instr + 1;
   if a.ac_fram_this_instr > 1 then a.ac_contention <- a.ac_contention + 1
 
-(* The accumulating visitor is the allocation-free hot loop: every
+(* The accumulating sink is the allocation-free hot loop: every
    callback is straight counter arithmetic (plus a ref push), which is
    what makes loading a multi-hundred-megacycle trace cheaper than
    re-simulating it. *)
-let accum_visitor a =
+let accum_sink a =
   {
-    Trace_file.v_instr =
+    Trace.instr =
       (fun i _pc ->
         a.ac_instructions <- a.ac_instructions + 1;
         a.ac_by_source.(i) <- a.ac_by_source.(i) + 1;
         a.ac_fram_this_instr <- 0);
-    v_cycles =
+    cycles =
       (fun unstalled stall ->
         a.ac_unstalled <- a.ac_unstalled + unstalled;
         a.ac_stall <- a.ac_stall + stall);
-    v_fram_read =
+    fram_read =
       (fun hit _addr ->
         a.ac_fram_data_reads <- a.ac_fram_data_reads + 1;
         if hit then a.ac_fram_read_hits <- a.ac_fram_read_hits + 1;
         note_fram_access a);
-    v_fram_ifetch =
+    fram_ifetch =
       (fun hit _addr home ->
         a.ac_fram_ifetch <- a.ac_fram_ifetch + 1;
         if hit then a.ac_fram_read_hits <- a.ac_fram_read_hits + 1;
         note_fram_access a;
         if not a.ac_functions then push_line a home);
-    v_fram_write =
+    fram_write =
       (fun _addr ->
         a.ac_fram_writes <- a.ac_fram_writes + 1;
         note_fram_access a);
-    v_sram_read = (fun _addr -> a.ac_sram_data_reads <- a.ac_sram_data_reads + 1);
-    v_sram_ifetch =
+    sram_read = (fun _addr -> a.ac_sram_data_reads <- a.ac_sram_data_reads + 1);
+    sram_ifetch =
       (fun _addr home ->
         a.ac_sram_ifetch <- a.ac_sram_ifetch + 1;
         if not a.ac_functions then push_line a home);
-    v_sram_write = (fun _addr -> a.ac_sram_writes <- a.ac_sram_writes + 1);
-    v_periph = (fun _addr -> a.ac_periph <- a.ac_periph + 1);
-    v_call =
+    sram_write = (fun _addr -> a.ac_sram_writes <- a.ac_sram_writes + 1);
+    periph = (fun _addr -> a.ac_periph <- a.ac_periph + 1);
+    call =
       (fun _target u ->
         a.ac_calls <- a.ac_calls + 1;
         if a.ac_functions && u >= 0 then begin
           vec_push a.ac_refs (u lsl 1);
           if u > a.ac_max_unit then a.ac_max_unit <- u
         end);
-    v_return = (fun () -> a.ac_returns <- a.ac_returns + 1);
-    v_miss_enter = (fun _rt -> a.ac_miss_enters <- a.ac_miss_enters + 1);
-    v_miss_exit =
+    return = (fun () -> a.ac_returns <- a.ac_returns + 1);
+    miss_enter = (fun _rt -> a.ac_miss_enters <- a.ac_miss_enters + 1);
+    miss_exit =
       (fun _rt disposition fid ->
         (match disposition with
         | "cached" -> a.ac_exits_cached <- a.ac_exits_cached + 1
@@ -245,12 +245,12 @@ let accum_visitor a =
           vec_push a.ac_refs ((fid lsl 1) lor 1);
           if fid > a.ac_max_unit then a.ac_max_unit <- fid
         end);
-    v_eviction = (fun _fid -> a.ac_evictions <- a.ac_evictions + 1);
-    v_freeze = (fun _on -> ());
-    v_cache_flush = (fun () -> a.ac_flushes <- a.ac_flushes + 1);
-    v_block_load = (fun _nvm -> a.ac_block_loads <- a.ac_block_loads + 1);
-    v_prefetch = (fun _fid -> a.ac_prefetches <- a.ac_prefetches + 1);
-    v_phase = (fun _name -> ());
+    eviction = (fun _fid -> a.ac_evictions <- a.ac_evictions + 1);
+    freeze = (fun _on -> ());
+    cache_flush = (fun () -> a.ac_flushes <- a.ac_flushes + 1);
+    block_load = (fun _nvm -> a.ac_block_loads <- a.ac_block_loads + 1);
+    prefetch = (fun _fid -> a.ac_prefetches <- a.ac_prefetches + 1);
+    phase = (fun _name -> ());
   }
 
 let fram_read_misses l = l.fram_ifetch + l.fram_data_reads - l.fram_read_hits
@@ -284,7 +284,7 @@ let load path =
       | Trace_file.Lines n -> fresh_accum false (max 1 n)
     in
     accum := Some a;
-    accum_visitor a
+    accum_sink a
   in
   match Trace_file.iter path ~make with
   | Error e -> Error (Format_error e)
@@ -1105,34 +1105,6 @@ let mrc l =
 
 (* --- Full metrics replay ----------------------------------------------- *)
 
-(* The sampler's entry points are called straight from the decode loop
-   with the recorded hook answers, so replaying builds no event and
-   allocates nothing per event. *)
-let metrics_visitor m =
-  let module M = Observe.Metrics in
-  {
-    Trace_file.v_instr = (fun _source _pc -> M.on_instr m);
-    v_cycles = (fun unstalled stall -> M.on_cycles m unstalled stall);
-    v_fram_read = (fun hit addr -> M.on_fram_read m hit addr);
-    v_fram_ifetch = (fun hit addr home -> M.on_fram_ifetch m hit addr home);
-    v_fram_write = (fun addr -> M.on_fram_write m addr);
-    v_sram_read = (fun addr -> M.on_sram m addr);
-    v_sram_ifetch = (fun addr home -> M.on_sram_ifetch m addr home);
-    v_sram_write = (fun addr -> M.on_sram m addr);
-    v_periph = (fun _addr -> M.on_periph m);
-    v_call = (fun _target u -> M.on_call m u);
-    v_return = (fun () -> M.on_return m);
-    v_miss_enter = (fun _runtime -> M.on_miss_enter m);
-    v_miss_exit =
-      (fun _runtime disposition fid -> M.on_miss_exit m disposition fid);
-    v_eviction = (fun fid -> M.on_eviction m fid);
-    v_freeze = (fun on -> M.on_freeze m on);
-    v_cache_flush = (fun () -> M.on_cache_flush m);
-    v_block_load = (fun _nvm -> M.on_block_load m);
-    v_prefetch = (fun fid -> M.on_prefetch m fid);
-    v_phase = (fun _name -> ());
-  }
-
 let replay_metrics ?(window = 65536) ?(buckets = 48) path =
   match Trace_file.read_header path with
   | Error e -> Error (Format_error e)
@@ -1150,15 +1122,6 @@ let replay_metrics ?(window = 65536) ?(buckets = 48) path =
               | Trace_file.Functions sizes -> (Observe.Metrics.Functions, sizes)
               | Trace_file.Lines n -> (Observe.Metrics.Lines n, [||])
             in
-            let hooks =
-              {
-                Observe.Metrics.null_hooks with
-                h_fid_size =
-                  (fun fid ->
-                    if fid >= 0 && fid < Array.length sizes then sizes.(fid)
-                    else 0);
-              }
-            in
             let m =
               Observe.Metrics.create
                 {
@@ -1172,10 +1135,12 @@ let replay_metrics ?(window = 65536) ?(buckets = 48) path =
                   (Platform.fram_base, Platform.fram_base + Platform.fram_size)
                 ~sram:
                   (Platform.sram_base, Platform.sram_base + Platform.sram_size)
-                hooks
+                ~fid_size:(fun fid ->
+                  if fid >= 0 && fid < Array.length sizes then sizes.(fid)
+                  else 0)
             in
             metrics := Some m;
-            metrics_visitor m
+            Observe.Metrics.sink m
           in
           match (Trace_file.iter path ~make, !metrics) with
           | Error e, _ -> Error (Format_error e)

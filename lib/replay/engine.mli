@@ -254,9 +254,9 @@ val mrc : loaded -> Observe.Reuse.t
 
 val replay_metrics :
   ?window:int -> ?buckets:int -> string -> (Observe.Metrics.t * Trace_file.header, error) result
-(** Stream the whole file through a fresh {!Observe.Metrics} sampler,
-    calling its per-event entry points from the decode visitor with
-    the recorded hook answers. With the executed run's window/bucket
+(** Stream the whole file through a fresh {!Observe.Metrics} sampler:
+    the decoder drives {!Observe.Metrics.sink}, the sink a live run
+    feeds, with the recorded hook answers. With the executed run's window/bucket
     spec (defaults: 65536-cycle windows, 48 buckets) the replayed
     CSV / series / MRC renderings are byte-identical to the executed
     ones. A recorded frequency other than 8 or 24 MHz is a

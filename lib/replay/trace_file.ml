@@ -251,102 +251,96 @@ let add_addr w addr =
   add_signed w.buf (addr - w.prev_addr);
   w.prev_addr <- addr
 
-type enrich = {
-  en_call_unit : int -> int option;
-  en_ifetch_home : int -> int;
-}
-
-let null_enrich =
-  { en_call_unit = (fun _ -> None); en_ifetch_home = (fun a -> a) }
-
-let recorder w enrich ev =
+(* Every event ends here: count it and spill a full buffer. *)
+let written w =
   w.events <- w.events + 1;
-  (match ev with
-  | Trace.Instr { pc; source } ->
-      add_tag w (tag_instr_base + Trace.source_index source);
-      add_signed w.buf (pc - w.prev_pc);
-      w.prev_pc <- pc
-  | Trace.Cycles { unstalled; stall } ->
-      if stall = 0 then
-        if unstalled = 1 then add_tag w tag_cycles_one
+  maybe_flush w
+
+let add_ifetch w tag addr home =
+  add_tag w tag;
+  add_addr w addr;
+  add_signed w.buf (home - addr);
+  written w
+
+let add_access w tag addr =
+  add_tag w tag;
+  add_addr w addr;
+  written w
+
+let add_bare w tag =
+  add_tag w tag;
+  written w
+
+let add_count w tag n =
+  add_tag w tag;
+  add_varint w.buf n;
+  written w
+
+(* Strings are interned before the event tag is written. *)
+let add_interned w tag s =
+  let id = intern_id w s in
+  add_count w tag id
+
+let sink w =
+  {
+    Trace.instr =
+      (fun i pc ->
+        add_tag w (tag_instr_base + i);
+        add_signed w.buf (pc - w.prev_pc);
+        w.prev_pc <- pc;
+        written w);
+    cycles =
+      (fun unstalled stall ->
+        if stall = 0 then
+          if unstalled = 1 then add_bare w tag_cycles_one
+          else add_count w tag_cycles_unstalled unstalled
+        else if unstalled = 0 then add_count w tag_cycles_stall stall
         else begin
-          add_tag w tag_cycles_unstalled;
-          add_varint w.buf unstalled
-        end
-      else if unstalled = 0 then begin
-        add_tag w tag_cycles_stall;
-        add_varint w.buf stall
-      end
-      else begin
-        add_tag w tag_cycles_both;
-        add_varint w.buf unstalled;
-        add_varint w.buf stall
-      end
-  | Trace.Mem_access { addr; cls } -> (
-      match cls with
-      | Trace.Fram_read { hit; ifetch = false } ->
-          add_tag w (if hit then tag_fram_read_hit else tag_fram_read_miss);
-          add_addr w addr
-      | Trace.Fram_read { hit; ifetch = true } ->
-          add_tag w (if hit then tag_fram_ifetch_hit else tag_fram_ifetch_miss);
-          add_addr w addr;
-          add_signed w.buf (enrich.en_ifetch_home addr - addr)
-      | Trace.Fram_write ->
-          add_tag w tag_fram_write;
-          add_addr w addr
-      | Trace.Sram_read { ifetch = false } ->
-          add_tag w tag_sram_read;
-          add_addr w addr
-      | Trace.Sram_read { ifetch = true } ->
-          add_tag w tag_sram_ifetch;
-          add_addr w addr;
-          add_signed w.buf (enrich.en_ifetch_home addr - addr)
-      | Trace.Sram_write ->
-          add_tag w tag_sram_write;
-          add_addr w addr
-      | Trace.Periph_access ->
-          add_tag w tag_periph;
-          add_addr w addr)
-  | Trace.Call { target } -> (
-      match enrich.en_call_unit target with
-      | None ->
-          add_tag w tag_call;
-          add_varint w.buf target
-      | Some u ->
+          add_tag w tag_cycles_both;
+          add_varint w.buf unstalled;
+          add_varint w.buf stall;
+          written w
+        end);
+    fram_read =
+      (fun hit addr ->
+        add_access w (if hit then tag_fram_read_hit else tag_fram_read_miss) addr);
+    fram_ifetch =
+      (fun hit addr home ->
+        add_ifetch w
+          (if hit then tag_fram_ifetch_hit else tag_fram_ifetch_miss)
+          addr home);
+    fram_write = (fun addr -> add_access w tag_fram_write addr);
+    sram_read = (fun addr -> add_access w tag_sram_read addr);
+    sram_ifetch = (fun addr home -> add_ifetch w tag_sram_ifetch addr home);
+    sram_write = (fun addr -> add_access w tag_sram_write addr);
+    periph = (fun addr -> add_access w tag_periph addr);
+    call =
+      (fun target u ->
+        if u < 0 then add_count w tag_call target
+        else begin
           add_tag w tag_call_unit;
           add_varint w.buf target;
-          add_varint w.buf u)
-  | Trace.Return -> add_tag w tag_return
-  | Trace.Runtime_event rev -> (
-      match rev with
-      | Trace.Miss_enter { runtime } ->
-          let rt = intern_id w runtime in
-          add_tag w tag_miss_enter;
-          add_varint w.buf rt
-      | Trace.Miss_exit { runtime; disposition; fid } ->
-          let rt = intern_id w runtime in
-          let disp = intern_id w disposition in
-          add_tag w tag_miss_exit;
-          add_varint w.buf rt;
-          add_varint w.buf disp;
-          add_signed w.buf fid
-      | Trace.Eviction { fid } ->
-          add_tag w tag_eviction;
-          add_varint w.buf fid
-      | Trace.Freeze { on } ->
-          add_tag w (if on then tag_freeze_on else tag_freeze_off)
-      | Trace.Cache_flush -> add_tag w tag_cache_flush
-      | Trace.Block_load { nvm } ->
-          add_tag w tag_block_load;
-          add_varint w.buf nvm
-      | Trace.Prefetch { fid } ->
-          add_tag w tag_prefetch;
-          add_varint w.buf fid
-      | Trace.Phase { name } ->
-          let n = intern_id w name in
-          add_tag w tag_phase;
-          add_varint w.buf n));
-  maybe_flush w
+          add_varint w.buf u;
+          written w
+        end);
+    return = (fun () -> add_bare w tag_return);
+    miss_enter = (fun runtime -> add_interned w tag_miss_enter runtime);
+    miss_exit =
+      (fun runtime disposition fid ->
+        let rt = intern_id w runtime in
+        let disp = intern_id w disposition in
+        add_tag w tag_miss_exit;
+        add_varint w.buf rt;
+        add_varint w.buf disp;
+        add_signed w.buf fid;
+        written w);
+    eviction = (fun fid -> add_count w tag_eviction fid);
+    freeze = (fun on -> add_bare w (if on then tag_freeze_on else tag_freeze_off));
+    cache_flush = (fun () -> add_bare w tag_cache_flush);
+    block_load = (fun nvm -> add_count w tag_block_load nvm);
+    prefetch = (fun fid -> add_count w tag_prefetch fid);
+    phase = (fun name -> add_interned w tag_phase name);
+  }
 
 let events_written w = w.events
 
@@ -368,8 +362,6 @@ let discard_writer w =
   try Sys.remove w.path with Sys_error _ -> ()
 
 (* --- Reader ------------------------------------------------------------ *)
-
-type decoded = { d_ev : Trace.event; d_unit : int option; d_home : int }
 
 (* The reader streams the file through one fixed buffer refilled from
    the channel, so its memory does not grow with the trace size. *)
@@ -433,14 +425,6 @@ let read_varint c what = varint_loop c what 0 0
 
 let read_signed c what = unzigzag (read_varint c what)
 
-let source_of_index i =
-  match i with
-  | 0 -> Trace.App_fram
-  | 1 -> Trace.App_sram
-  | 2 -> Trace.Handler
-  | 3 -> Trace.Memcpy
-  | _ -> corrupt "bad source index %d" i
-
 (* Runs [f] on a cursor over [path]; decode and I/O failures become
    typed errors. *)
 let with_cursor path f =
@@ -497,34 +481,10 @@ let intern_define s str id =
   s.tbl.(s.n) <- str;
   s.n <- s.n + 1
 
-(* Flat per-event callbacks; the decode loop calls straight into these
-   without materializing [Trace.event] values, so a visitor-based scan
-   allocates nothing per event. This is the hot path the record-once /
-   replay-many speedup rests on — [fold] (and its [decoded] values) is
-   a convenience wrapper built on the same loop. *)
-type visitor = {
-  v_instr : int -> int -> unit;  (** source index, pc *)
-  v_cycles : int -> int -> unit;  (** unstalled, stall *)
-  v_fram_read : bool -> int -> unit;  (** hit, addr (data read) *)
-  v_fram_ifetch : bool -> int -> int -> unit;  (** hit, addr, home *)
-  v_fram_write : int -> unit;
-  v_sram_read : int -> unit;
-  v_sram_ifetch : int -> int -> unit;  (** addr, home *)
-  v_sram_write : int -> unit;
-  v_periph : int -> unit;
-  v_call : int -> int -> unit;  (** target, unit (-1 when unrecorded) *)
-  v_return : unit -> unit;
-  v_miss_enter : string -> unit;
-  v_miss_exit : string -> string -> int -> unit;
-      (** runtime, disposition, fid *)
-  v_eviction : int -> unit;
-  v_freeze : bool -> unit;
-  v_cache_flush : unit -> unit;
-  v_block_load : int -> unit;
-  v_prefetch : int -> unit;
-  v_phase : string -> unit;
-}
-
+(* The decode loop calls the sink's callbacks directly without
+   materializing [Trace.event] values, so a scan allocates nothing per
+   event. This is the hot path the record-once / replay-many speedup
+   rests on. *)
 let iter path ~make =
   with_cursor path (fun c ->
       let header = decode_preamble c in
@@ -549,54 +509,61 @@ let iter path ~make =
         if tag < 0x04 then begin
           let pc = !prev_pc + read_signed c "instr" in
           prev_pc := pc;
-          v.v_instr tag pc
+          v.Trace.instr tag pc
         end
-        else if tag = tag_cycles_one then v.v_cycles 1 0
+        else if tag = tag_cycles_one then v.Trace.cycles 1 0
         else if tag = tag_cycles_unstalled then
-          v.v_cycles (read_varint c "cycles") 0
-        else if tag = tag_cycles_stall then v.v_cycles 0 (read_varint c "cycles")
+          v.Trace.cycles (read_varint c "cycles") 0
+        else if tag = tag_cycles_stall then
+          v.Trace.cycles 0 (read_varint c "cycles")
         else if tag = tag_cycles_both then begin
           let unstalled = read_varint c "cycles" in
           let stall = read_varint c "cycles" in
-          v.v_cycles unstalled stall
+          v.Trace.cycles unstalled stall
         end
-        else if tag = tag_fram_read_miss then v.v_fram_read false (addr "fram read")
-        else if tag = tag_fram_read_hit then v.v_fram_read true (addr "fram read")
+        else if tag = tag_fram_read_miss then
+          v.Trace.fram_read false (addr "fram read")
+        else if tag = tag_fram_read_hit then
+          v.Trace.fram_read true (addr "fram read")
         else if tag = tag_fram_ifetch_miss || tag = tag_fram_ifetch_hit then begin
           let a = addr "fram ifetch" in
           let home = a + read_signed c "fram ifetch home" in
-          v.v_fram_ifetch (tag = tag_fram_ifetch_hit) a home
+          v.Trace.fram_ifetch (tag = tag_fram_ifetch_hit) a home
         end
-        else if tag = tag_fram_write then v.v_fram_write (addr "fram write")
-        else if tag = tag_sram_read then v.v_sram_read (addr "sram read")
+        else if tag = tag_fram_write then v.Trace.fram_write (addr "fram write")
+        else if tag = tag_sram_read then v.Trace.sram_read (addr "sram read")
         else if tag = tag_sram_ifetch then begin
           let a = addr "sram ifetch" in
           let home = a + read_signed c "sram ifetch home" in
-          v.v_sram_ifetch a home
+          v.Trace.sram_ifetch a home
         end
-        else if tag = tag_sram_write then v.v_sram_write (addr "sram write")
-        else if tag = tag_periph then v.v_periph (addr "periph")
-        else if tag = tag_call then v.v_call (read_varint c "call") (-1)
+        else if tag = tag_sram_write then v.Trace.sram_write (addr "sram write")
+        else if tag = tag_periph then v.Trace.periph (addr "periph")
+        else if tag = tag_call then v.Trace.call (read_varint c "call") (-1)
         else if tag = tag_call_unit then begin
           let target = read_varint c "call" in
           let u = read_varint c "call unit" in
-          v.v_call target u
+          v.Trace.call target u
         end
-        else if tag = tag_return then v.v_return ()
-        else if tag = tag_miss_enter then v.v_miss_enter (read_str "miss enter")
+        else if tag = tag_return then v.Trace.return ()
+        else if tag = tag_miss_enter then
+          v.Trace.miss_enter (read_str "miss enter")
         else if tag = tag_miss_exit then begin
           let runtime = read_str "miss exit" in
           let disposition = read_str "miss exit" in
           let fid = read_signed c "miss exit" in
-          v.v_miss_exit runtime disposition fid
+          v.Trace.miss_exit runtime disposition fid
         end
-        else if tag = tag_eviction then v.v_eviction (read_varint c "eviction")
-        else if tag = tag_freeze_on then v.v_freeze true
-        else if tag = tag_freeze_off then v.v_freeze false
-        else if tag = tag_cache_flush then v.v_cache_flush ()
-        else if tag = tag_block_load then v.v_block_load (read_varint c "block load")
-        else if tag = tag_prefetch then v.v_prefetch (read_varint c "prefetch")
-        else if tag = tag_phase then v.v_phase (read_str "phase")
+        else if tag = tag_eviction then
+          v.Trace.eviction (read_varint c "eviction")
+        else if tag = tag_freeze_on then v.Trace.freeze true
+        else if tag = tag_freeze_off then v.Trace.freeze false
+        else if tag = tag_cache_flush then v.Trace.cache_flush ()
+        else if tag = tag_block_load then
+          v.Trace.block_load (read_varint c "block load")
+        else if tag = tag_prefetch then
+          v.Trace.prefetch (read_varint c "prefetch")
+        else if tag = tag_phase then v.Trace.phase (read_str "phase")
         else begin
           decr count;
           if tag = tag_end then begin
@@ -617,70 +584,3 @@ let iter path ~make =
         end
       done;
       (header, !count))
-
-let fold path ~init ~f =
-  let acc = ref None in
-  let make header =
-    let a = ref (init header) in
-    acc := Some a;
-    let emit d = a := f !a d in
-    let plain ev = emit { d_ev = ev; d_unit = None; d_home = 0 } in
-    let mem addr cls = plain (Trace.Mem_access { addr; cls }) in
-    let rt ev = plain (Trace.Runtime_event ev) in
-    {
-      v_instr =
-        (fun i pc -> plain (Trace.Instr { pc; source = source_of_index i }));
-      v_cycles = (fun unstalled stall -> plain (Trace.Cycles { unstalled; stall }));
-      v_fram_read =
-        (fun hit addr -> mem addr (Trace.Fram_read { hit; ifetch = false }));
-      v_fram_ifetch =
-        (fun hit addr home ->
-          emit
-            {
-              d_ev =
-                Trace.Mem_access
-                  { addr; cls = Trace.Fram_read { hit; ifetch = true } };
-              d_unit = None;
-              d_home = home;
-            });
-      v_fram_write = (fun addr -> mem addr Trace.Fram_write);
-      v_sram_read = (fun addr -> mem addr (Trace.Sram_read { ifetch = false }));
-      v_sram_ifetch =
-        (fun addr home ->
-          emit
-            {
-              d_ev =
-                Trace.Mem_access
-                  { addr; cls = Trace.Sram_read { ifetch = true } };
-              d_unit = None;
-              d_home = home;
-            });
-      v_sram_write = (fun addr -> mem addr Trace.Sram_write);
-      v_periph = (fun addr -> mem addr Trace.Periph_access);
-      v_call =
-        (fun target u ->
-          emit
-            {
-              d_ev = Trace.Call { target };
-              d_unit = (if u < 0 then None else Some u);
-              d_home = 0;
-            });
-      v_return = (fun () -> plain Trace.Return);
-      v_miss_enter = (fun runtime -> rt (Trace.Miss_enter { runtime }));
-      v_miss_exit =
-        (fun runtime disposition fid ->
-          rt (Trace.Miss_exit { runtime; disposition; fid }));
-      v_eviction = (fun fid -> rt (Trace.Eviction { fid }));
-      v_freeze = (fun on -> rt (Trace.Freeze { on }));
-      v_cache_flush = (fun () -> rt Trace.Cache_flush);
-      v_block_load = (fun nvm -> rt (Trace.Block_load { nvm }));
-      v_prefetch = (fun fid -> rt (Trace.Prefetch { fid }));
-      v_phase = (fun name -> rt (Trace.Phase { name }));
-    }
-  in
-  match iter path ~make with
-  | Error e -> Error e
-  | Ok (header, count) -> (
-      match !acc with
-      | Some a -> Ok (!a, header, count)
-      | None -> assert false)

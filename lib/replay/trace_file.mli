@@ -1,15 +1,16 @@
 (** Compact binary trace format for the trace-once, simulate-many
     replayer.
 
-    A trace file captures one complete run's {!Msp430.Trace} observer
+    A trace file captures one complete run's {!Msp430.Trace.sink}
     stream — every counted instruction fetch and data access with its
     address and access class, the cycle accruals, call/return edges,
-    runtime cache events and phase markers — plus, per event, the
-    answers the harness's runtime hooks gave while the machine was
-    live (resolved call targets, NVM home addresses). Those recorded
-    answers are what let a replay reproduce the executed
+    runtime cache events and phase markers — together with the
+    runtime-hook answers the sink carried while the machine was live
+    (a call's cached unit, an instruction fetch's NVM home). Those
+    recorded answers are what let a replay reproduce the executed
     {!Observe.Metrics} series and miss-ratio curve byte-for-byte
-    without a machine to query.
+    without a machine to query. Writing and reading share the one
+    sink interface: the writer is a sink, and [iter] drives one.
 
     Layout: magic ["SWTR"], a 16-bit format version, a
     length-prefixed JSON header describing the recording
@@ -59,25 +60,15 @@ val error_message : error -> string
 
 type writer
 
-(** Runtime-hook answers recorded alongside the raw events: the
-    results of {!Observe.Metrics.hooks}' [h_call_unit] (on [Call])
-    and [h_ifetch_home] (on instruction-fetch reads), queried while
-    the machine is live. *)
-type enrich = {
-  en_call_unit : int -> int option;
-  en_ifetch_home : int -> int;
-}
-
-val null_enrich : enrich
-
 val create_writer : string -> header -> writer
 (** [create_writer path header] opens [path] for writing and emits
     magic, version and header. *)
 
-val recorder : writer -> enrich -> Msp430.Trace.event -> unit
-(** The observer to attach (via {!Msp430.Trace.add_observer}): encodes
-    each event, consulting [enrich] only where the format stores hook
-    answers. *)
+val sink : writer -> Msp430.Trace.sink
+(** The writer as a sink: each callback encodes one event, with the
+    home and unit answers it is given (install it through the
+    harness, whose enrichment adapter supplies the caching runtime's
+    answers). *)
 
 val events_written : writer -> int
 
@@ -90,17 +81,6 @@ val discard_writer : writer -> unit
 
 (** {2 Reading} *)
 
-(** One decoded event with its recorded hook answers. [d_unit] is
-    meaningful on [Call] events (the recorded [h_call_unit] of the
-    target); [d_home] on instruction-fetch reads (the recorded
-    [h_ifetch_home] of the address — equal to the address itself
-    outside any cache region). *)
-type decoded = {
-  d_ev : Msp430.Trace.event;
-  d_unit : int option;
-  d_home : int;
-}
-
 (** Readers stream the file through one fixed 64 KiB buffer, so their
     memory does not grow with the trace size. A length field is checked
     against the bytes left before anything is allocated: a corrupt one
@@ -110,49 +90,16 @@ val read_header : string -> (header, error) result
 (** Decode just the header (cheap; reads the first buffer only, not
     the event stream). *)
 
-(** Flat per-event callbacks for [iter]. The decode loop calls these
-    directly without materializing [Trace.event] values, so a visitor
-    scan allocates nothing per event — this is the fast path replay
-    analyses are built on. Addresses and program counters arrive
-    delta-reconstructed; [v_call]'s second argument is the recorded
-    unit id or [-1] when none was recorded; home addresses equal the
-    access address outside any cache region. *)
-type visitor = {
-  v_instr : int -> int -> unit;  (** source index, pc *)
-  v_cycles : int -> int -> unit;  (** unstalled, stall *)
-  v_fram_read : bool -> int -> unit;  (** hit, addr (data read) *)
-  v_fram_ifetch : bool -> int -> int -> unit;  (** hit, addr, home *)
-  v_fram_write : int -> unit;
-  v_sram_read : int -> unit;
-  v_sram_ifetch : int -> int -> unit;  (** addr, home *)
-  v_sram_write : int -> unit;
-  v_periph : int -> unit;
-  v_call : int -> int -> unit;  (** target, unit (-1 when unrecorded) *)
-  v_return : unit -> unit;
-  v_miss_enter : string -> unit;
-  v_miss_exit : string -> string -> int -> unit;
-      (** runtime, disposition, fid *)
-  v_eviction : int -> unit;
-  v_freeze : bool -> unit;
-  v_cache_flush : unit -> unit;
-  v_block_load : int -> unit;
-  v_prefetch : int -> unit;
-  v_phase : string -> unit;
-}
-
-val iter : string -> make:(header -> visitor) -> (header * int, error) result
-(** [iter path ~make] decodes the header, builds a visitor from it and
-    streams every event through the visitor's callbacks in recording
-    order. Returns the header and event count; same error conditions
-    as {!fold} (which is a wrapper over this loop). *)
-
-val fold :
+val iter :
   string ->
-  init:(header -> 'a) ->
-  f:('a -> decoded -> 'a) ->
-  ('a * header * int, error) result
-(** [fold path ~init ~f] streams every event through [f] in recording
-    order; [init] receives the header first. Returns the final
-    accumulator, the header and the event count; [Error] on bad
-    magic, version skew, truncation or corruption (including an event
-    count that disagrees with the end marker). *)
+  make:(header -> Msp430.Trace.sink) ->
+  (header * int, error) result
+(** [iter path ~make] decodes the header, builds a sink from it and
+    streams every event through the sink's callbacks in recording
+    order, with the recorded home and unit answers. The decode loop
+    calls the callbacks directly and builds no {!Msp430.Trace.event},
+    so a scan allocates nothing per event — the fast path replay
+    analyses are built on, and the same interface a live run feeds.
+    Returns the header and event count; [Error] on bad magic, version
+    skew, truncation or corruption (including an event count that
+    disagrees with the end marker). *)

@@ -87,16 +87,15 @@ let stats t = t.stats
    handler's pattern: counted FRAM ifetch + unstalled cycles). *)
 let charge t n =
   let stats = Memory.stats t.mem in
-  let observed = Trace.has_observer stats in
+  let sink = stats.Trace.sink in
   for _ = 1 to n do
     let cur = t.handler_cursor in
     Memory.begin_instruction t.mem;
-    if observed then begin
-      Trace.emit stats
-        (Trace.Instr { pc = arena_base + cur; source = Trace.Handler });
-      ignore (Memory.read_word t.mem ~purpose:Memory.Ifetch (arena_base + cur))
-    end
-    else ignore (Memory.fetch_word_fram t.mem (arena_base + cur));
+    (match sink with
+    | Some s ->
+        s.Trace.instr (Trace.source_index Trace.Handler) (arena_base + cur);
+        ignore (Memory.read_word t.mem ~purpose:Memory.Ifetch (arena_base + cur))
+    | None -> ignore (Memory.fetch_word_fram t.mem (arena_base + cur)));
     Trace.count_instr stats Trace.Handler;
     Trace.add_unstalled stats Costs.cycles_per_instr;
     t.handler_cursor <- (cur + 2) mod handler_bytes

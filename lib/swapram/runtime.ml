@@ -68,9 +68,8 @@ let cached_function_at t addr =
   | Some fid -> Some fid
   | None -> owner (Cache.pinned_entries t.cache)
 
-let emit_rt t ev =
-  let stats = Memory.stats t.mem in
-  if Trace.has_observer stats then Trace.emit stats (Trace.Runtime_event ev)
+let emit_rt t f =
+  match (Memory.stats t.mem).Trace.sink with Some s -> f s | None -> ()
 
 (* --- Charged micro-operations --------------------------------------- *)
 
@@ -90,17 +89,17 @@ let charge t source n =
           fun c -> t.handler_cursor <- c )
   in
   let stats = Memory.stats t.mem in
-  let observed = Trace.has_observer stats in
+  let sink = stats.Trace.sink in
   for _ = 1 to n do
     let cur = cursor_get () in
     Memory.begin_instruction t.mem;
     (* The handler/memcpy regions live in reserved FRAM, so the
        unobserved path can take the specialized counted fetch. *)
-    if observed then begin
-      Trace.emit stats (Trace.Instr { pc = region_base + cur; source });
-      ignore (Memory.read_word t.mem ~purpose:Memory.Ifetch (region_base + cur))
-    end
-    else ignore (Memory.fetch_word_fram t.mem (region_base + cur));
+    (match sink with
+    | Some s ->
+        s.Trace.instr (Trace.source_index source) (region_base + cur);
+        ignore (Memory.read_word t.mem ~purpose:Memory.Ifetch (region_base + cur))
+    | None -> ignore (Memory.fetch_word_fram t.mem (region_base + cur)));
     Trace.count_instr stats source;
     Trace.add_unstalled stats Costs.cycles_per_instr;
     cursor_set ((cur + 2) mod region_size)
@@ -127,7 +126,7 @@ let retarget_relocs t fid ~base =
 
 let evict_function t (entry : Cache.entry) =
   charge t Trace.Handler Costs.evict_instrs;
-  emit_rt t (Trace.Eviction { fid = entry.Cache.fid });
+  emit_rt t (fun s -> s.Trace.eviction entry.Cache.fid);
   t.stats.evictions <- t.stats.evictions + 1;
   write_word t (t.addrs.a_redirect + (2 * entry.Cache.fid)) Config.miss_handler_trap;
   let nvm = functab_nvm t entry.Cache.fid in
@@ -170,7 +169,7 @@ let rec prefetch_callees t fid budget =
                 retarget_relocs t callee ~base:addr;
                 write_word t (t.addrs.a_redirect + (2 * callee)) addr;
                 t.stats.prefetches <- t.stats.prefetches + 1;
-                emit_rt t (Trace.Prefetch { fid = callee });
+                emit_rt t (fun s -> s.Trace.prefetch callee);
                 prefetch_callees t callee (budget - 1);
                 go (budget - 1) rest
             | Cache.Place _ | Cache.Too_large -> go budget rest
@@ -215,15 +214,15 @@ let abort_to_nvm t ~fid ~nvm =
   | Some (threshold, window)
     when t.freeze_left = 0 && t.consecutive_aborts >= threshold ->
       t.freeze_left <- window;
-      emit_rt t (Trace.Freeze { on = true })
+      emit_rt t (fun s -> s.Trace.freeze true)
   | _ -> ());
-  emit_rt t (Trace.Miss_exit { runtime = "swapram"; disposition = "nvm"; fid });
+  emit_rt t (fun s -> s.Trace.miss_exit "swapram" "nvm" fid);
   Cpu.Goto nvm
 
 let on_miss t cpu =
   ignore cpu;
   t.stats.misses <- t.stats.misses + 1;
-  emit_rt t (Trace.Miss_enter { runtime = "swapram" });
+  emit_rt t (fun s -> s.Trace.miss_enter "swapram");
   charge t Trace.Handler Costs.handler_entry_instrs;
   let fid = read_word t t.addrs.a_funcid in
   let nvm = functab_nvm t fid in
@@ -232,10 +231,9 @@ let on_miss t cpu =
     (* freeze mode: execute from NVM without touching the cache *)
     t.freeze_left <- t.freeze_left - 1;
     t.stats.frozen_misses <- t.stats.frozen_misses + 1;
-    if t.freeze_left = 0 then emit_rt t (Trace.Freeze { on = false });
+    if t.freeze_left = 0 then emit_rt t (fun s -> s.Trace.freeze false);
     charge t Trace.Handler Costs.abort_instrs;
-    emit_rt t
-      (Trace.Miss_exit { runtime = "swapram"; disposition = "frozen"; fid });
+    emit_rt t (fun s -> s.Trace.miss_exit "swapram" "frozen" fid);
     Cpu.Goto nvm
   end
   else begin
@@ -257,9 +255,7 @@ let on_miss t cpu =
           abort_restoring ();
           t.stats.too_large <- t.stats.too_large + 1;
           charge t Trace.Handler Costs.abort_instrs;
-          emit_rt t
-            (Trace.Miss_exit
-               { runtime = "swapram"; disposition = "too-large"; fid });
+          emit_rt t (fun s -> s.Trace.miss_exit "swapram" "too-large" fid);
           Cpu.Goto nvm
       | Cache.Place { addr; evict } -> (
           (* call-stack integrity: never evict an active function *)
@@ -285,9 +281,7 @@ let on_miss t cpu =
                 t.options.Config.debug_checks
                 && not (Cache.check_invariants t.cache)
               then failwith "SwapRAM cache invariant violated";
-              emit_rt t
-                (Trace.Miss_exit
-                   { runtime = "swapram"; disposition = "cached"; fid });
+              emit_rt t (fun s -> s.Trace.miss_exit "swapram" "cached" fid);
               Cpu.Goto addr
           | _ :: _ when attempts > 0 && t.options.Config.policy = Cache.Circular_queue
             ->

@@ -19,9 +19,9 @@ module FS = Faultinject.Schedule
 
 (* Everything simulated a completed run exposes; host timing and the
    observation attachment (compared separately) are excluded. The
-   observer closure is blanked so the counters compare structurally
+   sink's closures are blanked so the counters compare structurally
    even on observed runs. *)
-let stats_sig (s : Trace.t) = { s with Trace.observer = None }
+let stats_sig (s : Trace.t) = { s with Trace.sink = None }
 
 let result_sig (r : T.result) =
   ( stats_sig r.T.stats,

@@ -163,8 +163,7 @@ let prop_event_ring_wraparound =
       let ring = Observe.Events.create ~capacity stats in
       for i = 0 to n - 1 do
         stats.Trace.unstalled_cycles <- i;
-        Observe.Events.observer ring
-          (Trace.Runtime_event (Trace.Phase { name = string_of_int i }))
+        (Observe.Events.sink ring).Trace.phase (string_of_int i)
       done;
       let got =
         List.map
@@ -291,11 +290,11 @@ let unit_checks =
             if addr = 0x4242 then Some hostile else None);
         let stats = Trace.create () in
         let ring = Observe.Events.create ~capacity:16 stats in
-        Observe.Events.observer ring (Trace.Call { target = 0x4242 });
+        let sink = Observe.Events.sink ring in
+        sink.Trace.call 0x4242 (-1);
         stats.Trace.unstalled_cycles <- 5;
-        Observe.Events.observer ring
-          (Trace.Runtime_event (Trace.Phase { name = hostile }));
-        Observe.Events.observer ring Trace.Return;
+        sink.Trace.phase hostile;
+        sink.Trace.return ();
         let doc = Observe.Chrome.export ~symtab ring in
         (* every byte outside printable ASCII must have been escaped *)
         String.iter
@@ -330,6 +329,39 @@ let unit_checks =
           (Observe.Symtab.name_of symtab 0x0002));
   ]
 
+(* The shadow stack holds at most 128 callers. Calls nested past that
+   are counted, not pushed, so their returns must not pop a live
+   caller: after 130 nested calls and 2 returns, the next
+   instruction's folded key still holds all 128 callers (plus its own
+   frame). *)
+let profiler_depth_cap_test () =
+  let symtab =
+    Observe.Symtab.of_image
+      (Masm.Assembler.assemble
+         (Minic.Driver.program_of_source "int main(void) { return 0; }"))
+  in
+  let profiler = Observe.Profiler.create symtab in
+  let sink = Observe.Profiler.sink profiler in
+  let pc i = 0x0100 + (2 * i) in
+  for i = 0 to 129 do
+    sink.Trace.instr 0 (pc i);
+    sink.Trace.call (pc (i + 1)) (-1)
+  done;
+  sink.Trace.return ();
+  sink.Trace.return ();
+  sink.Trace.instr 0 (pc 200);
+  sink.Trace.cycles 7777 0;
+  match
+    List.find_opt
+      (fun line -> String.ends_with ~suffix:" 7777" line)
+      (Observe.Profiler.folded_lines profiler)
+  with
+  | None -> Alcotest.fail "no folded line for the last instruction"
+  | Some line ->
+      Alcotest.(check int)
+        "frames in the folded key" 129
+        (List.length (String.split_on_char ';' line))
+
 let suite =
   unit_checks
   @ [
@@ -337,4 +369,6 @@ let suite =
       QCheck_alcotest.to_alcotest prop_conservation_block;
       QCheck_alcotest.to_alcotest prop_observation_is_pure;
       QCheck_alcotest.to_alcotest prop_event_ring_wraparound;
+      Alcotest.test_case "profiler shadow stack survives its depth cap" `Quick
+        profiler_depth_cap_test;
     ]

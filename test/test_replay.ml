@@ -36,6 +36,7 @@ let config_for b system =
     match system with
     | "swapram" -> Toolchain.Swapram_cache Swapram.Config.default_options
     | "block" -> Toolchain.Block_cache Blockcache.Config.default_options
+    | "baseline" -> Toolchain.Baseline
     | _ -> assert false
   in
   { (Toolchain.default_config b) with Toolchain.caching }
@@ -205,28 +206,77 @@ let roundtrip_header =
     fingerprint = 123456789;
   }
 
-(* Deterministic enrichment stand-ins; the property checks the decoded
-   side-channel values against the same functions. *)
-let roundtrip_enrich =
-  {
-    Trace_file.en_call_unit =
-      (fun t -> if t land 3 = 0 then Some ((t lsr 2) land 15) else None);
-    en_ifetch_home = (fun a -> a land lnot 63);
-  }
+(* Deterministic hook-answer stand-ins; the property checks the decoded
+   answers against the same functions. *)
+let call_unit t = if t land 3 = 0 then (t lsr 2) land 15 else -1
+let ifetch_home a = a land lnot 63
+
+(* Feed one stored event to a sink, with the answers above: what the
+   emit sites and the enrichment adapter do on a live run. *)
+let feed (s : Trace.sink) (ev : Trace.event) =
+  match ev with
+  | Trace.Instr { pc; source } -> s.Trace.instr (Trace.source_index source) pc
+  | Trace.Cycles { unstalled; stall } -> s.Trace.cycles unstalled stall
+  | Trace.Mem_access { addr; cls } -> (
+      match cls with
+      | Trace.Fram_read { hit; ifetch = false } -> s.Trace.fram_read hit addr
+      | Trace.Fram_read { hit; ifetch = true } ->
+          s.Trace.fram_ifetch hit addr (ifetch_home addr)
+      | Trace.Fram_write -> s.Trace.fram_write addr
+      | Trace.Sram_read { ifetch = false } -> s.Trace.sram_read addr
+      | Trace.Sram_read { ifetch = true } ->
+          s.Trace.sram_ifetch addr (ifetch_home addr)
+      | Trace.Sram_write -> s.Trace.sram_write addr
+      | Trace.Periph_access -> s.Trace.periph addr)
+  | Trace.Call { target } -> s.Trace.call target (call_unit target)
+  | Trace.Return -> s.Trace.return ()
+  | Trace.Runtime_event rev -> (
+      match rev with
+      | Trace.Miss_enter { runtime } -> s.Trace.miss_enter runtime
+      | Trace.Miss_exit { runtime; disposition; fid } ->
+          s.Trace.miss_exit runtime disposition fid
+      | Trace.Eviction { fid } -> s.Trace.eviction fid
+      | Trace.Freeze { on } -> s.Trace.freeze on
+      | Trace.Cache_flush -> s.Trace.cache_flush ()
+      | Trace.Block_load { nvm } -> s.Trace.block_load nvm
+      | Trace.Prefetch { fid } -> s.Trace.prefetch fid
+      | Trace.Phase { name } -> s.Trace.phase name)
 
 let record_events ?(header = roundtrip_header) path events =
   let w = Trace_file.create_writer path header in
-  List.iter (Trace_file.recorder w roundtrip_enrich) events;
+  List.iter (feed (Trace_file.sink w)) events;
   Trace_file.close_writer w
 
+(* Every event of [path] as a value through [Trace.event_sink], paired
+   with its recorded answer: the unit of a call, the home of an
+   instruction fetch, 0 otherwise. *)
 let decode_all path =
-  match
-    Trace_file.fold path
-      ~init:(fun h -> (h, []))
-      ~f:(fun (h, acc) d -> (h, d :: acc))
-  with
+  let acc = ref [] and answer = ref 0 in
+  let make _ =
+    let s =
+      Trace.event_sink (fun ev ->
+          acc := (ev, !answer) :: !acc;
+          answer := 0)
+    in
+    {
+      s with
+      Trace.fram_ifetch =
+        (fun hit addr home ->
+          answer := home;
+          s.Trace.fram_ifetch hit addr home);
+      sram_ifetch =
+        (fun addr home ->
+          answer := home;
+          s.Trace.sram_ifetch addr home);
+      call =
+        (fun target u ->
+          answer := u;
+          s.Trace.call target u);
+    }
+  in
+  match Trace_file.iter path ~make with
   | Error e -> Error e
-  | Ok ((h, rev), _, count) -> Ok (h, List.rev rev, count)
+  | Ok (h, count) -> Ok (h, List.rev !acc, count)
 
 let prop_format_roundtrip =
   QCheck2.Test.make ~count:200 ~name:"encode -> decode is the identity"
@@ -245,15 +295,13 @@ let prop_format_roundtrip =
                   (List.length events)
               else begin
                 List.iter2
-                  (fun ev (d : Trace_file.decoded) ->
-                    if d.Trace_file.d_ev <> ev then
+                  (fun ev (decoded_ev, answer) ->
+                    if decoded_ev <> ev then
                       QCheck2.Test.fail_reportf "event did not round-trip";
                     (match ev with
                     | Trace.Call { target } ->
-                        if
-                          d.Trace_file.d_unit
-                          <> roundtrip_enrich.Trace_file.en_call_unit target
-                        then QCheck2.Test.fail_reportf "call unit mismatch"
+                        if answer <> call_unit target then
+                          QCheck2.Test.fail_reportf "call unit mismatch"
                     | _ -> ());
                     match ev with
                     | Trace.Mem_access
@@ -263,10 +311,8 @@ let prop_format_roundtrip =
                             ( Trace.Fram_read { ifetch = true; _ }
                             | Trace.Sram_read { ifetch = true } );
                         } ->
-                        if
-                          d.Trace_file.d_home
-                          <> roundtrip_enrich.Trace_file.en_ifetch_home addr
-                        then QCheck2.Test.fail_reportf "ifetch home mismatch"
+                        if answer <> ifetch_home addr then
+                          QCheck2.Test.fail_reportf "ifetch home mismatch"
                     | _ -> ())
                   events decoded;
                 true
@@ -402,23 +448,34 @@ let record_tiny ?system path =
   | Toolchain.Did_not_fit msg ->
       Alcotest.failf "tiny recording did not fit: %s" msg
 
+(* One snapshot per system: the SwapRAM recording carries call units,
+   the block-cache one line-granular ifetch homes, the baseline the
+   machine's own answers. *)
 let golden_trace_test () =
-  with_temp_trace (fun trace ->
-      ignore (record_tiny trace);
-      let fresh = read_file trace in
-      (* dune runtest runs from _build/default/test; dune exec from the
-         repo root — resolve whichever layout we're in (as test_golden). *)
-      let golden =
-        if Sys.file_exists "golden" then "golden/replay_tiny.trace"
-        else Filename.concat "test" "golden/replay_tiny.trace"
-      in
-      let pinned = read_file golden in
-      if not (String.equal fresh pinned) then
-        Alcotest.failf
-          "recorded trace differs from golden snapshot (%d vs %d bytes); \
-           format changes must bump Trace_file.version and regenerate \
-           test/golden/replay_tiny.trace"
-          (String.length fresh) (String.length pinned))
+  List.iter
+    (fun (system, file) ->
+      with_temp_trace (fun trace ->
+          ignore (record_tiny ~system trace);
+          let fresh = read_file trace in
+          (* dune runtest runs from _build/default/test; dune exec from
+             the repo root — resolve whichever layout we're in (as
+             test_golden). *)
+          let golden =
+            if Sys.file_exists "golden" then Filename.concat "golden" file
+            else Filename.concat "test" (Filename.concat "golden" file)
+          in
+          let pinned = read_file golden in
+          if not (String.equal fresh pinned) then
+            Alcotest.failf
+              "%s: recorded trace differs from golden snapshot (%d vs %d \
+               bytes); format changes must bump Trace_file.version and \
+               regenerate test/golden/%s"
+              system (String.length fresh) (String.length pinned) file))
+    [
+      ("swapram", "replay_tiny.trace");
+      ("block", "replay_tiny_block.trace");
+      ("baseline", "replay_tiny_baseline.trace");
+    ]
 
 (* --- Cross-configuration validation ------------------------------------ *)
 
@@ -659,8 +716,7 @@ let fuzz_bytes =
          let data = read_file path in
          assert (String.length data > 2 * 65536);
          match decode_all path with
-         | Ok (_, decoded, _)
-           when List.map (fun d -> d.Trace_file.d_ev) decoded = events ->
+         | Ok (_, decoded, _) when List.map fst decoded = events ->
              data
          | _ -> failwith "the multi-chunk fuzz trace does not round-trip"))
 
@@ -698,7 +754,7 @@ let print_damage = function
         (List.map (fun (pos, x) -> Printf.sprintf "0x%02X at %d" x pos) l)
 
 (* Every reader over [path], each required to return rather than raise:
-   the header reader, the event loop (through [fold]) and [Engine.load]. *)
+   the header reader, the event loop (through [iter]) and [Engine.load]. *)
 let decode_results path =
   let guard what f =
     match f () with
@@ -712,7 +768,7 @@ let decode_results path =
   in
   let events =
     guard "iter" (fun () ->
-        Trace_file.fold path ~init:(fun _ -> ()) ~f:(fun () _ -> ())
+        Trace_file.iter path ~make:(fun _ -> Trace.event_sink ignore)
         |> Result.map ignore)
   in
   let load = guard "Engine.load" (fun () -> Engine.load path) in
@@ -765,12 +821,12 @@ let prop_strict_prefix_is_error =
 
 (* --- Live sampler = replayed sampler ------------------------------------- *)
 
-(* The same random events through [Metrics.observer] live (hooks answered
-   by the recording's enrichment) and through a recorded trace and
-   [Engine.replay_metrics], at function and at line granularity; small
-   windows so several close. The 16-byte lines are finer than the
-   enrichment's 64-byte homes, so a replay that bucketed the address
-   instead of its recorded home would show. *)
+(* The same random events through [Metrics.sink] live (hook answers from
+   [feed]) and through a recorded trace and [Engine.replay_metrics], at
+   function and at line granularity; small windows so several close.
+   The 16-byte lines are finer than [ifetch_home]'s 64-byte homes, so a
+   replay that bucketed the address instead of its recorded home would
+   show. *)
 let prop_live_sampler_equals_replay =
   QCheck2.Test.make ~count:100
     ~name:"live sampler = replayed sampler (random events)" gen_events
@@ -795,16 +851,11 @@ let prop_live_sampler_equals_replay =
               ~params:Msp430.Energy.point_24mhz
               ~fram:(Platform.fram_base, Platform.fram_base + Platform.fram_size)
               ~sram:(Platform.sram_base, Platform.sram_base + Platform.sram_size)
-              {
-                Observe.Metrics.h_fid_size =
-                  (fun fid ->
-                    if fid >= 0 && fid < Array.length sizes then sizes.(fid)
-                    else 0);
-                h_call_unit = roundtrip_enrich.Trace_file.en_call_unit;
-                h_ifetch_home = roundtrip_enrich.Trace_file.en_ifetch_home;
-              }
+              ~fid_size:(fun fid ->
+                if fid >= 0 && fid < Array.length sizes then sizes.(fid)
+                else 0)
           in
-          List.iter (Observe.Metrics.observer live) events;
+          List.iter (feed (Observe.Metrics.sink live)) events;
           with_temp_trace (fun path ->
               record_events ~header path events;
               match Engine.replay_metrics ~window path with
