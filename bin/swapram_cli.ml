@@ -1156,8 +1156,8 @@ let quiet_arg =
 
 let chunk_arg =
   let doc =
-    "Tasks per worker pipe round trip (0 = dynamic chunk sizing; 1 disables \
-     chunking)."
+    "Campaign shards per worker pipe round trip (0 = dynamic chunk sizing; 1 \
+     disables chunking)."
   in
   Arg.(value & opt int 0 & info [ "chunk" ] ~doc)
 
@@ -1342,7 +1342,7 @@ let dse_frontier_arg =
   Arg.(value & opt (some string) None & info [ "frontier" ] ~docv:"PATH" ~doc)
 
 let dse_cmd benchmarks systems bmin bmax bstep policies blocks mhzs seed jobs
-    chunk trace_dir resume report frontier quiet telemetry =
+    trace_dir resume report frontier quiet telemetry =
   let collect parse = function
     | [] -> Ok None
     | names ->
@@ -1424,9 +1424,7 @@ let dse_cmd benchmarks systems bmin bmax bstep policies blocks mhzs seed jobs
   | Error e -> `Error (false, e)
   | Ok workloads -> (
       match
-        Experiments.Dse.run ~jobs
-          ?chunk:(if chunk > 0 then Some chunk else None)
-          ~progress ?store:resume grid workloads
+        Experiments.Dse.run ~jobs ~progress ?store:resume grid workloads
       with
       | Error e -> `Error (false, e)
       | Ok outcome ->
@@ -1473,7 +1471,7 @@ let dse_term =
       (const dse_cmd $ dse_benchmarks_arg $ dse_systems_arg
      $ dse_budget_min_arg $ dse_budget_max_arg $ dse_budget_step_arg
      $ dse_policy_arg $ dse_block_arg $ dse_mhz_arg $ seed_arg $ jobs_arg
-     $ chunk_arg $ dse_trace_dir_arg $ dse_resume_arg $ dse_report_arg
+     $ dse_trace_dir_arg $ dse_resume_arg $ dse_report_arg
      $ dse_frontier_arg $ quiet_arg $ telemetry_arg))
 
 let run_term =
@@ -1870,8 +1868,8 @@ let cmds =
            "Design-space exploration: replay recorded traces over a grid of \
             SRAM budget x eviction policy x block size x frequency points \
             and compute exact Pareto frontiers (cycles, energy, SRAM, NVM \
-            traffic), with batched replay, chunked parallel dispatch and a \
-            persistent memo store for incremental re-runs")
+            traffic), with batched replay, one parallel task per (trace, block) \
+            group and a persistent memo store for incremental re-runs")
       dse_term;
     Cmd.v
       (Cmd.info "bench"

@@ -75,11 +75,6 @@ type workload = {
 
 let workload_name w = w.w_benchmark ^ "/" ^ w.w_system
 
-let load_or_fail trace =
-  match Engine.load_cached trace with
-  | Ok l -> l
-  | Error e -> failwith (Engine.error_message e)
-
 let caching_of_system = function
   | "swapram" -> Ok (Toolchain.Swapram_cache Swapram.Config.default_options)
   | "block" -> Ok (Toolchain.Block_cache Blockcache.Config.default_options)
@@ -170,7 +165,7 @@ let record_workloads ?(seed = 1) ?benchmarks
           let workloads =
             List.filter_map
               (Option.map (fun (bench, system, trace) ->
-                   let l = load_or_fail trace in
+                   let l = Sim_plan.load trace in
                    {
                      w_benchmark = bench;
                      w_system = system;
@@ -386,13 +381,10 @@ let effective_blocks g w =
         g.g_blocks
       |> List.sort_uniq compare
 
-(* Policy-major, then block, then budget: a workload's models form
-   contiguous same-(policy, block) budget ladders, so the contiguous
-   chunks cut for the worker pool hand [simulate_many] whole ladders:
-   LRU ones collapse into single stack-kernel passes, LFU and
-   Cost_aware ones into one cache pass per budget interval. Frontiers
-   are canonical (order-invariant), so enumeration order is free to
-   serve the batcher. *)
+(* Policy-major, then block, then budget. The planner regroups the
+   missing models by (workload, block) whatever their order, and
+   frontiers are canonical (order-invariant), so the order shows only
+   in the memo store's append order. *)
 let models_for g w =
   List.concat_map
     (fun policy ->
@@ -415,10 +407,10 @@ let key_of w (m : Engine.model) =
     sk_events = w.w_events;
     sk_budget = m.Engine.m_budget;
     sk_policy = Engine.policy_name m.Engine.m_policy;
-    sk_block = (match m.Engine.m_block with None -> 0 | Some b -> b);
+    sk_block = Option.value ~default:0 m.Engine.m_block;
   }
 
-let run ?jobs ?chunk ?(progress = Progress.null) ?store grid workloads =
+let run ?jobs ?(progress = Progress.null) ?store grid workloads =
   match validate_grid grid with
   | Error _ as e -> e
   | Ok () -> (
@@ -431,46 +423,44 @@ let run ?jobs ?chunk ?(progress = Progress.null) ?store grid workloads =
       | Ok (memo : (sim_key, Engine.sim) Store.t) -> (
           Fun.protect ~finally:(fun () -> Store.close memo) @@ fun () ->
           (* Staleness gate: each workload's on-disk trace must still
-             carry the fingerprint it was planned with. *)
-          let stale =
-            List.find_map
-              (fun w ->
-                match Trace_file.read_header w.w_trace with
+             carry the fingerprint it was planned with. The decode is
+             the one the workers inherit and the frontiers read. *)
+          let rec gate acc = function
+            | [] -> Ok (List.rev acc)
+            | w :: rest -> (
+                match Engine.load_cached w.w_trace with
                 | Error e ->
-                    Some
+                    Error
                       (Printf.sprintf "dse: %s: %s" (workload_name w)
-                         (Trace_file.error_message e))
-                | Ok h when h.Trace_file.fingerprint <> w.w_fingerprint ->
-                    Some
+                         (Engine.error_message e))
+                | Ok l
+                  when l.Engine.header.Trace_file.fingerprint
+                       <> w.w_fingerprint ->
+                    Error
                       (Printf.sprintf
                          "dse: %s: stale trace (fingerprint %d, planned %d)"
-                         (workload_name w) h.Trace_file.fingerprint
-                         w.w_fingerprint)
-                | Ok _ -> None)
-              workloads
+                         (workload_name w)
+                         l.Engine.header.Trace_file.fingerprint w.w_fingerprint)
+                | Ok l -> gate ((w, l, models_for grid w) :: acc) rest)
           in
-          match stale with
-          | Some e -> Error e
-          | None -> (
-              let per_workload =
-                List.map (fun w -> (w, models_for grid w)) workloads
-              in
-              let nfreq = List.length grid.g_frequencies in
+          match gate [] workloads with
+          | Error _ as e -> e
+          | Ok per_workload -> (
               let sims_total =
                 List.fold_left
-                  (fun acc (_, ms) -> acc + List.length ms)
+                  (fun acc (_, _, ms) -> acc + List.length ms)
                   0 per_workload
               in
-              let points_total = sims_total * nfreq in
+              let points_total = sims_total * List.length grid.g_frequencies in
               (* Partition against the store; only missing sims are
                  dispatched. *)
               let missing =
                 List.concat_map
-                  (fun (w, ms) ->
+                  (fun (w, l, ms) ->
                     List.filter_map
                       (fun m ->
                         if Store.mem memo (key_of w m) then None
-                        else Some (w, m))
+                        else Some (w, l, m))
                       ms)
                   per_workload
               in
@@ -478,73 +468,30 @@ let run ?jobs ?chunk ?(progress = Progress.null) ?store grid workloads =
               let sims_cached = sims_total - sims_computed in
               Observe.Telemetry.counter "dse.sims_computed" sims_computed;
               Observe.Telemetry.counter "dse.sims_cached" sims_cached;
-              progress
-                (Progress.Units_done
-                   {
-                     label = "dse";
-                     finished = sims_cached;
-                     total = sims_total;
-                   });
-              (* Chunk the missing (workload, model) pairs — contiguous,
-                 so each chunk stays within few workloads and the
-                 worker-side [load_cached] hit rate stays high (the
-                 parent already decoded every trace; fork inherits). *)
-              let cwidth = Parallel.chunk_size ?chunk ~jobs sims_computed in
+              let finished = ref 0 in
+              let advance n =
+                finished := !finished + n;
+                progress
+                  (Progress.Units_done
+                     {
+                       label = "dse";
+                       finished = !finished;
+                       total = sims_total;
+                     })
+              in
+              advance sims_cached;
+              (* A forked worker's collapsed-sim tally rides back with
+                 its sims; a parent-side counter would never see it. *)
               let tasks =
-                let arr = Array.of_list missing in
-                let n = Array.length arr in
-                List.init
-                  ((n + cwidth - 1) / cwidth)
-                  (fun i ->
-                    let lo = i * cwidth in
-                    Array.sub arr lo (min cwidth (n - lo)))
+                Array.of_list
+                  (Sim_plan.plan (List.map (fun (_, l, m) -> (l, m)) missing))
               in
-              let sizes =
-                Array.of_list (List.map Array.length tasks)
-              in
-              let finished = ref sims_cached in
               let on_pool ev =
                 (match ev with
                 | Parallel.Completed { task; _ } ->
-                    finished := !finished + sizes.(task);
-                    progress
-                      (Progress.Units_done
-                         {
-                           label = "dse";
-                           finished = !finished;
-                           total = sims_total;
-                         })
+                    advance (Array.length tasks.(task).Sim_plan.t_index)
                 | _ -> ());
                 Parallel.worker_progress progress ev
-              in
-              (* One chunk = one [simulate_many_collapsed] batch per
-                 workload segment within it. The chunk's collapsed-sim
-                 count rides back through the result pipe: it is
-                 tallied inside the (possibly forked) worker, where a
-                 parent-side counter would never see it. *)
-              let eval_chunk chunk =
-                let n = Array.length chunk in
-                let out = Array.make n None in
-                let ncollapsed = ref 0 in
-                let i = ref 0 in
-                while !i < n do
-                  let w, _ = chunk.(!i) in
-                  let j = ref !i in
-                  while
-                    !j < n && (fst chunk.(!j)).w_trace = w.w_trace
-                  do
-                    incr j
-                  done;
-                  let l = load_or_fail w.w_trace in
-                  let ms =
-                    List.init (!j - !i) (fun k -> snd chunk.(!i + k))
-                  in
-                  let sims, collapsed = Engine.simulate_many_collapsed l ms in
-                  List.iteri (fun k s -> out.(!i + k) <- Some s) sims;
-                  ncollapsed := !ncollapsed + collapsed;
-                  i := !j
-                done;
-                (Array.map Option.get out, !ncollapsed)
               in
               match
                 Observe.Telemetry.with_span ~cat:"dse" "simulate"
@@ -552,29 +499,19 @@ let run ?jobs ?chunk ?(progress = Progress.null) ?store grid workloads =
                     [
                       ("sims", Json.Int sims_computed);
                       ("jobs", Json.Int jobs);
-                      ("chunk", Json.Int cwidth);
+                      ("tasks", Json.Int (Array.length tasks));
                     ]
                   (fun () ->
-                    if tasks = [] then []
-                    else
-                      Parallel.map ~jobs ~retries:3 ~on_event:on_pool
-                        eval_chunk tasks)
+                    Sim_plan.run ~jobs ~retries:3 ~on_event:on_pool
+                      (Array.to_list tasks))
               with
               | exception (Failure msg | Parallel.Worker_failed msg) ->
                   Error msg
-              | results ->
+              | sims, sims_collapsed ->
                   List.iter2
-                    (fun chunk (sims, _) ->
-                      Array.iteri
-                        (fun k s ->
-                          let w, m = chunk.(k) in
-                          Store.add memo (key_of w m) s)
-                        sims)
-                    tasks results;
+                    (fun (w, _, m) s -> Store.add memo (key_of w m) s)
+                    missing sims;
                   Store.flush memo;
-                  let sims_collapsed =
-                    List.fold_left (fun acc (_, c) -> acc + c) 0 results
-                  in
                   Observe.Telemetry.counter "dse.sims_collapsed"
                     sims_collapsed;
                   (* Fan sims out into points and frontiers, entirely
@@ -586,8 +523,7 @@ let run ?jobs ?chunk ?(progress = Progress.null) ?store grid workloads =
                         let acc_all = ref [] in
                         let fronts =
                           List.map
-                            (fun (w, ms) ->
-                              let l = load_or_fail w.w_trace in
+                            (fun (w, l, ms) ->
                               let name = workload_name w in
                               let pts =
                                 List.concat_map
@@ -604,9 +540,8 @@ let run ?jobs ?chunk ?(progress = Progress.null) ?store grid workloads =
                                             Engine.policy_name
                                               m.Engine.m_policy;
                                           p_block =
-                                            (match m.Engine.m_block with
-                                            | None -> 0
-                                            | Some b -> b);
+                                            Option.value ~default:0
+                                              m.Engine.m_block;
                                           p_frequency_mhz = freq;
                                           p_obj =
                                             objectives_of l
@@ -697,9 +632,9 @@ let json ?(slim = false) grid outcome =
     ]
   in
   (* Provenance counters are a property of the run (how warm the memo
-     store was, how the pool chunked the sims), not of the design
-     space — they would break byte-identity between fresh, resumed and
-     differently sharded runs, so they live outside the slim view. *)
+     store was, hence which ladders were left to compute), not of the
+     design space — they would break byte-identity between fresh and
+     resumed runs, so they live outside the slim view. *)
   let provenance =
     if slim then []
     else

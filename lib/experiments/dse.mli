@@ -129,9 +129,10 @@ type outcome = {
   d_sims_computed : int;  (** sims actually simulated this run *)
   d_sims_cached : int;  (** sims served from the persistent store *)
   d_sims_collapsed : int;
-      (** of the computed sims, how many LRU cells were absorbed by
+      (** of the computed sims, the LRU models absorbed by
           {!Replay.Engine.simulate_all_budgets}'s single-pass stack
-          kernel instead of costing an individual cache pass *)
+          kernel: those in a (workload, block) ladder of at least two
+          budgets. Depends on store warmth, not on [jobs]. *)
   d_frontiers : frontier list;  (** per workload, workload input order *)
   d_global_frontier : point list;
       (** frontier over the union of every workload's points *)
@@ -139,23 +140,20 @@ type outcome = {
 
 val run :
   ?jobs:int ->
-  ?chunk:int ->
   ?progress:Observe.Progress.sink ->
   ?store:string ->
   grid ->
   workload list ->
   (outcome, string) result
-(** Evaluate the full grid. Missing sims (not in the [store]) are
-    sharded across forked workers in chunks of
-    {!Parallel.chunk_size} cells, grouped by workload so each chunk is
-    a handful of {!Replay.Engine.simulate_many} batches; [chunk]
-    overrides the dynamic width. [store] names the persistent memo
-    store, an {!Store} (created if absent or empty): the sims computed
-    by a run are appended once the whole pool map returns, so a run
-    killed earlier keeps only what earlier runs stored. A damaged or
-    torn tail is dropped on load. A workload whose on-disk trace no
-    longer matches its planned fingerprint is an [Error], not a silent
-    recompute. *)
+(** Evaluate the full grid. Missing sims (not in the [store]) go to
+    up to [jobs] forked workers as {!Sim_plan} tasks: one per
+    (workload, block) group, all its policy ladders, costliest first.
+    [store] names the persistent memo store, an {!Store} (created if
+    absent or empty): the sims computed by a run are appended once the
+    whole pool map returns, so a run killed earlier keeps only what
+    earlier runs stored. A damaged or torn tail is dropped on load. A
+    workload whose on-disk trace no longer matches its planned
+    fingerprint is an [Error], not a silent recompute. *)
 
 (** {2 JSON} *)
 
@@ -166,5 +164,5 @@ val json : ?slim:bool -> grid -> outcome -> Observe.Json.t
     per-workload frontiers, global frontier, point/sim counts) are
     identical for serial, parallel and resumed runs; [slim] drops the
     provenance counters ([sims_computed], [sims_cached],
-    [sims_collapsed]), which depend on memo-store warmth and on the
-    pool's chunk width. The bench report embeds the slim rendering. *)
+    [sims_collapsed]), which depend on memo-store warmth. The bench
+    report embeds the slim rendering. *)

@@ -72,6 +72,10 @@ val map :
     exponential backoff ([backoff] * 2^(attempt-1) seconds, default
     0.05) against a freshly spawned worker, up to [retries]
     re-executions per task, after which {!Worker_failed} is raised.
+    A retry redoes the whole task: a {!map_chunked} chunk (at most
+    256 items), or a {!Sim_plan} (trace, block) group of policies x
+    budgets sims (1,491 on the default DSE grid), left uncapped since
+    a split group would re-prepare its stream and restart its ladders.
     [retries] defaults to 0, so by default the map is strict: the
     first worker death raises {!Worker_failed}; long campaigns pass a
     budget to self-heal. A task that raises an exception fails
@@ -87,8 +91,8 @@ val chunk_size : ?chunk:int -> jobs:int -> int -> int
     when given (clamped to [1..n]), otherwise a dynamic size aiming
     for ~4 chunks per worker, capped at 256 items so one reply frame
     stays bounded and a crashed worker forfeits bounded progress.
-    Exposed so callers that build their own chunk tasks (the DSE
-    engine groups cells by workload first) share the policy. *)
+    Exposed so a caller can tell how many pool tasks a
+    {!map_chunked} call makes. *)
 
 val map_chunked :
   ?jobs:int ->

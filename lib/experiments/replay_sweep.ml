@@ -79,49 +79,19 @@ let reset_memo_stats () =
 
 (* --- Cell evaluation --------------------------------------------------- *)
 
-let load_or_fail trace =
-  match Engine.load_cached trace with
-  | Ok l -> l
-  | Error e -> failwith (Engine.error_message e)
-
 let model_of c =
   { Engine.m_budget = c.c_budget; m_policy = c.c_policy; m_block = c.c_block }
 
-(* Batched evaluation: one [simulate_many] call over the whole list,
-   so the reference stream is pre-bucketed once per block size and the
-   residency arrays are reused across cells. *)
-let sim_batch loaded cells =
-  List.map2
-    (fun c s -> { r_cell = c; r_sim = s })
-    cells
-    (Engine.simulate_many loaded (List.map model_of cells))
-
-(* Evaluate [cells] against [trace], sharded into contiguous chunks of
-   [Parallel.chunk_size] cells. The parent decodes the trace once
-   ([Engine.load_cached]); forked workers inherit that cache entry, so
-   no worker re-decodes — each chunk is a pure [simulate_many] batch. *)
-let eval_cells ?chunk ~jobs ~trace cells =
-  let n = List.length cells in
-  let jobs = max 1 (min jobs n) in
-  let loaded =
-    Observe.Telemetry.with_span ~cat:"replay" "load" (fun () ->
-        load_or_fail trace)
+(* Evaluate [cells] through the shared planner: one pool task per
+   block size, each one [simulate_many] batch. *)
+let eval_cells ~jobs loaded cells =
+  let sims, _ =
+    Sim_plan.run ~jobs
+      (Sim_plan.plan (List.map (fun c -> (loaded, model_of c)) cells))
   in
-  if jobs <= 1 then sim_batch loaded cells
-  else begin
-    let c = Parallel.chunk_size ?chunk ~jobs n in
-    let arr = Array.of_list cells in
-    let nchunks = (n + c - 1) / c in
-    let chunks =
-      List.init nchunks (fun i ->
-          let lo = i * c in
-          Array.to_list (Array.sub arr lo (min c (n - lo))))
-    in
-    List.concat
-      (Parallel.map ~jobs (fun chunk -> sim_batch (load_or_fail trace) chunk) chunks)
-  end
+  List.map2 (fun c s -> { r_cell = c; r_sim = s }) cells sims
 
-let replay_cells ?jobs ?chunk ?(cache = true) ?expect ~trace cells =
+let replay_cells ?jobs ?(cache = true) ?expect ~trace cells =
   let jobs = Sweep.resolve_jobs jobs in
   match Trace_file.read_header trace with
   | Error e -> Error (Trace_file.error_message e)
@@ -155,7 +125,7 @@ let replay_cells ?jobs ?chunk ?(cache = true) ?expect ~trace cells =
             let probe_events () =
               (* [load_cached]: the decode this probe pays is the same
                  one [eval_cells] will reuse for every missing cell. *)
-              let l = load_or_fail trace in
+              let l = Sim_plan.load trace in
               (l.Engine.events, l.Engine.bytes)
             in
             let events, bytes =
@@ -197,7 +167,7 @@ let replay_cells ?jobs ?chunk ?(cache = true) ?expect ~trace cells =
                       ("cells", Observe.Json.Int (List.length missing));
                       ("jobs", Observe.Json.Int jobs);
                     ]
-                  (fun () -> eval_cells ?chunk ~jobs ~trace missing)
+                  (fun () -> eval_cells ~jobs (Sim_plan.load trace) missing)
             in
             if cache then
               List.iter
@@ -341,7 +311,7 @@ let bench_pair ~seed ~frequency ~cells (bd, system_name) =
              exceed the block cache's data limit. No trace, no entry. *)
           None
       | Toolchain.Completed res -> (
-          let loaded = load_or_fail trace in
+          let loaded = Sim_plan.load trace in
           match verify_exact loaded res with
           | m :: _ ->
               failwith
@@ -355,7 +325,7 @@ let bench_pair ~seed ~frequency ~cells (bd, system_name) =
                   b_fingerprint = loaded.Engine.header.Trace_file.fingerprint;
                   b_events = loaded.Engine.events;
                   b_bytes = loaded.Engine.bytes;
-                  b_cells = sim_batch loaded cells;
+                  b_cells = eval_cells ~jobs:1 loaded cells;
                 }))
 
 let bench ?(seed = 1) ?benchmarks ?budgets ?policies ?jobs ~frequency () =

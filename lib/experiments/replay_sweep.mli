@@ -3,8 +3,8 @@
     One recorded trace per (benchmark x cached system) stands in for
     re-executing the CPU at every cache-model grid point: each cell
     is a {!Replay.Engine.simulate} call over the loaded reference
-    stream, sharded across {!Parallel} workers, microseconds instead
-    of seconds.
+    stream, batched per block size by {!Sim_plan}, microseconds
+    instead of seconds.
 
     Memoization: replayed cells are memoized like {!Sweep} cells, but
     the key is derived from the trace {e contents} — the header's
@@ -35,7 +35,6 @@ val grid : ?budgets:int list -> ?policies:Replay.Engine.policy list -> unit -> c
 
 val replay_cells :
   ?jobs:int ->
-  ?chunk:int ->
   ?cache:bool ->
   ?expect:Toolchain.config ->
   trace:string ->
@@ -44,14 +43,11 @@ val replay_cells :
 (** Evaluate every cell against the recorded trace. [expect] asserts
     the trace was recorded under exactly that configuration
     ({!Toolchain.config_fingerprint}); a mismatch is an error, not a
-    silent answer from the wrong recording. [jobs > 1] shards cells
-    across forked workers in contiguous chunks of
-    [Parallel.chunk_size] cells ([chunk] overrides the dynamic width);
-    the parent decodes the trace once with
-    {!Replay.Engine.load_cached} and workers inherit the decoded
-    statistics over fork, so no worker re-decodes. Each chunk is one
-    {!Replay.Engine.simulate_many} batch. Results are identical to a
-    serial run. [cache:false] bypasses the memo. *)
+    silent answer from the wrong recording. Missing cells go to up to
+    [jobs] forked workers as {!Sim_plan} tasks, one
+    {!Replay.Engine.simulate_many} batch per block size; workers
+    inherit the parent's decode of the trace. Results are identical
+    for every [jobs]. [cache:false] bypasses the memo. *)
 
 val clear_cache : unit -> unit
 

@@ -489,9 +489,14 @@ type sim = {
   s_miss_rate : float;
 }
 
+(* The block a batch shares one prepared stream at: a requested size
+   rounded down to a whole number of recorded lines, as [iter_runs]
+   honours it, so two requests that bucket alike share one stream. *)
 let effective_block l block =
   match (l.refs, block) with
-  | Line_refs _, Some b when b > 0 -> b
+  | Line_refs _, Some b when b > 0 ->
+      let slot = line_bytes l in
+      max 1 (b / slot) * slot
   | _ -> line_bytes l
 
 let sim_block l m = effective_block l m.m_block

@@ -182,6 +182,13 @@ val simulate_many : loaded -> model list -> sim list
     (property-tested). This is the kernel the design-space explorer
     fans out over. *)
 
+val sim_block : loaded -> model -> int
+(** The block size [model] is simulated at: its [m_block] rounded down
+    to a whole number of recorded lines (at least one), else the
+    recorded line. Function traces have no block axis and give one
+    constant. {!simulate_many} prepares one run stream per distinct
+    value. *)
+
 val simulate_many_collapsed : loaded -> model list -> sim list * int
 (** {!simulate_many} plus the number of [Lru] models whose budget axis
     was collapsed into a stack-distance pass (0 when none was) — the

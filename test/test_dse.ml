@@ -5,9 +5,11 @@
    selection against linear-scan references (random run streams and a
    real Table-2 trace), the MRC tracker against per-budget LRU where
    no unit is bypassed, chunked parallel dispatch against List.map,
-   serial = parallel = chunked frontier identity end-to-end, and the
-   persistent memo store (warm re-runs compute nothing; a stale trace
-   is an error, not a silent recompute), and the LFU / Cost_aware
+   the (trace, block) planner (an exact partition, costliest first,
+   sims = List.map simulate), frontier identity across worker counts
+   end-to-end, and the persistent memo store (warm re-runs compute
+   nothing, a partially warm one computes the rest; a stale trace is
+   an error, not a silent recompute), and the LFU / Cost_aware
    budget intervals (a pass at B equals the reference at every budget
    below its [hi]; interval ladders equal per-budget passes). *)
 
@@ -373,6 +375,70 @@ let prop_map_chunked =
       Parallel.map_chunked ~jobs ?chunk (fun x -> (x * x) + 1) xs
       = List.map (fun x -> (x * x) + 1) xs)
 
+(* --- The (trace, block) planner -------------------------------------------- *)
+
+(* The two tiny recordings, made and decoded once per process when the
+   planner property first runs (workers exit without running
+   [at_exit]). *)
+let planner_traces =
+  lazy
+    (let paths =
+       [| Filename.temp_file "dse-test-" ".trace";
+          Filename.temp_file "dse-test-" ".trace" |]
+     in
+     at_exit (fun () ->
+         Array.iter (fun p -> try Sys.remove p with Sys_error _ -> ()) paths);
+     ignore (Test_replay.record_tiny paths.(0));
+     ignore (Test_replay.record_tiny ~system:"block" paths.(1));
+     Array.map (fun p -> Result.get_ok (Engine.load p)) paths)
+
+let prop_planner =
+  let module P = Experiments.Sim_plan in
+  QCheck2.Test.make ~count:15
+    ~name:"planner: (trace, block) partition, costliest first, = List.map"
+    QCheck2.Gen.(
+      pair
+        (list_size (int_range 0 24) (pair (int_range 0 1) gen_model))
+        (int_range 1 3))
+    (fun (picks, jobs) ->
+      let traces = Lazy.force planner_traces in
+      let pairs = List.map (fun (k, m) -> (traces.(k), m)) picks in
+      let arr = Array.of_list pairs in
+      let tasks = P.plan pairs in
+      let indices =
+        List.concat_map (fun (t : P.task) -> Array.to_list t.t_index) tasks
+      in
+      if List.sort compare indices <> List.init (Array.length arr) Fun.id then
+        QCheck2.Test.fail_report "tasks do not partition the input";
+      List.iter
+        (fun (t : P.task) ->
+          Array.iter
+            (fun i ->
+              let l, m = arr.(i) in
+              if l != t.t_loaded || Engine.sim_block l m <> t.t_block then
+                QCheck2.Test.fail_report "a task mixes traces or blocks")
+            t.t_index)
+        tasks;
+      let rec sorted = function
+        | (a : P.task) :: (b :: _ as rest) -> a.t_cost >= b.t_cost && sorted rest
+        | _ -> true
+      in
+      if not (sorted tasks) then QCheck2.Test.fail_report "cost increases";
+      (* a task's LRU models are one ladder, collapsed from two up *)
+      let lru_ladders =
+        List.fold_left
+          (fun acc (t : P.task) ->
+            let k =
+              List.length
+                (List.filter (fun m -> m.Engine.m_policy = Engine.Lru) t.t_models)
+            in
+            if k >= 2 then acc + k else acc)
+          0 tasks
+      in
+      let sims, collapsed = P.run ~jobs tasks in
+      collapsed = lru_ladders
+      && sims = List.map (fun (l, m) -> Engine.simulate l m) pairs)
+
 (* --- End-to-end: serial = parallel = chunked frontiers ------------------- *)
 
 let workload_of ~benchmark ~system trace =
@@ -412,27 +478,32 @@ let with_tiny_workloads f =
 let slim_json grid outcome =
   Json.to_string_pretty (Dse.json ~slim:true grid outcome)
 
-let run_exn ?jobs ?chunk ?store workloads =
-  match Dse.run ?jobs ?chunk ?store tiny_grid workloads with
+let run_exn ?(grid = tiny_grid) ?jobs ?store workloads =
+  match Dse.run ?jobs ?store grid workloads with
   | Ok o -> o
   | Error e -> Alcotest.failf "dse run: %s" e
 
+(* Any worker count gives the serial frontiers, and a cold run's
+   collapsed-LRU count is fixed by the (workload, block) ladders, not
+   by how the pool spread them. *)
 let execution_invariance_test () =
   with_tiny_workloads (fun workloads ->
       let serial = run_exn ~jobs:1 workloads in
-      let parallel = run_exn ~jobs:3 workloads in
-      let chunked = run_exn ~jobs:2 ~chunk:2 workloads in
-      Alcotest.(check string)
-        "parallel = serial"
-        (slim_json tiny_grid serial)
-        (slim_json tiny_grid parallel);
-      Alcotest.(check string)
-        "chunked = serial"
-        (slim_json tiny_grid serial)
-        (slim_json tiny_grid chunked);
+      List.iter
+        (fun jobs ->
+          let o = run_exn ~jobs workloads in
+          Alcotest.(check string)
+            (Printf.sprintf "jobs %d = serial" jobs)
+            (slim_json tiny_grid serial)
+            (slim_json tiny_grid o);
+          Alcotest.(check int)
+            (Printf.sprintf "jobs %d collapses as many sims" jobs)
+            serial.Dse.d_sims_collapsed o.Dse.d_sims_collapsed)
+        [ 2; 3 ];
       Alcotest.(check bool)
         "grid evaluated" true
-        (serial.Dse.d_points_total > 0 && serial.Dse.d_sims_total > 0))
+        (serial.Dse.d_points_total > 0 && serial.Dse.d_sims_total > 0
+       && serial.Dse.d_sims_collapsed > 0))
 
 (* --- Persistent memo store ---------------------------------------------- *)
 
@@ -459,6 +530,30 @@ let warm_store_test () =
             "warm frontier = cold frontier"
             (slim_json tiny_grid cold)
             (slim_json tiny_grid warm)))
+
+(* A store seeded by a sub-grid (half the budgets, LRU only) leaves the
+   full run partial ladders to compute; at any worker count it must
+   compute exactly the rest and reproduce a cold serial run. *)
+let partial_store_test () =
+  with_tiny_workloads (fun workloads ->
+      let cold = run_exn ~jobs:1 workloads in
+      let seed_grid =
+        { tiny_grid with Dse.g_budgets = [ 64; 256 ]; g_policies = [ Engine.Lru ] }
+      in
+      List.iter
+        (fun jobs ->
+          with_temp_store (fun store ->
+              let seeded = run_exn ~grid:seed_grid ~jobs:1 ~store workloads in
+              let o = run_exn ~jobs ~store workloads in
+              Alcotest.(check string)
+                (Printf.sprintf "jobs %d over a partial store = cold serial"
+                   jobs)
+                (slim_json tiny_grid cold) (slim_json tiny_grid o);
+              Alcotest.(check int)
+                (Printf.sprintf "jobs %d computes only the missing sims" jobs)
+                (o.Dse.d_sims_total - seeded.Dse.d_sims_total)
+                o.Dse.d_sims_computed))
+        [ 1; 3 ])
 
 (* A workload whose on-disk trace was re-recorded under a different
    configuration no longer matches its planned fingerprint: the run
@@ -544,4 +639,7 @@ let suite =
       `Quick stack_compaction_test;
     QCheck_alcotest.to_alcotest prop_interval;
     QCheck_alcotest.to_alcotest prop_ladder;
+    QCheck_alcotest.to_alcotest prop_planner;
+    Alcotest.test_case "partially warm store = cold serial run" `Quick
+      partial_store_test;
   ]
