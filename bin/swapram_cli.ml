@@ -55,7 +55,8 @@ let engine_arg =
   let doc =
     "Simulator execution engine: superblock (default), reference, or — for \
      the run command only — check, which executes the configuration under \
-     both engines and fails unless every simulated result matches exactly."
+     both engines and fails unless every simulated result matches exactly \
+     and the recordings under both engines are byte-identical."
   in
   Arg.(value & opt string "superblock" & info [ "engine" ] ~doc)
 
@@ -163,27 +164,58 @@ let with_telemetry ~command ~fields telemetry f =
             :: fields);
           Fun.protect ~finally:Observe.Telemetry.disable f)
 
-(* Toolchain.run, staged so that the CPU's engine counters can be read
-   once the run ends. *)
-let run_counting config =
+(* Toolchain.run (or run_recorded into [trace]), staged so that the
+   CPU's engine counters can be read once the run ends. *)
+let run_counting ?trace config =
   let open Experiments.Toolchain in
   match prepare config with
   | Error msg -> (Did_not_fit msg, None)
   | Ok p ->
-      boot p;
       let cpu = p.p_system.Msp430.Platform.cpu in
       let outcome =
-        match Msp430.Cpu.run ~fuel:config.fuel cpu with
-        | Msp430.Cpu.Halted -> Completed (collect p)
-        | o -> Crashed o
+        match trace with
+        | Some trace -> record_prepared ~trace p
+        | None -> (
+            boot p;
+            match Msp430.Cpu.run ~fuel:config.fuel cpu with
+            | Msp430.Cpu.Halted -> Completed (collect p)
+            | o -> Crashed o)
       in
       (outcome, Some (Msp430.Cpu.engine_counters cpu))
 
+(* The configuration recorded under [engine] to a temporary file: the
+   file's bytes on a clean halt, and the engine counters. *)
+let record_counting config engine =
+  let trace = Filename.temp_file "engine-check-" ".trace" in
+  Fun.protect
+    ~finally:(fun () -> try Sys.remove trace with Sys_error _ -> ())
+    (fun () ->
+      match
+        run_counting ~trace { config with Experiments.Toolchain.engine }
+      with
+      | Experiments.Toolchain.Completed _, Some k ->
+          Some (In_channel.with_open_bin trace In_channel.input_all, k)
+      | _ -> None)
+
+let print_counters (k : Msp430.Cpu.counters) =
+  let open Msp430.Cpu in
+  Printf.printf
+    "superblocks  : %d recorded (%d instructions), %d replayed (%d \
+     instructions)\n"
+    k.blocks_recorded k.instrs_recorded k.blocks_replayed k.instrs_replayed;
+  Printf.printf
+    "fallbacks    : %d first-word, %d extension-word; %d blocks \
+     invalidated\n"
+    k.first_word_fallbacks k.ext_word_fallbacks k.invalidations
+
 (* --engine check: execute the same configuration under the reference
    interpreter and the superblock engine, and fail unless every
-   simulated result matches exactly; then print what the superblock
-   engine did. CI's engine differential smoke step runs this; host
-   throughput is perf's msp430.minstr_per_s. *)
+   simulated result matches exactly; then record it under each engine
+   and fail unless the two trace files are byte-identical (an observed
+   run under each engine emits the same event stream). Prints what the
+   superblock engine did, unobserved and observed. CI's engine
+   differential smoke step runs this; host throughput is perf's
+   msp430.minstr_per_s. *)
 let check_engines config b seed =
   let reference =
     Experiments.Toolchain.run
@@ -195,7 +227,7 @@ let check_engines config b seed =
   in
   match (reference, superblock, counters) with
   | Experiments.Toolchain.Completed r, Experiments.Toolchain.Completed s, Some k
-    ->
+    -> (
       let open Experiments.Toolchain in
       let mismatches =
         List.filter_map
@@ -215,28 +247,39 @@ let check_engines config b seed =
             Printf.sprintf "engines disagree on %s: %s"
               b.Workloads.Bench_def.name
               (String.concat ", " mismatches) )
-      else begin
-        Printf.printf "benchmark    : %s (seed %d)\n" b.Workloads.Bench_def.name
-          seed;
-        Printf.printf "cycles       : %d (both engines)\n"
-          (Trace.total_cycles r.stats);
-        Printf.printf "instructions : %d (both engines)\n"
-          r.stats.Trace.instructions;
-        Printf.printf "energy       : %.1f uJ (both engines)\n"
-          (r.energy.Msp430.Energy.energy_nj /. 1000.0);
-        Printf.printf "check        : OK — simulated results identical\n";
-        let open Msp430.Cpu in
-        Printf.printf
-          "superblocks  : %d recorded (%d instructions), %d replayed (%d \
-           instructions)\n"
-          k.blocks_recorded k.instrs_recorded k.blocks_replayed
-          k.instrs_replayed;
-        Printf.printf
-          "fallbacks    : %d first-word, %d extension-word; %d blocks \
-           invalidated\n"
-          k.first_word_fallbacks k.ext_word_fallbacks k.invalidations;
-        `Ok ()
-      end
+      else
+        match
+          ( record_counting config Msp430.Cpu.Reference,
+            record_counting config Msp430.Cpu.Superblock )
+        with
+        | None, _ | _, None ->
+            `Error (false, "engine check: a recorded run did not complete")
+        | Some (ref_trace, _), Some (sb_trace, observed) ->
+            if not (String.equal ref_trace sb_trace) then
+              `Error
+                ( false,
+                  Printf.sprintf
+                    "engines record different traces of %s (%d vs %d bytes)"
+                    b.Workloads.Bench_def.name (String.length ref_trace)
+                    (String.length sb_trace) )
+            else begin
+              Printf.printf "benchmark    : %s (seed %d)\n"
+                b.Workloads.Bench_def.name seed;
+              Printf.printf "cycles       : %d (both engines)\n"
+                (Trace.total_cycles r.stats);
+              Printf.printf "instructions : %d (both engines)\n"
+                r.stats.Trace.instructions;
+              Printf.printf "energy       : %.1f uJ (both engines)\n"
+                (r.energy.Msp430.Energy.energy_nj /. 1000.0);
+              Printf.printf "check        : OK — simulated results identical\n";
+              print_counters k;
+              Printf.printf
+                "recording    : OK — %d bytes, identical under both engines\n"
+                (String.length sb_trace);
+              Printf.printf "observed run :\n";
+              print_counters observed;
+              `Ok ()
+            end)
   | _ ->
       `Error
         ( false,

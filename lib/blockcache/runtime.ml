@@ -53,17 +53,24 @@ let emit_rt t f =
 
 (* Host-side dynamic symbolizer for the observability layer: translate
    a pc inside an SRAM slot back to the NVM address of the cached
-   block's corresponding word. Pure inspection — no counted accesses. *)
-let cached_block_at t addr =
+   block's corresponding word, or [default] when no filled slot holds
+   it. Pure inspection — no counted accesses. *)
+let home_or t addr ~default =
   let base = t.options.Config.cache_base in
   let slot_size = t.manifest.Transform.slot_size in
   let span = t.manifest.Transform.num_slots * slot_size in
-  if addr < base || addr >= base + span then None
+  if addr < base || addr >= base + span then default
   else
     let slot = (addr - base) / slot_size in
     let owner = t.slot_owners.(slot) in
-    if owner < 0 then None
-    else Some (owner + (addr - (base + (slot * slot_size))))
+    if owner < 0 then default
+    else owner + (addr - (base + (slot * slot_size)))
+
+let cached_block_at t addr =
+  let home = home_or t addr ~default:(-1) in
+  if home < 0 then None else Some home
+
+let cached_home t addr = home_or t addr ~default:addr
 
 let charge t source n =
   let base, size, get, set =

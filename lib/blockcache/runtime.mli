@@ -33,6 +33,11 @@ val cached_block_at : t -> int -> int option
     holds a block — the observability layer's dynamic symbolizer.
     Pure host-side inspection: no counted accesses, no perturbation. *)
 
+val cached_home : t -> int -> int
+(** [cached_block_at] without the option: the NVM home, or the
+    address itself when no slot holds it. Allocation-free, for the
+    per-fetch trace enrichment. *)
+
 val reboot : t -> image:Masm.Assembler.t -> unit
 (** Power-loss recovery, mirroring [Swapram.Runtime.reboot]: restore
     the FRAM hash table and CFI id word to their post-link values and

@@ -176,12 +176,7 @@ let unit_context ~swapram ~block =
               match Blockcache.Runtime.cached_block_at rt a with
               | Some nvm -> nvm / slot
               | None -> -1)
-            ~ifetch_home:
-              (Some
-                 (fun a ->
-                   match Blockcache.Runtime.cached_block_at rt a with
-                   | Some nvm -> nvm
-                   | None -> a));
+            ~ifetch_home:(Some (Blockcache.Runtime.cached_home rt));
       }
   | None, None -> no_unit_context
 
@@ -666,43 +661,47 @@ let recording_header uc config =
     fingerprint = config_fingerprint config;
   }
 
-(* Record a run into [trace]: prepare as usual (any ?observe stack
-   attaches first), snapshot the unit context, then install the writer
-   next to the observation's sinks, behind one enrichment. Attaching a
-   sink forces the cycle-identical reference engine, so a recorded
-   run's results equal an observed one's. The file is completed only
-   on a clean halt; crashed or non-fitting runs leave no trace file
+(* Record a prepared, unbooted system into [trace]: snapshot the unit
+   context, install the writer next to the observation's sinks (any
+   ?observe stack attached at [prepare]), behind one enrichment, then
+   boot and run on the configured engine. Both engines emit the same
+   event stream, so the file is the same bytes under either, and a
+   recorded run's results equal an unobserved one's. The file is
+   completed only on a clean halt; crashed runs leave no trace file
    behind. *)
+let record_prepared ~trace p =
+  let config = p.p_config in
+  let uc =
+    unit_context
+      ~swapram:
+        (match (p.p_swapram, p.p_sr_manifest) with
+        | Some rt, Some m -> Some (rt, m)
+        | _ -> None)
+      ~block:p.p_block
+  in
+  let w = Replay.Trace_file.create_writer trace (recording_header uc config) in
+  let writer = Replay.Trace_file.sink w in
+  Trace.set_sink
+    (Memory.stats p.p_system.Platform.memory)
+    (Some
+       (uc.uc_enrich
+          (match p.p_observation with
+          | Some o -> Trace.tee o.o_sink writer
+          | None -> writer)));
+  boot p;
+  match Cpu.run ~fuel:config.fuel p.p_system.Platform.cpu with
+  | Cpu.Halted ->
+      Replay.Trace_file.close_writer w;
+      Completed (collect p)
+  | (Cpu.Fuel_exhausted | Cpu.Faulted _ | Cpu.Power_lost) as o ->
+      Replay.Trace_file.discard_writer w;
+      Crashed o
+
 let run_recorded ?observe ~trace config =
   phase_span config "record" @@ fun () ->
   match prepare ?observe config with
   | Error msg -> Did_not_fit msg
-  | Ok p -> (
-      let uc =
-        unit_context
-          ~swapram:
-            (match (p.p_swapram, p.p_sr_manifest) with
-            | Some rt, Some m -> Some (rt, m)
-            | _ -> None)
-          ~block:p.p_block
-      in
-      let w = Replay.Trace_file.create_writer trace (recording_header uc config) in
-      let writer = Replay.Trace_file.sink w in
-      Trace.set_sink
-        (Memory.stats p.p_system.Platform.memory)
-        (Some
-           (uc.uc_enrich
-              (match p.p_observation with
-              | Some o -> Trace.tee o.o_sink writer
-              | None -> writer)));
-      boot p;
-      match Cpu.run ~fuel:config.fuel p.p_system.Platform.cpu with
-      | Cpu.Halted ->
-          Replay.Trace_file.close_writer w;
-          Completed (collect p)
-      | (Cpu.Fuel_exhausted | Cpu.Faulted _ | Cpu.Power_lost) as o ->
-          Replay.Trace_file.discard_writer w;
-          Crashed o)
+  | Ok p -> record_prepared ~trace p
 
 (* --- Profile-guided placement (train -> place -> rebuild -> measure) -- *)
 

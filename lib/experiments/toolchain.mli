@@ -142,10 +142,11 @@ val run_recorded : ?observe:observe_spec -> trace:string -> config -> outcome
 (** [run] plus the {!Replay.Trace_file} writer as one more sink, teed
     after any [?observe] sinks behind the same enrichment adapter:
     every counted event of the run lands in [trace] with the
-    runtime-hook answers a replay needs. Recording attaches a sink,
-    which forces the cycle-identical reference engine, so the returned
-    result equals an observed run's. The trace file is completed only
-    on [Completed]; otherwise it is removed. *)
+    runtime-hook answers a replay needs. The configured engine runs
+    it: both engines emit the same event stream, so the file is
+    byte-identical under either, and the returned result equals an
+    observed run's. The trace file is completed only on [Completed];
+    otherwise it is removed. [prepare] + {!record_prepared}. *)
 
 (** {2 Staged execution}
 
@@ -186,6 +187,11 @@ val reboot : prepared -> unit
 
 val collect : prepared -> result
 (** Gather statistics from the system as it stands. *)
+
+val record_prepared : trace:string -> prepared -> outcome
+(** The recording stage of {!run_recorded} on a [prepare]d, unbooted
+    system: attach the writer, [boot], run to the configured fuel,
+    [collect]. The caller can read the CPU's engine counters after. *)
 
 (** {2 Profile-guided placement} *)
 

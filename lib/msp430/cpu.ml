@@ -30,6 +30,7 @@ type sb_instr = {
   si_next : int; (* fall-through PC *)
   si_cycles : int; (* Cycles.of_instr, precomputed *)
   si_src : int; (* Trace.source_index of the classifier's result *)
+  si_ret : bool; (* the MOV @SP+, PC return idiom (see [step]) *)
   si_fetch : int;
       (* how replay fetches the words: 0 = all in SRAM, 1 = all in
          FRAM (specialized counted fetches), 2 = generic counted read
@@ -670,6 +671,15 @@ let compile pc0 instr : t -> unit =
       fun t -> if cond_holds t c then t.regs.(Isa.pc) <- target
   | Isa.I2 _ | Isa.RETI -> fun t -> exec_instr t pc0 instr
 
+(* The compiler's return idiom (MOV @SP+, PC) gives an attached
+   profiler the pop side of its shadow call stack. *)
+let is_return = function
+  | Isa.I1 (Isa.MOV, Isa.W, Isa.Sinc 1, Isa.Dreg 0) -> true
+  | _ -> false
+
+let emit_return t =
+  match t.stats.Trace.sink with None -> () | Some s -> s.Trace.return ()
+
 (* Execute one instruction (or one trap handler invocation). *)
 let step t =
   if t.halted then ()
@@ -693,12 +703,7 @@ let step t =
       t.regs.(Isa.pc) <- Word.add pc0 size;
       exec_instr t pc0 instr;
       Trace.add_unstalled t.stats (Cycles.of_instr instr);
-      (* The compiler's return idiom (MOV @SP+, PC) gives an attached
-         profiler the pop side of its shadow call stack. *)
-      (match (instr, t.stats.Trace.sink) with
-      | Isa.I1 (Isa.MOV, Isa.W, Isa.Sinc 1, Isa.Dreg 0), Some s ->
-          s.Trace.return ()
-      | _ -> ());
+      if is_return instr then emit_return t;
       if Memory.halt_requested t.mem then t.halted <- true
     end
   end
@@ -723,9 +728,14 @@ let step t =
    aggregates stay exact mid-run, flushed before any escaping
    exception (power loss, machine fault) propagates.
 
-   The engine only runs when no sink and no tracer are attached;
-   observed runs take the reference loop, which emits every event in
-   the documented order. *)
+   An observed run (a sink attached) replays the same blocks through
+   [sb_replay_loop_observed], which adds exactly the events [step]
+   emits around the compiled effect, in the same order: [instr], the
+   fetches through the emitting counted read, one [cycles] per
+   instruction and [return] for the return idiom. The compiled
+   effects emit their own accesses and [call]. Recording and the cold
+   fallback emit the same events. A tracer forces the reference
+   loop. *)
 
 let max_block_len = 48
 
@@ -749,7 +759,8 @@ let sb_terminates instr =
    hold the words already fetched (counted); decode from them, fetch
    any further words the new encoding needs, and execute with the
    reference per-instruction accounting. Mirrors [decode_at]'s
-   mismatch path: no access is counted twice. *)
+   mismatch path: no access is counted twice. The replay loop has
+   already emitted the instruction's [instr] event. *)
 let sb_cold_exec t ipc have0 =
   let ws = t.sb_ws in
   let have = ref have0 in
@@ -770,11 +781,12 @@ let sb_cold_exec t ipc have0 =
   t.regs.(Isa.pc) <- Word.add ipc size;
   exec_instr t ipc instr;
   Trace.add_unstalled t.stats (Cycles.of_instr instr);
+  if is_return instr then emit_return t;
   if Memory.halt_requested t.mem then t.halted <- true
 
 (* Record a fresh superblock starting at [pc0] by executing up to
-   [fuel] instructions with reference accounting (decode through
-   [decode_at], per-instruction counters), capturing each decoded
+   [fuel] instructions with reference accounting and events (decode
+   through [decode_at], per-instruction counters), capturing each decoded
    instruction. Returns the number of instructions executed. A partial
    block is stored even when an exception escapes mid-instruction:
    the completed records are a valid straight-line prefix. *)
@@ -796,6 +808,10 @@ let sb_record t pc0 fuel =
      while (not !stop) && !used < fuel && !nrec < max_block_len do
        let ipc = !cur_pc in
        Memory.begin_instruction t.mem;
+       let source = t.classify ipc in
+       (match t.stats.Trace.sink with
+       | None -> ()
+       | Some s -> s.Trace.instr (Trace.source_index source) ipc);
        let words = Array.make 3 0 in
        let nw = ref 0 in
        let fetch addr =
@@ -807,11 +823,12 @@ let sb_record t pc0 fuel =
          w
        in
        let instr, size = decode_at t fetch ipc in
-       let source = t.classify ipc in
        Trace.count_instr t.stats source;
        t.regs.(Isa.pc) <- Word.add ipc size;
        exec_instr t ipc instr;
        Trace.add_unstalled t.stats (Cycles.of_instr instr);
+       let ret = is_return instr in
+       if ret then emit_return t;
        incr used;
        let fetch_kind =
          let map = Memory.map t.mem in
@@ -838,6 +855,7 @@ let sb_record t pc0 fuel =
            si_next = Word.add ipc size;
            si_cycles = Cycles.of_instr instr;
            si_src = Trace.source_index source;
+           si_ret = ret;
            si_fetch = fetch_kind;
          }
          :: !buf;
@@ -956,19 +974,77 @@ let rec sb_replay_loop t instrs n slot i fuel =
     end
   end
 
+(* [sb_validate_ext] through the emitting counted read: the observed
+   loop's fetches must reach the sink, which the specialised fetches
+   skip. *)
+let rec sb_validate_ext_observed t si k ok =
+  if k >= si.si_nwords then ok
+  else begin
+    let w =
+      Memory.read_word t.mem ~purpose:Memory.Ifetch (si.si_pc + (2 * k))
+    in
+    t.sb_ws.(k) <- w;
+    sb_validate_ext_observed t si (k + 1) (ok && w = si.si_words.(k))
+  end
+
+(* [sb_replay_loop] for an observed run, with the events [step] emits
+   around the compiled effect in [exec_instr]'s order: [instr] before
+   the validation fetches, the fetches themselves, then one [cycles]
+   and the return idiom's [return] after the effect. Unstalled cycles
+   go through [Trace.add_unstalled] per instruction rather than the
+   batch, so a sink that reads the cycle total sees it exact. *)
+let rec sb_replay_loop_observed t instrs n slot i fuel =
+  if i >= n || fuel <= 0 then ()
+  else begin
+    let si = Array.unsafe_get instrs i in
+    Memory.begin_instruction t.mem;
+    (match t.stats.Trace.sink with
+    | None -> ()
+    | Some s -> s.Trace.instr si.si_src si.si_pc);
+    let w0 = Memory.read_word t.mem ~purpose:Memory.Ifetch si.si_pc in
+    if w0 = Array.unsafe_get si.si_words 0 then begin
+      if si.si_nwords = 1 || sb_validate_ext_observed t si 1 true then begin
+        let srcs = t.sb_srcs in
+        let k = si.si_src in
+        srcs.(k) <- srcs.(k) + 1;
+        t.sb_icount <- t.sb_icount + 1;
+        t.sb_used <- t.sb_used + 1;
+        t.regs.(Isa.pc) <- si.si_next;
+        si.si_run t;
+        Trace.add_unstalled t.stats si.si_cycles;
+        if si.si_ret then emit_return t;
+        if Memory.halt_requested t.mem then t.halted <- true
+        else sb_replay_loop_observed t instrs n slot (i + 1) (fuel - 1)
+      end
+      else begin
+        t.sb_ws.(0) <- w0;
+        t.ctr_ext_word_fallbacks <- t.ctr_ext_word_fallbacks + 1;
+        sb_fallback t si slot si.si_nwords
+      end
+    end
+    else begin
+      t.sb_ws.(0) <- w0;
+      t.ctr_first_word_fallbacks <- t.ctr_first_word_fallbacks + 1;
+      sb_fallback t si slot 1
+    end
+  end
+
 (* Replay the cached superblock, executing at most [fuel]
-   instructions. Per instruction: validate the recorded words with
-   counted fetches (the exact [decode_at] pattern), batch the
-   instruction/cycle counters, execute. Returns the number of
-   instructions executed. *)
-let sb_replay t blk fuel =
+   instructions, on the observed loop when [observed]. Per
+   instruction: validate the recorded words with counted fetches (the
+   exact [decode_at] pattern), batch the instruction/cycle counters,
+   execute. Returns the number of instructions executed. *)
+let sb_replay ~observed t blk fuel =
   let instrs = blk.sb_instrs in
   t.sb_cycles_acc <- 0;
   t.sb_icount <- 0;
   t.sb_used <- 0;
+  let n = Array.length instrs in
   let slot = (instrs.(0).si_pc land 0xFFFF) lsr 1 in
   t.ctr_blocks_replayed <- t.ctr_blocks_replayed + 1;
-  (try sb_replay_loop t instrs (Array.length instrs) slot 0 fuel
+  (try
+     if observed then sb_replay_loop_observed t instrs n slot 0 fuel
+     else sb_replay_loop t instrs n slot 0 fuel
    with e ->
      sb_flush t;
      raise e);
@@ -978,9 +1054,9 @@ let sb_replay t blk fuel =
 (* Execute from [pc0] (even, below the trap base) with the superblock
    engine; returns the number of instructions executed (>= 1 given
    fuel >= 1, so the run loop always makes progress). *)
-let sb_exec t pc0 fuel =
+let sb_exec ~observed t pc0 fuel =
   match t.sblocks.((pc0 land 0xFFFF) lsr 1) with
-  | Some blk when blk.sb_instrs.(0).si_pc = pc0 -> sb_replay t blk fuel
+  | Some blk when blk.sb_instrs.(0).si_pc = pc0 -> sb_replay ~observed t blk fuel
   | _ -> sb_record t pc0 fuel
 
 (* Power-on reset: architectural state (registers, halt latch) is
@@ -1013,12 +1089,14 @@ let outcome_name = function
    crashes the host program.
 
    Dispatches between the two engines: the reference step loop, and
-   the superblock engine when selected and nothing is observing (an
-   attached sink or tracer must see per-instruction events in the
-   documented order, which only the reference loop produces). Both
-   charge one fuel unit per instruction or trap invocation and yield
-   identical counters, memory and register state. *)
+   the superblock engine when selected and no tracer is attached (a
+   tracer needs the decoded instruction, which only [step] holds). The
+   superblock engine takes its observed loop when a sink is attached,
+   chosen once per run. Both engines charge one fuel unit per
+   instruction or trap invocation and yield identical counters,
+   memory, register state and event streams. *)
 let run ?(fuel = max_int) t =
+  let observed = Trace.has_sink t.stats in
   let rec ref_loop fuel =
     if t.halted then Halted
     else if fuel <= 0 then Fuel_exhausted
@@ -1044,17 +1122,15 @@ let run ?(fuel = max_int) t =
            fires — at exactly the instruction count the reference loop
            would fire it at. *)
         let cap = min fuel (t.hook_due - t.stats.Trace.instructions) in
-        sb_loop (fuel - sb_exec t pc0 cap)
+        sb_loop (fuel - sb_exec ~observed t pc0 cap)
       end
     end
   in
-  let use_superblock =
-    t.engine = Superblock
-    && (not (Trace.has_sink t.stats))
-    && t.tracer = None
-  in
   let faulted msg = Faulted { fault_pc = t.regs.(Isa.pc); fault_msg = msg } in
-  try if use_superblock then sb_loop fuel else ref_loop fuel with
+  try
+    if t.engine = Superblock && t.tracer = None then sb_loop fuel
+    else ref_loop fuel
+  with
   | Memory.Power_loss -> Power_lost
   | Memory.Fault msg -> faulted msg
   | Trap_missing pc -> faulted (Printf.sprintf "no trap handler at 0x%04X" pc)

@@ -32,9 +32,11 @@ val flag_v : int
     power-failure timing are bit-identical to the reference engine;
     code rewritten under the cache (SRAM copy-in, outage wipes,
     self-modifying code) is caught by the word comparison and falls
-    back to a cold decode. The superblock engine only engages when no
-    sink and no tracer are attached; observed runs always take the
-    reference loop so the event stream is complete and ordered. *)
+    back to a cold decode. An observed run (a sink attached) replays
+    the same blocks through an observed loop that emits every event
+    [step] does, in the same order, so both engines give a sink the
+    same stream and a recording the same bytes; {!run} picks the loop
+    once per run. A tracer forces the reference loop. *)
 type engine = Reference | Superblock
 
 val create : Memory.t -> t

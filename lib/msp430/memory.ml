@@ -258,9 +258,10 @@ let write_word t addr v = write t ~width:2 addr v
 let write_byte t addr v = write t ~width:1 addr v
 
 (* Specialized counted instruction-word fetches for the superblock
-   replay path. The caller guarantees: the address is even, its region
-   was established at record time (so no dispatch is needed), and no
-   sink is attached (so no event is due). Counters, stalls,
+   engine's unobserved replay loop. The caller guarantees: the address
+   is even, its region was established at record time (so no dispatch
+   is needed), and no sink is attached (so no event is due; the
+   observed loop fetches through [read_word]). Counters, stalls,
    read-cache state and the power clock advance bit-identically to
    [read ~purpose:Ifetch ~width:2], including the {!Power_loss} raise
    point before the access takes effect. *)

@@ -107,7 +107,8 @@ val write_byte : t -> int -> int -> unit
 val fetch_word_sram : t -> int -> int
 val fetch_word_fram : t -> int -> int
 (** Specialized counted instruction-word fetches for the superblock
-    replay path. Caller guarantees: even address, region established
-    at record time, no sink attached. Counters, stalls, read-cache
-    state and the power clock advance bit-identically to
-    [read ~purpose:Ifetch ~width:2]. *)
+    engine's unobserved replay loop. Caller guarantees: even address,
+    region established at record time, no sink attached (they emit no
+    event; the observed loop fetches through [read_word ~purpose:Ifetch]
+    instead). Counters, stalls, read-cache state and the power clock
+    advance bit-identically to [read ~purpose:Ifetch ~width:2]. *)

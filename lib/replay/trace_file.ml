@@ -81,21 +81,6 @@ let tag_end = 0xFE
 let zigzag n = (n lsl 1) lxor (n asr 62)
 let unzigzag u = (u lsr 1) lxor (-(u land 1))
 
-(* Top-level recursion for the same reason as [varint_loop]: an inner
-   closure would be allocated per encoded integer. *)
-let rec varint_emit buf n =
-  if n land lnot 0x7F = 0 then Buffer.add_char buf (Char.chr n)
-  else begin
-    Buffer.add_char buf (Char.chr (0x80 lor (n land 0x7F)));
-    varint_emit buf (n lsr 7)
-  end
-
-let add_varint buf n =
-  if n < 0 then invalid_arg "Trace_file: negative varint";
-  varint_emit buf n
-
-let add_signed buf n = add_varint buf (zigzag n)
-
 (* --- Header JSON ------------------------------------------------------- *)
 
 let header_json h =
@@ -184,10 +169,16 @@ let header_of_json j =
 
 (* --- Writer ------------------------------------------------------------ *)
 
+(* Events are encoded straight into one fixed byte buffer at a cursor.
+   The buffer spills to the channel once an event leaves the cursor at
+   or past [flush_threshold]; the [event_slack] bytes above it hold the
+   longest event (a tag and three nine-byte varints), so one check per
+   event is the only bounds check. *)
 type writer = {
   oc : out_channel;
   path : string;
-  buf : Buffer.t;
+  buf : Bytes.t;
+  mutable pos : int;
   intern : (string, int) Hashtbl.t;
   mutable nstrings : int;
   mutable prev_pc : int;
@@ -197,30 +188,27 @@ type writer = {
 }
 
 let flush_threshold = 1 lsl 16
+let event_slack = 64
 
-let maybe_flush w =
-  if Buffer.length w.buf >= flush_threshold then begin
-    Buffer.output_buffer w.oc w.buf;
-    Buffer.clear w.buf
-  end
+let spill w =
+  output w.oc w.buf 0 w.pos;
+  w.pos <- 0
 
 let create_writer path header =
   let oc = open_out_bin path in
-  let buf = Buffer.create flush_threshold in
-  Buffer.add_string buf magic;
-  Buffer.add_char buf (Char.chr (version land 0xFF));
-  Buffer.add_char buf (Char.chr ((version lsr 8) land 0xFF));
   let hdr = Json.to_string (header_json header) in
   let len = String.length hdr in
-  Buffer.add_char buf (Char.chr (len land 0xFF));
-  Buffer.add_char buf (Char.chr ((len lsr 8) land 0xFF));
-  Buffer.add_char buf (Char.chr ((len lsr 16) land 0xFF));
-  Buffer.add_char buf (Char.chr ((len lsr 24) land 0xFF));
-  Buffer.add_string buf hdr;
+  let preamble = Bytes.create 10 in
+  Bytes.blit_string magic 0 preamble 0 4;
+  Bytes.set_uint16_le preamble 4 version;
+  Bytes.set_int32_le preamble 6 (Int32.of_int len);
+  output_bytes oc preamble;
+  output_string oc hdr;
   {
     oc;
     path;
-    buf;
+    buf = Bytes.create (flush_threshold + event_slack);
+    pos = 0;
     intern = Hashtbl.create 16;
     nstrings = 0;
     prev_pc = 0;
@@ -229,11 +217,35 @@ let create_writer path header =
     closed = false;
   }
 
-let add_tag w t = Buffer.add_char w.buf (Char.chr t)
+let[@inline] put_byte w b =
+  Bytes.unsafe_set w.buf w.pos (Char.unsafe_chr b);
+  w.pos <- w.pos + 1
+
+(* Encodes [n] at [pos] and returns the cursor after it. Top-level
+   recursion: an inner closure would be allocated per encoded
+   integer. *)
+let rec varint_at buf pos n =
+  if n land lnot 0x7F = 0 then begin
+    Bytes.unsafe_set buf pos (Char.unsafe_chr n);
+    pos + 1
+  end
+  else begin
+    Bytes.unsafe_set buf pos (Char.unsafe_chr (0x80 lor (n land 0x7F)));
+    varint_at buf (pos + 1) (n lsr 7)
+  end
+
+let add_varint w n =
+  if n < 0 then invalid_arg "Trace_file: negative varint";
+  w.pos <- varint_at w.buf w.pos n
+
+let add_signed w n = add_varint w (zigzag n)
 
 (* Interned string id; unseen strings get a definition record first
    (ids are assigned in first-use order — deterministic). Definitions
-   must land between events, so intern BEFORE writing an event tag. *)
+   must land between events, so intern BEFORE writing an event tag. A
+   definition is the one record longer than [event_slack]: it makes
+   room for itself, and a name longer than the buffer goes straight to
+   the channel. *)
 let intern_id w s =
   match Hashtbl.find_opt w.intern s with
   | Some id -> id
@@ -241,39 +253,49 @@ let intern_id w s =
       let id = w.nstrings in
       w.nstrings <- id + 1;
       Hashtbl.add w.intern s id;
-      add_tag w tag_string_def;
-      add_varint w.buf (String.length s);
-      Buffer.add_string w.buf s;
-      add_varint w.buf id;
+      let n = String.length s in
+      if w.pos + n + event_slack > Bytes.length w.buf then spill w;
+      put_byte w tag_string_def;
+      add_varint w n;
+      if n + event_slack > Bytes.length w.buf then begin
+        spill w;
+        output_string w.oc s
+      end
+      else begin
+        Bytes.blit_string s 0 w.buf w.pos n;
+        w.pos <- w.pos + n
+      end;
+      add_varint w id;
+      if w.pos >= flush_threshold then spill w;
       id
 
 let add_addr w addr =
-  add_signed w.buf (addr - w.prev_addr);
+  add_signed w (addr - w.prev_addr);
   w.prev_addr <- addr
 
 (* Every event ends here: count it and spill a full buffer. *)
-let written w =
+let[@inline] written w =
   w.events <- w.events + 1;
-  maybe_flush w
+  if w.pos >= flush_threshold then spill w
 
 let add_ifetch w tag addr home =
-  add_tag w tag;
+  put_byte w tag;
   add_addr w addr;
-  add_signed w.buf (home - addr);
+  add_signed w (home - addr);
   written w
 
 let add_access w tag addr =
-  add_tag w tag;
+  put_byte w tag;
   add_addr w addr;
   written w
 
 let add_bare w tag =
-  add_tag w tag;
+  put_byte w tag;
   written w
 
 let add_count w tag n =
-  add_tag w tag;
-  add_varint w.buf n;
+  put_byte w tag;
+  add_varint w n;
   written w
 
 (* Strings are interned before the event tag is written. *)
@@ -285,8 +307,8 @@ let sink w =
   {
     Trace.instr =
       (fun i pc ->
-        add_tag w (tag_instr_base + i);
-        add_signed w.buf (pc - w.prev_pc);
+        put_byte w (tag_instr_base + i);
+        add_signed w (pc - w.prev_pc);
         w.prev_pc <- pc;
         written w);
     cycles =
@@ -296,9 +318,9 @@ let sink w =
           else add_count w tag_cycles_unstalled unstalled
         else if unstalled = 0 then add_count w tag_cycles_stall stall
         else begin
-          add_tag w tag_cycles_both;
-          add_varint w.buf unstalled;
-          add_varint w.buf stall;
+          put_byte w tag_cycles_both;
+          add_varint w unstalled;
+          add_varint w stall;
           written w
         end);
     fram_read =
@@ -318,9 +340,9 @@ let sink w =
       (fun target u ->
         if u < 0 then add_count w tag_call target
         else begin
-          add_tag w tag_call_unit;
-          add_varint w.buf target;
-          add_varint w.buf u;
+          put_byte w tag_call_unit;
+          add_varint w target;
+          add_varint w u;
           written w
         end);
     return = (fun () -> add_bare w tag_return);
@@ -329,10 +351,10 @@ let sink w =
       (fun runtime disposition fid ->
         let rt = intern_id w runtime in
         let disp = intern_id w disposition in
-        add_tag w tag_miss_exit;
-        add_varint w.buf rt;
-        add_varint w.buf disp;
-        add_signed w.buf fid;
+        put_byte w tag_miss_exit;
+        add_varint w rt;
+        add_varint w disp;
+        add_signed w fid;
         written w);
     eviction = (fun fid -> add_count w tag_eviction fid);
     freeze = (fun on -> add_bare w (if on then tag_freeze_on else tag_freeze_off));
@@ -347,10 +369,9 @@ let events_written w = w.events
 let close_writer w =
   if not w.closed then begin
     w.closed <- true;
-    add_tag w tag_end;
-    add_varint w.buf w.events;
-    Buffer.output_buffer w.oc w.buf;
-    Buffer.clear w.buf;
+    put_byte w tag_end;
+    add_varint w w.events;
+    spill w;
     close_out w.oc
   end
 
@@ -481,6 +502,8 @@ let intern_define s str id =
   s.tbl.(s.n) <- str;
   s.n <- s.n + 1
 
+let bad_home h = corrupt "ifetch home %d outside the address space" h
+
 (* The decode loop calls the sink's callbacks directly without
    materializing [Trace.event] values, so a scan allocates nothing per
    event. This is the hot path the record-once / replay-many speedup
@@ -490,6 +513,15 @@ let iter path ~make =
       let header = decode_preamble c in
       let v = make header in
       let strings = { tbl = [||]; n = 0 } in
+      (* Bounds from the header, so a damaged unit or home is an error
+         here rather than a huge table in a consumer: a function id
+         below the function count, a line index within the address
+         space, a home inside it ([bad_home]). *)
+      let max_unit =
+        match header.granularity with
+        | Functions sizes -> Array.length sizes - 1
+        | Lines bytes -> 0x10000 / bytes
+      in
       let prev_pc = ref 0 in
       let prev_addr = ref 0 in
       let count = ref 0 in
@@ -528,6 +560,7 @@ let iter path ~make =
         else if tag = tag_fram_ifetch_miss || tag = tag_fram_ifetch_hit then begin
           let a = addr "fram ifetch" in
           let home = a + read_signed c "fram ifetch home" in
+          if home land lnot 0xFFFF <> 0 then bad_home home;
           v.Trace.fram_ifetch (tag = tag_fram_ifetch_hit) a home
         end
         else if tag = tag_fram_write then v.Trace.fram_write (addr "fram write")
@@ -535,6 +568,7 @@ let iter path ~make =
         else if tag = tag_sram_ifetch then begin
           let a = addr "sram ifetch" in
           let home = a + read_signed c "sram ifetch home" in
+          if home land lnot 0xFFFF <> 0 then bad_home home;
           v.Trace.sram_ifetch a home
         end
         else if tag = tag_sram_write then v.Trace.sram_write (addr "sram write")
@@ -543,6 +577,7 @@ let iter path ~make =
         else if tag = tag_call_unit then begin
           let target = read_varint c "call" in
           let u = read_varint c "call unit" in
+          if u < 0 || u > max_unit then corrupt "call unit %d out of range" u;
           v.Trace.call target u
         end
         else if tag = tag_return then v.Trace.return ()

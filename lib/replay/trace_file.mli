@@ -17,7 +17,8 @@
     configuration, then tag-byte events with zigzag-varint payloads.
     Instruction and access addresses are delta-encoded against the
     previous one of their kind, strings are interned in first-use
-    order, and output is buffered, so recording a Table-2 run costs
+    order, and output is encoded at a cursor into one fixed buffer, so
+    recording a Table-2 run costs
     little over an ordinarily observed run (a few bytes per event).
     An explicit end marker carries the event count, so truncation is
     always detected. All encoding decisions are deterministic: the
@@ -102,4 +103,7 @@ val iter :
     analyses are built on, and the same interface a live run feeds.
     Returns the header and event count; [Error] on bad magic, version
     skew, truncation or corruption (including an event count that
-    disagrees with the end marker). *)
+    disagrees with the end marker, a call unit at or past the
+    header's function count, or past [0x10000 / bytes] for [Lines
+    bytes], and an instruction-fetch home outside [0..0xFFFF]), so a
+    consumer never sizes a table from a damaged id. *)

@@ -202,9 +202,10 @@ let crash_differential () =
 
 (* --- Observed runs ----------------------------------------------------- *)
 
-(* Observation forces the reference step loop, so an observed run
-   under either engine setting must be identical — including the
-   retained trace-event sequence, compared via the Chrome export. *)
+(* An observed run takes the superblock engine's observed loop, so an
+   observed run under either engine setting must be identical —
+   including the retained trace-event sequence, compared via the
+   Chrome export. *)
 let observed_differential () =
   let config =
     {
@@ -413,9 +414,18 @@ let print_replay_case c =
     (String.concat " " (Array.to_list (Array.map (Printf.sprintf "%04X") c.rc_regs)))
     c.rc_fuel c.rc_seed
 
+(* Attach a sink that stores every event; the result reads them back
+   in emission order. *)
+let collect_events stats =
+  let events = ref [] in
+  Trace.set_sink stats (Some (Trace.event_sink (fun e -> events := e :: !events)));
+  fun () -> List.rev !events
+
 (* Build the machine: random SRAM and FRAM, the instruction's words at
-   [rc_at], then a JMP back to it right after its encoded length. *)
-let run_replay_case engine c =
+   [rc_at], then a JMP back to it right after its encoded length. Run
+   it, observed when [observe]; returns the simulated result, the
+   observed events and the engine counters. *)
+let run_replay_case ?(observe = false) engine c =
   let system = Platform.create Platform.Mhz24 in
   let mem = system.Platform.memory and cpu = system.Platform.cpu in
   Cpu.set_engine cpu engine;
@@ -438,19 +448,82 @@ let run_replay_case engine c =
     (List.hd (Msp430.Encoding.encode ~addr:jmp (Isa.Jcc (Isa.JMP, -(size + 2) / 2))));
   Array.iteri (fun r v -> Cpu.set_reg cpu r v) c.rc_regs;
   Cpu.set_reg cpu Isa.pc c.rc_at;
+  let events = if observe then collect_events (Cpu.stats cpu) else fun () -> [] in
   let outcome = Cpu.run ~fuel:c.rc_fuel cpu in
-  ( outcome,
-    Array.init 16 (Cpu.reg cpu),
-    Cpu.halted cpu,
-    Cpu.stats cpu,
-    String.init 0x10000 (fun a -> Char.chr (Memory.peek_byte mem a)),
-    Memory.uart_output mem )
+  ( ( outcome,
+      Array.init 16 (Cpu.reg cpu),
+      Cpu.halted cpu,
+      stats_sig (Cpu.stats cpu),
+      String.init 0x10000 (fun a -> Char.chr (Memory.peek_byte mem a)),
+      Memory.uart_output mem ),
+    events (),
+    Cpu.engine_counters cpu )
 
 let prop_replay_matches_reference =
   QCheck2.Test.make ~count:1000
     ~name:"engines agree: one replayed instruction from random state"
     ~print:print_replay_case gen_replay_case (fun c ->
-      run_replay_case Cpu.Reference c = run_replay_case Cpu.Superblock c)
+      let result engine =
+        let r, _, _ = run_replay_case engine c in
+        r
+      in
+      result Cpu.Reference = result Cpu.Superblock)
+
+(* --- Observed event streams ----------------------------------------------
+
+   Both engines must emit the same [Trace.event_sink] stream, event for
+   event, and leave the same machine. The observed superblock runs must
+   also have replayed instructions from their records, or the property
+   would only compare recording with the reference loop. A case may
+   replay nothing (straight-line code, an early fault), so the replay
+   count is summed over the whole sample. *)
+
+let check_observed_streams ~name ~count ~print gen agree =
+  let replayed = ref 0 in
+  QCheck2.Test.check_exn
+    (QCheck2.Test.make ~count ~name ~print gen (fun x ->
+         let same, n = agree x in
+         replayed := !replayed + n;
+         same));
+  Alcotest.(check bool) (name ^ ": superblock runs replayed") true (!replayed > 0)
+
+let observed_program_run engine config =
+  match T.prepare { config with T.engine } with
+  | Error msg -> (`Did_not_fit msg, 0)
+  | Ok p ->
+      let cpu = p.T.p_system.Platform.cpu in
+      let events = collect_events (Cpu.stats cpu) in
+      T.boot p;
+      let outcome = Cpu.run ~fuel:config.T.fuel cpu in
+      ( `Ran (outcome, events (), stats_sig (Cpu.stats cpu)),
+        (Cpu.engine_counters cpu).Cpu.instrs_replayed )
+
+let observed_programs_agree () =
+  let small =
+    { Swapram.Config.default_options with Swapram.Config.cache_size = 512 }
+  in
+  check_observed_streams ~count:30
+    ~name:"engines emit the same observed event stream (random programs)"
+    ~print:(fun s -> s)
+    Test_differential.gen_program
+    (fun source ->
+      let config = T.default_config (bench_of_source source) in
+      List.fold_left
+        (fun (same, replayed) caching ->
+          let config = { config with T.caching } in
+          let r, _ = observed_program_run Cpu.Reference config in
+          let s, n = observed_program_run Cpu.Superblock config in
+          (same && r = s, replayed + n))
+        (true, 0)
+        [ T.Baseline; T.Swapram_cache small ])
+
+let observed_replay_cases_agree () =
+  check_observed_streams ~count:500
+    ~name:"engines emit the same observed event stream (one instruction)"
+    ~print:print_replay_case gen_replay_case (fun c ->
+      let r, events, _ = run_replay_case ~observe:true Cpu.Reference c in
+      let s, events', k = run_replay_case ~observe:true Cpu.Superblock c in
+      (r = s && events = events', k.Cpu.instrs_replayed))
 
 let suite =
   suite_checks
@@ -475,4 +548,10 @@ let suite =
       Alcotest.test_case "full report carries no wall-clock key" `Slow
         report_has_no_wall_clock;
       QCheck_alcotest.to_alcotest prop_replay_matches_reference;
+      Alcotest.test_case
+        "engines emit the same observed event stream (random programs)" `Quick
+        observed_programs_agree;
+      Alcotest.test_case
+        "engines emit the same observed event stream (one instruction)" `Quick
+        observed_replay_cases_agree;
     ]

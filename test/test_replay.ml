@@ -202,7 +202,9 @@ let roundtrip_header =
     system = "swapram";
     placement = "code+data FRAM";
     budget = 2048;
-    granularity = Trace_file.Functions [| 100; 220; 64 |];
+    (* one size per unit [call_unit] answers: the decoder rejects a
+       unit at or past the function count *)
+    granularity = Trace_file.Functions (Array.init 16 (fun fid -> 64 + (36 * fid)));
     fingerprint = 123456789;
   }
 
@@ -754,7 +756,9 @@ let print_damage = function
         (List.map (fun (pos, x) -> Printf.sprintf "0x%02X at %d" x pos) l)
 
 (* Every reader over [path], each required to return rather than raise:
-   the header reader, the event loop (through [iter]) and [Engine.load]. *)
+   the header reader, the event loop (through [iter]), [Engine.load],
+   the MRC rebuilt from what it loaded and [Engine.replay_metrics]. The
+   last two size tables from recorded units and homes. *)
 let decode_results path =
   let guard what f =
     match f () with
@@ -772,6 +776,8 @@ let decode_results path =
         |> Result.map ignore)
   in
   let load = guard "Engine.load" (fun () -> Engine.load path) in
+  Result.iter (fun l -> ignore (guard "Engine.mrc" (fun () -> Engine.mrc l))) load;
+  ignore (guard "Engine.replay_metrics" (fun () -> Engine.replay_metrics path));
   (header, events, load)
 
 let prop_damaged_trace_is_typed_error =
@@ -912,6 +918,128 @@ let negative_string_length_test () =
           Alcotest.failf "expected corrupt, got %s" (Trace_file.error_message e)
       | Ok _ -> Alcotest.fail "decoded a negative string length")
 
+(* A unit or home past what the header allows used to decode fine and
+   then make [Engine.mrc] and [Engine.replay_metrics] size a table from
+   it (out of memory at 2^33 units). Each damaged id is the trace's
+   only oddity; every reader must now call it corrupt. *)
+let out_of_range_ids_test () =
+  let traces =
+    [
+      ( "call unit 2^33, two functions",
+        Trace_file.Functions [| 100; 220 |],
+        fun (s : Trace.sink) -> s.Trace.call 0x4500 (1 lsl 33) );
+      ( "call unit past 0x10000 / 64",
+        Trace_file.Lines 64,
+        fun s -> s.Trace.call 0x4500 ((0x10000 / 64) + 1) );
+      ( "ifetch home 2^36, 64-byte lines",
+        Trace_file.Lines 64,
+        fun s -> s.Trace.fram_ifetch false 0x4400 (1 lsl 36) );
+      ( "negative sram ifetch home",
+        Trace_file.Lines 64,
+        fun s -> s.Trace.sram_ifetch 0x2000 (-2) );
+    ]
+  in
+  List.iter
+    (fun (what, granularity, damaged) ->
+      with_temp_trace (fun path ->
+          let w =
+            Trace_file.create_writer path
+              { roundtrip_header with Trace_file.granularity }
+          in
+          let s = Trace_file.sink w in
+          s.Trace.instr 0 0x4400;
+          damaged s;
+          s.Trace.cycles 1 0;
+          Trace_file.close_writer w;
+          let corrupt = function
+            | Error (Engine.Format_error (Trace_file.Corrupt _)) -> true
+            | _ -> false
+          in
+          Alcotest.(check bool)
+            (what ^ ": iter") true
+            (match Trace_file.iter path ~make:(fun _ -> Trace.event_sink ignore) with
+            | Error (Trace_file.Corrupt _) -> true
+            | _ -> false);
+          Alcotest.(check bool)
+            (what ^ ": Engine.load") true
+            (corrupt (Engine.load path));
+          Alcotest.(check bool)
+            (what ^ ": Engine.replay_metrics") true
+            (corrupt (Engine.replay_metrics path))))
+    traces
+
+(* The superblock engine records observed runs too: the same
+   configuration recorded under each engine must give the same file,
+   byte for byte — the three golden configurations and all 15
+   exec-suite cells at seed 1. For two cells the profiler's folded
+   stacks and the metrics CSV of an observed run must agree as well. *)
+let same_file a b =
+  let chunk = 1 lsl 16 in
+  In_channel.with_open_bin a (fun ia ->
+      In_channel.with_open_bin b (fun ib ->
+          In_channel.length ia = In_channel.length ib
+          &&
+          let ba = Bytes.create chunk and bb = Bytes.create chunk in
+          let rec go () =
+            let n = In_channel.input ia ba 0 chunk in
+            n = 0
+            || (In_channel.really_input ib bb 0 n = Some ()
+               && Bytes.sub ba 0 n = Bytes.sub bb 0 n
+               && go ())
+          in
+          go ()))
+
+let engines_record_identical_test () =
+  let engines = Msp430.Cpu.[ Reference; Superblock ] in
+  let check_recording what config =
+    with_temp_trace (fun a ->
+        with_temp_trace (fun b ->
+            let record path engine =
+              match
+                Toolchain.run_recorded ~trace:path
+                  { config with Toolchain.engine }
+              with
+              | Toolchain.Completed _ -> ()
+              | _ -> Alcotest.failf "%s: recording did not complete" what
+            in
+            List.iter2 record [ a; b ] engines;
+            Alcotest.(check bool) (what ^ ": recordings identical") true
+              (same_file a b)))
+  in
+  List.iter
+    (fun system ->
+      check_recording ("golden/" ^ system) (tiny_config ~system ()))
+    [ "swapram"; "block"; "baseline" ];
+  List.iter
+    (fun b ->
+      List.iter
+        (fun system ->
+          check_recording
+            (b.Workloads.Bench_def.name ^ "/" ^ system)
+            (config_for b system))
+        [ "baseline"; "swapram"; "block" ])
+    Workloads.Suite.[ crc; rc4; aes; bitcount; rsa ];
+  List.iter
+    (fun (b, system) ->
+      let what = b.Workloads.Bench_def.name ^ "/" ^ system in
+      let observed engine =
+        match
+          Toolchain.run ~observe:Toolchain.metrics_observe
+            { (config_for b system) with Toolchain.engine }
+        with
+        | Toolchain.Completed { Toolchain.observation = Some o; _ } ->
+            ( Observe.Profiler.folded_lines o.Toolchain.o_profiler,
+              Observe.Metrics.render_csv (Option.get o.Toolchain.o_metrics) )
+        | _ -> Alcotest.failf "%s: observed run did not complete" what
+      in
+      match List.map observed engines with
+      | [ (folded_r, csv_r); (folded_s, csv_s) ] ->
+          Alcotest.(check (list string)) (what ^ ": folded stacks") folded_r
+            folded_s;
+          Alcotest.(check string) (what ^ ": metrics CSV") csv_r csv_s
+      | _ -> assert false)
+    Workloads.Suite.[ (crc, "swapram"); (aes, "block") ]
+
 let suite =
   [
     Alcotest.test_case "format round-trip errors: truncation" `Quick
@@ -948,4 +1076,8 @@ let suite =
       `Quick unsupported_frequency_test;
     Alcotest.test_case "format errors: negative string length" `Quick
       negative_string_length_test;
+    Alcotest.test_case "format errors: unit or home out of range" `Quick
+      out_of_range_ids_test;
+    Alcotest.test_case "both engines record identical traces" `Slow
+      engines_record_identical_test;
   ]
