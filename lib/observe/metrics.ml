@@ -82,6 +82,10 @@ type t = {
   mutable closed : window list; (* newest first *)
   mutable occupancy : int;
   reuse : Reuse.t option;
+  (* [Lines] mode: the pending run of consecutive fetches of one line,
+     not yet handed to [reuse] ([run_len] = 0: none). *)
+  mutable run_line : int;
+  mutable run_len : int;
 }
 
 let fresh_window ~spec ~fram_lo ~fram_hi ~sram_lo ~sram_hi start =
@@ -131,6 +135,8 @@ let create spec ~params ~fram:(fram_lo, fram_hi) ~sram:(sram_lo, sram_hi)
       (match spec.reuse with
       | No_reuse -> None
       | Functions | Lines _ -> Some (Reuse.create ()));
+    run_line = 0;
+    run_len = 0;
   }
 
 let window_cycles w = w.w_unstalled + w.w_stall
@@ -157,9 +163,30 @@ let reuse_access t ~unit_id ~bytes =
 
 (* --- The sink ----------------------------------------------------------- *)
 
+(* In [Lines] mode only instruction fetches touch the reuse stack, so
+   a run of fetches to one line — however many other events fall
+   between them — is one [Reuse.access ~len], which charges exactly what
+   the fetches would one by one. The run is handed over when the line
+   changes and before the tracker is read. *)
+let flush_run t =
+  if t.run_len > 0 then begin
+    (match (t.spec.reuse, t.reuse) with
+    | Lines n, Some r ->
+        Reuse.access r ~unit_id:t.run_line ~bytes:n ~len:t.run_len
+    | _ -> ());
+    t.run_len <- 0
+  end
+
 let line_access t home =
   match t.spec.reuse with
-  | Lines n -> reuse_access t ~unit_id:(home / n) ~bytes:n
+  | Lines n ->
+      let line = home / n in
+      if t.run_len > 0 && line = t.run_line then t.run_len <- t.run_len + 1
+      else begin
+        flush_run t;
+        t.run_line <- line;
+        t.run_len <- 1
+      end
   | Functions | No_reuse -> ()
 
 let fram_read t hit addr =
@@ -257,7 +284,10 @@ let sink t =
 
 (* --- Derived quantities ------------------------------------------------ *)
 
-let reuse_tracker t = t.reuse
+let reuse_tracker t =
+  flush_run t;
+  t.reuse
+
 let spec t = t.spec
 let occupancy t = t.occupancy
 
@@ -376,7 +406,7 @@ let render_heatmaps ?(max_rows = 24) t =
       sram_rows
 
 let render_mrc ?(budgets = default_budgets) t =
-  match t.reuse with
+  match reuse_tracker t with
   | None -> "miss-ratio curve: reuse tracking disabled\n"
   | Some r ->
       let buf = Buffer.create 512 in

@@ -101,6 +101,10 @@ val occupancy : t -> int
 
 val spec : t -> spec
 val reuse_tracker : t -> Reuse.t option
+(** The reuse tracker, brought up to date first: in [Lines] mode a run
+    of same-line fetches reaches it as one [Reuse.access ~len] when the
+    line changes, and the pending run is handed over here (and by
+    {!render_mrc}). *)
 
 (** Energy of one window in nJ, split by what drew it; the split
     components sum to [e_total] (linear model). *)

@@ -44,7 +44,9 @@ let error_message = function
 
 (* --- Tag bytes --------------------------------------------------------- *)
 
-(* 0x00-0x03 are Instr with the source index folded into the tag. *)
+(* 0x00-0x03 are Instr with the source index folded into the tag. The
+   reader's dispatch matches these values as literals (a jump table);
+   the golden traces pin both sides to this table. *)
 let tag_instr_base = 0x00
 let tag_cycles_both = 0x04
 let tag_cycles_unstalled = 0x05
@@ -384,13 +386,26 @@ let discard_writer w =
 
 (* --- Reader ------------------------------------------------------------ *)
 
-(* The reader streams the file through one fixed buffer refilled from
-   the channel, so its memory does not grow with the trace size. *)
+(* The reader streams the file through one fixed buffer, so its memory
+   does not grow with the trace size. The buffer is a window onto the
+   file: [chunk_bytes] bytes plus [max_event] bytes of look-ahead into
+   the next chunk, plus [max_event] bytes of slack. Whenever file bytes
+   remain unread the window is full, so an event starting in the first
+   [chunk_bytes] bytes lies wholly inside it; the cursor slides by one
+   chunk once it crosses that line. At the end of the file the slack
+   past the last valid byte is zero, so an event cut short decodes out
+   of zeros (every varint stops at a zero byte) and leaves the cursor
+   past [lim]: one test per event then reports the truncation, before
+   anything is validated or handed to a sink. *)
 let chunk_bytes = 1 lsl 16
+
+(* The longest event: a tag and three varints, each of at most nine
+   bytes (a tenth is a varint overflow), rounded up. *)
+let max_event = 32
 
 type cursor = {
   ic : in_channel;
-  buf : Bytes.t;
+  buf : Bytes.t; (* [chunk_bytes + 2 * max_event] *)
   mutable pos : int;
   mutable lim : int; (* valid bytes in [buf] *)
   mutable rest : int; (* file bytes not yet read into [buf] *)
@@ -400,22 +415,26 @@ let truncated what = raise (Decode (Truncated what))
 
 let remaining c = c.lim - c.pos + c.rest
 
-(* Kept out of [byte]: it runs once per chunk, not once per byte. *)
-let refill c what =
-  if c.rest = 0 then truncated what;
-  let n = if c.rest < chunk_bytes then c.rest else chunk_bytes in
+(* Reads up to [n] more file bytes into [buf] at [lim], zeroing the
+   slack after them once the file is exhausted. That is the only time
+   the slack is read, so the buffer needs no clearing when created. *)
+let read_more c n what =
+  let n = if c.rest < n then c.rest else n in
   (* The file shrinking under the reader is a truncation too. *)
-  (try really_input c.ic c.buf 0 n with End_of_file -> truncated what);
-  c.pos <- 0;
-  c.lim <- n;
-  c.rest <- c.rest - n
+  (try really_input c.ic c.buf c.lim n with End_of_file -> truncated what);
+  c.lim <- c.lim + n;
+  c.rest <- c.rest - n;
+  if c.rest = 0 then Bytes.fill c.buf c.lim max_event '\000'
 
-let byte c what =
-  if c.pos >= c.lim then refill c what;
-  (* [refill] either fills the buffer or raises, so [pos] is in bounds. *)
-  let b = Char.code (Bytes.unsafe_get c.buf c.pos) in
-  c.pos <- c.pos + 1;
-  b
+(* Slides the window one chunk on: the look-ahead moves to the front
+   and the next chunk is read behind it. Runs once per chunk, only
+   while file bytes remain (so the window is full). *)
+let slide c what =
+  let kept = c.lim - chunk_bytes in
+  Bytes.blit c.buf chunk_bytes c.buf 0 kept;
+  c.pos <- c.pos - chunk_bytes;
+  c.lim <- kept;
+  read_more c chunk_bytes what
 
 (* [n] is checked against the bytes left before anything is allocated,
    so a corrupt length field is an error, never a huge allocation. *)
@@ -425,7 +444,7 @@ let take c n what =
   let s = Bytes.create n in
   let off = ref 0 in
   while !off < n do
-    if c.pos >= c.lim then refill c what;
+    if c.pos >= c.lim then slide c what;
     let k = min (n - !off) (c.lim - c.pos) in
     Bytes.blit c.buf c.pos s !off k;
     c.pos <- c.pos + k;
@@ -433,18 +452,34 @@ let take c n what =
   done;
   Bytes.unsafe_to_string s
 
-(* Top-level recursion, not an inner [go] closure: a closure here would
-   be allocated on every call, i.e. once or twice per event on the hot
-   decode path. *)
-let rec varint_loop c what shift acc =
+(* Varints are read straight from the window with no refill test (see
+   above). Top-level recursion, not an inner closure: a closure here
+   would be allocated per call, i.e. on every event. *)
+let rec varint_loop c p shift acc =
   if shift > 62 then corrupt "varint overflow";
-  let b = byte c what in
+  let b = Char.code (Bytes.unsafe_get c.buf p) in
   let acc = acc lor ((b land 0x7F) lsl shift) in
-  if b land 0x80 = 0 then acc else varint_loop c what (shift + 7) acc
+  if b < 0x80 then begin
+    c.pos <- p + 1;
+    acc
+  end
+  else varint_loop c (p + 1) (shift + 7) acc
 
-let read_varint c what = varint_loop c what 0 0
+(* Most payloads are one byte: that case stays inline. *)
+let[@inline] varint c =
+  let p = c.pos in
+  let b = Char.code (Bytes.unsafe_get c.buf p) in
+  if b < 0x80 then begin
+    c.pos <- p + 1;
+    b
+  end
+  else varint_loop c (p + 1) 7 (b land 0x7F)
 
-let read_signed c what = unzigzag (read_varint c what)
+let[@inline] signed c = unzigzag (varint c)
+
+(* The one truncation test of an event, after its fields are read and
+   before they are checked or used. *)
+let[@inline] decoded c what = if c.pos > c.lim then truncated what
 
 (* Runs [f] on a cursor over [path]; decode and I/O failures become
    typed errors. *)
@@ -454,14 +489,17 @@ let with_cursor path f =
     Fun.protect
       ~finally:(fun () -> close_in_noerr ic)
       (fun () ->
-        f
+        let c =
           {
             ic;
-            buf = Bytes.create chunk_bytes;
+            buf = Bytes.create (chunk_bytes + (2 * max_event));
             pos = 0;
             lim = 0;
             rest = in_channel_length ic;
-          })
+          }
+        in
+        read_more c (chunk_bytes + max_event) "file";
+        f c)
   with
   | r -> Ok r
   | exception Decode e -> Error e
@@ -469,16 +507,13 @@ let with_cursor path f =
 
 let decode_preamble c =
   if remaining c < 4 || take c 4 "magic" <> magic then raise (Decode Bad_magic);
-  let v0 = byte c "version" in
-  let v1 = byte c "version" in
-  let found = v0 lor (v1 lsl 8) in
+  let found = String.get_uint16_le (take c 2 "version") 0 in
   if found <> version then
     raise (Decode (Version_mismatch { found; expected = version }));
-  let l0 = byte c "header length" in
-  let l1 = byte c "header length" in
-  let l2 = byte c "header length" in
-  let l3 = byte c "header length" in
-  let len = l0 lor (l1 lsl 8) lor (l2 lsl 16) lor (l3 lsl 24) in
+  let len =
+    Int32.to_int (String.get_int32_le (take c 4 "header length") 0)
+    land 0xFFFF_FFFF
+  in
   match Json.parse (take c len "header") with
   | Error msg -> corrupt "header JSON: %s" msg
   | Ok j -> header_of_json j
@@ -507,7 +542,8 @@ let bad_home h = corrupt "ifetch home %d outside the address space" h
 (* The decode loop calls the sink's callbacks directly without
    materializing [Trace.event] values, so a scan allocates nothing per
    event. This is the hot path the record-once / replay-many speedup
-   rests on. *)
+   rests on. The tags are matched as literals (see "Tag bytes" above),
+   which compiles to one jump table. *)
 let iter path ~make =
   with_cursor path (fun c ->
       let header = decode_preamble c in
@@ -525,97 +561,133 @@ let iter path ~make =
       let prev_pc = ref 0 in
       let prev_addr = ref 0 in
       let count = ref 0 in
-      let read_str what =
-        let id = read_varint c what in
-        intern_lookup strings id
-      in
-      let addr what =
-        let a = !prev_addr + read_signed c what in
-        prev_addr := a;
-        a
-      in
       let finished = ref false in
       while not !finished do
-        let tag = byte c "event stream" in
+        if c.pos >= chunk_bytes && c.rest > 0 then slide c "event stream";
+        let tag = Char.code (Bytes.unsafe_get c.buf c.pos) in
+        c.pos <- c.pos + 1;
         incr count;
-        if tag < 0x04 then begin
-          let pc = !prev_pc + read_signed c "instr" in
-          prev_pc := pc;
-          v.Trace.instr tag pc
-        end
-        else if tag = tag_cycles_one then v.Trace.cycles 1 0
-        else if tag = tag_cycles_unstalled then
-          v.Trace.cycles (read_varint c "cycles") 0
-        else if tag = tag_cycles_stall then
-          v.Trace.cycles 0 (read_varint c "cycles")
-        else if tag = tag_cycles_both then begin
-          let unstalled = read_varint c "cycles" in
-          let stall = read_varint c "cycles" in
-          v.Trace.cycles unstalled stall
-        end
-        else if tag = tag_fram_read_miss then
-          v.Trace.fram_read false (addr "fram read")
-        else if tag = tag_fram_read_hit then
-          v.Trace.fram_read true (addr "fram read")
-        else if tag = tag_fram_ifetch_miss || tag = tag_fram_ifetch_hit then begin
-          let a = addr "fram ifetch" in
-          let home = a + read_signed c "fram ifetch home" in
-          if home land lnot 0xFFFF <> 0 then bad_home home;
-          v.Trace.fram_ifetch (tag = tag_fram_ifetch_hit) a home
-        end
-        else if tag = tag_fram_write then v.Trace.fram_write (addr "fram write")
-        else if tag = tag_sram_read then v.Trace.sram_read (addr "sram read")
-        else if tag = tag_sram_ifetch then begin
-          let a = addr "sram ifetch" in
-          let home = a + read_signed c "sram ifetch home" in
-          if home land lnot 0xFFFF <> 0 then bad_home home;
-          v.Trace.sram_ifetch a home
-        end
-        else if tag = tag_sram_write then v.Trace.sram_write (addr "sram write")
-        else if tag = tag_periph then v.Trace.periph (addr "periph")
-        else if tag = tag_call then v.Trace.call (read_varint c "call") (-1)
-        else if tag = tag_call_unit then begin
-          let target = read_varint c "call" in
-          let u = read_varint c "call unit" in
-          if u < 0 || u > max_unit then corrupt "call unit %d out of range" u;
-          v.Trace.call target u
-        end
-        else if tag = tag_return then v.Trace.return ()
-        else if tag = tag_miss_enter then
-          v.Trace.miss_enter (read_str "miss enter")
-        else if tag = tag_miss_exit then begin
-          let runtime = read_str "miss exit" in
-          let disposition = read_str "miss exit" in
-          let fid = read_signed c "miss exit" in
-          v.Trace.miss_exit runtime disposition fid
-        end
-        else if tag = tag_eviction then
-          v.Trace.eviction (read_varint c "eviction")
-        else if tag = tag_freeze_on then v.Trace.freeze true
-        else if tag = tag_freeze_off then v.Trace.freeze false
-        else if tag = tag_cache_flush then v.Trace.cache_flush ()
-        else if tag = tag_block_load then
-          v.Trace.block_load (read_varint c "block load")
-        else if tag = tag_prefetch then
-          v.Trace.prefetch (read_varint c "prefetch")
-        else if tag = tag_phase then v.Trace.phase (read_str "phase")
-        else begin
-          decr count;
-          if tag = tag_end then begin
-            let declared = read_varint c "end marker" in
+        match tag with
+        | 0x00 | 0x01 | 0x02 | 0x03 (* instr, source index in the tag *) ->
+            let pc = !prev_pc + signed c in
+            decoded c "instr";
+            prev_pc := pc;
+            v.Trace.instr tag pc
+        | 0x04 (* cycles both *) ->
+            let unstalled = varint c in
+            let stall = varint c in
+            decoded c "cycles";
+            v.Trace.cycles unstalled stall
+        | 0x05 (* cycles unstalled *) ->
+            let unstalled = varint c in
+            decoded c "cycles";
+            v.Trace.cycles unstalled 0
+        | 0x06 (* cycles stall *) ->
+            let stall = varint c in
+            decoded c "cycles";
+            v.Trace.cycles 0 stall
+        | 0x07 (* cycles one *) -> v.Trace.cycles 1 0
+        | 0x08 | 0x09 (* fram read miss / hit *) ->
+            let a = !prev_addr + signed c in
+            decoded c "fram read";
+            prev_addr := a;
+            v.Trace.fram_read (tag = 0x09) a
+        | 0x0A | 0x0B (* fram ifetch miss / hit *) ->
+            let a = !prev_addr + signed c in
+            let home = a + signed c in
+            decoded c "fram ifetch";
+            if home land lnot 0xFFFF <> 0 then bad_home home;
+            prev_addr := a;
+            v.Trace.fram_ifetch (tag = 0x0B) a home
+        | 0x0C (* fram write *) ->
+            let a = !prev_addr + signed c in
+            decoded c "fram write";
+            prev_addr := a;
+            v.Trace.fram_write a
+        | 0x0D (* sram read *) ->
+            let a = !prev_addr + signed c in
+            decoded c "sram read";
+            prev_addr := a;
+            v.Trace.sram_read a
+        | 0x0E (* sram ifetch *) ->
+            let a = !prev_addr + signed c in
+            let home = a + signed c in
+            decoded c "sram ifetch";
+            if home land lnot 0xFFFF <> 0 then bad_home home;
+            prev_addr := a;
+            v.Trace.sram_ifetch a home
+        | 0x0F (* sram write *) ->
+            let a = !prev_addr + signed c in
+            decoded c "sram write";
+            prev_addr := a;
+            v.Trace.sram_write a
+        | 0x10 (* periph *) ->
+            let a = !prev_addr + signed c in
+            decoded c "periph";
+            prev_addr := a;
+            v.Trace.periph a
+        | 0x11 (* call *) ->
+            let target = varint c in
+            decoded c "call";
+            v.Trace.call target (-1)
+        | 0x12 (* call with unit *) ->
+            let target = varint c in
+            let u = varint c in
+            decoded c "call unit";
+            if u < 0 || u > max_unit then corrupt "call unit %d out of range" u;
+            v.Trace.call target u
+        | 0x13 (* return *) -> v.Trace.return ()
+        | 0x14 (* miss enter *) ->
+            let rt = varint c in
+            decoded c "miss enter";
+            v.Trace.miss_enter (intern_lookup strings rt)
+        | 0x15 (* miss exit *) ->
+            let rt = varint c in
+            let disp = varint c in
+            let fid = signed c in
+            decoded c "miss exit";
+            v.Trace.miss_exit (intern_lookup strings rt)
+              (intern_lookup strings disp) fid
+        | 0x16 (* eviction *) ->
+            let fid = varint c in
+            decoded c "eviction";
+            v.Trace.eviction fid
+        | 0x17 (* freeze on *) -> v.Trace.freeze true
+        | 0x18 (* freeze off *) -> v.Trace.freeze false
+        | 0x19 (* cache flush *) -> v.Trace.cache_flush ()
+        | 0x1A (* block load *) ->
+            let nvm = varint c in
+            decoded c "block load";
+            v.Trace.block_load nvm
+        | 0x1B (* prefetch *) ->
+            let fid = varint c in
+            decoded c "prefetch";
+            v.Trace.prefetch fid
+        | 0x1C (* phase *) ->
+            let id = varint c in
+            decoded c "phase";
+            v.Trace.phase (intern_lookup strings id)
+        | 0x1D (* string definition, not an event *) ->
+            decr count;
+            let len = varint c in
+            decoded c "string definition";
+            let s = take c len "string definition" in
+            if c.pos >= chunk_bytes && c.rest > 0 then
+              slide c "string definition";
+            let id = varint c in
+            decoded c "string definition";
+            intern_define strings s id
+        | 0xFE (* end marker *) ->
+            decr count;
+            let declared = varint c in
+            decoded c "end marker";
             if declared <> !count then
               corrupt "end marker declares %d events, decoded %d" declared !count;
             if remaining c <> 0 then
               corrupt "%d trailing bytes after end marker" (remaining c);
             finished := true
-          end
-          else if tag = tag_string_def then begin
-            let len = read_varint c "string definition" in
-            let s = take c len "string definition" in
-            let id = read_varint c "string definition" in
-            intern_define strings s id
-          end
-          else corrupt "unknown tag 0x%02X" tag
-        end
+        | _ ->
+            decr count;
+            corrupt "unknown tag 0x%02X" tag
       done;
       (header, !count))

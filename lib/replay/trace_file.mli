@@ -82,8 +82,17 @@ val discard_writer : writer -> unit
 
 (** {2 Reading} *)
 
-(** Readers stream the file through one fixed 64 KiB buffer, so their
-    memory does not grow with the trace size. A length field is checked
+(** Readers stream the file through one fixed buffer, a window of
+    64 KiB plus a few dozen bytes, so their memory does not grow with
+    the trace size. While file bytes remain, the window holds at least
+    one maximal event (a tag and three varints, 32 bytes) past every
+    event boundary, so an event's fields are read without a refill
+    test; the window slides one 64 KiB chunk on once the cursor
+    crosses into the look-ahead. At the end of the file the window
+    holds the file's tail followed by zeroed slack: an event cut short
+    decodes out of the zeros and leaves the cursor past the last valid
+    byte, which one check per event reports as {!Truncated} before any
+    field is validated or reaches a sink. A length field is checked
     against the bytes left before anything is allocated: a corrupt one
     is an error, never a huge allocation. *)
 
@@ -98,12 +107,17 @@ val iter :
 (** [iter path ~make] decodes the header, builds a sink from it and
     streams every event through the sink's callbacks in recording
     order, with the recorded home and unit answers. The decode loop
-    calls the callbacks directly and builds no {!Msp430.Trace.event},
-    so a scan allocates nothing per event — the fast path replay
-    analyses are built on, and the same interface a live run feeds.
-    Returns the header and event count; [Error] on bad magic, version
-    skew, truncation or corruption (including an event count that
-    disagrees with the end marker, a call unit at or past the
-    header's function count, or past [0x10000 / bytes] for [Lines
-    bytes], and an instruction-fetch home outside [0..0xFFFF]), so a
-    consumer never sizes a table from a damaged id. *)
+    reads each event from the window (see above), dispatches on its
+    tag through one jump table and calls the callbacks directly; it
+    builds no {!Msp430.Trace.event}, so a scan allocates nothing per
+    event — the fast path replay analyses are built on, and the same
+    interface a live run feeds. Each event is checked for truncation
+    once, after its fields are read: a cut event is {!Truncated} and
+    no callback sees a byte past the end of the file. Returns the
+    header and event count; [Error] on bad magic, version skew,
+    truncation or corruption (including an event count that disagrees
+    with the end marker, bytes after it, a varint over nine bytes, a
+    call unit at or past the header's function count, or past
+    [0x10000 / bytes] for [Lines bytes], and an instruction-fetch home
+    outside [0..0xFFFF]), so a consumer never sizes a table from a
+    damaged id. *)

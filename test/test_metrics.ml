@@ -158,6 +158,129 @@ let prop_energy_split =
           <= 1e-9 *. Float.max 1.0 e.Metrics.e_total)
         (Metrics.windows m))
 
+(* --- Run-coalesced line reuse = per-fetch reuse --------------------------- *)
+
+(* In [Lines] mode the sampler hands a run of same-line fetches to the
+   tracker as one [Reuse.access ~len]. Random fetch streams — straight
+   runs of two-byte steps from a random home, so runs start and end
+   mid-line — interleaved with block loads, flushes and window-closing
+   cycles, and with the tracker and the MRC read mid-stream, must leave
+   the tracker where feeding it fetch by fetch does. *)
+type line_op =
+  | Fetches of bool * int * int (* from FRAM?, first home, count *)
+  | Block_load
+  | Flush
+  | Cycles of int
+  | Read_tracker
+  | Read_mrc
+
+let gen_line_ops =
+  QCheck2.Gen.(
+    pair (oneofl [ 2; 16; 64 ])
+      (list_size (int_range 0 200)
+         (frequency
+            [
+              ( 10,
+                map3
+                  (fun fram home k -> Fetches (fram, home, k))
+                  bool (int_range 0x4400 0x4600) (int_range 1 40) );
+              (2, return Block_load);
+              (1, return Flush);
+              (3, map (fun k -> Cycles k) (int_range 1 100));
+              (1, return Read_tracker);
+              (1, return Read_mrc);
+            ])))
+
+let print_line_ops (n, ops) =
+  Printf.sprintf "lines of %d: %s" n
+    (String.concat "; "
+       (List.map
+          (function
+            | Fetches (fram, home, k) ->
+                Printf.sprintf "%s %d x%d" (if fram then "fram" else "sram") home k
+            | Block_load -> "block_load"
+            | Flush -> "flush"
+            | Cycles k -> Printf.sprintf "cycles %d" k
+            | Read_tracker -> "reuse_tracker"
+            | Read_mrc -> "render_mrc")
+          ops))
+
+let prop_line_runs_equal_per_fetch =
+  QCheck2.Test.make ~count:300 ~name:"run-coalesced line reuse = per-fetch reuse"
+    ~print:print_line_ops gen_line_ops (fun (n, ops) ->
+      let m =
+        Metrics.create
+          {
+            Metrics.window_cycles = 64;
+            buckets = 16;
+            reuse = Metrics.Lines n;
+            config_budget = 1024;
+          }
+          ~params:Energy.point_24mhz
+          ~fram:(Msp430.Platform.fram_base,
+                 Msp430.Platform.fram_base + Msp430.Platform.fram_size)
+          ~sram:(Msp430.Platform.sram_base,
+                 Msp430.Platform.sram_base + Msp430.Platform.sram_size)
+          ~fid_size:(fun _ -> 0)
+      in
+      let s = Metrics.sink m in
+      let reference = Observe.Reuse.create () in
+      let budgets = Array.of_list Metrics.default_budgets in
+      let same () =
+        match Metrics.reuse_tracker m with
+        | None -> QCheck2.Test.fail_report "reuse tracking disabled"
+        | Some t ->
+            let open Observe.Reuse in
+            accesses t = accesses reference
+            && cold_misses t = cold_misses reference
+            && units t = units reference
+            && footprint t = footprint reference
+            && measured_misses t = measured_misses reference
+            && at_budgets t budgets = at_budgets reference budgets
+            || QCheck2.Test.fail_reportf
+                 "tracker: %d accesses, %d cold, %d units; per fetch: %d, %d, %d"
+                 (accesses t) (cold_misses t) (units t) (accesses reference)
+                 (cold_misses reference) (units reference)
+      in
+      List.for_all
+        (function
+          | Fetches (fram, home, k) ->
+              for i = 0 to k - 1 do
+                let home = home + (2 * i) in
+                if fram then s.Trace.fram_ifetch false home home
+                else s.Trace.sram_ifetch Msp430.Platform.sram_base home;
+                Observe.Reuse.access reference ~unit_id:(home / n) ~bytes:n
+                  ~len:1
+              done;
+              true
+          | Block_load ->
+              s.Trace.block_load 0x4400;
+              Observe.Reuse.note_measured_miss reference;
+              true
+          | Flush ->
+              s.Trace.cache_flush ();
+              true
+          | Cycles k ->
+              s.Trace.cycles k 0;
+              true
+          | Read_tracker -> same ()
+          | Read_mrc ->
+              (* The rendered header counts the pending run too. *)
+              let expected =
+                Printf.sprintf
+                  "miss-ratio curve  (%d-byte line granularity, %d accesses, \
+                   footprint %d B, %d units)"
+                  n
+                  (Observe.Reuse.accesses reference)
+                  (Observe.Reuse.footprint reference)
+                  (Observe.Reuse.units reference)
+              in
+              let mrc = Metrics.render_mrc m in
+              List.hd (String.split_on_char '\n' mrc) = expected
+              || QCheck2.Test.fail_reportf "render_mrc: %s" mrc)
+        ops
+      && same ())
+
 (* --- Json parser round-trip -------------------------------------------- *)
 
 (* Restricted to values the emitter renders canonically (no floats —
@@ -409,6 +532,7 @@ let suite =
       QCheck_alcotest.to_alcotest prop_window_conservation_swapram;
       QCheck_alcotest.to_alcotest prop_window_conservation_block;
       QCheck_alcotest.to_alcotest prop_energy_split;
+      QCheck_alcotest.to_alcotest prop_line_runs_equal_per_fetch;
       QCheck_alcotest.to_alcotest prop_json_roundtrip;
       QCheck_alcotest.to_alcotest prop_json_roundtrip_pretty;
       gate_case_dse_missing;

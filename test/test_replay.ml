@@ -251,8 +251,9 @@ let record_events ?(header = roundtrip_header) path events =
 
 (* Every event of [path] as a value through [Trace.event_sink], paired
    with its recorded answer: the unit of a call, the home of an
-   instruction fetch, 0 otherwise. *)
-let decode_all path =
+   instruction fetch, 0 otherwise; the events come back on an error
+   too, up to where it struck. *)
+let decode_events path =
   let acc = ref [] and answer = ref 0 in
   let make _ =
     let s =
@@ -276,9 +277,13 @@ let decode_all path =
           s.Trace.call target u);
     }
   in
-  match Trace_file.iter path ~make with
-  | Error e -> Error e
-  | Ok (h, count) -> Ok (h, List.rev !acc, count)
+  let result = Trace_file.iter path ~make in
+  (result, List.rev !acc)
+
+let decode_all path =
+  match decode_events path with
+  | Error e, _ -> Error e
+  | Ok (h, count), events -> Ok (h, events, count)
 
 let prop_format_roundtrip =
   QCheck2.Test.make ~count:200 ~name:"encode -> decode is the identity"
@@ -450,6 +455,19 @@ let record_tiny ?system path =
   | Toolchain.Did_not_fit msg ->
       Alcotest.failf "tiny recording did not fit: %s" msg
 
+(* dune runtest runs from _build/default/test; dune exec from the repo
+   root — resolve whichever layout we're in (as test_golden). *)
+let golden_path file =
+  if Sys.file_exists "golden" then Filename.concat "golden" file
+  else Filename.concat "test" (Filename.concat "golden" file)
+
+let golden_traces =
+  [
+    ("swapram", "replay_tiny.trace");
+    ("block", "replay_tiny_block.trace");
+    ("baseline", "replay_tiny_baseline.trace");
+  ]
+
 (* One snapshot per system: the SwapRAM recording carries call units,
    the block-cache one line-granular ifetch homes, the baseline the
    machine's own answers. *)
@@ -459,25 +477,14 @@ let golden_trace_test () =
       with_temp_trace (fun trace ->
           ignore (record_tiny ~system trace);
           let fresh = read_file trace in
-          (* dune runtest runs from _build/default/test; dune exec from
-             the repo root — resolve whichever layout we're in (as
-             test_golden). *)
-          let golden =
-            if Sys.file_exists "golden" then Filename.concat "golden" file
-            else Filename.concat "test" (Filename.concat "golden" file)
-          in
-          let pinned = read_file golden in
+          let pinned = read_file (golden_path file) in
           if not (String.equal fresh pinned) then
             Alcotest.failf
               "%s: recorded trace differs from golden snapshot (%d vs %d \
                bytes); format changes must bump Trace_file.version and \
                regenerate test/golden/%s"
               system (String.length fresh) (String.length pinned) file))
-    [
-      ("swapram", "replay_tiny.trace");
-      ("block", "replay_tiny_block.trace");
-      ("baseline", "replay_tiny_baseline.trace");
-    ]
+    golden_traces
 
 (* --- Cross-configuration validation ------------------------------------ *)
 
@@ -722,19 +729,27 @@ let fuzz_bytes =
              data
          | _ -> failwith "the multi-chunk fuzz trace does not round-trip"))
 
-(* Offsets of the fuzz trace: anywhere, in the header, or within a few
-   bytes of a chunk boundary. Delayed so the trace is only built when a
-   fuzz test runs. *)
+(* Offsets of the fuzz trace: anywhere, in the header, within a few
+   bytes of a chunk boundary, or within 32 bytes of where the reader
+   tops up its window. The window slides at the first event boundary at
+   or past each multiple of 64 KiB, at most 32 bytes after it, and
+   reads on from 32 bytes past it; the last arm covers 32 bytes either
+   side of that span. Delayed so the trace is only built when a fuzz
+   test runs. *)
 let gen_offset =
   QCheck2.Gen.delay (fun () ->
       let open QCheck2.Gen in
       let n = String.length (Lazy.force fuzz_bytes) in
+      let near_chunk lo hi =
+        let* k = int_range 1 (n / 65536) and* d = int_range lo hi in
+        return (min (n - 1) ((k * 65536) + d))
+      in
       oneof
         [
           int_range 0 (n - 1);
           int_range 0 400;
-          (let* k = int_range 1 (n / 65536) and* d = int_range (-3) 3 in
-           return (min (n - 1) ((k * 65536) + d)));
+          near_chunk (-3) 3;
+          near_chunk (-32) 64;
         ])
 
 type damage = Cut of int | Flips of (int * int) list
@@ -824,6 +839,58 @@ let prop_strict_prefix_is_error =
                | Error (Engine.Format_error e) -> Error e
                | Error (Engine.Model_error msg) ->
                    QCheck2.Test.fail_reportf "model error: %s" msg)))
+
+(* The last event of a trace is decoded out of the reader's zeroed slack
+   when the file is cut inside it: the one place the decoder reads past
+   the valid bytes. Every cut in the last 64 bytes of each golden trace
+   and of the multi-chunk fuzz trace must be [Truncated] from the event
+   loop, [Engine.load] and [Engine.replay_metrics] alike, and the events
+   the sink saw before the error must be the uncut trace's own: none is
+   made up from the slack. *)
+let tail_truncation_test () =
+  let traces =
+    ("fuzz", Lazy.force fuzz_bytes)
+    :: List.map (fun (_, file) -> (file, read_file (golden_path file)))
+         golden_traces
+  in
+  let expect name cut what = function
+    | Error (Trace_file.Truncated _) -> ()
+    | Error e ->
+        Alcotest.failf "%s cut at %d: %s gave %s" name cut what
+          (Trace_file.error_message e)
+    | Ok () -> Alcotest.failf "%s cut at %d: %s decoded" name cut what
+  in
+  let engine = function
+    | Ok _ -> Ok ()
+    | Error (Engine.Format_error e) -> Error e
+    | Error (Engine.Model_error msg) -> Error (Trace_file.Corrupt msg)
+  in
+  let rec is_prefix = function
+    | [], _ -> true
+    | x :: xs, y :: ys -> x = y && is_prefix (xs, ys)
+    | _ :: _, [] -> false
+  in
+  List.iter
+    (fun (name, data) ->
+      let n = String.length data in
+      let all =
+        with_temp_trace (fun path ->
+            write_file path data;
+            snd (decode_events path))
+      in
+      for cut = n - 64 to n - 1 do
+        with_temp_trace (fun path ->
+            write_file path (String.sub data 0 cut);
+            let result, seen = decode_events path in
+            expect name cut "iter" (Result.map ignore result);
+            if not (is_prefix (seen, all)) then
+              Alcotest.failf "%s cut at %d: the sink saw an event the trace \
+                              does not hold" name cut;
+            expect name cut "Engine.load" (engine (Engine.load path));
+            expect name cut "Engine.replay_metrics"
+              (engine (Engine.replay_metrics path)))
+      done)
+    traces
 
 (* --- Live sampler = replayed sampler ------------------------------------- *)
 
@@ -1071,6 +1138,8 @@ let suite =
       bad_unit_size_test;
     QCheck_alcotest.to_alcotest prop_damaged_trace_is_typed_error;
     QCheck_alcotest.to_alcotest prop_strict_prefix_is_error;
+    Alcotest.test_case "every cut in a trace's last 64 bytes is truncated"
+      `Quick tail_truncation_test;
     QCheck_alcotest.to_alcotest prop_live_sampler_equals_replay;
     Alcotest.test_case "unsupported recorded frequency is a model error"
       `Quick unsupported_frequency_test;
