@@ -574,11 +574,6 @@ let alu t op sz d s =
       set_flag t flag_v (d land msb_mask sz <> 0 && s land msb_mask sz <> 0);
       r
 
-(* 16-bit address arithmetic, local to this module: dune's default
-   (dev) profile compiles with -opaque, which makes every [Word.add] an
-   out-of-line call. *)
-let[@inline] wadd a b = (a + b) land 0xFFFF
-
 let[@inline] read_data t width addr =
   Memory.read t.mem ~purpose:Memory.Data ~width addr
 
@@ -590,14 +585,14 @@ let compile_src sz src : t -> int =
   | Isa.Simm v | Isa.SimmX v ->
       let v = v land m in
       fun _ -> v
-  | Isa.Sidx (x, r) -> fun t -> read_data t width (wadd t.regs.(r) x)
+  | Isa.Sidx (x, r) -> fun t -> read_data t width (Word.add t.regs.(r) x)
   | Isa.Sind r -> fun t -> read_data t width t.regs.(r)
   | Isa.Sinc r ->
       let step = if sz = Isa.B && r >= 4 then 1 else 2 in
       fun t ->
         let a = t.regs.(r) in
         let v = read_data t width a in
-        t.regs.(r) <- wadd a step;
+        t.regs.(r) <- Word.add a step;
         v
   | Isa.Sabs a | Isa.Ssym a -> fun t -> read_data t width a
 
@@ -605,7 +600,7 @@ let compile_src sz src : t -> int =
    when [base] is negative. Evaluated after the source, so it sees an
    auto-incremented base, as [dst_location] does. *)
 let[@inline] dst_addr t base off =
-  if base < 0 then off else wadd t.regs.(base) off
+  if base < 0 then off else Word.add t.regs.(base) off
 
 (* A format-I op into the memory destination [dst_addr base off]. *)
 let compile_to_memory op sz load base off : t -> unit =

@@ -525,6 +525,119 @@ let observed_replay_cases_agree () =
       let s, events', k = run_replay_case ~observe:true Cpu.Superblock c in
       (r = s && events = events', k.Cpu.instrs_replayed))
 
+(* --- Specialised instruction fetches ---------------------------------------
+
+   The superblock engine's unobserved replay loop fetches instruction
+   words through [Memory.fetch_word_sram]/[fetch_word_fram], which skip
+   [Memory.read]'s region dispatch and sink test. On twin memories, a
+   run of them must match [read ~purpose:Ifetch ~width:2] access for
+   access: the same value, the same counters and power clock, the same
+   read-cache state (seen as the hit/miss pattern of follow-up reads)
+   and a [Power_loss] on the same access. *)
+
+type fetch_case = {
+  fc_wait_states : int;
+  fc_fram : bool; (* the fetch region: FRAM or SRAM *)
+  fc_warm : int list; (* FRAM word reads that pre-warm the read cache *)
+  fc_fetches : (bool * int) list; (* starts an instruction?, address *)
+  fc_probe : int list; (* FRAM word reads after the fetches *)
+  fc_trigger : int option; (* [After_accesses n], armed after warm-up *)
+  fc_seed : int; (* memory fill *)
+}
+
+(* Even addresses in a region, most of them inside one 32-byte window
+   so that read-cache lines are reused. *)
+let gen_even_in base size =
+  QCheck2.Gen.(
+    frequency
+      [
+        (3, map (fun i -> base + 0x100 + (2 * i)) (int_bound 15));
+        (1, map (fun i -> base + (2 * i)) (int_bound ((size / 2) - 1)));
+      ])
+
+let gen_fetch_case =
+  QCheck2.Gen.(
+    let fram = gen_even_in Platform.fram_base Platform.fram_size in
+    let* fc_wait_states = oneofl [ 0; 3 ] and* fc_fram = bool in
+    let* fc_warm = list_size (int_bound 8) fram in
+    let region =
+      if fc_fram then fram else gen_even_in Platform.sram_base Platform.sram_size
+    in
+    let* fc_fetches = list_size (int_range 1 12) (pair bool region) in
+    let* fc_probe = list_size (int_range 1 8) fram in
+    let* fc_trigger =
+      frequency [ (1, return None); (2, map Option.some (int_range 1 24)) ]
+    in
+    let* fc_seed = int_bound 0xFFFF in
+    return
+      { fc_wait_states; fc_fram; fc_warm; fc_fetches; fc_probe; fc_trigger; fc_seed })
+
+let print_fetch_case c =
+  let addrs l = String.concat " " (List.map (Printf.sprintf "%04X") l) in
+  Printf.sprintf
+    "%d wait states; %s fetches [%s]; warm [%s]; probe [%s]; trigger %s; seed %d"
+    c.fc_wait_states
+    (if c.fc_fram then "FRAM" else "SRAM")
+    (String.concat " "
+       (List.map
+          (fun (first, a) -> Printf.sprintf "%s%04X" (if first then "|" else "") a)
+          c.fc_fetches))
+    (addrs c.fc_warm) (addrs c.fc_probe)
+    (match c.fc_trigger with None -> "none" | Some n -> string_of_int n)
+    c.fc_seed
+
+(* Run [c] on a fresh memory, fetching through [fetch]: the value (or
+   [Power_loss]) of every fetch and probe read, each with the counters
+   and power clock right after it. *)
+let run_fetch_case fetch c =
+  let stats = Trace.create () in
+  let mem =
+    Memory.create ~wait_states:c.fc_wait_states ~map:Platform.fr2355_map ~stats ()
+  in
+  let rng = Random.State.make [| c.fc_seed |] in
+  Memory.load_image mem ~addr:0
+    (Bytes.init 0x10000 (fun _ -> Char.chr (Random.State.int rng 256)));
+  let read a = Memory.read mem ~purpose:Memory.Data ~width:2 a in
+  List.iter (fun a -> ignore (read a)) c.fc_warm;
+  Memory.arm_power_trigger mem
+    (Option.map (fun n -> Memory.After_accesses n) c.fc_trigger);
+  let step f a =
+    let v = match f a with v -> Some v | exception Memory.Power_loss -> None in
+    (v, stats_sig stats, Memory.access_ticks mem)
+  in
+  let fetched =
+    List.map
+      (fun (first, a) ->
+        if first then Memory.begin_instruction mem;
+        step (fetch mem) a)
+      c.fc_fetches
+  in
+  (fetched, List.map (step read) c.fc_probe)
+
+let specialised_fetches_match_read () =
+  let hits = ref 0 and losses = ref 0 in
+  QCheck2.Test.check_exn
+    (QCheck2.Test.make ~count:1000 ~name:"specialised fetches = generic Ifetch read"
+       ~print:print_fetch_case gen_fetch_case (fun c ->
+         let specialised =
+           if c.fc_fram then Memory.fetch_word_fram else Memory.fetch_word_sram
+         in
+         let generic mem a = Memory.read mem ~purpose:Memory.Ifetch ~width:2 a in
+         let fetched, probed = run_fetch_case specialised c in
+         let r = (fetched, probed) = run_fetch_case generic c in
+         ignore
+           (List.fold_left
+              (fun before (v, s, _) ->
+                if v = None then incr losses;
+                if s.Trace.fram_read_hits > before then incr hits;
+                s.Trace.fram_read_hits)
+              max_int fetched);
+         r));
+  (* The sample must reach read-cache hits and power losses mid-run,
+     or the property would only compare the common path. *)
+  Alcotest.(check bool) "fetches hit the read cache" true (!hits > 0);
+  Alcotest.(check bool) "fetches lose power" true (!losses > 0)
+
 let suite =
   suite_checks
   @ [
@@ -554,4 +667,6 @@ let suite =
       Alcotest.test_case
         "engines emit the same observed event stream (one instruction)" `Quick
         observed_replay_cases_agree;
+      Alcotest.test_case "specialised fetches = generic Ifetch read" `Quick
+        specialised_fetches_match_read;
     ]
