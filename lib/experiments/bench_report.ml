@@ -23,14 +23,6 @@ module Json = Observe.Json
 
 let schema_version = 8
 
-let frequency_hz = function
-  | Platform.Mhz8 -> 8_000_000
-  | Platform.Mhz24 -> 24_000_000
-
-let params_for = function
-  | Platform.Mhz8 -> Energy.point_8mhz
-  | Platform.Mhz24 -> Energy.point_24mhz
-
 let top_functions ~params ~(obs : Toolchain.observation) n =
   let rows = Observe.Profiler.rows ~params obs.Toolchain.o_profiler in
   let total =
@@ -284,8 +276,7 @@ let replay_json ~seed ~frequency ~jobs benchmarks =
    and the full report use this exact grid, so the compare gate can
    diff frontiers point-for-point. *)
 let dse_report_grid =
-  let rec budgets acc b = if b < 512 then acc else budgets (b :: acc) (b - 64) in
-  { Dse.default_grid with Dse.g_budgets = budgets [] 16384 }
+  { Dse.default_grid with Dse.g_budgets = Dse.range ~lo:512 ~hi:16384 ~step:64 }
 
 let dse_json ~seed ~jobs benchmarks =
   Dse.with_trace_dir @@ fun dir ->
@@ -298,7 +289,7 @@ let dse_json ~seed ~jobs benchmarks =
 
 let compute ?(seed = 1) ?benchmarks ?(frequency = Platform.Mhz24) ?(slim = false)
     ?jobs ?campaign () =
-  let params = params_for frequency in
+  let params = Platform.energy_params frequency in
   let jobs = Sweep.resolve_jobs jobs in
   let sweep =
     Sweep.compute ~seed ?benchmarks ~observe:Toolchain.metrics_observe
@@ -322,7 +313,7 @@ let compute ?(seed = 1) ?benchmarks ?(frequency = Platform.Mhz24) ?(slim = false
     ([
       ("schema_version", Json.Int schema_version);
       ("seed", Json.Int seed);
-      ("frequency_hz", Json.Int (frequency_hz frequency));
+      ("frequency_hz", Json.Int (Platform.mhz frequency * 1_000_000));
       ( "benchmarks",
         Json.List
           (List.map

@@ -75,11 +75,6 @@ type workload = {
 
 let workload_name w = w.w_benchmark ^ "/" ^ w.w_system
 
-let caching_of_system = function
-  | "swapram" -> Ok (Toolchain.Swapram_cache Swapram.Config.default_options)
-  | "block" -> Ok (Toolchain.Block_cache Blockcache.Config.default_options)
-  | s -> Error (Printf.sprintf "dse: unknown system %s" s)
-
 (* Record (or reuse) one trace per (benchmark x system) under [dir].
    A trace already on disk whose header fingerprint matches the
    expected configuration is reused without re-recording — that is
@@ -88,100 +83,89 @@ let caching_of_system = function
    (the block cache rejects several Table-2 benchmarks); a crash is an
    error. *)
 let record_workloads ?(seed = 1) ?benchmarks
-    ?(systems = [ "swapram"; "block" ]) ?(frequency = Platform.Mhz8) ?jobs
+    ?(systems = Toolchain.replay_systems) ?(frequency = Platform.Mhz8) ?jobs
     ?(progress = Progress.null) ~dir () =
   let benchmarks =
     match benchmarks with Some b -> b | None -> Workloads.Suite.all
   in
   let jobs = Sweep.resolve_jobs jobs in
+  let pairs =
+    List.concat_map
+      (fun bd -> List.map (fun s -> (bd, s)) systems)
+      benchmarks
+  in
+  let total = List.length pairs in
+  let finished = ref 0 in
+  let record_pair (bd, caching) =
+    let system_name = Toolchain.caching_name caching in
+    let config =
+      { (Toolchain.default_config bd) with seed; frequency; caching }
+    in
+    let expected = Toolchain.config_fingerprint config in
+    let trace =
+      Filename.concat dir
+        (Printf.sprintf "%s-%s.trace" bd.Workloads.Bench_def.short
+           system_name)
+    in
+    let reusable =
+      Sys.file_exists trace
+      &&
+      match Trace_file.read_header trace with
+      | Ok h -> h.Trace_file.fingerprint = expected
+      | Error _ -> false
+    in
+    if reusable then Some (bd.Workloads.Bench_def.name, system_name, trace)
+    else
+      match Toolchain.run_recorded ~trace config with
+      | Toolchain.Completed _ ->
+          Some (bd.Workloads.Bench_def.name, system_name, trace)
+      | Toolchain.Did_not_fit _ -> None
+      | Toolchain.Crashed o ->
+          failwith
+            (Printf.sprintf "dse: recording %s/%s crashed: %s"
+               bd.Workloads.Bench_def.name system_name
+               (Msp430.Cpu.outcome_name o))
+  in
   match
-    List.fold_left
-      (fun acc s ->
-        match (acc, caching_of_system s) with
-        | (Error _ as e), _ -> e
-        | Ok l, Ok c -> Ok ((s, c) :: l)
-        | Ok _, (Error _ as e) -> e)
-      (Ok []) systems
+    Observe.Telemetry.with_span ~cat:"dse" "record"
+      ~args:[ ("pairs", Json.Int total) ]
+      (fun () ->
+        Parallel.map ~jobs
+          ~on_event:(function
+            | Parallel.Completed _ ->
+                incr finished;
+                progress
+                  (Progress.Units_done
+                     { label = "record"; finished = !finished; total })
+            | _ -> ())
+          record_pair pairs)
   with
-  | Error e -> Error e
-  | Ok rev_systems -> (
-      let systems = List.rev rev_systems in
-      let pairs =
-        List.concat_map
-          (fun bd -> List.map (fun s -> (bd, s)) systems)
-          benchmarks
+  | exception Failure msg -> Error msg
+  | exception Parallel.Worker_failed msg -> Error msg
+  | recorded ->
+      (* Decode each trace once here, in the parent: the events
+         count pins the memo key, and every forked worker inherits
+         the decoded statistics instead of re-decoding. *)
+      let workloads =
+        List.filter_map
+          (Option.map (fun (bench, system, trace) ->
+               let l = Sim_plan.load trace in
+               {
+                 w_benchmark = bench;
+                 w_system = system;
+                 w_trace = trace;
+                 w_fingerprint =
+                   l.Engine.header.Trace_file.fingerprint;
+                 w_events = l.Engine.events;
+                 w_line_bytes =
+                   (match l.Engine.header.Trace_file.granularity with
+                   | Trace_file.Lines n -> Some n
+                   | Trace_file.Functions _ -> None);
+               }))
+          recorded
       in
-      let total = List.length pairs in
-      let finished = ref 0 in
-      let record_pair (bd, (system_name, caching)) =
-        let config =
-          { (Toolchain.default_config bd) with seed; frequency; caching }
-        in
-        let expected = Toolchain.config_fingerprint config in
-        let trace =
-          Filename.concat dir
-            (Printf.sprintf "%s-%s.trace" bd.Workloads.Bench_def.short
-               system_name)
-        in
-        let reusable =
-          Sys.file_exists trace
-          &&
-          match Trace_file.read_header trace with
-          | Ok h -> h.Trace_file.fingerprint = expected
-          | Error _ -> false
-        in
-        if reusable then Some (bd.Workloads.Bench_def.name, system_name, trace)
-        else
-          match Toolchain.run_recorded ~trace config with
-          | Toolchain.Completed _ ->
-              Some (bd.Workloads.Bench_def.name, system_name, trace)
-          | Toolchain.Did_not_fit _ -> None
-          | Toolchain.Crashed o ->
-              failwith
-                (Printf.sprintf "dse: recording %s/%s crashed: %s"
-                   bd.Workloads.Bench_def.name system_name
-                   (Msp430.Cpu.outcome_name o))
-      in
-      match
-        Observe.Telemetry.with_span ~cat:"dse" "record"
-          ~args:[ ("pairs", Json.Int total) ]
-          (fun () ->
-            Parallel.map ~jobs
-              ~on_event:(function
-                | Parallel.Completed _ ->
-                    incr finished;
-                    progress
-                      (Progress.Units_done
-                         { label = "record"; finished = !finished; total })
-                | _ -> ())
-              record_pair pairs)
-      with
-      | exception Failure msg -> Error msg
-      | exception Parallel.Worker_failed msg -> Error msg
-      | recorded ->
-          (* Decode each trace once here, in the parent: the events
-             count pins the memo key, and every forked worker inherits
-             the decoded statistics instead of re-decoding. *)
-          let workloads =
-            List.filter_map
-              (Option.map (fun (bench, system, trace) ->
-                   let l = Sim_plan.load trace in
-                   {
-                     w_benchmark = bench;
-                     w_system = system;
-                     w_trace = trace;
-                     w_fingerprint =
-                       l.Engine.header.Trace_file.fingerprint;
-                     w_events = l.Engine.events;
-                     w_line_bytes =
-                       (match l.Engine.header.Trace_file.granularity with
-                       | Trace_file.Lines n -> Some n
-                       | Trace_file.Functions _ -> None);
-                   }))
-              recorded
-          in
-          if workloads = [] then Error "dse: no workload fit any system"
-          else Ok workloads)
+      if workloads = [] then Error "dse: no workload fit any system"
+      else Ok workloads
 
 (* A persistent [dir] is created if missing and kept; without one the
    traces go to a fresh temporary directory, removed with its files

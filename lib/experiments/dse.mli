@@ -23,6 +23,9 @@ type grid = {
   g_frequencies : int list;  (** MHz; 8 and 24 are the platform points *)
 }
 
+val range : lo:int -> hi:int -> step:int -> int list
+(** [lo], [lo + step], ... up to and including [hi]. *)
+
 val default_grid : grid
 (** 512 B..16 KiB in 32 B steps x {lru, lfu, cost} x
     {recorded, 256 B, 512 B} x {8, 24} MHz — >= 20k points over the
@@ -47,14 +50,15 @@ val workload_name : workload -> string
 val record_workloads :
   ?seed:int ->
   ?benchmarks:Workloads.Bench_def.t list ->
-  ?systems:string list ->
+  ?systems:Toolchain.caching list ->
   ?frequency:Msp430.Platform.frequency ->
   ?jobs:int ->
   ?progress:Observe.Progress.sink ->
   dir:string ->
   unit ->
   (workload list, string) result
-(** Record one trace per (benchmark x system) into [dir], in parallel.
+(** Record one trace per (benchmark x system) into [dir], in parallel
+    ([systems] defaults to {!Toolchain.replay_systems}).
     A trace already on disk whose header fingerprint matches the
     expected configuration is reused without re-recording, so a
     persistent [dir] makes re-runs recording-free. Pairs whose image

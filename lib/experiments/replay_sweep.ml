@@ -1,13 +1,5 @@
 (* Record-once / replay-many sweep cells, plus the shared
-   exact-replay verifier.
-
-   The memo key is derived from the trace *contents* — the header's
-   configuration fingerprint and the event count — plus the full
-   replay model. Keying by path would let a stale or rewritten trace
-   file satisfy a memoized cell recorded under a different
-   configuration; keying by fingerprint makes that structurally
-   impossible (the regression test overwrites a trace in place and
-   asserts the memo misses). *)
+   exact-replay verifier. *)
 
 module Engine = Replay.Engine
 module Trace_file = Replay.Trace_file
@@ -15,13 +7,6 @@ module Trace_file = Replay.Trace_file
 type cell = { c_budget : int; c_policy : Engine.policy; c_block : int option }
 
 type cell_result = { r_cell : cell; r_sim : Engine.sim }
-
-type run = {
-  header : Trace_file.header;
-  events : int;
-  bytes : int;
-  cells : cell_result list;
-}
 
 (* MRC-style budget ladder around the 4 KiB SRAM of the reference
    part: half the paper's sweep range below it, hypothetical larger
@@ -35,47 +20,6 @@ let grid ?(budgets = default_budgets) ?(policies = default_policies) () =
     (fun b ->
       List.map (fun p -> { c_budget = b; c_policy = p; c_block = None }) policies)
     budgets
-
-(* --- Memo -------------------------------------------------------------- *)
-
-type memo_key = {
-  k_fingerprint : int;
-  k_events : int;
-  k_budget : int;
-  k_policy : string;
-  k_block : int option;
-}
-
-let memo : (memo_key, cell_result) Hashtbl.t = Hashtbl.create 64
-
-let key_of ~fingerprint ~events cell =
-  {
-    k_fingerprint = fingerprint;
-    k_events = events;
-    k_budget = cell.c_budget;
-    k_policy = Engine.policy_name cell.c_policy;
-    k_block = cell.c_block;
-  }
-
-let clear_cache () = Hashtbl.reset memo
-
-(* Memo accounting: hit = cell served from the memo, miss = cell
-   simulated ([~cache:false] counts every cell as a miss), stale =
-   replay refused because the trace fingerprint no longer matches the
-   expected configuration. *)
-type memo_stats = { hits : int; misses : int; stale : int }
-
-let memo_hits = ref 0
-let memo_misses = ref 0
-let memo_stale = ref 0
-
-let memo_stats () =
-  { hits = !memo_hits; misses = !memo_misses; stale = !memo_stale }
-
-let reset_memo_stats () =
-  memo_hits := 0;
-  memo_misses := 0;
-  memo_stale := 0
 
 (* --- Cell evaluation --------------------------------------------------- *)
 
@@ -91,104 +35,29 @@ let eval_cells ~jobs loaded cells =
   in
   List.map2 (fun c s -> { r_cell = c; r_sim = s }) cells sims
 
-let replay_cells ?jobs ?(cache = true) ?expect ~trace cells =
+let replay_cells ?jobs ?expect (loaded : Engine.loaded) cells =
   let jobs = Sweep.resolve_jobs jobs in
-  match Trace_file.read_header trace with
-  | Error e -> Error (Trace_file.error_message e)
-  | Ok header -> (
-      let stale_check =
-        match expect with
-        | None -> Ok ()
-        | Some config ->
-            let expected = Toolchain.config_fingerprint config in
-            if expected = header.Trace_file.fingerprint then Ok ()
-            else
-              Error
-                (Printf.sprintf
-                   "stale trace: %s records fingerprint %d, expected \
-                    configuration has %d — re-record before replaying"
-                   trace header.Trace_file.fingerprint expected)
-      in
-      match stale_check with
-      | Error _ as e ->
-          incr memo_stale;
-          Observe.Telemetry.counter "replay.memo_stale" !memo_stale;
-          e
-      | Ok () -> (
-          (* The memo key needs the event count, which lives past the
-             header; fetch it (and bytes) with a cheap full decode only
-             if some cell misses — a fully-memoized replay should not
-             re-read a large file. The count is already known if any
-             cell was computed before under this fingerprint. *)
-          match
-            let fingerprint = header.Trace_file.fingerprint in
-            let probe_events () =
-              (* [load_cached]: the decode this probe pays is the same
-                 one [eval_cells] will reuse for every missing cell. *)
-              let l = Sim_plan.load trace in
-              (l.Engine.events, l.Engine.bytes)
-            in
-            let events, bytes =
-              if not cache then probe_events ()
-              else
-                (* any memo entry under this fingerprint pins the count *)
-                match
-                  Hashtbl.fold
-                    (fun k _ acc ->
-                      if k.k_fingerprint = fingerprint then Some k.k_events
-                      else acc)
-                    memo None
-                with
-                | Some ev -> (ev, 0)
-                | None -> probe_events ()
-            in
-            let hit, missing =
-              if not cache then ([], cells)
-              else
-                List.partition_map
-                  (fun c ->
-                    match
-                      Hashtbl.find_opt memo (key_of ~fingerprint ~events c)
-                    with
-                    | Some r -> Either.Left (c, r)
-                    | None -> Either.Right c)
-                  cells
-            in
-            memo_hits := !memo_hits + List.length hit;
-            memo_misses := !memo_misses + List.length missing;
-            Observe.Telemetry.counter "replay.memo_hits" !memo_hits;
-            Observe.Telemetry.counter "replay.memo_misses" !memo_misses;
-            let computed =
-              if missing = [] then []
-              else
-                Observe.Telemetry.with_span ~cat:"replay" "cells"
-                  ~args:
-                    [
-                      ("cells", Observe.Json.Int (List.length missing));
-                      ("jobs", Observe.Json.Int jobs);
-                    ]
-                  (fun () -> eval_cells ~jobs (Sim_plan.load trace) missing)
-            in
-            if cache then
-              List.iter
-                (fun r ->
-                  Hashtbl.replace memo
-                    (key_of ~fingerprint ~events r.r_cell)
-                    r)
-                computed;
-            let tbl = Hashtbl.create (List.length cells) in
-            List.iter (fun (c, r) -> Hashtbl.replace tbl c r) hit;
-            List.iter (fun r -> Hashtbl.replace tbl r.r_cell r) computed;
-            {
-              header;
-              events;
-              bytes;
-              cells = List.map (fun c -> Hashtbl.find tbl c) cells;
-            }
-          with
-          | run -> Ok run
-          | exception Failure msg -> Error msg
-          | exception Parallel.Worker_failed msg -> Error msg))
+  let recorded = loaded.Engine.header.Trace_file.fingerprint in
+  match Option.map Toolchain.config_fingerprint expect with
+  | Some expected when expected <> recorded ->
+      Error
+        (Printf.sprintf
+           "stale trace: %s records fingerprint %d, expected configuration \
+            has %d — re-record before replaying"
+           loaded.Engine.path recorded expected)
+  | _ -> (
+      match
+        Observe.Telemetry.with_span ~cat:"replay" "cells"
+          ~args:
+            [
+              ("cells", Observe.Json.Int (List.length cells));
+              ("jobs", Observe.Json.Int jobs);
+            ]
+          (fun () -> eval_cells ~jobs loaded cells)
+      with
+      | results -> Ok results
+      | exception Failure msg -> Error msg
+      | exception Parallel.Worker_failed msg -> Error msg)
 
 (* --- Exact-replay verification ----------------------------------------- *)
 
@@ -283,13 +152,8 @@ type bench_entry = {
   b_cells : cell_result list;
 }
 
-let bench_pair ~seed ~frequency ~cells (bd, system_name) =
-  let caching =
-    match system_name with
-    | "swapram" -> Toolchain.Swapram_cache Swapram.Config.default_options
-    | "block" -> Toolchain.Block_cache Blockcache.Config.default_options
-    | s -> invalid_arg ("Replay_sweep.bench: unknown system " ^ s)
-  in
+let bench_pair ~seed ~frequency ~cells (bd, caching) =
+  let system_name = Toolchain.caching_name caching in
   let config =
     { (Toolchain.default_config bd) with seed; frequency; caching }
   in
@@ -334,7 +198,9 @@ let bench ?(seed = 1) ?benchmarks ?budgets ?policies ?jobs ~frequency () =
   in
   let cells = grid ?budgets ?policies () in
   let pairs =
-    List.concat_map (fun bd -> [ (bd, "swapram"); (bd, "block") ]) benchmarks
+    List.concat_map
+      (fun bd -> List.map (fun c -> (bd, c)) Toolchain.replay_systems)
+      benchmarks
   in
   let jobs = Sweep.resolve_jobs jobs in
   List.filter_map

@@ -4,14 +4,9 @@
     re-executing the CPU at every cache-model grid point: each cell
     is a {!Replay.Engine.simulate} call over the loaded reference
     stream, batched per block size by {!Sim_plan}, microseconds
-    instead of seconds.
-
-    Memoization: replayed cells are memoized like {!Sweep} cells, but
-    the key is derived from the trace {e contents} — the header's
-    configuration fingerprint and event count — plus the full replay
-    model, never from the file path. A stale or swapped trace file
-    therefore can never satisfy a memoized cell: its fingerprint
-    differs, so its cells miss the memo and recompute. *)
+    instead of seconds. Cells are not memoized: {!Store} is the one
+    on-disk memo, and {!Replay.Engine.load_cached} refuses to serve a
+    decode of a trace rewritten since. *)
 
 type cell = {
   c_budget : int;  (** cache capacity in bytes *)
@@ -21,13 +16,6 @@ type cell = {
 
 type cell_result = { r_cell : cell; r_sim : Replay.Engine.sim }
 
-type run = {
-  header : Replay.Trace_file.header;
-  events : int;
-  bytes : int;
-  cells : cell_result list;  (** in request order *)
-}
-
 val default_budgets : int list
 val default_policies : Replay.Engine.policy list
 
@@ -35,32 +23,18 @@ val grid : ?budgets:int list -> ?policies:Replay.Engine.policy list -> unit -> c
 
 val replay_cells :
   ?jobs:int ->
-  ?cache:bool ->
   ?expect:Toolchain.config ->
-  trace:string ->
+  Replay.Engine.loaded ->
   cell list ->
-  (run, string) result
-(** Evaluate every cell against the recorded trace. [expect] asserts
-    the trace was recorded under exactly that configuration
-    ({!Toolchain.config_fingerprint}); a mismatch is an error, not a
-    silent answer from the wrong recording. Missing cells go to up to
-    [jobs] forked workers as {!Sim_plan} tasks, one
+  (cell_result list, string) result
+(** Evaluate every cell against the loaded trace, in request order.
+    [expect] asserts the trace was recorded under exactly that
+    configuration ({!Toolchain.config_fingerprint}); a mismatch is an
+    error, not a silent answer from the wrong recording. Cells go to
+    up to [jobs] forked workers as {!Sim_plan} tasks, one
     {!Replay.Engine.simulate_many} batch per block size; workers
-    inherit the parent's decode of the trace. Results are identical
-    for every [jobs]. [cache:false] bypasses the memo. *)
-
-val clear_cache : unit -> unit
-
-type memo_stats = { hits : int; misses : int; stale : int }
-
-val memo_stats : unit -> memo_stats
-(** Cumulative memo behavior of {!replay_cells} since start (or
-    {!reset_memo_stats}): cells served from the memo vs simulated
-    ([~cache:false] counts every cell as a miss), plus replays refused
-    because the trace fingerprint was stale. Jobs-independent: the
-    hit/miss partition happens before any cell is dispatched. *)
-
-val reset_memo_stats : unit -> unit
+    inherit the parent's decode. Results are identical for every
+    [jobs]. *)
 
 val verify_exact : Replay.Engine.loaded -> Toolchain.result -> string list
 (** Check a loaded trace against the result of the run that recorded

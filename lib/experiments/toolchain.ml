@@ -28,6 +28,24 @@ let caching_name = function
   | Block_cache _ -> "block"
   | Checkpoint_runtime _ -> "checkpoint"
 
+(* The one name table: every system with default options, named by
+   [caching_name]. *)
+let systems =
+  [
+    Baseline;
+    Swapram_cache Swapram.Config.default_options;
+    Block_cache Blockcache.Config.default_options;
+    Checkpoint_runtime Swapram.Checkpoint.default_options;
+  ]
+
+let caching_of_name name =
+  List.find_opt (fun c -> caching_name c = name) systems
+
+let replay_systems =
+  List.filter
+    (function Swapram_cache _ | Block_cache _ -> true | _ -> false)
+    systems
+
 type placement =
   | Unified (* code + data in FRAM; SRAM free (for the cache) *)
   | Standard (* code in FRAM, data in SRAM — the conventional setup *)
@@ -41,6 +59,18 @@ let placement_name = function
   | Code_sram -> "code SRAM, data FRAM"
   | All_sram -> "code+data SRAM"
   | Split -> "split SRAM"
+
+let placements = [ Unified; Standard; Code_sram; All_sram; Split ]
+
+let placement_key = function
+  | Unified -> "unified"
+  | Standard -> "standard"
+  | Code_sram -> "code-sram"
+  | All_sram -> "all-sram"
+  | Split -> "split"
+
+let placement_of_name name =
+  List.find_opt (fun p -> placement_name p = name) placements
 
 type config = {
   benchmark : Workloads.Bench_def.t;
@@ -645,8 +675,7 @@ let recording_header uc config =
   {
     Replay.Trace_file.benchmark = config.benchmark.Workloads.Bench_def.name;
     seed = config.seed;
-    frequency_mhz =
-      (match config.frequency with Platform.Mhz8 -> 8 | Platform.Mhz24 -> 24);
+    frequency_mhz = Platform.mhz config.frequency;
     wait_states = Platform.wait_states config.frequency;
     (* Memory.create's default; the platform never overrides it. *)
     contention_penalty = 1;
@@ -660,6 +689,40 @@ let recording_header uc config =
       | Observe.Metrics.No_reuse -> Replay.Trace_file.Lines 64);
     fingerprint = config_fingerprint config;
   }
+
+(* The inverse of [recording_header]: rebuild the configuration its
+   names describe, with default options, and refuse (via the
+   fingerprint) a recording that used anything the names don't
+   capture. *)
+let config_of_header ~find (h : Replay.Trace_file.header) =
+  let ( let* ) = Result.bind in
+  let named what lookup name =
+    Option.to_result
+      ~none:(Printf.sprintf "unknown %s %s" what name)
+      (lookup name)
+  in
+  let* benchmark = named "benchmark" find h.benchmark in
+  let* caching = named "system" caching_of_name h.system in
+  let* placement = named "placement" placement_of_name h.placement in
+  let* frequency =
+    Option.to_result
+      ~none:(Printf.sprintf "unsupported frequency %d MHz" h.frequency_mhz)
+      (Platform.frequency_of_mhz h.frequency_mhz)
+  in
+  let config =
+    {
+      (default_config benchmark) with
+      seed = h.seed;
+      frequency;
+      placement;
+      caching;
+    }
+  in
+  if config_fingerprint config = h.fingerprint then Ok config
+  else
+    Error
+      "trace was recorded under non-default options; its configuration \
+       cannot be reconstructed from the header names"
 
 (* Record a prepared, unbooted system into [trace]: snapshot the unit
    context, install the writer next to the observation's sinks (any
@@ -749,63 +812,56 @@ type pgo_result = {
   pg_measured : outcome; (* the rebuilt run with the placement applied *)
 }
 
-let run_pgo ?observe ?budget ?profile config =
-  phase_span config "pgo" @@ fun () ->
+(* [config] with its SwapRAM PGO placement replaced by [pgo]. *)
+let with_pgo config pgo =
+  match config.caching with
+  | Swapram_cache o ->
+      { config with caching = Swapram_cache { o with Swapram.Config.pgo } }
+  | Baseline | Block_cache _ | Checkpoint_runtime _ -> config
+
+let train_pgo config =
   match config.caching with
   | Baseline | Block_cache _ | Checkpoint_runtime _ ->
       Error "pgo requires a swapram configuration"
-  | Swapram_cache base_opts -> (
-      let train_config =
-        {
-          config with
-          caching =
-            Swapram_cache { base_opts with Swapram.Config.pgo = None };
-        }
-      in
-      match run ~observe:default_observe train_config with
+  | Swapram_cache o -> (
+      match run ~observe:default_observe (with_pgo config None) with
       | Did_not_fit msg -> Error ("pgo training run did not fit: " ^ msg)
-      | Crashed o -> Error ("pgo training run crashed: " ^ Cpu.outcome_name o)
-      | Completed train -> (
-          let manifest = Option.get train.swapram_manifest in
+      | Crashed c -> Error ("pgo training run crashed: " ^ Cpu.outcome_name c)
+      | Completed train ->
           let profiler =
             match train.observation with
-            | Some o -> o.o_profiler
+            | Some ob -> ob.o_profiler
             | None -> assert false (* trained with an observe spec *)
           in
           (* Note: for the Split placement the cache region is
-             recomputed inside [prepare]; the knapsack budget below
-             uses the configured cache_size, which is exact for the
-             Unified placement used everywhere PGO results are
-             reported. *)
-          let profile =
-            match profile with
-            | Some p -> p
-            | None ->
-                profile_of_training
-                  ~benchmark:config.benchmark.Workloads.Bench_def.name
-                  ~cache_size:base_opts.Swapram.Config.cache_size manifest
-                  profiler
-          in
-          let placement = Swapram.Pgo.place ?budget profile in
-          let measured_config =
+             recomputed inside [prepare]; the knapsack budget uses the
+             configured cache_size, which is exact for the Unified
+             placement used everywhere PGO results are reported. *)
+          Ok
+            ( profile_of_training
+                ~benchmark:config.benchmark.Workloads.Bench_def.name
+                ~cache_size:o.Swapram.Config.cache_size
+                (Option.get train.swapram_manifest)
+                profiler,
+              train ))
+
+let run_pgo ?observe ?budget ?profile config =
+  phase_span config "pgo" @@ fun () ->
+  match train_pgo config with
+  | Error _ as e -> e
+  | Ok (trained, train) -> (
+      let profile = Option.value profile ~default:trained in
+      let placement = Swapram.Pgo.place ?budget profile in
+      let measured = run ?observe (with_pgo config (Some placement)) in
+      match measured with
+      | Completed m
+        when m.uart <> train.uart || m.return_value <> train.return_value ->
+          Error "pgo: measured run output diverged from training run"
+      | Completed _ | Crashed _ | Did_not_fit _ ->
+          Ok
             {
-              config with
-              caching =
-                Swapram_cache
-                  { base_opts with Swapram.Config.pgo = Some placement };
-            }
-          in
-          let measured = run ?observe measured_config in
-          match measured with
-          | Completed m
-            when m.uart <> train.uart || m.return_value <> train.return_value
-            ->
-              Error "pgo: measured run output diverged from training run"
-          | Completed _ | Crashed _ | Did_not_fit _ ->
-              Ok
-                {
-                  pg_profile = profile;
-                  pg_placement = placement;
-                  pg_train = train;
-                  pg_measured = measured;
-                }))
+              pg_profile = profile;
+              pg_placement = placement;
+              pg_train = train;
+              pg_measured = measured;
+            })

@@ -19,6 +19,17 @@ type caching =
 
 val caching_name : caching -> string
 
+val systems : caching list
+(** The name table: every system once, with default options. *)
+
+val caching_of_name : string -> caching option
+(** The system in {!systems} that {!caching_name} calls [name]. *)
+
+val replay_systems : caching list
+(** The code caches whose recordings the replay models simulate
+    (SwapRAM and the block cache, default options): the DSE's and the
+    bench report's system axis. *)
+
 type placement =
   | Unified  (** code + data in FRAM; SRAM free for the cache *)
   | Standard  (** code in FRAM, data in SRAM — the conventional setup *)
@@ -27,6 +38,16 @@ type placement =
   | Split  (** §5.5: data + stack in low SRAM, rest of SRAM is cache *)
 
 val placement_name : placement -> string
+(** The name reports and trace headers carry. *)
+
+val placements : placement list
+
+val placement_key : placement -> string
+(** The [--placement] spelling: unified, standard, code-sram, all-sram
+    or split. *)
+
+val placement_of_name : string -> placement option
+(** The inverse of {!placement_name}. *)
 
 type config = {
   benchmark : Workloads.Bench_def.t;
@@ -138,6 +159,16 @@ val config_fingerprint : config -> int
     headers; {!Replay_sweep} and [replay --check] use it to reject
     stale traces. Stable across hosts and OCaml versions. *)
 
+val config_of_header :
+  find:(string -> Workloads.Bench_def.t option) ->
+  Replay.Trace_file.header ->
+  (config, string) Stdlib.result
+(** The inverse of the header {!run_recorded} writes: the configuration
+    it names, with the benchmark from [find] and default options.
+    [Error] for a name outside the tables, and for a header whose
+    fingerprint differs from the rebuilt configuration's (a recording
+    under non-default options). *)
+
 val run_recorded : ?observe:observe_spec -> trace:string -> config -> outcome
 (** [run] plus the {!Replay.Trace_file} writer as one more sink, teed
     after any [?observe] sinks behind the same enrichment adapter:
@@ -195,18 +226,6 @@ val record_prepared : trace:string -> prepared -> outcome
 
 (** {2 Profile-guided placement} *)
 
-val profile_of_training :
-  benchmark:string ->
-  cache_size:int ->
-  Swapram.Instrument.manifest ->
-  Observe.Profiler.t ->
-  Swapram.Pgo.profile
-(** Assemble a per-function {!Swapram.Pgo.profile} out of a completed
-    observed training run: code sizes from the manifest, dynamic call
-    / miss / instruction / cycle counts from the profiler. Calls that
-    missed symbolized under the trap vector's name, so a function's
-    call count is its resolved calls plus its miss-handler exits. *)
-
 type pgo_result = {
   pg_profile : Swapram.Pgo.profile;
   pg_placement : Swapram.Pgo.placement;
@@ -217,15 +236,25 @@ type pgo_result = {
           the caller's [?observe] *)
 }
 
+val train_pgo :
+  config -> (Swapram.Pgo.profile * result, string) Stdlib.result
+(** The training half of {!run_pgo}: run the SwapRAM configuration
+    with no PGO placement and the profiler attached, and assemble the
+    per-function profile (code sizes from the manifest, dynamic counts
+    from the profiler; calls that missed symbolize under the trap
+    vector, so a function's call count is its resolved calls plus its
+    miss-handler exits). [Error] for non-swapram configurations and
+    runs that do not complete. *)
+
 val run_pgo :
   ?observe:observe_spec ->
   ?budget:int ->
   ?profile:Swapram.Pgo.profile ->
   config ->
   (pgo_result, string) Stdlib.result
-(** Two-phase profile-guided run: train with the default placement
-    (profiler attached), compute a {!Swapram.Pgo.placement} (or place
-    a caller-supplied [?profile], e.g. one reloaded from disk),
-    rebuild with it and measure. [Error] for non-swapram
-    configurations, failed training runs, or a measured run whose
-    UART output / return value diverges from training. *)
+(** Two-phase profile-guided run: {!train_pgo}, compute a
+    {!Swapram.Pgo.placement} (or place a caller-supplied [?profile],
+    e.g. one reloaded from disk), rebuild with it and measure. [Error]
+    for non-swapram configurations, failed training runs, or a
+    measured run whose UART output / return value diverges from
+    training. *)

@@ -17,6 +17,8 @@ let fr2355_map =
 type frequency = Mhz8 | Mhz24
 
 let frequency_name = function Mhz8 -> "8 MHz" | Mhz24 -> "24 MHz"
+let mhz = function Mhz8 -> 8 | Mhz24 -> 24
+let frequency_of_mhz = function 8 -> Some Mhz8 | 24 -> Some Mhz24 | _ -> None
 
 (* FRAM runs at 8 MHz max; above that the controller inserts wait
    states on array accesses (SLASEC4: 3 cycles at 24 MHz). *)

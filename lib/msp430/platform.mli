@@ -13,6 +13,8 @@ val fr2355_map : Memory.map
 type frequency = Mhz8 | Mhz24
 
 val frequency_name : frequency -> string
+val mhz : frequency -> int
+val frequency_of_mhz : int -> frequency option
 val wait_states : frequency -> int
 val energy_params : frequency -> Energy.params
 

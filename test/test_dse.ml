@@ -280,12 +280,10 @@ let table2_all_budgets_test () =
     List.init 32 (fun i -> 512 + (i * 512)) @ [ 700; 3333; 16384 ]
   in
   let config_of system =
-    let caching =
-      match system with
-      | "swapram" -> Toolchain.Swapram_cache Swapram.Config.default_options
-      | _ -> Toolchain.Block_cache Blockcache.Config.default_options
-    in
-    { (Toolchain.default_config Workloads.Suite.crc) with Toolchain.caching }
+    {
+      (Toolchain.default_config Workloads.Suite.crc) with
+      Toolchain.caching = Option.get (Toolchain.caching_of_name system);
+    }
   in
   let check_system system blocks =
     with_temp_trace (fun trace ->

@@ -32,14 +32,10 @@ let write_file path data =
   close_out oc
 
 let config_for b system =
-  let caching =
-    match system with
-    | "swapram" -> Toolchain.Swapram_cache Swapram.Config.default_options
-    | "block" -> Toolchain.Block_cache Blockcache.Config.default_options
-    | "baseline" -> Toolchain.Baseline
-    | _ -> assert false
-  in
-  { (Toolchain.default_config b) with Toolchain.caching }
+  {
+    (Toolchain.default_config b) with
+    Toolchain.caching = Option.get (Toolchain.caching_of_name system);
+  }
 
 (* --- Tentpole: replay-equivalence over the Table-2 suite --------------- *)
 
@@ -640,67 +636,133 @@ let frequency_retarget_test () =
             (res.Toolchain.energy.Msp430.Energy.time_s = t.Engine.t_time_s)
       | _ -> Alcotest.fail "8 MHz execution did not complete")
 
-(* --- Memo staleness (the Sweep-key fix) -------------------------------- *)
+(* --- Staleness --------------------------------------------------------- *)
 
-(* Replayed cells are memoized by trace fingerprint + event count +
-   model, never by path: rewriting the file behind a path must yield
-   the new trace's answers, and ?expect must reject a stale trace
-   outright. *)
-let stale_trace_test () =
-  Replay_sweep.clear_cache ();
+(* [load_cached] keys its decode by path, so rewriting the file behind
+   a path under another configuration must yield the new trace's
+   answers, not the old decode. *)
+let load_cached_rewrite_test () =
+  with_temp_trace (fun trace ->
+      let load () =
+        match Engine.load_cached trace with
+        | Ok l -> l
+        | Error e -> Alcotest.failf "load_cached: %s" (Engine.error_message e)
+      in
+      ignore (record_tiny trace);
+      let a = load () in
+      ignore (record_tiny ~system:"block" trace);
+      let b = load () in
+      Alcotest.(check string)
+        "header follows the file" "block" b.Engine.header.Trace_file.system;
+      if a.Engine.events = b.Engine.events && a.Engine.refs = b.Engine.refs
+      then
+        Alcotest.fail
+          "rewritten trace returned the old recording's decode (stale cache \
+           hit)")
+
+(* ?expect refuses a trace recorded under another configuration. *)
+let expect_stale_test () =
   with_temp_trace (fun trace ->
       ignore (record_tiny trace);
+      let l = Result.get_ok (Engine.load trace) in
       let cells = Replay_sweep.grid () in
-      let run_a =
-        match Replay_sweep.replay_cells ~trace cells with
-        | Ok r -> r
-        | Error e -> Alcotest.failf "first replay: %s" e
-      in
-      (* ?expect with a different configuration refuses the trace *)
       (match
-         Replay_sweep.replay_cells
-           ~expect:(tiny_config ~system:"block" ()) ~trace cells
+         Replay_sweep.replay_cells ~expect:(tiny_config ~system:"block" ()) l
+           cells
        with
       | Error msg ->
           Alcotest.(check bool)
             "error mentions staleness" true
             (String.length msg >= 5 && String.sub msg 0 5 = "stale")
       | Ok _ -> Alcotest.fail "stale trace accepted under ?expect");
-      (* overwrite the same path with a different recording: the memo
-         must miss (different fingerprint) and the new answers must
-         reflect the new trace *)
-      ignore (record_tiny ~system:"block" trace);
-      let run_b =
-        match Replay_sweep.replay_cells ~trace cells with
-        | Ok r -> r
-        | Error e -> Alcotest.failf "second replay: %s" e
-      in
-      Alcotest.(check string)
-        "header follows the file" "block"
-        run_b.Replay_sweep.header.Trace_file.system;
-      let refs r =
-        (List.hd r.Replay_sweep.cells).Replay_sweep.r_sim.Engine.s_refs
-      in
-      if refs run_a = refs run_b then
-        Alcotest.fail
-          "rewritten trace returned the old recording's results (stale memo \
-           hit)")
+      match Replay_sweep.replay_cells ~expect:(tiny_config ()) l cells with
+      | Ok r ->
+          Alcotest.(check int) "every cell" (List.length cells) (List.length r)
+      | Error e -> Alcotest.failf "matching ?expect refused: %s" e)
 
 (* Parallel replay must be byte-identical to serial. *)
 let parallel_replay_test () =
   with_temp_trace (fun trace ->
       ignore (record_tiny trace);
+      let l = Result.get_ok (Engine.load trace) in
       let cells = Replay_sweep.grid () in
       let sims jobs =
-        match Replay_sweep.replay_cells ~jobs ~cache:false ~trace cells with
+        match Replay_sweep.replay_cells ~jobs l cells with
         | Ok r ->
             List.map
               (fun c -> (c.Replay_sweep.r_cell, c.Replay_sweep.r_sim))
-              r.Replay_sweep.cells
+              r
         | Error e -> Alcotest.failf "replay (jobs=%d): %s" jobs e
       in
       if sims 1 <> sims 4 then
         Alcotest.fail "parallel replay differs from serial")
+
+(* --- The name table and its header inverse ----------------------------- *)
+
+let name_table_test () =
+  List.iter
+    (fun c ->
+      let name = Toolchain.caching_name c in
+      match Toolchain.caching_of_name name with
+      | Some c' when c' = c -> ()
+      | _ -> Alcotest.failf "caching_of_name %s does not round-trip" name)
+    Toolchain.systems;
+  Alcotest.(check (list string))
+    "every system once"
+    [ "baseline"; "swapram"; "block"; "checkpoint" ]
+    (List.map Toolchain.caching_name Toolchain.systems);
+  List.iter
+    (fun p ->
+      Alcotest.(check bool)
+        ("placement round trip: " ^ Toolchain.placement_name p)
+        true
+        (Toolchain.placement_of_name (Toolchain.placement_name p) = Some p))
+    Toolchain.(placements);
+  Alcotest.(check (list string))
+    "placement keys"
+    [ "unified"; "standard"; "code-sram"; "all-sram"; "split" ]
+    (List.map Toolchain.placement_key Toolchain.placements);
+  Alcotest.(check bool) "unknown system" true
+    (Toolchain.caching_of_name "nope" = None)
+
+(* [config_of_header] inverts the header of each tiny golden recording
+   to its configuration, and refuses unknown names with an [Error]. *)
+let config_of_header_test () =
+  let find name =
+    if name = tiny_bench.Workloads.Bench_def.name then Some tiny_bench
+    else Workloads.Suite.find name
+  in
+  List.iter
+    (fun (system, _) ->
+      with_temp_trace (fun trace ->
+          ignore (record_tiny ~system trace);
+          let h = Result.get_ok (Trace_file.read_header trace) in
+          (match Toolchain.config_of_header ~find h with
+          | Ok c ->
+              Alcotest.(check int)
+                (system ^ ": fingerprint")
+                (Toolchain.config_fingerprint (tiny_config ~system ()))
+                (Toolchain.config_fingerprint c);
+              Alcotest.(check int)
+                (system ^ ": header fingerprint")
+                h.Trace_file.fingerprint
+                (Toolchain.config_fingerprint c)
+          | Error e -> Alcotest.failf "%s: %s" system e);
+          List.iter
+            (fun (what, h) ->
+              match Toolchain.config_of_header ~find h with
+              | Error _ -> ()
+              | Ok _ -> Alcotest.failf "%s: %s accepted" system what)
+            [
+              ("unknown system", { h with Trace_file.system = "nope" });
+              ("unknown placement", { h with Trace_file.placement = "nope" });
+              ("unknown benchmark", { h with Trace_file.benchmark = "nope" });
+              ("unknown frequency", { h with Trace_file.frequency_mhz = 16 });
+              ( "foreign fingerprint",
+                { h with Trace_file.fingerprint = h.Trace_file.fingerprint + 1 }
+              );
+            ]))
+    golden_traces
 
 (* --- Decode fuzzing ------------------------------------------------------ *)
 
@@ -1127,8 +1189,8 @@ let suite =
     Alcotest.test_case "replayed MRC = executed MRC" `Quick mrc_identity_test;
     Alcotest.test_case "frequency retarget 24 -> 8 MHz = fresh 8 MHz run"
       `Quick frequency_retarget_test;
-    Alcotest.test_case "memo keys on trace contents, not path" `Quick
-      stale_trace_test;
+    Alcotest.test_case "load_cached reloads a rewritten trace" `Quick
+      load_cached_rewrite_test;
     Alcotest.test_case "parallel replay = serial replay" `Quick
       parallel_replay_test;
     QCheck_alcotest.to_alcotest prop_record_replay_equals_execute;
@@ -1149,4 +1211,10 @@ let suite =
       out_of_range_ids_test;
     Alcotest.test_case "both engines record identical traces" `Slow
       engines_record_identical_test;
+    Alcotest.test_case "?expect refuses a stale trace" `Quick
+      expect_stale_test;
+    Alcotest.test_case "system and placement names round-trip" `Quick
+      name_table_test;
+    Alcotest.test_case "config_of_header inverts headers" `Quick
+      config_of_header_test;
   ]

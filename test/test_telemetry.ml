@@ -202,7 +202,6 @@ let campaign_unperturbed_by_telemetry () =
 let report_unperturbed_by_telemetry () =
   let compute () =
     Experiments.Sweep.clear_cache ();
-    Experiments.Replay_sweep.clear_cache ();
     Json.to_string
       (Experiments.Bench_report.compute ~seed:1
          ~benchmarks:[ Workloads.Suite.crc ] ~slim:true ())
