@@ -53,12 +53,11 @@ let print_benchmark (c : Toolchain.config) =
   Printf.printf "benchmark    : %s (seed %d)\n"
     c.benchmark.Workloads.Bench_def.name c.seed
 
-let print_config ?(placement = Toolchain.placement_name) (c : Toolchain.config)
-    =
+let print_config (c : Toolchain.config) =
   print_benchmark c;
   Printf.printf "system       : %s, %s, %s\n"
     (Toolchain.caching_name c.caching)
-    (placement c.placement)
+    (Toolchain.placement_name (Toolchain.built_placement c))
     (Msp430.Platform.frequency_name c.frequency)
 
 let print_cycles (stats : Trace.t) =

@@ -7,31 +7,69 @@ open Common
 (* The paper's artifacts, all at seed 1. *)
 let bench_seed = 1
 
+(* The sweeps the artifacts and reports of one bench run share: each
+   is computed when first forced, then handed to every artifact that
+   renders it. *)
+type sweeps = {
+  mhz24 : Experiments.Sweep.t Lazy.t;
+  mhz8 : Experiments.Sweep.t Lazy.t;
+  pgo : Experiments.Sweep.pgo_entry list Lazy.t;
+  observed : Experiments.Bench_report.sweeps Lazy.t;
+}
+
+let sweeps ~jobs =
+  let open Experiments in
+  let seed = bench_seed and progress = Observe.Progress.auto stderr in
+  let sweep frequency =
+    lazy (Sweep.compute ~seed ~jobs ~progress ~frequency ())
+  in
+  {
+    mhz24 = sweep Msp430.Platform.Mhz24;
+    mhz8 = sweep Msp430.Platform.Mhz8;
+    pgo =
+      lazy
+        (Sweep.compute_pgo ~seed ~jobs ~progress
+           ~frequency:Msp430.Platform.Mhz24 ());
+    observed = lazy (Bench_report.sweeps ~seed ~jobs ~progress ());
+  }
+
 let bench_artifacts =
   let open Experiments in
   let seed = bench_seed in
-  let at_both_frequencies render compute () =
+  let at_both_frequencies render compute =
     print_string (render (compute Msp430.Platform.Mhz24));
     print_newline ();
     print_string (render (compute Msp430.Platform.Mhz8))
   in
+  let at s = function
+    | Msp430.Platform.Mhz24 -> Lazy.force s.mhz24
+    | Msp430.Platform.Mhz8 -> Lazy.force s.mhz8
+  in
   [
-    ("fig1", fun () -> print_string (Fig1.render (Fig1.compute ~seed ())));
-    ("tab1", fun () -> print_string (Tab1.render (Tab1.compute ~seed ())));
-    ("fig7", fun () -> print_string (Fig7.render (Fig7.compute ~seed ())));
-    ("tab2", fun () -> print_string (Tab2.render (Tab2.compute ~seed ())));
-    ("fig8", fun () -> print_string (Fig8.render (Fig8.compute ~seed ())));
+    ("fig1", fun _ -> print_string (Fig1.render (Fig1.compute ~seed ())));
+    ("tab1", fun _ -> print_string (Tab1.render (Tab1.compute ~seed ())));
+    ("fig7", fun _ -> print_string (Fig7.render (Fig7.compute ~seed ())));
+    ( "tab2",
+      fun s -> print_string (Tab2.render (Tab2.compute (Lazy.force s.mhz24))) );
+    ( "fig8",
+      fun s -> print_string (Fig8.render (Fig8.compute (Lazy.force s.mhz24))) );
     ( "fig9",
-      at_both_frequencies Fig9.render (fun frequency ->
-          Fig9.compute ~seed ~frequency ()) );
+      fun s ->
+        at_both_frequencies Fig9.render (fun frequency ->
+            Fig9.compute ~frequency (at s frequency)) );
     ( "fig10",
-      at_both_frequencies Fig10.render (fun frequency ->
-          Fig10.compute ~seed ~frequency ()) );
-    ("ablation", fun () -> print_string Ablation.(render (compute ~seed ())));
-    ("tabpgo", fun () -> print_string Tab_pgo.(render (compute ~seed ())));
+      fun _ ->
+        at_both_frequencies Fig10.render (fun frequency ->
+            Fig10.compute ~seed ~frequency ()) );
+    ("ablation", fun _ -> print_string Ablation.(render (compute ~seed ())));
+    ( "tabpgo",
+      fun s ->
+        print_string
+          (Tab_pgo.render
+             (Tab_pgo.compute (Lazy.force s.mhz24) (Lazy.force s.pgo))) );
   ]
 
-let bench_report ~jobs ~campaign path =
+let bench_report ~jobs ~campaign sweeps path =
   let campaign =
     match campaign with
     | None -> Ok None
@@ -44,23 +82,19 @@ let bench_report ~jobs ~campaign path =
   match campaign with
   | Error e -> Error ("campaign failed: " ^ e)
   | Ok campaign ->
-      Experiments.Bench_report.write ~seed:bench_seed ?campaign path;
-      let ms = Experiments.Sweep.memo_stats () in
-      Printf.printf "sweep memo   : %d hit, %d computed\n" ms.hits ms.misses;
+      Experiments.Bench_report.write ~jobs ?campaign
+        (Lazy.force sweeps.observed) path;
       Printf.printf "wrote %s (schema v%d%s)\n" path
         Experiments.Bench_report.schema_version
         (if campaign <> None then ", with campaign" else "");
       Ok ()
 
-(* --jobs and --engine reach every artifact through the Sweep and
-   Toolchain defaults; neither can change a simulated value. *)
-let bench artifacts report baseline campaign jobs engine telemetry =
+(* --jobs cannot change a simulated value. *)
+let bench artifacts report baseline campaign jobs telemetry =
   match (campaign, report) with
   | Some _, None -> `Error (true, "--campaign requires --report")
   | _ ->
-      Experiments.Sweep.set_default_jobs jobs;
-      Toolchain.set_default_engine engine;
-      Experiments.Sweep.set_default_progress (Observe.Progress.auto stderr);
+      let sweeps = sweeps ~jobs in
       let artifacts =
         if artifacts = [] && report = None && baseline = None then
           List.map fst bench_artifacts
@@ -74,17 +108,20 @@ let bench artifacts report baseline campaign jobs engine telemetry =
         print_newline ();
         r
       in
-      List.iter (fun a -> step a (List.assoc a bench_artifacts)) artifacts;
+      List.iter
+        (fun a -> step a (fun () -> List.assoc a bench_artifacts sweeps))
+        artifacts;
       let* () =
         match report with
         | None -> Ok ()
         | Some path ->
-            step "report" (fun () -> bench_report ~jobs ~campaign path)
+            step "report" (fun () -> bench_report ~jobs ~campaign sweeps path)
       in
       Option.iter
         (fun path ->
           step "baseline" (fun () ->
-              Experiments.Bench_report.write ~seed:bench_seed ~slim:true path;
+              Experiments.Bench_report.write ~slim:true ~jobs
+                (Lazy.force sweeps.observed) path;
               Printf.printf "wrote %s (schema v%d, slim)\n" path
                 Experiments.Bench_report.schema_version))
         baseline;

@@ -121,13 +121,7 @@ let run engine config telemetry =
   | Some engine ->
       let* r = completed (Toolchain.run { config with Toolchain.engine }) in
       let stats = r.stats in
-      print_config config ~placement:(fun p ->
-          match config.caching with
-          | Toolchain.Checkpoint_runtime _ ->
-              (* the toolchain forces data+stack into SRAM so snapshots
-                 cover the whole machine state *)
-              Toolchain.placement_name Toolchain.Standard ^ " (forced)"
-          | _ -> Toolchain.placement_name p);
+      print_config config;
       Printf.printf "binary       : %d B code, %d B data\n" r.sizes.code_bytes
         r.sizes.data_bytes;
       print_cycles stats;

@@ -623,7 +623,7 @@ let bench_term =
   Term.(
     ret
       (const Reports.bench $ artifact_arg $ report_arg $ baseline_arg
-     $ campaign_arg $ jobs_arg $ engine_arg $ telemetry_arg))
+     $ campaign_arg $ jobs_arg $ telemetry_arg))
 
 let compare_term =
   let old_arg =

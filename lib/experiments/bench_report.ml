@@ -287,21 +287,31 @@ let dse_json ~seed ~jobs benchmarks =
       | Error e -> failwith ("bench report: dse evaluation failed: " ^ e)
       | Ok outcome -> Dse.json ~slim:true dse_report_grid outcome)
 
-let compute ?(seed = 1) ?benchmarks ?(frequency = Platform.Mhz24) ?(slim = false)
-    ?jobs ?campaign () =
-  let params = Platform.energy_params frequency in
-  let jobs = Sweep.resolve_jobs jobs in
+(* The profiled runs a report renders: the Table-2 sweep and the PGO
+   list, with the metrics stack attached, plus what they were run
+   with. *)
+type sweeps = {
+  seed : int;
+  frequency : Platform.frequency;
+  suite : Workloads.Bench_def.t list;
+  sweep : Sweep.t;
+  pgo : Sweep.pgo_entry list;
+}
+
+let sweeps ?(seed = 1) ?(benchmarks = Workloads.Suite.all)
+    ?(frequency = Platform.Mhz24) ?jobs ?progress () =
+  let observe = Toolchain.metrics_observe in
   let sweep =
-    Sweep.compute ~seed ?benchmarks ~observe:Toolchain.metrics_observe
-      ~frequency ~jobs ()
+    Sweep.compute ~seed ~benchmarks ~observe ?jobs ?progress ~frequency ()
   in
   let pgo =
-    Sweep.compute_pgo ~seed ?benchmarks ~observe:Toolchain.metrics_observe
-      ~frequency ~jobs ()
+    Sweep.compute_pgo ~seed ~benchmarks ~observe ?jobs ?progress ~frequency ()
   in
-  let suite =
-    match benchmarks with Some bs -> bs | None -> Workloads.Suite.all
-  in
+  { seed; frequency; suite = benchmarks; sweep; pgo }
+
+let compute ?(slim = false) ?(jobs = 1) ?campaign
+    { seed; frequency; suite; sweep; pgo } =
+  let params = Platform.energy_params frequency in
   (* The "replay" object is full-report-only: the slim baseline keeps
      only what the compare gate reads. The "dse" frontiers are gated,
      so they appear in both. *)
@@ -352,8 +362,8 @@ let compute ?(seed = 1) ?benchmarks ?(frequency = Platform.Mhz24) ?(slim = false
       | None -> [])
     @ dse @ replay)
 
-let write ?seed ?benchmarks ?frequency ?slim ?jobs ?campaign path =
-  let json = compute ?seed ?benchmarks ?frequency ?slim ?jobs ?campaign () in
+let write ?slim ?jobs ?campaign sweeps path =
+  let json = compute ?slim ?jobs ?campaign sweeps in
   let oc = open_out path in
   output_string oc (Json.to_string_pretty json);
   close_out oc

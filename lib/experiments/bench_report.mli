@@ -18,31 +18,39 @@
 
 val schema_version : int
 
-val compute :
+type sweeps
+(** The profiled runs a report renders — the Table-2 sweep and the
+    PGO list, with {!Toolchain.metrics_observe} attached — and the
+    seed, benchmarks and frequency they were run with. *)
+
+val sweeps :
   ?seed:int ->
   ?benchmarks:Workloads.Bench_def.t list ->
   ?frequency:Msp430.Platform.frequency ->
-  ?slim:bool ->
   ?jobs:int ->
-  ?campaign:Observe.Json.t ->
+  ?progress:Observe.Progress.sink ->
   unit ->
-  Observe.Json.t
+  sweeps
+(** Run {!Sweep.compute} and {!Sweep.compute_pgo} once; a full report
+    and a slim one can render the same value. Defaults: seed 1, the
+    full suite, 24 MHz; [jobs] and [progress] as for {!Sweep.compute}. *)
+
+val compute :
+  ?slim:bool -> ?jobs:int -> ?campaign:Observe.Json.t -> sweeps -> Observe.Json.t
 (** [slim] (default false) drops the bulky "metrics" and
     "top_functions" payloads and the "replay" object while keeping
     every scalar the perf-regression gate ({!Compare}) reads — the
-    rendering committed as bench/baseline.json. [jobs] (default
-    {!Sweep.set_default_jobs}) shards sweep cells across forked
-    workers; it cannot change any value in the report. [campaign] is
-    embedded as the top-level "campaign" member when given. Fails if a
-    replay is not exact. *)
+    rendering committed as bench/baseline.json. [jobs] (default 1)
+    shards the replay and DSE work across forked workers; it cannot
+    change any value in the report. [campaign] is embedded as the
+    top-level "campaign" member when given. Fails if a replay is not
+    exact. *)
 
 val write :
-  ?seed:int ->
-  ?benchmarks:Workloads.Bench_def.t list ->
-  ?frequency:Msp430.Platform.frequency ->
   ?slim:bool ->
   ?jobs:int ->
   ?campaign:Observe.Json.t ->
+  sweeps ->
   string ->
   unit
 (** Render {!compute} pretty-printed to the given path. *)

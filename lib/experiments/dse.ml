@@ -83,19 +83,17 @@ let workload_name w = w.w_benchmark ^ "/" ^ w.w_system
    (the block cache rejects several Table-2 benchmarks); a crash is an
    error. *)
 let record_workloads ?(seed = 1) ?benchmarks
-    ?(systems = Toolchain.replay_systems) ?(frequency = Platform.Mhz8) ?jobs
-    ?(progress = Progress.null) ~dir () =
+    ?(systems = Toolchain.replay_systems) ?(frequency = Platform.Mhz8)
+    ?(jobs = 1) ?(progress = Progress.null) ~dir () =
   let benchmarks =
     match benchmarks with Some b -> b | None -> Workloads.Suite.all
   in
-  let jobs = Sweep.resolve_jobs jobs in
   let pairs =
     List.concat_map
       (fun bd -> List.map (fun s -> (bd, s)) systems)
       benchmarks
   in
   let total = List.length pairs in
-  let finished = ref 0 in
   let record_pair (bd, caching) =
     let system_name = Toolchain.caching_name caching in
     let config =
@@ -131,13 +129,7 @@ let record_workloads ?(seed = 1) ?benchmarks
       ~args:[ ("pairs", Json.Int total) ]
       (fun () ->
         Parallel.map ~jobs
-          ~on_event:(function
-            | Parallel.Completed _ ->
-                incr finished;
-                progress
-                  (Progress.Units_done
-                     { label = "record"; finished = !finished; total })
-            | _ -> ())
+          ~on_event:(Parallel.units_progress ~label:"record" ~total progress)
           record_pair pairs)
   with
   | exception Failure msg -> Error msg
@@ -394,11 +386,10 @@ let key_of w (m : Engine.model) =
     sk_block = Option.value ~default:0 m.Engine.m_block;
   }
 
-let run ?jobs ?(progress = Progress.null) ?store grid workloads =
+let run ?(jobs = 1) ?(progress = Progress.null) ?store grid workloads =
   match validate_grid grid with
   | Error _ as e -> e
   | Ok () -> (
-      let jobs = Sweep.resolve_jobs jobs in
       match
         Store.open_ ~magic:store_magic ~fingerprint:store_fingerprint store
       with

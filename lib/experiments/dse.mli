@@ -57,8 +57,9 @@ val record_workloads :
   dir:string ->
   unit ->
   (workload list, string) result
-(** Record one trace per (benchmark x system) into [dir], in parallel
-    ([systems] defaults to {!Toolchain.replay_systems}).
+(** Record one trace per (benchmark x system) into [dir] on up to
+    [jobs] (default 1) forked workers ([systems] defaults to
+    {!Toolchain.replay_systems}).
     A trace already on disk whose header fingerprint matches the
     expected configuration is reused without re-recording, so a
     persistent [dir] makes re-runs recording-free. Pairs whose image
@@ -150,7 +151,7 @@ val run :
   workload list ->
   (outcome, string) result
 (** Evaluate the full grid. Missing sims (not in the [store]) go to
-    up to [jobs] forked workers as {!Sim_plan} tasks: one per
+    up to [jobs] (default 1) forked workers as {!Sim_plan} tasks: one per
     (workload, block) group, all its policy ladders, costliest first.
     [store] names the persistent memo store, an {!Store} (created if
     absent or empty): the sims computed by a run are appended once the

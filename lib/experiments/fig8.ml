@@ -1,5 +1,4 @@
 module Trace = Msp430.Trace
-module Platform = Msp430.Platform
 
 (* Figure 8 — dynamic instruction source breakdown: where every
    executed instruction was fetched from (application code in FRAM or
@@ -41,7 +40,8 @@ let breakdown_of = function
           total = s.Trace.instructions;
         }
 
-let compute ?(seed = 1) () =
+(* The rows of a 24 MHz {!Sweep}. *)
+let compute (sweep : Sweep.t) =
   List.map
     (fun (e : Sweep.entry) ->
       {
@@ -50,7 +50,7 @@ let compute ?(seed = 1) () =
         swapram = breakdown_of e.Sweep.swapram;
         block = breakdown_of e.Sweep.block;
       })
-    (Sweep.compute ~seed ~frequency:Platform.Mhz24 ())
+    sweep
 
 let cells base = function
   | None -> [ "DNF"; "DNF"; "DNF"; "DNF"; "DNF" ]

@@ -31,7 +31,8 @@ let cell_of base = function
             /. base.Toolchain.energy.Energy.energy_nj;
         }
 
-let compute ?(seed = 1) ~frequency () =
+(* The rows of a {!Sweep} run at [frequency]. *)
+let compute ~frequency (sweep : Sweep.t) =
   let rows =
     List.map
       (fun (e : Sweep.entry) ->
@@ -40,7 +41,7 @@ let compute ?(seed = 1) ~frequency () =
           swapram = cell_of e.Sweep.baseline e.Sweep.swapram;
           block = cell_of e.Sweep.baseline e.Sweep.block;
         })
-      (Sweep.compute ~seed ~frequency ())
+      sweep
   in
   { frequency; rows }
 

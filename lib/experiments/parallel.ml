@@ -64,6 +64,15 @@ let worker_progress (progress : Observe.Progress.sink) ev =
   | Timed_out { pid; task } -> state pid Observe.Progress.W_timed_out task
   | Requeued _ -> ()
 
+let units_progress ~label ~total (progress : Observe.Progress.sink) =
+  let finished = ref 0 in
+  function
+  | Completed _ ->
+      incr finished;
+      progress
+        (Observe.Progress.Units_done { label; finished = !finished; total })
+  | _ -> ()
+
 type 'b reply = Ok_r of 'b | Error_r of string
 
 type worker = {

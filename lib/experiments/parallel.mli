@@ -51,6 +51,12 @@ val worker_progress : Observe.Progress.sink -> event -> unit
     out; [Spawned] carries task [-1]). [Requeued] names no worker and
     is dropped. *)
 
+val units_progress :
+  label:string -> total:int -> Observe.Progress.sink -> event -> unit
+(** A fresh handler that reports each [Completed] task as one more of
+    [total] units, as a {!Observe.Progress.Units_done} under [label];
+    other events are ignored. For maps whose tasks are the units. *)
+
 val map :
   ?jobs:int ->
   ?task_timeout:float ->

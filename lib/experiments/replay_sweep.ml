@@ -35,8 +35,7 @@ let eval_cells ~jobs loaded cells =
   in
   List.map2 (fun c s -> { r_cell = c; r_sim = s }) cells sims
 
-let replay_cells ?jobs ?expect (loaded : Engine.loaded) cells =
-  let jobs = Sweep.resolve_jobs jobs in
+let replay_cells ?(jobs = 1) ?expect (loaded : Engine.loaded) cells =
   let recorded = loaded.Engine.header.Trace_file.fingerprint in
   match Option.map Toolchain.config_fingerprint expect with
   | Some expected when expected <> recorded ->
@@ -192,7 +191,7 @@ let bench_pair ~seed ~frequency ~cells (bd, caching) =
                   b_cells = eval_cells ~jobs:1 loaded cells;
                 }))
 
-let bench ?(seed = 1) ?benchmarks ?budgets ?policies ?jobs ~frequency () =
+let bench ?(seed = 1) ?benchmarks ?budgets ?policies ?(jobs = 1) ~frequency () =
   let benchmarks =
     match benchmarks with Some b -> b | None -> Workloads.Suite.all
   in
@@ -202,7 +201,6 @@ let bench ?(seed = 1) ?benchmarks ?budgets ?policies ?jobs ~frequency () =
       (fun bd -> List.map (fun c -> (bd, c)) Toolchain.replay_systems)
       benchmarks
   in
-  let jobs = Sweep.resolve_jobs jobs in
   List.filter_map
     (fun e -> e)
     (Parallel.map ~jobs (bench_pair ~seed ~frequency ~cells) pairs)

@@ -31,7 +31,7 @@ val replay_cells :
     [expect] asserts the trace was recorded under exactly that
     configuration ({!Toolchain.config_fingerprint}); a mismatch is an
     error, not a silent answer from the wrong recording. Cells go to
-    up to [jobs] forked workers as {!Sim_plan} tasks, one
+    up to [jobs] (default 1) forked workers as {!Sim_plan} tasks, one
     {!Replay.Engine.simulate_many} batch per block size; workers
     inherit the parent's decode. Results are identical for every
     [jobs]. *)
@@ -73,5 +73,5 @@ val bench :
     cache's data limit) are skipped. A crashed recording and a replay
     that is not bit-for-bit exact ({!verify_exact}) both raise
     [Failure] ({!Parallel.Worker_failed} from a worker). One
-    (benchmark x system) pair per worker when [jobs > 1]; traces are
-    deleted afterwards. *)
+    (benchmark x system) pair per worker when [jobs > 1] (default 1);
+    traces are deleted afterwards. *)

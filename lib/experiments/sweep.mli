@@ -1,9 +1,9 @@
 (** Shared evaluation sweep: every benchmark under the three systems
-    at a given frequency, memoized per (seed, frequency, observe,
-    engine, subset) — Table 2 and Figures 8/9 all read from this
-    matrix. Each sweep cross-checks the cached systems' outputs
-    against the baseline (the §5.1 validation) and fails loudly on a
-    mismatch.
+    at a given frequency — Table 2 and Figures 8/9 all read from this
+    matrix, and the bench driver computes it once per run and passes
+    the value to each. Each sweep cross-checks the cached systems'
+    outputs against the baseline (the §5.1 validation) and fails
+    loudly on a mismatch.
 
     With [jobs > 1] the independent (benchmark x system) cells are
     sharded across forked workers; results are identical to a serial
@@ -19,31 +19,6 @@ type entry = {
 
 type t = entry list
 
-val set_default_jobs : int -> unit
-(** Worker count used when a sweep is invoked without [?jobs] —
-    including indirectly, through figure/table modules that don't
-    thread a jobs parameter. Clamped to >= 1; the default is 1
-    (serial). *)
-
-val resolve_jobs : int option -> int
-(** The worker count a sweep would use for the given [?jobs] argument:
-    the argument clamped to >= 1, or the {!set_default_jobs} value. *)
-
-val set_default_progress : Observe.Progress.sink -> unit
-(** Progress sink used by sweeps (as [Units_done] events, one per
-    finished cell) — process-wide for the same reason as
-    {!set_default_jobs}: figure/table modules don't thread a sink.
-    Purely observational; the default is {!Observe.Progress.null}. *)
-
-type memo_stats = { hits : int; misses : int }
-
-val memo_stats : unit -> memo_stats
-(** Cumulative memo behavior across {!compute} and {!compute_pgo}
-    since start (or {!reset_memo_stats}): a hit served a sweep from
-    the memo, a miss really ran it. *)
-
-val reset_memo_stats : unit -> unit
-
 val timed : (unit -> 'a) -> 'a * float
 (** Run a thunk and return (result, elapsed host seconds) on the
     monotonic clock. The perf harness ([perf/]) times its cells with
@@ -54,16 +29,16 @@ val compute :
   ?benchmarks:Workloads.Bench_def.t list ->
   ?observe:Toolchain.observe_spec ->
   ?jobs:int ->
+  ?progress:Observe.Progress.sink ->
   frequency:Msp430.Platform.frequency ->
   unit ->
   t
 (** [benchmarks] restricts the sweep to a subset (defaults to the full
     suite); [observe] attaches the profiling stack to every run (see
-    {!Toolchain.observe_spec}); [jobs] overrides {!set_default_jobs}
-    for this sweep. Runs use {!Toolchain.default_engine}. Results are
-    memoized per (seed, frequency, observed?, default engine, subset)
-    — [jobs] is not part of the key because it cannot change simulated
-    values; {!clear_cache} forces a recomputation. *)
+    {!Toolchain.observe_spec}); [jobs] (default 1, serial) shards the
+    cells across forked workers and cannot change a simulated value;
+    [progress] hears one [Units_done] event per finished cell. Runs
+    use {!Toolchain.default_config}'s engine. *)
 
 type pgo_entry = {
   pgo_benchmark : Workloads.Bench_def.t;
@@ -75,14 +50,12 @@ val compute_pgo :
   ?benchmarks:Workloads.Bench_def.t list ->
   ?observe:Toolchain.observe_spec ->
   ?jobs:int ->
+  ?progress:Observe.Progress.sink ->
   frequency:Msp430.Platform.frequency ->
   unit ->
   pgo_entry list
 (** Profile-guided {!Toolchain.run_pgo} over the suite (train under
     the default SwapRAM configuration, rebuild with the computed
     placement, measure), one benchmark per worker when [jobs > 1].
-    Memoized like {!compute}; [observe] applies to the measured run. *)
-
-val clear_cache : unit -> unit
-(** Drop both memo tables. For tests that need to recompute the same
-    sweep under different jobs settings and compare results. *)
+    Arguments as for {!compute}; [observe] applies to the measured
+    run. *)

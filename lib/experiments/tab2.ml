@@ -1,5 +1,4 @@
 module Trace = Msp430.Trace
-module Platform = Msp430.Platform
 
 (* Table 2 — FRAM accesses and unstalled CPU cycles per benchmark for
    the baseline, block cache and SwapRAM (simulator statistics).
@@ -28,7 +27,8 @@ let cells_of_outcome = function
   | Toolchain.Crashed o -> failwith ("tab2: " ^ Report.outcome_cell o)
   | Toolchain.Did_not_fit _ -> { fram_accesses = None; cycles = None }
 
-let compute ?(seed = 1) ?benchmarks () =
+(* The rows of a 24 MHz {!Sweep}. *)
+let compute (sweep : Sweep.t) =
   List.map
     (fun (e : Sweep.entry) ->
       {
@@ -37,7 +37,7 @@ let compute ?(seed = 1) ?benchmarks () =
         block = cells_of_outcome e.Sweep.block;
         swapram = cells_of_outcome e.Sweep.swapram;
       })
-    (Sweep.compute ~seed ?benchmarks ~frequency:Platform.Mhz24 ())
+    sweep
 
 let cell ~vs = function
   | None -> "DNF"

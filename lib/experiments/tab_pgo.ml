@@ -1,5 +1,4 @@
 module Trace = Msp430.Trace
-module Platform = Msp430.Platform
 module Energy = Msp430.Energy
 
 (* Profile-guided placement vs the default SwapRAM pipeline, per
@@ -26,9 +25,9 @@ type row = {
 
 type t = row list
 
-let compute ?(seed = 1) ?benchmarks () =
-  let sweep = Sweep.compute ~seed ?benchmarks ~frequency:Platform.Mhz24 () in
-  let pgo = Sweep.compute_pgo ~seed ?benchmarks ~frequency:Platform.Mhz24 () in
+(* One row per entry of a 24 MHz {!Sweep}, matched by name to the
+   same run's {!Sweep.compute_pgo} list. *)
+let compute (sweep : Sweep.t) (pgo : Sweep.pgo_entry list) =
   List.map
     (fun (e : Sweep.entry) ->
       let name = e.Sweep.benchmark.Workloads.Bench_def.name in

@@ -85,13 +85,6 @@ type config = {
                           engine yields identical simulated results *)
 }
 
-(* Process-wide default engine, settable from driver command lines
-   (bench --engine=..., swapram_cli --engine ...). Set it before any
-   sweep runs: {!Sweep} resolves it into its memo keys at call time. *)
-let default_engine_ref = ref Cpu.Superblock
-let set_default_engine e = default_engine_ref := e
-let default_engine () = !default_engine_ref
-
 let default_config benchmark =
   {
     benchmark;
@@ -101,7 +94,7 @@ let default_config benchmark =
     caching = Baseline;
     fuel = 2_000_000_000;
     through_disasm = false;
-    engine = !default_engine_ref;
+    engine = Cpu.Superblock;
   }
 
 let stack_reserve = 384
@@ -375,20 +368,25 @@ type prepared = {
   p_observation : observation option;
 }
 
+(* The checkpoint runtime requires every application data item to be
+   volatile (snapshot-covered), so it is always built with the Standard
+   placement. *)
+let built_placement config =
+  match config.caching with
+  | Checkpoint_runtime _ -> Standard
+  | Baseline | Swapram_cache _ | Block_cache _ -> config.placement
+
 let prepare ?observe config =
-  (* The checkpoint runtime requires every application data item to be
-     volatile (snapshot-covered), so it forces the Standard placement
-     and reserves its FRAM arena by lowering the code limit. *)
-  let placement, arena_limit =
-    match config.caching with
-    | Checkpoint_runtime _ -> (Standard, Some Swapram.Checkpoint.arena_base)
-    | Baseline | Swapram_cache _ | Block_cache _ -> (config.placement, None)
-  in
+  let placement = built_placement config in
   let code_base, code_limit, data_base_opt, data_limit, stack_top =
     region_plan placement
   in
+  (* The checkpoint runtime reserves its FRAM arena by lowering the
+     code limit. *)
   let code_limit =
-    match arena_limit with Some l -> min code_limit l | None -> code_limit
+    match config.caching with
+    | Checkpoint_runtime _ -> min code_limit Swapram.Checkpoint.arena_base
+    | Baseline | Swapram_cache _ | Block_cache _ -> code_limit
   in
   let source = config.benchmark.Workloads.Bench_def.source config.seed in
   let program =
@@ -627,7 +625,7 @@ let config_canonical config =
   add "benchmark=%s;seed=%d;freq=%s;placement=%s;fuel=%d;disasm=%b;"
     config.benchmark.Workloads.Bench_def.name config.seed
     (Platform.frequency_name config.frequency)
-    (placement_name config.placement)
+    (placement_name (built_placement config))
     config.fuel config.through_disasm;
   (match config.caching with
   | Baseline -> add "caching=baseline"
@@ -680,7 +678,7 @@ let recording_header uc config =
     (* Memory.create's default; the platform never overrides it. *)
     contention_penalty = 1;
     system = caching_name config.caching;
-    placement = placement_name config.placement;
+    placement = placement_name (built_placement config);
     budget = uc.uc_budget;
     granularity =
       (match uc.uc_reuse with

@@ -14,8 +14,9 @@ type caching =
       (** periodic whole-state snapshots to FRAM instead of caching.
           Always built with the {!Standard} placement (data + stack
           in SRAM, so a restored snapshot is the complete machine
-          state) regardless of the configured placement, with the
-          code limit lowered to the snapshot arena. *)
+          state) regardless of the configured placement
+          ({!built_placement}), with the code limit lowered to the
+          snapshot arena. *)
 
 val caching_name : caching -> string
 
@@ -68,15 +69,12 @@ type config = {
 
 val default_config : Workloads.Bench_def.t -> config
 (** Unified placement, baseline caching, 24 MHz, seed 1, and the
-    process default engine ({!default_engine}). *)
+    {!Msp430.Cpu.Superblock} engine. *)
 
-val set_default_engine : Msp430.Cpu.engine -> unit
-(** Engine used by {!default_config} (initially
-    {!Msp430.Cpu.Superblock}). Driver command lines set this from
-    [--engine]; set it before any sweep runs — {!Sweep} resolves the
-    default into its memo keys at call time. *)
-
-val default_engine : unit -> Msp430.Cpu.engine
+val built_placement : config -> placement
+(** The placement the configuration is built with: {!Standard} for
+    {!Checkpoint_runtime}, the configured one otherwise. Run labels,
+    trace headers and {!config_fingerprint} all name this one. *)
 
 type sizes = { code_bytes : int; data_bytes : int }
 

@@ -243,30 +243,33 @@ let entry_sig (e : Sweep.entry) =
 
 let parallel_sweep_matches_serial () =
   let benchmarks = Workloads.Suite.[ crc; bitcount ] in
-  let run jobs =
-    Sweep.clear_cache ();
-    Sweep.compute ~benchmarks ~jobs ~frequency:Platform.Mhz24 ()
-  in
+  let run jobs = Sweep.compute ~benchmarks ~jobs ~frequency:Platform.Mhz24 () in
   let serial = run 1 and sharded = run 3 in
   Alcotest.(check bool)
     "sharded sweep merges to the serial result" true
-    (List.map entry_sig serial = List.map entry_sig sharded)
+    (List.map entry_sig serial = List.map entry_sig sharded);
+  let renders sweep =
+    ( Experiments.Tab2.(render (compute sweep)),
+      Experiments.Fig8.(render (compute sweep)) )
+  in
+  Alcotest.(check (pair string string))
+    "tab2 and fig8 render identically" (renders serial) (renders sharded)
 
 (* The full report path: the report carries no host wall-clock, so
    serial and sharded renderings must be byte-identical as they are. *)
 let parallel_report_matches_serial () =
   let benchmarks = [ Workloads.Suite.crc ] in
   let render jobs =
-    Sweep.clear_cache ();
     Json.to_string_pretty
-      (Experiments.Bench_report.compute ~benchmarks ~jobs ())
+      Experiments.Bench_report.(compute ~jobs (sweeps ~benchmarks ~jobs ()))
   in
   Alcotest.(check string) "sharded full report identical" (render 1) (render 2)
 
 (* No key of a full report names a host wall-clock measurement. *)
 let report_has_no_wall_clock () =
   let report =
-    Experiments.Bench_report.compute ~benchmarks:[ Workloads.Suite.crc ] ()
+    Experiments.Bench_report.(
+      compute (sweeps ~benchmarks:[ Workloads.Suite.crc ] ()))
   in
   let rec keys = function
     | Json.Obj kvs -> List.concat_map (fun (k, v) -> k :: keys v) kvs

@@ -56,7 +56,9 @@ let suite =
     Alcotest.test_case "tab2 render (subset, seed 1)" `Quick (fun () ->
         check_golden "tab2"
           (Experiments.Tab2.render
-             (Experiments.Tab2.compute ~seed:1 ~benchmarks:subset ())));
+             (Experiments.Tab2.compute
+                (Experiments.Sweep.compute ~seed:1 ~benchmarks:subset
+                   ~frequency:Msp430.Platform.Mhz24 ()))));
     Alcotest.test_case "fig7 render (seed 1)" `Quick (fun () ->
         check_golden "fig7"
           (Experiments.Fig7.render (Experiments.Fig7.compute ~seed:1 ())));

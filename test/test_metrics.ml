@@ -382,9 +382,11 @@ let mrc_cases =
 
 (* Perf gate: a report compared to itself is clean; an injected cycle
    regression beyond threshold trips it. *)
+let tiny_sweeps =
+  lazy (Experiments.Bench_report.sweeps ~benchmarks:[ Workloads.Suite.crc ] ())
+
 let tiny_report =
-  lazy
-    (Experiments.Bench_report.compute ~benchmarks:[ Workloads.Suite.crc ] ())
+  lazy (Experiments.Bench_report.compute (Lazy.force tiny_sweeps))
 
 let scale_cycles factor json =
   let rec go = function
@@ -446,8 +448,7 @@ let gate_cases =
       (fun () ->
         let report = Lazy.force tiny_report in
         let slim =
-          Experiments.Bench_report.compute
-            ~benchmarks:[ Workloads.Suite.crc ] ~slim:true ()
+          Experiments.Bench_report.compute ~slim:true (Lazy.force tiny_sweeps)
         in
         (* full baseline, slim candidate: a specific error, not a
            schema mismatch or a missing-metric cascade *)

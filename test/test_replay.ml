@@ -725,18 +725,27 @@ let name_table_test () =
   Alcotest.(check bool) "unknown system" true
     (Toolchain.caching_of_name "nope" = None)
 
-(* [config_of_header] inverts the header of each tiny golden recording
-   to its configuration, and refuses unknown names with an [Error]. *)
+(* [config_of_header] inverts the header of each tiny golden recording,
+   and of a tiny checkpoint one, to its configuration, and refuses
+   unknown names with an [Error]. A checkpoint header names the
+   Standard placement the runtime is built with, not the configured
+   one. *)
 let config_of_header_test () =
   let find name =
     if name = tiny_bench.Workloads.Bench_def.name then Some tiny_bench
     else Workloads.Suite.find name
   in
   List.iter
-    (fun (system, _) ->
+    (fun system ->
       with_temp_trace (fun trace ->
           ignore (record_tiny ~system trace);
           let h = Result.get_ok (Trace_file.read_header trace) in
+          Alcotest.(check string)
+            (system ^ ": header names the built placement")
+            (Toolchain.placement_name
+               (if system = "checkpoint" then Toolchain.Standard
+                else Toolchain.Unified))
+            h.Trace_file.placement;
           (match Toolchain.config_of_header ~find h with
           | Ok c ->
               Alcotest.(check int)
@@ -762,7 +771,7 @@ let config_of_header_test () =
                 { h with Trace_file.fingerprint = h.Trace_file.fingerprint + 1 }
               );
             ]))
-    golden_traces
+    (List.map fst golden_traces @ [ "checkpoint" ])
 
 (* --- Decode fuzzing ------------------------------------------------------ *)
 

@@ -201,10 +201,10 @@ let campaign_unperturbed_by_telemetry () =
 
 let report_unperturbed_by_telemetry () =
   let compute () =
-    Experiments.Sweep.clear_cache ();
     Json.to_string
-      (Experiments.Bench_report.compute ~seed:1
-         ~benchmarks:[ Workloads.Suite.crc ] ~slim:true ())
+      Experiments.Bench_report.(
+        compute ~slim:true
+          (sweeps ~seed:1 ~benchmarks:[ Workloads.Suite.crc ] ()))
   in
   let bare = compute () in
   let with_t, records = with_ledger compute in
