@@ -23,13 +23,14 @@ let sweeps ~jobs =
   let sweep frequency =
     lazy (Sweep.compute ~seed ~jobs ~progress ~frequency ())
   in
+  let mhz24 = sweep Msp430.Platform.Mhz24 in
   {
-    mhz24 = sweep Msp430.Platform.Mhz24;
+    mhz24;
     mhz8 = sweep Msp430.Platform.Mhz8;
     pgo =
       lazy
         (Sweep.compute_pgo ~seed ~jobs ~progress
-           ~frequency:Msp430.Platform.Mhz24 ());
+           ~frequency:Msp430.Platform.Mhz24 (Lazy.force mhz24));
     observed = lazy (Bench_report.sweeps ~seed ~jobs ~progress ());
   }
 
@@ -82,7 +83,7 @@ let bench_report ~jobs ~campaign sweeps path =
   match campaign with
   | Error e -> Error ("campaign failed: " ^ e)
   | Ok campaign ->
-      Experiments.Bench_report.write ~jobs ?campaign
+      Experiments.Bench_report.write ?campaign
         (Lazy.force sweeps.observed) path;
       Printf.printf "wrote %s (schema v%d%s)\n" path
         Experiments.Bench_report.schema_version
@@ -120,7 +121,7 @@ let bench artifacts report baseline campaign jobs telemetry =
       Option.iter
         (fun path ->
           step "baseline" (fun () ->
-              Experiments.Bench_report.write ~slim:true ~jobs
+              Experiments.Bench_report.write ~slim:true
                 (Lazy.force sweeps.observed) path;
               Printf.printf "wrote %s (schema v%d, slim)\n" path
                 Experiments.Bench_report.schema_version))

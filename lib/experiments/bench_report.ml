@@ -225,9 +225,33 @@ let pgo_json ~params ~slim (e : Sweep.pgo_entry) =
 
 (* --- "replay" object: record-once / replay-many ------------------------- *)
 
-(* Every replay was checked bit-for-bit against its recording inside
-   [Replay_sweep.bench], which raises on the first mismatch. *)
-let replay_json ~seed ~frequency ~jobs benchmarks =
+(* The sweep's completed run of a recorded workload's configuration. *)
+let executed sweep (w : Dse.workload) =
+  let e =
+    List.find
+      (fun (e : Sweep.entry) ->
+        e.Sweep.benchmark.Workloads.Bench_def.name = w.Dse.w_benchmark)
+      sweep
+  in
+  match (w.Dse.w_system, e.Sweep.swapram, e.Sweep.block) with
+  | "swapram", Toolchain.Completed r, _ | "block", _, Toolchain.Completed r -> r
+  | _ -> failwith ("bench report: no completed sweep run of " ^ Dse.workload_name w)
+
+(* Every trace is checked bit-for-bit against the sweep's run of its
+   configuration before its cells are simulated; a mismatch raises. *)
+let replay_json ~jobs sweep workloads =
+  let loaded =
+    List.map
+      (fun w ->
+        let l = Sim_plan.load w.Dse.w_trace in
+        match Replay_sweep.verify_exact l (executed sweep w) with
+        | m :: _ ->
+            failwith
+              (Printf.sprintf "replay of %s is not exact: %s"
+                 (Dse.workload_name w) m)
+        | [] -> l)
+      workloads
+  in
   let cell_json (r : Replay_sweep.cell_result) =
     let cell = r.Replay_sweep.r_cell and sim = r.Replay_sweep.r_sim in
     Json.Obj
@@ -247,25 +271,25 @@ let replay_json ~seed ~frequency ~jobs benchmarks =
         ("miss_rate", Json.Float sim.Replay.Engine.s_miss_rate);
       ]
   in
-  let trace_json (e : Replay_sweep.bench_entry) =
+  let trace_json ((w : Dse.workload), (l : Replay.Engine.loaded)) cells =
     Json.Obj
       [
-        ("benchmark", Json.String e.Replay_sweep.b_benchmark);
-        ("system", Json.String e.Replay_sweep.b_system);
-        ("fingerprint", Json.Int e.Replay_sweep.b_fingerprint);
-        ("events", Json.Int e.Replay_sweep.b_events);
-        ("bytes", Json.Int e.Replay_sweep.b_bytes);
+        ("benchmark", Json.String w.Dse.w_benchmark);
+        ("system", Json.String w.Dse.w_system);
+        ("fingerprint", Json.Int w.Dse.w_fingerprint);
+        ("events", Json.Int l.Replay.Engine.events);
+        ("bytes", Json.Int l.Replay.Engine.bytes);
         ("exact_match", Json.Bool true);
-        ("cells", Json.List (List.map cell_json e.Replay_sweep.b_cells));
+        ("cells", Json.List (List.map cell_json cells));
       ]
   in
+  let cells = Replay_sweep.replay_traces ~jobs loaded (Replay_sweep.grid ()) in
   Json.Obj
     [
       ("exact_all", Json.Bool true);
       ( "traces",
-        Json.List
-          (List.map trace_json
-             (Replay_sweep.bench ~seed ~benchmarks ~jobs ~frequency ())) );
+        Json.List (List.map2 trace_json (List.combine workloads loaded) cells)
+      );
     ]
 
 (* --- "dse" object: Pareto design-space exploration ----------------------- *)
@@ -278,47 +302,53 @@ let replay_json ~seed ~frequency ~jobs benchmarks =
 let dse_report_grid =
   { Dse.default_grid with Dse.g_budgets = Dse.range ~lo:512 ~hi:16384 ~step:64 }
 
-let dse_json ~seed ~jobs benchmarks =
-  Dse.with_trace_dir @@ fun dir ->
-  match Dse.record_workloads ~seed ~benchmarks ~jobs ~dir () with
-  | Error e -> failwith ("bench report: dse recording failed: " ^ e)
-  | Ok workloads -> (
-      match Dse.run ~jobs dse_report_grid workloads with
-      | Error e -> failwith ("bench report: dse evaluation failed: " ^ e)
-      | Ok outcome -> Dse.json ~slim:true dse_report_grid outcome)
+(* The objectives retarget each trace to every grid frequency, so the
+   recording frequency does not show in the slim rendering. *)
+let dse_json ~jobs workloads =
+  match Dse.run ~jobs dse_report_grid workloads with
+  | Error e -> failwith ("bench report: dse evaluation failed: " ^ e)
+  | Ok outcome -> Dse.json ~slim:true dse_report_grid outcome
 
-(* The profiled runs a report renders: the Table-2 sweep and the PGO
-   list, with the metrics stack attached, plus what they were run
-   with. *)
+(* The profiled runs a report renders — the Table-2 sweep and the PGO
+   list, with the metrics stack attached — the "replay" and "dse"
+   objects built from one recording per (benchmark, cached system),
+   and what they were run with. *)
 type sweeps = {
   seed : int;
   frequency : Platform.frequency;
-  suite : Workloads.Bench_def.t list;
   sweep : Sweep.t;
   pgo : Sweep.pgo_entry list;
+  replay : Json.t;
+  dse : Json.t;
 }
 
 let sweeps ?(seed = 1) ?(benchmarks = Workloads.Suite.all)
-    ?(frequency = Platform.Mhz24) ?jobs ?progress () =
+    ?(frequency = Platform.Mhz24) ?(jobs = 1) ?progress () =
   let observe = Toolchain.metrics_observe in
   let sweep =
-    Sweep.compute ~seed ~benchmarks ~observe ?jobs ?progress ~frequency ()
+    Sweep.compute ~seed ~benchmarks ~observe ~jobs ?progress ~frequency ()
   in
-  let pgo =
-    Sweep.compute_pgo ~seed ~benchmarks ~observe ?jobs ?progress ~frequency ()
+  let pgo = Sweep.compute_pgo ~seed ~observe ~jobs ?progress ~frequency sweep in
+  let replay, dse =
+    Dse.with_trace_dir @@ fun dir ->
+    match
+      Dse.record_workloads ~seed ~benchmarks ~frequency ~jobs ?progress ~dir ()
+    with
+    | Error e -> failwith ("bench report: recording failed: " ^ e)
+    | Ok workloads ->
+        let replay = replay_json ~jobs sweep workloads in
+        (replay, dse_json ~jobs workloads)
   in
-  { seed; frequency; suite = benchmarks; sweep; pgo }
+  { seed; frequency; sweep; pgo; replay; dse }
 
-let compute ?(slim = false) ?(jobs = 1) ?campaign
-    { seed; frequency; suite; sweep; pgo } =
+let compute ?(slim = false) ?campaign { seed; frequency; sweep; pgo; replay; dse }
+    =
   let params = Platform.energy_params frequency in
   (* The "replay" object is full-report-only: the slim baseline keeps
      only what the compare gate reads. The "dse" frontiers are gated,
      so they appear in both. *)
-  let replay =
-    if slim then [] else [ ("replay", replay_json ~seed ~frequency ~jobs suite) ]
-  in
-  let dse = [ ("dse", dse_json ~seed ~jobs suite) ] in
+  let replay = if slim then [] else [ ("replay", replay) ] in
+  let dse = [ ("dse", dse) ] in
   Json.Obj
     ([
       ("schema_version", Json.Int schema_version);
@@ -362,8 +392,8 @@ let compute ?(slim = false) ?(jobs = 1) ?campaign
       | None -> [])
     @ dse @ replay)
 
-let write ?slim ?jobs ?campaign sweeps path =
-  let json = compute ?slim ?jobs ?campaign sweeps in
+let write ?slim ?campaign sweeps path =
+  let json = compute ?slim ?campaign sweeps in
   let oc = open_out path in
   output_string oc (Json.to_string_pretty json);
   close_out oc

@@ -15,8 +15,9 @@
    once its pool map returns. Keys are derived from the trace
    *contents* (configuration fingerprint + event count) plus the
    model — never the file path — so a re-recorded or stale trace can
-   never satisfy a cached cell (same staleness discipline as
-   [Replay_sweep]'s in-memory memo). *)
+   never satisfy a cached cell (the same staleness discipline as
+   [Replay.Engine.load_cached], which keys its decodes on the file's
+   size, mtime and header fingerprint). *)
 
 module Engine = Replay.Engine
 module Trace_file = Replay.Trace_file

@@ -26,16 +26,32 @@ let grid ?(budgets = default_budgets) ?(policies = default_policies) () =
 let model_of c =
   { Engine.m_budget = c.c_budget; m_policy = c.c_policy; m_block = c.c_block }
 
-(* Evaluate [cells] through the shared planner: one pool task per
-   block size, each one [simulate_many] batch. *)
-let eval_cells ~jobs loaded cells =
+(* Evaluate [cells] against every trace through the shared planner:
+   one pool task per (trace, block size), each one [simulate_many]
+   batch. *)
+let replay_traces ?(jobs = 1) traces cells =
+  let n = List.length cells in
   let sims, _ =
-    Sim_plan.run ~jobs
-      (Sim_plan.plan (List.map (fun c -> (loaded, model_of c)) cells))
+    Observe.Telemetry.with_span ~cat:"replay" "cells"
+      ~args:
+        [
+          ("cells", Observe.Json.Int (n * List.length traces));
+          ("jobs", Observe.Json.Int jobs);
+        ]
+      (fun () ->
+        Sim_plan.run ~jobs
+          (Sim_plan.plan
+             (List.concat_map
+                (fun l -> List.map (fun c -> (l, model_of c)) cells)
+                traces)))
   in
-  List.map2 (fun c s -> { r_cell = c; r_sim = s }) cells sims
+  let sims = Array.of_list sims in
+  List.mapi
+    (fun t _ ->
+      List.mapi (fun i c -> { r_cell = c; r_sim = sims.((t * n) + i) }) cells)
+    traces
 
-let replay_cells ?(jobs = 1) ?expect (loaded : Engine.loaded) cells =
+let replay_cells ?jobs ?expect (loaded : Engine.loaded) cells =
   let recorded = loaded.Engine.header.Trace_file.fingerprint in
   match Option.map Toolchain.config_fingerprint expect with
   | Some expected when expected <> recorded ->
@@ -45,16 +61,8 @@ let replay_cells ?(jobs = 1) ?expect (loaded : Engine.loaded) cells =
             has %d — re-record before replaying"
            loaded.Engine.path recorded expected)
   | _ -> (
-      match
-        Observe.Telemetry.with_span ~cat:"replay" "cells"
-          ~args:
-            [
-              ("cells", Observe.Json.Int (List.length cells));
-              ("jobs", Observe.Json.Int jobs);
-            ]
-          (fun () -> eval_cells ~jobs loaded cells)
-      with
-      | results -> Ok results
+      match replay_traces ?jobs [ loaded ] cells with
+      | results -> Ok (List.concat results)
       | exception Failure msg -> Error msg
       | exception Parallel.Worker_failed msg -> Error msg)
 
@@ -139,68 +147,3 @@ let verify_exact (l : Engine.loaded) (res : Toolchain.result) =
       chk "block flushes" rc.Engine.rc_flushes s.Blockcache.Runtime.flushes;
       chk "block returns" rc.Engine.rc_returns s.Blockcache.Runtime.returns);
   List.rev !errs
-
-(* --- Bench driver ------------------------------------------------------ *)
-
-type bench_entry = {
-  b_benchmark : string;
-  b_system : string;
-  b_fingerprint : int;
-  b_events : int;
-  b_bytes : int;
-  b_cells : cell_result list;
-}
-
-let bench_pair ~seed ~frequency ~cells (bd, caching) =
-  let system_name = Toolchain.caching_name caching in
-  let config =
-    { (Toolchain.default_config bd) with seed; frequency; caching }
-  in
-  let trace =
-    Filename.temp_file
-      (Printf.sprintf "swtr-%s-%s-" bd.Workloads.Bench_def.short system_name)
-      ".trace"
-  in
-  Fun.protect
-    ~finally:(fun () -> try Sys.remove trace with Sys_error _ -> ())
-    (fun () ->
-      match Toolchain.run_recorded ~trace config with
-      | Toolchain.Crashed o ->
-          failwith
-            (Printf.sprintf "recording %s/%s crashed: %s"
-               bd.Workloads.Bench_def.name system_name (Msp430.Cpu.outcome_name o))
-      | Toolchain.Did_not_fit _ ->
-          (* Expected capacity outcome: several Table-2 benchmarks
-             exceed the block cache's data limit. No trace, no entry. *)
-          None
-      | Toolchain.Completed res -> (
-          let loaded = Sim_plan.load trace in
-          match verify_exact loaded res with
-          | m :: _ ->
-              failwith
-                (Printf.sprintf "replay of %s/%s is not exact: %s"
-                   bd.Workloads.Bench_def.name system_name m)
-          | [] ->
-              Some
-                {
-                  b_benchmark = bd.Workloads.Bench_def.name;
-                  b_system = system_name;
-                  b_fingerprint = loaded.Engine.header.Trace_file.fingerprint;
-                  b_events = loaded.Engine.events;
-                  b_bytes = loaded.Engine.bytes;
-                  b_cells = eval_cells ~jobs:1 loaded cells;
-                }))
-
-let bench ?(seed = 1) ?benchmarks ?budgets ?policies ?(jobs = 1) ~frequency () =
-  let benchmarks =
-    match benchmarks with Some b -> b | None -> Workloads.Suite.all
-  in
-  let cells = grid ?budgets ?policies () in
-  let pairs =
-    List.concat_map
-      (fun bd -> List.map (fun c -> (bd, c)) Toolchain.replay_systems)
-      benchmarks
-  in
-  List.filter_map
-    (fun e -> e)
-    (Parallel.map ~jobs (bench_pair ~seed ~frequency ~cells) pairs)

@@ -21,20 +21,26 @@ val default_policies : Replay.Engine.policy list
 
 val grid : ?budgets:int list -> ?policies:Replay.Engine.policy list -> unit -> cell list
 
+val replay_traces :
+  ?jobs:int -> Replay.Engine.loaded list -> cell list -> cell_result list list
+(** Evaluate every cell against every loaded trace: one list per
+    trace, both in request order. The (trace, cell) pairs go to up to
+    [jobs] (default 1) forked workers as {!Sim_plan} tasks, one
+    {!Replay.Engine.simulate_many} batch per (trace, block size);
+    workers inherit the parent's decode. Results are identical for
+    every [jobs]. Raises [Failure] ({!Parallel.Worker_failed} from a
+    worker) if a simulation fails. *)
+
 val replay_cells :
   ?jobs:int ->
   ?expect:Toolchain.config ->
   Replay.Engine.loaded ->
   cell list ->
   (cell_result list, string) result
-(** Evaluate every cell against the loaded trace, in request order.
+(** {!replay_traces} over one trace, with failures as [Error].
     [expect] asserts the trace was recorded under exactly that
     configuration ({!Toolchain.config_fingerprint}); a mismatch is an
-    error, not a silent answer from the wrong recording. Cells go to
-    up to [jobs] (default 1) forked workers as {!Sim_plan} tasks, one
-    {!Replay.Engine.simulate_many} batch per block size; workers
-    inherit the parent's decode. Results are identical for every
-    [jobs]. *)
+    error, not a silent answer from the wrong recording. *)
 
 val verify_exact : Replay.Engine.loaded -> Toolchain.result -> string list
 (** Check a loaded trace against the result of the run that recorded
@@ -44,34 +50,3 @@ val verify_exact : Replay.Engine.loaded -> Toolchain.result -> string list
     bit-for-bit, and the replayable runtime counters of whichever
     caching system ran. Returns human-readable mismatch descriptions;
     [[]] means the replay is exact. *)
-
-(** {2 Bench driver} *)
-
-type bench_entry = {
-  b_benchmark : string;
-  b_system : string;  (** "swapram" or "block" *)
-  b_fingerprint : int;
-  b_events : int;
-  b_bytes : int;
-  b_cells : cell_result list;
-}
-
-val bench :
-  ?seed:int ->
-  ?benchmarks:Workloads.Bench_def.t list ->
-  ?budgets:int list ->
-  ?policies:Replay.Engine.policy list ->
-  ?jobs:int ->
-  frequency:Msp430.Platform.frequency ->
-  unit ->
-  bench_entry list
-(** The bench/report pipeline: for every benchmark x {swapram, block},
-    record once into a temporary file, verify exact replay against the
-    recorded run, then evaluate the model grid in one
-    {!Replay.Engine.simulate_many} batch. Pairs whose image does not
-    fit the system (several Table-2 benchmarks exceed the block
-    cache's data limit) are skipped. A crashed recording and a replay
-    that is not bit-for-bit exact ({!verify_exact}) both raise
-    [Failure] ({!Parallel.Worker_failed} from a worker). One
-    (benchmark x system) pair per worker when [jobs > 1] (default 1);
-    traces are deleted afterwards. *)

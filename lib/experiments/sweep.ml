@@ -99,20 +99,32 @@ type pgo_entry = {
   pgo : (Toolchain.pgo_result, string) result;
 }
 
-let compute_pgo ?(seed = 1) ?(benchmarks = Workloads.Suite.all) ?observe
-    ?(jobs = 1) ?(progress = Observe.Progress.null) ~frequency () =
-  let run_one benchmark =
+(* An observed SwapRAM cell is a run of the training configuration
+   with the profiler attached, so it is the training run; a cell
+   without an observation is trained by {!Toolchain.run_pgo} itself. *)
+let compute_pgo ?(seed = 1) ?observe ?(jobs = 1)
+    ?(progress = Observe.Progress.null) ~frequency sweep =
+  let run_one e =
     let config =
       {
-        (Toolchain.default_config benchmark) with
+        (Toolchain.default_config e.benchmark) with
         Toolchain.seed;
         frequency;
         caching = Toolchain.Swapram_cache Swapram.Config.default_options;
       }
     in
-    { pgo_benchmark = benchmark; pgo = Toolchain.run_pgo ?observe config }
+    let train =
+      match e.swapram with
+      | Toolchain.Completed { Toolchain.observation = Some _; _ } ->
+          Some e.swapram
+      | _ -> None
+    in
+    {
+      pgo_benchmark = e.benchmark;
+      pgo = Toolchain.run_pgo ?observe ?train config;
+    }
   in
-  let total = List.length benchmarks in
+  let total = List.length sweep in
   Observe.Telemetry.with_span ~cat:"sweep" "compute_pgo"
     ~args:
       [
@@ -122,4 +134,4 @@ let compute_pgo ?(seed = 1) ?(benchmarks = Workloads.Suite.all) ?observe
     (fun () ->
       Parallel.map ~jobs
         ~on_event:(Parallel.units_progress ~label:"pgo" ~total progress)
-        run_one benchmarks)
+        run_one sweep)

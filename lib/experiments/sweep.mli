@@ -47,15 +47,17 @@ type pgo_entry = {
 
 val compute_pgo :
   ?seed:int ->
-  ?benchmarks:Workloads.Bench_def.t list ->
   ?observe:Toolchain.observe_spec ->
   ?jobs:int ->
   ?progress:Observe.Progress.sink ->
   frequency:Msp430.Platform.frequency ->
-  unit ->
+  t ->
   pgo_entry list
-(** Profile-guided {!Toolchain.run_pgo} over the suite (train under
-    the default SwapRAM configuration, rebuild with the computed
+(** Profile-guided {!Toolchain.run_pgo} over the benchmarks of a sweep
+    computed with the same [seed] and [frequency] (train under the
+    default SwapRAM configuration, rebuild with the computed
     placement, measure), one benchmark per worker when [jobs > 1].
-    Arguments as for {!compute}; [observe] applies to the measured
-    run. *)
+    A SwapRAM cell that carries an observation is the training run,
+    so an observed sweep adds only the measured runs; an unobserved
+    one is trained afresh. Arguments as for {!compute}; [observe]
+    applies to the measured run. *)

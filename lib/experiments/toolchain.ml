@@ -817,35 +817,47 @@ let with_pgo config pgo =
       { config with caching = Swapram_cache { o with Swapram.Config.pgo } }
   | Baseline | Block_cache _ | Checkpoint_runtime _ -> config
 
+(* The second step of training: a completed run of [config] without a
+   PGO placement, with any observation attached (the profiler is in
+   every one), becomes the per-function profile. *)
+let pgo_profile config outcome =
+  match (config.caching, outcome) with
+  | Swapram_cache o, Completed ({ observation = Some ob; _ } as train) ->
+      (* Note: for the Split placement the cache region is recomputed
+         inside [prepare]; the knapsack budget uses the configured
+         cache_size, which is exact for the Unified placement used
+         everywhere PGO results are reported. *)
+      Ok
+        ( profile_of_training
+            ~benchmark:config.benchmark.Workloads.Bench_def.name
+            ~cache_size:o.Swapram.Config.cache_size
+            (Option.get train.swapram_manifest)
+            ob.o_profiler,
+          train )
+  | Swapram_cache _, Completed { observation = None; _ } ->
+      Error "pgo training run carries no profiler"
+  | Swapram_cache _, Did_not_fit msg ->
+      Error ("pgo training run did not fit: " ^ msg)
+  | Swapram_cache _, Crashed c ->
+      Error ("pgo training run crashed: " ^ Cpu.outcome_name c)
+  | (Baseline | Block_cache _ | Checkpoint_runtime _), _ ->
+      Error "pgo requires a swapram configuration"
+
 let train_pgo config =
   match config.caching with
   | Baseline | Block_cache _ | Checkpoint_runtime _ ->
       Error "pgo requires a swapram configuration"
-  | Swapram_cache o -> (
-      match run ~observe:default_observe (with_pgo config None) with
-      | Did_not_fit msg -> Error ("pgo training run did not fit: " ^ msg)
-      | Crashed c -> Error ("pgo training run crashed: " ^ Cpu.outcome_name c)
-      | Completed train ->
-          let profiler =
-            match train.observation with
-            | Some ob -> ob.o_profiler
-            | None -> assert false (* trained with an observe spec *)
-          in
-          (* Note: for the Split placement the cache region is
-             recomputed inside [prepare]; the knapsack budget uses the
-             configured cache_size, which is exact for the Unified
-             placement used everywhere PGO results are reported. *)
-          Ok
-            ( profile_of_training
-                ~benchmark:config.benchmark.Workloads.Bench_def.name
-                ~cache_size:o.Swapram.Config.cache_size
-                (Option.get train.swapram_manifest)
-                profiler,
-              train ))
+  | Swapram_cache _ ->
+      pgo_profile config (run ~observe:default_observe (with_pgo config None))
 
-let run_pgo ?observe ?budget ?profile config =
+let run_pgo ?observe ?budget ?profile ?train config =
   phase_span config "pgo" @@ fun () ->
-  match train_pgo config with
+  let training =
+    match train with
+    | Some outcome -> pgo_profile config outcome
+    | None -> train_pgo config
+  in
+  match training with
   | Error _ as e -> e
   | Ok (trained, train) -> (
       let profile = Option.value profile ~default:trained in

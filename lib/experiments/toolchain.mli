@@ -248,11 +248,15 @@ val run_pgo :
   ?observe:observe_spec ->
   ?budget:int ->
   ?profile:Swapram.Pgo.profile ->
+  ?train:outcome ->
   config ->
   (pgo_result, string) Stdlib.result
-(** Two-phase profile-guided run: {!train_pgo}, compute a
+(** Two-phase profile-guided run: train ({!train_pgo}), compute a
     {!Swapram.Pgo.placement} (or place a caller-supplied [?profile],
-    e.g. one reloaded from disk), rebuild with it and measure. [Error]
-    for non-swapram configurations, failed training runs, or a
-    measured run whose UART output / return value diverges from
-    training. *)
+    e.g. one reloaded from disk), rebuild with it and measure. [train]
+    is a run of [config] the caller already has, made with no PGO
+    placement and any [~observe] spec (each attaches the profiler):
+    the profile is assembled from it as {!train_pgo} does, and the
+    training run is skipped. [Error] for non-swapram configurations,
+    failed or unobserved training runs, or a measured run whose UART
+    output / return value diverges from training. *)

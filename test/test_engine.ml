@@ -261,7 +261,7 @@ let parallel_report_matches_serial () =
   let benchmarks = [ Workloads.Suite.crc ] in
   let render jobs =
     Json.to_string_pretty
-      Experiments.Bench_report.(compute ~jobs (sweeps ~benchmarks ~jobs ()))
+      Experiments.Bench_report.(compute (sweeps ~benchmarks ~jobs ()))
   in
   Alcotest.(check string) "sharded full report identical" (render 1) (render 2)
 

@@ -366,6 +366,48 @@ let test_pgo_pipeline_deterministic () =
     (Pgo.placement_to_string a)
     (Pgo.placement_to_string b)
 
+(* An observed sweep's SwapRAM cell is a run of the training
+   configuration with the profiler attached, so [Sweep.compute_pgo]
+   trains on it: the profile, placement and measured run must equal
+   [run_pgo]'s own training run on the same configuration. *)
+let test_pgo_from_observed_sweep () =
+  let frequency = Msp430.Platform.Mhz24 in
+  let sweep =
+    Experiments.Sweep.compute
+      ~benchmarks:(List.map bench [ "crc"; "rc4"; "aes"; "bitcount"; "rsa" ])
+      ~observe:Toolchain.metrics_observe ~frequency ()
+  in
+  let measured (r : Toolchain.pgo_result) =
+    match r.Toolchain.pg_measured with
+    | Toolchain.Completed m ->
+        (Trace.total_cycles m.Toolchain.stats, m.Toolchain.uart)
+    | _ -> Alcotest.fail "measured pgo run did not complete"
+  in
+  List.iter2
+    (fun (e : Experiments.Sweep.entry) (p : Experiments.Sweep.pgo_entry) ->
+      let name = e.Experiments.Sweep.benchmark.Workloads.Bench_def.name in
+      match (p.Experiments.Sweep.pgo, Toolchain.run_pgo (swapram_config name)) with
+      | Ok s, Ok r ->
+          (match e.Experiments.Sweep.swapram with
+          | Toolchain.Completed cell ->
+              Alcotest.(check bool)
+                (name ^ ": trained on the sweep cell")
+                true (s.Toolchain.pg_train == cell)
+          | _ -> Alcotest.fail (name ^ ": swapram cell did not complete"));
+          Alcotest.(check bool)
+            (name ^ ": profile") true
+            (s.Toolchain.pg_profile = r.Toolchain.pg_profile);
+          Alcotest.(check string)
+            (name ^ ": placement")
+            (Pgo.placement_to_string r.Toolchain.pg_placement)
+            (Pgo.placement_to_string s.Toolchain.pg_placement);
+          Alcotest.(check (pair int string))
+            (name ^ ": measured cycles and uart")
+            (measured r) (measured s)
+      | Error e, _ | _, Error e -> Alcotest.fail (name ^ ": " ^ e))
+    sweep
+    (Experiments.Sweep.compute_pgo ~frequency sweep)
+
 let suite =
   [
     Alcotest.test_case "place: deterministic" `Quick test_place_deterministic;
@@ -386,4 +428,6 @@ let suite =
       test_pgo_end_to_end;
     Alcotest.test_case "end-to-end: crc placement deterministic" `Slow
       test_pgo_pipeline_deterministic;
+    Alcotest.test_case "observed sweep cell trains like run_pgo" `Slow
+      test_pgo_from_observed_sweep;
   ]

@@ -214,6 +214,61 @@ let report_unperturbed_by_telemetry () =
        (function Tel.Span_begin { cat = "sweep"; _ } -> true | _ -> false)
        records)
 
+(* --- one execution per cell ------------------------------------- *)
+
+(* A bench report executes each configuration once: one recording per
+   fitting (benchmark, cached system) pair feeds both "replay" and
+   "dse", one DSE evaluation serves both renderings, and PGO trains on
+   the sweep's own SwapRAM run, so a pgo span holds only the measured
+   execution. Serial, so every span lands in this ledger. *)
+let report_executes_each_cell_once () =
+  let (full, slim), records =
+    with_ledger (fun () ->
+        let s =
+          Experiments.Bench_report.sweeps ~jobs:1
+            ~benchmarks:[ Workloads.Suite.crc ] ()
+        in
+        Experiments.Bench_report.(compute s, compute ~slim:true s))
+  in
+  let spans cat name =
+    List.filter_map
+      (function
+        | Tel.Span_begin b when b.cat = cat && b.name = name ->
+            let arg k = Option.bind (List.assoc_opt k b.args) Json.to_str in
+            Some (arg "benchmark", arg "system")
+        | _ -> None)
+      records
+  in
+  let status system =
+    Option.bind (Json.member "benchmarks" full) Json.to_list
+    |> Option.get |> List.hd |> Json.member "systems" |> Option.get
+    |> Json.member system |> Option.get |> Json.member "status"
+    |> Option.get |> Json.to_str |> Option.get
+  in
+  let crc system = (Some "crc", Some system) in
+  let pairs keep systems =
+    List.filter_map
+      (fun s -> if keep (status s) then Some (crc s) else None)
+      systems
+  in
+  let cached = [ "swapram"; "block" ] in
+  Alcotest.(check (list (pair (option string) (option string))))
+    "one recording per fitting cached pair"
+    (pairs (( = ) "completed") cached)
+    (spans "toolchain" "record");
+  Alcotest.(check int) "one dse evaluation" 1
+    (List.length (spans "dse" "simulate"));
+  let pgo = spans "toolchain" "pgo" in
+  Alcotest.(check int) "one pgo run" 1 (List.length pgo);
+  Alcotest.(check int)
+    "one execution per sweep cell plus each pgo measurement"
+    (List.length (pairs (( <> ) "did-not-fit") ("baseline" :: cached))
+    + List.length pgo)
+    (List.length (spans "toolchain" "execute"));
+  Alcotest.(check bool) "full and slim share the dse object" true
+    (Json.member "dse" full = Json.member "dse" slim
+    && Json.member "dse" full <> None)
+
 (* --- chaos: a killed worker leaves a truthful ledger ------------ *)
 
 let chaos_kill_is_ledgered () =
@@ -313,4 +368,6 @@ let suite =
       dashboard_sink_redraws_with_ansi;
     Alcotest.test_case "auto picks plain off a TTY" `Quick
       auto_sink_picks_plain_off_tty;
+    Alcotest.test_case "report executes each cell once" `Slow
+      report_executes_each_cell_once;
   ]
