@@ -176,7 +176,7 @@ let profile config top folded chrome verify =
   Option.iter
     (fun path ->
       write_file path
-        (Observe.Chrome.export ~symtab:obs.o_symtab (Option.get obs.o_events));
+        (Observe.Chrome.export ~symtab:obs.o_symtab obs.o_events);
       Printf.printf "\nwrote Chrome trace to %s\n" path)
     chrome;
   if not verify then `Ok ()
@@ -214,7 +214,7 @@ let profile config top folded chrome verify =
    curve. *)
 let metrics config metrics_window metrics_buckets csv =
   let observe =
-    { Toolchain.default_observe with Toolchain.metrics_window; metrics_buckets }
+    { Toolchain.metrics_window; metrics_buckets }
   in
   let* r = completed (Toolchain.run ~observe config) in
   match r.observation with

@@ -461,13 +461,6 @@ let campaign_term =
     in
     Arg.(value & opt (some string) None & info [ "resume" ] ~docv:"PATH" ~doc)
   in
-  let chunk_arg =
-    let doc =
-      "Campaign shards per worker pipe round trip (0 = dynamic chunk sizing; \
-       1 disables chunking)."
-    in
-    Arg.(value & opt int 0 & info [ "chunk" ] ~doc)
-  in
   let report_arg =
     let doc =
       "Write the campaign report as JSON (the bench report schema, with only \
@@ -478,7 +471,7 @@ let campaign_term =
   Term.(
     ret
       (const Sweeps.campaign $ campaign_plan_term $ resume_arg $ jobs_arg
-     $ chunk_arg $ report_arg $ quiet_arg $ telemetry_arg))
+     $ report_arg $ quiet_arg $ telemetry_arg))
 
 let dse_grid_term =
   let d = Dse.default_grid in

@@ -54,7 +54,7 @@ let report_json key value =
         (key, value);
       ])
 
-let campaign plan resume jobs chunk report quiet telemetry =
+let campaign plan resume jobs report quiet telemetry =
   with_telemetry ~command:"campaign" telemetry
     ~fields:
       Observe.Json.
@@ -66,9 +66,7 @@ let campaign plan resume jobs chunk report quiet telemetry =
         ]
   @@ fun () ->
   let* outcome =
-    Campaign.run ~jobs
-      ?chunk:(if chunk > 0 then Some chunk else None)
-      ~progress:(progress quiet) ?progress_file:resume plan
+    Campaign.run ~jobs ~progress:(progress quiet) ?progress_file:resume plan
   in
   print_string (Campaign.table outcome);
   Option.iter

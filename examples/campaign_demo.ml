@@ -35,7 +35,7 @@ let plan =
 
 let () =
   match
-    Campaign.run ~jobs:2 ~progress:(Observe.Progress.console stderr) plan
+    Campaign.run ~jobs:2 ~progress:(Observe.Progress.auto stderr) plan
   with
   | Error msg ->
       prerr_endline ("campaign failed: " ^ msg);

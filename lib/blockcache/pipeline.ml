@@ -9,26 +9,11 @@ type built = {
   options : Config.options;
 }
 
-exception Does_not_fit of string
-(* The paper marks four of nine benchmarks DNF for the block cache:
-   the transformed binary exceeds the platform's FRAM (§5.2). *)
-
 let build ?(options = Config.default_options)
     ?(layout = Masm.Assembler.default_layout) program =
   let transformed, manifest = Transform.transform ~options program in
   let image = Masm.Assembler.assemble ~layout transformed in
   { program = transformed; image; manifest; options }
-
-let check_fits ~fram_limit built =
-  if
-    built.image.Masm.Assembler.code_end > fram_limit
-    || built.image.Masm.Assembler.data_end > fram_limit
-  then
-    raise
-      (Does_not_fit
-         (Printf.sprintf "code ends 0x%04X, data ends 0x%04X, FRAM ends 0x%04X"
-            built.image.Masm.Assembler.code_end
-            built.image.Masm.Assembler.data_end fram_limit))
 
 let install built (system : Msp430.Platform.system) =
   Masm.Assembler.load built.image system.Msp430.Platform.memory;

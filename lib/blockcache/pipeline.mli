@@ -8,18 +8,12 @@ type built = {
   options : Config.options;
 }
 
-exception Does_not_fit of string
-(** Raised by {!check_fits}: the paper marks four of nine benchmarks
-    DNF because the transformed binary exceeds the platform's FRAM
-    (§5.2). *)
-
 val build :
   ?options:Config.options ->
   ?layout:Masm.Assembler.layout ->
   Masm.Ast.program ->
   built
 
-val check_fits : fram_limit:int -> built -> unit
 val install : built -> Msp430.Platform.system -> Runtime.t
 
 type nvm_usage = {

@@ -237,21 +237,21 @@ let executed sweep (w : Dse.workload) =
   | "swapram", Toolchain.Completed r, _ | "block", _, Toolchain.Completed r -> r
   | _ -> failwith ("bench report: no completed sweep run of " ^ Dse.workload_name w)
 
-(* Every trace is checked bit-for-bit against the sweep's run of its
-   configuration before its cells are simulated; a mismatch raises. *)
-let replay_json ~jobs sweep workloads =
-  let loaded =
-    List.map
-      (fun w ->
-        let l = Sim_plan.load w.Dse.w_trace in
-        match Replay_sweep.verify_exact l (executed sweep w) with
-        | m :: _ ->
-            failwith
-              (Printf.sprintf "replay of %s is not exact: %s"
-                 (Dse.workload_name w) m)
-        | [] -> l)
-      workloads
-  in
+(* Every trace is loaded and checked bit-for-bit against the sweep's
+   run of its configuration; a mismatch raises. *)
+let verified_traces sweep workloads =
+  List.map
+    (fun w ->
+      let l = Sim_plan.load w.Dse.w_trace in
+      match Replay_sweep.verify_exact l (executed sweep w) with
+      | m :: _ ->
+          failwith
+            (Printf.sprintf "replay of %s is not exact: %s"
+               (Dse.workload_name w) m)
+      | [] -> (w, l))
+    workloads
+
+let replay_json ~jobs traces =
   let cell_json (r : Replay_sweep.cell_result) =
     let cell = r.Replay_sweep.r_cell and sim = r.Replay_sweep.r_sim in
     Json.Obj
@@ -283,13 +283,14 @@ let replay_json ~jobs sweep workloads =
         ("cells", Json.List (List.map cell_json cells));
       ]
   in
-  let cells = Replay_sweep.replay_traces ~jobs loaded (Replay_sweep.grid ()) in
+  let cells =
+    Replay_sweep.replay_traces ~jobs (List.map snd traces)
+      (Replay_sweep.grid ())
+  in
   Json.Obj
     [
       ("exact_all", Json.Bool true);
-      ( "traces",
-        Json.List (List.map2 trace_json (List.combine workloads loaded) cells)
-      );
+      ("traces", Json.List (List.map2 trace_json traces cells));
     ]
 
 (* --- "dse" object: Pareto design-space exploration ----------------------- *)
@@ -312,13 +313,14 @@ let dse_json ~jobs workloads =
 (* The profiled runs a report renders — the Table-2 sweep and the PGO
    list, with the metrics stack attached — the "replay" and "dse"
    objects built from one recording per (benchmark, cached system),
-   and what they were run with. *)
+   and what they were run with. Only a full report renders "replay",
+   so its cells are simulated when the first one is. *)
 type sweeps = {
   seed : int;
   frequency : Platform.frequency;
   sweep : Sweep.t;
   pgo : Sweep.pgo_entry list;
-  replay : Json.t;
+  replay : Json.t Lazy.t;
   dse : Json.t;
 }
 
@@ -336,8 +338,8 @@ let sweeps ?(seed = 1) ?(benchmarks = Workloads.Suite.all)
     with
     | Error e -> failwith ("bench report: recording failed: " ^ e)
     | Ok workloads ->
-        let replay = replay_json ~jobs sweep workloads in
-        (replay, dse_json ~jobs workloads)
+        let traces = verified_traces sweep workloads in
+        (lazy (replay_json ~jobs traces), dse_json ~jobs workloads)
   in
   { seed; frequency; sweep; pgo; replay; dse }
 
@@ -347,7 +349,7 @@ let compute ?(slim = false) ?campaign { seed; frequency; sweep; pgo; replay; dse
   (* The "replay" object is full-report-only: the slim baseline keeps
      only what the compare gate reads. The "dse" frontiers are gated,
      so they appear in both. *)
-  let replay = if slim then [] else [ ("replay", replay) ] in
+  let replay = if slim then [] else [ ("replay", Lazy.force replay) ] in
   let dse = [ ("dse", dse) ] in
   Json.Obj
     ([

@@ -19,10 +19,10 @@
 val schema_version : int
 
 type sweeps
-(** Everything a report renders, each computed once: the Table-2 sweep
-    and the PGO list, with {!Toolchain.metrics_observe} attached, the
-    "replay" and "dse" objects, and the seed and frequency they were
-    run with. *)
+(** Everything a report renders, each computed at most once: the
+    Table-2 sweep and the PGO list, with {!Toolchain.metrics_observe}
+    attached, the "replay" (on first use) and "dse" objects, and the
+    seed and frequency they were run with. *)
 
 val sweeps :
   ?seed:int ->
@@ -37,9 +37,11 @@ val sweeps :
     cells. {!Dse.record_workloads} then records each fitting
     (benchmark, cached system) pair once at [frequency] into a
     temporary directory, and both objects are built from those traces:
-    "replay" verifies each against the sweep's run of the same
-    configuration ({!Replay_sweep.verify_exact}, raising [Failure] on
-    the first mismatch) and replays it across {!Replay_sweep.grid};
+    every trace is loaded and verified against the sweep's run of the
+    same configuration ({!Replay_sweep.verify_exact}, raising
+    [Failure] on the first mismatch) here, and "replay" replays the
+    loaded traces across {!Replay_sweep.grid} when a full report is
+    first rendered (a slim-only run never simulates those cells);
     "dse" evaluates the report grid, whose objectives retarget every
     trace to each grid frequency. A full and a slim report can render
     the same value. Defaults: seed 1, the full suite, 24 MHz; [jobs]
@@ -47,7 +49,8 @@ val sweeps :
     value in the report. *)
 
 val compute : ?slim:bool -> ?campaign:Observe.Json.t -> sweeps -> Observe.Json.t
-(** Render the report. [slim] (default false) drops the bulky
+(** Render the report, simulating the "replay" cells on the first full
+    rendering. [slim] (default false) drops the bulky
     "metrics" and "top_functions" payloads and the "replay" object
     while keeping every scalar the perf-regression gate ({!Compare})
     reads — the rendering committed as bench/baseline.json.

@@ -19,13 +19,13 @@
      load-balances uneven cells; determinism is preserved by indexing
      results, not by scheduling.
 
-   - Self-healing (when [retries] > 0): a worker that dies or exceeds
-     the per-task host timeout is disposed of — both pipe ends closed,
-     SIGKILL if still alive, waitpid so no zombie accumulates — and
-     its task is re-queued with exponential backoff, up to [retries]
-     re-executions, against a freshly spawned worker. A task that
-     *raises* is different: the failure is deterministic (same binary,
-     same input), so it surfaces as [Worker_failed] immediately. *)
+   - Self-healing (when [retries] > 0): a worker that dies is
+     disposed of — both pipe ends closed, SIGKILL if still alive,
+     waitpid so no zombie accumulates — and its task goes to the back
+     of the queue, up to [retries] re-executions, against a freshly
+     spawned worker. A task that *raises* is different: the failure is
+     deterministic (same binary, same input), so it surfaces as
+     [Worker_failed] immediately. *)
 
 let ncores () =
   try
@@ -49,8 +49,6 @@ type event =
   | Dispatched of { pid : int; task : int }
   | Completed of { pid : int; task : int }
   | Died of { pid : int; task : int; attempt : int }
-  | Timed_out of { pid : int; task : int }
-  | Requeued of { task : int; attempt : int; delay : float }
 
 let worker_progress (progress : Observe.Progress.sink) ev =
   let state pid state task =
@@ -61,8 +59,6 @@ let worker_progress (progress : Observe.Progress.sink) ev =
   | Dispatched { pid; task } -> state pid Observe.Progress.W_busy task
   | Completed { pid; task } -> state pid Observe.Progress.W_idle task
   | Died { pid; task; _ } -> state pid Observe.Progress.W_died task
-  | Timed_out { pid; task } -> state pid Observe.Progress.W_timed_out task
-  | Requeued _ -> ()
 
 let units_progress ~label ~total (progress : Observe.Progress.sink) =
   let finished = ref 0 in
@@ -81,7 +77,6 @@ type worker = {
   result_fd : Unix.file_descr;
   result_in : in_channel; (* child -> parent: index + marshalled reply *)
   mutable task : int; (* index in flight, -1 when idle *)
-  mutable deadline : float; (* host-time deadline for the task in flight *)
 }
 
 (* True in forked workers: tasks that deliberately kill their own
@@ -114,8 +109,7 @@ let child_loop tasks f task_r result_w =
    with _ -> Unix._exit 2);
   Unix._exit 0
 
-let map ?(jobs = 1) ?task_timeout ?(retries = 0) ?(backoff = 0.05)
-    ?(on_event = fun (_ : event) -> ()) f xs =
+let map ?(jobs = 1) ?(retries = 0) ?(on_event = fun (_ : event) -> ()) f xs =
   let tasks = Array.of_list xs in
   let ntasks = Array.length tasks in
   let nworkers = min jobs ntasks in
@@ -159,13 +153,15 @@ let map ?(jobs = 1) ?task_timeout ?(retries = 0) ?(backoff = 0.05)
     in
     let results = Array.make ntasks None in
     let attempts = Array.make ntasks 0 in
-    (* pending tasks as (index, not-before host time); re-queued tasks
-       go to the back with their backoff expiry *)
-    let pending = ref (List.init ntasks (fun i -> (i, 0.0))) in
+    (* pending task indices, first in first out; a re-queued task goes
+       to the back *)
+    let pending = Queue.create () in
+    for i = 0 to ntasks - 1 do
+      Queue.add i pending
+    done;
     let done_count = ref 0 in
     let workers = ref ([] : worker list) in
     let deaths = ref 0 in
-    let now () = Unix.gettimeofday () in
     (* Close both pipe ends and reap the child — the fd-hygiene core:
        every worker that leaves the pool goes through here exactly
        once, so neither a crashed worker nor a [Worker_failed] unwind
@@ -178,19 +174,14 @@ let map ?(jobs = 1) ?task_timeout ?(retries = 0) ?(backoff = 0.05)
       Observe.Telemetry.worker "reap" ~pid:w.pid
         ~args:[ ("killed", Observe.Json.Bool kill) ]
     in
+    (* An idle worker is told to exit and reaped. *)
     let retire w =
-      if w.task >= 0 then
-        (* still computing a task someone else already finished (a
-           timed-out task re-queued and completed elsewhere) *)
-        dispose ~kill:true w
-      else begin
-        (try
-           output_binary_int w.task_out (-1);
-           flush w.task_out
-         with Sys_error _ -> ());
-        Observe.Telemetry.worker "exit" ~pid:w.pid;
-        dispose ~kill:false w
-      end
+      (try
+         output_binary_int w.task_out (-1);
+         flush w.task_out
+       with Sys_error _ -> ());
+      Observe.Telemetry.worker "exit" ~pid:w.pid;
+      dispose ~kill:false w
     in
     let cleanup ~kill =
       List.iter (fun w -> if kill then dispose ~kill:true w else retire w) !workers;
@@ -225,7 +216,6 @@ let map ?(jobs = 1) ?task_timeout ?(retries = 0) ?(backoff = 0.05)
               result_fd = result_r;
               result_in = Unix.in_channel_of_descr result_r;
               task = -1;
-              deadline = infinity;
             }
           in
           workers := w :: !workers;
@@ -240,50 +230,27 @@ let map ?(jobs = 1) ?task_timeout ?(retries = 0) ?(backoff = 0.05)
       output_binary_int w.task_out idx;
       flush w.task_out;
       w.task <- idx;
-      w.deadline <-
-        (match task_timeout with Some s -> now () +. s | None -> infinity);
       on_event (Dispatched { pid = w.pid; task = idx });
       Observe.Telemetry.worker "dispatch" ~pid:w.pid ~task:idx;
-      Observe.Telemetry.counter "queue_depth" (List.length !pending)
+      Observe.Telemetry.counter "queue_depth" (Queue.length pending)
     in
-    let drop w = workers := List.filter (fun w' -> w' != w) !workers in
-    (* Put [idx] back in the queue after its worker died or timed out,
-       or give up on it once [retries] re-executions are spent. *)
-    let requeue ~why idx =
-      if results.(idx) = None then begin
-        attempts.(idx) <- attempts.(idx) + 1;
-        if attempts.(idx) > retries then
-          fail
-            (Printf.sprintf "task %d given up after %d attempt(s): %s" idx
-               attempts.(idx) why);
-        let delay = backoff *. (2. ** float_of_int (attempts.(idx) - 1)) in
-        on_event (Requeued { task = idx; attempt = attempts.(idx); delay });
-        Observe.Telemetry.worker "requeue" ~pid:0 ~task:idx
-          ~args:
-            [
-              ("attempt", Observe.Json.Int attempts.(idx));
-              ("delay", Observe.Json.Float delay);
-            ];
-        pending := !pending @ [ (idx, now () +. delay) ];
-        Observe.Telemetry.counter "queue_depth" (List.length !pending)
-      end
+    (* Put [idx] back in the queue after its worker died, or give up on
+       it once [retries] re-executions are spent. *)
+    let requeue idx =
+      if attempts.(idx) > retries then
+        fail
+          (Printf.sprintf
+             "task %d given up after %d attempt(s): worker died without \
+              delivering a result"
+             idx attempts.(idx));
+      Observe.Telemetry.worker "requeue" ~pid:0 ~task:idx
+        ~args:[ ("attempt", Observe.Json.Int attempts.(idx)) ];
+      Queue.add idx pending;
+      Observe.Telemetry.counter "queue_depth" (Queue.length pending)
     in
-    let take_ready t =
-      let rec go acc = function
-        | [] -> None
-        | (i, nb) :: rest when nb <= t ->
-            pending := List.rev_append acc rest;
-            Some i
-        | x :: rest -> go (x :: acc) rest
-      in
-      go [] !pending
-    in
-    let next_not_before () =
-      List.fold_left (fun a (_, nb) -> min a nb) infinity !pending
-    in
-    let rec select_retry fds timeout =
-      try Unix.select fds [] [] timeout
-      with Unix.Unix_error (Unix.EINTR, _, _) -> select_retry fds timeout
+    let rec select_retry fds =
+      try Unix.select fds [] [] (-1.0)
+      with Unix.Unix_error (Unix.EINTR, _, _) -> select_retry fds
     in
     (* Read one result frame off [w]. A truncated or unreadable frame
        means the worker died mid-protocol. *)
@@ -297,12 +264,9 @@ let map ?(jobs = 1) ?task_timeout ?(retries = 0) ?(backoff = 0.05)
       in
       match frame with
       | `Frame (idx, Ok_r v) ->
-          if results.(idx) = None then begin
-            results.(idx) <- Some v;
-            incr done_count
-          end;
+          results.(idx) <- Some v;
+          incr done_count;
           w.task <- -1;
-          w.deadline <- infinity;
           on_event (Completed { pid = w.pid; task = idx });
           Observe.Telemetry.worker "result" ~pid:w.pid ~task:idx
       | `Frame (_, Error_r msg) ->
@@ -310,74 +274,44 @@ let map ?(jobs = 1) ?task_timeout ?(retries = 0) ?(backoff = 0.05)
              help *)
           fail msg
       | `Died ->
-          let idx = w.task and attempt = attempts.(w.task) + 1 in
+          let idx = w.task in
+          attempts.(idx) <- attempts.(idx) + 1;
           incr deaths;
           Observe.Telemetry.worker "died" ~pid:w.pid ~task:idx;
-          drop w;
+          workers := List.filter (fun w' -> w' != w) !workers;
           dispose ~kill:true w;
-          on_event (Died { pid = w.pid; task = idx; attempt });
-          requeue ~why:"worker died without delivering a result" idx
+          on_event (Died { pid = w.pid; task = idx; attempt = attempts.(idx) });
+          requeue idx
     in
     (try
        while !done_count < ntasks do
-         (* hand ready tasks to idle workers, spawning replacements up
-            to the pool size *)
+         (* hand pending tasks to idle workers, spawning replacements
+            up to the pool size *)
          let rec assign () =
-           let idle = List.find_opt (fun w -> w.task < 0) !workers in
-           if idle <> None || List.length !workers < nworkers then
-             match take_ready (now ()) with
-             | Some idx ->
-                 let w = match idle with Some w -> w | None -> spawn () in
-                 send w idx;
+           if not (Queue.is_empty pending) then
+             match List.find_opt (fun w -> w.task < 0) !workers with
+             | Some w ->
+                 send w (Queue.pop pending);
+                 assign ()
+             | None when List.length !workers < nworkers ->
+                 let idx = Queue.pop pending in
+                 send (spawn ()) idx;
                  assign ()
              | None -> ()
          in
          assign ();
+         (* after [assign], either every worker is busy or nothing is
+            pending, and an unfinished task is in flight, so [busy] is
+            non-empty: block until a busy worker delivers a frame or
+            dies *)
          let busy = List.filter (fun w -> w.task >= 0) !workers in
-         if busy = [] then begin
-           (* everything pending is backing off; sleep to the earliest
-              expiry *)
-           let nb = next_not_before () in
-           let t = now () in
-           if nb > t then ignore (Unix.select [] [] [] (min (nb -. t) 0.25))
-         end
-         else begin
-           let fds = List.map (fun w -> w.result_fd) busy in
-           let wake =
-             min
-               (List.fold_left (fun a w -> min a w.deadline) infinity busy)
-               (next_not_before ())
-           in
-           let timeout =
-             if wake = infinity then -1.0 else max 0.0 (wake -. now ())
-           in
-           let ready, _, _ = select_retry fds timeout in
-           List.iter
-             (fun fd ->
-               match List.find_opt (fun w -> w.result_fd = fd) !workers with
-               | Some w -> handle_frame w
-               | None -> ())
-             ready;
-           (* expired deadlines: drain a frame that raced the timeout,
-              otherwise kill and re-queue *)
-           let t = now () in
-           List.iter
-             (fun w ->
-               if w.task >= 0 && w.deadline <= t && List.memq w !workers then begin
-                 let r, _, _ = select_retry [ w.result_fd ] 0.0 in
-                 if r <> [] then handle_frame w
-                 else begin
-                   let idx = w.task in
-                   incr deaths;
-                   on_event (Timed_out { pid = w.pid; task = idx });
-                   Observe.Telemetry.worker "timeout" ~pid:w.pid ~task:idx;
-                   drop w;
-                   dispose ~kill:true w;
-                   requeue ~why:"task timed out" idx
-                 end
-               end)
-             busy
-         end
+         let ready, _, _ = select_retry (List.map (fun w -> w.result_fd) busy) in
+         List.iter
+           (fun fd ->
+             match List.find_opt (fun w -> w.result_fd = fd) !workers with
+             | Some w -> handle_frame w
+             | None -> ())
+           ready
        done
      with
     | Worker_failed _ as e -> raise e (* [fail] already cleaned up *)
@@ -385,36 +319,27 @@ let map ?(jobs = 1) ?task_timeout ?(retries = 0) ?(backoff = 0.05)
         (try cleanup ~kill:true with _ -> ());
         raise e);
     cleanup ~kill:false;
-    Array.to_list results
-    |> List.map (function
-         | Some v -> v
-         | None -> raise (Worker_failed "missing result"))
+    Array.to_list results |> List.map Option.get
   end
 
 (* --- Chunked dispatch --------------------------------------------------- *)
 
 (* Dynamic policy: aim for ~4 chunks per worker so the pool can still
    rebalance around a slow chunk, bounded above so one reply frame
-   never marshals an unbounded result list and a crashed worker never
-   forfeits more than [chunk_cap] items of progress. *)
+   never marshals an unbounded result list. *)
 let chunk_cap = 256
 
-let chunk_size ?chunk ~jobs n =
-  match chunk with
-  | Some c when c > 0 -> max 1 (min c n)
-  | _ ->
-      if n <= 1 then 1
-      else
-        let workers = max 1 jobs in
-        max 1 (min chunk_cap (n / (workers * 4)))
+let chunk_size ~jobs n =
+  if n <= 1 then 1
+  else
+    let workers = max 1 jobs in
+    max 1 (min chunk_cap (n / (workers * 4)))
 
-let map_chunked ?(jobs = 1) ?chunk ?task_timeout ?retries ?backoff ?on_event f
-    xs =
+let map_chunked ?(jobs = 1) f xs =
   let n = List.length xs in
-  let c = chunk_size ?chunk ~jobs n in
+  let c = chunk_size ~jobs n in
   if n = 0 then []
-  else if c <= 1 then
-    map ~jobs ?task_timeout ?retries ?backoff ?on_event f xs
+  else if c <= 1 then map ~jobs f xs
   else
     let arr = Array.of_list xs in
     let nchunks = (n + c - 1) / c in
@@ -431,7 +356,5 @@ let map_chunked ?(jobs = 1) ?chunk ?task_timeout ?retries ?backoff ?on_event f
           ("chunks", Observe.Json.Int nchunks);
         ]
     @@ fun () ->
-    map ~jobs ?task_timeout ?retries ?backoff ?on_event
-      (fun chunk -> Array.map f chunk)
-      chunks
+    map ~jobs (fun chunk -> Array.map f chunk) chunks
     |> List.concat_map Array.to_list

@@ -39,17 +39,14 @@ type event =
   | Completed of { pid : int; task : int }
       (** the worker delivered the task's result *)
   | Died of { pid : int; task : int; attempt : int }
-      (** a worker crashed mid-task; the task will be re-queued *)
-  | Timed_out of { pid : int; task : int }
-      (** the task exceeded [task_timeout]; worker killed *)
-  | Requeued of { task : int; attempt : int; delay : float }
-      (** re-execution scheduled after [delay] seconds of backoff *)
+      (** a worker crashed mid-task, the task's [attempt]-th failed
+          execution; the task goes to the back of the queue unless
+          its retries are spent *)
 
 val worker_progress : Observe.Progress.sink -> event -> unit
 (** Forward an event's worker transition as a
-    {!Observe.Progress.Worker_state} (spawned, busy, idle, died, timed
-    out; [Spawned] carries task [-1]). [Requeued] names no worker and
-    is dropped. *)
+    {!Observe.Progress.Worker_state} (spawned, busy, idle, died;
+    [Spawned] carries task [-1]). *)
 
 val units_progress :
   label:string -> total:int -> Observe.Progress.sink -> event -> unit
@@ -59,9 +56,7 @@ val units_progress :
 
 val map :
   ?jobs:int ->
-  ?task_timeout:float ->
   ?retries:int ->
-  ?backoff:float ->
   ?on_event:(event -> unit) ->
   ('a -> 'b) ->
   'a list ->
@@ -72,14 +67,14 @@ val map :
     Tasks are dispatched dynamically in list order; results are
     returned in list order regardless of completion order.
 
-    A worker that crashes (or exceeds the [task_timeout] host-seconds
-    deadline, when given) is disposed of — both pipe ends closed,
-    killed if needed, reaped — and its task is re-queued with
-    exponential backoff ([backoff] * 2^(attempt-1) seconds, default
-    0.05) against a freshly spawned worker, up to [retries]
+    A worker that crashes is disposed of — both pipe ends closed,
+    killed if needed, reaped — and its task goes to the back of the
+    queue, to run on a freshly spawned worker, up to [retries]
     re-executions per task, after which {!Worker_failed} is raised.
-    A retry redoes the whole task: a {!map_chunked} chunk (at most
-    256 items), or a {!Sim_plan} (trace, block) group of policies x
+    Tasks have no host-time deadline: a campaign trial is bounded in
+    simulated time by its reboot cap and cycle watchdog.
+    A retry redoes the whole task: a campaign shard, or a
+    {!Sim_plan} (trace, block) group of policies x
     budgets sims (1,491 on the default DSE grid), left uncapped since
     a split group would re-prepare its stream and restart its ladders.
     [retries] defaults to 0, so by default the map is strict: the
@@ -92,32 +87,24 @@ val map :
     completed map equals the serial [List.map] regardless of crashes,
     retries or scheduling. *)
 
-val chunk_size : ?chunk:int -> jobs:int -> int -> int
-(** The chunk width {!map_chunked} will use for [n] tasks: [chunk]
-    when given (clamped to [1..n]), otherwise a dynamic size aiming
-    for ~4 chunks per worker, capped at 256 items so one reply frame
-    stays bounded and a crashed worker forfeits bounded progress.
-    Exposed so a caller can tell how many pool tasks a
-    {!map_chunked} call makes. *)
+val chunk_size : jobs:int -> int -> int
+(** The chunk width {!map_chunked} will use for [n] tasks: a dynamic
+    size aiming for ~4 chunks per worker, capped at 256 items so one
+    reply frame stays bounded. Exposed so a caller can tell how many
+    pool tasks a {!map_chunked} call makes. *)
 
-val map_chunked :
-  ?jobs:int ->
-  ?chunk:int ->
-  ?task_timeout:float ->
-  ?retries:int ->
-  ?backoff:float ->
-  ?on_event:(event -> unit) ->
-  ('a -> 'b) ->
-  'a list ->
-  'b list
+val map_chunked : ?jobs:int -> ('a -> 'b) -> 'a list -> 'b list
 (** {!map} with chunked dispatch: tasks are grouped into
     contiguous chunks of {!chunk_size} items and each chunk is one
     pool task — one pipe round trip and one [Marshal] frame per chunk
     instead of per item, which is what keeps sub-millisecond cells
-    (replay simulation points) from drowning in protocol overhead.
-    Retry semantics (and the strict default) are inherited at chunk
-    granularity: a crashed worker re-queues its whole chunk, a raising
-    task fails the map. [on_event] task indices refer to chunks, not items. The
-    result equals [List.map f xs] for every chunk size, worker count
-    and crash schedule — input-order merge is preserved by the
-    index-keyed reassembly underneath. *)
+    from drowning in protocol overhead. The map is strict, as {!map}
+    with no retries: a crashed worker or a raising task fails it. The
+    result equals [List.map f xs] for every worker count: input-order
+    merge is preserved by the index-keyed reassembly underneath.
+
+    No library caller is left: every pool task in the experiments and
+    campaigns is already coarse. This and {!chunk_size} stay only
+    because the [perf] harness times them for [dse-grid]'s
+    [parallel.*] metrics, until those metrics measure the {!map} the
+    libraries use. *)

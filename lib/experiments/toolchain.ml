@@ -103,23 +103,17 @@ type sizes = { code_bytes : int; data_bytes : int }
 
 (* --- Observability ----------------------------------------------------- *)
 
-(* What to attach to the run. The profiler is always on when a spec is
-   given; the event ring and the windowed metrics sampler are optional
-   because most callers only want the attribution tables. *)
+(* What to attach to the run. The profiler and the 4096-entry event
+   ring are always on when a spec is given; the windowed metrics
+   sampler is optional because most callers only want the attribution
+   tables. *)
 type observe_spec = {
-  events_capacity : int;
-  events_keep_all : bool;
   metrics_window : int; (* 0 disables the time-series sampler *)
   metrics_buckets : int;
 }
 
-let default_observe =
-  {
-    events_capacity = 4096;
-    events_keep_all = false;
-    metrics_window = 0;
-    metrics_buckets = 48;
-  }
+let events_capacity = 4096
+let default_observe = { metrics_window = 0; metrics_buckets = 48 }
 
 let metrics_observe = { default_observe with metrics_window = 65536 }
 
@@ -206,7 +200,7 @@ let unit_context ~swapram ~block =
 type observation = {
   o_symtab : Observe.Symtab.t;
   o_profiler : Observe.Profiler.t;
-  o_events : Observe.Events.t option;
+  o_events : Observe.Events.t;
   o_metrics : Observe.Metrics.t option;
   o_sink : Trace.sink; (* the consumers' fan-out, before enrichment *)
 }
@@ -245,13 +239,7 @@ let observation spec uc ~image ~(system : Platform.system) ~swapram ~block =
   | None -> ());
   let stats = Memory.stats system.Platform.memory in
   let profiler = Observe.Profiler.create symtab in
-  let events =
-    if spec.events_capacity > 0 then
-      Some
-        (Observe.Events.create ~keep_all:spec.events_keep_all
-           ~capacity:spec.events_capacity stats)
-    else None
-  in
+  let events = Observe.Events.create ~capacity:events_capacity stats in
   let metrics =
     if spec.metrics_window <= 0 then None
     else
@@ -281,8 +269,8 @@ let observation spec uc ~image ~(system : Platform.system) ~swapram ~block =
     o_sink =
       List.fold_left Trace.tee
         (Observe.Profiler.sink profiler)
-        (Option.to_list (Option.map Observe.Events.sink events)
-        @ Option.to_list (Option.map Observe.Metrics.sink metrics));
+        (Observe.Events.sink events
+        :: Option.to_list (Option.map Observe.Metrics.sink metrics));
   }
 
 type result = {

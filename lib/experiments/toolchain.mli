@@ -83,8 +83,8 @@ type sizes = { code_bytes : int; data_bytes : int }
     Passing [~observe] to {!prepare} / {!run} attaches the {!Observe}
     stack to the system before it boots: a {!Observe.Profiler} (with
     dynamic symbol resolvers for whichever caching runtime is
-    installed), an optional bounded {!Observe.Events} ring for the
-    Chrome trace exporter and an optional {!Observe.Metrics} sampler,
+    installed), a bounded {!Observe.Events} ring for the Chrome trace
+    exporter and an optional {!Observe.Metrics} sampler,
     teed into one {!Msp430.Trace.sink}. When a caching runtime is
     installed, one enrichment adapter wraps that sink and fills in
     the runtime-hook answers (a call's cached unit, an instruction
@@ -93,9 +93,6 @@ type sizes = { code_bytes : int; data_bytes : int }
     one. *)
 
 type observe_spec = {
-  events_capacity : int;  (** 0 disables the event ring *)
-  events_keep_all : bool;
-      (** also record per-instruction / per-access events *)
   metrics_window : int;
       (** window length (total cycles) for the {!Observe.Metrics}
           time-series sampler; 0 disables it *)
@@ -103,7 +100,7 @@ type observe_spec = {
 }
 
 val default_observe : observe_spec
-(** 4096-entry ring, high-level events only, no metrics sampler. *)
+(** No metrics sampler. *)
 
 val metrics_observe : observe_spec
 (** [default_observe] plus the metrics sampler at 65536-cycle windows.
@@ -115,7 +112,7 @@ val metrics_observe : observe_spec
 type observation = {
   o_symtab : Observe.Symtab.t;
   o_profiler : Observe.Profiler.t;
-  o_events : Observe.Events.t option;
+  o_events : Observe.Events.t;  (** the 4096 most recent events *)
   o_metrics : Observe.Metrics.t option;
   o_sink : Msp430.Trace.sink;
       (** the consumers above, teed into one sink; {!prepare} installs

@@ -207,9 +207,10 @@ let tally_of_report (r : Injector.report) =
 (* Wilson score interval: the small-sample-honest confidence interval
    for a binomial rate (never escapes [0,1], sane at k=0 and k=n). *)
 
-let wilson ?(z = 1.96) n k =
+let wilson n k =
   if n <= 0 then (0., 1.)
   else begin
+    let z = 1.96 (* the two-sided 95% quantile *) in
     let nf = float_of_int n in
     let p = float_of_int k /. nf in
     let z2 = z *. z in
@@ -318,12 +319,6 @@ let pool_event = function
       Some
         (Printf.sprintf "worker %d died on shard task %d (attempt %d)" pid
            task attempt)
-  | Parallel.Timed_out { pid; task } ->
-      Some (Printf.sprintf "worker %d timed out on shard task %d" pid task)
-  | Parallel.Requeued { task; attempt; delay } ->
-      Some
-        (Printf.sprintf "shard task %d re-queued (attempt %d, %.2fs backoff)"
-           task attempt delay)
 
 let run_shard plan config cell golden ~watchdog_cycles ~cell_idx ~lo ~hi =
   let t = ref tally_zero in
@@ -338,19 +333,7 @@ let run_shard plan config cell golden ~watchdog_cycles ~cell_idx ~lo ~hi =
   done;
   !t
 
-let run ?(jobs = 1) ?chunk ?task_timeout ?(progress = Progress.null)
-    ?progress_file ?chaos plan =
-  (* Chunked dispatch batches several shards per pipe round trip. A
-     [task_timeout] is a per-task deadline, so when one is set and no
-     explicit chunk width was requested, stay at one shard per task —
-     otherwise a chunk of k shards would need k deadlines' worth of
-     budget and time out spuriously. *)
-  let chunk =
-    match (chunk, task_timeout) with
-    | Some c, _ -> Some c
-    | None, Some _ -> Some 1
-    | None, None -> None
-  in
+let run ?(jobs = 1) ?(progress = Progress.null) ?progress_file ?chaos plan =
   if plan.p_trials <= 0 then Error "campaign: trials must be positive"
   else if plan.p_shard_trials <= 0 then
     Error "campaign: shard size must be positive"
@@ -442,8 +425,7 @@ let run ?(jobs = 1) ?chunk ?task_timeout ?(progress = Progress.null)
                 Observe.Telemetry.counter "campaign.shards_cached"
                   !shards_cached;
                 let computed =
-                  Parallel.map_chunked ~jobs ?chunk ?task_timeout ~retries:3
-                    ~on_event:on_pool
+                  Parallel.map ~jobs ~retries:3 ~on_event:on_pool
                     (fun s ->
                       (match chaos with
                       | Some f -> f ~cell:cell.cl_label ~shard:s

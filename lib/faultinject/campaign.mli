@@ -86,11 +86,9 @@ type tally = {
 val tally_zero : tally
 val tally_add : tally -> tally -> tally
 
-val wilson : ?z:float -> int -> int -> float * float
-(** [wilson n k]: Wilson score interval for [k] successes in [n]
-    trials ([z]
-    defaults to 1.96, the two-sided 95% quantile). [(0, 1)] when
-    [n = 0]. *)
+val wilson : int -> int -> float * float
+(** [wilson n k]: 95% Wilson score interval (z = 1.96) for [k]
+    successes in [n] trials. [(0, 1)] when [n = 0]. *)
 
 (** {2 Results} *)
 
@@ -130,21 +128,16 @@ val fingerprint : plan -> string
 
 val run :
   ?jobs:int ->
-  ?chunk:int ->
-  ?task_timeout:float ->
   ?progress:Observe.Progress.sink ->
   ?progress_file:string ->
   ?chaos:(cell:string -> shard:int -> unit) ->
   plan ->
   (outcome, string) result
 (** Execute the campaign. [jobs <= 1] runs serially in-process;
-    higher values shard across {!Experiments.Parallel.map_chunked},
-    which batches several shards per pipe round trip ([chunk]
-    overrides the dynamic width; one shard per task whenever
-    [task_timeout] is set without an explicit [chunk], since the
-    deadline is per task) and respawns crashed workers, re-queuing
-    their chunks up to three times each, so a killed worker costs
-    wall-clock time but never data. Results are identical for every chunk width.
+    higher values shard across {!Experiments.Parallel.map}, one shard
+    per pool task, which respawns crashed workers and re-queues their
+    shards up to three times each, so a killed worker costs wall-clock
+    time but never data. Results are identical for every [jobs].
 
     [progress_file] names the progress checkpoint, an
     {!Experiments.Store} (created if absent or empty): every round's

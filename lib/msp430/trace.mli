@@ -120,8 +120,8 @@ val count_instr : t -> source -> unit
 val set_sink : t -> sink option -> unit
 
 val has_sink : t -> bool
-(** [true] when a sink is attached. The superblock engine runs only
-    without one. *)
+(** [true] when a sink is attached. {!Cpu.run} then takes the
+    superblock engine's observed loop, which emits every event. *)
 
 val add_unstalled : t -> int -> unit
 val add_stall : t -> int -> unit

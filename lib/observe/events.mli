@@ -8,9 +8,8 @@ type stamped = { at : int; ev : Msp430.Trace.event }
 
 type t
 
-val create : ?keep_all:bool -> capacity:int -> Msp430.Trace.t -> t
-(** [keep_all] also records per-instruction and per-access events —
-    useful for short debugging windows, ruinous for whole runs. *)
+val create : capacity:int -> Msp430.Trace.t -> t
+(** A ring of the [capacity] most recent events. *)
 
 val sink : t -> Msp430.Trace.sink
 (** The ring's input: an event value is built (by

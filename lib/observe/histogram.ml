@@ -18,15 +18,15 @@ let create ~lo ~hi ~buckets =
 
 (* The bucket is computed inline rather than returned as an option:
    this runs once per sampled memory access. *)
-let add ?(weight = 1) t addr =
-  if addr < t.lo || addr >= t.hi then t.clipped <- t.clipped + weight
+let add t addr =
+  if addr < t.lo || addr >= t.hi then t.clipped <- t.clipped + 1
   else begin
     let n = Array.length t.counts in
     let b = (addr - t.lo) * n / (t.hi - t.lo) in
     (* Guard the exact-upper-edge rounding case. *)
     let b = if b > n - 1 then n - 1 else b in
-    t.counts.(b) <- t.counts.(b) + weight;
-    t.total <- t.total + weight
+    t.counts.(b) <- t.counts.(b) + 1;
+    t.total <- t.total + 1
   end
 
 let counts t = Array.copy t.counts

@@ -8,18 +8,17 @@ type t
 val create : lo:int -> hi:int -> buckets:int -> t
 (** Raises [Invalid_argument] on an empty range or zero buckets. *)
 
-val add : ?weight:int -> t -> int -> unit
-(** [add t addr] increments the bucket containing [addr] (default
-    weight 1). *)
+val add : t -> int -> unit
+(** [add t addr] increments the bucket containing [addr]. *)
 
 val counts : t -> int array
 (** Per-bucket counts, a fresh copy. *)
 
 val total : t -> int
-(** Sum of all binned weights. *)
+(** Number of binned adds. *)
 
 val clipped : t -> int
-(** Weight that fell outside [\[lo, hi)]. *)
+(** Number of adds that fell outside [\[lo, hi)]. *)
 
 val lo : t -> int
 val hi : t -> int

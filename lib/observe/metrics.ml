@@ -390,7 +390,8 @@ let render_csv t =
     ws;
   Buffer.contents buf
 
-let render_heatmaps ?(max_rows = 24) t =
+let render_heatmaps t =
+  let max_rows = 24 in
   let ws = windows t in
   let label w = Printf.sprintf "@%d" w.w_start in
   let fram_rows =

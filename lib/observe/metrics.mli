@@ -129,9 +129,9 @@ val render_series : t -> string
 val render_csv : t -> string
 (** Machine-readable CSV, one row per window, header included. *)
 
-val render_heatmaps : ?max_rows:int -> t -> string
+val render_heatmaps : t -> string
 (** FRAM and SRAM address-space heatmaps, one row per window (merged
-    down to [max_rows], default 24). *)
+    down to 24 rows). *)
 
 val render_mrc : ?budgets:int list -> t -> string
 (** Miss-ratio curve table with bar chart, plus the

@@ -3,14 +3,13 @@
    caller plugs one in, and the events carry only aggregate counters so
    rendering them cannot perturb the simulated results.
 
-   Three renderers:
-   - [console]   one line per event, every event (historical behavior)
+   Two renderers:
    - [plain]     non-TTY/CI: no ANSI escapes, high-frequency events
                  rate-limited to ~1 line/s, per-worker churn dropped
    - [dashboard] TTY: multi-line live display redrawn in place
    [auto] picks dashboard or plain via [Unix.isatty]. *)
 
-type worker_state = W_spawned | W_busy | W_idle | W_died | W_timed_out
+type worker_state = W_spawned | W_busy | W_idle | W_died
 
 type event =
   | Campaign_started of { cells : int; trials : int }
@@ -43,7 +42,6 @@ let state_name = function
   | W_busy -> "busy"
   | W_idle -> "idle"
   | W_died -> "died"
-  | W_timed_out -> "timed-out"
 
 let describe = function
   | Campaign_started { cells; trials } ->
@@ -67,15 +65,9 @@ let describe = function
       Printf.sprintf "campaign done: %d cells, %d trials, %.1fs" cells trials
         seconds
 
-let console oc : sink =
- fun ev ->
-  output_string oc (describe ev);
-  output_char oc '\n';
-  flush oc
-
 (* --- Plain (non-TTY) --------------------------------------------------- *)
 
-let plain ?(min_interval = 1.0) oc : sink =
+let plain oc : sink =
   let last = ref neg_infinity in
   let line ev =
     output_string oc (describe ev);
@@ -87,7 +79,7 @@ let plain ?(min_interval = 1.0) oc : sink =
     | Worker_state _ -> ()
     | Shard_done _ | Units_done _ ->
         let now = Unix.gettimeofday () in
-        if now -. !last >= min_interval then begin
+        if now -. !last >= 1.0 then begin
           last := now;
           line ev
         end
@@ -99,7 +91,6 @@ let plain ?(min_interval = 1.0) oc : sink =
 
 type dash = {
   oc : out_channel;
-  min_interval : float;
   mutable drawn : int;  (* lines currently on screen *)
   mutable last_draw : float;
   mutable started : float;
@@ -151,7 +142,6 @@ let dash_lines d =
         | W_busy -> '*'
         | W_idle | W_spawned -> '.'
         | W_died -> 'x'
-        | W_timed_out -> 't'
       in
       Printf.sprintf "%d%c" pid c
     in
@@ -166,7 +156,7 @@ let dash_lines d =
 
 let dash_draw d ~force =
   let now = Unix.gettimeofday () in
-  if force || now -. d.last_draw >= d.min_interval then begin
+  if force || now -. d.last_draw >= 0.1 then begin
     d.last_draw <- now;
     let b = Buffer.create 256 in
     if d.drawn > 0 then Buffer.add_string b (Printf.sprintf "\x1b[%dA" d.drawn);
@@ -190,11 +180,10 @@ let dash_draw d ~force =
     flush d.oc
   end
 
-let dashboard ?(min_interval = 0.1) oc : sink =
+let dashboard oc : sink =
   let d =
     {
       oc;
-      min_interval;
       drawn = 0;
       last_draw = neg_infinity;
       started = Unix.gettimeofday ();
@@ -240,10 +229,8 @@ let dashboard ?(min_interval = 0.1) oc : sink =
           d.last_event <- s;
           false
       | Worker_state { pid; state; _ } ->
-          (match state with
-          | W_died | W_timed_out ->
-              d.last_event <- Printf.sprintf "worker %d %s" pid (state_name state)
-          | _ -> ());
+          if state = W_died then
+            d.last_event <- Printf.sprintf "worker %d died" pid;
           Hashtbl.replace d.workers pid state;
           false
       | Units_done { label; finished; total } ->

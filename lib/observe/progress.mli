@@ -3,7 +3,7 @@
     counters only, and a campaign emits the same simulated results
     whether or not a sink is attached. *)
 
-type worker_state = W_spawned | W_busy | W_idle | W_died | W_timed_out
+type worker_state = W_spawned | W_busy | W_idle | W_died
 
 type event =
   | Campaign_started of { cells : int; trials : int }
@@ -23,7 +23,7 @@ type event =
       stopped_early : bool;
     }
   | Pool_event of string
-      (** worker-pool lifecycle: spawns, deaths, timeouts, re-queues *)
+      (** worker-pool lifecycle: spawns and deaths *)
   | Worker_state of { pid : int; state : worker_state; task : int }
       (** per-worker scheduling state; [task] is [-1] when not
           task-scoped (spawn, death without a known task) *)
@@ -36,20 +36,16 @@ type sink = event -> unit
 val null : sink
 val describe : event -> string
 
-val console : out_channel -> sink
-(** One line per event, flushed immediately. *)
-
-val plain : ?min_interval:float -> out_channel -> sink
+val plain : out_channel -> sink
 (** Non-TTY renderer: no ANSI escapes. Milestone events print
     immediately; high-frequency events ([Shard_done], [Units_done])
-    are rate-limited to one line per [min_interval] seconds (default
-    1.0); per-worker state churn is dropped. *)
+    are rate-limited to one line per second; per-worker state churn
+    is dropped. *)
 
-val dashboard : ?min_interval:float -> out_channel -> sink
+val dashboard : out_channel -> sink
 (** Live multi-line TTY display (campaign totals with rate and ETA,
     per-worker states, current cell, sweep progress, last event),
-    redrawn in place at most every [min_interval] seconds (default
-    0.1). Emits ANSI escapes — use {!auto} unless the stream is known
+    redrawn in place at most every 0.1 seconds. Emits ANSI escapes — use {!auto} unless the stream is known
     to be a terminal. *)
 
 val auto : out_channel -> sink

@@ -16,7 +16,6 @@
 type sink = {
   oc : out_channel;
   owner_pid : int;
-  clock : unit -> int64;
   mutable next_id : int;
   mutable armed : bool;
 }
@@ -28,18 +27,14 @@ let active () =
   | None -> false
   | Some s -> s.armed && Unix.getpid () = s.owner_pid
 
-let enable ?clock path =
+let enable path =
   match !current with
   | Some _ -> Error "telemetry: a ledger sink is already enabled"
   | None -> (
-      let clock =
-        match clock with Some c -> c | None -> Monotonic_clock.now
-      in
       match open_out path with
       | oc ->
           current :=
-            Some
-              { oc; owner_pid = Unix.getpid (); clock; next_id = 0; armed = true };
+            Some { oc; owner_pid = Unix.getpid (); next_id = 0; armed = true };
           Ok ()
       | exception Sys_error e -> Error ("telemetry: " ^ e))
 
@@ -69,12 +64,12 @@ let with_sink f = match !current with Some s when active () -> f s | _ -> ()
 
 let args_field = function [] -> [] | args -> [ ("args", Json.Obj args) ]
 
-let ts_field s = ("ts", Json.Int (Int64.to_int (s.clock ())))
+let ts_field () = ("ts", Json.Int (Int64.to_int (Monotonic_clock.now ())))
 
 let manifest fields =
   with_sink (fun s ->
       emit s
-        ([ ("t", Json.String "manifest"); ts_field s ]
+        ([ ("t", Json.String "manifest"); ts_field () ]
         @ [
             ("pid", Json.Int (Unix.getpid ()));
             ( "argv",
@@ -92,7 +87,7 @@ let span_begin ?(args = []) ~cat name =
       emit s
         ([
            ("t", Json.String "b");
-           ts_field s;
+           ts_field ();
            ("id", Json.Int id);
            ("cat", Json.String cat);
            ("name", Json.String name);
@@ -105,7 +100,7 @@ let span_end ?(args = []) id =
   if id > 0 then
     with_sink (fun s ->
         emit s
-          ([ ("t", Json.String "e"); ts_field s; ("id", Json.Int id) ]
+          ([ ("t", Json.String "e"); ts_field (); ("id", Json.Int id) ]
           @ args_field args))
 
 let with_span ?args ~cat name f =
@@ -120,7 +115,7 @@ let counter name value =
       emit s
         [
           ("t", Json.String "c");
-          ts_field s;
+          ts_field ();
           ("name", Json.String name);
           ("value", Json.Int value);
         ])
@@ -130,7 +125,7 @@ let worker ?(task = -1) ?(args = []) ev ~pid =
       emit s
         ([
            ("t", Json.String "w");
-           ts_field s;
+           ts_field ();
            ("ev", Json.String ev);
            ("pid", Json.Int pid);
          ]
@@ -316,7 +311,7 @@ let chrome records =
          pids
   in
   (* Busy intervals: a dispatch opens a B on the worker's track, the
-     next result/died/timeout for that pid closes it. Track what is
+     next result/died for that pid closes it. Track what is
      open so a lifecycle event without an open dispatch (or a torn
      ledger) never emits an unbalanced E. *)
   let open_task : (int, int) Hashtbl.t = Hashtbl.create 8 in
@@ -341,7 +336,7 @@ let chrome records =
                 (Printf.sprintf "task %d" task)
                 [];
             ]
-        | Worker { ts; ev = ("result" | "died" | "timeout") as ev; pid; _ }
+        | Worker { ts; ev = ("result" | "died") as ev; pid; _ }
           when Hashtbl.mem open_task pid ->
             Hashtbl.remove open_task pid;
             let close =
@@ -374,7 +369,6 @@ type wstat = {
   mutable spawns : int;
   mutable tasks : int;
   mutable deaths : int;
-  mutable timeouts : int;
   mutable busy_ns : int64;
   mutable dispatched_at : int64 option;
 }
@@ -420,7 +414,6 @@ let summary records =
             spawns = 0;
             tasks = 0;
             deaths = 0;
-            timeouts = 0;
             busy_ns = 0L;
             dispatched_at = None;
           }
@@ -440,17 +433,15 @@ let summary records =
           match ev with
           | "spawn" -> (wstat pid).spawns <- (wstat pid).spawns + 1
           | "dispatch" -> (wstat pid).dispatched_at <- Some ts
-          | "result" | "died" | "timeout" -> (
+          | "result" | "died" ->
               let w = wstat pid in
               (match w.dispatched_at with
               | Some t0 ->
                   w.busy_ns <- Int64.add w.busy_ns (Int64.sub ts t0);
                   w.dispatched_at <- None
               | None -> ());
-              match ev with
-              | "result" -> w.tasks <- w.tasks + 1
-              | "died" -> w.deaths <- w.deaths + 1
-              | _ -> w.timeouts <- w.timeouts + 1)
+              if ev = "result" then w.tasks <- w.tasks + 1
+              else w.deaths <- w.deaths + 1
           | "requeue" -> incr requeues
           | _ -> ())
       | _ -> ())
@@ -464,17 +455,16 @@ let summary records =
     List.sort compare
       (Hashtbl.fold (fun pid _ acc -> pid :: acc) workers [])
   in
-  let total_tasks = ref 0 and total_deaths = ref 0 and total_timeouts = ref 0 in
+  let total_tasks = ref 0 and total_deaths = ref 0 in
   List.iter
     (fun pid ->
       let w = Hashtbl.find workers pid in
       total_tasks := !total_tasks + w.tasks;
-      total_deaths := !total_deaths + w.deaths;
-      total_timeouts := !total_timeouts + w.timeouts)
+      total_deaths := !total_deaths + w.deaths)
     pids;
   if pids <> [] then begin
-    add "workers      : %d, %d tasks, %d died, %d timed out, %d re-queued\n"
-      (List.length pids) !total_tasks !total_deaths !total_timeouts !requeues;
+    add "workers      : %d, %d tasks, %d died, %d re-queued\n"
+      (List.length pids) !total_tasks !total_deaths !requeues;
     List.iter
       (fun pid ->
         let w = Hashtbl.find workers pid in
@@ -482,10 +472,7 @@ let summary records =
         add "  pid %-7d: %3d tasks, busy %7.3f s (%5.1f%%)%s\n" pid w.tasks
           busy
           (if pool_wall > 0.0 then 100.0 *. busy /. pool_wall else 0.0)
-          (if w.deaths > 0 then Printf.sprintf ", died x%d" w.deaths
-           else if w.timeouts > 0 then
-             Printf.sprintf ", timed out x%d" w.timeouts
-           else ""))
+          (if w.deaths > 0 then Printf.sprintf ", died x%d" w.deaths else ""))
       pids;
     if pool_wall > 0.0 && !total_tasks > 0 then
       add "throughput   : %d tasks in %.3f s = %.1f tasks/s\n" !total_tasks
@@ -584,7 +571,7 @@ let csv records =
       | Worker { ts; ev; pid; task; _ } -> (
           match ev with
           | "dispatch" -> Hashtbl.replace dispatched pid (task, ts)
-          | "result" | "died" | "timeout" -> (
+          | "result" | "died" -> (
               (match Hashtbl.find_opt dispatched pid with
               | Some (task, t0) ->
                   Hashtbl.remove dispatched pid;

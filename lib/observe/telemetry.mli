@@ -24,10 +24,10 @@
 
 (** {2 Emission} *)
 
-val enable : ?clock:(unit -> int64) -> string -> (unit, string) result
+val enable : string -> (unit, string) result
 (** [enable path] opens [path] for writing (truncating) and installs
-    it as the process-wide sink. [clock] overrides the monotonic
-    nanosecond clock (tests). [Error] if a sink is already enabled or
+    it as the process-wide sink, stamping records with the monotonic
+    nanosecond clock. [Error] if a sink is already enabled or
     the file cannot be created. *)
 
 val disable : unit -> unit
@@ -62,7 +62,7 @@ val counter : string -> int -> unit
 
 val worker : ?task:int -> ?args:(string * Json.t) list -> string -> pid:int -> unit
 (** Worker-lifecycle record: [worker ev ~pid] with [ev] one of
-    "spawn", "dispatch", "result", "died", "timeout", "requeue",
+    "spawn", "dispatch", "result", "died", "requeue",
     "exit", "reap". [task] is the pool task index ([-1]/absent when
     the event is not task-scoped). *)
 

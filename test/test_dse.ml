@@ -362,15 +362,13 @@ let stack_compaction_test () =
 
 (* --- map_chunked = List.map --------------------------------------------- *)
 
+(* The chunk width follows the list length and [jobs]: 1 to 7 here. *)
 let prop_map_chunked =
   QCheck2.Test.make ~count:15 ~name:"map_chunked = List.map (any chunk/jobs)"
     QCheck2.Gen.(
-      triple
-        (list_size (int_range 0 30) (int_range 0 1000))
-        (int_range 1 3) (int_range 0 5))
-    (fun (xs, jobs, chunk) ->
-      let chunk = if chunk = 0 then None else Some chunk in
-      Parallel.map_chunked ~jobs ?chunk (fun x -> (x * x) + 1) xs
+      pair (list_size (int_range 0 30) (int_range 0 1000)) (int_range 1 3))
+    (fun (xs, jobs) ->
+      Parallel.map_chunked ~jobs (fun x -> (x * x) + 1) xs
       = List.map (fun x -> (x * x) + 1) xs)
 
 (* --- The (trace, block) planner -------------------------------------------- *)

@@ -227,9 +227,7 @@ let observed_differential () =
     (result_sig r = result_sig s);
   let events (x : T.result) =
     let obs = Option.get x.T.observation in
-    match obs.T.o_events with
-    | Some e -> Observe.Chrome.export ~symtab:obs.T.o_symtab e
-    | None -> Alcotest.fail "event ring was not attached"
+    Observe.Chrome.export ~symtab:obs.T.o_symtab obs.T.o_events
   in
   Alcotest.(check string) "trace-event sequence" (events r) (events s)
 
@@ -330,6 +328,46 @@ let worker_death_heals_with_retries () =
   let healed = Experiments.Parallel.map ~jobs:2 ~retries:1 f xs in
   disarm ();
   Alcotest.(check (list int)) "healed to List.map" (List.map f xs) healed
+
+(* The pool's narration of that healed map: task 2's first worker dies
+   once, its re-execution completes, and every task completes exactly
+   once — four first dispatches plus the one retry. *)
+let worker_death_narrated () =
+  let module P = Experiments.Parallel in
+  let marker = Filename.temp_file "pool_events" ".marker" in
+  Sys.remove marker;
+  let f n =
+    if n = 2 && P.in_worker () && not (Sys.file_exists marker) then begin
+      close_out (open_out marker);
+      Unix._exit 17
+    end;
+    n * n
+  in
+  let events = ref [] in
+  let xs = [ 0; 1; 2; 3 ] in
+  let got =
+    P.map ~jobs:2 ~retries:1 ~on_event:(fun e -> events := e :: !events) f xs
+  in
+  if Sys.file_exists marker then Sys.remove marker;
+  Alcotest.(check (list int)) "healed to List.map" (List.map f xs) got;
+  let count p = List.length (List.filter p !events) in
+  Alcotest.(check int) "one death" 1
+    (count (function P.Died _ -> true | _ -> false));
+  Alcotest.(check int) "the death names task 2, attempt 1" 1
+    (count (function
+      | P.Died { task = 2; attempt = 1; _ } -> true
+      | _ -> false));
+  List.iter
+    (fun i ->
+      Alcotest.(check int)
+        (Printf.sprintf "task %d completed once" i)
+        1
+        (count (function P.Completed { task; _ } -> task = i | _ -> false)))
+    xs;
+  Alcotest.(check int) "completions" 4
+    (count (function P.Completed _ -> true | _ -> false));
+  Alcotest.(check int) "dispatches" 5
+    (count (function P.Dispatched _ -> true | _ -> false))
 
 (* --- Per-instruction replay -------------------------------------------
 
@@ -661,6 +699,8 @@ let suite =
         parallel_map_orders_results;
       Alcotest.test_case "worker death: strict by default, healed by retries"
         `Quick worker_death_heals_with_retries;
+      Alcotest.test_case "worker death is narrated once per event" `Quick
+        worker_death_narrated;
       Alcotest.test_case "full report carries no wall-clock key" `Slow
         report_has_no_wall_clock;
       QCheck_alcotest.to_alcotest prop_replay_matches_reference;

@@ -45,11 +45,7 @@ let small_block =
 
 (* Short windows so even small generated programs span several. *)
 let observe =
-  {
-    Toolchain.default_observe with
-    Toolchain.metrics_window = 4096;
-    metrics_buckets = 16;
-  }
+  { Toolchain.metrics_window = 4096; metrics_buckets = 16 }
 
 let run_observed ~caching source =
   let config =

@@ -266,9 +266,9 @@ let unit_checks =
              int main(void) { return helper(3); }"
         in
         let obs = Option.get r.Toolchain.observation in
-        let events = Option.get obs.Toolchain.o_events in
         let doc =
-          Observe.Chrome.export ~symtab:obs.Toolchain.o_symtab events
+          Observe.Chrome.export ~symtab:obs.Toolchain.o_symtab
+            obs.Toolchain.o_events
         in
         Alcotest.(check bool) "traceEvents" true (contains doc "\"traceEvents\"");
         Alcotest.(check bool) "phase marker" true (contains doc "phase:boot");

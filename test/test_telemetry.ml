@@ -17,8 +17,7 @@ module T = Experiments.Toolchain
 (* --- record encode -> parse round trip ------------------------- *)
 
 (* Json floats render through "%.6g" (lossy), so generated args stick
-   to Int/String/Bool — the types the instrumentation actually emits
-   for everything except the one requeue-delay argument. *)
+   to Int/String/Bool — the types the instrumentation emits. *)
 let gen_args =
   QCheck2.Gen.(
     small_list
