@@ -302,6 +302,16 @@ let item_initial image name =
   | Some seg -> (addr, Bytes.sub seg.contents (addr - seg.base) size)
   | None -> error "item %s is not covered by any segment" name
 
+(* Counted byte writes, so the boot routine pays real FRAM write costs
+   and an armed power trigger can tear it; rerunning it after a tear
+   recovers, because it copies constants out of the image. *)
+let restore_items image mem names =
+  List.iter
+    (fun name ->
+      let addr, bytes = item_initial image name in
+      Bytes.iteri (fun i c -> Memory.write_byte mem (addr + i) (Char.code c)) bytes)
+    names
+
 let emit_segment symbols base placed_items =
   let last =
     List.fold_left (fun acc p -> max acc (p.iaddr + p.isize)) base placed_items

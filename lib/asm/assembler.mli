@@ -54,6 +54,12 @@ val item_size : t -> string -> int
 (** Address and post-link contents of a named item — what a
     power-loss recovery routine restores metadata tables from. *)
 val item_initial : t -> string -> int * Bytes.t
+
+val restore_items : t -> Msp430.Memory.t -> string list -> unit
+(** Write the named items' post-link contents back to memory through
+    counted writes: an idempotent power-loss restore that an armed
+    power trigger can tear. *)
+
 val assemble : ?layout:layout -> Ast.program -> t
 val load : t -> Msp430.Memory.t -> unit
 val code_size : t -> int

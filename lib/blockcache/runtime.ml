@@ -1,5 +1,6 @@
 module Cpu = Msp430.Cpu
 module Memory = Msp430.Memory
+module Modeled = Msp430.Modeled
 module Trace = Msp430.Trace
 module Isa = Msp430.Isa
 
@@ -15,10 +16,6 @@ type table_addrs = {
   a_cfitab : int;
   a_blocktab : int;
   a_hash : int;
-  a_runtime : int;
-  runtime_size : int;
-  a_memcpy : int;
-  memcpy_size : int;
 }
 
 type stats = {
@@ -41,15 +38,13 @@ type t = {
   slot_owners : int array; (* slot index -> NVM leader addr, -1 if empty *)
   mutable next_slot : int;
   stats : stats;
-  mutable handler_cursor : int;
-  mutable memcpy_cursor : int;
+  runtime : Modeled.region;
+  memcpy : Modeled.region;
 }
 
 let stats t = t.stats
 let slot_bytes t = t.manifest.Transform.slot_size
 let cache_bytes t = t.manifest.Transform.num_slots * t.manifest.Transform.slot_size
-let emit_rt t f =
-  match (Memory.stats t.mem).Trace.sink with Some s -> f s | None -> ()
 
 (* Host-side dynamic symbolizer for the observability layer: translate
    a pc inside an SRAM slot back to the NVM address of the cached
@@ -72,37 +67,6 @@ let cached_block_at t addr =
 
 let cached_home t addr = home_or t addr ~default:addr
 
-let charge t source n =
-  let base, size, get, set =
-    match source with
-    | Trace.Memcpy ->
-        ( t.addrs.a_memcpy,
-          t.addrs.memcpy_size,
-          (fun () -> t.memcpy_cursor),
-          fun c -> t.memcpy_cursor <- c )
-    | _ ->
-        ( t.addrs.a_runtime,
-          t.addrs.runtime_size,
-          (fun () -> t.handler_cursor),
-          fun c -> t.handler_cursor <- c )
-  in
-  let stats = Memory.stats t.mem in
-  let sink = stats.Trace.sink in
-  for _ = 1 to n do
-    let cur = get () in
-    Memory.begin_instruction t.mem;
-    (* The runtime/memcpy regions live in reserved FRAM, so the
-       unobserved path can take the specialized counted fetch. *)
-    (match sink with
-    | Some s ->
-        s.Trace.instr (Trace.source_index source) (base + cur);
-        ignore (Memory.read_word t.mem ~purpose:Memory.Ifetch (base + cur))
-    | None -> ignore (Memory.fetch_word_fram t.mem (base + cur)));
-    Trace.count_instr stats source;
-    Trace.add_unstalled stats Costs.cycles_per_instr;
-    set ((cur + 2) mod size)
-  done
-
 let read_word t addr = Memory.read_word t.mem ~purpose:Memory.Data addr
 let write_word t addr v = Memory.write_word t.mem addr v
 
@@ -120,7 +84,7 @@ let hash_lookup t key =
   let rec probe i steps =
     if steps > t.manifest.Transform.hash_buckets then None
     else begin
-      charge t Trace.Handler Costs.hash_probe_instrs;
+      Modeled.charge t.runtime Costs.hash_probe_instrs;
       t.stats.hash_probes <- t.stats.hash_probes + 1;
       let k = read_word t (bucket_addr t i) in
       if k = 0 then None
@@ -133,7 +97,7 @@ let hash_lookup t key =
 let hash_insert t key value =
   let mask = t.manifest.Transform.hash_buckets - 1 in
   let rec probe i =
-    charge t Trace.Handler Costs.hash_insert_instrs;
+    Modeled.charge t.runtime Costs.hash_insert_instrs;
     let k = read_word t (bucket_addr t i) in
     if k = 0 || k = key then begin
       write_word t (bucket_addr t i) key;
@@ -145,10 +109,10 @@ let hash_insert t key value =
 
 let flush t =
   t.stats.flushes <- t.stats.flushes + 1;
-  emit_rt t (fun s -> s.Trace.cache_flush ());
-  charge t Trace.Handler Costs.flush_base_instrs;
+  Modeled.emit t.mem (fun s -> s.Trace.cache_flush ());
+  Modeled.charge t.runtime Costs.flush_base_instrs;
   for i = 0 to t.manifest.Transform.hash_buckets - 1 do
-    charge t Trace.Handler Costs.flush_per_bucket_instrs;
+    Modeled.charge t.runtime Costs.flush_per_bucket_instrs;
     write_word t (bucket_addr t i) 0
   done;
   Array.fill t.slot_owners 0 (Array.length t.slot_owners) (-1);
@@ -165,23 +129,18 @@ let load_block t ~nvm =
           (Printf.sprintf "block cache: 0x%04X is not a block leader" nvm)
   in
   (* read the blocktab entry (address check + size) *)
-  charge t Trace.Handler 2;
+  Modeled.charge t.runtime 2;
   ignore (read_word t (t.addrs.a_blocktab + (4 * index)));
   ignore (read_word t (t.addrs.a_blocktab + (4 * index) + 2));
   if t.next_slot >= t.manifest.Transform.num_slots then flush t;
-  emit_rt t (fun s -> s.Trace.block_load nvm);
+  Modeled.emit t.mem (fun s -> s.Trace.block_load nvm);
   let slot = t.options.Config.cache_base
              + (t.next_slot * t.manifest.Transform.slot_size)
   in
   t.slot_owners.(t.next_slot) <- nvm;
   t.next_slot <- t.next_slot + 1;
-  let words = (size + 1) / 2 in
-  for i = 0 to words - 1 do
-    charge t Trace.Memcpy Costs.memcpy_per_word_instrs;
-    let w = read_word t (nvm + (2 * i)) in
-    write_word t (slot + (2 * i)) w;
-    t.stats.words_copied <- t.stats.words_copied + 1
-  done;
+  Modeled.copy t.memcpy ~src:nvm ~dst:slot ~words:((size + 1) / 2)
+    ~on_word:(fun () -> t.stats.words_copied <- t.stats.words_copied + 1);
   hash_insert t nvm slot;
   t.stats.block_loads <- t.stats.block_loads + 1;
   slot
@@ -196,10 +155,10 @@ let lookup_or_load t ~nvm =
 (* CFI stub entry: cache the target block and chain the source CFI. *)
 let on_miss t _cpu =
   t.stats.misses <- t.stats.misses + 1;
-  emit_rt t (fun s -> s.Trace.miss_enter "block");
-  charge t Trace.Handler Costs.runtime_entry_instrs;
+  Modeled.emit t.mem (fun s -> s.Trace.miss_enter "block");
+  Modeled.charge t.runtime Costs.runtime_entry_instrs;
   let cfi_id = read_word t t.addrs.a_cfi in
-  charge t Trace.Handler Costs.cfitab_instrs;
+  Modeled.charge t.runtime Costs.cfitab_instrs;
   let entry = t.addrs.a_cfitab + (6 * cfi_id) in
   let target = read_word t entry in
   let owner = read_word t (entry + 2) in
@@ -208,26 +167,26 @@ let on_miss t _cpu =
   (* chain: if the source block is cached, point its BR at the copy *)
   (match hash_lookup t owner with
   | Some owner_slot ->
-      charge t Trace.Handler Costs.chain_instrs;
+      Modeled.charge t.runtime Costs.chain_instrs;
       (* the BR's extension word sits 2 bytes after the opcode *)
       write_word t (owner_slot + br_off + 2) slot;
       t.stats.chains <- t.stats.chains + 1
   | None -> ());
-  charge t Trace.Handler Costs.runtime_exit_instrs;
-  emit_rt t (fun s -> s.Trace.miss_exit "block" "cached" (-1));
+  Modeled.charge t.runtime Costs.runtime_exit_instrs;
+  Modeled.emit t.mem (fun s -> s.Trace.miss_exit "block" "cached" (-1));
   Cpu.Goto slot
 
 (* Return entry: resume at the (NVM) return address through the cache. *)
 let on_return t cpu =
   t.stats.returns <- t.stats.returns + 1;
-  emit_rt t (fun s -> s.Trace.miss_enter "block");
-  charge t Trace.Handler Costs.return_entry_instrs;
+  Modeled.emit t.mem (fun s -> s.Trace.miss_enter "block");
+  Modeled.charge t.runtime Costs.return_entry_instrs;
   let sp = Cpu.reg cpu Isa.sp in
   let nvm = read_word t sp in
   Cpu.set_reg cpu Isa.sp (sp + 2);
   let slot = lookup_or_load t ~nvm in
-  charge t Trace.Handler Costs.runtime_exit_instrs;
-  emit_rt t (fun s -> s.Trace.miss_exit "block" "return" (-1));
+  Modeled.charge t.runtime Costs.runtime_exit_instrs;
+  Modeled.emit t.mem (fun s -> s.Trace.miss_exit "block" "return" (-1));
   Cpu.Goto slot
 
 (* Power-loss recovery, mirroring Swapram.Runtime.reboot: the SRAM
@@ -240,44 +199,41 @@ let on_return t cpu =
 let reboot t ~image =
   t.next_slot <- 0;
   Array.fill t.slot_owners 0 (Array.length t.slot_owners) (-1);
-  t.handler_cursor <- 0;
-  t.memcpy_cursor <- 0;
-  let restore_item name =
-    let addr, bytes = Masm.Assembler.item_initial image name in
-    Bytes.iteri
-      (fun i c -> Memory.write_byte t.mem (addr + i) (Char.code c))
-      bytes
-  in
-  List.iter restore_item [ Config.sym_cfi; Config.sym_hash ]
+  Modeled.reset t.runtime;
+  Modeled.reset t.memcpy;
+  Masm.Assembler.restore_items image t.mem [ Config.sym_cfi; Config.sym_hash ]
 
 (* Runtime-critical FRAM windows for adversarial fault injection —
    dying on an access in one of these regions is dying inside the
    miss handler, mid-memcpy, or between hash-table half-updates. *)
 let critical_windows t ~image =
+  let named name (r : Modeled.region) =
+    (name, r.Modeled.base, r.Modeled.base + r.Modeled.size)
+  in
   [
-    ("runtime", t.addrs.a_runtime, t.addrs.a_runtime + t.addrs.runtime_size);
-    ("memcpy", t.addrs.a_memcpy, t.addrs.a_memcpy + t.addrs.memcpy_size);
+    named "runtime" t.runtime;
+    named "memcpy" t.memcpy;
     ( "hash",
       t.addrs.a_hash,
       t.addrs.a_hash + Masm.Assembler.item_size image Config.sym_hash );
     ("cfi", t.addrs.a_cfi, t.addrs.a_cfi + 2);
   ]
 
-let table_addrs_of_image image (manifest : Transform.manifest) =
+let table_addrs_of_image image =
   let look = Masm.Assembler.lookup image in
   {
     a_cfi = look Config.sym_cfi;
     a_cfitab = look Config.sym_cfitab;
     a_blocktab = look Config.sym_blocktab;
     a_hash = look Config.sym_hash;
-    a_runtime = look Config.sym_runtime;
-    runtime_size = manifest.Transform.runtime_bytes;
-    a_memcpy = look Config.sym_memcpy;
-    memcpy_size = manifest.Transform.memcpy_bytes;
   }
 
 let install ~options ~manifest ~image (system : Msp430.Platform.system) =
-  let addrs = table_addrs_of_image image manifest in
+  let addrs = table_addrs_of_image image in
+  let mem = system.Msp430.Platform.memory in
+  let region sym size =
+    Modeled.region mem ~base:(Masm.Assembler.lookup image sym) ~size
+  in
   let block_index = Hashtbl.create 256 in
   Array.iteri
     (fun i (leader, size) ->
@@ -286,7 +242,7 @@ let install ~options ~manifest ~image (system : Msp430.Platform.system) =
     manifest.Transform.blocks;
   let t =
     {
-      mem = system.Msp430.Platform.memory;
+      mem;
       cpu = system.Msp430.Platform.cpu;
       options;
       manifest;
@@ -304,21 +260,13 @@ let install ~options ~manifest ~image (system : Msp430.Platform.system) =
           hash_probes = 0;
           words_copied = 0;
         };
-      handler_cursor = 0;
-      memcpy_cursor = 0;
+      runtime =
+        region Config.sym_runtime manifest.Transform.runtime_bytes Trace.Handler;
+      memcpy = region Config.sym_memcpy manifest.Transform.memcpy_bytes Trace.Memcpy;
     }
   in
   Cpu.register_trap system.Msp430.Platform.cpu Config.miss_trap (on_miss t);
   Cpu.register_trap system.Msp430.Platform.cpu Config.return_trap (on_return t);
-  let rt_lo = addrs.a_runtime and rt_hi = addrs.a_runtime + addrs.runtime_size in
-  let mc_lo = addrs.a_memcpy and mc_hi = addrs.a_memcpy + addrs.memcpy_size in
-  Cpu.set_classifier system.Msp430.Platform.cpu (fun addr ->
-      if addr >= rt_lo && addr < rt_hi then Trace.Handler
-      else if addr >= mc_lo && addr < mc_hi then Trace.Memcpy
-      else
-        match
-          Memory.region_of (Memory.map system.Msp430.Platform.memory) addr
-        with
-        | Memory.Sram -> Trace.App_sram
-        | Memory.Fram | Memory.Peripheral | Memory.Unmapped -> Trace.App_fram);
+  Cpu.set_classifier system.Msp430.Platform.cpu
+    (Modeled.classifier ~handler:t.runtime ~memcpy:t.memcpy);
   t

@@ -26,6 +26,7 @@ module Platform = Msp430.Platform
 module Progress = Observe.Progress
 module Json = Observe.Json
 module Costs = Swapram.Costs
+module Modeled = Msp430.Modeled
 
 (* --- Grid --------------------------------------------------------------- *)
 
@@ -205,7 +206,8 @@ type point = {
    frequency, plus the modeled software-cache overhead of the
    simulated configuration — handler entry/exit per miss and, per
    copied word, the copy-loop instructions plus one wait-stated NVM
-   read ({!Swapram.Costs} constants). The recorded runtime's own
+   read ({!Swapram.Costs}' entry/exit counts, {!Msp430.Modeled}'s
+   copy-loop and per-instruction constants). The recorded runtime's own
    overhead is a workload-constant offset, identical across every cell
    of that workload, so within-workload dominance is unaffected.
 
@@ -232,10 +234,10 @@ let objectives_of (l : Engine.loaded) ~frequency_mhz ~budget
         sim.Engine.s_misses
         * (Costs.handler_entry_instrs + Costs.handler_exit_instrs)
       in
-      let copy_instrs = words * Costs.memcpy_per_word_instrs in
+      let copy_instrs = words * Modeled.memcpy_per_word_instrs in
       let cycles =
         t.Engine.t_cycles
-        + (Costs.cycles_per_instr * (handler_instrs + copy_instrs))
+        + (Modeled.cycles_per_instr * (handler_instrs + copy_instrs))
         + (wait_states * words)
       in
       let report =

@@ -399,22 +399,21 @@ let prepare ?observe config =
         Block_cache { o with Blockcache.Config.cache_base = base; cache_size = size }
     | c, _ -> c
   in
-  let layout_for code_end =
+  (* Only a data section packed after the code needs the code's end,
+     which [probe_code_end] builds a probe image to learn. *)
+  let layout_for probe_code_end =
     let data_base =
       match data_base_opt with
       | Some b -> b
-      | None -> (code_end + 3) land lnot 1
+      | None -> (probe_code_end () + 3) land lnot 1
     in
     { Masm.Assembler.code_base; data_base }
   in
+  let plain_layout = layout_for (fun () -> plain_probe.Masm.Assembler.code_end) in
   let build () =
     match caching with
     | Baseline ->
-        let probe = Masm.Assembler.assemble ~layout:(probe_layout code_base) program in
-        let image =
-          Masm.Assembler.assemble ~layout:(layout_for probe.Masm.Assembler.code_end)
-            program
-        in
+        let image = Masm.Assembler.assemble ~layout:plain_layout program in
         check_fit ~what:"baseline" ~code_limit ~data_limit image;
         ( image,
           (fun system ->
@@ -424,14 +423,12 @@ let prepare ?observe config =
           None,
           None )
     | Swapram_cache options ->
-        let probe =
-          Swapram.Pipeline.build ~options ~layout:(probe_layout code_base) program
+        let probe_code_end () =
+          (Swapram.Pipeline.build ~options ~layout:(probe_layout code_base) program)
+            .Swapram.Pipeline.image.Masm.Assembler.code_end
         in
         let built =
-          Swapram.Pipeline.build ~options
-            ~layout:
-              (layout_for probe.Swapram.Pipeline.image.Masm.Assembler.code_end)
-            program
+          Swapram.Pipeline.build ~options ~layout:(layout_for probe_code_end) program
         in
         let image = built.Swapram.Pipeline.image in
         check_fit ~what:"swapram" ~code_limit ~data_limit image;
@@ -442,14 +439,13 @@ let prepare ?observe config =
           Some (Swapram.Pipeline.nvm_usage built),
           None )
     | Block_cache options ->
-        let probe =
-          Blockcache.Pipeline.build ~options ~layout:(probe_layout code_base)
-            program
+        let probe_code_end () =
+          (Blockcache.Pipeline.build ~options ~layout:(probe_layout code_base)
+             program)
+            .Blockcache.Pipeline.image.Masm.Assembler.code_end
         in
         let built =
-          Blockcache.Pipeline.build ~options
-            ~layout:
-              (layout_for probe.Blockcache.Pipeline.image.Masm.Assembler.code_end)
+          Blockcache.Pipeline.build ~options ~layout:(layout_for probe_code_end)
             program
         in
         let image = built.Blockcache.Pipeline.image in
@@ -463,11 +459,7 @@ let prepare ?observe config =
     | Checkpoint_runtime options ->
         (* built exactly like the baseline — no code transformation;
            the runtime lives entirely in the reserved arena *)
-        let probe = Masm.Assembler.assemble ~layout:(probe_layout code_base) program in
-        let image =
-          Masm.Assembler.assemble ~layout:(layout_for probe.Masm.Assembler.code_end)
-            program
-        in
+        let image = Masm.Assembler.assemble ~layout:plain_layout program in
         check_fit ~what:"checkpoint" ~code_limit ~data_limit image;
         ( image,
           (fun system ->
@@ -663,8 +655,7 @@ let recording_header uc config =
     seed = config.seed;
     frequency_mhz = Platform.mhz config.frequency;
     wait_states = Platform.wait_states config.frequency;
-    (* Memory.create's default; the platform never overrides it. *)
-    contention_penalty = 1;
+    contention_penalty = Memory.contention_penalty;
     system = caching_name config.caching;
     placement = placement_name (built_placement config);
     budget = uc.uc_budget;

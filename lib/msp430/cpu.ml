@@ -221,19 +221,6 @@ let set_flag t bit v =
   let sr = t.regs.(Isa.sr) in
   t.regs.(Isa.sr) <- (if v then sr lor (1 lsl bit) else sr land lnot (1 lsl bit)) land 0xFFFF
 
-(* Charge the cost of one modeled runtime instruction: an instruction
-   fetch from [fetch_addr] (normally in the reserved FRAM runtime
-   region, so the read cache and wait states apply) plus [cycles]
-   unstalled cycles, attributed to [source] in the Fig. 8 breakdown. *)
-let charge_runtime_instr t ~source ~fetch_addr ~cycles =
-  Memory.begin_instruction t.mem;
-  (match t.stats.Trace.sink with
-  | None -> ()
-  | Some s -> s.Trace.instr (Trace.source_index source) fetch_addr);
-  ignore (Memory.read_word t.mem ~purpose:Memory.Ifetch fetch_addr);
-  Trace.count_instr t.stats source;
-  Trace.add_unstalled t.stats cycles
-
 let width_of = function Isa.W -> 2 | Isa.B -> 1
 let val_mask = function Isa.W -> 0xFFFF | Isa.B -> 0xFF
 let msb_mask = function Isa.W -> 0x8000 | Isa.B -> 0x80

@@ -100,12 +100,6 @@ val rearm_periodic_hook : t -> unit
 val get_flag : t -> int -> bool
 val set_flag : t -> int -> bool -> unit
 
-val charge_runtime_instr :
-  t -> source:Trace.source -> fetch_addr:int -> cycles:int -> unit
-(** Charge one modeled runtime instruction: a counted fetch at
-    [fetch_addr] (so the read cache and wait states apply) plus
-    [cycles] unstalled cycles, attributed to [source]. *)
-
 exception Trap_missing of int
 
 val step : t -> unit

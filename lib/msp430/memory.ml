@@ -63,7 +63,6 @@ type t = {
   bytes : Bytes.t;
   cache : Hwcache.t;
   wait_states : int;
-  contention_penalty : int;
   stats : Trace.t;
   mutable fram_accesses_this_instr : int;
   mutable halt_requested : bool;
@@ -73,13 +72,14 @@ type t = {
   mutable power : armed option;
 }
 
-let create ?(wait_states = 3) ?(contention_penalty = 1) ~map ~stats () =
+let contention_penalty = 1
+
+let create ?(wait_states = 3) ~map ~stats () =
   {
     map;
     bytes = Bytes.make 0x10000 '\000';
     cache = Hwcache.create ();
     wait_states;
-    contention_penalty;
     stats;
     fram_accesses_this_instr = 0;
     halt_requested = false;
@@ -162,7 +162,7 @@ let[@inline] charge_fram_timing t ~is_read_hit =
   t.fram_accesses_this_instr <- n;
   let stall =
     (if is_read_hit then 0 else t.wait_states)
-    + if n > 1 then t.contention_penalty else 0
+    + if n > 1 then contention_penalty else 0
   in
   let s = t.stats in
   match s.Trace.sink with
@@ -253,7 +253,6 @@ let write t ~width addr value =
   | Unmapped -> fault "write to unmapped address 0x%04X" addr)
 
 let read_word t ~purpose addr = read t ~purpose ~width:2 addr
-let read_byte t ~purpose addr = read t ~purpose ~width:1 addr
 let write_word t addr v = write t ~width:2 addr v
 let write_byte t addr v = write t ~width:1 addr v
 

@@ -53,9 +53,11 @@ type purpose = Ifetch | Data
 
 type t
 
-val create :
-  ?wait_states:int -> ?contention_penalty:int -> map:map -> stats:Trace.t ->
-  unit -> t
+val contention_penalty : int
+(** Extra stall cycles for each FRAM access after the first one issued
+    by the same instruction. *)
+
+val create : ?wait_states:int -> map:map -> stats:Trace.t -> unit -> t
 
 val stats : t -> Trace.t
 val map : t -> map
@@ -100,7 +102,6 @@ val fill : t -> lo:int -> hi:int -> int -> unit
 val read : t -> purpose:purpose -> width:int -> int -> int
 val write : t -> width:int -> int -> int -> unit
 val read_word : t -> purpose:purpose -> int -> int
-val read_byte : t -> purpose:purpose -> int -> int
 val write_word : t -> int -> int -> unit
 val write_byte : t -> int -> int -> unit
 

@@ -45,9 +45,11 @@ let report system =
    experience it: SRAM — stack, data, every cached function — decays
    to garbage, the CPU loses its registers, FRAM survives. The caller
    then replays the boot path (runtime reboot + entry vector). *)
-let power_fail ?(pattern = 0xFF) system =
+let decayed_sram_byte = 0xFF
+
+let power_fail system =
   let map = Memory.map system.memory in
   Memory.fill system.memory ~lo:map.Memory.sram_lo ~hi:map.Memory.sram_hi
-    pattern;
+    decayed_sram_byte;
   Memory.power_fail system.memory;
   Cpu.power_reset system.cpu

@@ -25,9 +25,9 @@ val create : ?map:Memory.map -> frequency -> system
 val report : system -> Energy.report
 (** Time and energy for the execution so far. *)
 
-val power_fail : ?pattern:int -> system -> unit
+val power_fail : system -> unit
 (** A power failure as intermittent deployments experience it: SRAM
-    decays to [pattern] bytes (default [0xFF]), the CPU registers and
+    decays to [0xFF] bytes, the CPU registers and
     halt latch clear, the FRAM read cache flushes; FRAM contents
     survive. The caller then replays the boot path — the runtime's
     [reboot] plus reloading SP/PC. *)

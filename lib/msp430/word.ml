@@ -6,7 +6,6 @@ let mask_byte = 0xFF
 let of_int v = v land mask
 let to_signed v = if v land 0x8000 <> 0 then v - 0x10000 else v
 
-let byte_of_int v = v land mask_byte
 let byte_to_signed v = if v land 0x80 <> 0 then v - 0x100 else v
 
 let low_byte v = v land mask_byte

@@ -4,7 +4,6 @@ val mask : int
 val mask_byte : int
 val of_int : int -> int
 val to_signed : int -> int
-val byte_of_int : int -> int
 val byte_to_signed : int -> int
 val low_byte : int -> int
 val high_byte : int -> int

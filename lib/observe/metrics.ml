@@ -40,9 +40,6 @@ type spec = {
          cache is attached (baseline) *)
 }
 
-let default_spec =
-  { window_cycles = 65536; buckets = 48; reuse = No_reuse; config_budget = 0 }
-
 type window = {
   w_start : int; (* cycle count at window open *)
   mutable w_unstalled : int;

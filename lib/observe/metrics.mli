@@ -31,9 +31,6 @@ type spec = {
           anchors the predicted-vs-measured MRC cross-check *)
 }
 
-val default_spec : spec
-(** 65536-cycle windows, 48 buckets, no reuse tracking, no budget. *)
-
 (** One closed (or in-progress) window. All counters cover only
     events inside the window. *)
 type window = {

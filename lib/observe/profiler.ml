@@ -49,15 +49,6 @@ let add_into acc c =
   acc.fram_writes <- acc.fram_writes + c.fram_writes;
   acc.sram_accesses <- acc.sram_accesses + c.sram_accesses
 
-type rt_stats = {
-  mutable miss_entries : int;
-  mutable evictions : int;
-  mutable freezes : int;
-  mutable flushes : int;
-  mutable block_loads : int;
-  mutable prefetches : int;
-}
-
 type t = {
   symtab : Symtab.t;
   funcs : (string, counters) Hashtbl.t;
@@ -73,14 +64,11 @@ type t = {
   mutable cur_source : int;
   mutable cur_folded : int ref;
   mutable folded_dirty : bool; (* stack moved since cur_folded was set *)
-  mutable calls : int;
-  mutable returns : int;
   name_calls : (string, int ref) Hashtbl.t;
       (* dynamic calls by symbolized target — calls that trap into a
          miss handler count under the trap's name, not the callee's *)
   fid_misses : (int, int ref) Hashtbl.t;
       (* swapram miss-handler exits by fid (any disposition) *)
-  rt : rt_stats;
 }
 
 let boot_name = "_boot"
@@ -109,19 +97,8 @@ let create symtab =
     cur_source = 0;
     cur_folded = boot_slot;
     folded_dirty = false;
-    calls = 0;
-    returns = 0;
     name_calls = Hashtbl.create 64;
     fid_misses = Hashtbl.create 64;
-    rt =
-      {
-        miss_entries = 0;
-        evictions = 0;
-        freezes = 0;
-        flushes = 0;
-        block_loads = 0;
-        prefetches = 0;
-      };
   }
 
 let counters_for t name =
@@ -197,7 +174,6 @@ let sink t =
     periph = (fun _addr -> ());
     call =
       (fun target _unit ->
-        t.calls <- t.calls + 1;
         (let name = Symtab.name_of t.symtab target in
          match Hashtbl.find_opt t.name_calls name with
          | Some r -> incr r
@@ -216,7 +192,6 @@ let sink t =
         else t.overflow <- t.overflow + 1);
     return =
       (fun () ->
-        t.returns <- t.returns + 1;
         (* A return first unwinds a frame the depth cap did not push. *)
         if t.overflow > 0 then t.overflow <- t.overflow - 1
         else
@@ -227,17 +202,17 @@ let sink t =
               t.depth <- t.depth - 1;
               t.stack_key <- String.concat ";" (List.rev rest);
               t.folded_dirty <- true);
-    miss_enter = (fun _runtime -> t.rt.miss_entries <- t.rt.miss_entries + 1);
+    miss_enter = (fun _runtime -> ());
     miss_exit =
       (fun _runtime _disposition fid ->
         match Hashtbl.find_opt t.fid_misses fid with
         | Some r -> incr r
         | None -> Hashtbl.replace t.fid_misses fid (ref 1));
-    eviction = (fun _fid -> t.rt.evictions <- t.rt.evictions + 1);
-    freeze = (fun on -> if on then t.rt.freezes <- t.rt.freezes + 1);
-    cache_flush = (fun () -> t.rt.flushes <- t.rt.flushes + 1);
-    block_load = (fun _nvm -> t.rt.block_loads <- t.rt.block_loads + 1);
-    prefetch = (fun _fid -> t.rt.prefetches <- t.rt.prefetches + 1);
+    eviction = (fun _fid -> ());
+    freeze = (fun _on -> ());
+    cache_flush = (fun () -> ());
+    block_load = (fun _nvm -> ());
+    prefetch = (fun _fid -> ());
     phase = (fun _name -> ());
   }
 
@@ -277,9 +252,6 @@ let source_share t source =
   if total = 0 then 0.0
   else float_of_int (cycles_of t.by_source.(idx)) /. float_of_int total
 
-let source_cycles t source =
-  cycles_of t.by_source.(Msp430.Trace.source_index source)
-
 let render ?(top = 0) ~params t =
   let rows = rows ~params t in
   let rows = if top > 0 then List.filteri (fun i _ -> i < top) rows else rows in
@@ -315,10 +287,6 @@ let folded_lines t =
 
 let folded_total t =
   Hashtbl.fold (fun _ slot acc -> acc + !slot) t.folded 0
-
-let call_count t = t.calls
-let return_count t = t.returns
-let runtime_stats t = t.rt
 
 let calls_to t name =
   match Hashtbl.find_opt t.name_calls name with Some r -> !r | None -> 0

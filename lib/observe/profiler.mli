@@ -26,15 +26,6 @@ type counters = {
   mutable sram_accesses : int;
 }
 
-type rt_stats = {
-  mutable miss_entries : int;
-  mutable evictions : int;
-  mutable freezes : int;
-  mutable flushes : int;
-  mutable block_loads : int;
-  mutable prefetches : int;
-}
-
 type t
 
 val create : Symtab.t -> t
@@ -70,11 +61,6 @@ val folded_total : t -> int
 val source_share : t -> Msp430.Trace.source -> float
 (** Fraction of attributed cycles executed from the given instruction
     source (e.g. miss-handler share = [Handler] + [Memcpy]). *)
-
-val source_cycles : t -> Msp430.Trace.source -> int
-val call_count : t -> int
-val return_count : t -> int
-val runtime_stats : t -> rt_stats
 
 val calls_to : t -> string -> int
 (** Dynamic calls whose target symbolized to [name]. Calls that miss

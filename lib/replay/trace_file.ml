@@ -366,8 +366,6 @@ let sink w =
     phase = (fun name -> add_interned w tag_phase name);
   }
 
-let events_written w = w.events
-
 let close_writer w =
   if not w.closed then begin
     w.closed <- true;

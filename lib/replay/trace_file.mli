@@ -71,8 +71,6 @@ val sink : writer -> Msp430.Trace.sink
     harness, whose enrichment adapter supplies the caching runtime's
     answers). *)
 
-val events_written : writer -> int
-
 val close_writer : writer -> unit
 (** Write the end marker and close. The file is complete and
     readable only after this returns. *)

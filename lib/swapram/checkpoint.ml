@@ -1,5 +1,6 @@
 module Cpu = Msp430.Cpu
 module Memory = Msp430.Memory
+module Modeled = Msp430.Modeled
 module Trace = Msp430.Trace
 module Platform = Msp430.Platform
 
@@ -27,11 +28,11 @@ module Platform = Msp430.Platform
    checkpoint intact if the snapshot itself is torn.
 
    Cost model: like the SwapRAM miss handler, every modeled runtime
-   instruction is a counted fetch from a small reserved FRAM region
-   plus {!Costs.cycles_per_instr} unstalled cycles, and all snapshot
-   and restore traffic moves through counted simulated-memory
-   accesses — so an armed power trigger can tear a snapshot, a
-   commit, or the restore path itself. *)
+   instruction is charged through {!Msp430.Modeled} from a small
+   reserved FRAM region, with the phase counts of SwapRAM's {!Costs},
+   and all snapshot and restore traffic moves through counted
+   simulated-memory accesses — so an armed power trigger can tear a
+   snapshot, a commit, or the restore path itself. *)
 
 type options = {
   interval : int;
@@ -76,30 +77,12 @@ type t = {
   cpu : Cpu.t;
   options : options;
   stats : stats;
-  mutable handler_cursor : int;
+  handler : Modeled.region;
   mutable next_slot : int; (* target of the next snapshot, 0 or 1 *)
   mutable seq : int; (* last committed seq (host mirror of FRAM) *)
 }
 
 let stats t = t.stats
-
-(* Fetch-and-charge [n] modeled runtime instructions (the SwapRAM
-   handler's pattern: counted FRAM ifetch + unstalled cycles). *)
-let charge t n =
-  let stats = Memory.stats t.mem in
-  let sink = stats.Trace.sink in
-  for _ = 1 to n do
-    let cur = t.handler_cursor in
-    Memory.begin_instruction t.mem;
-    (match sink with
-    | Some s ->
-        s.Trace.instr (Trace.source_index Trace.Handler) (arena_base + cur);
-        ignore (Memory.read_word t.mem ~purpose:Memory.Ifetch (arena_base + cur))
-    | None -> ignore (Memory.fetch_word_fram t.mem (arena_base + cur)));
-    Trace.count_instr stats Trace.Handler;
-    Trace.add_unstalled stats Costs.cycles_per_instr;
-    t.handler_cursor <- (cur + 2) mod handler_bytes
-  done
 
 let read_word t addr = Memory.read_word t.mem ~purpose:Memory.Data addr
 let write_word t addr v = Memory.write_word t.mem addr v
@@ -113,29 +96,29 @@ let write_word t addr v = Memory.write_word t.mem addr v
    dirty bitmap (the uncounted comparison is the hardware's, the
    copy traffic is charged); (3) atomically commit the new seq. *)
 let snapshot t =
-  charge t Costs.handler_entry_instrs;
+  Modeled.charge t.handler Costs.handler_entry_instrs;
   let slot = slot_base t.next_slot in
-  charge t 1;
+  Modeled.charge t.handler 1;
   write_word t slot 0;
   for i = 0 to reg_count - 1 do
-    charge t 1;
+    Modeled.charge t.handler 1;
     write_word t (slot + 2 + (2 * i)) (Cpu.reg t.cpu i)
   done;
   let img = slot + 2 + regs_bytes in
   for w = 0 to image_words - 1 do
     (* one modeled instruction per 16-word group: the dirty-bitmap
        word test *)
-    if w land 15 = 0 then charge t 1;
+    if w land 15 = 0 then Modeled.charge t.handler 1;
     let sram_addr = Platform.sram_base + (2 * w) in
     if Memory.peek_word t.mem sram_addr <> Memory.peek_word t.mem (img + (2 * w))
     then begin
-      charge t Costs.memcpy_per_word_instrs;
+      Modeled.charge t.handler Modeled.memcpy_per_word_instrs;
       let v = read_word t sram_addr in
       write_word t (img + (2 * w)) v;
       t.stats.words_written <- t.stats.words_written + 1
     end
   done;
-  charge t Costs.handler_exit_instrs;
+  Modeled.charge t.handler Costs.handler_exit_instrs;
   let seq = next_seq t.seq in
   write_word t slot seq;
   (* the commit landed: update the host mirrors (a tear above leaves
@@ -154,9 +137,9 @@ type boot = Resumed | Restarted
    re-initialise the volatile (SRAM-resident) data items from the
    image and report [Restarted]. *)
 let reboot t ~image =
-  charge t 1;
+  Modeled.charge t.handler 1;
   let s0 = read_word t (slot_base 0) in
-  charge t 1;
+  Modeled.charge t.handler 1;
   let s1 = read_word t (slot_base 1) in
   let pick =
     match (s0 <> 0, s1 <> 0) with
@@ -168,7 +151,7 @@ let reboot t ~image =
   let outcome =
     match pick with
     | None ->
-        charge t Costs.handler_entry_instrs;
+        Modeled.charge t.handler Costs.handler_entry_instrs;
         let map = Memory.map t.mem in
         List.iter
           (fun (item : Masm.Assembler.item_info) ->
@@ -181,7 +164,7 @@ let reboot t ~image =
               in
               Bytes.iteri
                 (fun i c ->
-                  if i land 1 = 0 then charge t 1;
+                  if i land 1 = 0 then Modeled.charge t.handler 1;
                   Memory.write_byte t.mem (addr + i) (Char.code c))
                 bytes
             end)
@@ -189,16 +172,13 @@ let reboot t ~image =
         t.stats.restarts <- t.stats.restarts + 1;
         Restarted
     | Some (i, seq) ->
-        charge t Costs.handler_entry_instrs;
+        Modeled.charge t.handler Costs.handler_entry_instrs;
         let slot = slot_base i in
         let img = slot + 2 + regs_bytes in
-        for w = 0 to image_words - 1 do
-          charge t Costs.memcpy_per_word_instrs;
-          let v = read_word t (img + (2 * w)) in
-          Memory.write_word t.mem (Platform.sram_base + (2 * w)) v
-        done;
+        Modeled.copy t.handler ~src:img ~dst:Platform.sram_base
+          ~words:image_words ~on_word:ignore;
         for r = 0 to reg_count - 1 do
-          charge t 1;
+          Modeled.charge t.handler 1;
           Cpu.set_reg t.cpu r (read_word t (slot + 2 + (2 * r)))
         done;
         t.seq <- seq;
@@ -229,7 +209,9 @@ let install ~options (system : Platform.system) =
       cpu = system.Platform.cpu;
       options;
       stats = { snapshots = 0; words_written = 0; restores = 0; restarts = 0 };
-      handler_cursor = 0;
+      handler =
+        Modeled.region system.Platform.memory ~base:arena_base
+          ~size:handler_bytes Trace.Handler;
       next_slot = 0;
       seq = 0;
     }

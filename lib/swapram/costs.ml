@@ -1,14 +1,12 @@
 (* Cost model for the modeled runtime (miss handler + memcpy).
 
-   The paper's runtime is MSP430 assembly executing from FRAM; ours is
-   OCaml invoked through a trap vector. To keep Figure 8 (instruction
-   source breakdown), Table 2 (cycle counts) and the wait-state
-   machinery faithful, every modeled runtime instruction charges one
-   counted instruction fetch from the reserved FRAM runtime region
-   plus [cycles_per_instr] unstalled cycles, and all data the runtime
-   touches (funcId, redirection entries, active counters, function
-   table, relocation tables, the code bytes themselves) moves through
-   counted simulated-memory accesses.
+   Every modeled runtime instruction is charged through
+   {!Msp430.Modeled} (one counted fetch from the reserved FRAM
+   runtime region plus [Modeled.cycles_per_instr] unstalled cycles;
+   the copy loop's [Modeled.memcpy_per_word_instrs] per word), and all
+   data the runtime touches (funcId, redirection entries, active
+   counters, function table, relocation tables, the code bytes
+   themselves) moves through counted simulated-memory accesses.
 
    The constants below are instruction-count estimates for each phase
    of the handler in Figure 4, sized against a hand-sketched MSP430
@@ -32,20 +30,11 @@ let evict_instrs = 6
    load offset, add base, store slot. *)
 let reloc_instrs = 5
 
-(* Copy loop: MOV @src+, dst / increment / compare / branch per word.
-   The FRAM read and SRAM write are charged separately as counted
-   data accesses. *)
-let memcpy_per_word_instrs = 2
-
 (* Update redirection entry, restore registers, branch to the copy. *)
 let handler_exit_instrs = 10
 
 (* Abort path (§3.3.3): unwind flagging and branch to the NVM copy. *)
 let abort_instrs = 6
-
-(* Average unstalled cycles per modeled runtime instruction (register
-   and absolute-mode format-I instructions dominate the handler). *)
-let cycles_per_instr = 2
 
 (* --- Profile-guided placement model ({!Pgo}) ------------------------- *)
 
@@ -58,6 +47,7 @@ let cycles_per_instr = 2
    per word the copy-loop instructions and roughly 6 cycles for the
    wait-stated FRAM read and the SRAM write. *)
 let pgo_miss_cycles ~size =
+  let open Msp430.Modeled in
   let words = (size + 1) / 2 in
   (cycles_per_instr * (handler_entry_instrs + handler_exit_instrs))
   + (words * ((memcpy_per_word_instrs * cycles_per_instr) + 6))

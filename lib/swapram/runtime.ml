@@ -1,5 +1,6 @@
 module Cpu = Msp430.Cpu
 module Memory = Msp430.Memory
+module Modeled = Msp430.Modeled
 module Trace = Msp430.Trace
 
 (* SwapRAM's runtime component: the cache miss handler (paper §3.3,
@@ -7,8 +8,8 @@ module Trace = Msp430.Trace
    piece of state it touches (funcId, function table, redirection
    entries, active counters, relocation tables, the copied code) moves
    through counted simulated-memory accesses, and its own execution is
-   charged as instruction fetches from the reserved FRAM runtime
-   region per the cost model in {!Costs}. *)
+   charged through {!Msp430.Modeled} from the reserved FRAM handler
+   and memcpy regions, per the phase counts in {!Costs}. *)
 
 type table_addrs = {
   a_funcid : int;
@@ -17,10 +18,6 @@ type table_addrs = {
   a_functab : int;
   a_reloc : int;
   a_relofs : int;
-  a_handler : int;
-  handler_size : int;
-  a_memcpy : int;
-  memcpy_size : int;
 }
 
 type stats = {
@@ -43,8 +40,8 @@ type t = {
   callees : int list array; (* static call graph, for prefetching *)
   pinned_anchors : (int * int) list; (* profile-guided (fid, anchor) pins *)
   stats : stats;
-  mutable handler_cursor : int;
-  mutable memcpy_cursor : int;
+  handler : Modeled.region;
+  memcpy : Modeled.region;
   mutable consecutive_aborts : int;
   mutable freeze_left : int;
 }
@@ -68,43 +65,6 @@ let cached_function_at t addr =
   | Some fid -> Some fid
   | None -> owner (Cache.pinned_entries t.cache)
 
-let emit_rt t f =
-  match (Memory.stats t.mem).Trace.sink with Some s -> f s | None -> ()
-
-(* --- Charged micro-operations --------------------------------------- *)
-
-(* Fetch-and-charge [n] modeled handler instructions. *)
-let charge t source n =
-  let region_base, region_size, cursor_get, cursor_set =
-    match source with
-    | Trace.Memcpy ->
-        ( t.addrs.a_memcpy,
-          t.addrs.memcpy_size,
-          (fun () -> t.memcpy_cursor),
-          fun c -> t.memcpy_cursor <- c )
-    | _ ->
-        ( t.addrs.a_handler,
-          t.addrs.handler_size,
-          (fun () -> t.handler_cursor),
-          fun c -> t.handler_cursor <- c )
-  in
-  let stats = Memory.stats t.mem in
-  let sink = stats.Trace.sink in
-  for _ = 1 to n do
-    let cur = cursor_get () in
-    Memory.begin_instruction t.mem;
-    (* The handler/memcpy regions live in reserved FRAM, so the
-       unobserved path can take the specialized counted fetch. *)
-    (match sink with
-    | Some s ->
-        s.Trace.instr (Trace.source_index source) (region_base + cur);
-        ignore (Memory.read_word t.mem ~purpose:Memory.Ifetch (region_base + cur))
-    | None -> ignore (Memory.fetch_word_fram t.mem (region_base + cur)));
-    Trace.count_instr stats source;
-    Trace.add_unstalled stats Costs.cycles_per_instr;
-    cursor_set ((cur + 2) mod region_size)
-  done
-
 let read_word t addr = Memory.read_word t.mem ~purpose:Memory.Data addr
 let write_word t addr v = Memory.write_word t.mem addr v
 
@@ -119,27 +79,22 @@ let functab_rcount t fid = read_word t (t.addrs.a_functab + (8 * fid) + 6)
 let retarget_relocs t fid ~base =
   let rstart = functab_rstart t fid and rcount = functab_rcount t fid in
   for k = rstart to rstart + rcount - 1 do
-    charge t Trace.Handler Costs.reloc_instrs;
+    Modeled.charge t.handler Costs.reloc_instrs;
     let ofs = read_word t (t.addrs.a_relofs + (2 * k)) in
     write_word t (t.addrs.a_reloc + (2 * k)) ((base + ofs) land 0xFFFF)
   done
 
 let evict_function t (entry : Cache.entry) =
-  charge t Trace.Handler Costs.evict_instrs;
-  emit_rt t (fun s -> s.Trace.eviction entry.Cache.fid);
+  Modeled.charge t.handler Costs.evict_instrs;
+  Modeled.emit t.mem (fun s -> s.Trace.eviction entry.Cache.fid);
   t.stats.evictions <- t.stats.evictions + 1;
   write_word t (t.addrs.a_redirect + (2 * entry.Cache.fid)) Config.miss_handler_trap;
   let nvm = functab_nvm t entry.Cache.fid in
   retarget_relocs t entry.Cache.fid ~base:nvm
 
 let copy_function t ~nvm ~sram ~size =
-  let words = (size + 1) / 2 in
-  for i = 0 to words - 1 do
-    charge t Trace.Memcpy Costs.memcpy_per_word_instrs;
-    let w = read_word t (nvm + (2 * i)) in
-    write_word t (sram + (2 * i)) w;
-    t.stats.words_copied <- t.stats.words_copied + 1
-  done
+  Modeled.copy t.memcpy ~src:nvm ~dst:sram ~words:((size + 1) / 2)
+    ~on_word:(fun () -> t.stats.words_copied <- t.stats.words_copied + 1)
 
 (* Call-graph prefetch (extension; §3's observation 2): after caching
    [fid], optionally pull its statically-known callees into *free*
@@ -160,7 +115,7 @@ let rec prefetch_callees t fid budget =
           if cached then go budget rest
           else begin
             let size = functab_size t callee in
-            charge t Trace.Handler Costs.scan_entry_instrs;
+            Modeled.charge t.handler Costs.scan_entry_instrs;
             match Cache.plan t.cache ~size with
             | Cache.Place { addr; evict = [] } ->
                 let nvm = functab_nvm t callee in
@@ -169,7 +124,7 @@ let rec prefetch_callees t fid budget =
                 retarget_relocs t callee ~base:addr;
                 write_word t (t.addrs.a_redirect + (2 * callee)) addr;
                 t.stats.prefetches <- t.stats.prefetches + 1;
-                emit_rt t (fun s -> s.Trace.prefetch callee);
+                Modeled.emit t.mem (fun s -> s.Trace.prefetch callee);
                 prefetch_callees t callee (budget - 1);
                 go (budget - 1) rest
             | Cache.Place _ | Cache.Too_large -> go budget rest
@@ -189,7 +144,7 @@ let rec prefetch_callees t fid budget =
 let pin_all t =
   List.iter
     (fun (fid, anchor) ->
-      charge t Trace.Handler Costs.handler_entry_instrs;
+      Modeled.charge t.handler Costs.handler_entry_instrs;
       let nvm = functab_nvm t fid in
       let size = functab_size t fid in
       let addr = Cache.pin t.cache ~fid ~size in
@@ -208,22 +163,22 @@ let pin_all t =
    (§3.3.3). The redirection entry keeps pointing at the handler, so
    the next call misses again — the paper's pathological case. *)
 let abort_to_nvm t ~fid ~nvm =
-  charge t Trace.Handler Costs.abort_instrs;
+  Modeled.charge t.handler Costs.abort_instrs;
   t.consecutive_aborts <- t.consecutive_aborts + 1;
   (match t.options.Config.freeze with
   | Some (threshold, window)
     when t.freeze_left = 0 && t.consecutive_aborts >= threshold ->
       t.freeze_left <- window;
-      emit_rt t (fun s -> s.Trace.freeze true)
+      Modeled.emit t.mem (fun s -> s.Trace.freeze true)
   | _ -> ());
-  emit_rt t (fun s -> s.Trace.miss_exit "swapram" "nvm" fid);
+  Modeled.emit t.mem (fun s -> s.Trace.miss_exit "swapram" "nvm" fid);
   Cpu.Goto nvm
 
 let on_miss t cpu =
   ignore cpu;
   t.stats.misses <- t.stats.misses + 1;
-  emit_rt t (fun s -> s.Trace.miss_enter "swapram");
-  charge t Trace.Handler Costs.handler_entry_instrs;
+  Modeled.emit t.mem (fun s -> s.Trace.miss_enter "swapram");
+  Modeled.charge t.handler Costs.handler_entry_instrs;
   let fid = read_word t t.addrs.a_funcid in
   let nvm = functab_nvm t fid in
   let size = functab_size t fid in
@@ -231,13 +186,13 @@ let on_miss t cpu =
     (* freeze mode: execute from NVM without touching the cache *)
     t.freeze_left <- t.freeze_left - 1;
     t.stats.frozen_misses <- t.stats.frozen_misses + 1;
-    if t.freeze_left = 0 then emit_rt t (fun s -> s.Trace.freeze false);
-    charge t Trace.Handler Costs.abort_instrs;
-    emit_rt t (fun s -> s.Trace.miss_exit "swapram" "frozen" fid);
+    if t.freeze_left = 0 then Modeled.emit t.mem (fun s -> s.Trace.freeze false);
+    Modeled.charge t.handler Costs.abort_instrs;
+    Modeled.emit t.mem (fun s -> s.Trace.miss_exit "swapram" "frozen" fid);
     Cpu.Goto nvm
   end
   else begin
-    charge t Trace.Handler
+    Modeled.charge t.handler
       (Costs.scan_entry_instrs * max 1 (List.length (Cache.entries t.cache)));
     (* Placement loop: a planned spot whose eviction set contains an
        active function is skipped (allocation moves past the blocker
@@ -254,12 +209,12 @@ let on_miss t cpu =
              moves, or the next miss plans from a skewed cursor *)
           abort_restoring ();
           t.stats.too_large <- t.stats.too_large + 1;
-          charge t Trace.Handler Costs.abort_instrs;
-          emit_rt t (fun s -> s.Trace.miss_exit "swapram" "too-large" fid);
+          Modeled.charge t.handler Costs.abort_instrs;
+          Modeled.emit t.mem (fun s -> s.Trace.miss_exit "swapram" "too-large" fid);
           Cpu.Goto nvm
       | Cache.Place { addr; evict } -> (
           (* call-stack integrity: never evict an active function *)
-          charge t Trace.Handler
+          Modeled.charge t.handler
             (Costs.active_check_instrs * List.length evict);
           let actives =
             List.filter
@@ -276,17 +231,17 @@ let on_miss t cpu =
               retarget_relocs t fid ~base:addr;
               write_word t (t.addrs.a_redirect + (2 * fid)) addr;
               prefetch_callees t fid t.options.Config.prefetch;
-              charge t Trace.Handler Costs.handler_exit_instrs;
+              Modeled.charge t.handler Costs.handler_exit_instrs;
               if
                 t.options.Config.debug_checks
                 && not (Cache.check_invariants t.cache)
               then failwith "SwapRAM cache invariant violated";
-              emit_rt t (fun s -> s.Trace.miss_exit "swapram" "cached" fid);
+              Modeled.emit t.mem (fun s -> s.Trace.miss_exit "swapram" "cached" fid);
               Cpu.Goto addr
           | _ :: _ when attempts > 0 && t.options.Config.policy = Cache.Circular_queue
             ->
               t.stats.placement_retries <- t.stats.placement_retries + 1;
-              charge t Trace.Handler Costs.scan_entry_instrs;
+              Modeled.charge t.handler Costs.scan_entry_instrs;
               let blocker_end =
                 List.fold_left
                   (fun acc (e : Cache.entry) -> max acc (e.Cache.addr + e.Cache.size))
@@ -312,22 +267,13 @@ let on_miss t cpu =
    values in the image. *)
 let reboot t ~image =
   Cache.reset t.cache;
-  t.handler_cursor <- 0;
-  t.memcpy_cursor <- 0;
+  Modeled.reset t.handler;
+  Modeled.reset t.memcpy;
   t.consecutive_aborts <- 0;
   t.freeze_left <- 0;
-  (* The restore writes are counted FRAM accesses: the boot routine
-     pays real write costs, and — crucial for fault injection — an
-     armed power trigger can tear the reboot itself mid-restore. The
-     routine is idempotent (it copies constants out of the image), so
-     rerunning it after such a tear recovers. *)
-  let restore_item name =
-    let addr, bytes = Masm.Assembler.item_initial image name in
-    Bytes.iteri
-      (fun i c -> Memory.write_byte t.mem (addr + i) (Char.code c))
-      bytes
-  in
-  List.iter restore_item
+  (* Counted and idempotent: an armed power trigger can tear the
+     reboot itself mid-restore, and rerunning it recovers. *)
+  Masm.Assembler.restore_items image t.mem
     [ Config.sym_funcid; Config.sym_redirect; Config.sym_active; Config.sym_reloc ];
   (* pinned copies were in the lost SRAM; re-pin them (same anchors) *)
   pin_all t
@@ -340,14 +286,14 @@ let critical_windows t ~image =
   let tab sym = (Masm.Assembler.lookup image sym, Masm.Assembler.item_size image sym) in
   let named name (lo, size) = (name, lo, lo + size) in
   [
-    named "handler" (t.addrs.a_handler, t.addrs.handler_size);
-    named "memcpy" (t.addrs.a_memcpy, t.addrs.memcpy_size);
+    named "handler" (t.handler.Modeled.base, t.handler.Modeled.size);
+    named "memcpy" (t.memcpy.Modeled.base, t.memcpy.Modeled.size);
     named "redirect" (tab Config.sym_redirect);
     named "reloc" (tab Config.sym_reloc);
     named "active" (tab Config.sym_active);
   ]
 
-let table_addrs_of_image image manifest =
+let table_addrs_of_image image =
   let look = Masm.Assembler.lookup image in
   {
     a_funcid = look Config.sym_funcid;
@@ -356,14 +302,14 @@ let table_addrs_of_image image manifest =
     a_functab = look Config.sym_functab;
     a_reloc = look Config.sym_reloc;
     a_relofs = look Config.sym_relofs;
-    a_handler = look Config.sym_handler;
-    handler_size = manifest.Instrument.handler_bytes;
-    a_memcpy = look Config.sym_memcpy;
-    memcpy_size = manifest.Instrument.memcpy_bytes;
   }
 
 let install ~options ~manifest ~image (system : Msp430.Platform.system) =
-  let addrs = table_addrs_of_image image manifest in
+  let addrs = table_addrs_of_image image in
+  let mem = system.Msp430.Platform.memory in
+  let region sym size =
+    Modeled.region mem ~base:(Masm.Assembler.lookup image sym) ~size
+  in
   let callees = manifest.Instrument.callees in
   let cache =
     Cache.create ~base:options.Config.cache_base
@@ -372,7 +318,7 @@ let install ~options ~manifest ~image (system : Msp430.Platform.system) =
   let t =
     {
       cache;
-      mem = system.Msp430.Platform.memory;
+      mem;
       addrs;
       options;
       callees;
@@ -389,8 +335,10 @@ let install ~options ~manifest ~image (system : Msp430.Platform.system) =
           prefetches = 0;
           pins = 0;
         };
-      handler_cursor = 0;
-      memcpy_cursor = 0;
+      handler =
+        region Config.sym_handler manifest.Instrument.handler_bytes Trace.Handler;
+      memcpy =
+        region Config.sym_memcpy manifest.Instrument.memcpy_bytes Trace.Memcpy;
       consecutive_aborts = 0;
       freeze_left = 0;
     }
@@ -399,17 +347,8 @@ let install ~options ~manifest ~image (system : Msp430.Platform.system) =
     (fun cpu -> on_miss t cpu);
   (* Fig. 8 classification: handler and memcpy regions are runtime
      code; everything else classifies by memory region. *)
-  let handler_lo = addrs.a_handler
-  and handler_hi = addrs.a_handler + addrs.handler_size in
-  let memcpy_lo = addrs.a_memcpy
-  and memcpy_hi = addrs.a_memcpy + addrs.memcpy_size in
-  Cpu.set_classifier system.Msp430.Platform.cpu (fun addr ->
-      if addr >= handler_lo && addr < handler_hi then Trace.Handler
-      else if addr >= memcpy_lo && addr < memcpy_hi then Trace.Memcpy
-      else
-        match Memory.region_of (Memory.map system.Msp430.Platform.memory) addr with
-        | Memory.Sram -> Trace.App_sram
-        | Memory.Fram | Memory.Peripheral | Memory.Unmapped -> Trace.App_fram);
+  Cpu.set_classifier system.Msp430.Platform.cpu
+    (Modeled.classifier ~handler:t.handler ~memcpy:t.memcpy);
   (* profile-guided pins copy in once, before execution starts; the
      image is already loaded (Pipeline.install loads before
      installing the runtime) *)

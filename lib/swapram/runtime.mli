@@ -4,10 +4,10 @@
     All state the handler touches — funcId, function table,
     redirection entries, active counters, relocation tables, the
     copied code itself — moves through counted simulated-memory
-    accesses, and the handler's own execution is charged as
-    instruction fetches from the reserved FRAM runtime region per the
-    cost model in {!Costs}, so Figure 8's source breakdown and Table
-    2's cycle counts stay faithful. *)
+    accesses, and the handler's own execution is charged through
+    {!Msp430.Modeled} from the reserved FRAM handler and memcpy
+    regions, per the phase counts in {!Costs}, so Figure 8's source
+    breakdown and Table 2's cycle counts stay faithful. *)
 
 type table_addrs = {
   a_funcid : int;
@@ -16,10 +16,6 @@ type table_addrs = {
   a_functab : int;
   a_reloc : int;
   a_relofs : int;
-  a_handler : int;
-  handler_size : int;
-  a_memcpy : int;
-  memcpy_size : int;
 }
 
 type stats = {
@@ -50,8 +46,8 @@ type t = {
   pinned_anchors : (int * int) list;
       (** profile-guided [(fid, anchor)] pins from the manifest *)
   stats : stats;
-  mutable handler_cursor : int;
-  mutable memcpy_cursor : int;
+  handler : Msp430.Modeled.region;
+  memcpy : Msp430.Modeled.region;
   mutable consecutive_aborts : int;
   mutable freeze_left : int;
 }

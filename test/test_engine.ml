@@ -11,6 +11,7 @@ module Cpu = Msp430.Cpu
 module Memory = Msp430.Memory
 module Isa = Msp430.Isa
 module Trace = Msp430.Trace
+module Modeled = Msp430.Modeled
 module T = Experiments.Toolchain
 module Sweep = Experiments.Sweep
 module Json = Observe.Json
@@ -679,6 +680,158 @@ let specialised_fetches_match_read () =
   Alcotest.(check bool) "fetches hit the read cache" true (!hits > 0);
   Alcotest.(check bool) "fetches lose power" true (!losses > 0)
 
+(* --- The modeled runtimes' charged-instruction core --------------------
+
+   SwapRAM's miss handler, the block cache's runtime and the
+   checkpointing runtime all charge their modeled instructions and
+   copy loops through [Msp430.Modeled]. *)
+
+let modeled_mem ?(wait_states = 3) () =
+  Memory.create ~wait_states ~map:Platform.fr2355_map ~stats:(Trace.create ()) ()
+
+let handler_base = Platform.fram_base + 0x40
+let memcpy_base = Platform.fram_base + 0x200
+let copy_src = Platform.fram_base + 0x400
+
+let charge_walks_and_wraps () =
+  let mem = modeled_mem () in
+  let events = collect_events (Memory.stats mem) in
+  let r = Modeled.region mem ~base:handler_base ~size:6 Trace.Handler in
+  Modeled.charge r 5;
+  Modeled.charge r 3;
+  let expected = List.init 8 (fun i -> handler_base + (2 * (i mod 3))) in
+  let events = events () in
+  let pcs =
+    List.filter_map
+      (function Trace.Instr { pc; source = Trace.Handler } -> Some pc | _ -> None)
+      events
+  in
+  let ifetches =
+    List.filter_map
+      (function
+        | Trace.Mem_access { addr; cls = Trace.Fram_read { ifetch = true; _ } } ->
+            Some addr
+        | _ -> None)
+      events
+  in
+  Alcotest.(check (list int)) "instr pcs walk the region and wrap" expected pcs;
+  Alcotest.(check (list int)) "one ifetch per instruction, at its pc" expected ifetches;
+  let stats = Memory.stats mem in
+  Alcotest.(check int) "handler instructions" 8
+    stats.Trace.instr_by_source.(Trace.source_index Trace.Handler);
+  Alcotest.(check int) "unstalled cycles" (8 * Modeled.cycles_per_instr)
+    stats.Trace.unstalled_cycles;
+  Alcotest.(check int) "cursor" 4 r.Modeled.cursor
+
+type modeled_case = {
+  mc_wait_states : int;
+  mc_size : int; (* handler region bytes *)
+  mc_ops : [ `Charge of int | `Copy of int ] list;
+  mc_trigger : int option; (* [After_accesses n] *)
+}
+
+let gen_modeled_case =
+  QCheck2.Gen.(
+    let* mc_wait_states = oneofl [ 0; 3 ] and* mc_size = map (( * ) 2) (int_range 1 32) in
+    let* mc_ops =
+      list_size (int_range 1 8)
+        (oneof
+           [
+             map (fun n -> `Charge n) (int_bound 40);
+             map (fun w -> `Copy w) (int_bound 12);
+           ])
+    in
+    let* mc_trigger =
+      frequency [ (1, return None); (2, map Option.some (int_range 1 200)) ]
+    in
+    return { mc_wait_states; mc_size; mc_ops; mc_trigger })
+
+let print_modeled_case c =
+  Printf.sprintf "%d wait states; region %d bytes; ops [%s]; trigger %s"
+    c.mc_wait_states c.mc_size
+    (String.concat " "
+       (List.map
+          (function
+            | `Charge n -> Printf.sprintf "charge %d" n
+            | `Copy w -> Printf.sprintf "copy %d" w)
+          c.mc_ops))
+    (match c.mc_trigger with None -> "none" | Some n -> string_of_int n)
+
+(* Run [c]'s charges and copies, observed through an event sink or
+   not: whether power was lost, the words counted, the counters, the
+   power clock and both cursors. *)
+let run_modeled_case ~observe c =
+  let mem = modeled_mem ~wait_states:c.mc_wait_states () in
+  if observe then Trace.set_sink (Memory.stats mem) (Some (Trace.event_sink ignore));
+  let handler = Modeled.region mem ~base:handler_base ~size:c.mc_size Trace.Handler in
+  let memcpy = Modeled.region mem ~base:memcpy_base ~size:64 Trace.Memcpy in
+  Memory.arm_power_trigger mem
+    (Option.map (fun n -> Memory.After_accesses n) c.mc_trigger);
+  let copied = ref 0 in
+  let lost =
+    match
+      List.iter
+        (function
+          | `Charge n -> Modeled.charge handler n
+          | `Copy words ->
+              Modeled.copy memcpy ~src:copy_src ~dst:Platform.sram_base ~words
+                ~on_word:(fun () -> incr copied))
+        c.mc_ops
+    with
+    | () -> false
+    | exception Memory.Power_loss -> true
+  in
+  ( lost,
+    !copied,
+    stats_sig (Memory.stats mem),
+    Memory.access_ticks mem,
+    handler.Modeled.cursor,
+    memcpy.Modeled.cursor )
+
+let observed_charges_match_unobserved () =
+  let losses = ref 0 in
+  QCheck2.Test.check_exn
+    (QCheck2.Test.make ~count:500 ~name:"observed charges = unobserved charges"
+       ~print:print_modeled_case gen_modeled_case (fun c ->
+         let ((lost, _, _, _, _, _) as observed) = run_modeled_case ~observe:true c in
+         if lost then incr losses;
+         observed = run_modeled_case ~observe:false c));
+  Alcotest.(check bool) "charges lose power" true (!losses > 0)
+
+(* A copy dying at access [k] has counted exactly the words whose
+   write landed: each word is [memcpy_per_word_instrs] fetches, one
+   read and one write, and the dying access never takes effect. *)
+let cut_copy_counts_landed_words () =
+  let words = 6 and per_word = Modeled.memcpy_per_word_instrs + 2 in
+  let value i = 0x1111 * (i + 1) in
+  for k = 1 to (per_word * words) + 1 do
+    let mem = modeled_mem () in
+    let r = Modeled.region mem ~base:memcpy_base ~size:64 Trace.Memcpy in
+    for i = 0 to words - 1 do
+      Memory.poke_word mem (copy_src + (2 * i)) (value i);
+      Memory.poke_word mem (Platform.sram_base + (2 * i)) 0
+    done;
+    Memory.arm_power_trigger mem (Some (Memory.After_accesses k));
+    let copied = ref 0 in
+    let lost =
+      match
+        Modeled.copy r ~src:copy_src ~dst:Platform.sram_base ~words
+          ~on_word:(fun () -> incr copied)
+      with
+      | () -> false
+      | exception Memory.Power_loss -> true
+    in
+    let at = Printf.sprintf " (trigger at access %d)" k in
+    Alcotest.(check bool) ("power lost" ^ at) (k <= per_word * words) lost;
+    Alcotest.(check int) ("words counted" ^ at) (min words ((k - 1) / per_word)) !copied;
+    for i = 0 to words - 1 do
+      Alcotest.(check int)
+        (Printf.sprintf "word %d%s" i at)
+        (if i < !copied then value i else 0)
+        (Memory.peek_word mem (Platform.sram_base + (2 * i)))
+    done
+  done
+
 let suite =
   suite_checks
   @ [
@@ -712,4 +865,10 @@ let suite =
         observed_replay_cases_agree;
       Alcotest.test_case "specialised fetches = generic Ifetch read" `Quick
         specialised_fetches_match_read;
+      Alcotest.test_case "modeled charges walk their region and wrap" `Quick
+        charge_walks_and_wraps;
+      Alcotest.test_case "observed charges = unobserved charges" `Quick
+        observed_charges_match_unobserved;
+      Alcotest.test_case "a cut copy counts exactly the landed words" `Quick
+        cut_copy_counts_landed_words;
     ]
