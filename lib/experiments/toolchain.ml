@@ -380,8 +380,19 @@ let prepare ?observe config =
   let program =
     Minic.Driver.program_of_source ~through_disasm:config.through_disasm source
   in
-  (* data size is layout-independent; probe it with a plain assembly *)
-  let plain_probe = Masm.Assembler.assemble ~layout:(probe_layout code_base) program in
+  (* Data size is layout-independent; probe it with a plain assembly.
+     A fixed data base makes the probe's layout the final plain one, so
+     a plain build (baseline, checkpoint) loads the probe itself; only a
+     data section packed after the code needs the probe's code end
+     first, and a second assembly. *)
+  let plain_probe =
+    Masm.Assembler.assemble
+      ~layout:
+        (match data_base_opt with
+        | Some data_base -> { Masm.Assembler.code_base; data_base }
+        | None -> probe_layout code_base)
+      program
+  in
   let data_size = Masm.Assembler.data_size plain_probe in
   (* Split: SRAM = [data][stack][code cache]; SP sits between *)
   let stack_top, cache_region =
@@ -410,10 +421,14 @@ let prepare ?observe config =
     { Masm.Assembler.code_base; data_base }
   in
   let plain_layout = layout_for (fun () -> plain_probe.Masm.Assembler.code_end) in
+  let plain_image () =
+    if plain_probe.Masm.Assembler.layout = plain_layout then plain_probe
+    else Masm.Assembler.assemble ~layout:plain_layout program
+  in
   let build () =
     match caching with
     | Baseline ->
-        let image = Masm.Assembler.assemble ~layout:plain_layout program in
+        let image = plain_image () in
         check_fit ~what:"baseline" ~code_limit ~data_limit image;
         ( image,
           (fun system ->
@@ -459,7 +474,7 @@ let prepare ?observe config =
     | Checkpoint_runtime options ->
         (* built exactly like the baseline — no code transformation;
            the runtime lives entirely in the reserved arena *)
-        let image = Masm.Assembler.assemble ~layout:plain_layout program in
+        let image = plain_image () in
         check_fit ~what:"checkpoint" ~code_limit ~data_limit image;
         ( image,
           (fun system ->

@@ -1,11 +1,16 @@
-(* Compact binary trace format: magic + version + JSON header, then
-   tag-byte events with zigzag-varint payloads. Instruction addresses
-   are delta-encoded against the previous instruction, access
-   addresses against the previous access; runtime strings (runtime /
-   disposition / phase names) are interned in first-use order, which
-   makes the byte stream deterministic — no hash-order dependence —
-   so the same run records byte-identical files on any host or OCaml
-   version. *)
+(* Compact binary trace format: magic + version + JSON header, then a
+   byte stream of records. An instruction is normally one record
+   against a template, interned per (pc, home) on first sight: the
+   template fixes the instruction's source, its fetches, its unstalled
+   cycles and the order of its accesses and call/return events, so the
+   record holds only what varies (the FRAM read-cache hit bits, the
+   data addresses, a call's target and unit). Stalls are not stored:
+   they follow from the hit bits and the header's wait states and
+   contention penalty. Anything a template cannot express falls back
+   to tag-byte events with zigzag-varint payloads. Runtime strings and
+   templates are interned in first-use order, which makes the byte
+   stream deterministic — no hash-order dependence — so the same run
+   records byte-identical files on any host or OCaml version. *)
 
 module Trace = Msp430.Trace
 module Json = Observe.Json
@@ -26,7 +31,7 @@ type header = {
 }
 
 let magic = "SWTR"
-let version = 1
+let version = 2
 
 type error =
   | Bad_magic
@@ -74,7 +79,58 @@ let tag_block_load = 0x1A
 let tag_prefetch = 0x1B
 let tag_phase = 0x1C
 let tag_string_def = 0x1D (* interleaved definition; not an event *)
-let tag_end = 0xFE
+let tag_template_def = 0x1E (* interleaved definition; not an event *)
+let tag_end = 0x1F
+
+(* 0x80-0xFF: one templated instruction. Bit 6 set means the template
+   id follows as a varint; clear means the template is the predicted
+   one, the template that followed the previous instruction's template
+   the last time it was seen. Bits 0-5 are the first six hit bits. *)
+let tag_record = 0x80
+let record_explicit = 0x40
+let tag_hit_bits = 6
+
+(* --- Templates --------------------------------------------------------- *)
+
+(* A template is the instruction's events after its [instr], in order,
+   less the stall [cycles] events, which are derived. Each is one int:
+   the kind in the low four bits and, for a fetch, the home offset
+   (home - address) or, for [cycles], the unstalled count above them.
+   Fetch k of an instruction at pc is at pc + 2k. *)
+let op_fram_ifetch = 0
+let op_sram_ifetch = 1
+let op_fram_read = 2
+let op_fram_write = 3
+let op_sram_read = 4
+let op_sram_write = 5
+let op_periph = 6
+let op_cycles = 7
+let op_call = 8
+let op_return = 9
+let op_kinds = 10
+
+(* Bounds that keep a record within [max_event] bytes: every data
+   access has one payload varint and a call two (target, unit + 1),
+   and the hit bits past the tag's six take one raw byte per eight. *)
+let max_ops = 48
+let max_payload = 16
+let max_hit_bits = 30
+let max_unstalled = 0xFFFF
+
+(* The writer's pc table holds 16-bit ids; past this many templates new
+   keys stay tagged. *)
+let max_templates = 0xFFFF
+
+let extra_bit_bytes nbits =
+  if nbits <= tag_hit_bits then 0 else (nbits - tag_hit_bits + 7) / 8
+
+(* The stall of an instruction's [n]-th FRAM access ([hit] is false for
+   a write), as [Msp430.Memory] charges it: the wait states on a
+   read-cache miss, plus the contention penalty from the second access
+   on. The writer checks live stalls against it; the reader derives
+   them from it. *)
+let[@inline] stall_rule ~wait_states ~contention hit n =
+  (if hit then 0 else wait_states) + if n > 1 then contention else 0
 
 (* --- Varints ----------------------------------------------------------- *)
 
@@ -171,11 +227,27 @@ let header_of_json j =
 
 (* --- Writer ------------------------------------------------------------ *)
 
-(* Events are encoded straight into one fixed byte buffer at a cursor.
-   The buffer spills to the channel once an event leaves the cursor at
-   or past [flush_threshold]; the [event_slack] bytes above it hold the
-   longest event (a tag and three nine-byte varints), so one check per
-   event is the only bounds check. *)
+(* Records are encoded straight into one fixed byte buffer at a cursor.
+   The buffer spills to the channel between instructions, and between
+   events outside a templated record, once the cursor is at or past
+   [flush_threshold]; the [event_slack] bytes above it hold a whole
+   instruction even when it departs from its template and is rewritten
+   as tagged events (see [depart]). *)
+
+type template = {
+  t_src : int;
+  t_hd : int; (* home - pc of the first fetch: with pc and src, the key *)
+  t_ops : int array;
+  t_nbits : int;
+  mutable t_next : int; (* the template that followed this one last time *)
+}
+
+(* What the writer does with the events of the current instruction:
+   [Pending] until its first fetch picks a template, then [Templated]
+   (matched op by op), [Building] (the first sighting of its key: tagged
+   events, with the template collected alongside) or [Tagged]. *)
+type mode = Tagged | Pending | Templated | Building
+
 type writer = {
   oc : out_channel;
   path : string;
@@ -187,10 +259,38 @@ type writer = {
   mutable prev_addr : int;
   mutable events : int;
   mutable closed : bool;
+  wait_states : int;
+  contention : int;
+  by_pc : Bytes.t; (* 1 + the template last used at each even pc, or 0 *)
+  keyed : (int, int) Hashtbl.t; (* every template by [key] *)
+  mutable tpls : template array;
+  mutable ntpls : int;
+  mutable last : int; (* the previous instruction's template, or -1 *)
+  (* The instruction in progress. *)
+  mutable mode : mode;
+  mutable src : int;
+  mutable pc : int;
+  mutable pc_before : int; (* [prev_pc] before it, for a tagged [instr] *)
+  mutable ops : int array; (* Templated: the template's ops *)
+  mutable k : int; (* ops matched (or built) so far *)
+  mutable fetches : int;
+  mutable frams : int; (* FRAM accesses, for the contention rule *)
+  mutable stall_due : int; (* the stall the last FRAM access owes, or 0 *)
+  mutable bits : int;
+  mutable nbits : int;
+  mutable payload : int; (* payload varints built so far *)
+  mutable tpl : int;
+  mutable explicit : bool;
+  mutable rec_start : int;
+  mutable pay_start : int;
+  mutable addr_before : int;
+  builder : int array;
+  spare : Bytes.t;
+  mutable sp : int;
 }
 
 let flush_threshold = 1 lsl 16
-let event_slack = 64
+let event_slack = 4096
 
 let spill w =
   output w.oc w.buf 0 w.pos;
@@ -217,6 +317,33 @@ let create_writer path header =
     prev_addr = 0;
     events = 0;
     closed = false;
+    wait_states = header.wait_states;
+    contention = header.contention_penalty;
+    by_pc = Bytes.make 0x10000 '\000';
+    keyed = Hashtbl.create 256;
+    tpls = [||];
+    ntpls = 0;
+    last = -1;
+    mode = Tagged;
+    src = 0;
+    pc = 0;
+    pc_before = 0;
+    ops = [||];
+    k = 0;
+    fetches = 0;
+    frams = 0;
+    stall_due = 0;
+    bits = 0;
+    nbits = 0;
+    payload = 0;
+    tpl = -1;
+    explicit = false;
+    rec_start = 0;
+    pay_start = 0;
+    addr_before = 0;
+    builder = Array.make max_ops 0;
+    spare = Bytes.create (max_payload * 10);
+    sp = 0;
   }
 
 let[@inline] put_byte w b =
@@ -241,6 +368,9 @@ let add_varint w n =
   w.pos <- varint_at w.buf w.pos n
 
 let add_signed w n = add_varint w (zigzag n)
+
+(* Spill a full buffer; never inside a templated record. *)
+let[@inline] written w = if w.pos >= flush_threshold then spill w
 
 (* Interned string id; unseen strings get a definition record first
    (ids are assigned in first-use order — deterministic). Definitions
@@ -268,107 +398,544 @@ let intern_id w s =
         w.pos <- w.pos + n
       end;
       add_varint w id;
-      if w.pos >= flush_threshold then spill w;
+      written w;
       id
 
-let add_addr w addr =
+(* Tagged events. A fetch's address is relative to its instruction's
+   pc, a data access's to the previous data access. *)
+
+let t_instr w =
+  put_byte w (tag_instr_base + w.src);
+  add_signed w (w.pc - w.pc_before);
+  w.last <- -1
+
+let t_ifetch w tag addr home =
+  put_byte w tag;
+  add_signed w (addr - w.prev_pc);
+  add_signed w (home - addr)
+
+let t_access w tag addr =
+  put_byte w tag;
   add_signed w (addr - w.prev_addr);
   w.prev_addr <- addr
 
-(* Every event ends here: count it and spill a full buffer. *)
-let[@inline] written w =
-  w.events <- w.events + 1;
-  if w.pos >= flush_threshold then spill w
-
-let add_ifetch w tag addr home =
+let t_count w tag n =
   put_byte w tag;
-  add_addr w addr;
-  add_signed w (home - addr);
+  add_varint w n
+
+let t_cycles w unstalled stall =
+  if stall = 0 then
+    if unstalled = 1 then put_byte w tag_cycles_one
+    else t_count w tag_cycles_unstalled unstalled
+  else if unstalled = 0 then t_count w tag_cycles_stall stall
+  else begin
+    put_byte w tag_cycles_both;
+    add_varint w unstalled;
+    add_varint w stall
+  end
+
+let t_call w target u =
+  if u < 0 then t_count w tag_call target
+  else begin
+    put_byte w tag_call_unit;
+    add_varint w target;
+    add_varint w u
+  end
+
+let fram_tag ~ifetch hit =
+  if ifetch then if hit then tag_fram_ifetch_hit else tag_fram_ifetch_miss
+  else if hit then tag_fram_read_hit
+  else tag_fram_read_miss
+
+let[@inline] fram_stall w hit n =
+  stall_rule ~wait_states:w.wait_states ~contention:w.contention hit n
+
+let[@inline] fram_access w hit =
+  let n = w.frams + 1 in
+  w.frams <- n;
+  w.stall_due <- fram_stall w hit n
+
+(* --- Templated records --- *)
+
+let key ~src ~pc ~hd = (((hd lsl 2) lor src) lsl 16) lor pc
+
+(* The template for the current instruction's key, or -1. *)
+let lookup w hd =
+  let id = Bytes.get_uint16_le w.by_pc w.pc - 1 in
+  if id < 0 then -1
+  else
+    let t = w.tpls.(id) in
+    if t.t_hd = hd && t.t_src = w.src then id
+    else
+      match Hashtbl.find w.keyed (key ~src:w.src ~pc:w.pc ~hd) with
+      | id ->
+          Bytes.set_uint16_le w.by_pc w.pc (id + 1);
+          id
+      | exception Not_found -> -1
+
+(* Starts a record: a tag byte and the hit bytes are reserved and
+   filled in by [seal]. *)
+let open_record w id =
+  let t = w.tpls.(id) in
+  w.tpl <- id;
+  w.ops <- t.t_ops;
+  w.rec_start <- w.pos;
+  w.addr_before <- w.prev_addr;
+  w.explicit <- w.last < 0 || w.tpls.(w.last).t_next <> id;
+  w.pos <- w.pos + 1;
+  if w.explicit then add_varint w id;
+  w.pos <- w.pos + extra_bit_bytes t.t_nbits;
+  w.pay_start <- w.pos;
+  w.mode <- Templated
+
+let seal w =
+  let t = w.tpls.(w.tpl) in
+  let bits = w.bits in
+  Bytes.unsafe_set w.buf w.rec_start
+    (Char.unsafe_chr
+       (tag_record
+       lor (if w.explicit then record_explicit else 0)
+       lor (bits land ((1 lsl tag_hit_bits) - 1))));
+  let extra = extra_bit_bytes t.t_nbits in
+  for i = 0 to extra - 1 do
+    Bytes.unsafe_set w.buf
+      (w.pay_start - extra + i)
+      (Char.unsafe_chr ((bits lsr (tag_hit_bits + (8 * i))) land 0xFF))
+  done;
+  if w.last >= 0 then w.tpls.(w.last).t_next <- w.tpl;
+  w.last <- w.tpl;
+  w.mode <- Tagged
+
+let rec spare_varint w shift acc =
+  let b = Char.code (Bytes.unsafe_get w.spare w.sp) in
+  w.sp <- w.sp + 1;
+  let acc = acc lor ((b land 0x7F) lsl shift) in
+  if b < 0x80 then acc else spare_varint w (shift + 7) acc
+
+(* Re-emission helpers for [depart]: the next payload value, and the
+   next hit bit (consumed from [w.bits]). *)
+let spare_data w = w.prev_addr + unzigzag (spare_varint w 0 0)
+
+let next_bit w =
+  let hit = w.bits land 1 = 1 in
+  w.bits <- w.bits lsr 1;
+  hit
+
+(* Re-emits the stall of the [j]-th op, an FRAM access, unless it is
+   the last op and its stall is still due (it has not happened). *)
+let re_stall w j hit =
+  w.frams <- w.frams + 1;
+  let s = fram_stall w hit w.frams in
+  if s <> 0 && not (j = w.k - 1 && w.stall_due <> 0) then t_cycles w 0 s
+
+(* The current instruction departs from its template: rewind to the
+   record's start and write what it matched so far as tagged events,
+   from the template, the hit bits and the payload bytes already
+   encoded (the data deltas are the same in both forms). A stall still
+   due for the last access has not happened and is not written. The
+   caller then writes the departing event tagged. *)
+let depart w =
+  let len = w.pos - w.pay_start in
+  Bytes.blit w.buf w.pay_start w.spare 0 len;
+  w.sp <- 0;
+  w.pos <- w.rec_start;
+  w.prev_addr <- w.addr_before;
+  w.frams <- 0;
+  t_instr w;
+  let fetch = ref w.pc in
+  for j = 0 to w.k - 1 do
+    let op = w.ops.(j) in
+    let kind = op land 15 in
+    if kind = op_fram_ifetch || kind = op_sram_ifetch then begin
+      let a = !fetch in
+      fetch := a + 2;
+      if kind = op_sram_ifetch then t_ifetch w tag_sram_ifetch a (a + (op asr 4))
+      else begin
+        let hit = next_bit w in
+        t_ifetch w (fram_tag ~ifetch:true hit) a (a + (op asr 4));
+        re_stall w j hit
+      end
+    end
+    else if kind = op_fram_read then begin
+      let hit = next_bit w in
+      t_access w (fram_tag ~ifetch:false hit) (spare_data w);
+      re_stall w j hit
+    end
+    else if kind = op_fram_write then begin
+      t_access w tag_fram_write (spare_data w);
+      re_stall w j false
+    end
+    else if kind = op_sram_read then t_access w tag_sram_read (spare_data w)
+    else if kind = op_sram_write then t_access w tag_sram_write (spare_data w)
+    else if kind = op_periph then t_access w tag_periph (spare_data w)
+    else if kind = op_cycles then t_cycles w (op lsr 4) 0
+    else if kind = op_call then begin
+      let target = spare_varint w 0 0 in
+      t_call w target (spare_varint w 0 0 - 1)
+    end
+    else put_byte w tag_return
+  done;
+  w.mode <- Tagged
+
+(* The first sighting of a key completes: define its template. *)
+let define w =
+  let id = w.ntpls in
+  let ops = Array.sub w.builder 0 w.k in
+  let t =
+    { t_src = w.src; t_hd = ops.(0) asr 4; t_ops = ops; t_nbits = w.nbits; t_next = -1 }
+  in
+  if id = Array.length w.tpls then begin
+    let tpls = Array.make (max 64 (2 * id)) t in
+    Array.blit w.tpls 0 tpls 0 id;
+    w.tpls <- tpls
+  end;
+  w.tpls.(id) <- t;
+  w.ntpls <- id + 1;
+  Bytes.set_uint16_le w.by_pc w.pc (id + 1);
+  Hashtbl.replace w.keyed (key ~src:w.src ~pc:w.pc ~hd:t.t_hd) id;
+  put_byte w tag_template_def;
+  add_varint w id;
+  add_varint w w.src;
+  add_varint w w.pc;
+  add_varint w w.k;
+  Array.iter
+    (fun op ->
+      let kind = op land 15 in
+      add_varint w kind;
+      if kind = op_fram_ifetch || kind = op_sram_ifetch then add_signed w (op asr 4)
+      else if kind = op_cycles then add_varint w (op lsr 4))
+    ops;
+  w.last <- id;
   written w
 
-let add_access w tag addr =
-  put_byte w tag;
-  add_addr w addr;
+(* Ends the current instruction, before the next one or the end marker. *)
+let finish w =
+  match w.mode with
+  | Templated ->
+      if w.stall_due = 0 && w.k = Array.length w.ops then seal w else depart w
+  | Building -> if w.stall_due = 0 && w.ntpls < max_templates then define w
+  | Pending -> t_instr w
+  | Tagged -> ()
+
+(* The current instruction leaves the templated path; its events so far
+   are tagged, and so is every later one. *)
+let escape w =
+  match w.mode with
+  | Templated -> depart w
+  | Pending ->
+      t_instr w;
+      w.mode <- Tagged
+  | Building -> w.mode <- Tagged
+  | Tagged -> ()
+
+(* Building: can the template take one more op with [payload] varints
+   and [bits] hit bits? If not, the instruction stays tagged. *)
+let can_build w ~payload ~bits =
+  w.stall_due = 0 && w.k < max_ops
+  && w.payload + payload <= max_payload
+  && w.nbits + bits <= max_hit_bits
+
+let build w op ~payload =
+  w.builder.(w.k) <- op;
+  w.k <- w.k + 1;
+  w.payload <- w.payload + payload
+
+(* Templated: is [op] the template's next one? *)
+let[@inline] matches w op =
+  w.stall_due = 0 && w.k < Array.length w.ops && Array.unsafe_get w.ops w.k = op
+
+let[@inline] take_bit w hit =
+  if hit then w.bits <- w.bits lor (1 lsl w.nbits);
+  w.nbits <- w.nbits + 1
+
+(* --- The sink --- *)
+
+let on_instr w i pc =
+  finish w;
+  written w;
+  w.src <- i;
+  w.pc <- pc;
+  w.pc_before <- w.prev_pc;
+  w.prev_pc <- pc;
+  w.k <- 0;
+  w.fetches <- 0;
+  w.frams <- 0;
+  w.stall_due <- 0;
+  w.bits <- 0;
+  w.nbits <- 0;
+  w.payload <- 0;
+  w.mode <- Pending
+
+let t_fetch w ~fram hit addr home =
+  t_ifetch w
+    (if fram then fram_tag ~ifetch:true hit else tag_sram_ifetch)
+    addr home;
   written w
 
-let add_bare w tag =
+let rec on_ifetch w ~fram hit addr home =
+  let op = (if fram then op_fram_ifetch else op_sram_ifetch) lor ((home - addr) lsl 4) in
+  let at = addr = w.pc + (2 * w.fetches) in
+  match w.mode with
+  | Templated ->
+      if at && matches w op then begin
+        w.k <- w.k + 1;
+        w.fetches <- w.fetches + 1;
+        if fram then begin
+          take_bit w hit;
+          fram_access w hit
+        end
+      end
+      else begin
+        depart w;
+        t_fetch w ~fram hit addr home
+      end
+  | Building ->
+      t_fetch w ~fram hit addr home;
+      if at && home land lnot 0xFFFF = 0 && can_build w ~payload:0 ~bits:(Bool.to_int fram)
+      then begin
+        build w op ~payload:0;
+        w.fetches <- w.fetches + 1;
+        if fram then begin
+          w.nbits <- w.nbits + 1;
+          fram_access w hit
+        end
+      end
+      else w.mode <- Tagged
+  | Tagged -> t_fetch w ~fram hit addr home
+  | Pending ->
+      (* The first fetch picks the template by (pc, home). *)
+      if at && w.pc land lnot 0xFFFE = 0 && home land lnot 0xFFFF = 0 then begin
+        let id = lookup w (home - addr) in
+        if id >= 0 then open_record w id
+        else begin
+          t_instr w;
+          w.mode <- Building
+        end
+      end
+      else begin
+        t_instr w;
+        w.mode <- Tagged
+      end;
+      on_ifetch w ~fram hit addr home
+
+let on_cycles w unstalled stall =
+  match w.mode with
+  | Templated ->
+      if w.stall_due <> 0 then
+        if unstalled = 0 && stall = w.stall_due then w.stall_due <- 0
+        else begin
+          depart w;
+          t_cycles w unstalled stall;
+          written w
+        end
+      else if stall = 0 && matches w (op_cycles lor (unstalled lsl 4)) then
+        w.k <- w.k + 1
+      else begin
+        depart w;
+        t_cycles w unstalled stall;
+        written w
+      end
+  | Building ->
+      t_cycles w unstalled stall;
+      written w;
+      if w.stall_due <> 0 then
+        if unstalled = 0 && stall = w.stall_due then w.stall_due <- 0
+        else w.mode <- Tagged
+      else if
+        stall = 0 && unstalled > 0 && unstalled <= max_unstalled
+        && can_build w ~payload:0 ~bits:0
+      then build w (op_cycles lor (unstalled lsl 4)) ~payload:0
+      else w.mode <- Tagged
+  | Pending | Tagged ->
+      escape w;
+      t_cycles w unstalled stall;
+      written w
+
+(* A data access: [hit] is [Some] for an FRAM read, [fram] for any FRAM
+   access. *)
+let on_access w kind tag ~fram ~read hit addr =
+  match w.mode with
+  | Templated ->
+      if matches w kind then begin
+        w.k <- w.k + 1;
+        add_signed w (addr - w.prev_addr);
+        w.prev_addr <- addr;
+        if read then take_bit w hit;
+        if fram then fram_access w hit
+      end
+      else begin
+        depart w;
+        t_access w tag addr;
+        written w
+      end
+  | Building ->
+      t_access w tag addr;
+      written w;
+      if can_build w ~payload:1 ~bits:(Bool.to_int read) then begin
+        build w kind ~payload:1;
+        if read then w.nbits <- w.nbits + 1;
+        if fram then fram_access w hit
+      end
+      else w.mode <- Tagged
+  | Pending | Tagged ->
+      escape w;
+      t_access w tag addr;
+      written w
+
+let on_call w target u =
+  let fits = target >= 0 && u >= -1 in
+  match w.mode with
+  | Templated ->
+      if fits && matches w op_call then begin
+        w.k <- w.k + 1;
+        add_varint w target;
+        add_varint w (u + 1)
+      end
+      else begin
+        depart w;
+        t_call w target u;
+        written w
+      end
+  | Building ->
+      t_call w target u;
+      written w;
+      if fits && can_build w ~payload:2 ~bits:0 then build w op_call ~payload:2
+      else w.mode <- Tagged
+  | Pending | Tagged ->
+      escape w;
+      t_call w target u;
+      written w
+
+let on_return w =
+  match w.mode with
+  | Templated ->
+      if matches w op_return then w.k <- w.k + 1
+      else begin
+        depart w;
+        put_byte w tag_return;
+        written w
+      end
+  | Building ->
+      put_byte w tag_return;
+      written w;
+      if can_build w ~payload:0 ~bits:0 then build w op_return ~payload:0
+      else w.mode <- Tagged
+  | Pending | Tagged ->
+      escape w;
+      put_byte w tag_return;
+      written w
+
+(* Runtime events and phase markers always leave the templated path;
+   strings are interned after [escape], which may rewind the cursor. *)
+let on_count w tag n =
+  escape w;
+  t_count w tag n;
+  written w
+
+let on_bare w tag =
+  escape w;
   put_byte w tag;
   written w
 
-let add_count w tag n =
-  put_byte w tag;
-  add_varint w n;
+let on_interned w tag name =
+  escape w;
+  t_count w tag (intern_id w name);
   written w
-
-(* Strings are interned before the event tag is written. *)
-let add_interned w tag s =
-  let id = intern_id w s in
-  add_count w tag id
 
 let sink w =
   {
     Trace.instr =
       (fun i pc ->
-        put_byte w (tag_instr_base + i);
-        add_signed w (pc - w.prev_pc);
-        w.prev_pc <- pc;
-        written w);
+        w.events <- w.events + 1;
+        on_instr w i pc);
     cycles =
       (fun unstalled stall ->
-        if stall = 0 then
-          if unstalled = 1 then add_bare w tag_cycles_one
-          else add_count w tag_cycles_unstalled unstalled
-        else if unstalled = 0 then add_count w tag_cycles_stall stall
-        else begin
-          put_byte w tag_cycles_both;
-          add_varint w unstalled;
-          add_varint w stall;
-          written w
-        end);
+        w.events <- w.events + 1;
+        on_cycles w unstalled stall);
     fram_read =
       (fun hit addr ->
-        add_access w (if hit then tag_fram_read_hit else tag_fram_read_miss) addr);
+        w.events <- w.events + 1;
+        on_access w op_fram_read
+          (fram_tag ~ifetch:false hit)
+          ~fram:true ~read:true hit addr);
     fram_ifetch =
       (fun hit addr home ->
-        add_ifetch w
-          (if hit then tag_fram_ifetch_hit else tag_fram_ifetch_miss)
-          addr home);
-    fram_write = (fun addr -> add_access w tag_fram_write addr);
-    sram_read = (fun addr -> add_access w tag_sram_read addr);
-    sram_ifetch = (fun addr home -> add_ifetch w tag_sram_ifetch addr home);
-    sram_write = (fun addr -> add_access w tag_sram_write addr);
-    periph = (fun addr -> add_access w tag_periph addr);
+        w.events <- w.events + 1;
+        on_ifetch w ~fram:true hit addr home);
+    fram_write =
+      (fun addr ->
+        w.events <- w.events + 1;
+        on_access w op_fram_write tag_fram_write ~fram:true ~read:false false addr);
+    sram_read =
+      (fun addr ->
+        w.events <- w.events + 1;
+        on_access w op_sram_read tag_sram_read ~fram:false ~read:false false addr);
+    sram_ifetch =
+      (fun addr home ->
+        w.events <- w.events + 1;
+        on_ifetch w ~fram:false false addr home);
+    sram_write =
+      (fun addr ->
+        w.events <- w.events + 1;
+        on_access w op_sram_write tag_sram_write ~fram:false ~read:false false addr);
+    periph =
+      (fun addr ->
+        w.events <- w.events + 1;
+        on_access w op_periph tag_periph ~fram:false ~read:false false addr);
     call =
       (fun target u ->
-        if u < 0 then add_count w tag_call target
-        else begin
-          put_byte w tag_call_unit;
-          add_varint w target;
-          add_varint w u;
-          written w
-        end);
-    return = (fun () -> add_bare w tag_return);
-    miss_enter = (fun runtime -> add_interned w tag_miss_enter runtime);
+        w.events <- w.events + 1;
+        on_call w target u);
+    return =
+      (fun () ->
+        w.events <- w.events + 1;
+        on_return w);
+    miss_enter =
+      (fun runtime_name ->
+        w.events <- w.events + 1;
+        on_interned w tag_miss_enter runtime_name);
     miss_exit =
-      (fun runtime disposition fid ->
-        let rt = intern_id w runtime in
+      (fun runtime_name disposition fid ->
+        w.events <- w.events + 1;
+        escape w;
+        let rt = intern_id w runtime_name in
         let disp = intern_id w disposition in
         put_byte w tag_miss_exit;
         add_varint w rt;
         add_varint w disp;
         add_signed w fid;
         written w);
-    eviction = (fun fid -> add_count w tag_eviction fid);
-    freeze = (fun on -> add_bare w (if on then tag_freeze_on else tag_freeze_off));
-    cache_flush = (fun () -> add_bare w tag_cache_flush);
-    block_load = (fun nvm -> add_count w tag_block_load nvm);
-    prefetch = (fun fid -> add_count w tag_prefetch fid);
-    phase = (fun name -> add_interned w tag_phase name);
+    eviction =
+      (fun fid ->
+        w.events <- w.events + 1;
+        on_count w tag_eviction fid);
+    freeze =
+      (fun on ->
+        w.events <- w.events + 1;
+        on_bare w (if on then tag_freeze_on else tag_freeze_off));
+    cache_flush =
+      (fun () ->
+        w.events <- w.events + 1;
+        on_bare w tag_cache_flush);
+    block_load =
+      (fun nvm ->
+        w.events <- w.events + 1;
+        on_count w tag_block_load nvm);
+    prefetch =
+      (fun fid ->
+        w.events <- w.events + 1;
+        on_count w tag_prefetch fid);
+    phase =
+      (fun name ->
+        w.events <- w.events + 1;
+        on_interned w tag_phase name);
   }
 
 let close_writer w =
   if not w.closed then begin
     w.closed <- true;
+    finish w;
+    w.mode <- Tagged;
     put_byte w tag_end;
     add_varint w w.events;
     spill w;
@@ -388,18 +955,21 @@ let discard_writer w =
    does not grow with the trace size. The buffer is a window onto the
    file: [chunk_bytes] bytes plus [max_event] bytes of look-ahead into
    the next chunk, plus [max_event] bytes of slack. Whenever file bytes
-   remain unread the window is full, so an event starting in the first
+   remain unread the window is full, so a record starting in the first
    [chunk_bytes] bytes lies wholly inside it; the cursor slides by one
    chunk once it crosses that line. At the end of the file the slack
-   past the last valid byte is zero, so an event cut short decodes out
+   past the last valid byte is zero, so a record cut short decodes out
    of zeros (every varint stops at a zero byte) and leaves the cursor
-   past [lim]: one test per event then reports the truncation, before
+   past [lim]: one test per record then reports the truncation, before
    anything is validated or handed to a sink. *)
 let chunk_bytes = 1 lsl 16
 
-(* The longest event: a tag and three varints, each of at most nine
-   bytes (a tenth is a varint overflow), rounded up. *)
-let max_event = 32
+(* The longest record, rounded up: a templated one, whose tag, template
+   id (a varint of at most nine bytes; a tenth is a varint overflow),
+   extra hit bytes and [max_payload] varints come to at most
+   1 + 9 + 3 + 16 * 9 = 157 bytes. A tagged event is a tag and at most
+   three varints. Definitions are read field by field. *)
+let max_event = 192
 
 type cursor = {
   ic : in_channel;
@@ -433,6 +1003,9 @@ let slide c what =
   c.pos <- c.pos - chunk_bytes;
   c.lim <- kept;
   read_more c chunk_bytes what
+
+let[@inline] boundary c what =
+  if c.pos >= chunk_bytes && c.rest > 0 then slide c what
 
 (* [n] is checked against the bytes left before anything is allocated,
    so a corrupt length field is an error, never a huge allocation. *)
@@ -475,7 +1048,7 @@ let[@inline] varint c =
 
 let[@inline] signed c = unzigzag (varint c)
 
-(* The one truncation test of an event, after its fields are read and
+(* The one truncation test of a record, after its fields are read and
    before they are checked or used. *)
 let[@inline] decoded c what = if c.pos > c.lim then truncated what
 
@@ -537,16 +1110,87 @@ let intern_define s str id =
 
 let bad_home h = corrupt "ifetch home %d outside the address space" h
 
+(* A decoded template: the writer's, plus what a record's decode needs
+   up front. *)
+type rtemplate = {
+  r_src : int;
+  r_pc : int;
+  r_ops : int array;
+  r_nbits : int;
+  r_npay : int;
+  mutable r_next : int;
+}
+
+type templates = { mutable ts : rtemplate array; mutable nt : int }
+
+(* Reads and checks a template definition (its tag already read) and
+   appends it. Every bound the writer keeps is checked, so a record
+   against it stays within [max_event] bytes and every home it yields
+   lies in the address space. *)
+let define_template c tpls =
+  let id = varint c in
+  let src = varint c in
+  let pc = varint c in
+  let nops = varint c in
+  decoded c "template definition";
+  if id <> tpls.nt then corrupt "template definition out of order";
+  if src >= Trace.source_count then corrupt "template source %d" src;
+  if pc land lnot 0xFFFF <> 0 then corrupt "template pc %d" pc;
+  if nops < 1 || nops > max_ops then corrupt "template of %d events" nops;
+  let ops = Array.make nops 0 in
+  let fetch = ref pc and nbits = ref 0 and npay = ref 0 in
+  for i = 0 to nops - 1 do
+    boundary c "template definition";
+    let kind = varint c in
+    let arg =
+      if kind = op_fram_ifetch || kind = op_sram_ifetch then signed c
+      else if kind = op_cycles then varint c
+      else 0
+    in
+    decoded c "template definition";
+    if kind >= op_kinds then corrupt "template event kind %d" kind;
+    if i = 0 && kind <> op_fram_ifetch && kind <> op_sram_ifetch then
+      corrupt "template does not start with a fetch";
+    if kind = op_fram_ifetch || kind = op_sram_ifetch then begin
+      let home = !fetch + arg in
+      if home land lnot 0xFFFF <> 0 then bad_home home;
+      fetch := !fetch + 2
+    end
+    else if kind = op_cycles && (arg < 1 || arg > max_unstalled) then
+      corrupt "template cycles %d" arg
+    else if kind = op_call then npay := !npay + 2
+    else if kind <> op_cycles && kind <> op_return then incr npay;
+    if kind = op_fram_ifetch || kind = op_fram_read then incr nbits;
+    ops.(i) <- kind lor (arg lsl 4)
+  done;
+  if !npay > max_payload then corrupt "template payload of %d" !npay;
+  if !nbits > max_hit_bits then corrupt "template of %d hit bits" !nbits;
+  let t =
+    { r_src = src; r_pc = pc; r_ops = ops; r_nbits = !nbits; r_npay = !npay; r_next = -1 }
+  in
+  if tpls.nt = Array.length tpls.ts then begin
+    let ts = Array.make (max 64 (2 * tpls.nt)) t in
+    Array.blit tpls.ts 0 ts 0 tpls.nt;
+    tpls.ts <- ts
+  end;
+  tpls.ts.(tpls.nt) <- t;
+  tpls.nt <- tpls.nt + 1;
+  id
+
 (* The decode loop calls the sink's callbacks directly without
    materializing [Trace.event] values, so a scan allocates nothing per
    event. This is the hot path the record-once / replay-many speedup
    rests on. The tags are matched as literals (see "Tag bytes" above),
-   which compiles to one jump table. *)
+   which compiles to one jump table; a templated record expands its
+   template's events in order, with the stalls the timing rule gives
+   its FRAM accesses. *)
 let iter path ~make =
   with_cursor path (fun c ->
       let header = decode_preamble c in
       let v = make header in
       let strings = { tbl = [||]; n = 0 } in
+      let tpls = { ts = [||]; nt = 0 } in
+      let ws = header.wait_states and cp = header.contention_penalty in
       (* Bounds from the header, so a damaged unit or home is an error
          here rather than a huge table in a consumer: a function id
          below the function count, a line index within the address
@@ -556,136 +1200,242 @@ let iter path ~make =
         | Functions sizes -> Array.length sizes - 1
         | Lines bytes -> 0x10000 / bytes
       in
+      let payload = Array.make max_payload 0 in
       let prev_pc = ref 0 in
       let prev_addr = ref 0 in
+      let last = ref (-1) in
       let count = ref 0 in
       let finished = ref false in
       while not !finished do
-        if c.pos >= chunk_bytes && c.rest > 0 then slide c "event stream";
+        boundary c "event stream";
         let tag = Char.code (Bytes.unsafe_get c.buf c.pos) in
         c.pos <- c.pos + 1;
-        incr count;
-        match tag with
-        | 0x00 | 0x01 | 0x02 | 0x03 (* instr, source index in the tag *) ->
-            let pc = !prev_pc + signed c in
-            decoded c "instr";
-            prev_pc := pc;
-            v.Trace.instr tag pc
-        | 0x04 (* cycles both *) ->
-            let unstalled = varint c in
-            let stall = varint c in
-            decoded c "cycles";
-            v.Trace.cycles unstalled stall
-        | 0x05 (* cycles unstalled *) ->
-            let unstalled = varint c in
-            decoded c "cycles";
-            v.Trace.cycles unstalled 0
-        | 0x06 (* cycles stall *) ->
-            let stall = varint c in
-            decoded c "cycles";
-            v.Trace.cycles 0 stall
-        | 0x07 (* cycles one *) -> v.Trace.cycles 1 0
-        | 0x08 | 0x09 (* fram read miss / hit *) ->
-            let a = !prev_addr + signed c in
-            decoded c "fram read";
-            prev_addr := a;
-            v.Trace.fram_read (tag = 0x09) a
-        | 0x0A | 0x0B (* fram ifetch miss / hit *) ->
-            let a = !prev_addr + signed c in
-            let home = a + signed c in
-            decoded c "fram ifetch";
-            if home land lnot 0xFFFF <> 0 then bad_home home;
-            prev_addr := a;
-            v.Trace.fram_ifetch (tag = 0x0B) a home
-        | 0x0C (* fram write *) ->
-            let a = !prev_addr + signed c in
-            decoded c "fram write";
-            prev_addr := a;
-            v.Trace.fram_write a
-        | 0x0D (* sram read *) ->
-            let a = !prev_addr + signed c in
-            decoded c "sram read";
-            prev_addr := a;
-            v.Trace.sram_read a
-        | 0x0E (* sram ifetch *) ->
-            let a = !prev_addr + signed c in
-            let home = a + signed c in
-            decoded c "sram ifetch";
-            if home land lnot 0xFFFF <> 0 then bad_home home;
-            prev_addr := a;
-            v.Trace.sram_ifetch a home
-        | 0x0F (* sram write *) ->
-            let a = !prev_addr + signed c in
-            decoded c "sram write";
-            prev_addr := a;
-            v.Trace.sram_write a
-        | 0x10 (* periph *) ->
-            let a = !prev_addr + signed c in
-            decoded c "periph";
-            prev_addr := a;
-            v.Trace.periph a
-        | 0x11 (* call *) ->
-            let target = varint c in
-            decoded c "call";
-            v.Trace.call target (-1)
-        | 0x12 (* call with unit *) ->
-            let target = varint c in
-            let u = varint c in
-            decoded c "call unit";
-            if u < 0 || u > max_unit then corrupt "call unit %d out of range" u;
-            v.Trace.call target u
-        | 0x13 (* return *) -> v.Trace.return ()
-        | 0x14 (* miss enter *) ->
-            let rt = varint c in
-            decoded c "miss enter";
-            v.Trace.miss_enter (intern_lookup strings rt)
-        | 0x15 (* miss exit *) ->
-            let rt = varint c in
-            let disp = varint c in
-            let fid = signed c in
-            decoded c "miss exit";
-            v.Trace.miss_exit (intern_lookup strings rt)
-              (intern_lookup strings disp) fid
-        | 0x16 (* eviction *) ->
-            let fid = varint c in
-            decoded c "eviction";
-            v.Trace.eviction fid
-        | 0x17 (* freeze on *) -> v.Trace.freeze true
-        | 0x18 (* freeze off *) -> v.Trace.freeze false
-        | 0x19 (* cache flush *) -> v.Trace.cache_flush ()
-        | 0x1A (* block load *) ->
-            let nvm = varint c in
-            decoded c "block load";
-            v.Trace.block_load nvm
-        | 0x1B (* prefetch *) ->
-            let fid = varint c in
-            decoded c "prefetch";
-            v.Trace.prefetch fid
-        | 0x1C (* phase *) ->
-            let id = varint c in
-            decoded c "phase";
-            v.Trace.phase (intern_lookup strings id)
-        | 0x1D (* string definition, not an event *) ->
-            decr count;
-            let len = varint c in
-            decoded c "string definition";
-            let s = take c len "string definition" in
-            if c.pos >= chunk_bytes && c.rest > 0 then
-              slide c "string definition";
-            let id = varint c in
-            decoded c "string definition";
-            intern_define strings s id
-        | 0xFE (* end marker *) ->
-            decr count;
-            let declared = varint c in
-            decoded c "end marker";
-            if declared <> !count then
-              corrupt "end marker declares %d events, decoded %d" declared !count;
-            if remaining c <> 0 then
-              corrupt "%d trailing bytes after end marker" (remaining c);
-            finished := true
-        | _ ->
-            decr count;
-            corrupt "unknown tag 0x%02X" tag
+        if tag >= tag_record then begin
+          let id =
+            if tag land record_explicit <> 0 then varint c
+            else if !last < 0 then -1
+            else tpls.ts.(!last).r_next
+          in
+          if id < 0 || id >= tpls.nt then begin
+            decoded c "record";
+            corrupt "record against template %d of %d" id tpls.nt
+          end;
+          let t = Array.unsafe_get tpls.ts id in
+          let bits = ref (tag land ((1 lsl tag_hit_bits) - 1)) in
+          for i = 0 to extra_bit_bytes t.r_nbits - 1 do
+            bits :=
+              !bits
+              lor (Char.code (Bytes.unsafe_get c.buf c.pos)
+                  lsl (tag_hit_bits + (8 * i)));
+            c.pos <- c.pos + 1
+          done;
+          for j = 0 to t.r_npay - 1 do
+            Array.unsafe_set payload j (varint c)
+          done;
+          decoded c "record";
+          if !bits lsr t.r_nbits <> 0 then corrupt "hit bits past the template";
+          let pc = t.r_pc in
+          prev_pc := pc;
+          v.Trace.instr t.r_src pc;
+          let ops = t.r_ops in
+          let fetch = ref pc and j = ref 0 and frams = ref 0 in
+          let events = ref (1 + Array.length ops) in
+          for i = 0 to Array.length ops - 1 do
+            let op = Array.unsafe_get ops i in
+            match op land 15 with
+            | 0 (* fram ifetch *) ->
+                let a = !fetch in
+                fetch := a + 2;
+                let hit = !bits land 1 = 1 in
+                bits := !bits lsr 1;
+                v.Trace.fram_ifetch hit a (a + (op asr 4));
+                incr frams;
+                let s = stall_rule ~wait_states:ws ~contention:cp hit !frams in
+                if s <> 0 then begin
+                  incr events;
+                  v.Trace.cycles 0 s
+                end
+            | 1 (* sram ifetch *) ->
+                let a = !fetch in
+                fetch := a + 2;
+                v.Trace.sram_ifetch a (a + (op asr 4))
+            | 2 (* fram read *) ->
+                let a = !prev_addr + unzigzag (Array.unsafe_get payload !j) in
+                incr j;
+                prev_addr := a;
+                let hit = !bits land 1 = 1 in
+                bits := !bits lsr 1;
+                v.Trace.fram_read hit a;
+                incr frams;
+                let s = stall_rule ~wait_states:ws ~contention:cp hit !frams in
+                if s <> 0 then begin
+                  incr events;
+                  v.Trace.cycles 0 s
+                end
+            | 3 (* fram write *) ->
+                let a = !prev_addr + unzigzag (Array.unsafe_get payload !j) in
+                incr j;
+                prev_addr := a;
+                v.Trace.fram_write a;
+                incr frams;
+                let s = stall_rule ~wait_states:ws ~contention:cp false !frams in
+                if s <> 0 then begin
+                  incr events;
+                  v.Trace.cycles 0 s
+                end
+            | 4 (* sram read *) ->
+                let a = !prev_addr + unzigzag (Array.unsafe_get payload !j) in
+                incr j;
+                prev_addr := a;
+                v.Trace.sram_read a
+            | 5 (* sram write *) ->
+                let a = !prev_addr + unzigzag (Array.unsafe_get payload !j) in
+                incr j;
+                prev_addr := a;
+                v.Trace.sram_write a
+            | 6 (* periph *) ->
+                let a = !prev_addr + unzigzag (Array.unsafe_get payload !j) in
+                incr j;
+                prev_addr := a;
+                v.Trace.periph a
+            | 7 (* cycles *) -> v.Trace.cycles (op lsr 4) 0
+            | 8 (* call *) ->
+                let target = Array.unsafe_get payload !j in
+                let u = Array.unsafe_get payload (!j + 1) - 1 in
+                j := !j + 2;
+                if u > max_unit then corrupt "call unit %d out of range" u;
+                v.Trace.call target u
+            | _ (* return *) -> v.Trace.return ()
+          done;
+          if !last >= 0 then tpls.ts.(!last).r_next <- id;
+          last := id;
+          count := !count + !events
+        end
+        else begin
+          incr count;
+          match tag with
+          | 0x00 | 0x01 | 0x02 | 0x03 (* instr, source index in the tag *) ->
+              let pc = !prev_pc + signed c in
+              decoded c "instr";
+              prev_pc := pc;
+              last := -1;
+              v.Trace.instr tag pc
+          | 0x04 (* cycles both *) ->
+              let unstalled = varint c in
+              let stall = varint c in
+              decoded c "cycles";
+              v.Trace.cycles unstalled stall
+          | 0x05 (* cycles unstalled *) ->
+              let unstalled = varint c in
+              decoded c "cycles";
+              v.Trace.cycles unstalled 0
+          | 0x06 (* cycles stall *) ->
+              let stall = varint c in
+              decoded c "cycles";
+              v.Trace.cycles 0 stall
+          | 0x07 (* cycles one *) -> v.Trace.cycles 1 0
+          | 0x08 | 0x09 (* fram read miss / hit *) ->
+              let a = !prev_addr + signed c in
+              decoded c "fram read";
+              prev_addr := a;
+              v.Trace.fram_read (tag = 0x09) a
+          | 0x0A | 0x0B (* fram ifetch miss / hit *) ->
+              let a = !prev_pc + signed c in
+              let home = a + signed c in
+              decoded c "fram ifetch";
+              if home land lnot 0xFFFF <> 0 then bad_home home;
+              v.Trace.fram_ifetch (tag = 0x0B) a home
+          | 0x0C (* fram write *) ->
+              let a = !prev_addr + signed c in
+              decoded c "fram write";
+              prev_addr := a;
+              v.Trace.fram_write a
+          | 0x0D (* sram read *) ->
+              let a = !prev_addr + signed c in
+              decoded c "sram read";
+              prev_addr := a;
+              v.Trace.sram_read a
+          | 0x0E (* sram ifetch *) ->
+              let a = !prev_pc + signed c in
+              let home = a + signed c in
+              decoded c "sram ifetch";
+              if home land lnot 0xFFFF <> 0 then bad_home home;
+              v.Trace.sram_ifetch a home
+          | 0x0F (* sram write *) ->
+              let a = !prev_addr + signed c in
+              decoded c "sram write";
+              prev_addr := a;
+              v.Trace.sram_write a
+          | 0x10 (* periph *) ->
+              let a = !prev_addr + signed c in
+              decoded c "periph";
+              prev_addr := a;
+              v.Trace.periph a
+          | 0x11 (* call *) ->
+              let target = varint c in
+              decoded c "call";
+              v.Trace.call target (-1)
+          | 0x12 (* call with unit *) ->
+              let target = varint c in
+              let u = varint c in
+              decoded c "call unit";
+              if u < 0 || u > max_unit then corrupt "call unit %d out of range" u;
+              v.Trace.call target u
+          | 0x13 (* return *) -> v.Trace.return ()
+          | 0x14 (* miss enter *) ->
+              let rt = varint c in
+              decoded c "miss enter";
+              v.Trace.miss_enter (intern_lookup strings rt)
+          | 0x15 (* miss exit *) ->
+              let rt = varint c in
+              let disp = varint c in
+              let fid = signed c in
+              decoded c "miss exit";
+              v.Trace.miss_exit (intern_lookup strings rt)
+                (intern_lookup strings disp) fid
+          | 0x16 (* eviction *) ->
+              let fid = varint c in
+              decoded c "eviction";
+              v.Trace.eviction fid
+          | 0x17 (* freeze on *) -> v.Trace.freeze true
+          | 0x18 (* freeze off *) -> v.Trace.freeze false
+          | 0x19 (* cache flush *) -> v.Trace.cache_flush ()
+          | 0x1A (* block load *) ->
+              let nvm = varint c in
+              decoded c "block load";
+              v.Trace.block_load nvm
+          | 0x1B (* prefetch *) ->
+              let fid = varint c in
+              decoded c "prefetch";
+              v.Trace.prefetch fid
+          | 0x1C (* phase *) ->
+              let id = varint c in
+              decoded c "phase";
+              v.Trace.phase (intern_lookup strings id)
+          | 0x1D (* string definition, not an event *) ->
+              decr count;
+              let len = varint c in
+              decoded c "string definition";
+              let s = take c len "string definition" in
+              boundary c "string definition";
+              let id = varint c in
+              decoded c "string definition";
+              intern_define strings s id
+          | 0x1E (* template definition, not an event *) ->
+              decr count;
+              last := define_template c tpls
+          | 0x1F (* end marker *) ->
+              decr count;
+              let declared = varint c in
+              decoded c "end marker";
+              if declared <> !count then
+                corrupt "end marker declares %d events, decoded %d" declared !count;
+              if remaining c <> 0 then
+                corrupt "%d trailing bytes after end marker" (remaining c);
+              finished := true
+          | _ ->
+              decr count;
+              corrupt "unknown tag 0x%02X" tag
+        end
       done;
       (header, !count))

@@ -569,6 +569,31 @@ let stale_trace_test () =
       | Error _ -> ()
       | Ok _ -> Alcotest.fail "stale trace must be an error")
 
+(* A warm trace dir holding a trace in the version-1 layout, under the
+   name and configuration [record_workloads] would give it: the pair is
+   recorded again, in the current layout, rather than failing. *)
+let v1_trace_dir_test () =
+  Dse.with_trace_dir (fun dir ->
+      let trace = Filename.concat dir "USR-swapram.trace" in
+      let v1 = Test_replay.read_file (Test_replay.golden_path "replay_tiny.v1.trace") in
+      Test_replay.write_file trace v1;
+      match
+        Dse.record_workloads ~benchmarks:[ Test_replay.tiny_bench ]
+          ~systems:[ (Test_replay.tiny_config ()).Toolchain.caching ]
+          ~frequency:Msp430.Platform.Mhz24 ~dir ()
+      with
+      | Error e -> Alcotest.failf "record_workloads: %s" e
+      | Ok [ w ] ->
+          Alcotest.(check string) "the same file" trace w.Dse.w_trace;
+          Alcotest.(check int)
+            "recorded under the tiny configuration"
+            (Toolchain.config_fingerprint (Test_replay.tiny_config ()))
+            w.Dse.w_fingerprint;
+          Alcotest.(check bool)
+            "re-recorded in the current layout" true
+            (Result.is_ok (Trace_file.read_header trace))
+      | Ok l -> Alcotest.failf "%d workloads for one pair" (List.length l))
+
 (* --- Budget-interval ladders ---------------------------------------------- *)
 
 (* The interval lemma: a pass at B answers every budget in [B, hi).
@@ -638,4 +663,6 @@ let suite =
     QCheck_alcotest.to_alcotest prop_planner;
     Alcotest.test_case "partially warm store = cold serial run" `Quick
       partial_store_test;
+    Alcotest.test_case "a version 1 trace in a warm trace dir is re-recorded"
+      `Quick v1_trace_dir_test;
   ]

@@ -245,36 +245,37 @@ let record_events ?(header = roundtrip_header) path events =
   List.iter (feed (Trace_file.sink w)) events;
   Trace_file.close_writer w
 
-(* Every event of [path] as a value through [Trace.event_sink], paired
-   with its recorded answer: the unit of a call, the home of an
-   instruction fetch, 0 otherwise; the events come back on an error
-   too, up to where it struck. *)
-let decode_events path =
-  let acc = ref [] and answer = ref 0 in
-  let make _ =
-    let s =
-      Trace.event_sink (fun ev ->
-          acc := (ev, !answer) :: !acc;
-          answer := 0)
-    in
+(* A sink that keeps every event it receives as a value through
+   [Trace.event_sink], paired with its hook answer: the unit of a call,
+   the home of an instruction fetch, 0 otherwise. *)
+let capture () =
+  let acc = ref [] in
+  let s = Trace.event_sink (fun ev -> acc := (ev, 0) :: !acc) in
+  let answered ev answer = acc := (ev, answer) :: !acc in
+  let sink =
     {
       s with
       Trace.fram_ifetch =
         (fun hit addr home ->
-          answer := home;
-          s.Trace.fram_ifetch hit addr home);
+          answered
+            (Trace.Mem_access { addr; cls = Trace.Fram_read { hit; ifetch = true } })
+            home);
       sram_ifetch =
         (fun addr home ->
-          answer := home;
-          s.Trace.sram_ifetch addr home);
-      call =
-        (fun target u ->
-          answer := u;
-          s.Trace.call target u);
+          answered
+            (Trace.Mem_access { addr; cls = Trace.Sram_read { ifetch = true } })
+            home);
+      call = (fun target u -> answered (Trace.Call { target }) u);
     }
   in
-  let result = Trace_file.iter path ~make in
-  (result, List.rev !acc)
+  (sink, fun () -> List.rev !acc)
+
+(* Every event of [path] through [capture]; the events come back on an
+   error too, up to where it struck. *)
+let decode_events path =
+  let sink, events = capture () in
+  let result = Trace_file.iter path ~make:(fun _ -> sink) in
+  (result, events ())
 
 let decode_all path =
   match decode_events path with
@@ -775,11 +776,48 @@ let config_of_header_test () =
 
 (* --- Decode fuzzing ------------------------------------------------------ *)
 
+(* Three instructions that follow the timing rule of [roundtrip_header]
+   (3 wait states, 1 contention cycle), so each is recorded as a
+   template definition on first sight and as a templated record after:
+   two fetches with a data read, a write and a call (hit bits and
+   addresses vary with [i]), then a fetch with a return, then an SRAM
+   fetch. *)
+let templated_events i =
+  let fetch ?(hit = true) addr =
+    Trace.Mem_access { addr; cls = Trace.Fram_read { hit; ifetch = true } }
+  in
+  let stall stall = Trace.Cycles { unstalled = 0; stall } in
+  let hit = i land 1 = 0 in
+  [
+    Trace.Instr { pc = 0x5000; source = Trace.App_fram };
+    fetch 0x5000;
+    fetch ~hit:false 0x5002;
+    stall 4;
+    Trace.Mem_access
+      { addr = 0x6000 + (2 * (i mod 7)); cls = Trace.Fram_read { hit; ifetch = false } };
+    stall (if hit then 1 else 4);
+    Trace.Mem_access { addr = 0x2100 + (i mod 5); cls = Trace.Sram_write };
+    Trace.Call { target = 0x4500 + (4 * (i mod 3)) };
+    Trace.Cycles { unstalled = 5; stall = 0 };
+    Trace.Instr { pc = 0x5004; source = Trace.App_fram };
+    fetch ~hit 0x5004;
+  ]
+  @ (if hit then [] else [ stall 3 ])
+  @ [
+    Trace.Return;
+    Trace.Cycles { unstalled = 3; stall = 0 };
+    Trace.Instr { pc = 0x2000; source = Trace.App_sram };
+    Trace.Mem_access { addr = 0x2000; cls = Trace.Sram_read { ifetch = true } };
+    Trace.Cycles { unstalled = 1; stall = 0 };
+  ]
+
 (* A trace over several read-buffer chunks (64 KiB), so damage lands
-   before, on and after refills: [sample_events] repeated, each
-   repetition closed by a fresh phase name, i.e. an interleaved string
-   definition. One name is longer than a chunk, so at least one
-   definition spans a refill. *)
+   before, on and after refills: [templated_events] and
+   [sample_events] repeated, each repetition closed by a fresh phase
+   name, i.e. an interleaved string definition. One name is longer
+   than a chunk, so at least one definition spans a refill. The first
+   repetition defines the templates; every later one opens with their
+   records, right after the previous phase name. *)
 let fuzz_bytes =
   lazy
     (let events =
@@ -789,7 +827,8 @@ let fuzz_bytes =
                 if i = 2500 then String.make 100_000 'p'
                 else Printf.sprintf "phase-%d" i
               in
-              sample_events @ [ Trace.Runtime_event (Trace.Phase { name }) ]))
+              templated_events i @ sample_events
+              @ [ Trace.Runtime_event (Trace.Phase { name }) ]))
      in
      with_temp_trace (fun path ->
          record_events path events;
@@ -800,17 +839,43 @@ let fuzz_bytes =
              data
          | _ -> failwith "the multi-chunk fuzz trace does not round-trip"))
 
+(* Where the fuzz trace's templated parts are: the first repetition,
+   which holds the template definitions, starts after the preamble and
+   header; the templated records of each later repetition follow the
+   previous repetition's phase name. *)
+let fuzz_landmarks =
+  lazy
+    (let data = Lazy.force fuzz_bytes in
+     let header_end =
+       10
+       + (Char.code data.[6]
+         lor (Char.code data.[7] lsl 8)
+         lor (Char.code data.[8] lsl 16))
+     in
+     let phases = ref [] in
+     let rec scan from =
+       match String.index_from_opt data from 'p' with
+       | Some i when i + 6 <= String.length data ->
+           if String.sub data i 6 = "phase-" then phases := (i + 6) :: !phases;
+           scan (i + 1)
+       | _ -> ()
+     in
+     scan header_end;
+     (header_end, Array.of_list (List.rev !phases)))
+
 (* Offsets of the fuzz trace: anywhere, in the header, within a few
-   bytes of a chunk boundary, or within 32 bytes of where the reader
-   tops up its window. The window slides at the first event boundary at
-   or past each multiple of 64 KiB, at most 32 bytes after it, and
-   reads on from 32 bytes past it; the last arm covers 32 bytes either
-   side of that span. Delayed so the trace is only built when a fuzz
-   test runs. *)
+   bytes of a chunk boundary, within 32 bytes of where the reader tops
+   up its window, inside the template definitions, or inside the
+   templated records after a phase name. The window slides at the
+   first record boundary at or past each multiple of 64 KiB, at most
+   192 bytes after it, and reads on from 192 bytes past it; the
+   chunk arms cover either side of that span. Delayed so the trace is
+   only built when a fuzz test runs. *)
 let gen_offset =
   QCheck2.Gen.delay (fun () ->
       let open QCheck2.Gen in
       let n = String.length (Lazy.force fuzz_bytes) in
+      let header_end, phases = Lazy.force fuzz_landmarks in
       let near_chunk lo hi =
         let* k = int_range 1 (n / 65536) and* d = int_range lo hi in
         return (min (n - 1) ((k * 65536) + d))
@@ -820,7 +885,11 @@ let gen_offset =
           int_range 0 (n - 1);
           int_range 0 400;
           near_chunk (-3) 3;
-          near_chunk (-32) 64;
+          near_chunk (-32) 256;
+          int_range header_end (header_end + 160);
+          (let* k = int_range 0 (Array.length phases - 1)
+           and* d = int_range 0 40 in
+           return (min (n - 1) (phases.(k) + d)));
         ])
 
 type damage = Cut of int | Flips of (int * int) list
@@ -1178,6 +1247,288 @@ let engines_record_identical_test () =
       | _ -> assert false)
     Workloads.Suite.[ (crc, "swapram"); (aes, "block") ]
 
+(* --- Version 1 traces ------------------------------------------------------ *)
+
+(* A trace in the version-1 layout (one tagged event per event) is a
+   typed version error for every reader, never a misdecode. *)
+let v1_trace_test () =
+  let path = golden_path "replay_tiny.v1.trace" in
+  let expect what = function
+    | Error (Trace_file.Version_mismatch { found = 1; expected = 2 }) -> ()
+    | Error e ->
+        Alcotest.failf "%s: expected a version 1 mismatch, got %s" what
+          (Trace_file.error_message e)
+    | Ok () -> Alcotest.failf "%s: decoded a version 1 trace" what
+  in
+  let engine = function
+    | Ok _ -> Ok ()
+    | Error (Engine.Format_error e) -> Error e
+    | Error (Engine.Model_error msg) -> Error (Trace_file.Corrupt msg)
+  in
+  expect "read_header" (Result.map ignore (Trace_file.read_header path));
+  expect "iter"
+    (Result.map ignore
+       (Trace_file.iter path ~make:(fun _ -> Trace.event_sink ignore)));
+  expect "Engine.load" (engine (Engine.load path));
+  expect "Engine.replay_metrics" (engine (Engine.replay_metrics path))
+
+(* --- Templates: departures round-trip --------------------------------- *)
+
+(* The template instruction at 0x4400 under [roundtrip_header]'s timing
+   (3 wait states, 1 contention cycle): a hit and a missed fetch, an
+   FRAM data read and its stall, an SRAM write, a call and its cycles. *)
+let base (s : Trace.sink) =
+  s.Trace.instr 0 0x4400;
+  s.Trace.fram_ifetch true 0x4400 0x4400;
+  s.Trace.fram_ifetch false 0x4402 0x4402;
+  s.Trace.cycles 0 4;
+  s.Trace.fram_read false 0x6000;
+  s.Trace.cycles 0 4;
+  s.Trace.sram_write 0x2100;
+  s.Trace.call 0x4500 3;
+  s.Trace.cycles 3 0
+
+(* A long template: one fetch and ten FRAM reads, so hit bits spill
+   past the tag into extra bytes. *)
+let long_reads ?(from = 0) (s : Trace.sink) =
+  s.Trace.instr 2 0x7000;
+  s.Trace.fram_ifetch true 0x7000 0x7000;
+  for k = 0 to 9 do
+    let hit = (k + from) mod 3 <> 0 in
+    s.Trace.fram_read hit (0x6100 + (2 * k));
+    s.Trace.cycles 0 ((if hit then 0 else 3) + 1)
+  done;
+  s.Trace.cycles 2 0
+
+(* An SRAM slot at 0x2000 hosting the block homed at [home]. *)
+let slot home (s : Trace.sink) =
+  s.Trace.instr 1 0x2000;
+  s.Trace.sram_ifetch 0x2000 home;
+  s.Trace.sram_ifetch 0x2002 (home + 2);
+  s.Trace.cycles 2 0
+
+let departure_cases : (string * (Trace.sink -> unit) list) list =
+  [
+    ( "a different fetch count",
+      [
+        base;
+        (fun s ->
+          s.Trace.instr 0 0x4400;
+          s.Trace.fram_ifetch true 0x4400 0x4400;
+          s.Trace.cycles 1 0);
+        base;
+        (fun s ->
+          s.Trace.instr 0 0x4400;
+          s.Trace.fram_ifetch true 0x4400 0x4400;
+          s.Trace.fram_ifetch false 0x4402 0x4402;
+          s.Trace.cycles 0 4;
+          s.Trace.fram_ifetch true 0x4404 0x4404;
+          s.Trace.cycles 0 1;
+          s.Trace.cycles 3 0);
+        base;
+      ] );
+    ( "a runtime event inside an instruction",
+      [
+        base;
+        (fun s ->
+          s.Trace.instr 0 0x4400;
+          s.Trace.fram_ifetch true 0x4400 0x4400;
+          s.Trace.fram_ifetch false 0x4402 0x4402;
+          s.Trace.cycles 0 4;
+          s.Trace.fram_read true 0x6004;
+          s.Trace.cycles 0 1;
+          s.Trace.miss_enter "swapram";
+          s.Trace.sram_write 0x2100;
+          s.Trace.miss_exit "swapram" "cached" 2;
+          s.Trace.call 0x4500 3;
+          s.Trace.cycles 3 0);
+        base;
+        (fun s ->
+          base s;
+          s.Trace.block_load 0x4400);
+        base;
+        long_reads;
+        (fun s ->
+          s.Trace.instr 2 0x7000;
+          s.Trace.fram_ifetch true 0x7000 0x7000;
+          for k = 0 to 6 do
+            s.Trace.fram_read false (0x6100 + (2 * k));
+            s.Trace.cycles 0 4
+          done;
+          s.Trace.eviction 5;
+          s.Trace.cycles 2 0);
+        long_reads ~from:1;
+        base;
+      ] );
+    ( "a stall that breaks the rule",
+      [
+        base;
+        (fun s ->
+          s.Trace.instr 0 0x4400;
+          s.Trace.fram_ifetch true 0x4400 0x4400;
+          s.Trace.fram_ifetch false 0x4402 0x4402;
+          s.Trace.cycles 0 5;
+          s.Trace.cycles 3 0);
+        base;
+        (fun s ->
+          (* the stall owed by the missed fetch never comes *)
+          s.Trace.instr 0 0x4400;
+          s.Trace.fram_ifetch true 0x4400 0x4400;
+          s.Trace.fram_ifetch false 0x4402 0x4402;
+          s.Trace.fram_read false 0x6000;
+          s.Trace.cycles 0 4;
+          s.Trace.cycles 3 0);
+        base;
+        (fun s ->
+          (* a stall after a hit that owes none *)
+          s.Trace.instr 0 0x4400;
+          s.Trace.fram_ifetch true 0x4400 0x4400;
+          s.Trace.cycles 0 1;
+          s.Trace.cycles 3 0);
+        base;
+        (fun s ->
+          (* stall and unstalled cycles in one event *)
+          s.Trace.instr 0 0x4400;
+          s.Trace.fram_ifetch true 0x4400 0x4400;
+          s.Trace.fram_ifetch false 0x4402 0x4402;
+          s.Trace.cycles 3 4);
+        base;
+      ] );
+    ( "a slot that re-hosts another home",
+      [
+        slot 0x8000;
+        slot 0x8000;
+        slot 0x9000;
+        slot 0x9000;
+        slot 0x8000;
+        slot 0x9000;
+        (fun s ->
+          (* the same pc and home from another source *)
+          s.Trace.instr 2 0x2000;
+          s.Trace.sram_ifetch 0x2000 0x8000;
+          s.Trace.sram_ifetch 0x2002 0x8002;
+          s.Trace.cycles 2 0);
+        slot 0x8000;
+        base;
+      ] );
+    ( "events before the first instruction",
+      [
+        (fun s ->
+          s.Trace.phase "boot";
+          s.Trace.cycles 5 0;
+          s.Trace.fram_read true 0x6000;
+          s.Trace.sram_ifetch 0x2000 0x2000;
+          s.Trace.call 0x4400 (-1));
+        base;
+        base;
+        (fun s ->
+          s.Trace.instr 0 0x4400;
+          s.Trace.phase "mid");
+        base;
+      ] );
+  ]
+
+(* Each case round-trips event for event with its answers, and the
+   instructions back on the template after the departures are records:
+   200 more of the case's last instruction ([base] or a slot) add at most 11 bytes apiece
+   ([base]'s tag, three 3-byte deltas and a unit), where its tagged
+   events take 27, plus a few for the first one's template id and the
+   end marker's longer count. *)
+let departure_test () =
+  List.iter
+    (fun (what, stream) ->
+      let size stream =
+        with_temp_trace (fun path ->
+            let w = Trace_file.create_writer path roundtrip_header in
+            let s = Trace_file.sink w in
+            List.iter (fun f -> f s) stream;
+            Trace_file.close_writer w;
+            let sink, fed = capture () in
+            List.iter (fun f -> f sink) stream;
+            (match decode_events path with
+            | Ok (_, count), decoded ->
+                if count <> List.length (fed ()) then
+                  Alcotest.failf "%s: %d events decoded of %d" what count
+                    (List.length (fed ()));
+                if decoded <> fed () then
+                  Alcotest.failf "%s: the decoded events differ" what
+            | Error e, _ ->
+                Alcotest.failf "%s: %s" what (Trace_file.error_message e));
+            String.length (read_file path))
+      in
+      let again = List.nth stream (List.length stream - 1) in
+      let grown = size (stream @ List.init 200 (fun _ -> again)) - size stream in
+      if grown > (11 * 200) + 4 then
+        Alcotest.failf "%s: 200 template instructions took %d bytes" what grown)
+    departure_cases
+
+(* --- Templates: exactness on live runs ------------------------------------ *)
+
+(* The live, enriched event stream of a recording: the observation's
+   sink is swapped for a capturing one, which [record_prepared] tees
+   next to the writer behind the same enrichment. [None] when the
+   program does not fit the system. *)
+let record_live config trace =
+  match Toolchain.prepare ~observe:Toolchain.default_observe config with
+  | Error _ -> None
+  | Ok p -> (
+      let o = Option.get p.Toolchain.p_observation in
+      let sink, events = capture () in
+      let p =
+        { p with Toolchain.p_observation = Some { o with Toolchain.o_sink = sink } }
+      in
+      match Toolchain.record_prepared ~trace p with
+      | Toolchain.Completed _ -> Some (events ())
+      | Toolchain.Crashed o ->
+          QCheck2.Test.fail_reportf "crashed: %s" (Msp430.Cpu.outcome_name o)
+      | Toolchain.Did_not_fit msg -> QCheck2.Test.fail_reportf "%s" msg)
+
+(* Random programs over the three systems, recorded under each CPU
+   engine: the decoded recording is exactly the reference engine's live
+   stream, event for event and answer for answer. *)
+let prop_recording_is_live_stream =
+  QCheck2.Test.make ~count:6
+    ~name:"decoded recording = reference engine's live stream (random programs)"
+    ~print:(fun s -> s) Test_differential.gen_program (fun source ->
+      let b =
+        {
+          Workloads.Bench_def.name = "qcheck";
+          short = "QCK";
+          source = (fun _ -> source);
+          fits_data_in_sram = false;
+        }
+      in
+      List.for_all
+        (fun caching ->
+          let config engine =
+            { (Toolchain.default_config b) with Toolchain.caching; engine }
+          in
+          with_temp_trace (fun trace ->
+              match record_live (config Msp430.Cpu.Reference) trace with
+              | None -> true
+              | Some live ->
+                  List.for_all
+                    (fun engine ->
+                      with_temp_trace (fun trace ->
+                          ignore (record_live (config engine) trace);
+                          match decode_events trace with
+                          | Ok (_, count), decoded ->
+                              (count = List.length live && decoded = live)
+                              || QCheck2.Test.fail_reportf
+                                   "%s under %s: the decoded recording differs"
+                                   (Toolchain.caching_name caching)
+                                   (Msp430.Cpu.engine_name engine)
+                          | Error e, _ ->
+                              QCheck2.Test.fail_reportf "%s"
+                                (Trace_file.error_message e)))
+                    Msp430.Cpu.[ Reference; Superblock ]))
+        [
+          Toolchain.Baseline;
+          Toolchain.Swapram_cache
+            { Swapram.Config.default_options with Swapram.Config.cache_size = 512 };
+          Toolchain.Block_cache Blockcache.Config.default_options;
+        ])
+
 let suite =
   [
     Alcotest.test_case "format round-trip errors: truncation" `Quick
@@ -1226,4 +1577,8 @@ let suite =
       name_table_test;
     Alcotest.test_case "config_of_header inverts headers" `Quick
       config_of_header_test;
+    Alcotest.test_case "a version 1 trace is a version mismatch" `Quick
+      v1_trace_test;
+    Alcotest.test_case "template departures round-trip" `Quick departure_test;
+    QCheck_alcotest.to_alcotest prop_recording_is_live_stream;
   ]
