@@ -1,5 +1,5 @@
 (* The commands that write or read reports: bench regenerates the
-   paper's artifacts and the JSON report, compare gates two reports,
+   paper's artifacts and the JSON report, compare diffs two reports,
    and timeline renders a telemetry ledger. *)
 
 open Common
@@ -128,26 +128,19 @@ let bench artifacts report baseline campaign jobs telemetry =
         baseline;
       `Ok ()
 
-(* The perf-regression gate: nonzero exit on any regression beyond the
-   per-metric thresholds (or a structural mismatch). *)
-let compare old_path new_path threshold =
-  let thresholds =
-    match threshold with
-    | None -> Experiments.Compare.default_thresholds
-    | Some t ->
-        List.map (fun (m, _) -> (m, t)) Experiments.Compare.default_thresholds
+(* The exact gate: print every difference between two reports, and
+   exit nonzero when there is one. *)
+let compare old_path new_path =
+  let parse path =
+    Result.map_error
+      (fun e -> path ^ ": " ^ e)
+      (Observe.Json.parse (read_file path))
   in
-  let* outcome =
-    Experiments.Compare.compare_files ~thresholds old_path new_path
-  in
-  print_string (Experiments.Compare.render outcome);
-  match (Experiments.Compare.regressions outcome, outcome.errors) with
-  | [], [] -> `Ok ()
-  | regs, errors ->
-      `Error
-        ( false,
-          Printf.sprintf "perf gate failed: %d regression(s), %d error(s)"
-            (List.length regs) (List.length errors) )
+  let* old_report = parse old_path in
+  let* new_report = parse new_path in
+  let differences = Experiments.Compare.diff old_report new_report in
+  print_string (Experiments.Compare.render differences);
+  if differences = [] then `Ok () else `Error (false, "the reports differ")
 
 (* Render a telemetry run ledger as a Chrome trace-event file, a
    utilization summary, or CSV. *)

@@ -624,17 +624,10 @@ let compare_term =
     Arg.(required & pos 0 (some file) None & info [] ~docv:"OLD" ~doc)
   in
   let new_arg =
-    let doc = "Candidate report to gate (e.g. bench/report.json)." in
+    let doc = "Candidate report (e.g. a fresh bench --baseline)." in
     Arg.(required & pos 1 (some file) None & info [] ~docv:"NEW" ~doc)
   in
-  let threshold_arg =
-    let doc =
-      "Override every per-metric relative threshold with one value (e.g. \
-       0.02 = 2%)."
-    in
-    Arg.(value & opt (some float) None & info [ "threshold" ] ~doc)
-  in
-  Term.(ret (const Reports.compare $ old_arg $ new_arg $ threshold_arg))
+  Term.(ret (const Reports.compare $ old_arg $ new_arg))
 
 let timeline_term =
   let ledger_arg =
@@ -685,8 +678,8 @@ let cmds =
          measure the improvement",
         pgo_term );
       ( "compare",
-        "Perf-regression gate: compare two bench reports under \
-         per-metric thresholds; nonzero exit on regression",
+        "Exact gate: print every difference between two bench reports \
+         by JSON path; nonzero exit when they differ",
         compare_term );
       ( "record",
         "Simulate once and capture the counted event stream into a \

@@ -6,12 +6,13 @@ module Memory = Msp430.Memory
 (* Two-pass assembler with iterative branch relaxation.
 
    Text items are placed sequentially from [code_base], data items from
-   [data_base]. Jump statements are first assumed to fit the MSP430's
-   10-bit PC-relative offset; any jump whose target falls outside
-   -511..+512 words is rewritten as an absolute branch (with the
-   inverted-condition skip of the paper's Fig. 6 when conditional) and
-   layout is recomputed until no jump is out of range — the same
-   relaxation the msp430-gcc linker performs. The post-relaxation
+   [data_base] or, when it is [None], packed after the code. Jump
+   statements are first assumed to fit the MSP430's 10-bit PC-relative
+   offset; any jump whose target falls outside -511..+512 words is
+   rewritten as an absolute branch (with the inverted-condition skip of
+   the paper's Fig. 6 when conditional) and layout is recomputed until
+   no jump is out of range — the same relaxation the msp430-gcc linker
+   performs. The post-relaxation
    program is part of the output so instrumentation passes can find
    and rewrite the absolute branches (paper §3.3.1). *)
 
@@ -19,9 +20,9 @@ exception Error of string
 
 let error fmt = Format.kasprintf (fun s -> raise (Error s)) fmt
 
-type layout = { code_base : int; data_base : int }
+type layout = { code_base : int; data_base : int option }
 
-let default_layout = { code_base = 0x4400; data_base = 0xA000 }
+let default_layout = { code_base = 0x4400; data_base = Some 0xA000 }
 
 (* --- Sizing ------------------------------------------------------- *)
 
@@ -88,6 +89,27 @@ let place_items base items =
         loop addr' (pit :: acc) rest
   in
   loop base [] items
+
+let section_end base placed_items =
+  List.fold_left (fun acc p -> max acc (p.iaddr + p.isize)) base placed_items
+
+(* Code size does not depend on where the data goes (symbolic operands
+   always take an extension word), so a packed data section can start
+   right after the code: at the first even address at least two bytes
+   past its end. *)
+let place_program ~layout program =
+  let text = place_items layout.code_base (Ast.text_items program) in
+  let data_base =
+    match layout.data_base with
+    | Some base -> base
+    | None -> (section_end layout.code_base text + 3) land lnot 1
+  in
+  (text, data_base, place_items data_base (Ast.data_items program))
+
+(* Data items are never relaxed and only [Align 2] pads them, so they
+   pack alike from any even base. *)
+let data_section_size program =
+  section_end 0 (place_items 0 (Ast.data_items program))
 
 let build_symbols placed_items =
   let symbols = Hashtbl.create 97 in
@@ -166,10 +188,7 @@ let expand_jump cond target =
 (* One relaxation round: expand every out-of-range jump. Returns the
    rewritten program and whether anything changed. *)
 let relax_round ~layout (program : Ast.program) =
-  let placed_text = place_items layout.code_base (Ast.text_items program) in
-  let placed_data =
-    place_items layout.data_base (Ast.data_items program)
-  in
+  let placed_text, _, placed_data = place_program ~layout program in
   let symbols = build_symbols (placed_text @ placed_data) in
   let changed = ref false in
   let far = Hashtbl.create 16 in
@@ -273,9 +292,10 @@ type t = {
   items : item_info list;
   segments : segment list;
   resolved : Ast.program;
+  code_base : int;
   code_end : int;
+  data_base : int;
   data_end : int;
-  layout : layout;
   instructions : (int * Isa.t) list; (* every encoded instruction *)
 }
 
@@ -313,10 +333,7 @@ let restore_items image mem names =
     names
 
 let emit_segment symbols base placed_items =
-  let last =
-    List.fold_left (fun acc p -> max acc (p.iaddr + p.isize)) base placed_items
-  in
-  let contents = Bytes.make (last - base) '\000' in
+  let contents = Bytes.make (section_end base placed_items - base) '\000' in
   let put addr b = Bytes.set contents (addr - base) (Char.chr (b land 0xFF)) in
   let put_word addr w =
     put addr (Word.low_byte w);
@@ -348,11 +365,10 @@ let emit_segment symbols base placed_items =
 
 let assemble ?(layout = default_layout) (program : Ast.program) =
   let resolved = relax ~layout program in
-  let placed_text = place_items layout.code_base (Ast.text_items resolved) in
-  let placed_data = place_items layout.data_base (Ast.data_items resolved) in
+  let placed_text, data_base, placed_data = place_program ~layout resolved in
   let symbols = build_symbols (placed_text @ placed_data) in
   let code_seg, code_instrs = emit_segment symbols layout.code_base placed_text in
-  let data_seg, data_instrs = emit_segment symbols layout.data_base placed_data in
+  let data_seg, data_instrs = emit_segment symbols data_base placed_data in
   let info pit =
     {
       info_name = pit.source.Ast.name;
@@ -366,9 +382,10 @@ let assemble ?(layout = default_layout) (program : Ast.program) =
     items = List.map info (placed_text @ placed_data);
     segments = [ code_seg; data_seg ];
     resolved;
+    code_base = layout.code_base;
     code_end = code_seg.base + Bytes.length code_seg.contents;
+    data_base;
     data_end = data_seg.base + Bytes.length data_seg.contents;
-    layout;
     instructions = code_instrs @ data_instrs;
   }
 
@@ -377,5 +394,5 @@ let load image memory =
     (fun seg -> Memory.load_image memory ~addr:seg.base seg.contents)
     image.segments
 
-let code_size image = image.code_end - image.layout.code_base
-let data_size image = image.data_end - image.layout.data_base
+let code_size image = image.code_end - image.code_base
+let data_size image = image.data_end - image.data_base

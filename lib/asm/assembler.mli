@@ -1,11 +1,11 @@
 (** Two-pass assembler with iterative branch relaxation.
 
     Text items are placed sequentially from [code_base], data items
-    from [data_base]. Jumps whose targets fall outside the MSP430's
-    10-bit PC-relative range are rewritten as absolute branches (with
-    the inverted-condition skip of the paper's Fig. 6 when
-    conditional) until layout converges — the msp430-gcc linker
-    behaviour the paper relies on (§4). The post-relaxation program is
+    from [data_base] or packed after the code. Jumps whose targets
+    fall outside the MSP430's 10-bit PC-relative range are rewritten
+    as absolute branches (with the inverted-condition skip of the
+    paper's Fig. 6 when conditional) until layout converges — the
+    msp430-gcc linker behaviour the paper relies on (§4). The post-relaxation program is
     part of the output so instrumentation passes can find and rewrite
     the absolute branches (§3.3.1). *)
 
@@ -13,7 +13,12 @@ module Isa = Msp430.Isa
 
 exception Error of string
 
-type layout = { code_base : int; data_base : int }
+type layout = {
+  code_base : int;
+  data_base : int option;
+      (** [None] packs the data section after the code, at the first
+          even address at least two bytes past the code's end *)
+}
 
 val default_layout : layout
 
@@ -42,9 +47,10 @@ type t = {
   items : item_info list;
   segments : segment list;
   resolved : Ast.program;  (** the program after relaxation *)
+  code_base : int;
   code_end : int;
+  data_base : int;  (** where the data section was placed *)
   data_end : int;
-  layout : layout;
   instructions : (int * Isa.t) list;  (** every encoded instruction *)
 }
 
@@ -64,3 +70,8 @@ val assemble : ?layout:layout -> Ast.program -> t
 val load : t -> Msp430.Memory.t -> unit
 val code_size : t -> int
 val data_size : t -> int
+
+val data_section_size : Ast.program -> int
+(** The [data_size] of the program's image at any layout, without
+    assembling it: data items are never relaxed, and they pack alike
+    from any even base. *)

@@ -51,9 +51,10 @@ val sweeps :
 val compute : ?slim:bool -> ?campaign:Observe.Json.t -> sweeps -> Observe.Json.t
 (** Render the report, simulating the "replay" cells on the first full
     rendering. [slim] (default false) drops the bulky
-    "metrics" and "top_functions" payloads and the "replay" object
-    while keeping every scalar the perf-regression gate ({!Compare})
-    reads — the rendering committed as bench/baseline.json.
+    "metrics" and "top_functions" payloads and the "replay" object,
+    and keeps every scalar of each cell and the "dse" object — the
+    rendering committed as bench/baseline.json, which the exact gate
+    ({!Compare}) reads.
     [campaign] is embedded as the top-level "campaign" member when
     given. *)
 

@@ -1,51 +1,27 @@
-(** Perf-regression gate: compare two bench reports
-    ([bench/report.json], same schema version, slim or full)
-    metric-by-metric under per-metric relative thresholds, and their
-    "dse" frontiers for equality. Drives [swapram_cli compare]
-    and the CI perf gate against the committed [bench/baseline.json]. *)
+(** Exact differ over two bench reports ([bench/baseline.json],
+    [bench/report.json]). The simulator is deterministic, so any
+    difference is a change in behaviour: [swapram_cli compare] prints
+    every one by JSON path and exits nonzero when there is any. *)
 
-val default_thresholds : (string * float) list
-(** [(metric, max relative increase)]. Cycles / instructions / energy
-    5%, memory-access counts 8%, code size 10%. All compared metrics
-    are smaller-is-better; the simulator is deterministic, so the
-    slack covers intentional small costs, not noise. *)
-
-type finding = {
-  f_bench : string;
-  f_system : string;  (** "baseline" / "swapram" / "block" *)
-  f_metric : string;
-  f_old : float;
-  f_new : float;
-  f_delta : float;  (** relative change, [(new - old) / old] *)
-  f_threshold : float;
-  f_regressed : bool;
+type difference = {
+  path : string;
+      (** e.g. [benchmarks[crc].systems.swapram.cycles]: a list element
+          is named by its ["name"] or ["workload"] string when every
+          element of its list has a distinct one, by its index
+          otherwise *)
+  old_value : Observe.Json.t option;  (** [None]: only in the new report *)
+  new_value : Observe.Json.t option;  (** [None]: only in the old report *)
+  delta : float option;
+      (** relative change [(new - old) / old] when both are numbers *)
 }
 
-type outcome = {
-  findings : finding list;  (** every compared metric *)
-  errors : string list;
-      (** structural problems that themselves fail the gate: schema
-          mismatch, missing benchmark/system/metric/dse object, status
-          change, dse frontier drift *)
-}
+val diff : Observe.Json.t -> Observe.Json.t -> difference list
+(** [diff old_report new_report]: every difference, in report order.
+    A key, list element or subtree present on one side only, or holding
+    a different kind of value on each side, is one difference at its
+    root. Lists of uniquely named elements are matched by name, others
+    by position after their common prefix and suffix, so one dropped
+    element is one difference. [diff a b = []] iff [compare a b = 0]. *)
 
-val compare_json :
-  ?thresholds:(string * float) list ->
-  old_report:Observe.Json.t ->
-  new_report:Observe.Json.t ->
-  unit ->
-  outcome
-
-val compare_files :
-  ?thresholds:(string * float) list ->
-  string ->
-  string ->
-  (outcome, string) result
-(** [compare_files old_path new_path]; [Error] is an I/O or JSON
-    parse failure. *)
-
-val regressions : outcome -> finding list
-
-val render : outcome -> string
-(** Human-readable summary: counts, errors, and a table of regressed
-    or notably-changed (>0.5%) metrics. *)
+val render : difference list -> string
+(** ["N differences"], then one line per difference. *)

@@ -6,9 +6,9 @@ module Energy = Msp430.Energy
    before/after the train -> rebuild -> measure loop, plus the
    placement the pass chose (pinned / FRAM-resident counts). Shape to
    reproduce: pinning the hot set cuts cycles and energy on the
-   miss-heavy benchmarks and never regresses the rest — the
-   perf-regression gate enforces the "never regresses" half against
-   bench/baseline.json. *)
+   miss-heavy benchmarks and never regresses the rest —
+   bench/baseline.json pins both halves, and the exact gate
+   (`swapram_cli compare`) names any change. *)
 
 type row = {
   benchmark : Workloads.Bench_def.t;

@@ -323,8 +323,6 @@ let region_plan placement =
       (* stack_top recomputed once the data size is known *)
       (code_base_fram, fram_end, Some Platform.sram_base, sram_end, 0)
 
-let probe_layout code_base = { Masm.Assembler.code_base; data_base = 0xE000 }
-
 let check_fit ~what ~code_limit ~data_limit image =
   if image.Masm.Assembler.code_end > code_limit then
     raise
@@ -346,7 +344,6 @@ type prepared = {
   p_system : Platform.system;
   p_image : Masm.Assembler.t;
   p_stack_top : int;
-  p_data_size : int;
   p_swapram : Swapram.Runtime.t option;
   p_block : Blockcache.Runtime.t option;
   p_checkpoint : Swapram.Checkpoint.t option;
@@ -366,7 +363,7 @@ let built_placement config =
 
 let prepare ?observe config =
   let placement = built_placement config in
-  let code_base, code_limit, data_base_opt, data_limit, stack_top =
+  let code_base, code_limit, data_base, data_limit, stack_top =
     region_plan placement
   in
   (* The checkpoint runtime reserves its FRAM arena by lowering the
@@ -380,24 +377,11 @@ let prepare ?observe config =
   let program =
     Minic.Driver.program_of_source ~through_disasm:config.through_disasm source
   in
-  (* Data size is layout-independent; probe it with a plain assembly.
-     A fixed data base makes the probe's layout the final plain one, so
-     a plain build (baseline, checkpoint) loads the probe itself; only a
-     data section packed after the code needs the probe's code end
-     first, and a second assembly. *)
-  let plain_probe =
-    Masm.Assembler.assemble
-      ~layout:
-        (match data_base_opt with
-        | Some data_base -> { Masm.Assembler.code_base; data_base }
-        | None -> probe_layout code_base)
-      program
-  in
-  let data_size = Masm.Assembler.data_size plain_probe in
   (* Split: SRAM = [data][stack][code cache]; SP sits between *)
   let stack_top, cache_region =
     match placement with
     | Split ->
+        let data_size = Masm.Assembler.data_section_size program in
         let top = (Platform.sram_base + data_size + stack_reserve + 1) land lnot 1 in
         (top, Some (top, sram_end - top))
     | Unified | Standard | Code_sram | All_sram -> (stack_top, None)
@@ -410,25 +394,11 @@ let prepare ?observe config =
         Block_cache { o with Blockcache.Config.cache_base = base; cache_size = size }
     | c, _ -> c
   in
-  (* Only a data section packed after the code needs the code's end,
-     which [probe_code_end] builds a probe image to learn. *)
-  let layout_for probe_code_end =
-    let data_base =
-      match data_base_opt with
-      | Some b -> b
-      | None -> (probe_code_end () + 3) land lnot 1
-    in
-    { Masm.Assembler.code_base; data_base }
-  in
-  let plain_layout = layout_for (fun () -> plain_probe.Masm.Assembler.code_end) in
-  let plain_image () =
-    if plain_probe.Masm.Assembler.layout = plain_layout then plain_probe
-    else Masm.Assembler.assemble ~layout:plain_layout program
-  in
+  let layout = { Masm.Assembler.code_base; data_base } in
   let build () =
     match caching with
     | Baseline ->
-        let image = plain_image () in
+        let image = Masm.Assembler.assemble ~layout program in
         check_fit ~what:"baseline" ~code_limit ~data_limit image;
         ( image,
           (fun system ->
@@ -438,13 +408,7 @@ let prepare ?observe config =
           None,
           None )
     | Swapram_cache options ->
-        let probe_code_end () =
-          (Swapram.Pipeline.build ~options ~layout:(probe_layout code_base) program)
-            .Swapram.Pipeline.image.Masm.Assembler.code_end
-        in
-        let built =
-          Swapram.Pipeline.build ~options ~layout:(layout_for probe_code_end) program
-        in
+        let built = Swapram.Pipeline.build ~options ~layout program in
         let image = built.Swapram.Pipeline.image in
         check_fit ~what:"swapram" ~code_limit ~data_limit image;
         ( image,
@@ -454,15 +418,7 @@ let prepare ?observe config =
           Some (Swapram.Pipeline.nvm_usage built),
           None )
     | Block_cache options ->
-        let probe_code_end () =
-          (Blockcache.Pipeline.build ~options ~layout:(probe_layout code_base)
-             program)
-            .Blockcache.Pipeline.image.Masm.Assembler.code_end
-        in
-        let built =
-          Blockcache.Pipeline.build ~options ~layout:(layout_for probe_code_end)
-            program
-        in
+        let built = Blockcache.Pipeline.build ~options ~layout program in
         let image = built.Blockcache.Pipeline.image in
         check_fit ~what:"block cache" ~code_limit ~data_limit image;
         ( image,
@@ -474,7 +430,7 @@ let prepare ?observe config =
     | Checkpoint_runtime options ->
         (* built exactly like the baseline — no code transformation;
            the runtime lives entirely in the reserved arena *)
-        let image = plain_image () in
+        let image = Masm.Assembler.assemble ~layout program in
         check_fit ~what:"checkpoint" ~code_limit ~data_limit image;
         ( image,
           (fun system ->
@@ -512,7 +468,6 @@ let prepare ?observe config =
           p_system = system;
           p_image = image;
           p_stack_top = stack_top;
-          p_data_size = data_size;
           p_swapram = sr_rt;
           p_block = bb_rt;
           p_checkpoint = ck_rt;
@@ -570,7 +525,9 @@ let collect p =
     sizes =
       {
         code_bytes = Masm.Assembler.code_size p.p_image;
-        data_bytes = p.p_data_size;
+        (* the runtimes keep their tables in the text section, so the
+           data section is the program's own *)
+        data_bytes = Masm.Assembler.data_size p.p_image;
       };
     swapram_stats = Option.map Swapram.Runtime.stats p.p_swapram;
     swapram_manifest = p.p_sr_manifest;

@@ -186,7 +186,6 @@ type prepared = {
   p_system : Msp430.Platform.system;
   p_image : Masm.Assembler.t;
   p_stack_top : int;
-  p_data_size : int;
   p_swapram : Swapram.Runtime.t option;
   p_block : Blockcache.Runtime.t option;
   p_checkpoint : Swapram.Checkpoint.t option;

@@ -1,6 +1,6 @@
 (* Minimal JSON printer and parser for the exporters (Chrome traces,
-   bench/report.json) and the perf-regression gate (`swapram_cli
-   compare`), which must read reports back. No external
+   bench/report.json) and the exact gate (`swapram_cli compare`),
+   which must read reports back. No external
    dependencies. *)
 
 type t =

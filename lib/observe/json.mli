@@ -1,6 +1,7 @@
 (** Minimal dependency-free JSON emitter and parser for the
     observability exporters (Chrome trace JSON, [bench/report.json])
-    and the perf-regression gate, which reads reports back. *)
+    and the exact gate ([swapram_cli compare]), which reads reports
+    back. *)
 
 type t =
   | Null

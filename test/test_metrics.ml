@@ -16,6 +16,7 @@ module Energy = Msp430.Energy
 module Toolchain = Experiments.Toolchain
 module Metrics = Observe.Metrics
 module Json = Observe.Json
+module Compare = Experiments.Compare
 
 let bench_of_source source =
   {
@@ -376,8 +377,8 @@ let mrc_cases =
       Workloads.Suite.stringsearch;
     ]
 
-(* Perf gate: a report compared to itself is clean; an injected cycle
-   regression beyond threshold trips it. *)
+(* The exact gate: a report compared to itself has no difference, and
+   any edit is one, named by its JSON path. *)
 let tiny_sweeps =
   lazy (Experiments.Bench_report.sweeps ~benchmarks:[ Workloads.Suite.crc ] ())
 
@@ -400,81 +401,122 @@ let scale_cycles factor json =
   in
   go json
 
+(* [json] with the value at [keys] (object keys, or list indices as
+   strings) replaced by [f] of it; [f] returning [None] removes it. *)
+let rec edit_at keys f json =
+  match (keys, json) with
+  | [], v -> f v
+  | k :: rest, Json.Obj kvs ->
+      Some
+        (Json.Obj
+           (List.filter_map
+              (fun (k', v) ->
+                if k' = k then Option.map (fun v -> (k', v)) (edit_at rest f v)
+                else Some (k', v))
+              kvs))
+  | k :: rest, Json.List xs ->
+      let i = int_of_string k in
+      Some
+        (Json.List
+           (List.concat
+              (List.mapi
+                 (fun j v ->
+                   if j = i then Option.to_list (edit_at rest f v) else [ v ])
+                 xs)))
+  | _ -> Alcotest.failf "no %s in the report" (String.concat "." keys)
+
+let edited keys f report = Option.get (edit_at keys f report)
+
+let bump = function
+  | Json.Int i -> Some (Json.Int (i + 1))
+  | v -> Alcotest.failf "not an int: %s" (Json.to_string v)
+
+let paths differences =
+  List.map (fun d -> d.Compare.path) differences
+
 let gate_cases =
   [
     Alcotest.test_case "compare: identical reports pass" `Slow (fun () ->
         let report = Lazy.force tiny_report in
-        let outcome =
-          Experiments.Compare.compare_json ~old_report:report ~new_report:report
-            ()
+        Alcotest.(check (list string))
+          "no differences" []
+          (paths (Compare.diff report report));
+        Alcotest.(check string)
+          "rendered" "0 differences\n"
+          (Compare.render (Compare.diff report report));
+        (* one changed scalar is flagged *)
+        let bumped = edited [ "schema_version" ] bump report in
+        Alcotest.(check (list string))
+          "a bumped schema version is one difference" [ "schema_version" ]
+          (paths (Compare.diff report bumped));
+        (* so is a reordering, at the reordered object *)
+        let reordered =
+          edited
+            [ "benchmarks"; "0"; "systems" ]
+            (function
+              | Json.Obj kvs -> Some (Json.Obj (List.rev kvs)) | v -> Some v)
+            report
         in
-        Alcotest.(check (list string)) "no errors" []
-          outcome.Experiments.Compare.errors;
-        Alcotest.(check int)
-          "no regressions" 0
-          (List.length (Experiments.Compare.regressions outcome));
-        Alcotest.(check bool)
-          "but metrics were compared" true
-          (outcome.Experiments.Compare.findings <> []));
+        Alcotest.(check (list string))
+          "a reordering is one difference" [ "benchmarks[crc].systems" ]
+          (paths (Compare.diff report reordered)));
     Alcotest.test_case "compare: 15% cycle regression trips the gate" `Slow
       (fun () ->
         let report = Lazy.force tiny_report in
-        let slower = scale_cycles 1.15 report in
-        let outcome =
-          Experiments.Compare.compare_json ~old_report:report ~new_report:slower
-            ()
+        let check_scaled factor =
+          let differences =
+            Compare.diff report (scale_cycles factor report)
+          in
+          Alcotest.(check bool) "differences found" true (differences <> []);
+          Alcotest.(check bool)
+            "every one is a cycles leaf" true
+            (List.for_all
+               (String.ends_with ~suffix:".cycles")
+               (paths differences));
+          match
+            List.find_opt
+              (fun d ->
+                d.Compare.path
+                = "benchmarks[crc].systems.swapram.cycles")
+              differences
+          with
+          | None -> Alcotest.fail "swapram cycles not flagged"
+          | Some d ->
+              let delta = Option.get d.Compare.delta in
+              if abs_float (delta -. (factor -. 1.0)) > 1e-6 then
+                Alcotest.failf "delta %f, expected %f" delta (factor -. 1.0)
         in
-        let regs = Experiments.Compare.regressions outcome in
-        Alcotest.(check bool) "regressions found" true (regs <> []);
-        Alcotest.(check bool)
-          "cycles flagged" true
-          (List.exists
-             (fun f -> f.Experiments.Compare.f_metric = "cycles")
-             regs);
-        (* improvements never trip it *)
-        let faster = scale_cycles 0.9 report in
-        let outcome' =
-          Experiments.Compare.compare_json ~old_report:report ~new_report:faster
-            ()
-        in
-        Alcotest.(check int)
-          "speedup is not a regression" 0
-          (List.length (Experiments.Compare.regressions outcome')));
+        check_scaled 1.15;
+        (* a 10% cycle decrease is flagged too *)
+        check_scaled 0.9);
     Alcotest.test_case "compare: slim candidate gets a clear error" `Slow
       (fun () ->
         let report = Lazy.force tiny_report in
         let slim =
           Experiments.Bench_report.compute ~slim:true (Lazy.force tiny_sweeps)
         in
-        (* full baseline, slim candidate: a specific error, not a
-           schema mismatch or a missing-metric cascade *)
-        let outcome =
-          Experiments.Compare.compare_json ~old_report:report ~new_report:slim
-            ()
-        in
-        let contains hay needle =
-          let nh = String.length hay and nn = String.length needle in
-          let rec go i =
-            i + nn <= nh && (String.sub hay i nn = needle || go (i + 1))
-          in
-          go 0
-        in
-        Alcotest.(check bool)
-          "error mentions the slim rendering" true
-          (List.exists
-             (fun e -> contains e "slim")
-             outcome.Experiments.Compare.errors);
-        (* slim baseline, full candidate: the normal CI direction — clean *)
-        let outcome' =
-          Experiments.Compare.compare_json ~old_report:slim ~new_report:report
-            ()
-        in
-        Alcotest.(check (list string))
-          "slim baseline vs full report stays clean" []
-          outcome'.Experiments.Compare.errors;
-        Alcotest.(check int)
-          "and has no regressions" 0
-          (List.length (Experiments.Compare.regressions outcome')));
+        (* slim and full differ exactly in the subtrees the slim
+           rendering drops, each named once at its root, whichever
+           side is the baseline *)
+        List.iter
+          (fun (what, old_report, new_report) ->
+            let ps = paths (Compare.diff old_report new_report) in
+            Alcotest.(check bool)
+              (what ^ ": the swapram metrics are named") true
+              (List.mem "benchmarks[crc].systems.swapram.metrics" ps);
+            Alcotest.(check bool)
+              (what ^ ": the replay object is named")
+              true (List.mem "replay" ps);
+            List.iter
+              (fun p ->
+                if
+                  not
+                    (p = "replay"
+                    || String.ends_with ~suffix:".metrics" p
+                    || String.ends_with ~suffix:".top_functions" p)
+                then Alcotest.failf "%s: unexpected difference at %s" what p)
+              ps)
+          [ ("full vs slim", report, slim); ("slim vs full", slim, report) ]);
     Alcotest.test_case "compare: current-schema report carries metrics" `Slow
       (fun () ->
         let report = Lazy.force tiny_report in
@@ -503,25 +545,164 @@ let gate_cases =
           | _ -> false));
   ]
 
-(* A baseline without a "dse" object cannot pass the frontier gate:
-   it is an error, never a silently skipped comparison. Appended after
+(* A baseline without a "dse" object cannot pass the gate: it is a
+   difference, never a silently skipped comparison. Appended after
    the properties so earlier test indices stay put. *)
 let gate_case_dse_missing =
   Alcotest.test_case "compare: old report without dse is an error" `Slow
     (fun () ->
       let report = Lazy.force tiny_report in
-      let no_dse =
-        match report with
-        | Json.Obj kvs -> Json.Obj (List.remove_assoc "dse" kvs)
-        | j -> j
-      in
-      let outcome =
-        Experiments.Compare.compare_json ~old_report:no_dse ~new_report:report
-          ()
-      in
-      Alcotest.(check (list string))
-        "one error" [ "dse object missing from old report" ]
-        outcome.Experiments.Compare.errors)
+      let no_dse = edited [ "dse" ] (fun _ -> None) report in
+      match Compare.diff no_dse report with
+      | [ d ] ->
+          Alcotest.(check string) "path" "dse" d.Compare.path;
+          Alcotest.(check bool)
+            "only in the new report" true
+            (d.Compare.old_value = None)
+      | ds -> Alcotest.failf "%d differences" (List.length ds))
+
+(* One edit, one difference, named by [expected], whose rendering
+   carries that path. *)
+let check_one_difference ~expected report edited_report =
+  let differences = Compare.diff report edited_report in
+  Alcotest.(check (list string)) "paths" [ expected ] (paths differences);
+  let rendered = Compare.render differences in
+  Alcotest.(check bool)
+    "rendered with its path" true
+    (String.starts_with ~prefix:("1 difference\n" ^ expected ^ ": ") rendered)
+
+let gate_cases_by_path =
+  [
+    Alcotest.test_case "compare: a changed cost names its path" `Slow
+      (fun () ->
+        let report = Lazy.force tiny_report in
+        check_one_difference
+          ~expected:"benchmarks[crc].systems.swapram.cycles" report
+          (edited
+             [ "benchmarks"; "0"; "systems"; "swapram"; "cycles" ]
+             bump report));
+    Alcotest.test_case "compare: a changed frontier point names its path" `Slow
+      (fun () ->
+        let report = Lazy.force tiny_report in
+        check_one_difference
+          ~expected:"dse.workloads[crc/block].frontier[0].cycles" report
+          (edited
+             [ "dse"; "workloads"; "1"; "frontier"; "0"; "cycles" ]
+             bump report));
+    Alcotest.test_case "compare: a missing cell names its path" `Slow
+      (fun () ->
+        let report = Lazy.force tiny_report in
+        let missing =
+          edited
+            [ "benchmarks"; "0"; "systems"; "block" ]
+            (fun _ -> None)
+            report
+        in
+        check_one_difference ~expected:"benchmarks[crc].systems.block" report
+          missing;
+        match Compare.diff report missing with
+        | [ d ] ->
+            Alcotest.(check bool)
+              "only in the old report" true
+              (d.Compare.new_value = None)
+        | _ -> ());
+  ]
+
+(* Every single-leaf edit of a report, with the path the differ must
+   name: a number bumped by one, a string altered, or a list element
+   dropped. A list whose elements all have distinct "name" or
+   "workload" strings is stepped by name, any other by index. The
+   string that names such an element is its identity, not a leaf:
+   altering it drops one element and adds another. Dropping one of a
+   run of equal elements is dropping the last of them. *)
+let leaf_edits report =
+  let numbers = ref [] and strings = ref [] and drops = ref [] in
+  let add edits path edit = edits := (path, edit) :: !edits in
+  let field path k = if path = "" then k else path ^ "." ^ k in
+  let name x =
+    match Option.bind (Json.member "name" x) Json.to_str with
+    | Some n -> Some ("name", n)
+    | None ->
+        Option.map (fun n -> ("workload", n))
+          (Option.bind (Json.member "workload" x) Json.to_str)
+  in
+  let rec go ~identity path rebuild = function
+    | Json.Int i -> add numbers path (fun () -> rebuild (Json.Int (i + 1)))
+    | Json.Float f when Float.is_finite f ->
+        add numbers path (fun () -> rebuild (Json.Float (f +. 1.0)))
+    | Json.String s ->
+        add strings path (fun () -> rebuild (Json.String (s ^ "~")))
+    | Json.Obj kvs ->
+        List.iteri
+          (fun i (k, v) ->
+            if Some k <> identity then
+              go ~identity:None (field path k)
+                (fun v' ->
+                  rebuild
+                    (Json.Obj
+                       (List.mapi
+                          (fun j kv -> if j = i then (k, v') else kv)
+                          kvs)))
+                v)
+          kvs
+    | Json.List xs ->
+        let names = List.map name xs in
+        let named =
+          List.for_all Option.is_some names
+          && List.compare_lengths
+               (List.sort_uniq compare (List.map (Option.map snd) names))
+               xs
+             = 0
+        in
+        let arr = Array.of_list xs in
+        let step i =
+          if named then path ^ "[" ^ snd (Option.get (List.nth names i)) ^ "]"
+          else path ^ "[" ^ string_of_int i ^ "]"
+        in
+        Array.iteri
+          (fun i x ->
+            let identity =
+              if named then Option.map fst (List.nth names i) else None
+            in
+            go ~identity (step i)
+              (fun x' ->
+                rebuild
+                  (Json.List
+                     (List.mapi (fun j y -> if j = i then x' else y) xs)))
+              x;
+            let last = ref i in
+            while
+              (not named) && !last + 1 < Array.length arr
+              && compare arr.(!last + 1) x = 0
+            do
+              incr last
+            done;
+            add drops (step !last) (fun () ->
+                rebuild (Json.List (List.filteri (fun j _ -> j <> i) xs))))
+          arr
+    | Json.Null | Json.Bool _ | Json.Float _ -> ()
+  in
+  go ~identity:None "" Fun.id report;
+  List.map
+    (fun edits -> Array.of_list (List.rev !edits))
+    [ numbers; strings; drops ]
+
+let tiny_edits = lazy (leaf_edits (Lazy.force tiny_report))
+
+let prop_one_leaf_one_difference =
+  QCheck2.Test.make ~count:300
+    ~name:"compare: one edited leaf is one difference at its path"
+    ~print:QCheck2.Print.(pair int int)
+    QCheck2.Gen.(pair (int_bound 2) (int_bound 1_000_000))
+    (fun (kind, k) ->
+      let report = Lazy.force tiny_report in
+      let edits = List.nth (Lazy.force tiny_edits) kind in
+      let path, edit = edits.(k mod Array.length edits) in
+      match paths (Compare.diff report (edit ())) with
+      | [ p ] when p = path -> true
+      | ps ->
+          QCheck2.Test.fail_reportf "edit at %s gave [%s]" path
+            (String.concat "; " ps))
 
 let suite =
   mrc_cases @ gate_cases
@@ -533,4 +714,9 @@ let suite =
       QCheck_alcotest.to_alcotest prop_json_roundtrip;
       QCheck_alcotest.to_alcotest prop_json_roundtrip_pretty;
       gate_case_dse_missing;
+    ]
+  @ gate_cases_by_path
+  @ [
+      QCheck_alcotest.to_alcotest ~speed_level:`Slow
+        prop_one_leaf_one_difference;
     ]

@@ -123,6 +123,54 @@ let prop_hwcache_matches_model =
               true)
         ops)
 
+(* Every build of crc, on every placement and caching system, puts
+   the data section at its region's base, or packed at the first even
+   address two or more bytes past the code; and its data size is the
+   plain program's, whatever the runtime adds to the code. *)
+let data_placement_test () =
+  let module T = Experiments.Toolchain in
+  let module A = Masm.Assembler in
+  let bench = Workloads.Suite.crc in
+  let program =
+    Minic.Driver.program_of_source (bench.Workloads.Bench_def.source 1)
+  in
+  let plain_data = A.data_size (A.assemble program) in
+  Alcotest.(check int) "data size without assembly" plain_data
+    (A.data_section_size program);
+  List.iter
+    (fun placement ->
+      List.iter
+        (fun caching ->
+          let config = { (T.default_config bench) with T.placement; caching } in
+          let what =
+            Printf.sprintf "%s, %s" (T.placement_name placement)
+              (T.caching_name caching)
+          in
+          match T.prepare config with
+          | Error e -> Alcotest.failf "%s: %s" what e
+          | Ok p ->
+              let image = p.T.p_image in
+              let expected =
+                match T.built_placement config with
+                | T.Standard | T.Split -> Platform.sram_base
+                | T.Code_sram -> Platform.fram_base + 0x400
+                | T.Unified | T.All_sram ->
+                    (image.A.code_end + 3) land lnot 1
+              in
+              Alcotest.(check int) (what ^ ": data base") expected
+                image.A.data_base;
+              Alcotest.(check int)
+                (what ^ ": data bytes")
+                plain_data (T.collect p).T.sizes.T.data_bytes)
+        T.
+          [
+            Baseline;
+            Swapram_cache Swapram.Config.default_options;
+            Block_cache Blockcache.Config.default_options;
+            Checkpoint_runtime Swapram.Checkpoint.default_options;
+          ])
+    Experiments.Toolchain.placements
+
 let suite =
   [
     Alcotest.test_case "hwcache: sequential reads hit after fill" `Quick
@@ -216,4 +264,6 @@ let suite =
         Alcotest.(check bool) "ordering" true
           (p.Energy.fram_read_hit_nj < p.Energy.fram_read_miss_nj /. 4.0));
     QCheck_alcotest.to_alcotest prop_hwcache_matches_model;
+    Alcotest.test_case "toolchain: data section placed as the region plan says"
+      `Quick data_placement_test;
   ]

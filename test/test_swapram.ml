@@ -39,7 +39,7 @@ let run_baseline source =
     r12 = Cpu.reg system.Platform.cpu 12;
     uart = Memory.uart_output system.Platform.memory;
     data =
-      data_snapshot system ~lo:image.Masm.Assembler.layout.Masm.Assembler.data_base
+      data_snapshot system ~lo:image.Masm.Assembler.data_base
         ~hi:data_end;
     stats = Cpu.stats system.Platform.cpu;
     sr_stats = None;
@@ -65,9 +65,7 @@ let run_swapram ?(options = Swapram.Config.default_options) source =
       uart = Memory.uart_output system.Platform.memory;
       data =
         data_snapshot system
-          ~lo:
-            built.Swapram.Pipeline.image.Masm.Assembler.layout
-              .Masm.Assembler.data_base
+          ~lo:built.Swapram.Pipeline.image.Masm.Assembler.data_base
           ~hi:app_data_end;
       stats = Cpu.stats system.Platform.cpu;
       sr_stats = Some (Swapram.Runtime.stats runtime);
