@@ -120,10 +120,15 @@ let metrics_observe = { default_observe with metrics_window = 65536 }
 (* The one place the runtime-hook answers are resolved. Wrapped around
    the whole fan-out, it overwrites the machine's "no runtime" answers
    (unit -1, home = address) once per event, so every sink downstream
-   receives the same ones. *)
+   receives the same ones. A whole templated instruction would bypass
+   it, so the enriched sink takes instructions expanded. *)
 let enrich ~call_unit ~ifetch_home (s : Trace.sink) =
   let with_units =
-    { s with Trace.call = (fun t _ -> s.Trace.call t (call_unit t)) }
+    {
+      s with
+      Trace.call = (fun t _ -> s.Trace.call t (call_unit t));
+      templated = None;
+    }
   in
   match ifetch_home with
   | None -> with_units

@@ -28,11 +28,152 @@ let source_name = function
    sink is a pure spectator: it cannot influence timing, counting or
    machine state. *)
 
+(* Instruction templates. A template fixes one instruction's events
+   after its [instr], in order, less the stall [cycles] events, which
+   follow from the hit bits. Each op is one int: the kind in the low
+   four bits and, for a fetch, the home offset (home - address) or, for
+   [cycles], the unstalled count above them. Fetch k of an instruction
+   at pc is at pc + 2k. *)
+let op_fram_ifetch = 0
+let op_sram_ifetch = 1
+let op_fram_read = 2
+let op_fram_write = 3
+let op_sram_read = 4
+let op_sram_write = 5
+let op_periph = 6
+let op_cycles = 7
+let op_call = 8
+let op_return = 9
+let op_kinds = 10
+
+(* The stall of an instruction's [n]-th FRAM access ([hit] is false for
+   a write), as [Memory] charges it: the wait states on a read-cache
+   miss, plus the contention penalty from the second access on. *)
+let[@inline] stall_rule ~wait_states ~contention hit n =
+  (if hit then 0 else wait_states) + if n > 1 then contention else 0
+
+type template = {
+  tp_id : int;
+  tp_source : int;
+  tp_pc : int;
+  tp_ops : int array;
+  tp_wait_states : int;
+  tp_contention : int;
+  tp_nbits : int; (* FRAM fetches and reads: one hit bit each *)
+  tp_payload : int; (* one slot per data access, two per call *)
+  tp_unstalled : int;
+  tp_frams : int; (* FRAM accesses *)
+  tp_writes : int; (* FRAM writes *)
+  tp_events : int; (* [record_events] with every hit bit a miss *)
+  tp_hit_events : int; (* how hits cut that: [events_none] .. [events_walk] *)
+}
+
+(* How a record's hit bits change its event count, that is the number
+   of FRAM accesses with a stall. With non-negative timing, under
+   contention every access past the first stalls, and the first when
+   it misses; without contention every miss does. *)
+let events_none = 0 (* never *)
+let events_first = 1 (* a hit first access has no stall *)
+let events_each = 2 (* each hit has no stall *)
+let events_walk = 3 (* negative timing (a damaged header): count them *)
+
+let template ~id ~source ~pc ~ops ~wait_states ~contention =
+  let ws = wait_states and cp = contention in
+  let nbits = ref 0 and payload = ref 0 and unstalled = ref 0 in
+  let frams = ref 0 and writes = ref 0 and first_bit = ref false in
+  Array.iter
+    (fun op ->
+      let kind = op land 15 in
+      if kind = op_fram_ifetch || kind = op_fram_read then begin
+        if !frams = 0 then first_bit := true;
+        incr nbits;
+        incr frams
+      end
+      else if kind = op_fram_write then begin
+        incr writes;
+        incr frams
+      end;
+      if kind = op_cycles then unstalled := !unstalled + (op lsr 4)
+      else if kind = op_call then payload := !payload + 2
+      else if kind >= op_fram_read && kind <= op_periph then incr payload)
+    ops;
+  let f = !frams in
+  let stalls, hit_events =
+    if f = 0 then (0, events_none)
+    else if ws < 0 || cp < 0 then (0, events_walk)
+    else if cp > 0 then
+      if ws > 0 then (f, if !first_bit then events_first else events_none)
+      else (f - 1, events_none)
+    else if ws > 0 then (!nbits + !writes, events_each)
+    else (0, events_none)
+  in
+  {
+    tp_id = id;
+    tp_source = source;
+    tp_pc = pc;
+    tp_ops = ops;
+    tp_wait_states = wait_states;
+    tp_contention = contention;
+    tp_nbits = !nbits;
+    tp_payload = !payload;
+    tp_unstalled = !unstalled;
+    tp_frams = !frams;
+    tp_writes = !writes;
+    tp_events = 1 + Array.length ops + stalls;
+    tp_hit_events = hit_events;
+  }
+
+let count_ops tp kind =
+  Array.fold_left (fun n op -> if op land 15 = kind then n + 1 else n) 0 tp.tp_ops
+
+let payload_slots tp kinds =
+  let slots = ref [] and slot = ref 0 in
+  Array.iter
+    (fun op ->
+      let kind = op land 15 in
+      if List.mem kind kinds then
+        slots := (if kind = op_call then !slot + 1 else !slot) :: !slots;
+      if kind = op_call then slot := !slot + 2
+      else if kind >= op_fram_read && kind <= op_periph then incr slot)
+    tp.tp_ops;
+  Array.of_list (List.rev !slots)
+
+let fetch_runs tp ~line_bytes =
+  let runs = ref [] and fetch = ref tp.tp_pc in
+  Array.iter
+    (fun op ->
+      let kind = op land 15 in
+      if kind = op_fram_ifetch || kind = op_sram_ifetch then begin
+        let line = (!fetch + (op asr 4)) / line_bytes in
+        fetch := !fetch + 2;
+        runs :=
+          match !runs with
+          | n :: l :: rest when l = line -> (n + 1) :: l :: rest
+          | runs -> 1 :: line :: runs
+      end)
+    tp.tp_ops;
+  Array.of_list (List.rev !runs)
+
+(* Hit bits are at most 30, so a 32-bit SWAR count suffices. *)
+let[@inline] popcount x =
+  let x = x - ((x lsr 1) land 0x55555555) in
+  let x = (x land 0x33333333) + ((x lsr 2) land 0x33333333) in
+  let x = (x + (x lsr 4)) land 0x0F0F0F0F in
+  ((x * 0x01010101) lsr 24) land 0xFF
+
+(* The record's stall total: every FRAM access that misses (a write
+   always does) waits, and every one past the first contends. *)
+let[@inline] record_stall tp bits =
+  (tp.tp_wait_states * (tp.tp_nbits - popcount bits + tp.tp_writes))
+  + if tp.tp_frams > 1 then tp.tp_contention * (tp.tp_frams - 1) else 0
+
 (* One callback per event kind. The emit sites and the trace decoder
    call these directly, so neither side builds an event value. The
    machine passes the "no runtime" answers: an ifetch's home is its
    address and a call's unit is -1; a caching runtime's answers are
-   filled in by the harness's enrichment adapter. *)
+   filled in by the harness's enrichment adapter. [templated] takes a
+   whole templated instruction at once; [None] has it expanded into
+   the callbacks above ([expand]). *)
 type sink = {
   instr : int -> int -> unit;  (* source index, pc *)
   cycles : int -> int -> unit;  (* unstalled, stall *)
@@ -53,9 +194,96 @@ type sink = {
   block_load : int -> unit;
   prefetch : int -> unit;
   phase : string -> unit;
+  templated : (template -> int -> int array -> unit) option;
+      (* template, hit bits, payload *)
 }
 
-(* Both sinks see every event, [a] first. *)
+(* The default adapter: a templated instruction as the live run
+   emitted it, each FRAM access followed by its stall when it has one.
+   Data addresses and call targets and units are read from the payload
+   in op order. *)
+let expand s tp bits payload =
+  let ws = tp.tp_wait_states and cp = tp.tp_contention in
+  s.instr tp.tp_source tp.tp_pc;
+  let ops = tp.tp_ops in
+  let bits = ref bits and fetch = ref tp.tp_pc and j = ref 0 and frams = ref 0 in
+  for i = 0 to Array.length ops - 1 do
+    let op = Array.unsafe_get ops i in
+    match op land 15 with
+    | 0 (* fram ifetch *) ->
+        let a = !fetch in
+        fetch := a + 2;
+        let hit = !bits land 1 = 1 in
+        bits := !bits lsr 1;
+        s.fram_ifetch hit a (a + (op asr 4));
+        incr frams;
+        let st = stall_rule ~wait_states:ws ~contention:cp hit !frams in
+        if st <> 0 then s.cycles 0 st
+    | 1 (* sram ifetch *) ->
+        let a = !fetch in
+        fetch := a + 2;
+        s.sram_ifetch a (a + (op asr 4))
+    | 2 (* fram read *) ->
+        let a = Array.unsafe_get payload !j in
+        incr j;
+        let hit = !bits land 1 = 1 in
+        bits := !bits lsr 1;
+        s.fram_read hit a;
+        incr frams;
+        let st = stall_rule ~wait_states:ws ~contention:cp hit !frams in
+        if st <> 0 then s.cycles 0 st
+    | 3 (* fram write *) ->
+        let a = Array.unsafe_get payload !j in
+        incr j;
+        s.fram_write a;
+        incr frams;
+        let st = stall_rule ~wait_states:ws ~contention:cp false !frams in
+        if st <> 0 then s.cycles 0 st
+    | 4 (* sram read *) ->
+        s.sram_read (Array.unsafe_get payload !j);
+        incr j
+    | 5 (* sram write *) ->
+        s.sram_write (Array.unsafe_get payload !j);
+        incr j
+    | 6 (* periph *) ->
+        s.periph (Array.unsafe_get payload !j);
+        incr j
+    | 7 (* cycles *) -> s.cycles (op lsr 4) 0
+    | 8 (* call *) ->
+        s.call (Array.unsafe_get payload !j) (Array.unsafe_get payload (!j + 1));
+        j := !j + 2
+    | _ (* return *) -> s.return ()
+  done
+
+(* The number of callbacks [expand] makes: the [instr], one per op and
+   one per FRAM access whose stall is not zero. *)
+let walk_events tp bits =
+  let ws = tp.tp_wait_states and cp = tp.tp_contention in
+  let bits = ref bits and n = ref 0 and count = ref 0 in
+  Array.iter
+    (fun op ->
+      let kind = op land 15 in
+      if kind = op_fram_ifetch || kind = op_fram_read || kind = op_fram_write then begin
+        let hit = kind <> op_fram_write && !bits land 1 = 1 in
+        if kind <> op_fram_write then bits := !bits lsr 1;
+        incr n;
+        if stall_rule ~wait_states:ws ~contention:cp hit !n <> 0 then incr count
+      end)
+    tp.tp_ops;
+  1 + Array.length tp.tp_ops + !count
+
+let[@inline] record_events tp bits =
+  match tp.tp_hit_events with
+  | 0 -> tp.tp_events
+  | 1 -> tp.tp_events - (bits land 1)
+  | 2 -> tp.tp_events - popcount bits
+  | _ -> walk_events tp bits
+
+(* Both sinks see every event, [a] first; a templated instruction goes
+   whole to each, expanded for a sink that does not take it whole. *)
+let fused s tp bits payload =
+  match s.templated with Some f -> f tp bits payload | None -> expand s tp bits payload
+
 let tee a b =
   {
     instr = (fun i pc -> a.instr i pc; b.instr i pc);
@@ -82,6 +310,14 @@ let tee a b =
     block_load = (fun nvm -> a.block_load nvm; b.block_load nvm);
     prefetch = (fun fid -> a.prefetch fid; b.prefetch fid);
     phase = (fun name -> a.phase name; b.phase name);
+    templated =
+      (match (a.templated, b.templated) with
+      | None, None -> None
+      | _ ->
+          Some
+            (fun tp bits payload ->
+              fused a tp bits payload;
+              fused b tp bits payload));
   }
 
 (* Stored events, for consumers that keep them (the bounded event ring
@@ -158,6 +394,7 @@ let event_sink f =
     block_load = (fun nvm -> rt (Block_load { nvm }));
     prefetch = (fun fid -> rt (Prefetch { fid }));
     phase = (fun name -> rt (Phase { name }));
+    templated = None;
   }
 
 type t = {

@@ -20,13 +20,112 @@ val source_name : source -> string
     The same record is what a trace replay ({!Replay.Trace_file.iter})
     drives, so a consumer is written once for live and replayed runs. *)
 
+(** {2 Instruction templates}
+
+    A trace stores most instructions as one record against a
+    {!template}: the instruction's fixed shape, interned once per trace
+    ({!Replay.Trace_file}). A record adds only what varies: the FRAM
+    read-cache hit bits and the payload. *)
+
+(** Op kinds. An op is one int: the kind in the low four bits and,
+    above them, the home offset (home - address) of a fetch or the
+    unstalled count of a [cycles] event; other kinds carry nothing.
+    Fetch [k] of an instruction at [pc] is at [pc + 2k]. *)
+
+val op_fram_ifetch : int
+val op_sram_ifetch : int
+val op_fram_read : int
+val op_fram_write : int
+val op_sram_read : int
+val op_sram_write : int
+val op_periph : int
+val op_cycles : int
+val op_call : int
+val op_return : int
+val op_kinds : int
+
+val stall_rule : wait_states:int -> contention:int -> bool -> int -> int
+(** [stall_rule ~wait_states ~contention hit n] is the stall of an
+    instruction's [n]-th FRAM access ([hit] is false for a write), as
+    {!Memory} charges it: [wait_states] on a read-cache miss, plus
+    [contention] from the second access on. The trace writer checks
+    live stalls against it, and a templated instruction's stalls are
+    derived from it. *)
+
+(** One instruction's shape: its events after the [instr], in order,
+    less the stall [cycles] events, under the recording's timing. A
+    template is built once, when the trace defines it, and is shared by
+    every record against it. The fields after [tp_contention] are
+    derived from the ops. *)
+type template = {
+  tp_id : int;  (** dense per trace, in definition order *)
+  tp_source : int;  (** source index ({!source_index}) *)
+  tp_pc : int;
+  tp_ops : int array;
+  tp_wait_states : int;
+  tp_contention : int;
+  tp_nbits : int;
+      (** hit bits: one per FRAM fetch and FRAM read, in op order (bit
+          0 first) *)
+  tp_payload : int;
+      (** payload slots: one per data access (its address) and two per
+          call (target, unit), in op order *)
+  tp_unstalled : int;  (** the sum of the [cycles] ops *)
+  tp_frams : int;  (** FRAM accesses: fetches, reads and writes *)
+  tp_writes : int;  (** FRAM writes *)
+  tp_events : int;  (** {!record_events} with every hit bit a miss *)
+  tp_hit_events : int;
+      (** how the hits lower that: not at all (0), by the first bit
+          (1), by each set bit (2), or found by walking the ops (3, for
+          negative timing) *)
+}
+
+val template :
+  id:int ->
+  source:int ->
+  pc:int ->
+  ops:int array ->
+  wait_states:int ->
+  contention:int ->
+  template
+(** Builds a template and its derived fields. *)
+
+val count_ops : template -> int -> int
+(** [count_ops tp kind] is the number of [kind] ops. *)
+
+val payload_slots : template -> int list -> int array
+(** [payload_slots tp kinds] are the payload slots of the ops of
+    [kinds], in op order: a data access's address, or a call's unit. *)
+
+val fetch_runs : template -> line_bytes:int -> int array
+(** [fetch_runs tp ~line_bytes] are the fetch homes of [tp] bucketed to
+    [line_bytes]-byte lines, as [line; count] pairs of consecutive
+    fetches of one line, in op order. *)
+
+val popcount : int -> int
+(** Set bits of a hit-bit word (at most 32 bits). *)
+
+val record_stall : template -> int -> int
+(** [record_stall tp bits] is the stall total of a record: the sum of
+    {!stall_rule} over its FRAM accesses. *)
+
+val record_events : template -> int -> int
+(** [record_events tp bits] is the number of callbacks {!expand} makes
+    for the record. *)
+
 (** One callback per event kind, called directly by the emit sites
     and by the trace decoder; no event value is built. The runtime-hook
     answers ride along: [home] is an instruction fetch's NVM home
     address and [unit] a call's cached unit. The machine passes the
     "no runtime" answers (home = address, unit = [-1]); a caching
     runtime's answers are filled in once per event by the harness's
-    enrichment adapter ({!Experiments.Toolchain}). *)
+    enrichment adapter ({!Experiments.Toolchain}).
+
+    A trace replay can also hand over a whole templated instruction in
+    one call, [templated]. A sink that sets it takes such an
+    instruction whole and must give the same result as the callbacks
+    {!expand} would make; a sink that leaves it [None] gets those
+    callbacks. The live machine calls only the per-event callbacks. *)
 type sink = {
   instr : int -> int -> unit;
       (** source index ({!source_index}), pc: an instruction begins;
@@ -55,10 +154,25 @@ type sink = {
   prefetch : int -> unit;
       (** fid cached ahead of its first call (prefetch extension) *)
   phase : string -> unit;  (** harness marker (boot/reboot) *)
+  templated : (template -> int -> int array -> unit) option;
+      (** [templated tp bits payload]: one instruction against [tp],
+          with its hit bits ([bits lsr tp.tp_nbits = 0]) and its
+          [tp.tp_payload] payload slots, data addresses absolute and a
+          call's unit [-1] for none. The payload array is the caller's
+          scratch, valid only during the call. *)
 }
 
+val expand : sink -> template -> int -> int array -> unit
+(** The default adapter: [expand s tp bits payload] makes the
+    per-event callbacks of the instruction, in the order the live run
+    emitted them, each FRAM access followed by its {!stall_rule} stall
+    when that is not zero. *)
+
 val tee : sink -> sink -> sink
-(** [tee a b] feeds every event to [a], then to [b]. *)
+(** [tee a b] feeds every event to [a], then to [b]. A templated
+    instruction goes whole to each, [a] first, and is expanded for
+    either that leaves [templated] unset; [templated] is [None] only
+    when both leave it unset. *)
 
 (** {2 Stored events}
 
@@ -96,7 +210,7 @@ type event =
 
 val event_sink : (event -> unit) -> sink
 (** The adapter that builds an event value per callback and hands it
-    to [f]. Homes and units are dropped. *)
+    to [f]. Homes and units are dropped, and [templated] is [None]. *)
 
 type t = {
   mutable unstalled_cycles : int;

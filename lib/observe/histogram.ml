@@ -29,6 +29,17 @@ let add t addr =
     t.total <- t.total + 1
   end
 
+let bucket t addr =
+  if addr < t.lo || addr >= t.hi then -1
+  else (addr - t.lo) * Array.length t.counts / (t.hi - t.lo)
+
+let add_bucket t b ~n =
+  if b < 0 then t.clipped <- t.clipped + n
+  else begin
+    t.counts.(b) <- t.counts.(b) + n;
+    t.total <- t.total + n
+  end
+
 let counts t = Array.copy t.counts
 let total t = t.total
 let clipped t = t.clipped

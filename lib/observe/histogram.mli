@@ -11,6 +11,14 @@ val create : lo:int -> hi:int -> buckets:int -> t
 val add : t -> int -> unit
 (** [add t addr] increments the bucket containing [addr]. *)
 
+val bucket : t -> int -> int
+(** [bucket t addr] is the bucket [add t addr] increments, or [-1]
+    when [addr] is clipped. It depends only on the range and the
+    bucket count. *)
+
+val add_bucket : t -> int -> n:int -> unit
+(** [add_bucket t (bucket t addr) ~n] is [n] times [add t addr]. *)
+
 val counts : t -> int array
 (** Per-bucket counts, a fresh copy. *)
 

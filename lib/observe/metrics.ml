@@ -66,6 +66,28 @@ type window = {
   w_sram_hist : Histogram.t;
 }
 
+(* What a template's records add to a window. Everything but the hit
+   bits' share, the data addresses and the call units is fixed by the
+   template, so a window counts its records and adds that part when it
+   closes ([settle]); the histogram buckets of its fetches are worked
+   out once. *)
+type shape = {
+  s_tpl : Msp430.Trace.template;
+  s_whole : bool; (* its stalls are never negative: cycles only grow *)
+  s_stall : int; (* with every hit bit a miss *)
+  s_cycles : int; (* unstalled + [s_stall] *)
+  s_sram : int; (* SRAM fetches, reads and writes *)
+  s_periph : int;
+  s_calls : int;
+  s_returns : int;
+  s_fram_fetch : int array; (* bucket per FRAM fetch, -1 when clipped *)
+  s_sram_fetch : int array;
+  s_fram_data : int array; (* payload slots of FRAM reads and writes *)
+  s_sram_data : int array;
+  s_units : int array; (* payload slots of call units *)
+  s_lines : int array; (* [Lines] mode: [line; count] runs of fetch homes *)
+}
+
 type t = {
   spec : spec;
   params : Msp430.Energy.params;
@@ -83,6 +105,12 @@ type t = {
      not yet handed to [reuse] ([run_len] = 0: none). *)
   mutable run_line : int;
   mutable run_len : int;
+  mutable shapes : shape array; (* by template id *)
+  (* The current window's records by template id, not yet added to it,
+     and the ids with records. *)
+  mutable uses : int array;
+  mutable touched : int array;
+  mutable ntouched : int;
 }
 
 let fresh_window ~spec ~fram_lo ~fram_hi ~sram_lo ~sram_hi start =
@@ -134,11 +162,43 @@ let create spec ~params ~fram:(fram_lo, fram_hi) ~sram:(sram_lo, sram_hi)
       | Functions | Lines _ -> Some (Reuse.create ()));
     run_line = 0;
     run_len = 0;
+    shapes = [||];
+    uses = [||];
+    touched = [||];
+    ntouched = 0;
   }
 
 let window_cycles w = w.w_unstalled + w.w_stall
 
+(* Adds the fixed part of the current window's templated records to it:
+   all but the hit bits' share, which [whole] added per record. *)
+let settle t =
+  let w = t.cur in
+  for k = 0 to t.ntouched - 1 do
+    let id = t.touched.(k) in
+    let n = t.uses.(id) and sh = t.shapes.(id) in
+    let tp = sh.s_tpl in
+    t.uses.(id) <- 0;
+    w.w_instrs <- w.w_instrs + n;
+    w.w_unstalled <- w.w_unstalled + (n * tp.Msp430.Trace.tp_unstalled);
+    w.w_stall <- w.w_stall + (n * sh.s_stall);
+    w.w_fram_read_misses <- w.w_fram_read_misses + (n * tp.Msp430.Trace.tp_nbits);
+    w.w_fram_writes <- w.w_fram_writes + (n * tp.Msp430.Trace.tp_writes);
+    w.w_sram_accesses <- w.w_sram_accesses + (n * sh.s_sram);
+    w.w_periph <- w.w_periph + (n * sh.s_periph);
+    w.w_calls <- w.w_calls + (n * sh.s_calls);
+    w.w_returns <- w.w_returns + (n * sh.s_returns);
+    for i = 0 to Array.length sh.s_fram_fetch - 1 do
+      Histogram.add_bucket w.w_fram_hist sh.s_fram_fetch.(i) ~n
+    done;
+    for i = 0 to Array.length sh.s_sram_fetch - 1 do
+      Histogram.add_bucket w.w_sram_hist sh.s_sram_fetch.(i) ~n
+    done
+  done;
+  t.ntouched <- 0
+
 let close_window t =
+  settle t;
   t.cur.w_occupancy <- t.occupancy;
   t.closed <- t.cur :: t.closed;
   t.cur <-
@@ -149,6 +209,7 @@ let nonempty w =
   window_cycles w > 0 || w.w_instrs > 0 || w.w_miss_entries > 0
 
 let windows t =
+  settle t;
   List.rev (if nonempty t.cur then t.cur :: t.closed else t.closed)
 
 let size_of t fid = max 0 (t.fid_size fid)
@@ -186,6 +247,15 @@ let line_access t home =
       end
   | Functions | No_reuse -> ()
 
+(* [len] consecutive fetches of [line]. *)
+let line_run t line len =
+  if t.run_len > 0 && line = t.run_line then t.run_len <- t.run_len + len
+  else begin
+    flush_run t;
+    t.run_line <- line;
+    t.run_len <- len
+  end
+
 let fram_read t hit addr =
   let w = t.cur in
   if hit then w.w_fram_read_hits <- w.w_fram_read_hits + 1
@@ -197,10 +267,120 @@ let sram_access t addr =
   w.w_sram_accesses <- w.w_sram_accesses + 1;
   Histogram.add w.w_sram_hist addr
 
+let shape_of t (tp : Msp430.Trace.template) =
+  let module T = Msp430.Trace in
+  (* Every window's histograms share their ranges, so the current
+     window's give every window's buckets. *)
+  let buckets h kind =
+    let fetch = ref tp.T.tp_pc and found = ref [] in
+    Array.iter
+      (fun op ->
+        if op land 15 = T.op_fram_ifetch || op land 15 = T.op_sram_ifetch then begin
+          if op land 15 = kind then found := Histogram.bucket h !fetch :: !found;
+          fetch := !fetch + 2
+        end)
+      tp.T.tp_ops;
+    Array.of_list (List.rev !found)
+  in
+  let count = T.count_ops tp in
+  let shape =
+    {
+      s_tpl = tp;
+      s_whole = tp.T.tp_wait_states >= 0 && tp.T.tp_contention >= 0;
+      s_stall = T.record_stall tp 0;
+      s_cycles = tp.T.tp_unstalled + T.record_stall tp 0;
+      s_sram = count T.op_sram_ifetch + count T.op_sram_read + count T.op_sram_write;
+      s_periph = count T.op_periph;
+      s_calls = count T.op_call;
+      s_returns = count T.op_return;
+      s_fram_fetch = buckets t.cur.w_fram_hist T.op_fram_ifetch;
+      s_sram_fetch = buckets t.cur.w_sram_hist T.op_sram_ifetch;
+      s_fram_data = T.payload_slots tp [ T.op_fram_read; T.op_fram_write ];
+      s_sram_data = T.payload_slots tp [ T.op_sram_read; T.op_sram_write ];
+      s_units = T.payload_slots tp [ T.op_call ];
+      s_lines =
+        (match t.spec.reuse with
+        | Lines n -> T.fetch_runs tp ~line_bytes:n
+        | Functions | No_reuse -> [||]);
+    }
+  in
+  let id = tp.T.tp_id in
+  if id >= Array.length t.shapes then begin
+    let n = max 64 (2 * id) in
+    let grow a fill =
+      let b = Array.make n fill in
+      Array.blit a 0 b 0 (Array.length a);
+      b
+    in
+    t.shapes <- grow t.shapes shape;
+    t.uses <- grow t.uses 0;
+    t.touched <- grow t.touched 0
+  end;
+  t.shapes.(id) <- shape;
+  shape
+
+(* A templated instruction whose cycles leave the window open is
+   counted against its template, and adds its hit bits' share, data
+   addresses, call units and line runs; one whose cycles may close the
+   window is expanded into [s], so the window closes at the same
+   [cycles] event as it would live. *)
+let whole t s (tp : Msp430.Trace.template) bits payload =
+  let id = tp.Msp430.Trace.tp_id in
+  let sh =
+    if id < Array.length t.shapes && (Array.unsafe_get t.shapes id).s_tpl == tp then
+      Array.unsafe_get t.shapes id
+    else shape_of t tp
+  in
+  let hits = Msp430.Trace.popcount bits in
+  let saved = tp.Msp430.Trace.tp_wait_states * hits in
+  let cycles = sh.s_cycles - saved in
+  let w = t.cur in
+  if (not sh.s_whole) || t.total_cycles + cycles - w.w_start >= t.spec.window_cycles
+  then Msp430.Trace.expand s tp bits payload
+  else begin
+    t.total_cycles <- t.total_cycles + cycles;
+    let n = Array.unsafe_get t.uses id in
+    if n = 0 then begin
+      Array.unsafe_set t.touched t.ntouched id;
+      t.ntouched <- t.ntouched + 1
+    end;
+    Array.unsafe_set t.uses id (n + 1);
+    if hits > 0 then begin
+      w.w_fram_read_hits <- w.w_fram_read_hits + hits;
+      w.w_fram_read_misses <- w.w_fram_read_misses - hits;
+      w.w_stall <- w.w_stall - saved
+    end;
+    let data = sh.s_fram_data in
+    for k = 0 to Array.length data - 1 do
+      Histogram.add w.w_fram_hist (Array.unsafe_get payload (Array.unsafe_get data k))
+    done;
+    let data = sh.s_sram_data in
+    for k = 0 to Array.length data - 1 do
+      Histogram.add w.w_sram_hist (Array.unsafe_get payload (Array.unsafe_get data k))
+    done;
+    let units = sh.s_units in
+    for k = 0 to Array.length units - 1 do
+      let unit_id = Array.unsafe_get payload (Array.unsafe_get units k) in
+      if unit_id >= 0 then begin
+        w.w_unit_hits <- w.w_unit_hits + 1;
+        match t.spec.reuse with
+        | Functions -> reuse_access t ~unit_id ~bytes:(size_of t unit_id)
+        | Lines _ | No_reuse -> ()
+      end
+    done;
+    let lines = sh.s_lines in
+    let k = ref 0 in
+    while !k < Array.length lines do
+      line_run t (Array.unsafe_get lines !k) (Array.unsafe_get lines (!k + 1));
+      k := !k + 2
+    done
+  end
+
 (* The same callbacks serve a live run and a trace replay: the hook
-   answers (homes, units) arrive as arguments either way. *)
+   answers (homes, units) arrive as arguments either way. A replay
+   hands over each templated instruction whole ([whole]). *)
 let sink t =
-  {
+  let s = {
     Msp430.Trace.instr =
       (fun _source _pc -> t.cur.w_instrs <- t.cur.w_instrs + 1);
     cycles =
@@ -277,7 +457,10 @@ let sink t =
         t.cur.w_prefetches <- t.cur.w_prefetches + 1;
         t.occupancy <- t.occupancy + size_of t fid);
     phase = (fun _name -> ());
+    templated = None;
   }
+  in
+  { s with templated = Some (fun tp bits payload -> whole t s tp bits payload) }
 
 (* --- Derived quantities ------------------------------------------------ *)
 

@@ -79,7 +79,12 @@ val sink : t -> Msp430.Trace.sink
 (** The sampler's input, for a live run (through the harness fan-out)
     and a trace replay ({!Replay.Trace_file.iter}) alike. It uses the
     hook answers the sink receives: a call's [unit] ([>= 0] is a hit
-    in the cache region) and an instruction fetch's NVM [home]. *)
+    in the cache region) and an instruction fetch's NVM [home]. It
+    takes a replay's templated instructions whole: a window counts
+    them per template and adds their fixed share when it closes, and
+    an instruction whose cycles may reach the window's end is expanded,
+    so every window closes at the [cycles] event it would close at
+    live. *)
 
 val windows : t -> window list
 (** Closed windows in run order, plus the in-progress window if it

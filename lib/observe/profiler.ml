@@ -214,6 +214,7 @@ let sink t =
     block_load = (fun _nvm -> ());
     prefetch = (fun _fid -> ());
     phase = (fun _name -> ());
+    templated = None;
   }
 
 (* --- Reports ----------------------------------------------------------- *)

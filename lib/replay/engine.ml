@@ -118,6 +118,19 @@ type accum = {
   (* Highest unit id pushed into [ac_refs]; lets [simulate] size its
      direct-indexed residency arrays without a pre-pass per cell. *)
   mutable ac_max_unit : int;
+  (* Templated instructions, by template id: the template, its records
+     so far, and its references ([template_refs]). Their counters are
+     folded in by [fold_templates]; only the hit bits and the
+     references vary per record. *)
+  mutable ac_tpls : Trace.template array;
+  mutable ac_uses : int array;
+  mutable ac_tpl_refs : int array array;
+  mutable ac_tpl_hits : int;
+  (* The stall the templated instructions' hit bits give. [ac_stall]
+     keeps what the tagged [cycles] events recorded, and [load] checks
+     their sum against the counters, so a recorded stall off the rule
+     still fails the check. *)
+  mutable ac_derived_stall : int;
 }
 
 let fresh_accum functions line_size =
@@ -154,6 +167,11 @@ let fresh_accum functions line_size =
     ac_line_home = min_int;
     ac_line_len = 0;
     ac_max_unit = -1;
+    ac_tpls = [||];
+    ac_uses = [||];
+    ac_tpl_refs = [||];
+    ac_tpl_hits = 0;
+    ac_derived_stall = 0;
   }
 
 let push_line a home =
@@ -166,6 +184,19 @@ let push_line a home =
     end;
     a.ac_line_home <- line;
     a.ac_line_len <- 1;
+    if line > a.ac_max_unit then a.ac_max_unit <- line
+  end
+
+(* [len] consecutive fetches of [line]. *)
+let push_run a line len =
+  if line = a.ac_line_home then a.ac_line_len <- a.ac_line_len + len
+  else begin
+    if a.ac_line_len > 0 then begin
+      vec_push a.ac_refs a.ac_line_home;
+      vec_push a.ac_refs a.ac_line_len
+    end;
+    a.ac_line_home <- line;
+    a.ac_line_len <- len;
     if line > a.ac_max_unit then a.ac_max_unit <- line
   end
 
@@ -186,10 +217,73 @@ let note_fram_access a =
   a.ac_fram_this_instr <- a.ac_fram_this_instr + 1;
   if a.ac_fram_this_instr > 1 then a.ac_contention <- a.ac_contention + 1
 
+(* What a template's records add to the reference stream: for a
+   function trace, the payload slots of its call units; for a line
+   trace, its fetch homes as [line; count] runs. *)
+let template_refs a tp =
+  if a.ac_functions then Trace.payload_slots tp [ Trace.op_call ]
+  else Trace.fetch_runs tp ~line_bytes:a.ac_line_size
+
+(* Adds [n] records of [tp] to the counters, less their hit bits'
+   share, which [templated] counted per record. *)
+let fold_template a (tp : Trace.template) n =
+  let count = Trace.count_ops tp in
+  let src = tp.Trace.tp_source in
+  a.ac_instructions <- a.ac_instructions + n;
+  a.ac_by_source.(src) <- a.ac_by_source.(src) + n;
+  a.ac_unstalled <- a.ac_unstalled + (n * tp.Trace.tp_unstalled);
+  a.ac_fram_ifetch <- a.ac_fram_ifetch + (n * count Trace.op_fram_ifetch);
+  a.ac_fram_data_reads <- a.ac_fram_data_reads + (n * count Trace.op_fram_read);
+  a.ac_fram_writes <- a.ac_fram_writes + (n * tp.Trace.tp_writes);
+  a.ac_sram_ifetch <- a.ac_sram_ifetch + (n * count Trace.op_sram_ifetch);
+  a.ac_sram_data_reads <- a.ac_sram_data_reads + (n * count Trace.op_sram_read);
+  a.ac_sram_writes <- a.ac_sram_writes + (n * count Trace.op_sram_write);
+  a.ac_periph <- a.ac_periph + (n * count Trace.op_periph);
+  a.ac_calls <- a.ac_calls + (n * count Trace.op_call);
+  a.ac_returns <- a.ac_returns + (n * count Trace.op_return);
+  let contention = max 0 (tp.Trace.tp_frams - 1) in
+  a.ac_contention <- a.ac_contention + (n * contention);
+  a.ac_derived_stall <- a.ac_derived_stall + (n * Trace.record_stall tp 0)
+
+(* Folds every template's records into the counters (at the end of the
+   stream). The hit bits' share: each hit is one read-cache hit and
+   [wait_states] less stall. *)
+let fold_templates a ~wait_states =
+  for id = 0 to Array.length a.ac_uses - 1 do
+    let n = a.ac_uses.(id) in
+    if n > 0 then begin
+      fold_template a a.ac_tpls.(id) n;
+      a.ac_uses.(id) <- 0
+    end
+  done;
+  a.ac_derived_stall <- a.ac_derived_stall - (wait_states * a.ac_tpl_hits);
+  a.ac_fram_read_hits <- a.ac_fram_read_hits + a.ac_tpl_hits;
+  a.ac_tpl_hits <- 0
+
+(* The first record of template [tp] (a sink reads one trace, so an id
+   names one template): make room for its id. *)
+let note_template a (tp : Trace.template) =
+  let id = tp.Trace.tp_id in
+  if id >= Array.length a.ac_uses then begin
+    let n = max 64 (2 * id) in
+    let grow arr fill =
+      let b = Array.make n fill in
+      Array.blit arr 0 b 0 (Array.length arr);
+      b
+    in
+    a.ac_tpls <- grow a.ac_tpls tp;
+    a.ac_uses <- grow a.ac_uses 0;
+    a.ac_tpl_refs <- grow a.ac_tpl_refs [||]
+  end;
+  a.ac_tpls.(id) <- tp;
+  a.ac_tpl_refs.(id) <- template_refs a tp
+
 (* The accumulating sink is the allocation-free hot loop: every
    callback is straight counter arithmetic (plus a ref push), which is
    what makes loading a multi-hundred-megacycle trace cheaper than
-   re-simulating it. *)
+   re-simulating it. A templated instruction costs a count, its hit
+   bits and its references: its other counters are a function of the
+   template, folded in at the end. *)
 let accum_sink a =
   {
     Trace.instr =
@@ -251,6 +345,31 @@ let accum_sink a =
     block_load = (fun _nvm -> a.ac_block_loads <- a.ac_block_loads + 1);
     prefetch = (fun _fid -> a.ac_prefetches <- a.ac_prefetches + 1);
     phase = (fun _name -> ());
+    templated =
+      Some
+        (fun tp bits payload ->
+          let id = tp.Trace.tp_id in
+          if id >= Array.length a.ac_uses || a.ac_tpls.(id) != tp then
+            note_template a tp;
+          a.ac_uses.(id) <- a.ac_uses.(id) + 1;
+          a.ac_tpl_hits <- a.ac_tpl_hits + Trace.popcount bits;
+          a.ac_fram_this_instr <- tp.Trace.tp_frams;
+          let refs = a.ac_tpl_refs.(id) in
+          if a.ac_functions then
+            for k = 0 to Array.length refs - 1 do
+              let u = Array.unsafe_get payload (Array.unsafe_get refs k) in
+              if u >= 0 then begin
+                vec_push a.ac_refs (u lsl 1);
+                if u > a.ac_max_unit then a.ac_max_unit <- u
+              end
+            done
+          else begin
+            let k = ref 0 in
+            while !k < Array.length refs do
+              push_run a (Array.unsafe_get refs !k) (Array.unsafe_get refs (!k + 1));
+              k := !k + 2
+            done
+          end);
   }
 
 let fram_read_misses l = l.fram_ifetch + l.fram_data_reads - l.fram_read_hits
@@ -275,7 +394,7 @@ let load_cache_limit = 64
 
 let clear_load_cache () = Hashtbl.reset load_cache
 
-let load path =
+let load_through through path =
   let accum = ref None in
   let make (h : Trace_file.header) =
     let a =
@@ -284,12 +403,13 @@ let load path =
       | Trace_file.Lines n -> fresh_accum false (max 1 n)
     in
     accum := Some a;
-    accum_sink a
+    through (accum_sink a)
   in
   match Trace_file.iter path ~make with
   | Error e -> Error (Format_error e)
   | Ok (header, events) ->
       let a = match !accum with Some a -> a | None -> assert false in
+      fold_templates a ~wait_states:header.Trace_file.wait_states;
       flush_line a;
       let bytes =
         match (Unix.stat path).Unix.st_size with
@@ -324,7 +444,7 @@ let load path =
           instructions = a.ac_instructions;
           by_source = a.ac_by_source;
           unstalled = a.ac_unstalled;
-          recorded_stall = a.ac_stall;
+          recorded_stall = a.ac_stall + a.ac_derived_stall;
           fram_ifetch = a.ac_fram_ifetch;
           fram_data_reads = a.ac_fram_data_reads;
           fram_read_hits = a.ac_fram_read_hits;
@@ -358,6 +478,8 @@ let load path =
                 l.recorded_stall reconstructed
                 header.Trace_file.wait_states))
       else Ok l
+
+let load path = load_through Fun.id path
 
 let load_cached path =
   let signature () =
@@ -1110,7 +1232,7 @@ let mrc l =
 
 (* --- Full metrics replay ----------------------------------------------- *)
 
-let replay_metrics ?(window = 65536) ?(buckets = 48) path =
+let replay_metrics ?(through = Fun.id) ?(window = 65536) ?(buckets = 48) path =
   match Trace_file.read_header path with
   | Error e -> Error (Format_error e)
   | Ok h -> (
@@ -1145,7 +1267,7 @@ let replay_metrics ?(window = 65536) ?(buckets = 48) path =
                   else 0)
             in
             metrics := Some m;
-            Observe.Metrics.sink m
+            through (Observe.Metrics.sink m)
           in
           match (Trace_file.iter path ~make, !metrics) with
           | Error e, _ -> Error (Format_error e)

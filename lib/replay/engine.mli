@@ -86,6 +86,14 @@ val load : string -> (loaded, error) result
     recorded stall total must be reconstructable from the recorded
     wait states and contention events). *)
 
+val load_through :
+  (Msp430.Trace.sink -> Msp430.Trace.sink) -> string -> (loaded, error) result
+(** [load_through f] is {!load} with its accumulating sink passed
+    through [f] first. [load] is [load_through Fun.id]; the tests pass
+    an [f] that sets [templated] to [None], so that templated
+    instructions reach the sink expanded, and check that the two loads
+    are equal. *)
+
 val load_cached : string -> (loaded, error) result
 (** [load], backed by a process-local cache so repeated evaluations of
     one trace decode it once per process. A cached entry is served
@@ -260,12 +268,18 @@ val mrc : loaded -> Observe.Reuse.t
 (** {2 Full metrics replay} *)
 
 val replay_metrics :
-  ?window:int -> ?buckets:int -> string -> (Observe.Metrics.t * Trace_file.header, error) result
+  ?through:(Msp430.Trace.sink -> Msp430.Trace.sink) ->
+  ?window:int ->
+  ?buckets:int ->
+  string ->
+  (Observe.Metrics.t * Trace_file.header, error) result
 (** Stream the whole file through a fresh {!Observe.Metrics} sampler:
     the decoder drives {!Observe.Metrics.sink}, the sink a live run
-    feeds, with the recorded hook answers. With the executed run's window/bucket
+    feeds, with the recorded hook answers, and hands it each templated
+    instruction whole. With the executed run's window/bucket
     spec (defaults: 65536-cycle windows, 48 buckets) the replayed
     CSV / series / MRC renderings are byte-identical to the executed
     ones. A recorded frequency other than 8 or 24 MHz is a
     [Model_error], found from the header before any event is
-    decoded. *)
+    decoded. [through] (default [Fun.id]) wraps the sampler's sink, as
+    in {!load_through}. *)

@@ -93,22 +93,8 @@ let tag_hit_bits = 6
 (* --- Templates --------------------------------------------------------- *)
 
 (* A template is the instruction's events after its [instr], in order,
-   less the stall [cycles] events, which are derived. Each is one int:
-   the kind in the low four bits and, for a fetch, the home offset
-   (home - address) or, for [cycles], the unstalled count above them.
-   Fetch k of an instruction at pc is at pc + 2k. *)
-let op_fram_ifetch = 0
-let op_sram_ifetch = 1
-let op_fram_read = 2
-let op_fram_write = 3
-let op_sram_read = 4
-let op_sram_write = 5
-let op_periph = 6
-let op_cycles = 7
-let op_call = 8
-let op_return = 9
-let op_kinds = 10
-
+   less the stall [cycles] events, which are derived: the ops of
+   [Trace.template], one int each. *)
 (* Bounds that keep a record within [max_event] bytes: every data
    access has one payload varint and a call two (target, unit + 1),
    and the hit bits past the tag's six take one raw byte per eight. *)
@@ -123,14 +109,6 @@ let max_templates = 0xFFFF
 
 let extra_bit_bytes nbits =
   if nbits <= tag_hit_bits then 0 else (nbits - tag_hit_bits + 7) / 8
-
-(* The stall of an instruction's [n]-th FRAM access ([hit] is false for
-   a write), as [Msp430.Memory] charges it: the wait states on a
-   read-cache miss, plus the contention penalty from the second access
-   on. The writer checks live stalls against it; the reader derives
-   them from it. *)
-let[@inline] stall_rule ~wait_states ~contention hit n =
-  (if hit then 0 else wait_states) + if n > 1 then contention else 0
 
 (* --- Varints ----------------------------------------------------------- *)
 
@@ -234,13 +212,8 @@ let header_of_json j =
    instruction even when it departs from its template and is rewritten
    as tagged events (see [depart]). *)
 
-type template = {
-  t_src : int;
-  t_hd : int; (* home - pc of the first fetch: with pc and src, the key *)
-  t_ops : int array;
-  t_nbits : int;
-  mutable t_next : int; (* the template that followed this one last time *)
-}
+(* Templates are stored flat: their ops back to back in one pool, in
+   id order, and a few ints per id. *)
 
 (* What the writer does with the events of the current instruction:
    [Pending] until its first fetch picks a template, then [Templated]
@@ -262,8 +235,13 @@ type writer = {
   wait_states : int;
   contention : int;
   by_pc : Bytes.t; (* 1 + the template last used at each even pc, or 0 *)
-  keyed : (int, int) Hashtbl.t; (* every template by [key] *)
-  mutable tpls : template array;
+  keyed : (int, int) Hashtbl.t;
+      (* by [key], the templates of each pc that has more than one *)
+  mutable pool : int array; (* every template's ops, in id order *)
+  mutable t_off : int array; (* per id, its ops' offset in [pool]; one more *)
+  mutable t_key : int array; (* per id, its [key] *)
+  mutable t_nbits : int array;
+  mutable t_next : int array; (* the template that followed it last time *)
   mutable ntpls : int;
   mutable last : int; (* the previous instruction's template, or -1 *)
   (* The instruction in progress. *)
@@ -271,7 +249,8 @@ type writer = {
   mutable src : int;
   mutable pc : int;
   mutable pc_before : int; (* [prev_pc] before it, for a tagged [instr] *)
-  mutable ops : int array; (* Templated: the template's ops *)
+  mutable ops_at : int; (* Templated: the template's ops in [pool] *)
+  mutable nops : int;
   mutable k : int; (* ops matched (or built) so far *)
   mutable fetches : int;
   mutable frams : int; (* FRAM accesses, for the contention rule *)
@@ -320,15 +299,20 @@ let create_writer path header =
     wait_states = header.wait_states;
     contention = header.contention_penalty;
     by_pc = Bytes.make 0x10000 '\000';
-    keyed = Hashtbl.create 256;
-    tpls = [||];
+    keyed = Hashtbl.create 16;
+    pool = Array.make 256 0;
+    t_off = Array.make 65 0;
+    t_key = Array.make 64 0;
+    t_nbits = Array.make 64 0;
+    t_next = Array.make 64 0;
     ntpls = 0;
     last = -1;
     mode = Tagged;
     src = 0;
     pc = 0;
     pc_before = 0;
-    ops = [||];
+    ops_at = 0;
+    nops = 0;
     k = 0;
     fetches = 0;
     frams = 0;
@@ -448,7 +432,7 @@ let fram_tag ~ifetch hit =
   else tag_fram_read_miss
 
 let[@inline] fram_stall w hit n =
-  stall_rule ~wait_states:w.wait_states ~contention:w.contention hit n
+  Trace.stall_rule ~wait_states:w.wait_states ~contention:w.contention hit n
 
 let[@inline] fram_access w hit =
   let n = w.frams + 1 in
@@ -459,15 +443,16 @@ let[@inline] fram_access w hit =
 
 let key ~src ~pc ~hd = (((hd lsl 2) lor src) lsl 16) lor pc
 
-(* The template for the current instruction's key, or -1. *)
+(* The template for the current instruction's key, or -1: the one last
+   used at its pc, else (the pc has several) the keyed one. *)
 let lookup w hd =
   let id = Bytes.get_uint16_le w.by_pc w.pc - 1 in
   if id < 0 then -1
   else
-    let t = w.tpls.(id) in
-    if t.t_hd = hd && t.t_src = w.src then id
+    let key = key ~src:w.src ~pc:w.pc ~hd in
+    if w.t_key.(id) = key then id
     else
-      match Hashtbl.find w.keyed (key ~src:w.src ~pc:w.pc ~hd) with
+      match Hashtbl.find w.keyed key with
       | id ->
           Bytes.set_uint16_le w.by_pc w.pc (id + 1);
           id
@@ -476,33 +461,32 @@ let lookup w hd =
 (* Starts a record: a tag byte and the hit bytes are reserved and
    filled in by [seal]. *)
 let open_record w id =
-  let t = w.tpls.(id) in
   w.tpl <- id;
-  w.ops <- t.t_ops;
+  w.ops_at <- w.t_off.(id);
+  w.nops <- w.t_off.(id + 1) - w.ops_at;
   w.rec_start <- w.pos;
   w.addr_before <- w.prev_addr;
-  w.explicit <- w.last < 0 || w.tpls.(w.last).t_next <> id;
+  w.explicit <- w.last < 0 || w.t_next.(w.last) <> id;
   w.pos <- w.pos + 1;
   if w.explicit then add_varint w id;
-  w.pos <- w.pos + extra_bit_bytes t.t_nbits;
+  w.pos <- w.pos + extra_bit_bytes w.t_nbits.(id);
   w.pay_start <- w.pos;
   w.mode <- Templated
 
 let seal w =
-  let t = w.tpls.(w.tpl) in
   let bits = w.bits in
   Bytes.unsafe_set w.buf w.rec_start
     (Char.unsafe_chr
        (tag_record
        lor (if w.explicit then record_explicit else 0)
        lor (bits land ((1 lsl tag_hit_bits) - 1))));
-  let extra = extra_bit_bytes t.t_nbits in
+  let extra = extra_bit_bytes w.t_nbits.(w.tpl) in
   for i = 0 to extra - 1 do
     Bytes.unsafe_set w.buf
       (w.pay_start - extra + i)
       (Char.unsafe_chr ((bits lsr (tag_hit_bits + (8 * i))) land 0xFF))
   done;
-  if w.last >= 0 then w.tpls.(w.last).t_next <- w.tpl;
+  if w.last >= 0 then w.t_next.(w.last) <- w.tpl;
   w.last <- w.tpl;
   w.mode <- Tagged
 
@@ -544,32 +528,32 @@ let depart w =
   t_instr w;
   let fetch = ref w.pc in
   for j = 0 to w.k - 1 do
-    let op = w.ops.(j) in
+    let op = w.pool.(w.ops_at + j) in
     let kind = op land 15 in
-    if kind = op_fram_ifetch || kind = op_sram_ifetch then begin
+    if kind = Trace.op_fram_ifetch || kind = Trace.op_sram_ifetch then begin
       let a = !fetch in
       fetch := a + 2;
-      if kind = op_sram_ifetch then t_ifetch w tag_sram_ifetch a (a + (op asr 4))
+      if kind = Trace.op_sram_ifetch then t_ifetch w tag_sram_ifetch a (a + (op asr 4))
       else begin
         let hit = next_bit w in
         t_ifetch w (fram_tag ~ifetch:true hit) a (a + (op asr 4));
         re_stall w j hit
       end
     end
-    else if kind = op_fram_read then begin
+    else if kind = Trace.op_fram_read then begin
       let hit = next_bit w in
       t_access w (fram_tag ~ifetch:false hit) (spare_data w);
       re_stall w j hit
     end
-    else if kind = op_fram_write then begin
+    else if kind = Trace.op_fram_write then begin
       t_access w tag_fram_write (spare_data w);
       re_stall w j false
     end
-    else if kind = op_sram_read then t_access w tag_sram_read (spare_data w)
-    else if kind = op_sram_write then t_access w tag_sram_write (spare_data w)
-    else if kind = op_periph then t_access w tag_periph (spare_data w)
-    else if kind = op_cycles then t_cycles w (op lsr 4) 0
-    else if kind = op_call then begin
+    else if kind = Trace.op_sram_read then t_access w tag_sram_read (spare_data w)
+    else if kind = Trace.op_sram_write then t_access w tag_sram_write (spare_data w)
+    else if kind = Trace.op_periph then t_access w tag_periph (spare_data w)
+    else if kind = Trace.op_cycles then t_cycles w (op lsr 4) 0
+    else if kind = Trace.op_call then begin
       let target = spare_varint w 0 0 in
       t_call w target (spare_varint w 0 0 - 1)
     end
@@ -577,34 +561,45 @@ let depart w =
   done;
   w.mode <- Tagged
 
-(* The first sighting of a key completes: define its template. *)
+let grown a n = if n <= Array.length a then a else Array.append a a
+
+(* The first sighting of a key completes: define its template. A pc
+   that gets a second template puts both in [keyed]. *)
 let define w =
   let id = w.ntpls in
-  let ops = Array.sub w.builder 0 w.k in
-  let t =
-    { t_src = w.src; t_hd = ops.(0) asr 4; t_ops = ops; t_nbits = w.nbits; t_next = -1 }
-  in
-  if id = Array.length w.tpls then begin
-    let tpls = Array.make (max 64 (2 * id)) t in
-    Array.blit w.tpls 0 tpls 0 id;
-    w.tpls <- tpls
-  end;
-  w.tpls.(id) <- t;
+  let off = w.t_off.(id) in
+  w.t_off <- grown w.t_off (id + 2);
+  w.t_key <- grown w.t_key (id + 1);
+  w.t_nbits <- grown w.t_nbits (id + 1);
+  w.t_next <- grown w.t_next (id + 1);
+  while off + w.k > Array.length w.pool do
+    w.pool <- Array.append w.pool w.pool
+  done;
+  Array.blit w.builder 0 w.pool off w.k;
+  let key = key ~src:w.src ~pc:w.pc ~hd:(w.builder.(0) asr 4) in
+  w.t_off.(id + 1) <- off + w.k;
+  w.t_key.(id) <- key;
+  w.t_nbits.(id) <- w.nbits;
+  w.t_next.(id) <- -1;
   w.ntpls <- id + 1;
+  let prior = Bytes.get_uint16_le w.by_pc w.pc - 1 in
+  if prior >= 0 then begin
+    Hashtbl.replace w.keyed w.t_key.(prior) prior;
+    Hashtbl.replace w.keyed key id
+  end;
   Bytes.set_uint16_le w.by_pc w.pc (id + 1);
-  Hashtbl.replace w.keyed (key ~src:w.src ~pc:w.pc ~hd:t.t_hd) id;
   put_byte w tag_template_def;
   add_varint w id;
   add_varint w w.src;
   add_varint w w.pc;
   add_varint w w.k;
-  Array.iter
-    (fun op ->
-      let kind = op land 15 in
-      add_varint w kind;
-      if kind = op_fram_ifetch || kind = op_sram_ifetch then add_signed w (op asr 4)
-      else if kind = op_cycles then add_varint w (op lsr 4))
-    ops;
+  for i = 0 to w.k - 1 do
+    let op = w.builder.(i) in
+    let kind = op land 15 in
+    add_varint w kind;
+    if kind = Trace.op_fram_ifetch || kind = Trace.op_sram_ifetch then add_signed w (op asr 4)
+    else if kind = Trace.op_cycles then add_varint w (op lsr 4)
+  done;
   w.last <- id;
   written w
 
@@ -612,7 +607,7 @@ let define w =
 let finish w =
   match w.mode with
   | Templated ->
-      if w.stall_due = 0 && w.k = Array.length w.ops then seal w else depart w
+      if w.stall_due = 0 && w.k = w.nops then seal w else depart w
   | Building -> if w.stall_due = 0 && w.ntpls < max_templates then define w
   | Pending -> t_instr w
   | Tagged -> ()
@@ -642,7 +637,7 @@ let build w op ~payload =
 
 (* Templated: is [op] the template's next one? *)
 let[@inline] matches w op =
-  w.stall_due = 0 && w.k < Array.length w.ops && Array.unsafe_get w.ops w.k = op
+  w.stall_due = 0 && w.k < w.nops && Array.unsafe_get w.pool (w.ops_at + w.k) = op
 
 let[@inline] take_bit w hit =
   if hit then w.bits <- w.bits lor (1 lsl w.nbits);
@@ -673,7 +668,7 @@ let t_fetch w ~fram hit addr home =
   written w
 
 let rec on_ifetch w ~fram hit addr home =
-  let op = (if fram then op_fram_ifetch else op_sram_ifetch) lor ((home - addr) lsl 4) in
+  let op = (if fram then Trace.op_fram_ifetch else Trace.op_sram_ifetch) lor ((home - addr) lsl 4) in
   let at = addr = w.pc + (2 * w.fetches) in
   match w.mode with
   | Templated ->
@@ -728,7 +723,7 @@ let on_cycles w unstalled stall =
           t_cycles w unstalled stall;
           written w
         end
-      else if stall = 0 && matches w (op_cycles lor (unstalled lsl 4)) then
+      else if stall = 0 && matches w (Trace.op_cycles lor (unstalled lsl 4)) then
         w.k <- w.k + 1
       else begin
         depart w;
@@ -744,7 +739,7 @@ let on_cycles w unstalled stall =
       else if
         stall = 0 && unstalled > 0 && unstalled <= max_unstalled
         && can_build w ~payload:0 ~bits:0
-      then build w (op_cycles lor (unstalled lsl 4)) ~payload:0
+      then build w (Trace.op_cycles lor (unstalled lsl 4)) ~payload:0
       else w.mode <- Tagged
   | Pending | Tagged ->
       escape w;
@@ -786,7 +781,7 @@ let on_call w target u =
   let fits = target >= 0 && u >= -1 in
   match w.mode with
   | Templated ->
-      if fits && matches w op_call then begin
+      if fits && matches w Trace.op_call then begin
         w.k <- w.k + 1;
         add_varint w target;
         add_varint w (u + 1)
@@ -799,7 +794,7 @@ let on_call w target u =
   | Building ->
       t_call w target u;
       written w;
-      if fits && can_build w ~payload:2 ~bits:0 then build w op_call ~payload:2
+      if fits && can_build w ~payload:2 ~bits:0 then build w Trace.op_call ~payload:2
       else w.mode <- Tagged
   | Pending | Tagged ->
       escape w;
@@ -809,7 +804,7 @@ let on_call w target u =
 let on_return w =
   match w.mode with
   | Templated ->
-      if matches w op_return then w.k <- w.k + 1
+      if matches w Trace.op_return then w.k <- w.k + 1
       else begin
         depart w;
         put_byte w tag_return;
@@ -818,7 +813,7 @@ let on_return w =
   | Building ->
       put_byte w tag_return;
       written w;
-      if can_build w ~payload:0 ~bits:0 then build w op_return ~payload:0
+      if can_build w ~payload:0 ~bits:0 then build w Trace.op_return ~payload:0
       else w.mode <- Tagged
   | Pending | Tagged ->
       escape w;
@@ -855,7 +850,7 @@ let sink w =
     fram_read =
       (fun hit addr ->
         w.events <- w.events + 1;
-        on_access w op_fram_read
+        on_access w Trace.op_fram_read
           (fram_tag ~ifetch:false hit)
           ~fram:true ~read:true hit addr);
     fram_ifetch =
@@ -865,11 +860,11 @@ let sink w =
     fram_write =
       (fun addr ->
         w.events <- w.events + 1;
-        on_access w op_fram_write tag_fram_write ~fram:true ~read:false false addr);
+        on_access w Trace.op_fram_write tag_fram_write ~fram:true ~read:false false addr);
     sram_read =
       (fun addr ->
         w.events <- w.events + 1;
-        on_access w op_sram_read tag_sram_read ~fram:false ~read:false false addr);
+        on_access w Trace.op_sram_read tag_sram_read ~fram:false ~read:false false addr);
     sram_ifetch =
       (fun addr home ->
         w.events <- w.events + 1;
@@ -877,11 +872,11 @@ let sink w =
     sram_write =
       (fun addr ->
         w.events <- w.events + 1;
-        on_access w op_sram_write tag_sram_write ~fram:false ~read:false false addr);
+        on_access w Trace.op_sram_write tag_sram_write ~fram:false ~read:false false addr);
     periph =
       (fun addr ->
         w.events <- w.events + 1;
-        on_access w op_periph tag_periph ~fram:false ~read:false false addr);
+        on_access w Trace.op_periph tag_periph ~fram:false ~read:false false addr);
     call =
       (fun target u ->
         w.events <- w.events + 1;
@@ -929,6 +924,7 @@ let sink w =
       (fun name ->
         w.events <- w.events + 1;
         on_interned w tag_phase name);
+    templated = None;
   }
 
 let close_writer w =
@@ -1110,24 +1106,26 @@ let intern_define s str id =
 
 let bad_home h = corrupt "ifetch home %d outside the address space" h
 
-(* A decoded template: the writer's, plus what a record's decode needs
-   up front. *)
-type rtemplate = {
-  r_src : int;
-  r_pc : int;
-  r_ops : int array;
-  r_nbits : int;
-  r_npay : int;
-  mutable r_next : int;
+(* The decoded templates, by id: each [Trace.template], the kinds of
+   its payload slots when it has a call ([slot_data], [slot_target],
+   [slot_unit]; empty when every slot is a data address) and the
+   template that followed it last time. *)
+type templates = {
+  mutable ts : Trace.template array;
+  mutable slots : int array array;
+  mutable next : int array;
+  mutable nt : int;
 }
 
-type templates = { mutable ts : rtemplate array; mutable nt : int }
+let slot_data = 0
+let slot_target = 1
+let slot_unit = 2
 
 (* Reads and checks a template definition (its tag already read) and
    appends it. Every bound the writer keeps is checked, so a record
    against it stays within [max_event] bytes and every home it yields
    lies in the address space. *)
-let define_template c tpls =
+let define_template c tpls ~wait_states ~contention =
   let id = varint c in
   let src = varint c in
   let pc = varint c in
@@ -1138,58 +1136,76 @@ let define_template c tpls =
   if pc land lnot 0xFFFF <> 0 then corrupt "template pc %d" pc;
   if nops < 1 || nops > max_ops then corrupt "template of %d events" nops;
   let ops = Array.make nops 0 in
-  let fetch = ref pc and nbits = ref 0 and npay = ref 0 in
+  let fetch = ref pc in
   for i = 0 to nops - 1 do
     boundary c "template definition";
     let kind = varint c in
     let arg =
-      if kind = op_fram_ifetch || kind = op_sram_ifetch then signed c
-      else if kind = op_cycles then varint c
+      if kind = Trace.op_fram_ifetch || kind = Trace.op_sram_ifetch then signed c
+      else if kind = Trace.op_cycles then varint c
       else 0
     in
     decoded c "template definition";
-    if kind >= op_kinds then corrupt "template event kind %d" kind;
-    if i = 0 && kind <> op_fram_ifetch && kind <> op_sram_ifetch then
+    if kind >= Trace.op_kinds then corrupt "template event kind %d" kind;
+    if i = 0 && kind <> Trace.op_fram_ifetch && kind <> Trace.op_sram_ifetch then
       corrupt "template does not start with a fetch";
-    if kind = op_fram_ifetch || kind = op_sram_ifetch then begin
+    if kind = Trace.op_fram_ifetch || kind = Trace.op_sram_ifetch then begin
       let home = !fetch + arg in
       if home land lnot 0xFFFF <> 0 then bad_home home;
       fetch := !fetch + 2
     end
-    else if kind = op_cycles && (arg < 1 || arg > max_unstalled) then
-      corrupt "template cycles %d" arg
-    else if kind = op_call then npay := !npay + 2
-    else if kind <> op_cycles && kind <> op_return then incr npay;
-    if kind = op_fram_ifetch || kind = op_fram_read then incr nbits;
+    else if kind = Trace.op_cycles && (arg < 1 || arg > max_unstalled) then
+      corrupt "template cycles %d" arg;
     ops.(i) <- kind lor (arg lsl 4)
   done;
-  if !npay > max_payload then corrupt "template payload of %d" !npay;
-  if !nbits > max_hit_bits then corrupt "template of %d hit bits" !nbits;
-  let t =
-    { r_src = src; r_pc = pc; r_ops = ops; r_nbits = !nbits; r_npay = !npay; r_next = -1 }
+  let t = Trace.template ~id ~source:src ~pc ~ops ~wait_states ~contention in
+  let npay = t.Trace.tp_payload and nbits = t.Trace.tp_nbits in
+  if npay > max_payload then corrupt "template payload of %d" npay;
+  if nbits > max_hit_bits then corrupt "template of %d hit bits" nbits;
+  let units = Trace.payload_slots t [ Trace.op_call ] in
+  let slots =
+    if Array.length units = 0 then [||]
+    else begin
+      let slots = Array.make npay slot_data in
+      Array.iter
+        (fun u ->
+          slots.(u - 1) <- slot_target;
+          slots.(u) <- slot_unit)
+        units;
+      slots
+    end
   in
-  if tpls.nt = Array.length tpls.ts then begin
-    let ts = Array.make (max 64 (2 * tpls.nt)) t in
-    Array.blit tpls.ts 0 ts 0 tpls.nt;
-    tpls.ts <- ts
+  if id = Array.length tpls.ts then begin
+    let n = max 64 (2 * id) in
+    let grow a fill =
+      let b = Array.make n fill in
+      Array.blit a 0 b 0 id;
+      b
+    in
+    tpls.ts <- grow tpls.ts t;
+    tpls.slots <- grow tpls.slots [||];
+    tpls.next <- grow tpls.next (-1)
   end;
-  tpls.ts.(tpls.nt) <- t;
-  tpls.nt <- tpls.nt + 1;
+  tpls.ts.(id) <- t;
+  tpls.slots.(id) <- slots;
+  tpls.next.(id) <- -1;
+  tpls.nt <- id + 1;
   id
 
 (* The decode loop calls the sink's callbacks directly without
    materializing [Trace.event] values, so a scan allocates nothing per
    event. This is the hot path the record-once / replay-many speedup
    rests on. The tags are matched as literals (see "Tag bytes" above),
-   which compiles to one jump table; a templated record expands its
-   template's events in order, with the stalls the timing rule gives
-   its FRAM accesses. *)
+   which compiles to one jump table. A templated record is read and
+   checked whole, then handed to the sink's [templated] callback, or
+   expanded into its template's events by [Trace.expand]. *)
 let iter path ~make =
   with_cursor path (fun c ->
       let header = decode_preamble c in
       let v = make header in
       let strings = { tbl = [||]; n = 0 } in
-      let tpls = { ts = [||]; nt = 0 } in
+      let tpls = { ts = [||]; slots = [||]; next = [||]; nt = 0 } in
+      let whole = v.Trace.templated in
       let ws = header.wait_states and cp = header.contention_penalty in
       (* Bounds from the header, so a damaged unit or home is an error
          here rather than a huge table in a consumer: a function id
@@ -1214,7 +1230,7 @@ let iter path ~make =
           let id =
             if tag land record_explicit <> 0 then varint c
             else if !last < 0 then -1
-            else tpls.ts.(!last).r_next
+            else Array.unsafe_get tpls.next !last
           in
           if id < 0 || id >= tpls.nt then begin
             decoded c "record";
@@ -1222,94 +1238,48 @@ let iter path ~make =
           end;
           let t = Array.unsafe_get tpls.ts id in
           let bits = ref (tag land ((1 lsl tag_hit_bits) - 1)) in
-          for i = 0 to extra_bit_bytes t.r_nbits - 1 do
+          for i = 0 to extra_bit_bytes t.Trace.tp_nbits - 1 do
             bits :=
               !bits
               lor (Char.code (Bytes.unsafe_get c.buf c.pos)
                   lsl (tag_hit_bits + (8 * i)));
             c.pos <- c.pos + 1
           done;
-          for j = 0 to t.r_npay - 1 do
-            Array.unsafe_set payload j (varint c)
-          done;
+          (* The payload, resolved: data addresses made absolute and a
+             call's unit back to -1 for none. *)
+          let slots = Array.unsafe_get tpls.slots id in
+          if Array.length slots = 0 then
+            for j = 0 to t.Trace.tp_payload - 1 do
+              let a = !prev_addr + unzigzag (varint c) in
+              prev_addr := a;
+              Array.unsafe_set payload j a
+            done
+          else
+            for j = 0 to t.Trace.tp_payload - 1 do
+              let x = varint c in
+              match Array.unsafe_get slots j with
+              | 0 (* data *) ->
+                  let a = !prev_addr + unzigzag x in
+                  prev_addr := a;
+                  Array.unsafe_set payload j a
+              | 1 (* call target *) -> Array.unsafe_set payload j x
+              | _ (* call unit *) -> Array.unsafe_set payload j (x - 1)
+            done;
           decoded c "record";
-          if !bits lsr t.r_nbits <> 0 then corrupt "hit bits past the template";
-          let pc = t.r_pc in
-          prev_pc := pc;
-          v.Trace.instr t.r_src pc;
-          let ops = t.r_ops in
-          let fetch = ref pc and j = ref 0 and frams = ref 0 in
-          let events = ref (1 + Array.length ops) in
-          for i = 0 to Array.length ops - 1 do
-            let op = Array.unsafe_get ops i in
-            match op land 15 with
-            | 0 (* fram ifetch *) ->
-                let a = !fetch in
-                fetch := a + 2;
-                let hit = !bits land 1 = 1 in
-                bits := !bits lsr 1;
-                v.Trace.fram_ifetch hit a (a + (op asr 4));
-                incr frams;
-                let s = stall_rule ~wait_states:ws ~contention:cp hit !frams in
-                if s <> 0 then begin
-                  incr events;
-                  v.Trace.cycles 0 s
-                end
-            | 1 (* sram ifetch *) ->
-                let a = !fetch in
-                fetch := a + 2;
-                v.Trace.sram_ifetch a (a + (op asr 4))
-            | 2 (* fram read *) ->
-                let a = !prev_addr + unzigzag (Array.unsafe_get payload !j) in
-                incr j;
-                prev_addr := a;
-                let hit = !bits land 1 = 1 in
-                bits := !bits lsr 1;
-                v.Trace.fram_read hit a;
-                incr frams;
-                let s = stall_rule ~wait_states:ws ~contention:cp hit !frams in
-                if s <> 0 then begin
-                  incr events;
-                  v.Trace.cycles 0 s
-                end
-            | 3 (* fram write *) ->
-                let a = !prev_addr + unzigzag (Array.unsafe_get payload !j) in
-                incr j;
-                prev_addr := a;
-                v.Trace.fram_write a;
-                incr frams;
-                let s = stall_rule ~wait_states:ws ~contention:cp false !frams in
-                if s <> 0 then begin
-                  incr events;
-                  v.Trace.cycles 0 s
-                end
-            | 4 (* sram read *) ->
-                let a = !prev_addr + unzigzag (Array.unsafe_get payload !j) in
-                incr j;
-                prev_addr := a;
-                v.Trace.sram_read a
-            | 5 (* sram write *) ->
-                let a = !prev_addr + unzigzag (Array.unsafe_get payload !j) in
-                incr j;
-                prev_addr := a;
-                v.Trace.sram_write a
-            | 6 (* periph *) ->
-                let a = !prev_addr + unzigzag (Array.unsafe_get payload !j) in
-                incr j;
-                prev_addr := a;
-                v.Trace.periph a
-            | 7 (* cycles *) -> v.Trace.cycles (op lsr 4) 0
-            | 8 (* call *) ->
-                let target = Array.unsafe_get payload !j in
-                let u = Array.unsafe_get payload (!j + 1) - 1 in
-                j := !j + 2;
-                if u > max_unit then corrupt "call unit %d out of range" u;
-                v.Trace.call target u
-            | _ (* return *) -> v.Trace.return ()
+          let bits = !bits in
+          if bits lsr t.Trace.tp_nbits <> 0 then corrupt "hit bits past the template";
+          for j = 0 to Array.length slots - 1 do
+            let u = Array.unsafe_get payload j in
+            if Array.unsafe_get slots j = slot_unit && u > max_unit then
+              corrupt "call unit %d out of range" u
           done;
-          if !last >= 0 then tpls.ts.(!last).r_next <- id;
+          prev_pc := t.Trace.tp_pc;
+          (match whole with
+          | Some f -> f t bits payload
+          | None -> Trace.expand v t bits payload);
+          if !last >= 0 then Array.unsafe_set tpls.next !last id;
           last := id;
-          count := !count + !events
+          count := !count + Trace.record_events t bits
         end
         else begin
           incr count;
@@ -1423,7 +1393,7 @@ let iter path ~make =
               intern_define strings s id
           | 0x1E (* template definition, not an event *) ->
               decr count;
-              last := define_template c tpls
+              last := define_template c tpls ~wait_states:ws ~contention:cp
           | 0x1F (* end marker *) ->
               decr count;
               let declared = varint c in

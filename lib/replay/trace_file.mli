@@ -126,20 +126,27 @@ val iter :
 (** [iter path ~make] decodes the header, builds a sink from it and
     streams every event through the sink's callbacks in recording
     order, with the recorded home and unit answers. A templated record
-    is expanded into its instruction's events, in the order the live
-    run emitted them, with each FRAM access's stall re-derived from the
-    hit bits and the header's timing; a tagged event is passed on as
-    it is. Either way the sink sees exactly the recorded run's
-    callbacks. The decode loop reads each record from the window (see
-    above), dispatches on its tag through one jump table and calls the
-    callbacks directly; it builds no {!Msp430.Trace.event}, so a scan
-    allocates nothing per event — the fast path replay analyses are
-    built on, and the same interface a live run feeds. Each record is
-    checked for truncation once, after its fields are read: a cut
-    record is {!Truncated} and no callback sees a byte past the end of
-    the file. Returns the header and the number of sink events (the
-    callbacks made; definitions are not events), which equals the
-    number the recording sink received. [Error] on bad magic, version
+    is read and checked whole, then handed to the sink's [templated]
+    callback, with its {!Msp430.Trace.template} (built once, when the
+    stream defines it), its hit bits and its resolved payload; or, when
+    the sink leaves [templated] unset, expanded by
+    {!Msp430.Trace.expand} into its instruction's events, in the order
+    the live run emitted them, with each FRAM access's stall re-derived
+    from the hit bits and the header's timing. A tagged event is passed
+    on as it is. Either way the sink gets exactly the recorded run's
+    callbacks or their whole-instruction equivalent. The decode loop
+    reads each record from the window (see above), dispatches on its
+    tag through one jump table and calls the callbacks directly; it
+    builds no {!Msp430.Trace.event}, so a scan allocates nothing per
+    event — the fast path replay analyses are built on, and the same
+    interface a live run feeds. Each record is checked for truncation
+    once, after its fields are read, and every other check on it runs
+    before any callback: a cut or damaged record is an error and no
+    callback sees a byte past the end of the file or any part of the
+    record. Returns the header and the number of sink events (the
+    callbacks an expanding sink gets; definitions are not events),
+    which equals the number the recording sink received, with or
+    without [templated]. [Error] on bad magic, version
     skew (a version 1 trace is a [Version_mismatch]), truncation or
     corruption (including an event count that disagrees with the end
     marker, bytes after it, a varint over nine bytes, a template

@@ -245,30 +245,55 @@ let record_events ?(header = roundtrip_header) path events =
   List.iter (feed (Trace_file.sink w)) events;
   Trace_file.close_writer w
 
-(* A sink that keeps every event it receives as a value through
-   [Trace.event_sink], paired with its hook answer: the unit of a call,
-   the home of an instruction fetch, 0 otherwise. *)
+(* A sink that hands every event it receives as a value through
+   [Trace.event_sink] to [answered], paired with its hook answer: the
+   unit of a call, the home of an instruction fetch, 0 otherwise. *)
+let answering answered =
+  let s = Trace.event_sink (fun ev -> answered ev 0) in
+  {
+    s with
+    Trace.fram_ifetch =
+      (fun hit addr home ->
+        answered
+          (Trace.Mem_access { addr; cls = Trace.Fram_read { hit; ifetch = true } })
+          home);
+    sram_ifetch =
+      (fun addr home ->
+        answered
+          (Trace.Mem_access { addr; cls = Trace.Sram_read { ifetch = true } })
+          home);
+    call = (fun target u -> answered (Trace.Call { target }) u);
+  }
+
+(* [answering], keeping the events. *)
 let capture () =
   let acc = ref [] in
-  let s = Trace.event_sink (fun ev -> acc := (ev, 0) :: !acc) in
-  let answered ev answer = acc := (ev, answer) :: !acc in
-  let sink =
-    {
+  (answering (fun ev answer -> acc := (ev, answer) :: !acc), fun () -> List.rev !acc)
+
+(* What a sink that takes templated instructions whole receives:
+   tagged events with their answers, and whole records. *)
+type seen = Event of Trace.event * int | Record of Trace.template * int * int array
+
+let capture_whole () =
+  let acc = ref [] in
+  let s = answering (fun ev answer -> acc := Event (ev, answer) :: !acc) in
+  ( {
       s with
-      Trace.fram_ifetch =
-        (fun hit addr home ->
-          answered
-            (Trace.Mem_access { addr; cls = Trace.Fram_read { hit; ifetch = true } })
-            home);
-      sram_ifetch =
-        (fun addr home ->
-          answered
-            (Trace.Mem_access { addr; cls = Trace.Sram_read { ifetch = true } })
-            home);
-      call = (fun target u -> answered (Trace.Call { target }) u);
-    }
-  in
-  (sink, fun () -> List.rev !acc)
+      Trace.templated =
+        Some
+          (fun tp bits payload ->
+            acc := Record (tp, bits, Array.sub payload 0 tp.Trace.tp_payload) :: !acc);
+    },
+    fun () -> List.rev !acc )
+
+(* The same sink with templated instructions expanded into its
+   per-event callbacks. *)
+let expanded (s : Trace.sink) = { s with Trace.templated = None }
+
+let rec is_prefix = function
+  | [], _ -> true
+  | x :: xs, y :: ys -> x = y && is_prefix (xs, ys)
+  | _ :: _, [] -> false
 
 (* Every event of [path] through [capture]; the events come back on an
    error too, up to where it struck. *)
@@ -281,6 +306,24 @@ let decode_all path =
   match decode_events path with
   | Error e, _ -> Error e
   | Ok (h, count), events -> Ok (h, events, count)
+
+(* Every record and tagged event of [path] through [capture_whole];
+   on an error too, up to where it struck. *)
+let decode_whole path =
+  let sink, seen = capture_whole () in
+  let result = Trace_file.iter path ~make:(fun _ -> sink) in
+  (result, seen ())
+
+(* A [decode_whole] log expanded into the events a [capture] sink sees. *)
+let expand_seen seen =
+  let acc = ref [] in
+  let sink = answering (fun ev answer -> acc := (ev, answer) :: !acc) in
+  List.iter
+    (function
+      | Event (ev, answer) -> acc := (ev, answer) :: !acc
+      | Record (tp, bits, payload) -> Trace.expand sink tp bits payload)
+    seen;
+  List.rev !acc
 
 let prop_format_roundtrip =
   QCheck2.Test.make ~count:200 ~name:"encode -> decode is the identity"
@@ -913,13 +956,21 @@ let print_damage = function
 (* Every reader over [path], each required to return rather than raise:
    the header reader, the event loop (through [iter]), [Engine.load],
    the MRC rebuilt from what it loaded and [Engine.replay_metrics]. The
-   last two size tables from recorded units and homes. *)
+   last two size tables from recorded units and homes. The event loop,
+   [Engine.load] and [Engine.replay_metrics] run twice, with templated
+   instructions whole and expanded, and must give the same result,
+   error for error. Returns the header and the expanded results, and
+   what a whole-instruction sink saw. *)
 let decode_results path =
   let guard what f =
     match f () with
     | r -> r
     | exception e ->
         QCheck2.Test.fail_reportf "%s raised %s" what (Printexc.to_string e)
+  in
+  let same what a b =
+    if a <> b then
+      QCheck2.Test.fail_reportf "%s: whole and expanded instructions differ" what
   in
   let header =
     guard "read_header" (fun () ->
@@ -930,10 +981,26 @@ let decode_results path =
         Trace_file.iter path ~make:(fun _ -> Trace.event_sink ignore)
         |> Result.map ignore)
   in
+  let whole, seen = guard "iter (whole)" (fun () -> decode_whole path) in
+  same "iter" (Result.map ignore whole) events;
   let load = guard "Engine.load" (fun () -> Engine.load path) in
+  same "Engine.load" load
+    (guard "Engine.load (expanded)" (fun () -> Engine.load_through expanded path));
   Result.iter (fun l -> ignore (guard "Engine.mrc" (fun () -> Engine.mrc l))) load;
-  ignore (guard "Engine.replay_metrics" (fun () -> Engine.replay_metrics path));
-  (header, events, load)
+  let csv through =
+    guard "Engine.replay_metrics" (fun () ->
+        Engine.replay_metrics ~through path
+        |> Result.map (fun (m, _) -> Observe.Metrics.render_csv m))
+  in
+  same "Engine.replay_metrics" (csv Fun.id) (csv expanded);
+  (header, events, load, seen)
+
+(* What a whole-instruction sink sees of the undamaged fuzz trace. *)
+let fuzz_seen =
+  lazy
+    (with_temp_trace (fun path ->
+         write_file path (Lazy.force fuzz_bytes);
+         snd (decode_whole path)))
 
 let prop_damaged_trace_is_typed_error =
   let gen =
@@ -971,7 +1038,10 @@ let prop_strict_prefix_is_error =
                 | _ -> false)
             | Ok () -> false
           in
-          let _, events, load = decode_results path in
+          let _, events, load, seen = decode_results path in
+          if not (is_prefix (seen, Lazy.force fuzz_seen)) then
+            QCheck2.Test.fail_reportf
+              "a whole-instruction sink saw what the trace does not hold";
           same_kind events
           && same_kind
                (match load with
@@ -984,9 +1054,10 @@ let prop_strict_prefix_is_error =
    when the file is cut inside it: the one place the decoder reads past
    the valid bytes. Every cut in the last 64 bytes of each golden trace
    and of the multi-chunk fuzz trace must be [Truncated] from the event
-   loop, [Engine.load] and [Engine.replay_metrics] alike, and the events
-   the sink saw before the error must be the uncut trace's own: none is
-   made up from the slack. *)
+   loop, [Engine.load] and [Engine.replay_metrics] alike, with templated
+   instructions whole and expanded, and the events and records the sinks
+   saw before the error must be the uncut trace's own: none is made up
+   from the slack. *)
 let tail_truncation_test () =
   let traces =
     ("fuzz", Lazy.force fuzz_bytes)
@@ -1005,18 +1076,13 @@ let tail_truncation_test () =
     | Error (Engine.Format_error e) -> Error e
     | Error (Engine.Model_error msg) -> Error (Trace_file.Corrupt msg)
   in
-  let rec is_prefix = function
-    | [], _ -> true
-    | x :: xs, y :: ys -> x = y && is_prefix (xs, ys)
-    | _ :: _, [] -> false
-  in
   List.iter
     (fun (name, data) ->
       let n = String.length data in
-      let all =
+      let all, all_whole =
         with_temp_trace (fun path ->
             write_file path data;
-            snd (decode_events path))
+            (snd (decode_events path), snd (decode_whole path)))
       in
       for cut = n - 64 to n - 1 do
         with_temp_trace (fun path ->
@@ -1026,9 +1092,18 @@ let tail_truncation_test () =
             if not (is_prefix (seen, all)) then
               Alcotest.failf "%s cut at %d: the sink saw an event the trace \
                               does not hold" name cut;
+            let result, seen = decode_whole path in
+            expect name cut "iter (whole)" (Result.map ignore result);
+            if not (is_prefix (seen, all_whole)) then
+              Alcotest.failf "%s cut at %d: the whole-instruction sink saw a \
+                              record the trace does not hold" name cut;
             expect name cut "Engine.load" (engine (Engine.load path));
+            expect name cut "Engine.load (expanded)"
+              (engine (Engine.load_through expanded path));
             expect name cut "Engine.replay_metrics"
-              (engine (Engine.replay_metrics path)))
+              (engine (Engine.replay_metrics path));
+            expect name cut "Engine.replay_metrics (expanded)"
+              (engine (Engine.replay_metrics ~through:expanded path)))
       done)
     traces
 
@@ -1529,6 +1604,101 @@ let prop_recording_is_live_stream =
           Toolchain.Block_cache Blockcache.Config.default_options;
         ])
 
+(* --- Whole templated instructions = expanded ones ------------------------ *)
+
+(* The consumers that take a templated instruction whole against the
+   same consumers with it expanded, on one trace: [Engine.load] on
+   every loaded field; [Engine.replay_metrics]'s CSV, heatmaps and MRC
+   at windows of 7 cycles (most instructions cross a window end), 256
+   and 65536; and [iter], whose records, expanded, are the events of
+   an expanding sink. Returns what differs. *)
+let whole_differences path =
+  let load =
+    if Engine.load path = Engine.load_through expanded path then []
+    else [ "Engine.load" ]
+  in
+  let renders =
+    [
+      ("csv", Observe.Metrics.render_csv);
+      ("heatmaps", Observe.Metrics.render_heatmaps);
+      ("mrc", fun m -> Observe.Metrics.render_mrc m);
+    ]
+  in
+  let metrics =
+    List.concat_map
+      (fun window ->
+        let differs what = [ Printf.sprintf "%s at window %d" what window ] in
+        match
+          ( Engine.replay_metrics ~window path,
+            Engine.replay_metrics ~through:expanded ~window path )
+        with
+        | Ok (m, _), Ok (mx, _) ->
+            List.concat_map
+              (fun (what, render) ->
+                if String.equal (render m) (render mx) then [] else differs what)
+              renders
+        | Error e, Error ex when e = ex -> []
+        | _ -> differs "replay_metrics result")
+      [ 7; 256; 65536 ]
+  in
+  let events_result, events = decode_events path in
+  let whole_result, seen = decode_whole path in
+  let iter =
+    if whole_result <> events_result then [ "iter result" ]
+    else if expand_seen seen <> events then [ "iter records" ]
+    else if not (List.exists (function Record _ -> true | Event _ -> false) seen)
+    then [ "no templated record" ]
+    else []
+  in
+  load @ metrics @ iter
+
+(* Random programs recorded under the three systems. *)
+let prop_whole_equals_expanded =
+  QCheck2.Test.make ~count:5
+    ~name:"whole templated instructions = expanded (random programs)"
+    ~print:(fun s -> s) Test_differential.gen_program (fun source ->
+      let b =
+        {
+          Workloads.Bench_def.name = "qcheck";
+          short = "QCK";
+          source = (fun _ -> source);
+          fits_data_in_sram = false;
+        }
+      in
+      List.for_all
+        (fun caching ->
+          with_temp_trace (fun trace ->
+              match
+                Toolchain.run_recorded ~trace
+                  { (Toolchain.default_config b) with Toolchain.caching }
+              with
+              | Toolchain.Completed _ -> (
+                  match whole_differences trace with
+                  | [] -> true
+                  | d ->
+                      QCheck2.Test.fail_reportf "%s: %s differ"
+                        (Toolchain.caching_name caching)
+                        (String.concat ", " d))
+              | Toolchain.Did_not_fit _ | Toolchain.Crashed _ -> true))
+        [
+          Toolchain.Baseline;
+          Toolchain.Swapram_cache
+            { Swapram.Config.default_options with Swapram.Config.cache_size = 512 };
+          Toolchain.Block_cache Blockcache.Config.default_options;
+        ])
+
+(* The three golden traces and the multi-chunk fuzz trace. *)
+let whole_golden_test () =
+  let check name path =
+    match whole_differences path with
+    | [] -> ()
+    | d -> Alcotest.failf "%s: %s differ" name (String.concat ", " d)
+  in
+  List.iter (fun (_, file) -> check file (golden_path file)) golden_traces;
+  with_temp_trace (fun path ->
+      write_file path (Lazy.force fuzz_bytes);
+      check "fuzz" path)
+
 let suite =
   [
     Alcotest.test_case "format round-trip errors: truncation" `Quick
@@ -1581,4 +1751,7 @@ let suite =
       v1_trace_test;
     Alcotest.test_case "template departures round-trip" `Quick departure_test;
     QCheck_alcotest.to_alcotest prop_recording_is_live_stream;
+    Alcotest.test_case "whole templated instructions = expanded (golden traces)"
+      `Quick whole_golden_test;
+    QCheck_alcotest.to_alcotest prop_whole_equals_expanded;
   ]
