@@ -310,35 +310,36 @@ let disasm b seed instrumented =
     image.instructions;
   `Ok ()
 
-(* Execution trace: run under a tracer and print the first [limit]
-   decoded instructions with their addresses, mspdebug-style. *)
+(* Execution trace, mspdebug-style: prepare the configured system and
+   print its first [limit] application instructions with their
+   addresses. The runtimes' modeled code is not listed. A sink sees
+   each instruction's [instr] event before its fetches and decodes the
+   instruction with uncounted peeks. The run's fuel is the count still
+   to list, since a fuel unit is at most one instruction. *)
 let trace b caching seed limit =
-  let program = program b seed in
-  let system = Platform.create Platform.Mhz24 in
-  let entry =
-    match caching with
-    | Toolchain.Swapram_cache options ->
-        let built = Swapram.Pipeline.build ~options program in
-        ignore (Swapram.Pipeline.install built system);
-        Masm.Assembler.lookup built.image Minic.Driver.entry_name
-    | _ ->
-        let image = Masm.Assembler.assemble program in
-        Masm.Assembler.load image system.memory;
-        Masm.Assembler.lookup image Minic.Driver.entry_name
-  in
-  let cpu = system.cpu in
-  Cpu.set_reg cpu Msp430.Isa.sp (Platform.fram_base + Platform.fram_size);
-  Cpu.set_reg cpu Msp430.Isa.pc entry;
-  let remaining = ref limit in
-  Cpu.set_tracer cpu
-    (Some
-       (fun ~pc instr ->
-         if !remaining > 0 then begin
-           decr remaining;
-           Printf.printf "%06d  %04x:  %s\n" (limit - !remaining) pc
-             (Msp430.Isa.to_string instr)
-         end));
-  while !remaining > 0 && not (Cpu.halted cpu) do
-    Cpu.step cpu
-  done;
-  `Ok ()
+  match Toolchain.prepare { (Toolchain.default_config b) with seed; caching } with
+  | Error msg -> `Error (false, msg)
+  | Ok p ->
+      let mem = p.p_system.Platform.memory and cpu = p.p_system.Platform.cpu in
+      let listed = ref 0 in
+      let app = Trace.[ source_index App_fram; source_index App_sram ] in
+      let instr source pc =
+        if !listed < limit && List.mem source app then begin
+          incr listed;
+          let instr, _ =
+            Msp430.Encoding.decode ~fetch:(Msp430.Memory.peek_word mem) ~addr:pc
+          in
+          Printf.printf "%06d  %04x:  %s\n" !listed pc (Msp430.Isa.to_string instr)
+        end
+      in
+      Trace.set_sink (Cpu.stats cpu) (Some { (Trace.event_sink ignore) with instr });
+      Toolchain.boot p;
+      let rec go () =
+        if !listed >= limit then `Ok ()
+        else
+          match Cpu.run ~fuel:(limit - !listed) cpu with
+          | Cpu.Fuel_exhausted -> go ()
+          | Cpu.Halted -> `Ok ()
+          | o -> `Error (false, Cpu.outcome_name o)
+      in
+      go ()

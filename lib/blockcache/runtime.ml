@@ -65,8 +65,6 @@ let cached_block_at t addr =
   let home = home_or t addr ~default:(-1) in
   if home < 0 then None else Some home
 
-let cached_home t addr = home_or t addr ~default:addr
-
 let read_word t addr = Memory.read_word t.mem ~purpose:Memory.Data addr
 let write_word t addr v = Memory.write_word t.mem addr v
 
@@ -109,7 +107,7 @@ let hash_insert t key value =
 
 let flush t =
   t.stats.flushes <- t.stats.flushes + 1;
-  Modeled.emit t.mem (fun s -> s.Trace.cache_flush ());
+  Modeled.emit t.mem Trace.Cache_flush;
   Modeled.charge t.runtime Costs.flush_base_instrs;
   for i = 0 to t.manifest.Transform.hash_buckets - 1 do
     Modeled.charge t.runtime Costs.flush_per_bucket_instrs;
@@ -133,7 +131,7 @@ let load_block t ~nvm =
   ignore (read_word t (t.addrs.a_blocktab + (4 * index)));
   ignore (read_word t (t.addrs.a_blocktab + (4 * index) + 2));
   if t.next_slot >= t.manifest.Transform.num_slots then flush t;
-  Modeled.emit t.mem (fun s -> s.Trace.block_load nvm);
+  Modeled.emit t.mem (Trace.Block_load { nvm });
   let slot = t.options.Config.cache_base
              + (t.next_slot * t.manifest.Transform.slot_size)
   in
@@ -155,7 +153,7 @@ let lookup_or_load t ~nvm =
 (* CFI stub entry: cache the target block and chain the source CFI. *)
 let on_miss t _cpu =
   t.stats.misses <- t.stats.misses + 1;
-  Modeled.emit t.mem (fun s -> s.Trace.miss_enter "block");
+  Modeled.emit t.mem (Trace.Miss_enter { runtime = "block" });
   Modeled.charge t.runtime Costs.runtime_entry_instrs;
   let cfi_id = read_word t t.addrs.a_cfi in
   Modeled.charge t.runtime Costs.cfitab_instrs;
@@ -173,20 +171,22 @@ let on_miss t _cpu =
       t.stats.chains <- t.stats.chains + 1
   | None -> ());
   Modeled.charge t.runtime Costs.runtime_exit_instrs;
-  Modeled.emit t.mem (fun s -> s.Trace.miss_exit "block" "cached" (-1));
+  Modeled.emit t.mem
+    (Trace.Miss_exit { runtime = "block"; disposition = "cached"; fid = (-1) });
   Cpu.Goto slot
 
 (* Return entry: resume at the (NVM) return address through the cache. *)
 let on_return t cpu =
   t.stats.returns <- t.stats.returns + 1;
-  Modeled.emit t.mem (fun s -> s.Trace.miss_enter "block");
+  Modeled.emit t.mem (Trace.Miss_enter { runtime = "block" });
   Modeled.charge t.runtime Costs.return_entry_instrs;
   let sp = Cpu.reg cpu Isa.sp in
   let nvm = read_word t sp in
   Cpu.set_reg cpu Isa.sp (sp + 2);
   let slot = lookup_or_load t ~nvm in
   Modeled.charge t.runtime Costs.runtime_exit_instrs;
-  Modeled.emit t.mem (fun s -> s.Trace.miss_exit "block" "return" (-1));
+  Modeled.emit t.mem
+    (Trace.Miss_exit { runtime = "block"; disposition = "return"; fid = (-1) });
   Cpu.Goto slot
 
 (* Power-loss recovery, mirroring Swapram.Runtime.reboot: the SRAM
@@ -269,4 +269,14 @@ let install ~options ~manifest ~image (system : Msp430.Platform.system) =
   Cpu.register_trap system.Msp430.Platform.cpu Config.return_trap (on_return t);
   Cpu.set_classifier system.Msp430.Platform.cpu
     (Modeled.classifier ~handler:t.runtime ~memcpy:t.memcpy);
+  (* A fetch's home is the block's NVM word, a call's unit the slot-sized
+     NVM line of the block it enters. Allocation-free: they run per
+     fetch and per call of an observed run. *)
+  let stats = Memory.stats mem and slot = slot_bytes t in
+  stats.Trace.ifetch_home <- Some (fun a -> home_or t a ~default:a);
+  stats.Trace.call_unit <-
+    Some
+      (fun a ->
+        let home = home_or t a ~default:(-1) in
+        if home < 0 then -1 else home / slot);
   t

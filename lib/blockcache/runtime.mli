@@ -33,11 +33,6 @@ val cached_block_at : t -> int -> int option
     holds a block — the observability layer's dynamic symbolizer.
     Pure host-side inspection: no counted accesses, no perturbation. *)
 
-val cached_home : t -> int -> int
-(** [cached_block_at] without the option: the NVM home, or the
-    address itself when no slot holds it. Allocation-free, for the
-    per-fetch trace enrichment. *)
-
 val reboot : t -> image:Masm.Assembler.t -> unit
 (** Power-loss recovery, mirroring [Swapram.Runtime.reboot]: restore
     the FRAM hash table and CFI id word to their post-link values and
@@ -57,3 +52,6 @@ val install :
   image:Masm.Assembler.t ->
   Msp430.Platform.system ->
   t
+(** Arm the miss and return traps, the Figure-8 instruction-source
+    classifier and the trace's ifetch-home and call-unit hooks
+    ({!Msp430.Trace.t}) on [system]. *)

@@ -117,41 +117,18 @@ let default_observe = { metrics_window = 0; metrics_buckets = 48 }
 
 let metrics_observe = { default_observe with metrics_window = 65536 }
 
-(* The one place the runtime-hook answers are resolved. Wrapped around
-   the whole fan-out, it overwrites the machine's "no runtime" answers
-   (unit -1, home = address) once per event, so every sink downstream
-   receives the same ones. A whole templated instruction would bypass
-   it, so the enriched sink takes instructions expanded. *)
-let enrich ~call_unit ~ifetch_home (s : Trace.sink) =
-  let with_units =
-    {
-      s with
-      Trace.call = (fun t _ -> s.Trace.call t (call_unit t));
-      templated = None;
-    }
-  in
-  match ifetch_home with
-  | None -> with_units
-  | Some home ->
-      {
-        with_units with
-        Trace.fram_ifetch =
-          (fun hit addr _ -> s.Trace.fram_ifetch hit addr (home addr));
-        sram_ifetch = (fun addr _ -> s.Trace.sram_ifetch addr (home addr));
-      }
-
 (* Runtime-specific cache-unit context, shared by the metrics sampler
    and the replay recorder: what the installed runtime caches (its
-   reuse granule), its configured capacity, the enrichment that
-   resolves events to cache units, and — for the function granule —
-   the fid -> size table snapshotted through the same function the
-   sampler uses, so a replayed run answers size queries identically. *)
+   reuse granule), its configured capacity and — for the function
+   granule — the fid -> size table snapshotted through the same
+   function the sampler uses, so a replayed run answers size queries
+   identically. The runtime answers each event's unit itself, through
+   the hooks its [install] set on the trace. *)
 type unit_context = {
   uc_reuse : Observe.Metrics.reuse_mode;
   uc_budget : int;
   uc_fid_size : int -> int;
   uc_sizes : int array; (* Functions granule only; [||] otherwise *)
-  uc_enrich : Trace.sink -> Trace.sink;
 }
 
 let no_unit_context =
@@ -160,7 +137,6 @@ let no_unit_context =
     uc_budget = 0;
     uc_fid_size = (fun _ -> 0);
     uc_sizes = [||];
-    uc_enrich = Fun.id;
   }
 
 let unit_context ~swapram ~block =
@@ -181,24 +157,12 @@ let unit_context ~swapram ~block =
         uc_budget = rt.Swapram.Runtime.options.Swapram.Config.cache_size;
         uc_fid_size = fid_size;
         uc_sizes = Array.init nfuncs fid_size;
-        uc_enrich =
-          enrich ~ifetch_home:None ~call_unit:(fun a ->
-              Option.value ~default:(-1)
-                (Swapram.Runtime.cached_function_at rt a));
       }
   | None, Some rt ->
-      let slot = Blockcache.Runtime.slot_bytes rt in
       {
         no_unit_context with
-        uc_reuse = Observe.Metrics.Lines slot;
+        uc_reuse = Observe.Metrics.Lines (Blockcache.Runtime.slot_bytes rt);
         uc_budget = Blockcache.Runtime.cache_bytes rt;
-        uc_enrich =
-          enrich
-            ~call_unit:(fun a ->
-              match Blockcache.Runtime.cached_block_at rt a with
-              | Some nvm -> nvm / slot
-              | None -> -1)
-            ~ifetch_home:(Some (Blockcache.Runtime.cached_home rt));
       }
   | None, None -> no_unit_context
 
@@ -207,7 +171,7 @@ type observation = {
   o_profiler : Observe.Profiler.t;
   o_events : Observe.Events.t;
   o_metrics : Observe.Metrics.t option;
-  o_sink : Trace.sink; (* the consumers' fan-out, before enrichment *)
+  o_sink : Trace.sink; (* the consumers' fan-out *)
 }
 
 (* Build the observability stack for a prepared system: the symbol
@@ -215,7 +179,7 @@ type observation = {
    runtime is installed (so pc values inside SRAM cache copies resolve
    to stable function names), and one sink fanning the event stream
    out to the profiler, the optional event ring and the optional
-   metrics sampler. [prepare] installs it behind the enrichment.
+   metrics sampler. [prepare] installs it.
 
    Everything here is host-side spectating — the sinks run after the
    simulator's counters update and issue no counted accesses, so an
@@ -355,6 +319,7 @@ type prepared = {
   p_sr_manifest : Swapram.Instrument.manifest option;
   p_sr_usage : Swapram.Pipeline.nvm_usage option;
   p_bb_usage : Blockcache.Pipeline.nvm_usage option;
+  p_unit_context : unit_context;
   p_observation : observation option;
 }
 
@@ -456,14 +421,12 @@ let prepare ?observe config =
         | Some rt, Some m -> Some (rt, m)
         | _ -> None
       in
+      let uc = unit_context ~swapram ~block:bb_rt in
       let observation =
         Option.map
           (fun spec ->
-            let uc = unit_context ~swapram ~block:bb_rt in
             let o = observation spec uc ~image ~system ~swapram ~block:bb_rt in
-            Trace.set_sink
-              (Memory.stats system.Platform.memory)
-              (Some (uc.uc_enrich o.o_sink));
+            Trace.set_sink (Memory.stats system.Platform.memory) (Some o.o_sink);
             o)
           observe
       in
@@ -479,6 +442,7 @@ let prepare ?observe config =
           p_sr_manifest = sr_manifest;
           p_sr_usage = sr_usage;
           p_bb_usage = bb_usage;
+          p_unit_context = uc;
           p_observation = observation;
         }
 
@@ -486,7 +450,7 @@ let prepare ?observe config =
    does not carry them. *)
 let phase_marker p name =
   match (p.p_observation, (Memory.stats p.p_system.Platform.memory).Trace.sink) with
-  | Some _, Some s -> s.Trace.phase name
+  | Some _, Some s -> s.Trace.runtime (Trace.Phase { name })
   | _ -> ()
 
 let boot_regs p =
@@ -523,7 +487,7 @@ let reboot p =
 let collect p =
   let system = p.p_system in
   {
-    stats = Cpu.stats system.Platform.cpu;
+    stats = Trace.snapshot (Cpu.stats system.Platform.cpu);
     energy = Platform.report system;
     uart = Memory.uart_output system.Platform.memory;
     return_value = Cpu.reg system.Platform.cpu 12;
@@ -678,33 +642,25 @@ let config_of_header ~find (h : Replay.Trace_file.header) =
       "trace was recorded under non-default options; its configuration \
        cannot be reconstructed from the header names"
 
-(* Record a prepared, unbooted system into [trace]: snapshot the unit
-   context, install the writer next to the observation's sinks (any
-   ?observe stack attached at [prepare]), behind one enrichment, then
-   boot and run on the configured engine. Both engines emit the same
-   event stream, so the file is the same bytes under either, and a
-   recorded run's results equal an unobserved one's. The file is
-   completed only on a clean halt; crashed runs leave no trace file
-   behind. *)
+(* Record a prepared, unbooted system into [trace]: install the writer
+   next to the observation's sinks (any ?observe stack attached at
+   [prepare]), then boot and run on the configured engine. Both
+   engines emit the same event stream, so the file is the same bytes
+   under either, and a recorded run's results equal an unobserved
+   one's. The file is completed only on a clean halt; crashed runs
+   leave no trace file behind. *)
 let record_prepared ~trace p =
   let config = p.p_config in
-  let uc =
-    unit_context
-      ~swapram:
-        (match (p.p_swapram, p.p_sr_manifest) with
-        | Some rt, Some m -> Some (rt, m)
-        | _ -> None)
-      ~block:p.p_block
+  let w =
+    Replay.Trace_file.create_writer trace (recording_header p.p_unit_context config)
   in
-  let w = Replay.Trace_file.create_writer trace (recording_header uc config) in
   let writer = Replay.Trace_file.sink w in
   Trace.set_sink
     (Memory.stats p.p_system.Platform.memory)
     (Some
-       (uc.uc_enrich
-          (match p.p_observation with
-          | Some o -> Trace.tee o.o_sink writer
-          | None -> writer)));
+       (match p.p_observation with
+       | Some o -> Trace.tee o.o_sink writer
+       | None -> writer));
   boot p;
   match Cpu.run ~fuel:config.fuel p.p_system.Platform.cpu with
   | Cpu.Halted ->

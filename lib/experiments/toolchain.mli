@@ -85,11 +85,11 @@ type sizes = { code_bytes : int; data_bytes : int }
     dynamic symbol resolvers for whichever caching runtime is
     installed), a bounded {!Observe.Events} ring for the Chrome trace
     exporter and an optional {!Observe.Metrics} sampler,
-    teed into one {!Msp430.Trace.sink}. When a caching runtime is
-    installed, one enrichment adapter wraps that sink and fills in
-    the runtime-hook answers (a call's cached unit, an instruction
-    fetch's NVM home) once per event. Observation is pure spectating
-    — an observed run is cycle-for-cycle identical to an unobserved
+    teed into one {!Msp430.Trace.sink}. The runtime-hook answers (a
+    call's cached unit, an instruction fetch's NVM home) reach it from
+    the emit sites, which ask the hooks the installed runtime set on
+    the trace ({!Msp430.Trace.t}). Observation is pure spectating —
+    an observed run is cycle-for-cycle identical to an unobserved
     one. *)
 
 type observe_spec = {
@@ -116,11 +116,11 @@ type observation = {
   o_metrics : Observe.Metrics.t option;
   o_sink : Msp430.Trace.sink;
       (** the consumers above, teed into one sink; {!prepare} installs
-          it behind the runtime's enrichment adapter *)
+          it *)
 }
 
 type result = {
-  stats : Msp430.Trace.t;
+  stats : Msp430.Trace.t;  (** the counters at {!collect} ({!Msp430.Trace.snapshot}) *)
   energy : Msp430.Energy.report;
   uart : string;
   return_value : int;
@@ -166,9 +166,8 @@ val config_of_header :
 
 val run_recorded : ?observe:observe_spec -> trace:string -> config -> outcome
 (** [run] plus the {!Replay.Trace_file} writer as one more sink, teed
-    after any [?observe] sinks behind the same enrichment adapter:
-    every counted event of the run lands in [trace] with the
-    runtime-hook answers a replay needs. The configured engine runs
+    after any [?observe] sinks: every counted event of the run lands
+    in [trace] with the runtime-hook answers a replay needs. The configured engine runs
     it: both engines emit the same event stream, so the file is
     byte-identical under either, and the returned result equals an
     observed run's. The trace file is completed only on [Completed];
@@ -181,6 +180,19 @@ val run_recorded : ?observe:observe_spec -> trace:string -> config -> outcome
     itself so it can interleave bounded runs with power failures and
     reboots. *)
 
+(** What the installed runtime caches, shared by the metrics sampler
+    and the recording header. *)
+type unit_context = {
+  uc_reuse : Observe.Metrics.reuse_mode;
+      (** the reuse granule: functions (SwapRAM), slot-sized lines
+          (block cache) or nominal 64-byte lines (no runtime) *)
+  uc_budget : int;  (** the configured cache capacity in bytes *)
+  uc_fid_size : int -> int;  (** a function's size (0 outside the table) *)
+  uc_sizes : int array;
+      (** [uc_fid_size] per fid, snapshotted at [prepare]; [[||]]
+          unless the granule is functions *)
+}
+
 type prepared = {
   p_config : config;
   p_system : Msp430.Platform.system;
@@ -192,6 +204,7 @@ type prepared = {
   p_sr_manifest : Swapram.Instrument.manifest option;
   p_sr_usage : Swapram.Pipeline.nvm_usage option;
   p_bb_usage : Blockcache.Pipeline.nvm_usage option;
+  p_unit_context : unit_context;
   p_observation : observation option;
 }
 

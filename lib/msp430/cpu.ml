@@ -69,7 +69,6 @@ and t = {
   mutable engine : engine;
   mutable classify : int -> Trace.source;
   mutable halted : bool;
-  mutable tracer : (pc:int -> Isa.t -> unit) option;
   (* Periodic instruction hook (the checkpointing runtime's timer):
      fires between instructions once [stats.instructions] reaches
      [hook_due]. [hook_due] is [max_int] when no hook is armed, so the
@@ -116,7 +115,6 @@ let create mem =
     engine = Superblock;
     classify = default_classifier mem;
     halted = false;
-    tracer = None;
     hook = None;
     hook_interval = 0;
     hook_due = max_int;
@@ -180,9 +178,6 @@ let set_classifier t f =
   t.classify <- f;
   sb_invalidate t
 
-(* Optional per-instruction observer (mspdebug-style tracing); set to
-   None to disable. Fires after decode, before execution. *)
-let set_tracer t f = t.tracer <- f
 let register_trap t addr handler = Hashtbl.replace t.traps addr handler
 
 (* Arm (or disarm) the periodic hook. The first firing is [interval]
@@ -399,7 +394,7 @@ let exec_format2 t op sz src =
       let target = eval_src t Isa.W src in
       (match t.stats.Trace.sink with
       | None -> ()
-      | Some s -> s.Trace.call target (-1));
+      | Some s -> s.Trace.call target (Trace.unit_of t.stats target));
       push_word t t.regs.(Isa.pc);
       t.regs.(Isa.pc) <- target
   | Isa.RRC | Isa.RRA | Isa.SWPB | Isa.SXT -> (
@@ -642,7 +637,7 @@ let compile pc0 instr : t -> unit =
         let target = load t in
         (match t.stats.Trace.sink with
         | None -> ()
-        | Some s -> s.Trace.call target (-1));
+        | Some s -> s.Trace.call target (Trace.unit_of t.stats target));
         push_word t t.regs.(Isa.pc);
         t.regs.(Isa.pc) <- target
   | Isa.Jcc (Isa.JMP, off) ->
@@ -678,9 +673,6 @@ let step t =
       | Some s -> s.Trace.instr (Trace.source_index (t.classify pc0)) pc0);
       let fetch addr = Memory.read_word t.mem ~purpose:Memory.Ifetch addr in
       let instr, size = decode_at t fetch pc0 in
-      (match t.tracer with
-      | Some observe -> observe ~pc:pc0 instr
-      | None -> ());
       Trace.count_instr t.stats (t.classify pc0);
       t.regs.(Isa.pc) <- Word.add pc0 size;
       exec_instr t pc0 instr;
@@ -716,8 +708,7 @@ let step t =
    fetches through the emitting counted read, one [cycles] per
    instruction and [return] for the return idiom. The compiled
    effects emit their own accesses and [call]. Recording and the cold
-   fallback emit the same events. A tracer forces the reference
-   loop. *)
+   fallback emit the same events. *)
 
 let max_block_len = 48
 
@@ -1071,12 +1062,10 @@ let outcome_name = function
    crashes the host program.
 
    Dispatches between the two engines: the reference step loop, and
-   the superblock engine when selected and no tracer is attached (a
-   tracer needs the decoded instruction, which only [step] holds). The
-   superblock engine takes its observed loop when a sink is attached,
-   chosen once per run. Both engines charge one fuel unit per
-   instruction or trap invocation and yield identical counters,
-   memory, register state and event streams. *)
+   the superblock engine when selected, which takes its observed loop
+   when a sink is attached, chosen once per run. Both engines charge
+   one fuel unit per instruction or trap invocation and yield
+   identical counters, memory, register state and event streams. *)
 let run ?(fuel = max_int) t =
   let observed = Trace.has_sink t.stats in
   let rec ref_loop fuel =
@@ -1110,8 +1099,7 @@ let run ?(fuel = max_int) t =
   in
   let faulted msg = Faulted { fault_pc = t.regs.(Isa.pc); fault_msg = msg } in
   try
-    if t.engine = Superblock && t.tracer = None then sb_loop fuel
-    else ref_loop fuel
+    if t.engine = Superblock then sb_loop fuel else ref_loop fuel
   with
   | Memory.Power_loss -> Power_lost
   | Memory.Fault msg -> faulted msg

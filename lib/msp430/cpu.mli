@@ -36,7 +36,7 @@ val flag_v : int
     the same blocks through an observed loop that emits every event
     [step] does, in the same order, so both engines give a sink the
     same stream and a recording the same bytes; {!run} picks the loop
-    once per run. A tracer forces the reference loop. *)
+    once per run. *)
 type engine = Reference | Superblock
 
 val create : Memory.t -> t
@@ -75,10 +75,6 @@ val engine_of_string : string -> engine option
 val set_classifier : t -> (int -> Trace.source) -> unit
 (** Classify instruction fetch addresses for the Figure-8 breakdown.
     The default classifies by memory region. *)
-
-val set_tracer : t -> (pc:int -> Isa.t -> unit) option -> unit
-(** Optional per-instruction observer (mspdebug-style execution
-    tracing); fires after decode, before execution. *)
 
 val register_trap : t -> int -> (t -> trap_action) -> unit
 

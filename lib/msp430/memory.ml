@@ -203,7 +203,7 @@ let read t ~purpose ~width addr =
       | None -> ()
       | Some s -> (
           match purpose with
-          | Ifetch -> s.Trace.sram_ifetch addr addr
+          | Ifetch -> s.Trace.sram_ifetch addr (Trace.home t.stats addr)
           | Data -> s.Trace.sram_read addr))
   | Fram ->
       let hit = Hwcache.read t.cache addr in
@@ -215,7 +215,7 @@ let read t ~purpose ~width addr =
       | None -> ()
       | Some s -> (
           match purpose with
-          | Ifetch -> s.Trace.fram_ifetch hit addr addr
+          | Ifetch -> s.Trace.fram_ifetch hit addr (Trace.home t.stats addr)
           | Data -> s.Trace.fram_read hit addr));
       charge_fram_timing t ~is_read_hit:hit
   | Peripheral ->

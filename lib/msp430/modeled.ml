@@ -60,8 +60,8 @@ let copy r ~src ~dst ~words ~on_word =
     on_word ()
   done
 
-let emit mem f =
-  match (Memory.stats mem).Trace.sink with Some s -> f s | None -> ()
+let emit mem ev =
+  match (Memory.stats mem).Trace.sink with Some s -> s.Trace.runtime ev | None -> ()
 
 let classifier ~handler ~memcpy =
   let map = Memory.map handler.mem in

@@ -51,8 +51,8 @@ val copy :
     [on_word]. A power loss between words leaves [on_word] called
     exactly once per completed write. *)
 
-val emit : Memory.t -> (Trace.sink -> unit) -> unit
-(** Hand the attached sink, if any, to a runtime-event emitter. *)
+val emit : Memory.t -> Trace.runtime_event -> unit
+(** Hand a runtime event to the attached sink, if any. *)
 
 val classifier : handler:region -> memcpy:region -> int -> Trace.source
 (** The Fig. 8 instruction-source classifier for a CPU running with

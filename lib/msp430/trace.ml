@@ -167,13 +167,33 @@ let[@inline] record_stall tp bits =
   (tp.tp_wait_states * (tp.tp_nbits - popcount bits + tp.tp_writes))
   + if tp.tp_frams > 1 then tp.tp_contention * (tp.tp_frams - 1) else 0
 
-(* One callback per event kind. The emit sites and the trace decoder
-   call these directly, so neither side builds an event value. The
-   machine passes the "no runtime" answers: an ifetch's home is its
-   address and a call's unit is -1; a caching runtime's answers are
-   filled in by the harness's enrichment adapter. [templated] takes a
-   whole templated instruction at once; [None] has it expanded into
-   the callbacks above ([expand]). *)
+(* High-level events from the caching runtimes (miss-handler entry and
+   exit, evictions, anti-thrashing freeze transitions, block-cache
+   flushes and loads) and from the harness (phase markers such as
+   boot/reboot). A [Miss_exit]'s disposition is "cached", "nvm",
+   "frozen", "too-large" or (block cache) "return"; its fid identifies
+   the missed function for a function-granular cache (SwapRAM) and is
+   -1 otherwise, so a windowed sampler tracks cache occupancy and
+   reuse without peeking at runtime internals on the hot path. *)
+type runtime_event =
+  | Miss_enter of { runtime : string }
+  | Miss_exit of { runtime : string; disposition : string; fid : int }
+  | Eviction of { fid : int }
+  | Freeze of { on : bool }
+  | Cache_flush
+  | Block_load of { nvm : int }
+  | Prefetch of { fid : int }
+  | Phase of { name : string }
+
+(* One callback per per-instruction or per-access event kind, and one
+   for the rare runtime events. The emit sites and the trace decoder
+   call these directly, so neither side builds a value per instruction
+   or access. The runtime-hook answers ride along: an ifetch's home and
+   a call's unit, which the emit sites ask [t]'s hooks for ([home] and
+   [unit_of] below), or the "no runtime" answers (home = address, unit
+   -1) when no runtime installed one. [templated] takes a whole
+   templated instruction at once; [None] has it expanded into the
+   callbacks above ([expand]). *)
 type sink = {
   instr : int -> int -> unit;  (* source index, pc *)
   cycles : int -> int -> unit;  (* unstalled, stall *)
@@ -186,14 +206,7 @@ type sink = {
   periph : int -> unit;
   call : int -> int -> unit;  (* target, unit (-1 for none) *)
   return : unit -> unit;
-  miss_enter : string -> unit;
-  miss_exit : string -> string -> int -> unit;  (* runtime, disposition, fid *)
-  eviction : int -> unit;
-  freeze : bool -> unit;
-  cache_flush : unit -> unit;
-  block_load : int -> unit;
-  prefetch : int -> unit;
-  phase : string -> unit;
+  runtime : runtime_event -> unit;
   templated : (template -> int -> int array -> unit) option;
       (* template, hit bits, payload *)
 }
@@ -301,15 +314,7 @@ let tee a b =
     periph = (fun addr -> a.periph addr; b.periph addr);
     call = (fun target u -> a.call target u; b.call target u);
     return = (fun () -> a.return (); b.return ());
-    miss_enter = (fun rt -> a.miss_enter rt; b.miss_enter rt);
-    miss_exit =
-      (fun rt disp fid -> a.miss_exit rt disp fid; b.miss_exit rt disp fid);
-    eviction = (fun fid -> a.eviction fid; b.eviction fid);
-    freeze = (fun on -> a.freeze on; b.freeze on);
-    cache_flush = (fun () -> a.cache_flush (); b.cache_flush ());
-    block_load = (fun nvm -> a.block_load nvm; b.block_load nvm);
-    prefetch = (fun fid -> a.prefetch fid; b.prefetch fid);
-    phase = (fun name -> a.phase name; b.phase name);
+    runtime = (fun ev -> a.runtime ev; b.runtime ev);
     templated =
       (match (a.templated, b.templated) with
       | None, None -> None
@@ -329,25 +334,6 @@ type access_class =
   | Sram_read of { ifetch : bool }
   | Sram_write
   | Periph_access
-
-(* High-level events from the caching runtimes (miss-handler entry and
-   exit, evictions, anti-thrashing freeze transitions, block-cache
-   flushes and loads) and from the harness (phase markers such as
-   boot/reboot). *)
-type runtime_event =
-  | Miss_enter of { runtime : string }
-  | Miss_exit of { runtime : string; disposition : string; fid : int }
-      (* fid identifies the missed function for runtimes with a
-         function-granular cache (SwapRAM); -1 when the runtime has no
-         function identity (block cache). Lets a windowed sampler
-         track cache occupancy and reuse without peeking at runtime
-         internals on the hot path. *)
-  | Eviction of { fid : int }
-  | Freeze of { on : bool }
-  | Cache_flush
-  | Block_load of { nvm : int }
-  | Prefetch of { fid : int }
-  | Phase of { name : string }
 
 type event =
   | Instr of { pc : int; source : source }
@@ -371,7 +357,6 @@ let source_of_index = function
    (homes, units) are dropped: an event value does not carry them. *)
 let event_sink f =
   let mem addr cls = f (Mem_access { addr; cls }) in
-  let rt ev = f (Runtime_event ev) in
   {
     instr = (fun i pc -> f (Instr { pc; source = source_of_index i }));
     cycles = (fun unstalled stall -> f (Cycles { unstalled; stall }));
@@ -385,15 +370,7 @@ let event_sink f =
     periph = (fun addr -> mem addr Periph_access);
     call = (fun target _unit -> f (Call { target }));
     return = (fun () -> f Return);
-    miss_enter = (fun runtime -> rt (Miss_enter { runtime }));
-    miss_exit =
-      (fun runtime disposition fid -> rt (Miss_exit { runtime; disposition; fid }));
-    eviction = (fun fid -> rt (Eviction { fid }));
-    freeze = (fun on -> rt (Freeze { on }));
-    cache_flush = (fun () -> rt Cache_flush);
-    block_load = (fun nvm -> rt (Block_load { nvm }));
-    prefetch = (fun fid -> rt (Prefetch { fid }));
-    phase = (fun name -> rt (Phase { name }));
+    runtime = (fun ev -> f (Runtime_event ev));
     templated = None;
   }
 
@@ -414,6 +391,11 @@ type t = {
   mutable sram_writes : int;
   mutable periph_accesses : int;
   mutable sink : sink option;
+  (* The installed runtime's answers, asked by the emit sites only when
+     a sink is attached: an instruction fetch's NVM home and a call's
+     cached unit. [None] is the "no runtime" answer. *)
+  mutable ifetch_home : (int -> int) option;
+  mutable call_unit : (int -> int) option;
 }
 
 let create () =
@@ -431,9 +413,24 @@ let create () =
     sram_writes = 0;
     periph_accesses = 0;
     sink = None;
+    ifetch_home = None;
+    call_unit = None;
   }
 
 let set_sink t s = t.sink <- s
+
+(* A plain value: no closure, so it compares and marshals. *)
+let snapshot t =
+  {
+    t with
+    instr_by_source = Array.copy t.instr_by_source;
+    sink = None;
+    ifetch_home = None;
+    call_unit = None;
+  }
+
+let[@inline] home t addr = match t.ifetch_home with None -> addr | Some f -> f addr
+let[@inline] unit_of t target = match t.call_unit with None -> -1 | Some f -> f target
 
 (* Explicit match, not [<> None]: polymorphic inequality on a closure
    option is a C call, and this runs on every counted access. *)

@@ -113,13 +113,35 @@ val record_events : template -> int -> int
 (** [record_events tp bits] is the number of callbacks {!expand} makes
     for the record. *)
 
-(** One callback per event kind, called directly by the emit sites
-    and by the trace decoder; no event value is built. The runtime-hook
+(** High-level events from the caching runtimes and the harness, rare
+    enough that a sink takes them as one value each. A [Miss_exit]'s
+    disposition is ["cached"], ["nvm"], ["frozen"], ["too-large"] or
+    (block cache) ["return"]; its [fid] identifies the missed function
+    when the runtime caches at function granularity (SwapRAM), and is
+    -1 otherwise. [Block_load]'s [nvm] is the loaded block's NVM
+    address, [Prefetch]'s [fid] a function cached ahead of its first
+    call (prefetch extension), [Freeze] an anti-thrashing freeze
+    transition and [Phase] a harness marker (boot/reboot). *)
+type runtime_event =
+  | Miss_enter of { runtime : string }
+  | Miss_exit of { runtime : string; disposition : string; fid : int }
+  | Eviction of { fid : int }
+  | Freeze of { on : bool }
+  | Cache_flush
+  | Block_load of { nvm : int }
+  | Prefetch of { fid : int }
+  | Phase of { name : string }
+
+(** The one event interface: one callback per instruction or access
+    event kind, called directly by the emit sites and by the trace
+    decoder, so no value is built per instruction or access, and one
+    [runtime] callback for the {!runtime_event}s. The runtime-hook
     answers ride along: [home] is an instruction fetch's NVM home
-    address and [unit] a call's cached unit. The machine passes the
-    "no runtime" answers (home = address, unit = [-1]); a caching
-    runtime's answers are filled in once per event by the harness's
-    enrichment adapter ({!Experiments.Toolchain}).
+    address and [unit] a call's cached unit. The emit sites ask the
+    installed runtime's hooks for them ({!t.ifetch_home},
+    {!t.call_unit}), and pass the "no runtime" answers (home =
+    address, unit [-1]) where none is installed, so every sink gets
+    the same answers.
 
     A trace replay can also hand over a whole templated instruction in
     one call, [templated]. A sink that sets it takes such an
@@ -141,19 +163,7 @@ type sink = {
   periph : int -> unit;
   call : int -> int -> unit;  (** target, unit ([-1] for none) *)
   return : unit -> unit;
-  miss_enter : string -> unit;  (** runtime *)
-  miss_exit : string -> string -> int -> unit;
-      (** runtime, disposition, fid. Disposition: ["cached"], ["nvm"],
-          ["frozen"], ["too-large"] or (block cache) ["return"]. [fid]
-          identifies the missed function when the runtime caches at
-          function granularity (SwapRAM); -1 otherwise. *)
-  eviction : int -> unit;  (** fid *)
-  freeze : bool -> unit;  (** anti-thrashing freeze transition *)
-  cache_flush : unit -> unit;
-  block_load : int -> unit;  (** NVM address of the loaded block *)
-  prefetch : int -> unit;
-      (** fid cached ahead of its first call (prefetch extension) *)
-  phase : string -> unit;  (** harness marker (boot/reboot) *)
+  runtime : runtime_event -> unit;
   templated : (template -> int -> int array -> unit) option;
       (** [templated tp bits payload]: one instruction against [tp],
           with its hit bits ([bits lsr tp.tp_nbits = 0]) and its
@@ -189,17 +199,6 @@ type access_class =
   | Sram_write
   | Periph_access
 
-(** High-level events from the caching runtimes and the harness. *)
-type runtime_event =
-  | Miss_enter of { runtime : string }
-  | Miss_exit of { runtime : string; disposition : string; fid : int }
-  | Eviction of { fid : int }
-  | Freeze of { on : bool }
-  | Cache_flush
-  | Block_load of { nvm : int }
-  | Prefetch of { fid : int }
-  | Phase of { name : string }
-
 type event =
   | Instr of { pc : int; source : source }
   | Cycles of { unstalled : int; stall : int }
@@ -226,12 +225,33 @@ type t = {
   mutable sram_writes : int;
   mutable periph_accesses : int;
   mutable sink : sink option;
+  mutable ifetch_home : (int -> int) option;
+      (** the installed runtime's NVM home of an instruction fetch
+          address; [None] when it has none (the home is the address) *)
+  mutable call_unit : (int -> int) option;
+      (** the installed runtime's cached unit of a call target, [-1]
+          for none; [None] when it caches no units. A runtime's
+          [install] sets both next to its {!Cpu.set_classifier} call.
+          The emit sites ask them only while a sink is attached. *)
 }
 
 val create : unit -> t
 val count_instr : t -> source -> unit
 
 val set_sink : t -> sink option -> unit
+
+val snapshot : t -> t
+(** The counters as they stand, with no sink and no hooks: a plain
+    value, which compares and marshals, and which later execution
+    leaves as it is. *)
+
+val home : t -> int -> int
+(** [home t addr] is the fetch [addr]'s NVM home: {!t.ifetch_home}'s
+    answer, or [addr]. *)
+
+val unit_of : t -> int -> int
+(** [unit_of t target] is the call [target]'s cached unit:
+    {!t.call_unit}'s answer, or [-1]. *)
 
 val has_sink : t -> bool
 (** [true] when a sink is attached. {!Cpu.run} then takes the

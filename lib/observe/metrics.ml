@@ -376,6 +376,44 @@ let whole t s (tp : Msp430.Trace.template) bits payload =
     done
   end
 
+(* The runtime's own events: miss-handler entries and exits, and the
+   cache occupancy they, evictions, flushes, block loads and prefetches
+   move. *)
+let runtime_event t (ev : Msp430.Trace.runtime_event) =
+  let w = t.cur in
+  match ev with
+  | Miss_enter _ -> w.w_miss_entries <- w.w_miss_entries + 1
+  | Miss_exit { disposition; fid; _ } -> (
+      (if disposition = "cached" then begin
+         w.w_exits_cached <- w.w_exits_cached + 1;
+         if fid >= 0 then t.occupancy <- t.occupancy + size_of t fid
+       end
+       else if disposition <> "return" then w.w_exits_nvm <- w.w_exits_nvm + 1);
+      if fid >= 0 && disposition <> "return" then
+        match t.spec.reuse with
+        | Functions ->
+            reuse_access t ~unit_id:fid ~bytes:(size_of t fid);
+            Option.iter Reuse.note_measured_miss t.reuse
+        | Lines _ | No_reuse -> ())
+  | Eviction { fid } ->
+      w.w_evictions <- w.w_evictions + 1;
+      t.occupancy <- max 0 (t.occupancy - size_of t fid)
+  | Freeze { on } -> if on then w.w_freezes <- w.w_freezes + 1
+  | Cache_flush ->
+      w.w_flushes <- w.w_flushes + 1;
+      t.occupancy <- 0
+  | Block_load _ -> (
+      w.w_block_loads <- w.w_block_loads + 1;
+      match t.spec.reuse with
+      | Lines n ->
+          t.occupancy <- t.occupancy + n;
+          Option.iter Reuse.note_measured_miss t.reuse
+      | Functions | No_reuse -> ())
+  | Prefetch { fid } ->
+      w.w_prefetches <- w.w_prefetches + 1;
+      t.occupancy <- t.occupancy + size_of t fid
+  | Phase _ -> ()
+
 (* The same callbacks serve a live run and a trace replay: the hook
    answers (homes, units) arrive as arguments either way. A replay
    hands over each templated instruction whole ([whole]). *)
@@ -419,44 +457,7 @@ let sink t =
           | Lines _ | No_reuse -> ()
         end);
     return = (fun () -> t.cur.w_returns <- t.cur.w_returns + 1);
-    miss_enter =
-      (fun _runtime -> t.cur.w_miss_entries <- t.cur.w_miss_entries + 1);
-    miss_exit =
-      (fun _runtime disposition fid ->
-        let w = t.cur in
-        (if disposition = "cached" then begin
-           w.w_exits_cached <- w.w_exits_cached + 1;
-           if fid >= 0 then t.occupancy <- t.occupancy + size_of t fid
-         end
-         else if disposition <> "return" then w.w_exits_nvm <- w.w_exits_nvm + 1);
-        if fid >= 0 && disposition <> "return" then
-          match t.spec.reuse with
-          | Functions ->
-              reuse_access t ~unit_id:fid ~bytes:(size_of t fid);
-              Option.iter Reuse.note_measured_miss t.reuse
-          | Lines _ | No_reuse -> ());
-    eviction =
-      (fun fid ->
-        t.cur.w_evictions <- t.cur.w_evictions + 1;
-        t.occupancy <- max 0 (t.occupancy - size_of t fid));
-    freeze = (fun on -> if on then t.cur.w_freezes <- t.cur.w_freezes + 1);
-    cache_flush =
-      (fun () ->
-        t.cur.w_flushes <- t.cur.w_flushes + 1;
-        t.occupancy <- 0);
-    block_load =
-      (fun _nvm ->
-        t.cur.w_block_loads <- t.cur.w_block_loads + 1;
-        match t.spec.reuse with
-        | Lines n ->
-            t.occupancy <- t.occupancy + n;
-            Option.iter Reuse.note_measured_miss t.reuse
-        | Functions | No_reuse -> ());
-    prefetch =
-      (fun fid ->
-        t.cur.w_prefetches <- t.cur.w_prefetches + 1;
-        t.occupancy <- t.occupancy + size_of t fid);
-    phase = (fun _name -> ());
+    runtime = runtime_event t;
     templated = None;
   }
   in

@@ -202,18 +202,13 @@ let sink t =
               t.depth <- t.depth - 1;
               t.stack_key <- String.concat ";" (List.rev rest);
               t.folded_dirty <- true);
-    miss_enter = (fun _runtime -> ());
-    miss_exit =
-      (fun _runtime _disposition fid ->
-        match Hashtbl.find_opt t.fid_misses fid with
-        | Some r -> incr r
-        | None -> Hashtbl.replace t.fid_misses fid (ref 1));
-    eviction = (fun _fid -> ());
-    freeze = (fun _on -> ());
-    cache_flush = (fun () -> ());
-    block_load = (fun _nvm -> ());
-    prefetch = (fun _fid -> ());
-    phase = (fun _name -> ());
+    runtime =
+      (function
+      | Msp430.Trace.Miss_exit { fid; _ } -> (
+          match Hashtbl.find_opt t.fid_misses fid with
+          | Some r -> incr r
+          | None -> Hashtbl.replace t.fid_misses fid (ref 1))
+      | _ -> ());
     templated = None;
   }
 

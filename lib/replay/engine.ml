@@ -325,26 +325,26 @@ let accum_sink a =
           if u > a.ac_max_unit then a.ac_max_unit <- u
         end);
     return = (fun () -> a.ac_returns <- a.ac_returns + 1);
-    miss_enter = (fun _rt -> a.ac_miss_enters <- a.ac_miss_enters + 1);
-    miss_exit =
-      (fun _rt disposition fid ->
-        (match disposition with
-        | "cached" -> a.ac_exits_cached <- a.ac_exits_cached + 1
-        | "nvm" -> a.ac_exits_nvm <- a.ac_exits_nvm + 1
-        | "frozen" -> a.ac_exits_frozen <- a.ac_exits_frozen + 1
-        | "too-large" -> a.ac_exits_too_large <- a.ac_exits_too_large + 1
-        | "return" -> a.ac_exits_return <- a.ac_exits_return + 1
-        | _ -> ());
-        if a.ac_functions && fid >= 0 && disposition <> "return" then begin
-          vec_push a.ac_refs ((fid lsl 1) lor 1);
-          if fid > a.ac_max_unit then a.ac_max_unit <- fid
-        end);
-    eviction = (fun _fid -> a.ac_evictions <- a.ac_evictions + 1);
-    freeze = (fun _on -> ());
-    cache_flush = (fun () -> a.ac_flushes <- a.ac_flushes + 1);
-    block_load = (fun _nvm -> a.ac_block_loads <- a.ac_block_loads + 1);
-    prefetch = (fun _fid -> a.ac_prefetches <- a.ac_prefetches + 1);
-    phase = (fun _name -> ());
+    runtime =
+      (function
+      | Miss_enter _ -> a.ac_miss_enters <- a.ac_miss_enters + 1
+      | Miss_exit { disposition; fid; _ } ->
+          (match disposition with
+          | "cached" -> a.ac_exits_cached <- a.ac_exits_cached + 1
+          | "nvm" -> a.ac_exits_nvm <- a.ac_exits_nvm + 1
+          | "frozen" -> a.ac_exits_frozen <- a.ac_exits_frozen + 1
+          | "too-large" -> a.ac_exits_too_large <- a.ac_exits_too_large + 1
+          | "return" -> a.ac_exits_return <- a.ac_exits_return + 1
+          | _ -> ());
+          if a.ac_functions && fid >= 0 && disposition <> "return" then begin
+            vec_push a.ac_refs ((fid lsl 1) lor 1);
+            if fid > a.ac_max_unit then a.ac_max_unit <- fid
+          end
+      | Eviction _ -> a.ac_evictions <- a.ac_evictions + 1
+      | Cache_flush -> a.ac_flushes <- a.ac_flushes + 1
+      | Block_load _ -> a.ac_block_loads <- a.ac_block_loads + 1
+      | Prefetch _ -> a.ac_prefetches <- a.ac_prefetches + 1
+      | Freeze _ | Phase _ -> ());
     templated =
       Some
         (fun tp bits payload ->

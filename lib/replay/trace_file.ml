@@ -885,45 +885,26 @@ let sink w =
       (fun () ->
         w.events <- w.events + 1;
         on_return w);
-    miss_enter =
-      (fun runtime_name ->
+    runtime =
+      (fun ev ->
         w.events <- w.events + 1;
-        on_interned w tag_miss_enter runtime_name);
-    miss_exit =
-      (fun runtime_name disposition fid ->
-        w.events <- w.events + 1;
-        escape w;
-        let rt = intern_id w runtime_name in
-        let disp = intern_id w disposition in
-        put_byte w tag_miss_exit;
-        add_varint w rt;
-        add_varint w disp;
-        add_signed w fid;
-        written w);
-    eviction =
-      (fun fid ->
-        w.events <- w.events + 1;
-        on_count w tag_eviction fid);
-    freeze =
-      (fun on ->
-        w.events <- w.events + 1;
-        on_bare w (if on then tag_freeze_on else tag_freeze_off));
-    cache_flush =
-      (fun () ->
-        w.events <- w.events + 1;
-        on_bare w tag_cache_flush);
-    block_load =
-      (fun nvm ->
-        w.events <- w.events + 1;
-        on_count w tag_block_load nvm);
-    prefetch =
-      (fun fid ->
-        w.events <- w.events + 1;
-        on_count w tag_prefetch fid);
-    phase =
-      (fun name ->
-        w.events <- w.events + 1;
-        on_interned w tag_phase name);
+        match ev with
+        | Miss_enter { runtime } -> on_interned w tag_miss_enter runtime
+        | Miss_exit { runtime; disposition; fid } ->
+            escape w;
+            let rt = intern_id w runtime in
+            let disp = intern_id w disposition in
+            put_byte w tag_miss_exit;
+            add_varint w rt;
+            add_varint w disp;
+            add_signed w fid;
+            written w
+        | Eviction { fid } -> on_count w tag_eviction fid
+        | Freeze { on } -> on_bare w (if on then tag_freeze_on else tag_freeze_off)
+        | Cache_flush -> on_bare w tag_cache_flush
+        | Block_load { nvm } -> on_count w tag_block_load nvm
+        | Prefetch { fid } -> on_count w tag_prefetch fid
+        | Phase { name } -> on_interned w tag_phase name);
     templated = None;
   }
 
@@ -1355,33 +1336,38 @@ let iter path ~make =
           | 0x14 (* miss enter *) ->
               let rt = varint c in
               decoded c "miss enter";
-              v.Trace.miss_enter (intern_lookup strings rt)
+              v.Trace.runtime (Miss_enter { runtime = intern_lookup strings rt })
           | 0x15 (* miss exit *) ->
               let rt = varint c in
               let disp = varint c in
               let fid = signed c in
               decoded c "miss exit";
-              v.Trace.miss_exit (intern_lookup strings rt)
-                (intern_lookup strings disp) fid
+              v.Trace.runtime
+                (Miss_exit
+                   {
+                     runtime = intern_lookup strings rt;
+                     disposition = intern_lookup strings disp;
+                     fid;
+                   })
           | 0x16 (* eviction *) ->
               let fid = varint c in
               decoded c "eviction";
-              v.Trace.eviction fid
-          | 0x17 (* freeze on *) -> v.Trace.freeze true
-          | 0x18 (* freeze off *) -> v.Trace.freeze false
-          | 0x19 (* cache flush *) -> v.Trace.cache_flush ()
+              v.Trace.runtime (Eviction { fid })
+          | 0x17 (* freeze on *) -> v.Trace.runtime (Freeze { on = true })
+          | 0x18 (* freeze off *) -> v.Trace.runtime (Freeze { on = false })
+          | 0x19 (* cache flush *) -> v.Trace.runtime Cache_flush
           | 0x1A (* block load *) ->
               let nvm = varint c in
               decoded c "block load";
-              v.Trace.block_load nvm
+              v.Trace.runtime (Block_load { nvm })
           | 0x1B (* prefetch *) ->
               let fid = varint c in
               decoded c "prefetch";
-              v.Trace.prefetch fid
+              v.Trace.runtime (Prefetch { fid })
           | 0x1C (* phase *) ->
               let id = varint c in
               decoded c "phase";
-              v.Trace.phase (intern_lookup strings id)
+              v.Trace.runtime (Phase { name = intern_lookup strings id })
           | 0x1D (* string definition, not an event *) ->
               decr count;
               let len = varint c in

@@ -86,10 +86,11 @@ val create_writer : string -> header -> writer
 val sink : writer -> Msp430.Trace.sink
 (** The writer as a sink: each callback matches one event against the
     current instruction's template, or encodes it tagged, with the
-    home and unit answers it is given (install it through the
-    harness, whose enrichment adapter supplies the caching runtime's
-    answers). An instruction that departs from its template is
-    rewritten in place as tagged events; nothing else is buffered. *)
+    home and unit answers it is given (the emit sites ask the caching
+    runtime's hooks for them, so the writer needs no adapter). A
+    runtime event is encoded tagged. An instruction that departs from
+    its template is rewritten in place as tagged events; nothing else
+    is buffered. *)
 
 val close_writer : writer -> unit
 (** Write the end marker and close. The file is complete and
@@ -137,9 +138,10 @@ val iter :
     callbacks or their whole-instruction equivalent. The decode loop
     reads each record from the window (see above), dispatches on its
     tag through one jump table and calls the callbacks directly; it
-    builds no {!Msp430.Trace.event}, so a scan allocates nothing per
-    event — the fast path replay analyses are built on, and the same
-    interface a live run feeds. Each record is checked for truncation
+    builds no {!Msp430.Trace.event} and only the rare
+    {!Msp430.Trace.runtime_event}s as values, so a scan allocates
+    nothing per instruction or access event — the fast path replay
+    analyses are built on, and the same interface a live run feeds. Each record is checked for truncation
     once, after its fields are read, and every other check on it runs
     before any callback: a cut or damaged record is an error and no
     callback sees a byte past the end of the file or any part of the

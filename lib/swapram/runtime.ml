@@ -86,7 +86,7 @@ let retarget_relocs t fid ~base =
 
 let evict_function t (entry : Cache.entry) =
   Modeled.charge t.handler Costs.evict_instrs;
-  Modeled.emit t.mem (fun s -> s.Trace.eviction entry.Cache.fid);
+  Modeled.emit t.mem (Trace.Eviction { fid = entry.Cache.fid });
   t.stats.evictions <- t.stats.evictions + 1;
   write_word t (t.addrs.a_redirect + (2 * entry.Cache.fid)) Config.miss_handler_trap;
   let nvm = functab_nvm t entry.Cache.fid in
@@ -124,7 +124,7 @@ let rec prefetch_callees t fid budget =
                 retarget_relocs t callee ~base:addr;
                 write_word t (t.addrs.a_redirect + (2 * callee)) addr;
                 t.stats.prefetches <- t.stats.prefetches + 1;
-                Modeled.emit t.mem (fun s -> s.Trace.prefetch callee);
+                Modeled.emit t.mem (Trace.Prefetch { fid = callee });
                 prefetch_callees t callee (budget - 1);
                 go (budget - 1) rest
             | Cache.Place _ | Cache.Too_large -> go budget rest
@@ -169,15 +169,16 @@ let abort_to_nvm t ~fid ~nvm =
   | Some (threshold, window)
     when t.freeze_left = 0 && t.consecutive_aborts >= threshold ->
       t.freeze_left <- window;
-      Modeled.emit t.mem (fun s -> s.Trace.freeze true)
+      Modeled.emit t.mem (Trace.Freeze { on = true })
   | _ -> ());
-  Modeled.emit t.mem (fun s -> s.Trace.miss_exit "swapram" "nvm" fid);
+  Modeled.emit t.mem
+    (Trace.Miss_exit { runtime = "swapram"; disposition = "nvm"; fid });
   Cpu.Goto nvm
 
 let on_miss t cpu =
   ignore cpu;
   t.stats.misses <- t.stats.misses + 1;
-  Modeled.emit t.mem (fun s -> s.Trace.miss_enter "swapram");
+  Modeled.emit t.mem (Trace.Miss_enter { runtime = "swapram" });
   Modeled.charge t.handler Costs.handler_entry_instrs;
   let fid = read_word t t.addrs.a_funcid in
   let nvm = functab_nvm t fid in
@@ -186,9 +187,10 @@ let on_miss t cpu =
     (* freeze mode: execute from NVM without touching the cache *)
     t.freeze_left <- t.freeze_left - 1;
     t.stats.frozen_misses <- t.stats.frozen_misses + 1;
-    if t.freeze_left = 0 then Modeled.emit t.mem (fun s -> s.Trace.freeze false);
+    if t.freeze_left = 0 then Modeled.emit t.mem (Trace.Freeze { on = false });
     Modeled.charge t.handler Costs.abort_instrs;
-    Modeled.emit t.mem (fun s -> s.Trace.miss_exit "swapram" "frozen" fid);
+    Modeled.emit t.mem
+      (Trace.Miss_exit { runtime = "swapram"; disposition = "frozen"; fid });
     Cpu.Goto nvm
   end
   else begin
@@ -210,7 +212,8 @@ let on_miss t cpu =
           abort_restoring ();
           t.stats.too_large <- t.stats.too_large + 1;
           Modeled.charge t.handler Costs.abort_instrs;
-          Modeled.emit t.mem (fun s -> s.Trace.miss_exit "swapram" "too-large" fid);
+          Modeled.emit t.mem
+            (Trace.Miss_exit { runtime = "swapram"; disposition = "too-large"; fid });
           Cpu.Goto nvm
       | Cache.Place { addr; evict } -> (
           (* call-stack integrity: never evict an active function *)
@@ -236,7 +239,8 @@ let on_miss t cpu =
                 t.options.Config.debug_checks
                 && not (Cache.check_invariants t.cache)
               then failwith "SwapRAM cache invariant violated";
-              Modeled.emit t.mem (fun s -> s.Trace.miss_exit "swapram" "cached" fid);
+              Modeled.emit t.mem
+                (Trace.Miss_exit { runtime = "swapram"; disposition = "cached"; fid });
               Cpu.Goto addr
           | _ :: _ when attempts > 0 && t.options.Config.policy = Cache.Circular_queue
             ->
@@ -349,6 +353,9 @@ let install ~options ~manifest ~image (system : Msp430.Platform.system) =
      code; everything else classifies by memory region. *)
   Cpu.set_classifier system.Msp430.Platform.cpu
     (Modeled.classifier ~handler:t.handler ~memcpy:t.memcpy);
+  (* A call's unit is the function whose cache copy it enters. *)
+  (Memory.stats mem).Trace.call_unit <-
+    Some (fun a -> Option.value ~default:(-1) (cached_function_at t a));
   (* profile-guided pins copy in once, before execution starts; the
      image is already loaded (Pipeline.install loads before
      installing the runtime) *)

@@ -87,8 +87,9 @@ val install :
   image:Masm.Assembler.t ->
   Msp430.Platform.system ->
   t
-(** Arm the miss-handler trap and the Figure-8 instruction-source
-    classifier on [system], then copy in any profile-guided pinned
+(** Arm the miss-handler trap, the Figure-8 instruction-source
+    classifier and the trace's call-unit hook
+    ({!Msp430.Trace.t.call_unit}) on [system], then copy in any profile-guided pinned
     functions (the manifest's anchors). The image must already be
     built from the instrumented program {e and loaded into the
     system's memory} (pinning reads the NVM code); {!Pipeline.install}

@@ -20,9 +20,9 @@ module FS = Faultinject.Schedule
 
 (* Everything simulated a completed run exposes; host timing and the
    observation attachment (compared separately) are excluded. The
-   sink's closures are blanked so the counters compare structurally
-   even on observed runs. *)
-let stats_sig (s : Trace.t) = { s with Trace.sink = None }
+   counters are snapshotted without the sink's and the runtime hooks'
+   closures, so they compare structurally even on observed runs. *)
+let stats_sig = Trace.snapshot
 
 let result_sig (r : T.result) =
   ( stats_sig r.T.stats,

@@ -251,11 +251,11 @@ let prop_line_runs_equal_per_fetch =
               done;
               true
           | Block_load ->
-              s.Trace.block_load 0x4400;
+              s.Trace.runtime (Trace.Block_load { nvm = 0x4400 });
               Observe.Reuse.note_measured_miss reference;
               true
           | Flush ->
-              s.Trace.cache_flush ();
+              s.Trace.runtime Trace.Cache_flush;
               true
           | Cycles k ->
               s.Trace.cycles k 0;

@@ -163,7 +163,7 @@ let prop_event_ring_wraparound =
       let ring = Observe.Events.create ~capacity stats in
       for i = 0 to n - 1 do
         stats.Trace.unstalled_cycles <- i;
-        (Observe.Events.sink ring).Trace.phase (string_of_int i)
+        (Observe.Events.sink ring).Trace.runtime (Trace.Phase { name = string_of_int i })
       done;
       let got =
         List.map
@@ -293,7 +293,7 @@ let unit_checks =
         let sink = Observe.Events.sink ring in
         sink.Trace.call 0x4242 (-1);
         stats.Trace.unstalled_cycles <- 5;
-        sink.Trace.phase hostile;
+        sink.Trace.runtime (Trace.Phase { name = hostile });
         sink.Trace.return ();
         let doc = Observe.Chrome.export ~symtab ring in
         (* every byte outside printable ASCII must have been escaped *)

@@ -210,7 +210,7 @@ let call_unit t = if t land 3 = 0 then (t lsr 2) land 15 else -1
 let ifetch_home a = a land lnot 63
 
 (* Feed one stored event to a sink, with the answers above: what the
-   emit sites and the enrichment adapter do on a live run. *)
+   emit sites do on a live run, asking the runtime's hooks. *)
 let feed (s : Trace.sink) (ev : Trace.event) =
   match ev with
   | Trace.Instr { pc; source } -> s.Trace.instr (Trace.source_index source) pc
@@ -228,17 +228,7 @@ let feed (s : Trace.sink) (ev : Trace.event) =
       | Trace.Periph_access -> s.Trace.periph addr)
   | Trace.Call { target } -> s.Trace.call target (call_unit target)
   | Trace.Return -> s.Trace.return ()
-  | Trace.Runtime_event rev -> (
-      match rev with
-      | Trace.Miss_enter { runtime } -> s.Trace.miss_enter runtime
-      | Trace.Miss_exit { runtime; disposition; fid } ->
-          s.Trace.miss_exit runtime disposition fid
-      | Trace.Eviction { fid } -> s.Trace.eviction fid
-      | Trace.Freeze { on } -> s.Trace.freeze on
-      | Trace.Cache_flush -> s.Trace.cache_flush ()
-      | Trace.Block_load { nvm } -> s.Trace.block_load nvm
-      | Trace.Prefetch { fid } -> s.Trace.prefetch fid
-      | Trace.Phase { name } -> s.Trace.phase name)
+  | Trace.Runtime_event ev -> s.Trace.runtime ev
 
 let record_events ?(header = roundtrip_header) path events =
   let w = Trace_file.create_writer path header in
@@ -1412,15 +1402,16 @@ let departure_cases : (string * (Trace.sink -> unit) list) list =
           s.Trace.cycles 0 4;
           s.Trace.fram_read true 0x6004;
           s.Trace.cycles 0 1;
-          s.Trace.miss_enter "swapram";
+          s.Trace.runtime (Trace.Miss_enter { runtime = "swapram" });
           s.Trace.sram_write 0x2100;
-          s.Trace.miss_exit "swapram" "cached" 2;
+          s.Trace.runtime
+            (Trace.Miss_exit { runtime = "swapram"; disposition = "cached"; fid = 2 });
           s.Trace.call 0x4500 3;
           s.Trace.cycles 3 0);
         base;
         (fun s ->
           base s;
-          s.Trace.block_load 0x4400);
+          s.Trace.runtime (Trace.Block_load { nvm = 0x4400 }));
         base;
         long_reads;
         (fun s ->
@@ -1430,7 +1421,7 @@ let departure_cases : (string * (Trace.sink -> unit) list) list =
             s.Trace.fram_read false (0x6100 + (2 * k));
             s.Trace.cycles 0 4
           done;
-          s.Trace.eviction 5;
+          s.Trace.runtime (Trace.Eviction { fid = 5 });
           s.Trace.cycles 2 0);
         long_reads ~from:1;
         base;
@@ -1489,7 +1480,7 @@ let departure_cases : (string * (Trace.sink -> unit) list) list =
     ( "events before the first instruction",
       [
         (fun s ->
-          s.Trace.phase "boot";
+          s.Trace.runtime (Trace.Phase { name = "boot" });
           s.Trace.cycles 5 0;
           s.Trace.fram_read true 0x6000;
           s.Trace.sram_ifetch 0x2000 0x2000;
@@ -1498,7 +1489,7 @@ let departure_cases : (string * (Trace.sink -> unit) list) list =
         base;
         (fun s ->
           s.Trace.instr 0 0x4400;
-          s.Trace.phase "mid");
+          s.Trace.runtime (Trace.Phase { name = "mid" }));
         base;
       ] );
   ]
@@ -1539,10 +1530,9 @@ let departure_test () =
 
 (* --- Templates: exactness on live runs ------------------------------------ *)
 
-(* The live, enriched event stream of a recording: the observation's
-   sink is swapped for a capturing one, which [record_prepared] tees
-   next to the writer behind the same enrichment. [None] when the
-   program does not fit the system. *)
+(* The live event stream of a recording: the observation's sink is
+   swapped for a capturing one, which [record_prepared] tees next to
+   the writer. [None] when the program does not fit the system. *)
 let record_live config trace =
   match Toolchain.prepare ~observe:Toolchain.default_observe config with
   | Error _ -> None
@@ -1603,6 +1593,46 @@ let prop_recording_is_live_stream =
             { Swapram.Config.default_options with Swapram.Config.cache_size = 512 };
           Toolchain.Block_cache Blockcache.Config.default_options;
         ])
+
+(* --- Runtime answers at the emit site -------------------------------------- *)
+
+(* A bare sink attached to a prepared system, with no observation and
+   no recording, gets the runtime's answers from the emit sites: the
+   same instruction-fetch homes and call units, event for event, as
+   the decoded golden recording of that configuration. [answered]
+   picks an event that carries a runtime's answer, so the comparison
+   cannot pass on the machine's own answers alone. *)
+let bare_sink_answers_test () =
+  let ifetch_home = function
+    | ( Trace.Mem_access
+          { addr; cls = Trace.Fram_read { ifetch = true; _ } | Trace.Sram_read { ifetch = true } },
+        home ) ->
+        home <> addr
+    | _ -> false
+  in
+  let call_unit = function Trace.Call _, u -> u >= 0 | _ -> false in
+  List.iter
+    (fun (system, file, answered) ->
+      match Toolchain.prepare (tiny_config ~system ()) with
+      | Error msg -> Alcotest.failf "%s: %s" system msg
+      | Ok p -> (
+          let sink, events = capture () in
+          let cpu = p.Toolchain.p_system.Platform.cpu in
+          Trace.set_sink (Msp430.Cpu.stats cpu) (Some sink);
+          Toolchain.boot p;
+          (match Msp430.Cpu.run cpu with
+          | Msp430.Cpu.Halted -> ()
+          | o -> Alcotest.failf "%s: %s" system (Msp430.Cpu.outcome_name o));
+          let live = events () in
+          match decode_events (golden_path file) with
+          | Error e, _ -> Alcotest.failf "%s: %s" system (Trace_file.error_message e)
+          | Ok _, recorded ->
+              if not (List.exists answered live) then
+                Alcotest.failf "%s: no event carries a runtime answer" system;
+              if live <> recorded then
+                Alcotest.failf "%s: the bare sink's %d events differ from the %d recorded"
+                  system (List.length live) (List.length recorded)))
+    [ ("block", "replay_tiny_block.trace", ifetch_home); ("swapram", "replay_tiny.trace", call_unit) ]
 
 (* --- Whole templated instructions = expanded ones ------------------------ *)
 
@@ -1751,6 +1781,8 @@ let suite =
       v1_trace_test;
     Alcotest.test_case "template departures round-trip" `Quick departure_test;
     QCheck_alcotest.to_alcotest prop_recording_is_live_stream;
+    Alcotest.test_case "a bare sink gets the runtime's answers" `Quick
+      bare_sink_answers_test;
     Alcotest.test_case "whole templated instructions = expanded (golden traces)"
       `Quick whole_golden_test;
     QCheck_alcotest.to_alcotest prop_whole_equals_expanded;
