@@ -237,21 +237,20 @@ let executed sweep (w : Dse.workload) =
   | "swapram", Toolchain.Completed r, _ | "block", _, Toolchain.Completed r -> r
   | _ -> failwith ("bench report: no completed sweep run of " ^ Dse.workload_name w)
 
-(* Every trace is loaded and checked bit-for-bit against the sweep's
-   run of its configuration; a mismatch raises. *)
-let verified_traces sweep workloads =
-  List.map
+(* Every decoded trace is checked bit-for-bit against the sweep's run
+   of its configuration; a mismatch raises. *)
+let verify_traces sweep workloads =
+  List.iter
     (fun w ->
-      let l = Sim_plan.load w.Dse.w_trace in
-      match Replay_sweep.verify_exact l (executed sweep w) with
+      match Replay_sweep.verify_exact w.Dse.w_loaded (executed sweep w) with
       | m :: _ ->
           failwith
             (Printf.sprintf "replay of %s is not exact: %s"
                (Dse.workload_name w) m)
-      | [] -> (w, l))
+      | [] -> ())
     workloads
 
-let replay_json ~jobs traces =
+let replay_json ~jobs workloads =
   let cell_json (r : Replay_sweep.cell_result) =
     let cell = r.Replay_sweep.r_cell and sim = r.Replay_sweep.r_sim in
     Json.Obj
@@ -271,12 +270,14 @@ let replay_json ~jobs traces =
         ("miss_rate", Json.Float sim.Replay.Engine.s_miss_rate);
       ]
   in
-  let trace_json ((w : Dse.workload), (l : Replay.Engine.loaded)) cells =
+  let trace_json (w : Dse.workload) cells =
+    let l = w.Dse.w_loaded in
     Json.Obj
       [
         ("benchmark", Json.String w.Dse.w_benchmark);
         ("system", Json.String w.Dse.w_system);
-        ("fingerprint", Json.Int w.Dse.w_fingerprint);
+        ( "fingerprint",
+          Json.Int l.Replay.Engine.header.Replay.Trace_file.fingerprint );
         ("events", Json.Int l.Replay.Engine.events);
         ("bytes", Json.Int l.Replay.Engine.bytes);
         ("exact_match", Json.Bool true);
@@ -284,13 +285,14 @@ let replay_json ~jobs traces =
       ]
   in
   let cells =
-    Replay_sweep.replay_traces ~jobs (List.map snd traces)
+    Replay_sweep.replay_traces ~jobs
+      (List.map (fun w -> w.Dse.w_loaded) workloads)
       (Replay_sweep.grid ())
   in
   Json.Obj
     [
       ("exact_all", Json.Bool true);
-      ("traces", Json.List (List.map2 trace_json traces cells));
+      ("traces", Json.List (List.map2 trace_json workloads cells));
     ]
 
 (* --- "dse" object: Pareto design-space exploration ----------------------- *)
@@ -338,8 +340,8 @@ let sweeps ?(seed = 1) ?(benchmarks = Workloads.Suite.all)
     with
     | Error e -> failwith ("bench report: recording failed: " ^ e)
     | Ok workloads ->
-        let traces = verified_traces sweep workloads in
-        (lazy (replay_json ~jobs traces), dse_json ~jobs workloads)
+        verify_traces sweep workloads;
+        (lazy (replay_json ~jobs workloads), dse_json ~jobs workloads)
   in
   { seed; frequency; sweep; pgo; replay; dse }
 

@@ -10,14 +10,17 @@
    the memoized sims, which is why serial, parallel and resumed runs
    are byte-identical by construction.
 
+   Each trace is decoded once, by the recording task that records or
+   reuses it, and travels as the workload's [w_loaded] value: [run]
+   and the simulation workers read that value and never open a trace
+   file.
+
    The persistent memo store is a {!Store} (see store.mli for the file
    format) holding (key, sim) entries; the sims of a run are appended
    once its pool map returns. Keys are derived from the trace
    *contents* (configuration fingerprint + event count) plus the
-   model — never the file path — so a re-recorded or stale trace can
-   never satisfy a cached cell (the same staleness discipline as
-   [Replay.Engine.load_cached], which keys its decodes on the file's
-   size, mtime and header fingerprint). *)
+   model — never the file path — so a re-recorded trace can never
+   satisfy a cached cell recorded under another configuration. *)
 
 module Engine = Replay.Engine
 module Trace_file = Replay.Trace_file
@@ -70,20 +73,21 @@ type workload = {
   w_benchmark : string;
   w_system : string; (* "swapram" or "block" *)
   w_trace : string;
-  w_fingerprint : int;
   w_events : int;
   w_line_bytes : int option; (* Some slot for line-granular traces *)
+  w_loaded : Engine.loaded;
 }
 
 let workload_name w = w.w_benchmark ^ "/" ^ w.w_system
 
-(* Record (or reuse) one trace per (benchmark x system) under [dir].
-   A trace already on disk whose header fingerprint matches the
-   expected configuration is reused without re-recording — that is
-   what makes a resumed run with a persistent trace dir skip straight
-   to the memo. Pairs whose image does not fit the system are skipped
-   (the block cache rejects several Table-2 benchmarks); a crash is an
-   error. *)
+(* Record (or reuse) one trace per (benchmark x system) under [dir],
+   and decode it in the same task. A trace already on disk that decodes
+   and carries the expected configuration's fingerprint is reused
+   without re-recording — that is what makes a resumed run with a
+   persistent trace dir skip straight to the memo. Any other file under
+   the name (cut, foreign, older layout) is recorded again. Pairs whose
+   image does not fit the system are skipped (the block cache rejects
+   several Table-2 benchmarks); a crash is an error. *)
 let record_workloads ?(seed = 1) ?benchmarks
     ?(systems = Toolchain.replay_systems) ?(frequency = Platform.Mhz8)
     ?(jobs = 1) ?(progress = Progress.null) ~dir () =
@@ -97,6 +101,7 @@ let record_workloads ?(seed = 1) ?benchmarks
   in
   let total = List.length pairs in
   let record_pair (bd, caching) =
+    let name = bd.Workloads.Bench_def.name in
     let system_name = Toolchain.caching_name caching in
     let config =
       { (Toolchain.default_config bd) with seed; frequency; caching }
@@ -107,24 +112,46 @@ let record_workloads ?(seed = 1) ?benchmarks
         (Printf.sprintf "%s-%s.trace" bd.Workloads.Bench_def.short
            system_name)
     in
-    let reusable =
-      Sys.file_exists trace
-      &&
-      match Trace_file.read_header trace with
-      | Ok h -> h.Trace_file.fingerprint = expected
-      | Error _ -> false
+    let reused =
+      if not (Sys.file_exists trace) then None
+      else
+        match Engine.load trace with
+        | Ok l when l.Engine.header.Trace_file.fingerprint = expected -> Some l
+        | Ok _ | Error _ -> None
     in
-    if reusable then Some (bd.Workloads.Bench_def.name, system_name, trace)
-    else
-      match Toolchain.run_recorded ~trace config with
-      | Toolchain.Completed _ ->
-          Some (bd.Workloads.Bench_def.name, system_name, trace)
-      | Toolchain.Did_not_fit _ -> None
-      | Toolchain.Crashed o ->
-          failwith
-            (Printf.sprintf "dse: recording %s/%s crashed: %s"
-               bd.Workloads.Bench_def.name system_name
-               (Msp430.Cpu.outcome_name o))
+    let loaded =
+      match reused with
+      | Some l -> Some l
+      | None -> (
+          match Toolchain.run_recorded ~trace config with
+          | Toolchain.Completed _ -> (
+              match Engine.load trace with
+              | Ok l -> Some l
+              | Error e ->
+                  failwith
+                    (Printf.sprintf "dse: %s/%s: %s" name system_name
+                       (Engine.error_message e)))
+          | Toolchain.Did_not_fit _ -> None
+          | Toolchain.Crashed o ->
+              failwith
+                (Printf.sprintf "dse: recording %s/%s crashed: %s" name
+                   system_name
+                   (Msp430.Cpu.outcome_name o)))
+    in
+    Option.map
+      (fun (l : Engine.loaded) ->
+        {
+          w_benchmark = name;
+          w_system = system_name;
+          w_trace = trace;
+          w_events = l.Engine.events;
+          w_line_bytes =
+            (match l.Engine.header.Trace_file.granularity with
+            | Trace_file.Lines n -> Some n
+            | Trace_file.Functions _ -> None);
+          w_loaded = l;
+        })
+      loaded
   in
   match
     Observe.Telemetry.with_span ~cat:"dse" "record"
@@ -136,30 +163,10 @@ let record_workloads ?(seed = 1) ?benchmarks
   with
   | exception Failure msg -> Error msg
   | exception Parallel.Worker_failed msg -> Error msg
-  | recorded ->
-      (* Decode each trace once here, in the parent: the events
-         count pins the memo key, and every forked worker inherits
-         the decoded statistics instead of re-decoding. *)
-      let workloads =
-        List.filter_map
-          (Option.map (fun (bench, system, trace) ->
-               let l = Sim_plan.load trace in
-               {
-                 w_benchmark = bench;
-                 w_system = system;
-                 w_trace = trace;
-                 w_fingerprint =
-                   l.Engine.header.Trace_file.fingerprint;
-                 w_events = l.Engine.events;
-                 w_line_bytes =
-                   (match l.Engine.header.Trace_file.granularity with
-                   | Trace_file.Lines n -> Some n
-                   | Trace_file.Functions _ -> None);
-               }))
-          recorded
-      in
-      if workloads = [] then Error "dse: no workload fit any system"
-      else Ok workloads
+  | recorded -> (
+      match List.filter_map Fun.id recorded with
+      | [] -> Error "dse: no workload fit any system"
+      | workloads -> Ok workloads)
 
 (* A persistent [dir] is created if missing and kept; without one the
    traces go to a fresh temporary directory, removed with its files
@@ -382,7 +389,7 @@ let models_for g w =
 
 let key_of w (m : Engine.model) =
   {
-    sk_fingerprint = w.w_fingerprint;
+    sk_fingerprint = w.w_loaded.Engine.header.Trace_file.fingerprint;
     sk_events = w.w_events;
     sk_budget = m.Engine.m_budget;
     sk_policy = Engine.policy_name m.Engine.m_policy;
@@ -400,156 +407,127 @@ let run ?(jobs = 1) ?(progress = Progress.null) ?store grid workloads =
           Error (Printf.sprintf "memo store %s: not a dse memo store" path)
       | Ok (memo : (sim_key, Engine.sim) Store.t) -> (
           Fun.protect ~finally:(fun () -> Store.close memo) @@ fun () ->
-          (* Staleness gate: each workload's on-disk trace must still
-             carry the fingerprint it was planned with. The decode is
-             the one the workers inherit and the frontiers read. *)
-          let rec gate acc = function
-            | [] -> Ok (List.rev acc)
-            | w :: rest -> (
-                match Engine.load_cached w.w_trace with
-                | Error e ->
-                    Error
-                      (Printf.sprintf "dse: %s: %s" (workload_name w)
-                         (Engine.error_message e))
-                | Ok l
-                  when l.Engine.header.Trace_file.fingerprint
-                       <> w.w_fingerprint ->
-                    Error
-                      (Printf.sprintf
-                         "dse: %s: stale trace (fingerprint %d, planned %d)"
-                         (workload_name w)
-                         l.Engine.header.Trace_file.fingerprint w.w_fingerprint)
-                | Ok l -> gate ((w, l, models_for grid w) :: acc) rest)
+          let per_workload =
+            List.map (fun w -> (w, models_for grid w)) workloads
           in
-          match gate [] workloads with
-          | Error _ as e -> e
-          | Ok per_workload -> (
-              let sims_total =
-                List.fold_left
-                  (fun acc (_, _, ms) -> acc + List.length ms)
-                  0 per_workload
-              in
-              let points_total = sims_total * List.length grid.g_frequencies in
-              (* Partition against the store; only missing sims are
-                 dispatched. *)
-              let missing =
-                List.concat_map
-                  (fun (w, l, ms) ->
-                    List.filter_map
-                      (fun m ->
-                        if Store.mem memo (key_of w m) then None
-                        else Some (w, l, m))
-                      ms)
-                  per_workload
-              in
-              let sims_computed = List.length missing in
-              let sims_cached = sims_total - sims_computed in
-              Observe.Telemetry.counter "dse.sims_computed" sims_computed;
-              Observe.Telemetry.counter "dse.sims_cached" sims_cached;
-              let finished = ref 0 in
-              let advance n =
-                finished := !finished + n;
-                progress
-                  (Progress.Units_done
-                     {
-                       label = "dse";
-                       finished = !finished;
-                       total = sims_total;
-                     })
-              in
-              advance sims_cached;
-              (* A forked worker's collapsed-sim tally rides back with
-                 its sims; a parent-side counter would never see it. *)
-              let tasks =
-                Array.of_list
-                  (Sim_plan.plan (List.map (fun (_, l, m) -> (l, m)) missing))
-              in
-              let on_pool ev =
-                (match ev with
-                | Parallel.Completed { task; _ } ->
-                    advance (Array.length tasks.(task).Sim_plan.t_index)
-                | _ -> ());
-                Parallel.worker_progress progress ev
-              in
-              match
-                Observe.Telemetry.with_span ~cat:"dse" "simulate"
-                  ~args:
-                    [
-                      ("sims", Json.Int sims_computed);
-                      ("jobs", Json.Int jobs);
-                      ("tasks", Json.Int (Array.length tasks));
-                    ]
+          let sims_total =
+            List.fold_left
+              (fun acc (_, ms) -> acc + List.length ms)
+              0 per_workload
+          in
+          let points_total = sims_total * List.length grid.g_frequencies in
+          (* Partition against the store; only missing sims are
+             dispatched. *)
+          let missing =
+            List.concat_map
+              (fun (w, ms) ->
+                List.filter_map
+                  (fun m ->
+                    if Store.mem memo (key_of w m) then None else Some (w, m))
+                  ms)
+              per_workload
+          in
+          let sims_computed = List.length missing in
+          let sims_cached = sims_total - sims_computed in
+          Observe.Telemetry.counter "dse.sims_computed" sims_computed;
+          Observe.Telemetry.counter "dse.sims_cached" sims_cached;
+          let finished = ref 0 in
+          let advance n =
+            finished := !finished + n;
+            progress
+              (Progress.Units_done
+                 { label = "dse"; finished = !finished; total = sims_total })
+          in
+          advance sims_cached;
+          (* A forked worker's collapsed-sim tally rides back with its
+             sims; a parent-side counter would never see it. *)
+          let tasks =
+            Array.of_list
+              (Sim_plan.plan (List.map (fun (w, m) -> (w.w_loaded, m)) missing))
+          in
+          let on_pool ev =
+            (match ev with
+            | Parallel.Completed { task; _ } ->
+                advance (Array.length tasks.(task).Sim_plan.t_index)
+            | _ -> ());
+            Parallel.worker_progress progress ev
+          in
+          match
+            Observe.Telemetry.with_span ~cat:"dse" "simulate"
+              ~args:
+                [
+                  ("sims", Json.Int sims_computed);
+                  ("jobs", Json.Int jobs);
+                  ("tasks", Json.Int (Array.length tasks));
+                ]
+              (fun () ->
+                Sim_plan.run ~jobs ~retries:3 ~on_event:on_pool
+                  (Array.to_list tasks))
+          with
+          | exception (Failure msg | Parallel.Worker_failed msg) -> Error msg
+          | sims, sims_collapsed ->
+              List.iter2
+                (fun (w, m) s -> Store.add memo (key_of w m) s)
+                missing sims;
+              Store.flush memo;
+              Observe.Telemetry.counter "dse.sims_collapsed" sims_collapsed;
+              (* Fan sims out into points and frontiers, entirely in the
+                 parent. *)
+              let frontiers, all_points =
+                Observe.Telemetry.with_span ~cat:"dse" "frontier"
+                  ~args:[ ("points", Json.Int points_total) ]
                   (fun () ->
-                    Sim_plan.run ~jobs ~retries:3 ~on_event:on_pool
-                      (Array.to_list tasks))
-              with
-              | exception (Failure msg | Parallel.Worker_failed msg) ->
-                  Error msg
-              | sims, sims_collapsed ->
-                  List.iter2
-                    (fun (w, _, m) s -> Store.add memo (key_of w m) s)
-                    missing sims;
-                  Store.flush memo;
-                  Observe.Telemetry.counter "dse.sims_collapsed"
-                    sims_collapsed;
-                  (* Fan sims out into points and frontiers, entirely
-                     in the parent. *)
-                  let frontiers, all_points =
-                    Observe.Telemetry.with_span ~cat:"dse" "frontier"
-                      ~args:[ ("points", Json.Int points_total) ]
-                      (fun () ->
-                        let acc_all = ref [] in
-                        let fronts =
-                          List.map
-                            (fun (w, l, ms) ->
-                              let name = workload_name w in
-                              let pts =
-                                List.concat_map
-                                  (fun (m : Engine.model) ->
-                                    let sim =
-                                      Option.get (Store.find memo (key_of w m))
-                                    in
-                                    List.map
-                                      (fun freq ->
-                                        {
-                                          p_workload = name;
-                                          p_budget = m.Engine.m_budget;
-                                          p_policy =
-                                            Engine.policy_name
-                                              m.Engine.m_policy;
-                                          p_block =
-                                            Option.value ~default:0
-                                              m.Engine.m_block;
-                                          p_frequency_mhz = freq;
-                                          p_obj =
-                                            objectives_of l
-                                              ~frequency_mhz:freq
-                                              ~budget:m.Engine.m_budget sim;
-                                        })
-                                      grid.g_frequencies)
-                                  ms
-                              in
-                              acc_all := List.rev_append pts !acc_all;
-                              {
-                                f_workload = name;
-                                f_points = List.length pts;
-                                f_frontier = pareto pts;
-                              })
-                            per_workload
-                        in
-                        (fronts, !acc_all))
-                  in
-                  Ok
-                    {
-                      d_workloads = workloads;
-                      d_points_total = points_total;
-                      d_sims_total = sims_total;
-                      d_sims_computed = sims_computed;
-                      d_sims_cached = sims_cached;
-                      d_sims_collapsed = sims_collapsed;
-                      d_frontiers = frontiers;
-                      d_global_frontier = pareto all_points;
-                    })))
+                    let acc_all = ref [] in
+                    let fronts =
+                      List.map
+                        (fun (w, ms) ->
+                          let name = workload_name w in
+                          let pts =
+                            List.concat_map
+                              (fun (m : Engine.model) ->
+                                let sim =
+                                  Option.get (Store.find memo (key_of w m))
+                                in
+                                List.map
+                                  (fun freq ->
+                                    {
+                                      p_workload = name;
+                                      p_budget = m.Engine.m_budget;
+                                      p_policy =
+                                        Engine.policy_name m.Engine.m_policy;
+                                      p_block =
+                                        Option.value ~default:0
+                                          m.Engine.m_block;
+                                      p_frequency_mhz = freq;
+                                      p_obj =
+                                        objectives_of w.w_loaded
+                                          ~frequency_mhz:freq
+                                          ~budget:m.Engine.m_budget sim;
+                                    })
+                                  grid.g_frequencies)
+                              ms
+                          in
+                          acc_all := List.rev_append pts !acc_all;
+                          {
+                            f_workload = name;
+                            f_points = List.length pts;
+                            f_frontier = pareto pts;
+                          })
+                        per_workload
+                    in
+                    (fronts, !acc_all))
+              in
+              Ok
+                {
+                  d_workloads = workloads;
+                  d_points_total = points_total;
+                  d_sims_total = sims_total;
+                  d_sims_computed = sims_computed;
+                  d_sims_cached = sims_cached;
+                  d_sims_collapsed = sims_collapsed;
+                  d_frontiers = frontiers;
+                  d_global_frontier = pareto all_points;
+                }))
 
 (* --- JSON --------------------------------------------------------------- *)
 

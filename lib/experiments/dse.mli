@@ -39,9 +39,11 @@ type workload = {
   w_benchmark : string;
   w_system : string;  (** "swapram" or "block" *)
   w_trace : string;  (** recorded trace path *)
-  w_fingerprint : int;  (** recording-configuration fingerprint *)
   w_events : int;
   w_line_bytes : int option;  (** [Some slot] for line-granular traces *)
+  w_loaded : Replay.Engine.loaded;
+      (** the decoded trace; its header carries the
+          recording-configuration fingerprint *)
 }
 
 val workload_name : workload -> string
@@ -59,13 +61,14 @@ val record_workloads :
   (workload list, string) result
 (** Record one trace per (benchmark x system) into [dir] on up to
     [jobs] (default 1) forked workers ([systems] defaults to
-    {!Toolchain.replay_systems}).
-    A trace already on disk whose header fingerprint matches the
-    expected configuration is reused without re-recording, so a
-    persistent [dir] makes re-runs recording-free. Pairs whose image
-    does not fit the system are skipped; a crash is an [Error]. Each
-    trace is decoded once here in the parent ({!Replay.Engine.load_cached}),
-    so forked evaluation workers inherit the decoded statistics. *)
+    {!Toolchain.replay_systems}), and decode each in the task that
+    recorded it: the workload carries the decoded value in [w_loaded].
+    A trace already on disk that decodes and whose fingerprint matches
+    the expected configuration is reused without re-recording, so a
+    persistent [dir] makes re-runs recording-free; a trace that does
+    not decode (cut, damaged, an older layout) or was recorded under
+    another configuration is recorded again. Pairs whose image does not
+    fit the system are skipped; a crash is an [Error]. *)
 
 val with_trace_dir : ?dir:string -> (string -> 'a) -> 'a
 (** [with_trace_dir ?dir f] runs [f] on a trace directory for
@@ -156,9 +159,10 @@ val run :
     [store] names the persistent memo store, an {!Store} (created if
     absent or empty): the sims computed by a run are appended once the
     whole pool map returns, so a run killed earlier keeps only what
-    earlier runs stored. A damaged or torn tail is dropped on load. A
-    workload whose on-disk trace no longer matches its planned
-    fingerprint is an [Error], not a silent recompute. *)
+    earlier runs stored. A damaged or torn tail is dropped on load.
+    The sims and objectives read each workload's [w_loaded]; [run]
+    opens no trace file, so what happens to [w_trace] after
+    {!record_workloads} returns does not change the result. *)
 
 (** {2 JSON} *)
 

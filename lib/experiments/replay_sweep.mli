@@ -4,9 +4,9 @@
     re-executing the CPU at every cache-model grid point: each cell
     is a {!Replay.Engine.simulate} call over the loaded reference
     stream, batched per block size by {!Sim_plan}, microseconds
-    instead of seconds. Cells are not memoized: {!Store} is the one
-    on-disk memo, and {!Replay.Engine.load_cached} refuses to serve a
-    decode of a trace rewritten since. *)
+    instead of seconds. Callers pass decoded traces, so nothing here
+    opens a trace file. Cells are not memoized: {!Store} is the one
+    on-disk memo. *)
 
 type cell = {
   c_budget : int;  (** cache capacity in bytes *)
@@ -27,7 +27,7 @@ val replay_traces :
     trace, both in request order. The (trace, cell) pairs go to up to
     [jobs] (default 1) forked workers as {!Sim_plan} tasks, one
     {!Replay.Engine.simulate_many} batch per (trace, block size);
-    workers inherit the parent's decode. Results are identical for
+    workers get the decoded traces by [fork]. Results are identical for
     every [jobs]. Raises [Failure] ({!Parallel.Worker_failed} from a
     worker) if a simulation fails. *)
 

@@ -11,11 +11,6 @@ type task = {
   t_models : Engine.model list;
 }
 
-let load trace =
-  match Engine.load_cached trace with
-  | Ok l -> l
-  | Error e -> failwith (Engine.error_message e)
-
 (* Run-stream length at [block]: every ladder walks it at least once. *)
 let cost (l : Engine.loaded) ~block =
   match (l.Engine.refs, l.Engine.header.Replay.Trace_file.granularity) with

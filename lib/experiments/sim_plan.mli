@@ -11,9 +11,6 @@ type task = {
   t_models : Replay.Engine.model list;  (** in input order *)
 }
 
-val load : string -> Replay.Engine.loaded
-(** {!Replay.Engine.load_cached}, raising [Failure] on an error. *)
-
 val plan : (Replay.Engine.loaded * Replay.Engine.model) list -> task list
 (** Partition (trace, model) pairs into (trace path, block) tasks,
     ordered by non-increasing [t_cost] (ties: first input position

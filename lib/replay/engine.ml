@@ -381,11 +381,8 @@ let stall_at l ~wait_states =
 (* Process-local loaded-trace cache. Keyed by path but *validated* by
    content: an entry is served only while the file's size, mtime and
    header fingerprint all still match what was loaded, so overwriting
-   a trace in place (the staleness regression) can never satisfy a
-   cached entry recorded under a different configuration. Forked
-   workers inherit the parent's cache at fork time and fill their own
-   copy lazily, which is what makes chunked sweeps decode each trace
-   once per process instead of once per task. *)
+   a trace in place can never satisfy a cached entry recorded under a
+   different configuration. Only the perf benchmark uses it. *)
 
 type cache_sig = { cs_size : int; cs_mtime : float; cs_fingerprint : int }
 

@@ -95,14 +95,13 @@ val load_through :
     are equal. *)
 
 val load_cached : string -> (loaded, error) result
-(** [load], backed by a process-local cache so repeated evaluations of
-    one trace decode it once per process. A cached entry is served
-    only while the file's size, mtime {e and} header fingerprint all
-    match the load-time values, so rewriting a trace in place under a
-    different recording configuration always forces a fresh decode.
-    Forked workers inherit the parent's cache at fork time, which is
-    what lets a sweep parent pre-decode a trace once for every
-    worker. *)
+(** [load], backed by a process-local cache keyed by path. A cached
+    entry is served only while the file's size, mtime {e and} header
+    fingerprint all match the load-time values, so rewriting a trace
+    in place under a different recording configuration always forces
+    a fresh decode. No library or CLI path uses it: the DSE carries
+    each decoded trace as a value. Only the [perf] benchmark's
+    workloads call it and {!clear_load_cache}. *)
 
 val clear_load_cache : unit -> unit
 (** Drop every cached {!load_cached} entry (tests; memory pressure). *)

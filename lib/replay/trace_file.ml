@@ -224,6 +224,7 @@ type mode = Tagged | Pending | Templated | Building
 type writer = {
   oc : out_channel;
   path : string;
+  tmp : string; (* written here, renamed over [path] when complete *)
   buf : Bytes.t;
   mutable pos : int;
   intern : (string, int) Hashtbl.t;
@@ -275,8 +276,13 @@ let spill w =
   output w.oc w.buf 0 w.pos;
   w.pos <- 0
 
+(* The writer fills [PATH.tmp] and renames it over [PATH] only once the
+   end marker is out, as the memo store's compaction does: a
+   process killed mid-recording leaves at most a stale temporary file,
+   never a cut trace under the final name. *)
 let create_writer path header =
-  let oc = open_out_bin path in
+  let tmp = path ^ ".tmp" in
+  let oc = open_out_bin tmp in
   let hdr = Json.to_string (header_json header) in
   let len = String.length hdr in
   let preamble = Bytes.create 10 in
@@ -288,6 +294,7 @@ let create_writer path header =
   {
     oc;
     path;
+    tmp;
     buf = Bytes.create (flush_threshold + event_slack);
     pos = 0;
     intern = Hashtbl.create 16;
@@ -916,7 +923,8 @@ let close_writer w =
     put_byte w tag_end;
     add_varint w w.events;
     spill w;
-    close_out w.oc
+    close_out w.oc;
+    Sys.rename w.tmp w.path
   end
 
 let discard_writer w =
@@ -924,7 +932,7 @@ let discard_writer w =
     w.closed <- true;
     close_out_noerr w.oc
   end;
-  try Sys.remove w.path with Sys_error _ -> ()
+  try Sys.remove w.tmp with Sys_error _ -> ()
 
 (* --- Reader ------------------------------------------------------------ *)
 

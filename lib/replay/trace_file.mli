@@ -80,8 +80,9 @@ val error_message : error -> string
 type writer
 
 val create_writer : string -> header -> writer
-(** [create_writer path header] opens [path] for writing and emits
-    magic, version and header. *)
+(** [create_writer path header] opens [PATH.tmp] for writing and emits
+    magic, version and header. Nothing appears under [path] until
+    {!close_writer}. *)
 
 val sink : writer -> Msp430.Trace.sink
 (** The writer as a sink: each callback matches one event against the
@@ -93,11 +94,13 @@ val sink : writer -> Msp430.Trace.sink
     is buffered. *)
 
 val close_writer : writer -> unit
-(** Write the end marker and close. The file is complete and
-    readable only after this returns. *)
+(** Write the end marker, close, and rename [PATH.tmp] over [path]. A
+    reader therefore never finds a partial trace under [path], even
+    after the recording process is killed. *)
 
 val discard_writer : writer -> unit
-(** Close and delete the partial file (crashed or abandoned runs). *)
+(** Close and delete the partial [PATH.tmp] (crashed or abandoned
+    runs); [path] is left as it was. *)
 
 (** {2 Reading} *)
 

@@ -7,9 +7,10 @@
    no unit is bypassed, chunked parallel dispatch against List.map,
    the (trace, block) planner (an exact partition, costliest first,
    sims = List.map simulate), frontier identity across worker counts
-   end-to-end, and the persistent memo store (warm re-runs compute
-   nothing, a partially warm one computes the rest; a stale trace is
-   an error, not a silent recompute), and the LFU / Cost_aware
+   end-to-end, the persistent memo store (warm re-runs compute
+   nothing, a partially warm one computes the rest), warm trace dirs
+   (a run reads no trace file; an old-layout, cut or killed recording
+   is recorded again), and the LFU / Cost_aware
    budget intervals (a pass at B equals the reference at every budget
    below its [hi]; interval ladders equal per-budget passes). *)
 
@@ -444,12 +445,12 @@ let workload_of ~benchmark ~system trace =
     Dse.w_benchmark = benchmark;
     w_system = system;
     w_trace = trace;
-    w_fingerprint = h.Trace_file.fingerprint;
     w_events = l.Engine.events;
     w_line_bytes =
       (match h.Trace_file.granularity with
       | Trace_file.Lines n -> Some n
       | Trace_file.Functions _ -> None);
+    w_loaded = l;
   }
 
 let tiny_grid =
@@ -551,23 +552,40 @@ let partial_store_test () =
                 o.Dse.d_sims_computed))
         [ 1; 3 ])
 
-(* A workload whose on-disk trace was re-recorded under a different
-   configuration no longer matches its planned fingerprint: the run
-   must refuse, not silently mix stale memo entries with fresh sims. *)
-let stale_trace_test () =
-  with_temp_trace (fun trace ->
-      ignore (Test_replay.record_tiny trace);
-      let workload = workload_of ~benchmark:"tiny" ~system:"swapram" trace in
-      let reseeded =
-        { (Test_replay.tiny_config ()) with Toolchain.seed = 2 }
+let record_exn ?frequency ~bench ~systems dir =
+  match
+    Dse.record_workloads ~benchmarks:[ bench ] ~systems ?frequency ~dir ()
+  with
+  | Ok ws -> ws
+  | Error e -> Alcotest.failf "record_workloads: %s" e
+
+(* The tiny benchmark under both caching systems. *)
+let record_tiny_workloads =
+  record_exn ~frequency:Msp430.Platform.Mhz24 ~bench:Test_replay.tiny_bench
+    ~systems:
+      (List.map
+         (fun system -> (Test_replay.tiny_config ~system ()).Toolchain.caching)
+         [ "swapram"; "block" ])
+
+(* [run] reads each workload's decoded trace, never its file: once the
+   workloads are recorded, rewriting or deleting every trace file
+   leaves the frontiers byte-identical. *)
+let run_reads_no_trace_test () =
+  Dse.with_trace_dir (fun dir ->
+      let workloads = record_tiny_workloads dir in
+      let in_place = slim_json tiny_grid (run_exn workloads) in
+      let check what =
+        Alcotest.(check string)
+          (what ^ " = files in place")
+          in_place
+          (slim_json tiny_grid (run_exn workloads))
       in
-      (match Toolchain.run_recorded ~trace reseeded with
-      | Toolchain.Completed _ -> ()
-      | _ -> Alcotest.fail "re-recording failed");
-      Engine.clear_load_cache ();
-      match Dse.run ~jobs:1 tiny_grid [ workload ] with
-      | Error _ -> ()
-      | Ok _ -> Alcotest.fail "stale trace must be an error")
+      List.iter
+        (fun w -> Test_replay.write_file w.Dse.w_trace "not a trace")
+        workloads;
+      check "files rewritten";
+      List.iter (fun w -> Sys.remove w.Dse.w_trace) workloads;
+      check "files deleted")
 
 (* A warm trace dir holding a trace in the version-1 layout, under the
    name and configuration [record_workloads] would give it: the pair is
@@ -588,11 +606,80 @@ let v1_trace_dir_test () =
           Alcotest.(check int)
             "recorded under the tiny configuration"
             (Toolchain.config_fingerprint (Test_replay.tiny_config ()))
-            w.Dse.w_fingerprint;
+            w.Dse.w_loaded.Engine.header.Trace_file.fingerprint;
           Alcotest.(check bool)
             "re-recorded in the current layout" true
             (Result.is_ok (Trace_file.read_header trace))
       | Ok l -> Alcotest.failf "%d workloads for one pair" (List.length l))
+
+(* A trace cut to half its size in a warm trace dir (what a lost
+   machine can leave) is recorded again, not decoded into an
+   exception, and the frontiers equal a cold run's. *)
+let cut_trace_dir_test () =
+  Dse.with_trace_dir (fun dir ->
+      let cold = record_tiny_workloads dir in
+      let cold_json = slim_json tiny_grid (run_exn cold) in
+      List.iter
+        (fun w ->
+          let bytes = Test_replay.read_file w.Dse.w_trace in
+          Test_replay.write_file w.Dse.w_trace
+            (String.sub bytes 0 (String.length bytes / 2));
+          let warm = record_tiny_workloads dir in
+          Alcotest.(check string)
+            (Dse.workload_name w ^ " re-recorded whole")
+            bytes
+            (Test_replay.read_file w.Dse.w_trace);
+          Alcotest.(check string)
+            (Dse.workload_name w ^ " cut: frontiers = cold run")
+            cold_json
+            (slim_json tiny_grid (run_exn warm)))
+        cold)
+
+(* A child re-records a trace of a warm trace dir in a loop and is
+   SIGKILLed after a delay; the delays step through several recordings.
+   Wherever the kill lands, the file under the trace's name is the
+   whole trace, and the next [record_workloads] + [run] gives the cold
+   frontiers. *)
+let kill_during_recording_test () =
+  Dse.with_trace_dir (fun dir ->
+      (* the configuration [record_workloads] gives the pair *)
+      let config =
+        {
+          (Toolchain.default_config Workloads.Suite.rsa) with
+          Toolchain.frequency = Msp430.Platform.Mhz8;
+          caching = Toolchain.Swapram_cache Swapram.Config.default_options;
+        }
+      in
+      let record () =
+        record_exn ~bench:Workloads.Suite.rsa
+          ~systems:[ config.Toolchain.caching ] dir
+      in
+      let cold = record () in
+      let trace = (List.hd cold).Dse.w_trace in
+      let bytes = Test_replay.read_file trace in
+      let cold_json = slim_json tiny_grid (run_exn cold) in
+      List.iter
+        (fun delay ->
+          match Unix.fork () with
+          | 0 -> (
+              try
+                while true do
+                  ignore (Toolchain.run_recorded ~trace config)
+                done
+              with _ -> Unix._exit 2)
+          | pid ->
+              Unix.sleepf delay;
+              Unix.kill pid Sys.sigkill;
+              ignore (Unix.waitpid [] pid);
+              let at = Printf.sprintf "after a kill at %.0f ms" (delay *. 1000.) in
+              Alcotest.(check bool)
+                ("whole trace " ^ at) true
+                (Test_replay.read_file trace = bytes);
+              Alcotest.(check string)
+                ("frontiers = cold run " ^ at)
+                cold_json
+                (slim_json tiny_grid (run_exn (record ()))))
+        (List.init 25 (fun i -> 0.003 *. float_of_int i)))
 
 (* --- Budget-interval ladders ---------------------------------------------- *)
 
@@ -654,8 +741,8 @@ let suite =
       execution_invariance_test;
     Alcotest.test_case "warm memo store computes nothing" `Quick
       warm_store_test;
-    Alcotest.test_case "stale trace fingerprint is an error" `Quick
-      stale_trace_test;
+    Alcotest.test_case "run reads no trace file" `Quick
+      run_reads_no_trace_test;
     Alcotest.test_case "all-budgets = per-budget across stack compaction"
       `Quick stack_compaction_test;
     QCheck_alcotest.to_alcotest prop_interval;
@@ -665,4 +752,8 @@ let suite =
       partial_store_test;
     Alcotest.test_case "a version 1 trace in a warm trace dir is re-recorded"
       `Quick v1_trace_dir_test;
+    Alcotest.test_case "a cut trace in a warm trace dir is re-recorded"
+      `Quick cut_trace_dir_test;
+    Alcotest.test_case "a killed recording leaves a whole trace" `Quick
+      kill_during_recording_test;
   ]
